@@ -1,52 +1,66 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Numeric kernels on the real representation of matrices over R, C and H.
 
-Set the environment variable ``NCALG_NO_NUMBA=1`` to force the numpy path
-(useful on platforms where numba is unavailable or for benchmarking; see
-benchmarks/bench_kernels.py). The selection happens once at import time.
+A matrix A of algebra elements, stored as an (m, n, d) array, maps to the
+real block matrix rho(A) = [L(a_ij)] of left multiplications, of shape
+(m d) x (n d). rho is an injective algebra homomorphism for the rc product,
+rho(a rc b) = rho(a) @ rho(b), and unrho maps a real matrix back to the
+nearest matrix of elements. The cr product follows by transpose duality:
+a cr b = (a^T rc b^T)^T.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("NCALG_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# The benchmark in ncbench/ reads HAVE_NUMBA, rc_contract, cr_contract and rk4_linear.
+HAVE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
+def rho(table, a):
+    """Real representation of an (m, n, d) matrix under structure constants table."""
+    m, n, d = a.shape
+    return np.einsum("ijp,pqs->isjq", a, table).reshape(m * d, n * d)
 
 
-def rc_contract_np(table, a, b):
-    """Row-over-column matrix product with entry products taken in the algebra.
+def unrho(table, r):
+    """Matrix of elements whose rho is nearest to r in the Frobenius norm.
 
-    a: (m, p, d), b: (p, n, d), table: (d, d, d) structure constants.
-    C[i,j] = sum_k a[i,k] * b[k,j], left factor's entry on the left.
+    The blocks L(e_p) are orthogonal with squared norm d, so each block M
+    maps to the element with coefficients <M, L(e_p)> / d. On the image of
+    rho this inverts rho exactly. Off it, the projection is the average of
+    r over conjugation by right multiplications, which commute with every
+    rho(A); so ||rho(A) @ P(r) - I|| <= ||rho(A) @ r - I||, and likewise on
+    the left, where reading the first column of each block can lose both
+    residuals of an ill-conditioned inverse.
     """
-    return np.einsum("ikp,kjq,pqs->ijs", a, b, table, optimize=True)
+    d = table.shape[0]
+    m, n = r.shape[0] // d, r.shape[1] // d
+    return np.einsum("isjq,pqs->ijp", r.reshape(m, d, n, d), table) / d
 
 
-def cr_contract_np(table, a, b):
-    """Column-over-row product: C[i,j] = sum_k a[k,j] * b[i,k] (a's entry left)."""
-    return np.einsum("kjp,ikq,pqs->ijs", a, b, table, optimize=True)
+def rc_contract(table, a, b):
+    """Row-over-column product C[i,j] = sum_k a[i,k] b[k,j].
+
+    a: (m, p, d), b: (p, n, d). With vec stacking the coefficient vectors
+    down each column, rho(a) @ vec(b) = vec(a rc b).
+    """
+    m = a.shape[0]
+    p, n, d = b.shape
+    vec_b = b.transpose(0, 2, 1).reshape(p * d, n)
+    return (rho(table, a) @ vec_b).reshape(m, d, n).transpose(0, 2, 1)
 
 
-def rk4_linear_np(m, x0, t, steps):
+def cr_contract(table, a, b):
+    """Column-over-row product C[i,j] = sum_k a[k,j] b[i,k] (a's entry left)."""
+    return rc_contract(table, a.transpose(1, 0, 2), b.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def rk4_linear(m, x0, t, steps):
     """State of x' = m x after ``steps`` classical RK4 steps from x(0) = x0.
 
     For a linear autonomous system one RK4 step is exactly multiplication by
-    the degree-4 Taylor polynomial of exp(h m), so the fallback accumulates
-    that step matrix by binary powering instead of looping over steps.
+    the degree-4 Taylor polynomial of exp(h m), so the step matrix is
+    accumulated by binary powering instead of looping over steps.
     """
     h = t / steps
     hm = h * m
@@ -61,75 +75,3 @@ def rk4_linear_np(m, x0, t, steps):
         if n:
             phi = phi @ phi
     return x
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop forms of the same contractions)
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rc_contract_nb(table, a, b):  # pragma: no cover - exercised via dispatch
-        m, p, d = a.shape
-        n = b.shape[1]
-        out = np.zeros((m, n, d))
-        for i in range(m):
-            for j in range(n):
-                for k in range(p):
-                    for u in range(d):
-                        av = a[i, k, u]
-                        if av == 0.0:
-                            continue
-                        for v in range(d):
-                            bv = b[k, j, v]
-                            if bv == 0.0:
-                                continue
-                            for s in range(d):
-                                out[i, j, s] += av * bv * table[u, v, s]
-        return out
-
-    @njit(cache=True)
-    def _cr_contract_nb(table, a, b):  # pragma: no cover
-        p, m, d = a.shape
-        n = b.shape[0]
-        out = np.zeros((n, m, d))
-        for i in range(n):
-            for j in range(m):
-                for k in range(p):
-                    for u in range(d):
-                        av = a[k, j, u]
-                        if av == 0.0:
-                            continue
-                        for v in range(d):
-                            bv = b[i, k, v]
-                            if bv == 0.0:
-                                continue
-                            for s in range(d):
-                                out[i, j, s] += av * bv * table[u, v, s]
-        return out
-
-    @njit(cache=True)
-    def _rk4_linear_nb(m, x0, t, steps):  # pragma: no cover
-        h = t / steps
-        x = x0.copy()
-        for _ in range(steps):
-            k1 = m @ x
-            k2 = m @ (x + 0.5 * h * k1)
-            k3 = m @ (x + 0.5 * h * k2)
-            k4 = m @ (x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x
-
-    def rc_contract(table, a, b):
-        return _rc_contract_nb(table, np.ascontiguousarray(a), np.ascontiguousarray(b))
-
-    def cr_contract(table, a, b):
-        return _cr_contract_nb(table, np.ascontiguousarray(a), np.ascontiguousarray(b))
-
-    def rk4_linear(m, x0, t, steps):
-        return _rk4_linear_nb(np.ascontiguousarray(m), np.ascontiguousarray(x0), float(t), steps)
-
-else:
-    rc_contract = rc_contract_np
-    cr_contract = cr_contract_np
-    rk4_linear = rk4_linear_np

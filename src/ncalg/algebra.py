@@ -3,8 +3,10 @@
 Supported algebras: the reals, the complex numbers, and the quaternions.
 Every value is a coefficient vector over a named basis whose first element
 is the multiplicative unit; products are driven by a structure-constant
-table, so the same code path serves all three algebras (and any other
-associative table dropped into an :class:`AlgebraDesc`).
+table, so the same code path serves all three algebras. An
+:class:`AlgebraDesc` accepts a table only when it is associative and
+x conj(x) = |x|^2 holds, which conj and inv rely on; by Frobenius's theorem
+that leaves exactly the reals, the complex numbers and the quaternions.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class AlgebraDesc:
 
 
 def _validate_structure(alg: AlgebraDesc) -> None:
-    """Check unit law and associativity exhaustively over basis triples."""
+    """Check unit law, associativity and x conj(x) = |x|^2 over basis elements."""
     t = alg.table
     d = alg.dim
     eye = np.eye(d)
@@ -69,6 +71,11 @@ def _validate_structure(alg: AlgebraDesc) -> None:
     right = np.einsum("jkm,iml->ijkl", t, t)
     if not np.allclose(left, right, atol=1e-12):
         raise AlgebraError("structure constants are not associative")
+    # e_i conj(e_j) + e_j conj(e_i) == 2 delta_ij e_0, conj flipping e_1.. e_{d-1}
+    sign = np.where(np.arange(d) == 0, 1.0, -1.0)
+    sym = t * sign[None, :, None] + t.transpose(1, 0, 2) * sign[:, None, None]
+    if not np.allclose(sym, 2.0 * eye[:, :, None] * eye[0], atol=1e-12):
+        raise AlgebraError("x conj(x) = |x|^2 fails: only the reals, complexes and quaternions are supported")
 
 
 def _quaternion_table() -> np.ndarray:

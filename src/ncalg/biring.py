@@ -8,15 +8,18 @@ the two worlds: (a rc b)^T = a^T cr b^T, and likewise for powers, inverses
 and quasideterminants, so the cr routines here delegate to the rc ones
 through transposes wherever the duality makes that exact.
 
-Inverses are built from quasideterminants: the (i, j) entry of the
-rc-inverse is the inverse of the (j, i) quasideterminant, which is the
-Schur-complement-like expression entry - row . inv(interior) . column.
+Every rc operation goes through the real representation rho(A) = [L(a_ij)]
+(see _kernels), an injective algebra homomorphism for the rc product:
+products and powers are real matrix products, the inverse is the LU inverse
+of rho(A), linear systems are one LU solve, and rank is the SVD rank of
+rho(A) over d. A quasideterminant is the Schur expression
+a_ij - r . B^-1 . c with B^-1 from the inverse; it is the pivot that
+noncommutative Gaussian elimination meets at (i, j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,6 +39,7 @@ from .algebra import (
 from .report import Report
 from .tensor import Tensor, eval_power, star_product
 
+# Singular values of rho(A) at or below this share of the largest count as zero.
 PIVOT_RTOL = 1e-10
 
 
@@ -164,6 +168,10 @@ def cr_mul(a: BiMatrix, b: BiMatrix) -> BiMatrix:
     return BiMatrix(a.algebra, _kernels.cr_contract(a.algebra.table, a.data, b.data))
 
 
+def _rho(a: BiMatrix) -> np.ndarray:
+    return _kernels.rho(a.algebra.table, a.data)
+
+
 def transpose(a: BiMatrix) -> BiMatrix:
     return BiMatrix(a.algebra, a.data.transpose(1, 0, 2))
 
@@ -195,20 +203,12 @@ def rc_pow(a: BiMatrix, n: int) -> BiMatrix:
     _require_square(a)
     if n < 0:
         raise ValueError("power must be >= 0")
-    acc = BiMatrix.identity(a.algebra, a.rows)
-    for _ in range(n):
-        acc = rc_mul(acc, a)
-    return acc
+    return BiMatrix(a.algebra, _kernels.unrho(a.algebra.table, np.linalg.matrix_power(_rho(a), n)))
 
 
 def cr_pow(a: BiMatrix, n: int) -> BiMatrix:
-    _require_square(a)
-    if n < 0:
-        raise ValueError("power must be >= 0")
-    acc = BiMatrix.identity(a.algebra, a.rows)
-    for _ in range(n):
-        acc = cr_mul(acc, a)
-    return acc
+    """cr-power via duality: transpose of the rc-power of the transpose."""
+    return transpose(rc_pow(transpose(a), n))
 
 
 # ---------------------------------------------------------------------------
@@ -230,115 +230,41 @@ def submatrix(a: BiMatrix, rows: Iterable[int], cols: Iterable[int]) -> BiMatrix
 
 
 # ---------------------------------------------------------------------------
-# quasideterminants and inverses
-
-# Inverting through the full quasideterminant matrix needs all n^2 pivots
-# defined and invertible, which fails whenever the inverse has a zero entry
-# (diagonal matrices already break it). Instead each recursion level picks
-# one pivot position (i, j) whose interior minor inverts, forms that single
-# quasideterminant, and assembles the inverse from the block identities
-#   x[j, i]  = q^-1,           x[j, C]  = -q^-1 (r B^-1),
-#   x[C, i]  = -(B^-1 c) q^-1, x[C, C'] = B^-1 + (B^-1 c) q^-1 (r B^-1),
-# where B is the interior, r/c the deleted row/column and q the pivot
-# quasideterminant. Pivots are searched in lexicographic order and the
-# candidate is residual-verified, so results are deterministic.
+# inverses, quasideterminants, linear systems and rank, all through rho
 
 
-def _entry_norms(data: np.ndarray) -> np.ndarray:
-    return np.sqrt((data ** 2).sum(axis=2))
+def _rank(r: np.ndarray, d: int) -> int:
+    """rc rank of the matrix whose real representation is r.
 
-
-def _inv_element(alg: AlgebraDesc, coeffs: np.ndarray, pivot_tol: float) -> np.ndarray:
-    n2 = float(coeffs @ coeffs)
-    if np.sqrt(n2) <= pivot_tol:
-        raise SingularMatrixError("pivot below tolerance")
-    c = coeffs.copy()
-    c[1:] = -c[1:]
-    return c / n2
-
-
-def _mul(alg: AlgebraDesc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("p,q,pqk->k", a, b, alg.table)
-
-
-def _quasidet_raw(alg: AlgebraDesc, data: np.ndarray, i: int, j: int, pivot_tol: float) -> np.ndarray:
-    """Quasideterminant at (row i, col j): entry - row . inv(interior) . col."""
-    n = data.shape[0]
-    if n == 1:
-        return data[0, 0].copy()
-    keep_r = [r for r in range(n) if r != i]
-    keep_c = [c for c in range(n) if c != j]
-    interior = data[np.ix_(keep_r, keep_c)]
-    interior_inv = _rc_inv_raw(alg, interior, pivot_tol)
-    row = data[i][keep_c]  # (n-1, dim)
-    col = data[np.ix_(keep_r, [j])][:, 0, :]  # (n-1, dim)
-    acc = np.zeros(alg.dim)
-    for r in range(n - 1):
-        for c in range(n - 1):
-            acc += _mul(alg, _mul(alg, row[r], interior_inv[r, c]), col[c])
-    return data[i, j] - acc
-
-
-def _rc_inv_raw(alg: AlgebraDesc, data: np.ndarray, pivot_tol: float) -> np.ndarray:
-    n = data.shape[0]
-    if n == 1:
-        return _inv_element(alg, data[0, 0], pivot_tol).reshape(1, 1, -1)
-    delta = np.zeros_like(data)
-    delta[np.arange(n), np.arange(n), 0] = 1.0
-    last_err = None
-    for i in range(n):
-        for j in range(n):
-            keep_r = [r for r in range(n) if r != i]
-            keep_c = [c for c in range(n) if c != j]
-            try:
-                b_inv = _rc_inv_raw(alg, data[np.ix_(keep_r, keep_c)], pivot_tol)
-            except SingularMatrixError as err:
-                last_err = err
-                continue
-            r_binv = _kernels.rc_contract(alg.table, data[[i]][:, keep_c], b_inv)  # 1 x (n-1)
-            binv_c = _kernels.rc_contract(alg.table, b_inv, data[np.ix_(keep_r, [j])])  # (n-1) x 1
-            q = data[i, j] - _kernels.rc_contract(
-                alg.table, r_binv, data[np.ix_(keep_r, [j])]
-            )[0, 0]
-            try:
-                q_inv = _inv_element(alg, q, pivot_tol)
-            except SingularMatrixError as err:
-                last_err = err
-                continue
-            out = np.zeros_like(data)
-            out[j, i] = q_inv
-            q_inv3 = q_inv.reshape(1, 1, -1)
-            out[np.ix_([j], keep_r)] = -_kernels.rc_contract(alg.table, q_inv3, r_binv)
-            out[np.ix_(keep_c, [i])] = -_kernels.rc_contract(alg.table, binv_c, q_inv3)
-            out[np.ix_(keep_c, keep_r)] = b_inv + _kernels.rc_contract(
-                alg.table, _kernels.rc_contract(alg.table, binv_c, q_inv3), r_binv
-            )
-            resid = _kernels.rc_contract(alg.table, data, out) - delta
-            resid2 = _kernels.rc_contract(alg.table, out, data) - delta
-            # scale the acceptance with the conditioning actually encountered
-            check_tol = 1e-9 * (1.0 + float(_entry_norms(data).max()) * float(_entry_norms(out).max()) * n)
-            if max(np.abs(resid).max(), np.abs(resid2).max()) <= check_tol:
-                return out
-            last_err = SingularMatrixError("inverse candidate failed residual check")
-    raise SingularMatrixError("rc-singular") from last_err
-
-
-def _pivot_tol(a: BiMatrix) -> float:
-    return PIVOT_RTOL * (1.0 + a.max_entry_norm())
+    Singular values at or below PIVOT_RTOL times the largest count as zero,
+    a rule that does not depend on the scale of the entries. Each singular
+    value of rho(A) occurs d times, so the count is divided by d.
+    """
+    s = np.linalg.svd(r, compute_uv=False)
+    return int((s > PIVOT_RTOL * s[0]).sum()) // d
 
 
 def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
-    """(i, j) rc-quasideterminant; the inverse matrix's (j, i) entry inverted."""
+    """(i, j) rc-quasideterminant; the inverse matrix's (j, i) entry inverted.
+
+    It is a_ij - r . B^-1 . c, where B is a without row i and column j, and
+    r and c are row i and column j without their shared entry.
+    """
     n = _require_square(a)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("quasideterminant index out of range")
+    if n == 1:
+        return a.entry(0, 0)
+    keep_r = [r for r in range(n) if r != i]
+    keep_c = [c for c in range(n) if c != j]
     try:
-        q = _quasidet_raw(a.algebra, a.data, i, j, _pivot_tol(a))
+        interior_inv = rc_inv(submatrix(a, keep_r, keep_c))
     except SingularMatrixError as err:
         raise QuasideterminantUndefinedError(
             f"quasideterminant undefined at ({i}, {j}): interior submatrix is rc-singular"
         ) from err
-    return Element(a.algebra, q)
+    acc = rc_mul(rc_mul(submatrix(a, [i], keep_c), interior_inv), submatrix(a, keep_r, [j]))
+    return a.entry(i, j) - acc.entry(0, 0)
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
@@ -347,8 +273,19 @@ def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
 
 
 def rc_inv(a: BiMatrix) -> BiMatrix:
-    _require_square(a)
-    return BiMatrix(a.algebra, _rc_inv_raw(a.algebra, a.data, _pivot_tol(a)))
+    """rc-inverse: the LU inverse of rho(a), projected by unrho and residual-checked."""
+    n = _require_square(a)
+    d = a.algebra.dim
+    r = _rho(a)
+    if _rank(r, d) < n:
+        raise SingularMatrixError("rc-singular")
+    out = BiMatrix(a.algebra, _kernels.unrho(a.algebra.table, np.linalg.inv(r)))
+    delta = BiMatrix.identity(a.algebra, n)
+    resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
+    # scale the acceptance with the conditioning actually encountered
+    if resid > 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
+        raise SingularMatrixError("inverse failed residual check")
+    return out
 
 
 def cr_inv(a: BiMatrix) -> BiMatrix:
@@ -357,50 +294,55 @@ def cr_inv(a: BiMatrix) -> BiMatrix:
 
 
 def is_rc_singular(a: BiMatrix) -> bool:
-    try:
-        rc_inv(a)
-        return False
-    except SingularMatrixError:
-        return True
-
-
-# ---------------------------------------------------------------------------
-# linear systems
+    return _rank(_rho(a), a.algebra.dim) < _require_square(a)
 
 
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
-    """Unique solution x of a rc x = b for rc-nonsingular square a."""
+    """Unique solution x of a rc x = b for rc-nonsingular square a.
+
+    x comes from one LU solve on rho(a) and is accepted by its backward
+    error: ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||).
+    """
     n = _require_square(a)
     b = list(b)
     if len(b) != n:
         raise AlgebraError("right-hand side height mismatch")
-    col = BiMatrix.from_elements([[e] for e in b])
-    x = rc_mul(rc_inv(a), col)
-    resid = rc_mul(a, x) - col
-    bnorm = max((e.norm() for e in b), default=0.0)
-    if float(np.abs(resid.data).max()) > 1e-8 * (1.0 + bnorm):
+    d = a.algebra.dim
+    r = _rho(a)
+    if _rank(r, d) < n:
+        raise SingularMatrixError("rc-singular")
+    rhs = BiMatrix.from_elements([[e] for e in b]).data.reshape(n * d)
+    x = np.linalg.solve(r, rhs)
+    resid = float(np.linalg.norm(r @ x - rhs))
+    if resid > 1e-8 * (np.linalg.norm(rhs) + np.linalg.norm(r, 2) * np.linalg.norm(x)):
         raise SingularMatrixError("solution residual above tolerance")
-    return x.column(0)
-
-
-# ---------------------------------------------------------------------------
-# rank
+    return [Element(a.algebra, c) for c in x.reshape(n, d)]
 
 
 def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     """Largest k with an rc-nonsingular k x k minor, plus one such selector.
 
-    Sizes are searched downward; within a size the index sets run in
-    lexicographic order, and the first nonsingular minor wins.
+    k is the rank of rho(a) over d. The rows are picked greedily, each
+    joining when it raises the rank, then the columns within those rows. In
+    a matroid the greedy basis is the lexicographically first one, so the
+    selector is the first nonsingular k x k minor with row sets, then
+    column sets, in lexicographic order.
     """
-    m, n = a.rows, a.cols
-    for k in range(min(m, n), 0, -1):
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                sub = submatrix(a, rows, cols)
-                if not is_rc_singular(sub):
-                    return k, MinorSelector(rows, cols)
-    return 0, MinorSelector((), ())
+    d = a.algebra.dim
+    k = _rank(_rho(a), d)
+
+    def greedy(count, part):
+        picked = ()
+        for idx in range(count):
+            if len(picked) == k:
+                break
+            if _rank(_rho(part(picked + (idx,))), d) > len(picked):
+                picked += (idx,)
+        return picked
+
+    rows = greedy(a.rows, lambda rows: submatrix(a, rows, range(a.cols)))
+    cols = greedy(a.cols, lambda cols: submatrix(a, rows, cols))
+    return k, MinorSelector(rows, cols)
 
 
 def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element] | None:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncalg.algebra import (
+    AlgebraDesc,
     AlgebraError,
     Element,
     NotInvertibleError,
@@ -54,6 +55,13 @@ class TestMakeAlgebra:
 
     def test_dims(self, RR, CC, HH):
         assert (RR.dim, CC.dim, HH.dim) == (1, 2, 4)
+
+    def test_split_complex_rejected(self):
+        # associative and unital, but j*j = +1 gives (1 + j)(1 - j) = 0
+        t = np.zeros((2, 2, 2))
+        t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = 1.0
+        with pytest.raises(AlgebraError):
+            AlgebraDesc("split-complex", 2, ("1", "j"), t)
 
 
 class TestMul:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from ncalg.biring import (
 )
 from ncalg.tensor import pure
 
-from conftest import complex_matrix
+from conftest import complex_matrix, quat_mul_oracle
 
 
 def real_mat(RR, rows):
@@ -407,3 +409,141 @@ class TestDataForms:
         s = submatrix(a, [0, 2], [1])
         assert s.rows == 2 and s.cols == 1
         assert s.entry(1, 0).close(a.entry(2, 1), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# checks against references that do not use the real representation
+
+
+def _lmat_oracle(c):
+    """Left multiplication by c as a real matrix, from hand-written products."""
+    if c.shape == (1,):
+        return c.reshape(1, 1)
+    if c.shape == (2,):
+        return np.array([[c[0], -c[1]], [c[1], c[0]]])
+    return np.stack([quat_mul_oracle(c, e) for e in np.eye(4)], axis=1)
+
+
+def _oracle_rank(data):
+    """rc rank of an (m, n, d) array: singular values of its real form above 1e-10 of the largest."""
+    m, n, d = data.shape
+    r = np.block([[_lmat_oracle(data[i, j]) for j in range(n)] for i in range(m)])
+    s = np.linalg.svd(r, compute_uv=False)
+    return int((s > 1e-10 * s[0]).sum()) // d
+
+
+def _brute_force_rank(a):
+    """Sizes downward, then row sets and column sets in lexicographic order."""
+    for k in range(min(a.rows, a.cols), 0, -1):
+        for rows in combinations(range(a.rows), k):
+            for cols in combinations(range(a.cols), k):
+                if _oracle_rank(a.data[np.ix_(rows, cols)]) == k:
+                    return k, MinorSelector(rows, cols)
+    return 0, MinorSelector((), ())
+
+
+def _family(alg, name, m, n, rng):
+    a = random_matrix(alg, m, n, rng).data.copy()
+    if name == "outer":
+        a = rc_mul(random_matrix(alg, m, 1, rng), random_matrix(alg, 1, n, rng)).data
+    elif name == "duplicated-column":
+        a[:, n - 1] = a[:, 0]
+    elif name == "zero-last-row":
+        a[m - 1] = 0.0
+    elif name == "zero-first-column":
+        a[:, 0] = 0.0
+    elif name == "rank-2":
+        a = rc_mul(random_matrix(alg, m, 2, rng), random_matrix(alg, 2, n, rng)).data
+    return BiMatrix(alg, a)
+
+
+FAMILIES = ("outer", "duplicated-column", "zero-last-row", "zero-first-column", "rank-2", "full")
+
+
+class TestRankSearch:
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_lexicographic_search(self, tag, family):
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(7)
+        for m, n in ((2, 2), (3, 3), (2, 3), (3, 2)):
+            for _ in range(3):
+                a = _family(alg, family, m, n, rng)
+                expected = _brute_force_rank(a)
+                assert rc_rank(a) == expected
+                if m == n:
+                    assert is_rc_singular(a) == (expected[0] < n)
+
+
+class TestProductsAgainstElements:
+    def test_rectangular_rc_and_cr(self, rng):
+        for tag in ("real", "complex", "quaternion"):
+            alg = make_algebra(tag)
+            for m, p, n in ((1, 3, 2), (2, 3, 4), (3, 1, 3), (4, 2, 1)):
+                a = random_matrix(alg, m, p, rng)
+                b = random_matrix(alg, p, n, rng)
+                rc = rc_mul(a, b)
+                for i in range(m):
+                    for j in range(n):
+                        want = sum((a.entry(i, k) * b.entry(k, j) for k in range(p)), zero(alg))
+                        assert rc.entry(i, j).close(want, 1e-12)
+                # cr needs rows(a) = cols(c); (a cr c)[i][j] = sum_k a[k][j] c[i][k]
+                c = random_matrix(alg, n, m, rng)
+                cr = cr_mul(a, c)
+                assert (cr.rows, cr.cols) == (n, p)
+                for i in range(n):
+                    for j in range(p):
+                        want = sum((a.entry(k, j) * c.entry(i, k) for k in range(m)), zero(alg))
+                        assert cr.entry(i, j).close(want, 1e-12)
+
+    def test_powers_match_repeated_products(self, HH, rng):
+        a = random_matrix(HH, 3, 3, rng)
+        acc_rc = acc_cr = BiMatrix.identity(HH, 3)
+        for n in range(6):
+            assert diff_norm(rc_pow(a, n), acc_rc) <= 1e-12 * (1.0 + acc_rc.max_entry_norm())
+            assert diff_norm(cr_pow(a, n), acc_cr) <= 1e-12 * (1.0 + acc_cr.max_entry_norm())
+            acc_rc = rc_mul(acc_rc, a)
+            acc_cr = cr_mul(acc_cr, a)
+
+
+def _conj_transpose(m):
+    data = m.data.transpose(1, 0, 2).copy()
+    data[:, :, 1:] *= -1.0
+    return BiMatrix(m.algebra, data)
+
+
+def _unitary(alg, n, rng):
+    """Matrix with orthonormal columns, u* rc u = I, by Gram-Schmidt run twice."""
+    cols = []
+    for _ in range(n):
+        v = random_matrix(alg, n, 1, rng)
+        for _ in range(2):
+            for u in cols:
+                v = v - rc_mul(u, rc_mul(_conj_transpose(u), v))
+        cols.append(v * (1.0 / np.linalg.norm(v.data)))
+    return BiMatrix(alg, np.concatenate([c.data for c in cols], axis=1))
+
+
+class TestIllConditioned:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_inverse_and_solve_at_cond_1e8(self, HH, n):
+        def diag(values):
+            return BiMatrix.from_elements(
+                [[from_scalar(HH, values[i]) if i == j else zero(HH) for j in range(n)] for i in range(n)]
+            )
+
+        sigma = np.logspace(0, -8, n)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u, v = _unitary(HH, n, rng), _unitary(HH, n, rng)
+            assert rc_mul(_conj_transpose(u), u).close(BiMatrix.identity(HH, n), 1e-14)
+            a = rc_mul(rc_mul(u, diag(sigma)), v)
+            exact = rc_mul(rc_mul(_conj_transpose(v), diag(1.0 / sigma)), _conj_transpose(u))
+            # forward error, not ||X a - I||: an LU inverse may leave a residual near cond^2 u
+            err = np.linalg.norm(rc_inv(a).data - exact.data) / np.linalg.norm(exact.data)
+            assert err <= 1e-6
+            b = [random_element(HH, rng) for _ in range(n)]
+            x = solve_rc(a, b)
+            x_exact = rc_mul(exact, BiMatrix.from_elements([[e] for e in b])).data[:, 0]
+            x_err = np.linalg.norm([xi.coeffs for xi in x] - x_exact) / np.linalg.norm(x_exact)
+            assert x_err <= 1e-6
