@@ -233,15 +233,28 @@ def submatrix(a: BiMatrix, rows: Iterable[int], cols: Iterable[int]) -> BiMatrix
 # inverses, quasideterminants, linear systems and rank, all through rho
 
 
-def _rank(r: np.ndarray, d: int) -> int:
-    """rc rank of the matrix whose real representation is r.
+def _rank(r: np.ndarray, d: int, smax: float | None = None) -> tuple[int, float]:
+    """rc rank of the matrix whose real representation is r, and smax.
 
-    Singular values at or below PIVOT_RTOL times the largest count as zero,
-    a rule that does not depend on the scale of the entries. Each singular
-    value of rho(A) occurs d times, so the count is divided by d.
+    Singular values at or below PIVOT_RTOL * smax count as zero, smax being
+    r's largest unless given, so the rule does not depend on scale. Each
+    occurs d times in rho(A). An empty or non-finite r has rank 0.
     """
+    if r.size == 0 or not np.isfinite(r).all():
+        return 0, 0.0
     s = np.linalg.svd(r, compute_uv=False)
-    return int((s > PIVOT_RTOL * s[0]).sum()) // d
+    smax = s[0] if smax is None else smax
+    return int((s > PIVOT_RTOL * smax).sum()) // d, smax
+
+
+def _nonsingular_rho(a: BiMatrix) -> tuple[np.ndarray, float]:
+    """rho(a) and its largest singular value; raises if a is rc-singular or empty."""
+    n = _require_square(a)
+    r = _rho(a)
+    k, smax = _rank(r, a.algebra.dim)
+    if n == 0 or k < n:
+        raise SingularMatrixError("rc-singular")
+    return r, smax
 
 
 def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
@@ -275,10 +288,7 @@ def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
 def rc_inv(a: BiMatrix) -> BiMatrix:
     """rc-inverse: the LU inverse of rho(a), projected by unrho and residual-checked."""
     n = _require_square(a)
-    d = a.algebra.dim
-    r = _rho(a)
-    if _rank(r, d) < n:
-        raise SingularMatrixError("rc-singular")
+    r, _ = _nonsingular_rho(a)
     out = BiMatrix(a.algebra, _kernels.unrho(a.algebra.table, np.linalg.inv(r)))
     delta = BiMatrix.identity(a.algebra, n)
     resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
@@ -294,7 +304,11 @@ def cr_inv(a: BiMatrix) -> BiMatrix:
 
 
 def is_rc_singular(a: BiMatrix) -> bool:
-    return _rank(_rho(a), a.algebra.dim) < _require_square(a)
+    try:
+        _nonsingular_rho(a)
+    except SingularMatrixError:
+        return True
+    return False
 
 
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
@@ -308,13 +322,11 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     if len(b) != n:
         raise AlgebraError("right-hand side height mismatch")
     d = a.algebra.dim
-    r = _rho(a)
-    if _rank(r, d) < n:
-        raise SingularMatrixError("rc-singular")
+    r, smax = _nonsingular_rho(a)
     rhs = BiMatrix.from_elements([[e] for e in b]).data.reshape(n * d)
     x = np.linalg.solve(r, rhs)
     resid = float(np.linalg.norm(r @ x - rhs))
-    if resid > 1e-8 * (np.linalg.norm(rhs) + np.linalg.norm(r, 2) * np.linalg.norm(x)):
+    if resid > 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(x)):
         raise SingularMatrixError("solution residual above tolerance")
     return [Element(a.algebra, c) for c in x.reshape(n, d)]
 
@@ -322,21 +334,21 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
 def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     """Largest k with an rc-nonsingular k x k minor, plus one such selector.
 
-    k is the rank of rho(a) over d. The rows are picked greedily, each
-    joining when it raises the rank, then the columns within those rows. In
-    a matroid the greedy basis is the lexicographically first one, so the
-    selector is the first nonsingular k x k minor with row sets, then
-    column sets, in lexicographic order.
+    k is the rank of rho(a) over d, and every submatrix is measured against
+    the whole matrix's threshold. The rows are picked greedily, each joining when it
+    raises the rank, then the columns within those rows. In a matroid the
+    greedy basis is the lexicographically first one, so the selector is the
+    first nonsingular k x k minor, row sets then column sets in that order.
     """
     d = a.algebra.dim
-    k = _rank(_rho(a), d)
+    k, smax = _rank(_rho(a), d)
 
     def greedy(count, part):
         picked = ()
         for idx in range(count):
             if len(picked) == k:
                 break
-            if _rank(_rho(part(picked + (idx,))), d) > len(picked):
+            if _rank(_rho(part(picked + (idx,))), d, smax)[0] > len(picked):
                 picked += (idx,)
         return picked
 

@@ -424,22 +424,29 @@ def _lmat_oracle(c):
     return np.stack([quat_mul_oracle(c, e) for e in np.eye(4)], axis=1)
 
 
-def _oracle_rank(data):
-    """rc rank of an (m, n, d) array: singular values of its real form above 1e-10 of the largest."""
+def _oracle_rank(data, tol=None):
+    """rc rank of an (m, n, d) array and the tolerance used.
+
+    Singular values of its real form above tol count; tol defaults to 1e-10
+    of the largest, so a minor can be measured against its whole matrix.
+    """
     m, n, d = data.shape
     r = np.block([[_lmat_oracle(data[i, j]) for j in range(n)] for i in range(m)])
     s = np.linalg.svd(r, compute_uv=False)
-    return int((s > 1e-10 * s[0]).sum()) // d
+    tol = 1e-10 * s[0] if tol is None else tol
+    return int((s > tol).sum()) // d, tol
 
 
 def _brute_force_rank(a):
-    """Sizes downward, then row sets and column sets in lexicographic order."""
-    for k in range(min(a.rows, a.cols), 0, -1):
-        for rows in combinations(range(a.rows), k):
-            for cols in combinations(range(a.cols), k):
-                if _oracle_rank(a.data[np.ix_(rows, cols)]) == k:
-                    return k, MinorSelector(rows, cols)
-    return 0, MinorSelector((), ())
+    """Row sets, then column sets, in lexicographic order; one threshold for every minor."""
+    k, tol = _oracle_rank(a.data)
+    if k == 0:
+        return 0, MinorSelector((), ())
+    for rows in combinations(range(a.rows), k):
+        for cols in combinations(range(a.cols), k):
+            if _oracle_rank(a.data[np.ix_(rows, cols)], tol)[0] == k:
+                return k, MinorSelector(rows, cols)
+    raise AssertionError("rank without a nonsingular minor")
 
 
 def _family(alg, name, m, n, rng):
@@ -454,10 +461,16 @@ def _family(alg, name, m, n, rng):
         a[:, 0] = 0.0
     elif name == "rank-2":
         a = rc_mul(random_matrix(alg, m, 2, rng), random_matrix(alg, 2, n, rng)).data
+    elif name == "tiny-first-pivot":
+        # diag(1e-12, 1, 1, ...) with unit entries: the first entry is zero next to the rest
+        a = np.zeros_like(a)
+        for i in range(min(m, n)):
+            u = random_element(alg, rng).coeffs
+            a[i, i] = u / np.linalg.norm(u) * (1e-12 if i == 0 else 1.0)
     return BiMatrix(alg, a)
 
 
-FAMILIES = ("outer", "duplicated-column", "zero-last-row", "zero-first-column", "rank-2", "full")
+FAMILIES = ("outer", "duplicated-column", "zero-last-row", "zero-first-column", "rank-2", "tiny-first-pivot", "full")
 
 
 class TestRankSearch:
@@ -470,9 +483,43 @@ class TestRankSearch:
             for _ in range(3):
                 a = _family(alg, family, m, n, rng)
                 expected = _brute_force_rank(a)
-                assert rc_rank(a) == expected
+                k, sel = rc_rank(a)
+                assert (k, sel) == expected
+                assert k == len(sel.rows) == len(sel.cols)
                 if m == n:
                     assert is_rc_singular(a) == (expected[0] < n)
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_tiny_entry_is_not_a_pivot(self, tag):
+        alg = make_algebra(tag)
+        a = BiMatrix.from_elements(
+            [[from_scalar(alg, 1e-12 if i == j == 0 else float(i == j)) for j in range(3)] for i in range(3)]
+        )
+        k, sel = rc_rank(a)
+        assert (k, sel) == (2, MinorSelector((1, 2), (1, 2)))
+        lam = left_dependency(a, k, sel)
+        combo = rc_mul(BiMatrix.from_elements([lam]), a)
+        assert combo.max_entry_norm() <= 1e-10
+
+    def test_non_finite_entry_keeps_typed_errors(self, HH, rng):
+        a = random_matrix(HH, 3, 3, rng)
+        data = a.data.copy()
+        data[1, 2, 0] = np.nan
+        a = BiMatrix(HH, data)
+        assert is_rc_singular(a)
+        with pytest.raises(SingularMatrixError):
+            rc_inv(a)
+        with pytest.raises(SingularMatrixError):
+            solve_rc(a, [one(HH)] * 3)
+        with pytest.raises(QuasideterminantUndefinedError):
+            quasidet_rc(a, 0, 0)
+
+    def test_empty_matrix_counts_as_singular(self, HH):
+        a = BiMatrix(HH, np.zeros((0, 0, 4)))
+        assert is_rc_singular(a)
+        assert rc_rank(a) == (0, MinorSelector((), ()))
+        with pytest.raises(SingularMatrixError):
+            rc_inv(a)
 
 
 class TestProductsAgainstElements:
