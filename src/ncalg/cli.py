@@ -425,8 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--probes", type=int, default=32)
-    run.add_argument("--tol", type=float, default=1e-14, help="series relative tolerance")
-    run.add_argument("--max-terms", type=int, default=64)
+    run.add_argument("--tol", type=float, default=1e-14,
+                     help="relative truncation tolerance of each exponential's Taylor sum, "
+                          "taken after its argument is scaled to 1-norm <= 1/2")
+    run.add_argument("--max-terms", type=int, default=64,
+                     help="most Taylor terms of that scaled sum before SeriesBudgetError")
     run.add_argument("--algebra", default="quaternion",
                      choices=["real", "complex", "quaternion"])
     run.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])

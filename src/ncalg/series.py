@@ -1,27 +1,36 @@
 """Series-defined maps on algebra elements and matrices.
 
-All series are summed termwise with a relative truncation rule; none of them
-rescale their argument, so inputs are expected at desk scale (norm up to
-roughly 10). The quasiexponent generalizes the exponent: it is the order-n
-derivative of exp evaluated at fixed directions, and like exp it satisfies
-dy/dx o 1 = y.
+Every map here is the exponential of a real matrix, computed by one routine,
+``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+26(4), 2005): the argument is halved until its 1-norm is at most 1/2, its
+Taylor series is summed under the relative truncation rule of SeriesParams,
+and the sum is squared back. An element x enters through its left
+multiplication matrix L(x), and L(exp x) = exp(L(x)); a matrix A enters
+through rho(A) (see _kernels). Arguments or results that are not finite
+raise SeriesBudgetError. The quasiexponent generalizes the exponent: it is
+the order-n derivative of exp evaluated at fixed directions, and like exp it
+satisfies dy/dx o 1 = y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, one, scale as el_scale
-from .biring import BiMatrix, cr_mul, rc_mul
-from .tensor import so_set, X
+from . import _kernels
+from .algebra import AlgebraError, Element, left_matrix, scale as el_scale
+from .biring import BiMatrix, transpose
 
 
 @dataclass(frozen=True)
 class SeriesParams:
-    """Truncation control: stop when a term is small relative to the sum."""
+    """Truncation control for the Taylor sum of the scaled argument.
+
+    The sum stops when a term is small relative to the sum.
+    """
 
     rel_tol: float = 1e-14
     max_terms: int = 64
@@ -35,19 +44,47 @@ DEFAULT_PARAMS = SeriesParams()
 
 
 class SeriesBudgetError(ArithmeticError):
-    """Series failed to converge within max_terms."""
+    """Series failed to converge within max_terms, or its value is not finite."""
+
+
+def _norm1(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max(initial=0.0))
+
+
+def _expm(m: np.ndarray, p: SeriesParams) -> np.ndarray:
+    """exp(m) of a real square matrix by scaling and squaring.
+
+    With ||a||_1 <= 1/2 each Taylor term is at most half the one before, so
+    the tail after a term is no larger than that term. The s squarings
+    multiply the sum's relative rounding error by up to 2^s, so past
+    ||m||_1 = 2^52 no digit of the result is left and it raises instead.
+    """
+    if not np.isfinite(m).all():
+        raise SeriesBudgetError("exponential of a non-finite argument")
+    norm = _norm1(m)
+    if norm >= 2.0 ** 52:
+        raise SeriesBudgetError("argument too large for an accurate exponential")
+    s = int(np.frexp(norm)[1]) + 1 if norm > 0.5 else 0
+    a = np.ldexp(m, -s)
+    total = term = np.eye(m.shape[0])
+    for n in range(1, p.max_terms + 1):
+        term = term @ a / n
+        total = total + term
+        if _norm1(term) <= p.rel_tol * (1.0 + _norm1(total)):
+            break
+    else:
+        raise SeriesBudgetError("series budget exceeded in exp")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise SeriesBudgetError("exponential overflows")
+    return total
 
 
 def exp_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    """exp(x) = sum x^n / n!."""
-    total = np.zeros(x.algebra.dim)
-    term = one(x.algebra)
-    for n in range(1, p.max_terms + 1):
-        total = total + term.coeffs
-        term = term * x * (1.0 / n)
-        if term.norm() <= p.rel_tol * (1.0 + float(np.linalg.norm(total))):
-            return Element(x.algebra, total + term.coeffs)
-    raise SeriesBudgetError("series budget exceeded in exp")
+    """exp(x) = sum x^n / n!: column 0 of exp(L(x))."""
+    return Element(x.algebra, _expm(left_matrix(x), p)[:, 0])
 
 
 def exp_at(a: Element, t: float, p: SeriesParams = DEFAULT_PARAMS) -> Element:
@@ -55,161 +92,83 @@ def exp_at(a: Element, t: float, p: SeriesParams = DEFAULT_PARAMS) -> Element:
     return exp_el(el_scale(a, t), p)
 
 
-def _parity_series(x: Element, start: int, stride: int, signs: int,
-                   p: SeriesParams) -> Element:
-    """Sum x^n/n! over n = start, start+stride, ... with optional sign flips.
+def _pair(x: Element, sign: float, block: int, p: SeriesParams) -> Element:
+    """Block (0, block), column 0, of exp([[0, L], [sign L, 0]]) for L = L(x).
 
-    signs = +1 keeps all terms positive (sinh/cosh); signs = -1 alternates
-    (sin/cos). Stops once two consecutive contributions are negligible, so
-    cancellation between neighbours cannot fake convergence.
+    That exponential is [[cosh L, sinh L], [sinh L, cosh L]] for sign = 1
+    and [[cos L, sin L], [-sin L, cos L]] for sign = -1.
     """
-    total = np.zeros(x.algebra.dim)
-    power = one(x.algebra)  # x^k / k!
-    k = 0
-    sign = 1.0
-    small = 0
-    for _ in range(p.max_terms):
-        while k < start:
-            k += 1
-            power = power * x * (1.0 / k)
-        total = total + sign * power.coeffs
-        if power.norm() <= p.rel_tol * (1.0 + float(np.linalg.norm(total))):
-            small += 1
-            if small >= 2:
-                return Element(x.algebra, total)
-        else:
-            small = 0
-        start += stride
-        sign *= signs
-    raise SeriesBudgetError("series budget exceeded in parity series")
+    lx = left_matrix(x)
+    z = np.zeros_like(lx)
+    e = _expm(np.block([[z, lx], [sign * lx, z]]), p)
+    return Element(x.algebra, e[:x.algebra.dim, block * x.algebra.dim])
 
 
 def sinh_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _parity_series(x, 1, 2, 1, p)
+    return _pair(x, 1.0, 1, p)
 
 
 def cosh_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _parity_series(x, 0, 2, 1, p)
+    return _pair(x, 1.0, 0, p)
 
 
 def sin_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _parity_series(x, 1, 2, -1, p)
+    return _pair(x, -1.0, 1, p)
 
 
 def cos_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _parity_series(x, 0, 2, -1, p)
+    return _pair(x, -1.0, 0, p)
 
 
 # ---------------------------------------------------------------------------
 # quasiexponent
 
 
-def _degree_contribution(cs: Sequence[Element], x_powers: list[Element], deg: int) -> Element:
-    """(1/deg!) sum over arg placements of the x^deg monomial derivative."""
-    alg = cs[0].algebra
-    n = len(cs)
-    total = np.zeros(alg.dim)
-    for labels in so_set(n, deg):
-        # evaluate runs of x between args through precomputed powers
-        acc = None
-        run = 0
-        for lab in labels:
-            if lab == X:
-                run += 1
-            else:
-                seg = x_powers[run]
-                acc = seg if acc is None else acc * seg
-                acc = acc * cs[lab]
-                run = 0
-        seg = x_powers[run]
-        acc = seg if acc is None else acc * seg
-        total = total + acc.coeffs
-    return Element(alg, total * (1.0 / _factorial(deg)))
-
-
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def quasiexp(cs: Sequence[Element], x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
     """e[c_1..c_n]^x: the order-n derivative of exp at directions c_1..c_n.
 
     Degree N of x^N contributes (1/N!) times the sum over all placements of
-    the n directions among the N gaps (x fills the rest); degrees are summed
-    from N = n upward until two consecutive contributions are negligible.
+    the n directions among the N gaps (x fills the rest). The placements
+    that keep one ordering c_s1..c_sn are the (0, n) block of B^N, where B
+    is block-bidiagonal with L(x) on the diagonal and L(c_s1)..L(c_sn)
+    above it, so the quasiexponent is the sum over orderings of the (0, n)
+    block of exp(B) (Van Loan, IEEE TAC 23(3), 1978).
     """
     cs = list(cs)
     if not cs:
         raise ValueError("need at least one direction")
-    n = len(cs)
-    alg = x.algebra
-    total = np.zeros(alg.dim)
-    x_powers = [one(alg)]
-    small = 0
-    for deg in range(n, n + p.max_terms):
-        while len(x_powers) <= deg:
-            x_powers.append(x_powers[-1] * x)
-        contrib = _degree_contribution(cs, x_powers, deg)
-        total = total + contrib.coeffs
-        if contrib.norm() <= p.rel_tol * (1.0 + float(np.linalg.norm(total))):
-            small += 1
-            if small >= 2:
-                return Element(alg, total)
-        else:
-            small = 0
-    raise SeriesBudgetError("series budget exceeded in quasiexp")
+    if any(c.algebra != x.algebra for c in cs):
+        raise AlgebraError("algebra mismatch in quasiexp")
+    n, d = len(cs), x.algebra.dim
+    big = np.kron(np.eye(n + 1), left_matrix(x))
+    total = np.zeros(d)
+    for order in permutations([left_matrix(c) for c in cs]):
+        for k, lc in enumerate(order):
+            big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = lc
+        total += _expm(big, p)[:d, n * d]
+    return Element(x.algebra, total)
 
 
 def quasiexp_at(c: Element, a: Element, t: float, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}."""
-    alg = a.algebra
-    total = np.zeros(alg.dim)
-    a_pows = [one(alg)]
-    tn = 1.0
-    small = 0
-    for n in range(p.max_terms):
-        while len(a_pows) <= n:
-            a_pows.append(a_pows[-1] * a)
-        inner = np.zeros(alg.dim)
-        for m in range(n + 1):
-            inner = inner + (a_pows[m] * c * a_pows[n - m]).coeffs
-        contrib = inner * (tn / _factorial(n + 1))
-        total = total + contrib
-        tn *= t
-        if float(np.linalg.norm(contrib)) <= p.rel_tol * (1.0 + float(np.linalg.norm(total))):
-            small += 1
-            if small >= 2:
-                return Element(alg, total)
-        else:
-            small = 0
-    raise SeriesBudgetError("series budget exceeded in quasiexp_at")
+    """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t)."""
+    return quasiexp([c], el_scale(a, t), p)
 
 
 # ---------------------------------------------------------------------------
 # matrix exponentials, one per product
 
 
-def _mexp(x: BiMatrix, mul, p: SeriesParams) -> BiMatrix:
+def mexp_rc(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
+    """Sum of rc-powers x^n/n!; solves y' = x rc y with y(0) = identity.
+
+    rho turns rc into the real matrix product, so this is unrho(exp(rho(x))).
+    """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
-    total = BiMatrix.identity(x.algebra, x.rows)
-    term = BiMatrix.identity(x.algebra, x.rows)
-    for n in range(1, p.max_terms + 1):
-        term = mul(term, x) * (1.0 / n)
-        total = total + term
-        if term.max_entry_norm() <= p.rel_tol * (1.0 + total.max_entry_norm()):
-            return total
-    raise SeriesBudgetError("series budget exceeded in matrix exponent")
-
-
-def mexp_rc(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
-    """Sum of rc-powers x^n/n!; solves y' = x rc y with y(0) = identity."""
-    return _mexp(x, rc_mul, p)
+    table = x.algebra.table
+    return BiMatrix(x.algebra, _kernels.unrho(table, _expm(_kernels.rho(table, x.data), p)))
 
 
 def mexp_cr(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
     """Sum of cr-powers x^n/n!; transpose-dual of mexp_rc."""
-    return _mexp(x, cr_mul, p)
+    return transpose(mexp_rc(transpose(x), p))

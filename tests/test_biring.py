@@ -2,7 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ncalg import _kernels
 from ncalg.algebra import basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import (
     BiMatrix,
@@ -594,3 +598,32 @@ class TestIllConditioned:
             x_exact = rc_mul(exact, BiMatrix.from_elements([[e] for e in b])).data[:, 0]
             x_err = np.linalg.norm([xi.coeffs for xi in x] - x_exact) / np.linalg.norm(x_exact)
             assert x_err <= 1e-6
+
+
+@st.composite
+def rc_pair(draw):
+    """An (m, k) and a (k, n) matrix over one of R, C, H, sizes 1..3."""
+    alg = make_algebra(draw(st.sampled_from(("real", "complex", "quaternion"))))
+    m, k, n = (draw(st.integers(1, 3)) for _ in range(3))
+    entries = st.floats(-10, 10)
+    a = draw(arrays(np.float64, (m, k, alg.dim), elements=entries))
+    b = draw(arrays(np.float64, (k, n, alg.dim), elements=entries))
+    return BiMatrix(alg, a), BiMatrix(alg, b)
+
+
+@given(pair=rc_pair())
+@settings(max_examples=100, deadline=None)
+def test_rho_is_multiplicative(pair):
+    a, b = pair
+    table = a.algebra.table
+    ra, rb = _kernels.rho(table, a.data), _kernels.rho(table, b.data)
+    bound = 1e-13 * (1.0 + ra.shape[1] * np.abs(ra).max() * np.abs(rb).max())
+    assert np.abs(_kernels.rho(table, rc_mul(a, b).data) - ra @ rb).max() <= bound
+
+
+@given(pair=rc_pair())
+@settings(max_examples=100, deadline=None)
+def test_transpose_swaps_products(pair):
+    a, b = pair
+    bound = 1e-13 * (1.0 + a.cols * np.abs(a.data).max() * np.abs(b.data).max())
+    assert diff_norm(transpose(rc_mul(a, b)), cr_mul(transpose(a), transpose(b))) <= bound

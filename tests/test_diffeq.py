@@ -387,6 +387,11 @@ class TestEllipticCurves:
             expected = 0.5 * ((j - k) * (exp_at(k, t) - exp_at(j, t)))
             assert curve(t)[0].close(expected, 1e-12)
 
+    def test_two_exp_curve_is_sin_cos_at_t_20(self, HH):
+        x1, x2 = elliptic_two_exp_curve(HH)(20.0)
+        assert x1.close(from_scalar(HH, math.sin(20.0)), 1e-13)
+        assert x2.close(from_scalar(HH, math.cos(20.0)), 1e-13)
+
 
 class TestDataForms:
     def test_ode_round_trip(self, HH, rng):

@@ -3,9 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncalg.algebra import Element, basis, from_scalar, one, random_element, zero
-from ncalg.biring import BiMatrix, diff_norm, random_matrix, transpose
+from ncalg.algebra import (
+    Element,
+    basis,
+    from_scalar,
+    left_matrix,
+    make_algebra,
+    one,
+    random_element,
+    zero,
+)
+from ncalg.biring import BiMatrix, cr_mul, diff_norm, random_matrix, rc_mul, transpose
 from ncalg.series import (
     SeriesBudgetError,
     SeriesParams,
@@ -20,8 +31,10 @@ from ncalg.series import (
     sin_el,
     sinh_el,
 )
+from ncalg.tensor import X, so_set
 
 P = SeriesParams()
+ALGEBRAS = ("real", "complex", "quaternion")
 
 
 def embed(HH, z: complex) -> Element:
@@ -86,7 +99,7 @@ class TestQuasiexp:
 
     def test_all_unit_directions_give_exp(self, HH, rng):
         x = random_element(HH, rng)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             assert quasiexp([one(HH)] * n, x, P).close(exp_el(x, P), 1e-11)
 
     def test_fixed_point_equation(self, HH, rng):
@@ -248,3 +261,184 @@ def test_params_validation():
         SeriesParams(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesParams(max_terms=0)
+
+
+# ---------------------------------------------------------------------------
+# references: plain truncated Taylor sums and the so_set placement sum of the
+# quasiexponent, with no scaling, so only at desk scale (norm <= 2, order <= 3)
+
+# coefficient of x^n/n! in each element series
+TAYLOR_COEFF = {
+    exp_el: lambda n: 1.0,
+    sinh_el: lambda n: n % 2,
+    cosh_el: lambda n: 1 - n % 2,
+    sin_el: lambda n: (n % 2) * (-1) ** (n // 2),
+    cos_el: lambda n: (1 - n % 2) * (-1) ** (n // 2),
+}
+
+
+def taylor_el(x, coeff, terms=60):
+    total, power = zero(x.algebra), one(x.algebra)  # power = x^n / n!
+    for n in range(terms):
+        total = total + coeff(n) * power
+        power = power * x * (1.0 / (n + 1))
+    return total
+
+
+def taylor_mexp(x, mul, terms=60):
+    total = term = BiMatrix.identity(x.algebra, x.rows)
+    for n in range(1, terms):
+        term = mul(term, x) * (1.0 / n)
+        total = total + term
+    return total
+
+
+def placement_quasiexp(cs, x, extra_degrees):
+    """sum over N of (1/N!) times every so_set placement of cs among N gaps.
+
+    Each placement x^r0 c x^r1 ... is applied to the unit right to left
+    through left-multiplication matrices (checked against products in
+    test_algebra), which keeps the enumeration affordable at order 3.
+    """
+    alg = x.algebra
+    n = len(cs)
+    powers = [one(alg)]
+    for _ in range(n + extra_degrees):
+        powers.append(powers[-1] * x)
+    lpow = [left_matrix(e) for e in powers]
+    lcs = [left_matrix(c) for c in cs]
+    total = np.zeros(alg.dim)
+    for deg in range(n, n + extra_degrees):
+        acc = np.zeros(alg.dim)
+        for labels in so_set(n, deg):
+            vec, run = one(alg).coeffs, 0
+            for lab in reversed(labels):
+                if lab == X:
+                    run += 1
+                else:
+                    vec, run = lcs[lab] @ (lpow[run] @ vec), 0
+            acc += lpow[run] @ vec
+        total += acc / math.factorial(deg)
+    return Element(alg, total)
+
+
+def scaled_element(alg, rng, norm):
+    x = random_element(alg, rng)
+    return x * (norm / x.norm())
+
+
+class TestAgainstTaylorReferences:
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_element_functions(self, tag, rng):
+        alg = make_algebra(tag)
+        for norm in (0.1, 0.5, 1.0, 2.0):
+            x = scaled_element(alg, rng, norm)
+            for fn, coeff in TAYLOR_COEFF.items():
+                assert fn(x, P).close(taylor_el(x, coeff), 1e-14), (fn.__name__, norm)
+
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_matrix_exponentials(self, tag, rng):
+        alg = make_algebra(tag)
+        for n in (1, 2, 3):
+            x = random_matrix(alg, n, n, rng, scale=0.5)
+            assert diff_norm(mexp_rc(x, P), taylor_mexp(x, rc_mul)) <= 1e-13
+            assert diff_norm(mexp_cr(x, P), taylor_mexp(x, cr_mul)) <= 1e-13
+
+    @pytest.mark.parametrize("order, norm, extra", [(1, 2.0, 30), (2, 2.0, 30), (3, 1.0, 18)])
+    def test_quasiexp_placements(self, HH, rng, order, norm, extra):
+        cs = [random_element(HH, rng) for _ in range(order)]
+        x = scaled_element(HH, rng, norm)
+        assert quasiexp(cs, x, P).close(placement_quasiexp(cs, x, extra), 1e-13)
+
+    def test_quasiexp_at_placements(self, HH, rng):
+        c, a = random_element(HH, rng), random_element(HH, rng)
+        for t in (-1.5, 0.3, 2.0):
+            ref = placement_quasiexp([c], t * a, 30)
+            assert quasiexp_at(c, a, t, P).close(ref, 1e-13)
+
+
+# ---------------------------------------------------------------------------
+# closed form: x = a + v lies in the copy of C spanned by 1 and v/|v|, so any
+# power series f has f(x) = Re f(z) + (v/|v|) Im f(z) with z = a + i|v|
+
+
+CLOSED = {
+    exp_el: (cmath.exp, lambda a, v: math.exp(a)),
+    sinh_el: (cmath.sinh, lambda a, v: math.exp(abs(a))),
+    cosh_el: (cmath.cosh, lambda a, v: math.exp(abs(a))),
+    sin_el: (cmath.sin, lambda a, v: math.exp(v)),
+    cos_el: (cmath.cos, lambda a, v: math.exp(v)),
+}
+
+
+def closed_form(f, x):
+    a, v = x.coeffs[0], x.coeffs[1:]
+    nv = float(np.linalg.norm(v))
+    w = f(complex(a, nv))
+    out = np.zeros(x.algebra.dim)
+    out[0] = w.real
+    if nv > 0.0:
+        out[1:] = w.imag * v / nv
+    return out
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_element_functions_up_to_norm_30(self, tag, rng):
+        # tolerance: rounding times the size of the exponentials involved
+        alg = make_algebra(tag)
+        for norm in (0.5, 3.0, 10.0, 20.0, 30.0):
+            for _ in range(10):
+                x = scaled_element(alg, rng, norm)
+                a, v = x.coeffs[0], float(np.linalg.norm(x.coeffs[1:]))
+                for fn, (f, size) in CLOSED.items():
+                    err = float(np.linalg.norm(fn(x, P).coeffs - closed_form(f, x)))
+                    assert err <= 1e-13 * (1.0 + norm) * size(a, v), (fn.__name__, x)
+
+    @pytest.mark.parametrize("v", [-10.0, -30.0])
+    def test_negative_real_exp(self, RR, HH, v):
+        for alg in (RR, HH):
+            got = exp_el(from_scalar(alg, v), P).coeffs[0]
+            assert abs(got / math.exp(v) - 1.0) <= 1e-13
+
+    def test_quarter_turns_at_t_20(self, HH):
+        e = exp_at(basis(HH, 1), 20.0, P)
+        assert e.close(Element(HH, [math.cos(20.0), math.sin(20.0), 0.0, 0.0]), 1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_matrix_exponentials_invert_at_scale_20(HH, rng, n):
+    x = random_matrix(HH, n, n, rng, scale=20.0)
+    for mexp, mul in ((mexp_rc, rc_mul), (mexp_cr, cr_mul)):
+        e, f = mexp(x, P), mexp(x * -1.0, P)
+        tol = 1e-13 * n * e.max_entry_norm() * f.max_entry_norm()
+        assert diff_norm(mul(e, f), BiMatrix.identity(HH, n)) <= tol, mexp.__name__
+
+
+class TestNonFinite:
+    """Overflowing or non-finite arguments raise; inf and NaN never come back."""
+
+    @pytest.mark.parametrize("v", [1000.0, 1e300, math.inf, math.nan])
+    def test_raises(self, HH, v):
+        with pytest.raises(SeriesBudgetError):
+            exp_el(from_scalar(HH, v), P)
+        with pytest.raises(SeriesBudgetError):
+            sin_el(Element(HH, [0.0, v, 0.0, 0.0]), P)  # sin(v i) = i sinh(v)
+        data = np.zeros((2, 2, 4))
+        data[0, 0, 0] = data[1, 1, 0] = v
+        with pytest.raises(SeriesBudgetError):
+            mexp_rc(BiMatrix(HH, data), P)
+
+    def test_real_sine_stays_bounded(self, HH):
+        assert sin_el(from_scalar(HH, 1000.0), P).close(from_scalar(HH, math.sin(1000.0)), 1e-11)
+        # 1e300 carries no digit of its phase: refused rather than answered
+        with pytest.raises(SeriesBudgetError):
+            sin_el(from_scalar(HH, 1e300), P)
+
+
+@given(tag=st.sampled_from(ALGEBRAS), coeffs=st.lists(st.floats(-20, 20), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_exp_times_exp_of_negative_is_one(tag, coeffs):
+    alg = make_algebra(tag)
+    x = Element(alg, coeffs[:alg.dim])
+    assert (exp_el(x, P) * exp_el(-x, P)).close(one(alg), 1e-13 * (1.0 + x.norm()))
