@@ -37,7 +37,7 @@ from .algebra import (
     random_element,
 )
 from .report import Report
-from .tensor import Tensor, eval_power, star_product
+from .tensor import SlotTensor, Tensor, eval_power, pure, star_product
 
 # Singular values of rho(A) at or below this share of the largest count as zero.
 PIVOT_RTOL = 1e-10
@@ -436,9 +436,9 @@ def tmat_identity(algebra: AlgebraDesc, n: int) -> list[list[Tensor]]:
         row = []
         for j in range(n):
             if i == j:
-                row.append(Tensor(algebra, 0, ((one(algebra),),)))
+                row.append(pure([one(algebra)]))
             else:
-                row.append(Tensor(algebra, 0, ()))
+                row.append(SlotTensor(algebra, 0, 0, ()))
         out.append(row)
     return out
 

@@ -6,7 +6,10 @@ Usage:
                          [--algebra TAG] [--format {text,json}]
 
 Exit code is 0 iff the scenario's verdict is true, so the driver doubles as
-a test harness. Reports are deterministic for a fixed seed and options.
+a test harness: 1 is a false verdict, 2 a usage error or unknown scenario,
+and 3 a typed numeric error (series budget, singular matrix, undefined
+quasideterminant, algebra misuse), reported as data instead of a traceback.
+Reports are deterministic for a fixed seed and options.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import biring
 from .algebra import (
+    AlgebraError,
     Element,
     basis,
     commutator,
@@ -47,7 +51,7 @@ from .diffeq import (
     solution_residual,
 )
 from .report import Report
-from .series import SeriesParams, cosh_el, exp_el, quasiexp, sinh_el
+from .series import SeriesBudgetError, SeriesParams, cosh_el, exp_el, quasiexp, sinh_el
 
 
 @dataclass
@@ -274,7 +278,7 @@ def _scn_elliptic_nonunique(opt: Options) -> Report:
     ode = elliptic_ode(alg)
     ts = (0.0, 0.5, 1.0, 2.0)
     rk = rk4_integrate(ode, 2.0, 20000)
-    two = elliptic_two_exp_curve(alg)
+    two = elliptic_two_exp_curve(alg, p=opt.series)
     r_rk = solution_residual(ode, rk, ts)
     r_two = solution_residual(ode, two, ts)
     init_gap = max((a - b).norm() for a, b in zip(two(0.0), ode.init))
@@ -303,7 +307,7 @@ def _scn_elliptic_family(opt: Options) -> Report:
     init_gap = 0.0
     i = basis(alg, 1)
     for c in (zero(alg), one(alg), i):
-        curve = elliptic_family(c)
+        curve = elliptic_family(c, opt.series)
         worst = max(worst, solution_residual(ode, curve, ts).residual)
         init_gap = max(init_gap, max((a - b).norm() for a, b in zip(curve(0.0), ode.init)))
     return Report(verdict=worst <= 1e-6 and init_gap <= 1e-12, residual=worst,
@@ -443,13 +447,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     options = Options(seed=args.seed, probes=args.probes, tol=args.tol,
                       max_terms=args.max_terms, algebra=args.algebra)
-    try:
-        report, payload = run_scenario(args.scenario, options)
-    except KeyError:
+    if args.scenario not in SCENARIOS:
         print(f"unknown scenario: {args.scenario!r}", file=sys.stderr)
         print("available scenarios:", file=sys.stderr)
         print(list_scenarios(), file=sys.stderr)
         return 2
+    try:
+        report, payload = run_scenario(args.scenario, options)
+    except (SeriesBudgetError, biring.SingularMatrixError, biring.QuasideterminantUndefinedError,
+            AlgebraError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if args.fmt == "json":
+            print(json.dumps({"scenario": args.scenario, "seed": args.seed, "error": error},
+                             sort_keys=True))
+        else:
+            print(f"error : {error['type']}: {error['message']}")
+        return 3
     if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

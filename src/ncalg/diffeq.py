@@ -25,16 +25,14 @@ from .algebra import (
     basis,
     in_centralizer,
     inv as el_inv,
-    left_matrix,
     one,
     random_element,
-    right_matrix,
     zero,
 )
 from .biring import BiMatrix, cr_mul, cr_pow, matrix_from_data, matrix_to_data, rc_mul, rc_pow
 from .report import Report
 from .series import DEFAULT_PARAMS, SeriesParams, exp_at, mexp_cr, mexp_rc
-from .tensor import SlotTensor, X, eval_args, slot_derivative
+from .tensor import SlotTensor, X, eval_args, poly_derivative
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -44,6 +42,14 @@ WITNESS_FLOOR = 1e-3
 
 def _fd_step(scale: float) -> float:
     return FD_STEP * (1.0 + scale)
+
+
+def _central(f: Callable[[float], Element], s: float) -> Element:
+    """Central difference (f(s) - f(-s)) / (2s) of a function of the signed step.
+
+    x + (-s) h equals x - s h exactly, so callers shift by the signed step.
+    """
+    return (f(s) - f(-s)) * (1.0 / (2 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +86,7 @@ class FormPoly:
 
     def derivative(self) -> list[SlotTensor]:
         """x-derivative of every component; each gains a second arg slot."""
-        out = []
-        for c in self.components:
-            d = slot_derivative(c)
-            if d.terms:
-                out.append(d)
-        return out
+        return poly_derivative(self, 1)
 
 
 def sandwich_form(algebra: AlgebraDesc, left_xpow: int, right_xpow: int, coeff: float = 1.0) -> SlotTensor:
@@ -143,8 +144,7 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     for x in points:
         s = _fd_step(x.norm())
         for h in dirs:
-            fd = (y(x + s * h) - y(x - s * h)) * (1.0 / (2.0 * s))
-            r = (fd - g(x, h)).norm()
+            r = (_central(lambda e: y(x + e * h), s) - g(x, h)).norm()
             if r > worst:
                 worst = r
                 witness = {"x": list(x.coeffs), "h": list(h.coeffs), "residual": r}
@@ -189,12 +189,12 @@ def _sym_defect(form: BiForm, x: Element, y: Element, d1: Element, d2: Element,
                 wrt_x: bool) -> float:
     """Symmetry defect of the form's own-variable derivative at one probe."""
     s = _fd_step(max(x.norm(), y.norm()))
-    if wrt_x:
-        d_a = (form(x + s * d2, y, d1) - form(x - s * d2, y, d1)) * (1.0 / (2 * s))
-        d_b = (form(x + s * d1, y, d2) - form(x - s * d1, y, d2)) * (1.0 / (2 * s))
-    else:
-        d_a = (form(x, y + s * d2, d1) - form(x, y - s * d2, d1)) * (1.0 / (2 * s))
-        d_b = (form(x, y + s * d1, d2) - form(x, y - s * d1, d2)) * (1.0 / (2 * s))
+
+    def moved(e: float, d: Element) -> tuple[Element, Element]:
+        return (x + e * d, y) if wrt_x else (x, y + e * d)
+
+    d_a = _central(lambda e: form(*moved(e, d2), d1), s)
+    d_b = _central(lambda e: form(*moved(e, d1), d2), s)
     return (d_a - d_b).norm()
 
 
@@ -216,8 +216,8 @@ def exactness_check(m: BiForm, n: BiForm, probes: int = DEFAULT_PROBES, seed: in
         s = _fd_step(max(x.norm(), y.norm()))
         worst["sym_x"] = max(worst["sym_x"], _sym_defect(m, x, y, dx1, dx2, wrt_x=True))
         worst["sym_y"] = max(worst["sym_y"], _sym_defect(n, x, y, dx1, dy1, wrt_x=False))
-        cross_a = (m(x, y + s * dy1, dx1) - m(x, y - s * dy1, dx1)) * (1.0 / (2 * s))
-        cross_b = (n(x + s * dx1, y, dy1) - n(x - s * dx1, y, dy1)) * (1.0 / (2 * s))
+        cross_a = _central(lambda e: m(x, y + e * dy1, dx1), s)
+        cross_b = _central(lambda e: n(x + e * dx1, y, dy1), s)
         c = (cross_a - cross_b).norm()
         if c > worst["cross"]:
             worst["cross"] = c
@@ -240,8 +240,8 @@ def implicit_solution_check(u: Callable[[Element, Element], Element], m: BiForm,
     for _ in range(probes):
         x, y, dx, dy = (random_element(alg, rng) for _ in range(4))
         s = _fd_step(max(x.norm(), y.norm()))
-        rx = ((u(x + s * dx, y) - u(x - s * dx, y)) * (1.0 / (2 * s)) - m(x, y, dx)).norm()
-        ry = ((u(x, y + s * dy) - u(x, y - s * dy)) * (1.0 / (2 * s)) - n(x, y, dy)).norm()
+        rx = (_central(lambda e: u(x + e * dx, y), s) - m(x, y, dx)).norm()
+        ry = (_central(lambda e: u(x, y + e * dy), s) - n(x, y, dy)).norm()
         r = max(rx, ry)
         if r > worst:
             worst = r
@@ -301,21 +301,18 @@ class LinearOde:
         return _state_tuple(self, out)
 
     def real_matrix(self) -> np.ndarray:
-        """The rhs as a real linear map on stacked coefficient vectors."""
-        n, d = self.size, self.algebra.dim
-        m = np.zeros((n * d, n * d))
-        for i in range(n):
-            for j in range(n):
-                if self.form is OdeForm.RC_LEFT:
-                    block = left_matrix(self.a.entry(i, j))
-                elif self.form is OdeForm.CR_RIGHT:
-                    block = right_matrix(self.a.entry(i, j))
-                elif self.form is OdeForm.CR_LEFT:
-                    block = left_matrix(self.a.entry(j, i))
-                else:
-                    block = right_matrix(self.a.entry(j, i))
-                m[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-        return m
+        """The rhs as a real linear map on stacked coefficient vectors.
+
+        This is rho of a, or of its transpose for the row forms, with
+        left-multiplication blocks where a's entries multiply the state from
+        the left (rc-left, cr-left) and right-multiplication blocks, from the
+        transposed structure table, where they multiply it from the right.
+        """
+        table = self.algebra.table
+        if self.form in (OdeForm.CR_RIGHT, OdeForm.RC_RIGHT):
+            table = table.transpose(1, 0, 2)
+        a = self.a.data.transpose(1, 0, 2) if self.form in _ROW_FORMS else self.a.data
+        return _kernels.rho(table, a)
 
 
 def _state_matrix(ode: LinearOde, xs: Sequence[Element]) -> BiMatrix:
@@ -369,7 +366,8 @@ def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
     return [power(ode.a, k) for k in range(n + 1)]
 
 
-def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> SolutionCurve:
+def eigen_solution(b: Element, c: Sequence[Element], side: str = "left",
+                   p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
     """Curve t -> e^{bt} c (side="left") or t -> c e^{bt} (side="right")."""
     c = tuple(c)
     if all(e.norm() == 0.0 for e in c):
@@ -378,7 +376,7 @@ def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> Solu
         raise ValueError("side must be 'left' or 'right'")
 
     def evaluate(t: float) -> tuple[Element, ...]:
-        e = exp_at(b, t)
+        e = exp_at(b, t, p)
         if side == "left":
             return tuple(e * ci for ci in c)
         return tuple(ci * e for ci in c)
@@ -482,7 +480,8 @@ def hyperbolic_ode(algebra: AlgebraDesc, f: Element | None = None) -> LinearOde:
 
 
 def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
-                           b2: Element | None = None) -> SolutionCurve:
+                           b2: Element | None = None,
+                           p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
     """Left-combination of two imaginary-axis exponentials matching x(0) = (0, 1).
 
     x1 = C (e^{b1 t} - e^{b2 t}), x2 = C (b1 e^{b1 t} - b2 e^{b2 t}) with
@@ -498,14 +497,14 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
     c = el_inv(b1 - b2)
 
     def evaluate(t: float) -> tuple[Element, Element]:
-        e1 = exp_at(b1, t)
-        e2 = exp_at(b2, t)
+        e1 = exp_at(b1, t, p)
+        e2 = exp_at(b2, t, p)
         return (c * (e1 - e2), c * (b1 * e1 - b2 * e2))
 
     return SolutionCurve(evaluate, "two-exponential")
 
 
-def elliptic_family(c_param: Element) -> SolutionCurve:
+def elliptic_family(c_param: Element, p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
     """Three-exponential family solving the elliptic system for every parameter.
 
     x1 = C1 e^{it} + C2 e^{jt} + C3 e^{kt} and x2 = x1' with
@@ -526,7 +525,7 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
         x1 = zero(algebra)
         x2 = zero(algebra)
         for coeff, b in pairs:
-            e = exp_at(b, t)
+            e = exp_at(b, t, p)
             x1 = x1 + coeff * e
             x2 = x2 + coeff * (b * e)
         return (x1, x2)

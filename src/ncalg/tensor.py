@@ -2,123 +2,34 @@
 
 A pure tensor a_0 (x) a_1 (x) ... (x) a_n of order n acts on x by
 a_0 x a_1 x ... x a_n; sums of such terms are the homogeneous polynomials.
-Order-k derivatives are generated by the gap-label assignments that keep the
-remaining x positions in their original order (the SO(k, n) sets); a labelled
-sum of terms is a :class:`SlotTensor`, a multilinear-map-valued polynomial.
+Every tensor is one labelled-term type, :class:`SlotTensor`: each gap
+between coefficients holds the variable x or one of k arguments, so a sum of
+terms is a multilinear-map-valued polynomial. ``Tensor`` is its
+argument-free case, with every gap labelled x. The order-k derivative is k
+applications of :func:`slot_derivative`, each moving one x gap to a new
+argument; the labellings this yields are exactly the SO(k, n) sets of
+:func:`so_set` (k argument labels placed, the x gaps kept in order).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one, random_element
+from .algebra import (
+    AlgebraDesc,
+    AlgebraError,
+    Element,
+    basis,
+    element_from_data,
+    element_to_data,
+    one,
+    random_element,
+)
 
 X = -1  # gap label: the polynomial variable
-
-
-class Tensor:
-    """Sum of pure tensor terms of a fixed order over one algebra."""
-
-    __slots__ = ("algebra", "order", "terms")
-
-    def __init__(self, algebra: AlgebraDesc, order: int, terms: Sequence[Sequence[Element]] = ()):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        terms = tuple(tuple(t) for t in terms)
-        for t in terms:
-            if len(t) != order + 1:
-                raise ValueError(f"each term needs {order + 1} coefficients, got {len(t)}")
-            for c in t:
-                if c.algebra != algebra:
-                    raise AlgebraError("mixed algebras in tensor term")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if other.order != self.order or other.algebra != self.algebra:
-            raise ValueError("can only add tensors of equal order over one algebra")
-        return Tensor(self.algebra, self.order, self.terms + other.terms)
-
-    def __repr__(self):
-        return f"Tensor(order={self.order}, terms={len(self.terms)})"
-
-
-def pure(coeffs: Sequence[Element]) -> Tensor:
-    """Single pure term a_0 (x) ... (x) a_n."""
-    coeffs = tuple(coeffs)
-    return Tensor(coeffs[0].algebra, len(coeffs) - 1, (coeffs,))
-
-
-def ones_tensor(algebra: AlgebraDesc, order: int) -> Tensor:
-    """1 (x) 1 (x) ... (x) 1: the monomial x^order."""
-    return pure([one(algebra)] * (order + 1))
-
-
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    return a + b
-
-
-def tensor_scale(a: Tensor, s: float) -> Tensor:
-    terms = tuple((t[0] * s,) + t[1:] for t in a.terms)
-    return Tensor(a.algebra, a.order, terms)
-
-
-def star_product(a: Tensor, b: Tensor) -> Tensor:
-    """Fuse a's last coefficient into b's first: order adds.
-
-    [a_0..a_n] * [b_0..b_m] = [a_0, ..., a_{n-1}, a_n b_0, b_1, ..., b_m],
-    extended bilinearly over term sums.
-    """
-    if a.algebra != b.algebra:
-        raise AlgebraError("algebra mismatch in star product")
-    terms = []
-    for ta in a.terms:
-        for tb in b.terms:
-            terms.append(ta[:-1] + (ta[-1] * tb[0],) + tb[1:])
-    return Tensor(a.algebra, a.order + b.order, terms)
-
-
-def eval_power(t: Tensor, x: Element) -> Element:
-    """Value of t on x: sum over terms of a_0 x a_1 x ... x a_n."""
-    total = np.zeros(t.algebra.dim)
-    for term in t.terms:
-        acc = term[0]
-        for c in term[1:]:
-            acc = acc * x * c
-        total = total + acc.coeffs
-    return Element(t.algebra, total)
-
-
-# ---------------------------------------------------------------------------
-# gap-label assignments for order-k derivatives
-
-
-def so_set(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All placements of arg labels 0..k-1 into n positions, x elsewhere.
-
-    The x positions keep their natural order, so an assignment is a choice of
-    k positions plus an ordering of the labels on them: n!/(n-k)! in total,
-    listed lexicographically by (positions, label permutation).
-    """
-    if k < 0 or n < 0:
-        raise ValueError("k and n must be >= 0")
-    if k > n:
-        raise ValueError(f"cannot place {k} argument labels in {n} positions")
-    out = []
-    for pos in combinations(range(n), k):
-        for perm in permutations(range(k)):
-            labels = [X] * n
-            for p, lab in zip(pos, perm):
-                labels[p] = lab
-            out.append(tuple(labels))
-    return tuple(out)
 
 
 class SlotTensor:
@@ -134,6 +45,8 @@ class SlotTensor:
 
     def __init__(self, algebra: AlgebraDesc, x_gaps: int, arg_slots: int,
                  terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = ()):
+        if x_gaps < 0 or arg_slots < 0:
+            raise ValueError("x_gaps and arg_slots must be >= 0")
         n = x_gaps + arg_slots
         norm_terms = []
         for coeffs, labels in terms:
@@ -144,6 +57,8 @@ class SlotTensor:
             args_seen = sorted(l for l in labels if l != X)
             if args_seen != list(range(arg_slots)):
                 raise ValueError(f"labels must use each arg index once, got {labels}")
+            if any(c.algebra != algebra for c in coeffs):
+                raise AlgebraError("mixed algebras in tensor term")
             norm_terms.append((coeffs, labels))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "x_gaps", x_gaps)
@@ -153,6 +68,11 @@ class SlotTensor:
     def __setattr__(self, name, value):
         raise AttributeError("SlotTensor is immutable")
 
+    @property
+    def order(self) -> int:
+        """Number of gaps, x and argument alike: the polynomial degree."""
+        return self.x_gaps + self.arg_slots
+
     def __add__(self, other: "SlotTensor") -> "SlotTensor":
         if (other.x_gaps, other.arg_slots, other.algebra) != (self.x_gaps, self.arg_slots, self.algebra):
             raise ValueError("shape mismatch in SlotTensor sum")
@@ -160,6 +80,43 @@ class SlotTensor:
 
     def __repr__(self):
         return f"SlotTensor(x_gaps={self.x_gaps}, arg_slots={self.arg_slots}, terms={len(self.terms)})"
+
+
+Tensor = SlotTensor
+
+
+def pure(coeffs: Sequence[Element]) -> Tensor:
+    """Single pure term a_0 (x) ... (x) a_n."""
+    coeffs = tuple(coeffs)
+    n = len(coeffs) - 1
+    return SlotTensor(coeffs[0].algebra, n, 0, [(coeffs, (X,) * n)])
+
+
+def ones_tensor(algebra: AlgebraDesc, order: int) -> Tensor:
+    """1 (x) 1 (x) ... (x) 1: the monomial x^order."""
+    return pure([one(algebra)] * (order + 1))
+
+
+def tensor_add(a: Tensor, b: Tensor) -> Tensor:
+    return a + b
+
+
+def tensor_scale(a: Tensor, s: float) -> Tensor:
+    terms = [((coeffs[0] * s,) + coeffs[1:], labels) for coeffs, labels in a.terms]
+    return SlotTensor(a.algebra, a.x_gaps, a.arg_slots, terms)
+
+
+def star_product(a: Tensor, b: Tensor) -> Tensor:
+    """Fuse a's last coefficient into b's first: order adds.
+
+    [a_0..a_n] * [b_0..b_m] = [a_0, ..., a_{n-1}, a_n b_0, b_1, ..., b_m],
+    extended bilinearly over term sums.
+    """
+    if a.algebra != b.algebra:
+        raise AlgebraError("algebra mismatch in star product")
+    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + lb)
+             for ca, la in a.terms for cb, lb in b.terms]
+    return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms)
 
 
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
@@ -176,18 +133,13 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
     return Element(s.algebra, total)
 
 
-def monomial_derivative(t: Tensor, k: int) -> SlotTensor:
-    """Order-k derivative of a degree-n tensor as a SlotTensor.
+def eval_power(t: Tensor, x: Element) -> Element:
+    """Value of t on x: sum over terms of a_0 x a_1 x ... x a_n."""
+    return eval_args(t, (), x)
 
-    One labelled term per (term of t) x (assignment in so_set(k, n)); for
-    k > n the derivative is the zero SlotTensor.
-    """
-    n = t.order
-    if k > n:
-        return SlotTensor(t.algebra, 0, k, ())
-    assigns = so_set(k, n)
-    terms = [(term, labels) for term in t.terms for labels in assigns]
-    return SlotTensor(t.algebra, n - k, k, terms)
+
+# ---------------------------------------------------------------------------
+# derivatives
 
 
 def slot_derivative(s: SlotTensor) -> SlotTensor:
@@ -205,6 +157,42 @@ def slot_derivative(s: SlotTensor) -> SlotTensor:
                 nl[pos] = new_arg
                 terms.append((coeffs, tuple(nl)))
     return SlotTensor(s.algebra, s.x_gaps - 1 if s.x_gaps else 0, s.arg_slots + 1, terms)
+
+
+def monomial_derivative(t: SlotTensor, k: int) -> SlotTensor:
+    """Order-k derivative: k applications of :func:`slot_derivative`.
+
+    A term with n x gaps yields one term per placement in so_set(k, n),
+    n!/(n-k)! in all; for k > n its contribution is zero, and a tensor with
+    no terms left is the zero SlotTensor with k more argument slots.
+    """
+    if k < 0:
+        raise ValueError("derivative order must be >= 0")
+    for _ in range(k):
+        t = slot_derivative(t)
+    return t
+
+
+def so_set(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """All placements of arg labels 0..k-1 into n positions, x elsewhere.
+
+    The x positions keep their natural order, so an assignment is a choice of
+    k positions plus an ordering of the labels on them: n!/(n-k)! in total,
+    listed lexicographically by (positions, label permutation). As a set,
+    these are the label tuples of monomial_derivative(ones_tensor(A, n), k).
+    """
+    if k < 0 or n < 0:
+        raise ValueError("k and n must be >= 0")
+    if k > n:
+        raise ValueError(f"cannot place {k} argument labels in {n} positions")
+    out = []
+    for pos in combinations(range(n), k):
+        for perm in permutations(range(k)):
+            labels = [X] * n
+            for p, lab in zip(pos, perm):
+                labels[p] = lab
+            out.append(tuple(labels))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,41 +258,22 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 PROBE_RANDOM = 20
 
 
-def _probe_elements(algebra: AlgebraDesc, count: int, seed: int) -> list[Element]:
-    rng = np.random.default_rng(seed)
-    return [random_element(algebra, rng) for _ in range(count)]
-
-
-def tensors_equal(a: Tensor, b: Tensor, tol: float = 1e-9, seed: int = 1234) -> bool:
+def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9, seed: int = 1234) -> bool:
     """Extensional equality: agreement of evaluations on a probe set.
 
-    Probes are all basis elements (dim <= 4) plus seeded random elements;
-    canonical forms over A (x) A are out of scope, so evaluation decides.
+    Probes pair basis argument tuples (when there are few) and seeded random
+    arguments with basis and random x; canonical forms over A (x) A are out
+    of scope, so evaluation decides.
     """
-    if a.order != b.order or a.algebra != b.algebra:
-        return False
-    from .algebra import basis
-
-    probes = [basis(a.algebra, i) for i in range(a.algebra.dim)]
-    probes += _probe_elements(a.algebra, PROBE_RANDOM, seed)
-    return all(eval_power(a, x).close(eval_power(b, x), tol) for x in probes)
-
-
-def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9, seed: int = 1234) -> bool:
-    """Extensional equality of SlotTensors on basis/random argument tuples."""
     if (a.x_gaps, a.arg_slots, a.algebra) != (b.x_gaps, b.arg_slots, b.algebra):
         return False
-    from .algebra import basis
-
     alg = a.algebra
     k = a.arg_slots
     cases = []
     if k <= 3 and alg.dim ** k <= 64:
         xs = [basis(alg, i) for i in range(alg.dim)]
-        from itertools import product as iproduct
-
         for x in xs:
-            for tup in iproduct(xs, repeat=k):
+            for tup in product(xs, repeat=k):
                 cases.append((list(tup), x))
     rng = np.random.default_rng(seed)
     for _ in range(PROBE_RANDOM):
@@ -312,16 +281,22 @@ def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9, seed: in
     return all(eval_args(a, args, x).close(eval_args(b, args, x), tol) for args, x in cases)
 
 
+tensors_equal = slot_tensors_equal
+
+
 # ---------------------------------------------------------------------------
 # data form
 
 
 def tensor_to_data(t: Tensor) -> dict:
-    return {"order": t.order, "terms": [[element_to_data(c) for c in term] for term in t.terms]}
+    if t.arg_slots:
+        raise ValueError("only argument-free tensors have a data form")
+    return {"order": t.order, "terms": [[element_to_data(c) for c in coeffs] for coeffs, _ in t.terms]}
 
 
 def tensor_from_data(data: dict) -> Tensor:
     terms = [[element_from_data(c) for c in term] for term in data["terms"]]
     if terms:
-        return Tensor(terms[0][0].algebra, data["order"], terms)
+        order = data["order"]
+        return SlotTensor(terms[0][0].algebra, order, 0, [(c, (X,) * order) for c in terms])
     raise ValueError("tensor data needs at least one term to fix the algebra")

@@ -6,6 +6,7 @@ import pytest
 from ncalg.algebra import from_scalar, one, random_element, zero
 from ncalg.tensor import (
     SlotTensor,
+    Tensor,
     TensorPolynomial,
     X,
     eval_args,
@@ -266,3 +267,23 @@ class TestHelpers:
         d = tensor_to_data(t)
         assert d["order"] == 2 and len(d["terms"]) == 1
         assert tensors_equal(tensor_from_data(d), t)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_so_set_labels_match_iterated_slot_derivative(HH, n):
+    # the derivative is built by repeated slot_derivative, never from so_set;
+    # both must still name the same SO(k, n) placements, each exactly once
+    for k in range(n + 1):
+        d = monomial_derivative(ones_tensor(HH, n), k)
+        labels = [lab for _, lab in d.terms]
+        assert len(labels) == len(so_set(k, n))
+        assert set(labels) == set(so_set(k, n))
+
+
+def test_tensor_is_argument_free_slot_tensor(HH, rng):
+    t = pure([random_element(HH, rng) for _ in range(4)])
+    assert Tensor is SlotTensor
+    assert (t.x_gaps, t.arg_slots, t.order) == (3, 0, 3)
+    assert [labels for _, labels in t.terms] == [(X, X, X)]
+    with pytest.raises(ValueError):
+        tensor_to_data(monomial_derivative(t, 1))  # labels have no data form
