@@ -24,7 +24,7 @@ from .biring import (
 )
 from .diffeq import BiForm, FormPoly, LinearOde, OdeForm, SolutionCurve
 from .report import Report
-from .series import SeriesBudgetError, SeriesParams
+from .series import SeriesBudgetError
 from .tensor import SlotTensor, Tensor, TensorPolynomial
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "QuasideterminantUndefinedError",
     "Report",
     "SeriesBudgetError",
-    "SeriesParams",
     "SingularMatrixError",
     "SlotTensor",
     "SolutionCurve",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -205,14 +205,6 @@ def mul(a: Element, b: Element) -> Element:
     return a * b
 
 
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def sub(a: Element, b: Element) -> Element:
-    return a - b
-
-
 def scale(a: Element, s: float) -> Element:
     return Element(a.algebra, a.coeffs * float(s))
 
@@ -309,8 +301,3 @@ def element_to_data(a: Element) -> dict:
 
 def element_from_data(data: dict) -> Element:
     return Element(make_algebra(data["algebra"]), data["coeffs"])
-
-
-def elements(algebra: AlgebraDesc, rows: Sequence[Sequence[float]]) -> list[Element]:
-    """Convenience: build a list of Elements from coefficient rows."""
-    return [Element(algebra, row) for row in rows]

@@ -107,12 +107,6 @@ class BiMatrix:
     def entry(self, i: int, j: int) -> Element:
         return Element(self.algebra, self.data[i, j])
 
-    def column(self, j: int) -> list[Element]:
-        return [self.entry(i, j) for i in range(self.rows)]
-
-    def row_elements(self, i: int) -> list[Element]:
-        return [self.entry(i, j) for j in range(self.cols)]
-
     def max_entry_norm(self) -> float:
         if self.data.size == 0:
             return 0.0
@@ -174,10 +168,6 @@ def _rho(a: BiMatrix) -> np.ndarray:
 
 def transpose(a: BiMatrix) -> BiMatrix:
     return BiMatrix(a.algebra, a.data.transpose(1, 0, 2))
-
-
-def add(a: BiMatrix, b: BiMatrix) -> BiMatrix:
-    return a + b
 
 
 def hadamard_inv(a: BiMatrix) -> BiMatrix:

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_mul, cr_pow, matrix_from_data, matrix_to_data, rc_mul, rc_pow
 from .report import Report
-from .series import DEFAULT_PARAMS, SeriesParams, exp_at, mexp_cr, mexp_rc
+from .series import exp_at, mexp_cr, mexp_rc
 from .tensor import SlotTensor, X, eval_args, poly_derivative
 
 FD_STEP = 1e-5
@@ -44,10 +44,11 @@ def _fd_step(scale: float) -> float:
     return FD_STEP * (1.0 + scale)
 
 
-def _central(f: Callable[[float], Element], s: float) -> Element:
+def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | np.ndarray:
     """Central difference (f(s) - f(-s)) / (2s) of a function of the signed step.
 
     x + (-s) h equals x - s h exactly, so callers shift by the signed step.
+    f may return an Element or a coefficient array.
     """
     return (f(s) - f(-s)) * (1.0 / (2 * s))
 
@@ -340,7 +341,7 @@ class SolutionCurve:
         return self.evaluator(float(t))
 
 
-def closed_form_solution(ode: LinearOde, p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
+def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """Matrix exponential of t*a combined with the initial value per form."""
     init_mat = _state_matrix(ode, ode.init)
 
@@ -348,13 +349,13 @@ def closed_form_solution(ode: LinearOde, p: SeriesParams = DEFAULT_PARAMS) -> So
         if t == 0.0:
             return ode.init
         if ode.form is OdeForm.RC_LEFT:
-            out = rc_mul(mexp_rc(ode.a * t, p), init_mat)
+            out = rc_mul(mexp_rc(ode.a * t), init_mat)
         elif ode.form is OdeForm.CR_RIGHT:
-            out = cr_mul(init_mat, mexp_cr(ode.a * t, p))
+            out = cr_mul(init_mat, mexp_cr(ode.a * t))
         elif ode.form is OdeForm.CR_LEFT:
-            out = cr_mul(mexp_cr(ode.a * t, p), init_mat)
+            out = cr_mul(mexp_cr(ode.a * t), init_mat)
         else:
-            out = rc_mul(init_mat, mexp_rc(ode.a * t, p))
+            out = rc_mul(init_mat, mexp_rc(ode.a * t))
         return _state_tuple(ode, out)
 
     return SolutionCurve(evaluate, "closed-form")
@@ -366,8 +367,7 @@ def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
     return [power(ode.a, k) for k in range(n + 1)]
 
 
-def eigen_solution(b: Element, c: Sequence[Element], side: str = "left",
-                   p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
+def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> SolutionCurve:
     """Curve t -> e^{bt} c (side="left") or t -> c e^{bt} (side="right")."""
     c = tuple(c)
     if all(e.norm() == 0.0 for e in c):
@@ -376,7 +376,7 @@ def eigen_solution(b: Element, c: Sequence[Element], side: str = "left",
         raise ValueError("side must be 'left' or 'right'")
 
     def evaluate(t: float) -> tuple[Element, ...]:
-        e = exp_at(b, t, p)
+        e = exp_at(b, t)
         if side == "left":
             return tuple(e * ci for ci in c)
         return tuple(ci * e for ci in c)
@@ -414,13 +414,10 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
     worst = 0.0
     witness = None
     for t in ts:
-        s = _fd_step(abs(t))
-        plus = curve(t + s)
-        minus = curve(t - s)
+        fd = _central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), _fd_step(abs(t)))
         rhs = ode.rhs(curve(t))
         for i in range(ode.size):
-            fd = (plus[i] - minus[i]) * (1.0 / (2 * s))
-            r = (fd - rhs[i]).norm()
+            r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
             if r > worst:
                 worst = r
                 witness = {"t": t, "component": i, "residual": r}
@@ -480,8 +477,7 @@ def hyperbolic_ode(algebra: AlgebraDesc, f: Element | None = None) -> LinearOde:
 
 
 def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
-                           b2: Element | None = None,
-                           p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
+                           b2: Element | None = None) -> SolutionCurve:
     """Left-combination of two imaginary-axis exponentials matching x(0) = (0, 1).
 
     x1 = C (e^{b1 t} - e^{b2 t}), x2 = C (b1 e^{b1 t} - b2 e^{b2 t}) with
@@ -497,14 +493,14 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
     c = el_inv(b1 - b2)
 
     def evaluate(t: float) -> tuple[Element, Element]:
-        e1 = exp_at(b1, t, p)
-        e2 = exp_at(b2, t, p)
+        e1 = exp_at(b1, t)
+        e2 = exp_at(b2, t)
         return (c * (e1 - e2), c * (b1 * e1 - b2 * e2))
 
     return SolutionCurve(evaluate, "two-exponential")
 
 
-def elliptic_family(c_param: Element, p: SeriesParams = DEFAULT_PARAMS) -> SolutionCurve:
+def elliptic_family(c_param: Element) -> SolutionCurve:
     """Three-exponential family solving the elliptic system for every parameter.
 
     x1 = C1 e^{it} + C2 e^{jt} + C3 e^{kt} and x2 = x1' with
@@ -525,7 +521,7 @@ def elliptic_family(c_param: Element, p: SeriesParams = DEFAULT_PARAMS) -> Solut
         x1 = zero(algebra)
         x2 = zero(algebra)
         for coeff, b in pairs:
-            e = exp_at(b, t, p)
+            e = exp_at(b, t)
             x1 = x1 + coeff * e
             x2 = x2 + coeff * (b * e)
         return (x1, x2)
@@ -559,7 +555,7 @@ def ode_from_data(data: dict) -> LinearOde:
     )
 
 
-def run_ode_fixture(data: dict, p: SeriesParams = DEFAULT_PARAMS) -> Report:
+def run_ode_fixture(data: dict) -> Report:
     """Run a scenario fixture: {"ode": {...}, "checks": [...]}.
 
     Supported checks: {"kind": "residual", "ts": [...], "tol": ...} verifies
@@ -568,7 +564,7 @@ def run_ode_fixture(data: dict, p: SeriesParams = DEFAULT_PARAMS) -> Report:
     the RK4 oracle. The combined verdict requires every check to pass.
     """
     ode = ode_from_data(data["ode"])
-    closed = closed_form_solution(ode, p)
+    closed = closed_form_solution(ode)
     verdict = True
     worst = 0.0
     details = []

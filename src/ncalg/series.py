@@ -3,19 +3,20 @@
 Every map here is the exponential of a real matrix, computed by one routine,
 ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
 26(4), 2005): the argument is halved until its 1-norm is at most 1/2, its
-Taylor series is summed under the relative truncation rule of SeriesParams,
-and the sum is squared back. An element x enters through its left
+Taylor series is summed until a term is at most TAYLOR_RTOL relative to the
+sum, which happens by term 14 for every finite argument, and the sum is
+squared back. There is no term budget to set. An element x enters through its left
 multiplication matrix L(x), and L(exp x) = exp(L(x)); a matrix A enters
-through rho(A) (see _kernels). Arguments or results that are not finite
-raise SeriesBudgetError. The quasiexponent generalizes the exponent: it is
+through rho(A) (see _kernels). Arguments or results that are not finite,
+and arguments too large for any digit of the result to be accurate, raise
+SeriesBudgetError. The quasiexponent generalizes the exponent: it is
 the order-n derivative of exp evaluated at fixed directions, and like exp it
 satisfies dy/dx o 1 = y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
+from itertools import count, permutations
 from typing import Sequence
 
 import numpy as np
@@ -25,39 +26,24 @@ from .algebra import AlgebraError, Element, left_matrix, scale as el_scale
 from .biring import BiMatrix, transpose
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """Truncation control for the Taylor sum of the scaled argument.
-
-    The sum stops when a term is small relative to the sum.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.max_terms < 1:
-            raise ValueError("rel_tol must be > 0 and max_terms >= 1")
-
-
-DEFAULT_PARAMS = SeriesParams()
+TAYLOR_RTOL = 1e-14
 
 
 class SeriesBudgetError(ArithmeticError):
-    """Series failed to converge within max_terms, or its value is not finite."""
+    """Argument or value not finite, or too large to be accurate."""
 
 
 def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max(initial=0.0))
 
 
-def _expm(m: np.ndarray, p: SeriesParams) -> np.ndarray:
+def _expm(m: np.ndarray) -> np.ndarray:
     """exp(m) of a real square matrix by scaling and squaring.
 
-    With ||a||_1 <= 1/2 each Taylor term is at most half the one before, so
-    the tail after a term is no larger than that term. The s squarings
-    multiply the sum's relative rounding error by up to 2^s, so past
-    ||m||_1 = 2^52 no digit of the result is left and it raises instead.
+    With ||a||_1 <= 1/2 term n is at most 2^-n / n!, below TAYLOR_RTOL by
+    n = 14, and the tail after a term is no larger than that term. The s
+    squarings multiply the sum's relative rounding error by up to 2^s, so
+    past ||m||_1 = 2^52 no digit of the result is left and it raises instead.
     """
     if not np.isfinite(m).all():
         raise SeriesBudgetError("exponential of a non-finite argument")
@@ -67,13 +53,11 @@ def _expm(m: np.ndarray, p: SeriesParams) -> np.ndarray:
     s = int(np.frexp(norm)[1]) + 1 if norm > 0.5 else 0
     a = np.ldexp(m, -s)
     total = term = np.eye(m.shape[0])
-    for n in range(1, p.max_terms + 1):
+    for n in count(1):
         term = term @ a / n
         total = total + term
-        if _norm1(term) <= p.rel_tol * (1.0 + _norm1(total)):
+        if _norm1(term) <= TAYLOR_RTOL * (1.0 + _norm1(total)):
             break
-    else:
-        raise SeriesBudgetError("series budget exceeded in exp")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             total = total @ total
@@ -82,17 +66,17 @@ def _expm(m: np.ndarray, p: SeriesParams) -> np.ndarray:
     return total
 
 
-def exp_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
+def exp_el(x: Element) -> Element:
     """exp(x) = sum x^n / n!: column 0 of exp(L(x))."""
-    return Element(x.algebra, _expm(left_matrix(x), p)[:, 0])
+    return Element(x.algebra, _expm(left_matrix(x))[:, 0])
 
 
-def exp_at(a: Element, t: float, p: SeriesParams = DEFAULT_PARAMS) -> Element:
+def exp_at(a: Element, t: float) -> Element:
     """exp(a t) for real t; (a t)^n = a^n t^n, so this is exp_el(a*t)."""
-    return exp_el(el_scale(a, t), p)
+    return exp_el(el_scale(a, t))
 
 
-def _pair(x: Element, sign: float, block: int, p: SeriesParams) -> Element:
+def _pair(x: Element, sign: float, block: int) -> Element:
     """Block (0, block), column 0, of exp([[0, L], [sign L, 0]]) for L = L(x).
 
     That exponential is [[cosh L, sinh L], [sinh L, cosh L]] for sign = 1
@@ -100,31 +84,31 @@ def _pair(x: Element, sign: float, block: int, p: SeriesParams) -> Element:
     """
     lx = left_matrix(x)
     z = np.zeros_like(lx)
-    e = _expm(np.block([[z, lx], [sign * lx, z]]), p)
+    e = _expm(np.block([[z, lx], [sign * lx, z]]))
     return Element(x.algebra, e[:x.algebra.dim, block * x.algebra.dim])
 
 
-def sinh_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _pair(x, 1.0, 1, p)
+def sinh_el(x: Element) -> Element:
+    return _pair(x, 1.0, 1)
 
 
-def cosh_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _pair(x, 1.0, 0, p)
+def cosh_el(x: Element) -> Element:
+    return _pair(x, 1.0, 0)
 
 
-def sin_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _pair(x, -1.0, 1, p)
+def sin_el(x: Element) -> Element:
+    return _pair(x, -1.0, 1)
 
 
-def cos_el(x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
-    return _pair(x, -1.0, 0, p)
+def cos_el(x: Element) -> Element:
+    return _pair(x, -1.0, 0)
 
 
 # ---------------------------------------------------------------------------
 # quasiexponent
 
 
-def quasiexp(cs: Sequence[Element], x: Element, p: SeriesParams = DEFAULT_PARAMS) -> Element:
+def quasiexp(cs: Sequence[Element], x: Element) -> Element:
     """e[c_1..c_n]^x: the order-n derivative of exp at directions c_1..c_n.
 
     Degree N of x^N contributes (1/N!) times the sum over all placements of
@@ -145,20 +129,20 @@ def quasiexp(cs: Sequence[Element], x: Element, p: SeriesParams = DEFAULT_PARAMS
     for order in permutations([left_matrix(c) for c in cs]):
         for k, lc in enumerate(order):
             big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = lc
-        total += _expm(big, p)[:d, n * d]
+        total += _expm(big)[:d, n * d]
     return Element(x.algebra, total)
 
 
-def quasiexp_at(c: Element, a: Element, t: float, p: SeriesParams = DEFAULT_PARAMS) -> Element:
+def quasiexp_at(c: Element, a: Element, t: float) -> Element:
     """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t)."""
-    return quasiexp([c], el_scale(a, t), p)
+    return quasiexp([c], el_scale(a, t))
 
 
 # ---------------------------------------------------------------------------
 # matrix exponentials, one per product
 
 
-def mexp_rc(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
+def mexp_rc(x: BiMatrix) -> BiMatrix:
     """Sum of rc-powers x^n/n!; solves y' = x rc y with y(0) = identity.
 
     rho turns rc into the real matrix product, so this is unrho(exp(rho(x))).
@@ -166,9 +150,9 @@ def mexp_rc(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
     if x.rows != x.cols:
         raise ValueError("square matrix required")
     table = x.algebra.table
-    return BiMatrix(x.algebra, _kernels.unrho(table, _expm(_kernels.rho(table, x.data), p)))
+    return BiMatrix(x.algebra, _kernels.unrho(table, _expm(_kernels.rho(table, x.data))))
 
 
-def mexp_cr(x: BiMatrix, p: SeriesParams = DEFAULT_PARAMS) -> BiMatrix:
+def mexp_cr(x: BiMatrix) -> BiMatrix:
     """Sum of cr-powers x^n/n!; transpose-dual of mexp_rc."""
-    return transpose(mexp_rc(transpose(x), p))
+    return transpose(mexp_rc(transpose(x)))

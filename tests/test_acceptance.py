@@ -44,7 +44,7 @@ from ncalg.diffeq import (
     rk4_integrate,
     solution_residual,
 )
-from ncalg.series import SeriesParams, exp_el, quasiexp
+from ncalg.series import exp_el, quasiexp
 from ncalg.tensor import (
     SlotTensor,
     X,
@@ -58,8 +58,6 @@ from ncalg.tensor import (
 from conftest import complex_matrix
 
 from test_diffeq import three_x_form, x_square_form
-
-P = SeriesParams()
 
 
 def _line(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -244,19 +242,19 @@ def test_criterion_06_exponent_properties():
     for _ in range(20):
         a = random_element(HH, rng)
         b = float(rng.uniform(-1, 1)) * one(HH) + float(rng.uniform(-1, 1)) * a
-        worst_mul = max(worst_mul, (exp_el(a + b, P) - exp_el(a, P) * exp_el(b, P)).norm())
+        worst_mul = max(worst_mul, (exp_el(a + b) - exp_el(a) * exp_el(b)).norm())
     i, j = basis(HH, 1), basis(HH, 2)
-    gap_ij = (exp_el(i + j, P) - exp_el(i, P) * exp_el(j, P)).norm()
+    gap_ij = (exp_el(i + j) - exp_el(i) * exp_el(j)).norm()
     worst_swap = 0.0
     for _ in range(20):
         a, x = random_element(HH, rng), random_element(HH, rng)
-        worst_swap = max(worst_swap, (a * exp_el(x * a, P) - exp_el(a * x, P) * a).norm())
+        worst_swap = max(worst_swap, (a * exp_el(x * a) - exp_el(a * x) * a).norm())
     worst_ode = 0.0
     for _ in range(5):
         c, x = random_element(HH, rng), random_element(HH, rng)
         s = 1e-5 * (1 + x.norm())
-        fd = (quasiexp([c], x + s * one(HH), P) - quasiexp([c], x - s * one(HH), P)) * (1 / (2 * s))
-        worst_ode = max(worst_ode, (fd - quasiexp([c], x, P)).norm())
+        fd = (quasiexp([c], x + s * one(HH)) - quasiexp([c], x - s * one(HH))) * (1 / (2 * s))
+        worst_ode = max(worst_ode, (fd - quasiexp([c], x)).norm())
     passed = worst_mul <= 1e-10 and gap_ij > 1e-3 and worst_swap <= 1e-10 and worst_ode <= 1e-6
     _line(6, "exponent properties", passed,
           f"commuting {worst_mul:.2e}, gap {gap_ij:.2e}, swap {worst_swap:.2e}, ode {worst_ode:.2e}")
@@ -270,17 +268,17 @@ def test_criterion_07_euler_formulas():
     RR = make_algebra("real")
     for t in (0.1, 0.5, 1.0, 2.0):
         x = from_scalar(RR, t)
-        worst = max(worst, abs(sinh_el(x, P).coeffs[0] - 0.5 * (math.exp(t) - math.exp(-t))))
-        worst = max(worst, abs(cosh_el(x, P).coeffs[0] - 0.5 * (math.exp(t) + math.exp(-t))))
+        worst = max(worst, abs(sinh_el(x).coeffs[0] - 0.5 * (math.exp(t) - math.exp(-t))))
+        worst = max(worst, abs(cosh_el(x).coeffs[0] - 0.5 * (math.exp(t) + math.exp(-t))))
     HH = make_algebra("quaternion")
     i, j, k = basis(HH, 1), basis(HH, 2), basis(HH, 3)
     worst_comm = 0.0
     for f in (i, (i + j) * (1 / math.sqrt(2)), 2 * k):
         for t in (0.1, 0.5, 1.0, 2.0):
             tf = t * f
-            sh, ch = sinh_el(tf, P), cosh_el(tf, P)
-            worst = max(worst, (sh - 0.5 * (exp_el(tf, P) - exp_el(-tf, P))).norm())
-            worst = max(worst, (ch - 0.5 * (exp_el(tf, P) + exp_el(-tf, P))).norm())
+            sh, ch = sinh_el(tf), cosh_el(tf)
+            worst = max(worst, (sh - 0.5 * (exp_el(tf) - exp_el(-tf))).norm())
+            worst = max(worst, (ch - 0.5 * (exp_el(tf) + exp_el(-tf))).norm())
             worst_comm = max(worst_comm, (sh * f - f * sh).norm(), (ch * f - f * ch).norm())
     passed = worst <= 1e-10 and worst_comm <= 1e-10
     _line(7, "Euler formulas", passed, f"split {worst:.2e}, commutation {worst_comm:.2e}")
@@ -298,7 +296,7 @@ def test_criterion_08_ode_cross_check():
             a = random_matrix(HH, 2, 2, rng, scale=0.5)  # entry norms <= 1
             init = tuple(random_element(HH, rng) for _ in range(2))
             ode = LinearOde(a, form, init)
-            closed = closed_form_solution(ode, P)
+            closed = closed_form_solution(ode)
             rk = rk4_integrate(ode, 1.0, 10_000)
             for t in ts:
                 gap = max((u - v).norm() for u, v in zip(closed(t), rk(t)))

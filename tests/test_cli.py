@@ -120,35 +120,29 @@ class TestMain:
         assert code == 0
 
 
+TYPED_ERRORS = (SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError)
+
+
 class TestTypedErrors:
-    def test_budget_error_reported_as_json(self, capsys):
-        code = main(["run", "exp-properties", "--max-terms", "3", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 3
-        assert set(payload) == {"scenario", "seed", "error"}
-        assert payload["scenario"] == "exp-properties" and payload["seed"] == 0
-        assert payload["error"]["type"] == "SeriesBudgetError"
-        assert payload["error"]["message"]
-
-    def test_budget_error_reported_as_one_text_line(self, capsys):
-        code = main(["run", "exp-properties", "--max-terms", "3"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out.splitlines() == [captured.out.strip()]
-        assert captured.out.startswith("error : SeriesBudgetError: ")
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize(
-        "exc", [SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError])
-    def test_every_typed_error_exits_3(self, capsys, monkeypatch, exc):
+    # the json cases keep the bare error name as their id
+    @pytest.mark.parametrize("exc, fmt", [
+        *(pytest.param(e, "json", id=e.__name__) for e in TYPED_ERRORS),
+        *(pytest.param(e, "text", id=f"{e.__name__}-text") for e in TYPED_ERRORS),
+    ])
+    def test_every_typed_error_exits_3(self, capsys, monkeypatch, exc, fmt):
         def runner(opt):
             raise exc("raised by the scenario")
 
         monkeypatch.setitem(SCENARIOS, "raises", Scenario("raises", "", "", runner))
-        assert main(["run", "raises", "--format", "json", "--seed", "5"]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {"scenario": "raises", "seed": 5,
-                           "error": {"type": exc.__name__, "message": "raised by the scenario"}}
+        assert main(["run", "raises", "--format", fmt, "--seed", "5"]) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if fmt == "json":
+            assert json.loads(captured.out) == {
+                "scenario": "raises", "seed": 5,
+                "error": {"type": exc.__name__, "message": "raised by the scenario"}}
+        else:
+            assert captured.out.splitlines() == [f"error : {exc.__name__}: raised by the scenario"]
 
     def test_key_error_inside_a_scenario_is_not_an_unknown_name(self, capsys, monkeypatch):
         # exit 2 means the name is not registered; a runner's own KeyError propagates
@@ -159,8 +153,3 @@ class TestTypedErrors:
         with pytest.raises(KeyError):
             main(["run", "raises"])
         assert "unknown scenario" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", ["elliptic-nonunique", "elliptic-family"])
-    def test_elliptic_curves_honour_the_series_budget(self, name):
-        with pytest.raises(SeriesBudgetError):
-            run_scenario(name, Options(max_terms=1))
