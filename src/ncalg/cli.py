@@ -414,6 +414,13 @@ def _plain(obj):
     return obj
 
 
+def _probe_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ncalg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     defaults = Options()
     run.add_argument("--seed", type=int, default=defaults.seed)
-    run.add_argument("--probes", type=int, default=defaults.probes)
+    run.add_argument("--probes", type=_probe_count, default=defaults.probes)
     run.add_argument("--algebra", default=defaults.algebra,
                      choices=["real", "complex", "quaternion"])
     run.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .algebra import (
     random_element,
     zero,
 )
-from .biring import BiMatrix, cr_mul, cr_pow, matrix_from_data, matrix_to_data, rc_mul, rc_pow
+from .biring import (BiMatrix, cr_mul, cr_pow, matrix_from_data, matrix_to_data, rc_mul, rc_pow,
+                     transpose)
 from .report import Report
 from .series import exp_at, mexp_cr, mexp_rc
 from .tensor import SlotTensor, X, eval_args, poly_derivative
@@ -51,6 +52,36 @@ def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | 
     f may return an Element or a coefficient array.
     """
     return (f(s) - f(-s)) * (1.0 / (2 * s))
+
+
+def _probes(alg: AlgebraDesc, probes: int, seed: int, k: int) -> Iterator[tuple[Element, ...]]:
+    """`probes` k-tuples of random elements, drawn in order from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    for _ in range(probes):
+        yield tuple(random_element(alg, rng) for _ in range(k))
+
+
+def _witness(**fields) -> Callable[[], dict]:
+    """A witness thunk; Elements become coefficient lists when it is called."""
+    return lambda: {k: list(v.coeffs) if isinstance(v, Element) else v for k, v in fields.items()}
+
+
+def _judge(gaps: Iterable[tuple[float, Callable[[], dict]]], tol: float, **metrics) -> Report:
+    """The verdict rule of every checker, over (residual, witness thunk) per probe.
+
+    The first probe with the largest residual is the witness, built only when
+    the check fails; the check passes iff that residual is within tol. A
+    check that saw no probe proves nothing, so it raises ValueError.
+    """
+    worst, witness, count = 0.0, None, 0
+    for count, (r, thunk) in enumerate(gaps, 1):
+        if r > worst:
+            worst, witness = r, thunk
+    if not count:
+        raise ValueError("a check needs at least one probe")
+    verdict = worst <= tol
+    return Report(verdict=verdict, residual=worst, metrics=metrics,
+                  witness=None if verdict or witness is None else witness())
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +140,19 @@ def integrability_check(g: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0
     violation clears the separation floor.
     """
     dg = g.derivative()
-    rng = np.random.default_rng(seed)
-    alg = g.algebra
-    worst = 0.0
-    witness = None
-    for _ in range(probes):
-        x = random_element(alg, rng)
-        h1 = random_element(alg, rng)
-        h2 = random_element(alg, rng)
-        v12 = zero(alg)
-        v21 = zero(alg)
+
+    def gap(x: Element, h1: Element, h2: Element):
+        v12 = v21 = zero(g.algebra)
         for comp in dg:
             v12 = v12 + eval_args(comp, [h1, h2], x)
             v21 = v21 + eval_args(comp, [h2, h1], x)
         violation = (v12 - v21).norm()
-        if violation > worst:
-            worst = violation
-            witness = {"x": list(x.coeffs), "h1": list(h1.coeffs), "h2": list(h2.coeffs),
-                       "violation": violation}
-    if worst <= tol:
-        return Report(verdict=True, residual=worst, metrics={"probes": probes})
-    clear = worst > WITNESS_FLOOR
-    return Report(verdict=False, residual=worst, witness=witness,
-                  metrics={"probes": probes, "violation_above_floor": clear})
+        return violation, _witness(x=x, h1=h1, h2=h2, violation=violation)
+
+    rep = _judge((gap(*p) for p in _probes(g.algebra, probes, seed, 3)), tol, probes=probes)
+    if not rep.verdict:
+        rep.metrics["violation_above_floor"] = rep.residual > WITNESS_FLOOR
+    return rep
 
 
 def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence[Element],
@@ -140,17 +161,11 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
 
     g may be a FormPoly or any callable (x, h) -> Element.
     """
-    worst = 0.0
-    witness = None
-    for x in points:
-        s = _fd_step(x.norm())
-        for h in dirs:
-            r = (_central(lambda e: y(x + e * h), s) - g(x, h)).norm()
-            if r > worst:
-                worst = r
-                witness = {"x": list(x.coeffs), "h": list(h.coeffs), "residual": r}
-    verdict = worst <= tol
-    return Report(verdict=verdict, residual=worst, witness=None if verdict else witness)
+    def gap(x: Element, h: Element):
+        r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
+        return r, _witness(x=x, h=h, residual=r)
+
+    return _judge((gap(x, h) for x in points for h in dirs), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +201,9 @@ class BiForm:
         return self.fn(x, y, d)
 
 
-def _sym_defect(form: BiForm, x: Element, y: Element, d1: Element, d2: Element,
+def _sym_defect(form: BiForm, x: Element, y: Element, d1: Element, d2: Element, s: float,
                 wrt_x: bool) -> float:
-    """Symmetry defect of the form's own-variable derivative at one probe."""
-    s = _fd_step(max(x.norm(), y.norm()))
-
+    """Symmetry defect of the form's own-variable derivative at one probe, step s."""
     def moved(e: float, d: Element) -> tuple[Element, Element]:
         return (x + e * d, y) if wrt_x else (x, y + e * d)
 
@@ -206,49 +219,35 @@ def exactness_check(m: BiForm, n: BiForm, probes: int = DEFAULT_PROBES, seed: in
     dM/dx and dN/dy must be symmetric, and the cross condition matches
     dM/dy o (dx, dy) with dN/dx o (dy, dx) - the argument order matters, the
     first slot is the form's own differential, the second the direction of
-    differentiation.
+    differentiation. A refutation's witness is the probe with the largest of
+    the three violations and names its condition.
     """
-    rng = np.random.default_rng(seed)
-    alg = m.algebra
-    worst = {"sym_x": 0.0, "sym_y": 0.0, "cross": 0.0}
-    witness = None
-    for _ in range(probes):
-        x, y, dx1, dx2, dy1 = (random_element(alg, rng) for _ in range(5))
+    def violations(x: Element, y: Element, dx1: Element, dx2: Element, dy: Element):
         s = _fd_step(max(x.norm(), y.norm()))
-        worst["sym_x"] = max(worst["sym_x"], _sym_defect(m, x, y, dx1, dx2, wrt_x=True))
-        worst["sym_y"] = max(worst["sym_y"], _sym_defect(n, x, y, dx1, dy1, wrt_x=False))
-        cross_a = _central(lambda e: m(x, y + e * dy1, dx1), s)
-        cross_b = _central(lambda e: n(x + e * dx1, y, dy1), s)
-        c = (cross_a - cross_b).norm()
-        if c > worst["cross"]:
-            worst["cross"] = c
-            witness = {"x": list(x.coeffs), "y": list(y.coeffs),
-                       "dx": list(dx1.coeffs), "dy": list(dy1.coeffs), "violation": c}
-    residual = max(worst.values())
-    verdict = residual <= tol
-    return Report(verdict=verdict, residual=residual,
-                  witness=None if verdict else witness, metrics=dict(worst))
+        v = {"sym_x": _sym_defect(m, x, y, dx1, dx2, s, wrt_x=True),
+             "sym_y": _sym_defect(n, x, y, dx1, dy, s, wrt_x=False),
+             "cross": (_central(lambda e: m(x, y + e * dy, dx1), s)
+                       - _central(lambda e: n(x + e * dx1, y, dy), s)).norm()}
+        c = max(v, key=v.get)
+        return v, _witness(condition=c, x=x, y=y, dx1=dx1, dx2=dx2, dy=dy, violation=v[c])
+
+    probed = [violations(*p) for p in _probes(m.algebra, probes, seed, 5)]
+    worst = {c: max((v[c] for v, _ in probed), default=0.0) for c in ("sym_x", "sym_y", "cross")}
+    return _judge(((max(v.values()), w) for v, w in probed), tol, **worst)
 
 
 def implicit_solution_check(u: Callable[[Element, Element], Element], m: BiForm, n: BiForm,
                             probes: int = DEFAULT_PROBES, seed: int = 0,
                             tol: float = FD_TOL) -> Report:
     """Do the partials of u reproduce M and N? Checked by central differences."""
-    rng = np.random.default_rng(seed)
-    alg = m.algebra
-    worst = 0.0
-    witness = None
-    for _ in range(probes):
-        x, y, dx, dy = (random_element(alg, rng) for _ in range(4))
+    def gap(x: Element, y: Element, dx: Element, dy: Element):
         s = _fd_step(max(x.norm(), y.norm()))
         rx = (_central(lambda e: u(x + e * dx, y), s) - m(x, y, dx)).norm()
         ry = (_central(lambda e: u(x, y + e * dy), s) - n(x, y, dy)).norm()
         r = max(rx, ry)
-        if r > worst:
-            worst = r
-            witness = {"x": list(x.coeffs), "y": list(y.coeffs), "residual": r}
-    verdict = worst <= tol
-    return Report(verdict=verdict, residual=worst, witness=None if verdict else witness)
+        return r, _witness(x=x, y=y, residual=r)
+
+    return _judge((gap(*p) for p in _probes(m.algebra, probes, seed, 4)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +259,6 @@ class OdeForm(enum.Enum):
     CR_RIGHT = "cr_right"   # x' = x cr a, column state
     CR_LEFT = "cr_left"     # x' = a cr x, row state
     RC_RIGHT = "rc_right"   # x' = x rc a, row state
-
-
-_ROW_FORMS = (OdeForm.CR_LEFT, OdeForm.RC_RIGHT)
 
 
 @dataclass(frozen=True)
@@ -290,43 +286,37 @@ class LinearOde:
         return self.a.algebra
 
     def rhs(self, xs: Sequence[Element]) -> tuple[Element, ...]:
-        mat = _state_matrix(self, xs)
-        if self.form is OdeForm.RC_LEFT:
-            out = rc_mul(self.a, mat)
-        elif self.form is OdeForm.CR_RIGHT:
-            out = cr_mul(mat, self.a)
-        elif self.form is OdeForm.CR_LEFT:
-            out = cr_mul(self.a, mat)
-        else:
-            out = rc_mul(mat, self.a)
-        return _state_tuple(self, out)
+        c, left = _column_form(self)
+        return _elements(rc_mul(c, _column(xs)) if left else cr_mul(_column(xs), c))
 
     def real_matrix(self) -> np.ndarray:
         """The rhs as a real linear map on stacked coefficient vectors.
 
-        This is rho of a, or of its transpose for the row forms, with
-        left-multiplication blocks where a's entries multiply the state from
-        the left (rc-left, cr-left) and right-multiplication blocks, from the
-        transposed structure table, where they multiply it from the right.
+        This is rho of the column-form coefficient c: left-multiplication blocks
+        where c multiplies the state from the left, else right-multiplication
+        blocks from the transposed structure table.
         """
-        table = self.algebra.table
-        if self.form in (OdeForm.CR_RIGHT, OdeForm.RC_RIGHT):
-            table = table.transpose(1, 0, 2)
-        a = self.a.data.transpose(1, 0, 2) if self.form in _ROW_FORMS else self.a.data
-        return _kernels.rho(table, a)
+        c, left = _column_form(self)
+        table = self.algebra.table if left else self.algebra.table.transpose(1, 0, 2)
+        return _kernels.rho(table, c.data)
 
 
-def _state_matrix(ode: LinearOde, xs: Sequence[Element]) -> BiMatrix:
-    xs = list(xs)
-    if ode.form in _ROW_FORMS:
-        return BiMatrix.from_elements([xs])
+def _column_form(ode: LinearOde) -> tuple[BiMatrix, bool]:
+    """(c, left) such that the ode reads col' = c rc col if left, else col' = col cr c.
+
+    Row forms are transposes of column forms, (a cr x)^T = a^T rc x^T and
+    (x rc a)^T = x^T cr a^T, so every form runs on a column state.
+    """
+    c = transpose(ode.a) if ode.form in (OdeForm.CR_LEFT, OdeForm.RC_RIGHT) else ode.a
+    return c, ode.form in (OdeForm.RC_LEFT, OdeForm.CR_LEFT)
+
+
+def _column(xs: Sequence[Element]) -> BiMatrix:
     return BiMatrix.from_elements([[x] for x in xs])
 
 
-def _state_tuple(ode: LinearOde, mat: BiMatrix) -> tuple[Element, ...]:
-    if ode.form in _ROW_FORMS:
-        return tuple(mat.entry(0, j) for j in range(mat.cols))
-    return tuple(mat.entry(i, 0) for i in range(mat.rows))
+def _elements(col: BiMatrix) -> tuple[Element, ...]:
+    return tuple(col.entry(i, 0) for i in range(col.rows))
 
 
 @dataclass(frozen=True)
@@ -335,7 +325,6 @@ class SolutionCurve:
 
     evaluator: Callable[[float], tuple[Element, ...]]
     provenance: str
-    t_span: tuple[float, float] = (-math.inf, math.inf)
 
     def __call__(self, t: float) -> tuple[Element, ...]:
         return self.evaluator(float(t))
@@ -343,20 +332,13 @@ class SolutionCurve:
 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """Matrix exponential of t*a combined with the initial value per form."""
-    init_mat = _state_matrix(ode, ode.init)
+    c, left = _column_form(ode)
+    init = _column(ode.init)
 
     def evaluate(t: float) -> tuple[Element, ...]:
         if t == 0.0:
             return ode.init
-        if ode.form is OdeForm.RC_LEFT:
-            out = rc_mul(mexp_rc(ode.a * t), init_mat)
-        elif ode.form is OdeForm.CR_RIGHT:
-            out = cr_mul(init_mat, mexp_cr(ode.a * t))
-        elif ode.form is OdeForm.CR_LEFT:
-            out = cr_mul(mexp_cr(ode.a * t), init_mat)
-        else:
-            out = rc_mul(init_mat, mexp_rc(ode.a * t))
-        return _state_tuple(ode, out)
+        return _elements(rc_mul(mexp_rc(c * t), init) if left else cr_mul(init, mexp_cr(c * t)))
 
     return SolutionCurve(evaluate, "closed-form")
 
@@ -411,19 +393,15 @@ def eigen_conditions(ode: LinearOde, b: Element, c: Sequence[Element],
 def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
                       tol: float = FD_TOL) -> Report:
     """Max over ts of |finite-difference d curve/dt - rhs(curve(t))|."""
-    worst = 0.0
-    witness = None
-    for t in ts:
-        fd = _central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), _fd_step(abs(t)))
-        rhs = ode.rhs(curve(t))
-        for i in range(ode.size):
-            r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
-            if r > worst:
-                worst = r
-                witness = {"t": t, "component": i, "residual": r}
-    verdict = worst <= tol
-    return Report(verdict=verdict, residual=worst, witness=None if verdict else witness,
-                  metrics={"provenance": curve.provenance})
+    def gaps():
+        for t in ts:
+            fd = _central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), _fd_step(abs(t)))
+            rhs = ode.rhs(curve(t))
+            for i in range(ode.size):
+                r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
+                yield r, _witness(t=t, component=i, residual=r)
+
+    return _judge(gaps(), tol, provenance=curve.provenance)
 
 
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
@@ -453,7 +431,7 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
         vec = _kernels.rk4_linear(m, x0, t, nsteps)
         return tuple(Element(alg, vec[i * d:(i + 1) * d]) for i in range(n))
 
-    return SolutionCurve(evaluate, "rk4", t_span=(0.0, t_end))
+    return SolutionCurve(evaluate, "rk4")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,30 @@ class TestMain:
         capsys.readouterr()
         assert code == 0
 
+    @pytest.mark.parametrize("scenario, probes", [("integrability-x2", "0"),
+                                                  ("separable-712", "-3"),
+                                                  ("integrability-3xx", "0")])
+    def test_probe_count_below_one_is_a_usage_error(self, capsys, scenario, probes):
+        # with no probe a checker would print a vacuous PASS
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", scenario, "--probes", probes, "--algebra", "quaternion"])
+        assert exit_info.value.code == 2
+        assert "--probes" in capsys.readouterr().err
+
+
+class TestExactnessWitness:
+    """A refuted exactness check reports the probe of the failing condition."""
+
+    def test_724_witness_is_the_symmetry_failure(self):
+        report, payload = run_scenario("exact-724", Options(seed=0, algebra="quaternion"))
+        assert payload["witness"]["condition"] == "sym_x"
+        assert payload["witness"]["violation"] == report.residual == report.metrics["sym_x"]
+
+    def test_725_witness_is_the_cross_failure(self):
+        report, payload = run_scenario("exact-725", Options(seed=0, algebra="quaternion"))
+        assert payload["witness"]["condition"] == "cross"
+        assert payload["witness"]["violation"] == report.residual == report.metrics["cross"]
+
 
 TYPED_ERRORS = (SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError)
 

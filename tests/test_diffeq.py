@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncalg.algebra import basis, from_scalar, one, random_element, zero
-from ncalg.biring import BiMatrix, random_matrix
+from ncalg.algebra import basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.biring import BiMatrix, random_matrix, transpose
 from ncalg.diffeq import (
     BiForm,
     FormPoly,
@@ -426,3 +426,50 @@ class TestDataForms:
         rep = Report(verdict=False, residual=0.25, witness={"t": 1.0})
         data = rep.to_data()
         assert data == {"verdict": False, "residual": 0.25, "witness": {"t": 1.0}}
+
+
+def _empty_probe_checks(alg):
+    """Every checker called with nothing to check, by name."""
+    m = BiForm(alg, lambda x, y, dx: dx * x + x * dx)
+    n = BiForm(alg, lambda x, y, dy: dy * y + y * dy)
+    g = x_square_form(alg)
+    pts = probe_elements(alg, 5, 2)
+    ode = elliptic_ode(alg)
+    return {
+        "integrability": lambda: integrability_check(g, probes=0),
+        "integrability-negative": lambda: integrability_check(g, probes=-3),
+        "antiderivative-points": lambda: antiderivative_residual(lambda x: x * x, g, [], pts),
+        "antiderivative-dirs": lambda: antiderivative_residual(lambda x: x * x, g, pts, []),
+        "exactness": lambda: exactness_check(m, n, probes=0),
+        "implicit": lambda: implicit_solution_check(lambda x, y: x * x + y * y, m, n, probes=0),
+        "solution": lambda: solution_residual(ode, closed_form_solution(ode), []),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_empty_probe_checks(make_algebra("quaternion"))))
+def test_a_check_without_probes_raises(HH, name):
+    # a verdict over no probe would certify anything, e.g. 3 x dx x over H
+    with pytest.raises(ValueError, match="at least one probe"):
+        _empty_probe_checks(HH)[name]()
+
+
+class TestFormDuality:
+    """Row forms are the column forms of the transposed coefficient matrix."""
+
+    @pytest.mark.parametrize("row, column", [(OdeForm.CR_LEFT, OdeForm.RC_LEFT),
+                                             (OdeForm.RC_RIGHT, OdeForm.CR_RIGHT)],
+                             ids=["cr_left-rc_left", "rc_right-cr_right"])
+    def test_row_form_equals_column_form_of_transpose(self, HH, rng, row, column):
+        a = random_matrix(HH, 3, 3, rng)
+        init = tuple(random_element(HH, rng) for _ in range(3))
+        xs = [random_element(HH, rng) for _ in range(3)]
+        r, c = LinearOde(a, row, init), LinearOde(transpose(a), column, init)
+
+        def same(us, vs):
+            return all(np.array_equal(u.coeffs, v.coeffs) for u, v in zip(us, vs))
+
+        assert np.array_equal(r.real_matrix(), c.real_matrix())
+        assert same(r.rhs(xs), c.rhs(xs))
+        r_curve, c_curve = closed_form_solution(r), closed_form_solution(c)
+        for t in (0.0, 0.4, -1.3, 2.0):
+            assert same(r_curve(t), c_curve(t))
