@@ -108,9 +108,7 @@ class BiMatrix:
         return Element(self.algebra, self.data[i, j])
 
     def max_entry_norm(self) -> float:
-        if self.data.size == 0:
-            return 0.0
-        return float(np.sqrt((self.data ** 2).sum(axis=2)).max())
+        return _max_entry_norm(self.data)
 
     def __add__(self, other: "BiMatrix") -> "BiMatrix":
         if other.algebra != self.algebra or other.data.shape != self.data.shape:
@@ -136,6 +134,12 @@ class BiMatrix:
 
     def __repr__(self):
         return f"BiMatrix({self.algebra.tag}, {self.rows}x{self.cols})"
+
+
+def _max_entry_norm(data: np.ndarray) -> float:
+    if data.size == 0:
+        return 0.0
+    return float(np.sqrt((data ** 2).sum(axis=2)).max())
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
@@ -237,14 +241,35 @@ def _rank(r: np.ndarray, d: int, smax: float | None = None) -> tuple[int, float]
     return int((s > PIVOT_RTOL * smax).sum()) // d, smax
 
 
-def _nonsingular_rho(a: BiMatrix) -> tuple[np.ndarray, float]:
-    """rho(a) and its largest singular value; raises if a is rc-singular or empty."""
-    n = _require_square(a)
-    r = _rho(a)
-    k, smax = _rank(r, a.algebra.dim)
+def _nonsingular_rho(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """rho of a square (n, n, d) array and its largest singular value; raises if rc-singular or empty."""
+    n = data.shape[0]
+    r = _kernels.rho(table, data)
+    k, smax = _rank(r, table.shape[0])
     if n == 0 or k < n:
         raise SingularMatrixError("rc-singular")
     return r, smax
+
+
+def _inverse(table: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """rc-inverse of a square (n, n, d) array, residual-checked on both sides.
+
+    It is the LU inverse of rho(data), projected by unrho. rho(data) @ vec(out)
+    is vec(data rc out), so that residual reuses rho(data).
+    """
+    n, d = data.shape[0], table.shape[0]
+    r, _ = _nonsingular_rho(table, data)
+    out = _kernels.unrho(table, np.linalg.inv(r))
+    diag = np.arange(n)
+    left = r @ out.transpose(0, 2, 1).reshape(n * d, n)
+    left[diag * d, diag] -= 1.0
+    right = _kernels.rc_contract(table, out, data)
+    right[diag, diag, 0] -= 1.0
+    resid = max(float(np.abs(left).max()), float(np.abs(right).max()))
+    # scale the acceptance with the conditioning actually encountered
+    if resid > 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n):
+        raise SingularMatrixError("inverse failed residual check")
+    return out
 
 
 def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
@@ -258,16 +283,18 @@ def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
         raise IndexError("quasideterminant index out of range")
     if n == 1:
         return a.entry(0, 0)
+    table, data = a.algebra.table, a.data
     keep_r = [r for r in range(n) if r != i]
     keep_c = [c for c in range(n) if c != j]
     try:
-        interior_inv = rc_inv(submatrix(a, keep_r, keep_c))
+        interior_inv = _inverse(table, data[keep_r][:, keep_c])
     except SingularMatrixError as err:
         raise QuasideterminantUndefinedError(
             f"quasideterminant undefined at ({i}, {j}): interior submatrix is rc-singular"
         ) from err
-    acc = rc_mul(rc_mul(submatrix(a, [i], keep_c), interior_inv), submatrix(a, keep_r, [j]))
-    return a.entry(i, j) - acc.entry(0, 0)
+    row_inv = _kernels.rc_contract(table, data[[i]][:, keep_c], interior_inv)
+    acc = _kernels.rc_contract(table, row_inv, data[keep_r][:, [j]])
+    return Element(a.algebra, data[i, j] - acc[0, 0])
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
@@ -277,15 +304,8 @@ def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
 
 def rc_inv(a: BiMatrix) -> BiMatrix:
     """rc-inverse: the LU inverse of rho(a), projected by unrho and residual-checked."""
-    n = _require_square(a)
-    r, _ = _nonsingular_rho(a)
-    out = BiMatrix(a.algebra, _kernels.unrho(a.algebra.table, np.linalg.inv(r)))
-    delta = BiMatrix.identity(a.algebra, n)
-    resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
-    # scale the acceptance with the conditioning actually encountered
-    if resid > 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
-        raise SingularMatrixError("inverse failed residual check")
-    return out
+    _require_square(a)
+    return BiMatrix(a.algebra, _inverse(a.algebra.table, a.data))
 
 
 def cr_inv(a: BiMatrix) -> BiMatrix:
@@ -294,8 +314,9 @@ def cr_inv(a: BiMatrix) -> BiMatrix:
 
 
 def is_rc_singular(a: BiMatrix) -> bool:
+    _require_square(a)
     try:
-        _nonsingular_rho(a)
+        _nonsingular_rho(a.algebra.table, a.data)
     except SingularMatrixError:
         return True
     return False
@@ -312,7 +333,7 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     if len(b) != n:
         raise AlgebraError("right-hand side height mismatch")
     d = a.algebra.dim
-    r, smax = _nonsingular_rho(a)
+    r, smax = _nonsingular_rho(a.algebra.table, a.data)
     rhs = BiMatrix.from_elements([[e] for e in b]).data.reshape(n * d)
     x = np.linalg.solve(r, rhs)
     resid = float(np.linalg.norm(r @ x - rhs))
@@ -329,22 +350,30 @@ def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     raises the rank, then the columns within those rows. In a matroid the
     greedy basis is the lexicographically first one, so the selector is the
     first nonsingular k x k minor, row sets then column sets in that order.
+    A singular value within rounding of the threshold can leave a minor
+    below it while the whole matrix is above; the search then narrows the
+    rows within the picked columns and the columns within those rows until
+    the selector is square, and k is its size.
     """
     d = a.algebra.dim
     k, smax = _rank(_rho(a), d)
 
-    def greedy(count, part):
+    def greedy(candidates, part):
         picked = ()
-        for idx in range(count):
+        for idx in candidates:
             if len(picked) == k:
                 break
             if _rank(_rho(part(picked + (idx,))), d, smax)[0] > len(picked):
                 picked += (idx,)
         return picked
 
-    rows = greedy(a.rows, lambda rows: submatrix(a, rows, range(a.cols)))
-    cols = greedy(a.cols, lambda cols: submatrix(a, rows, cols))
-    return k, MinorSelector(rows, cols)
+    rows, cols = range(a.rows), range(a.cols)
+    while True:
+        rows = greedy(rows, lambda rows: submatrix(a, rows, cols))
+        cols = greedy(cols, lambda cols: submatrix(a, rows, cols))
+        if len(rows) == len(cols):
+            return len(rows), MinorSelector(rows, cols)
+        k = len(cols)
 
 
 def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element] | None:
@@ -357,13 +386,13 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     m = a.rows
     if rank >= m:
         return None
-    major_inv = rc_inv(submatrix(a, sel.rows, sel.cols))
+    table, cols = a.algebra.table, list(sel.cols)
+    major_inv = _inverse(table, a.data[list(sel.rows)][:, cols])
     p = next(r for r in range(m) if r not in sel.rows)
-    row_p = BiMatrix(a.algebra, a.data[[p]][:, list(sel.cols)])
-    coeffs = rc_mul(row_p, major_inv)  # 1 x k
+    coeffs = _kernels.rc_contract(table, a.data[[p]][:, cols], major_inv)  # 1 x k
     lam = [Element(a.algebra, np.zeros(a.algebra.dim)) for _ in range(m)]
     for idx, r in enumerate(sel.rows):
-        lam[r] = coeffs.entry(0, idx)
+        lam[r] = Element(a.algebra, coeffs[0, idx])
     lam[p] = -one(a.algebra)
     return lam
 

@@ -66,16 +66,31 @@ def _witness(**fields) -> Callable[[], dict]:
     return lambda: {k: list(v.coeffs) if isinstance(v, Element) else v for k, v in fields.items()}
 
 
+def _worse(r: float, worst: float) -> bool:
+    """Does residual r displace worst? A NaN outranks every number, and the first NaN stays."""
+    return r > worst or (r != r and worst == worst)
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN; 0.0 for none."""
+    worst = 0.0
+    for r in residuals:
+        if _worse(r, worst):
+            worst = r
+    return worst
+
+
 def _judge(gaps: Iterable[tuple[float, Callable[[], dict]]], tol: float, **metrics) -> Report:
     """The verdict rule of every checker, over (residual, witness thunk) per probe.
 
     The first probe with the largest residual is the witness, built only when
-    the check fails; the check passes iff that residual is within tol. A
-    check that saw no probe proves nothing, so it raises ValueError.
+    the check fails; the check passes iff that residual is within tol. A NaN
+    residual counts as the largest, so it refutes the check. A check that saw
+    no probe proves nothing, so it raises ValueError.
     """
     worst, witness, count = 0.0, None, 0
     for count, (r, thunk) in enumerate(gaps, 1):
-        if r > worst:
+        if _worse(r, worst):
             worst, witness = r, thunk
     if not count:
         raise ValueError("a check needs at least one probe")
@@ -228,12 +243,15 @@ def exactness_check(m: BiForm, n: BiForm, probes: int = DEFAULT_PROBES, seed: in
              "sym_y": _sym_defect(n, x, y, dx1, dy, s, wrt_x=False),
              "cross": (_central(lambda e: m(x, y + e * dy, dx1), s)
                        - _central(lambda e: n(x + e * dx1, y, dy), s)).norm()}
-        c = max(v, key=v.get)
-        return v, _witness(condition=c, x=x, y=y, dx1=dx1, dx2=dx2, dy=dy, violation=v[c])
+        c = "sym_x"
+        for k in ("sym_y", "cross"):
+            if _worse(v[k], v[c]):
+                c = k
+        return v, c, _witness(condition=c, x=x, y=y, dx1=dx1, dx2=dx2, dy=dy, violation=v[c])
 
     probed = [violations(*p) for p in _probes(m.algebra, probes, seed, 5)]
-    worst = {c: max((v[c] for v, _ in probed), default=0.0) for c in ("sym_x", "sym_y", "cross")}
-    return _judge(((max(v.values()), w) for v, w in probed), tol, **worst)
+    worst = {k: _worst(v[k] for v, _, _ in probed) for k in ("sym_x", "sym_y", "cross")}
+    return _judge(((v[c], w) for v, c, w in probed), tol, **worst)
 
 
 def implicit_solution_check(u: Callable[[Element, Element], Element], m: BiForm, n: BiForm,

@@ -2,10 +2,12 @@
 
 Every map here is the exponential of a real matrix, computed by one routine,
 ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-26(4), 2005): the argument is halved until its 1-norm is at most 1/2, its
-Taylor series is summed until a term is at most TAYLOR_RTOL relative to the
-sum, which happens by term 14 for every finite argument, and the sum is
-squared back. There is no term budget to set. An element x enters through its left
+26(4), 2005): the argument a is halved until its 1-norm is at most 1/2, its
+Taylor series is summed to the first degree n with ||a||_1^n / n! at most
+TAYLOR_RTOL, and the sum is squared back. That bound caps term n itself,
+so the degree, fixed from the norm before the sum and at most 14, is never
+below what a rule on the computed terms would stop at. There is no term
+budget to set. An element x enters through its left
 multiplication matrix L(x), and L(exp x) = exp(L(x)); a matrix A enters
 through rho(A) (see _kernels). Arguments or results that are not finite,
 and arguments too large for any digit of the result to be accurate, raise
@@ -16,7 +18,8 @@ satisfies dy/dx o 1 = y.
 
 from __future__ import annotations
 
-from itertools import count, permutations
+import math
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +40,27 @@ def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max(initial=0.0))
 
 
+def _taylor_degree(norm: float) -> int:
+    """Fewest Taylor terms n with norm^n / n! <= TAYLOR_RTOL; 14 at most for norm <= 1/2."""
+    n, bound = 1, norm
+    while bound > TAYLOR_RTOL:
+        n += 1
+        bound *= norm / n
+    return n
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp(m) of a real square matrix by scaling and squaring.
 
-    With ||a||_1 <= 1/2 term n is at most 2^-n / n!, below TAYLOR_RTOL by
-    n = 14, and the tail after a term is no larger than that term. The s
-    squarings multiply the sum's relative rounding error by up to 2^s, so
-    past ||m||_1 = 2^52 no digit of the result is left and it raises instead.
+    The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term n, a^n / n!,
+    is at most ||a||_1^n / n!, and the tail after a term is no larger than
+    that term. The sum stops at the first n where this bound is within
+    TAYLOR_RTOL, which needs no norm of the terms and holds by n = 14. It
+    never stops earlier than a rule on the computed terms, since the bound
+    caps the term itself by TAYLOR_RTOL, where such a rule would allow
+    TAYLOR_RTOL (1 + ||sum||_1). The s squarings multiply the sum's relative
+    rounding error by up to 2^s, so past ||m||_1 = 2^52 no digit of the
+    result is left and it raises instead.
     """
     if not np.isfinite(m).all():
         raise SeriesBudgetError("exponential of a non-finite argument")
@@ -53,11 +70,9 @@ def _expm(m: np.ndarray) -> np.ndarray:
     s = int(np.frexp(norm)[1]) + 1 if norm > 0.5 else 0
     a = np.ldexp(m, -s)
     total = term = np.eye(m.shape[0])
-    for n in count(1):
+    for n in range(1, _taylor_degree(math.ldexp(norm, -s)) + 1):
         term = term @ a / n
         total = total + term
-        if _norm1(term) <= TAYLOR_RTOL * (1.0 + _norm1(total)):
-            break
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             total = total @ total

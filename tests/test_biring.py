@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncalg import _kernels
-from ncalg.algebra import basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import (
+    PIVOT_RTOL,
     BiMatrix,
     MinorSelector,
     QuasideterminantUndefinedError,
@@ -627,3 +628,214 @@ def test_transpose_swaps_products(pair):
     a, b = pair
     bound = 1e-13 * (1.0 + a.cols * np.abs(a.data).max() * np.abs(b.data).max())
     assert diff_norm(transpose(rc_mul(a, b)), cr_mul(transpose(a), transpose(b))) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the inverse routine against the composition of public pieces it replaced
+
+
+def reference_rc_inv(a):
+    """rc-inverse as rc_inv composed it from BiMatrix products and an identity."""
+    n = a.rows
+    if is_rc_singular(a):
+        raise SingularMatrixError("rc-singular")
+    table = a.algebra.table
+    out = BiMatrix(a.algebra, _kernels.unrho(table, np.linalg.inv(_kernels.rho(table, a.data))))
+    delta = BiMatrix.identity(a.algebra, n)
+    resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
+    if resid > 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
+        raise SingularMatrixError("inverse failed residual check")
+    return out
+
+
+def reference_quasidet_rc(a, i, j):
+    n = a.rows
+    if n == 1:
+        return a.entry(0, 0)
+    keep_r = [r for r in range(n) if r != i]
+    keep_c = [c for c in range(n) if c != j]
+    try:
+        interior_inv = reference_rc_inv(submatrix(a, keep_r, keep_c))
+    except SingularMatrixError as err:
+        raise QuasideterminantUndefinedError("interior submatrix is rc-singular") from err
+    acc = rc_mul(rc_mul(submatrix(a, [i], keep_c), interior_inv), submatrix(a, keep_r, [j]))
+    return a.entry(i, j) - acc.entry(0, 0)
+
+
+def reference_left_dependency(a, rank, sel):
+    m = a.rows
+    if rank >= m:
+        return None
+    major_inv = reference_rc_inv(submatrix(a, sel.rows, sel.cols))
+    p = next(r for r in range(m) if r not in sel.rows)
+    coeffs = rc_mul(submatrix(a, [p], sel.cols), major_inv)
+    lam = [zero(a.algebra) for _ in range(m)]
+    for idx, r in enumerate(sel.rows):
+        lam[r] = coeffs.entry(0, idx)
+    lam[p] = -one(a.algebra)
+    return lam
+
+
+def _outcome(fn, *args):
+    """Raw coefficients of fn's answer, or the type of the error it raised."""
+    try:
+        value = fn(*args)
+    except (SingularMatrixError, QuasideterminantUndefinedError) as err:
+        return type(err)
+    if value is None:
+        return None
+    if isinstance(value, BiMatrix):
+        return value.data.tobytes()
+    if isinstance(value, Element):
+        return value.coeffs.tobytes()
+    return b"".join(e.coeffs.tobytes() for e in value)
+
+
+def _inverse_cases(a):
+    """(name, public call, reference call) over every inverse path a exercises."""
+    n = a.rows
+    cases = [("rc_inv", lambda: rc_inv(a), lambda: reference_rc_inv(a)),
+             ("cr_inv", lambda: cr_inv(a), lambda: transpose(reference_rc_inv(transpose(a))))]
+    for i in range(n):
+        for j in range(n):
+            cases.append((f"quasidet_rc{i, j}", lambda i=i, j=j: quasidet_rc(a, i, j),
+                          lambda i=i, j=j: reference_quasidet_rc(a, i, j)))
+            cases.append((f"quasidet_cr{i, j}", lambda i=i, j=j: quasidet_cr(a, i, j),
+                          lambda i=i, j=j: reference_quasidet_rc(transpose(a), j, i)))
+    k, sel = rc_rank(a)
+    cases.append(("left_dependency", lambda: left_dependency(a, k, sel),
+                  lambda: reference_left_dependency(a, k, sel)))
+    for p in (r for r in range(n) if r not in sel.rows):
+        for c in (c for c in range(n) if c not in sel.cols):
+            rows, cols = tuple(sorted(sel.rows + (p,))), tuple(sorted(sel.cols + (c,)))
+            cases.append((f"bordered_quasidet{p, c}", lambda p=p, c=c: bordered_quasidet(a, sel, p, c),
+                          lambda rows=rows, cols=cols, p=p, c=c: reference_quasidet_rc(
+                              submatrix(a, rows, cols), rows.index(p), cols.index(c))))
+    return cases
+
+
+INVERSE_FAMILIES = ("full", "outer", "dup-column", "zero-row")
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("family", INVERSE_FAMILIES)
+def test_inverse_paths_are_bit_identical_to_the_composed_reference(tag, family):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(31)
+    raised = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            a = random_matrix(alg, n, n, rng).data.copy()
+            if family == "outer":
+                a = rc_mul(random_matrix(alg, n, 1, rng), random_matrix(alg, 1, n, rng)).data
+            elif family == "dup-column":
+                a[:, n - 1] = a[:, 0]
+            elif family == "zero-row":
+                a[n - 1] = 0.0
+            a = BiMatrix(alg, a)
+            for name, public, reference in _inverse_cases(a):
+                got, want = _outcome(public), _outcome(reference)
+                assert got == want, (n, name)
+                if isinstance(want, type):
+                    raised.add(want)
+    # the deficient families reach both typed errors; full rank reaches neither
+    expected = set() if family == "full" else {SingularMatrixError, QuasideterminantUndefinedError}
+    assert raised == expected
+
+
+# ---------------------------------------------------------------------------
+# near singularity: a checked answer or a typed error, never anything else
+
+
+@st.composite
+def near_singular(draw):
+    """U diag(1, ..., eps) V over R, C or H: unitary U, V, one or two trailing eps around PIVOT_RTOL."""
+    alg = make_algebra(draw(st.sampled_from(("real", "complex", "quaternion"))))
+    n = draw(st.integers(1, 4))
+    small = draw(st.integers(1, min(2, n)))
+    eps = PIVOT_RTOL * 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, v = _unitary(alg, n, rng), _unitary(alg, n, rng)
+    sigma = [1.0] * (n - small) + [eps] * small
+    diag = BiMatrix.from_elements(
+        [[from_scalar(alg, sigma[i]) if i == j else zero(alg) for j in range(n)] for i in range(n)]
+    )
+    return rc_mul(rc_mul(u, diag), v)
+
+
+def _checked(fn, *args):
+    """fn's answer, or None when it raised SingularMatrixError or QuasideterminantUndefinedError."""
+    try:
+        return fn(*args)
+    except (SingularMatrixError, QuasideterminantUndefinedError):
+        return None
+
+
+def _inverse_tol(a, x):
+    """The acceptance rc_inv states for a residual of x as the inverse of a."""
+    return 1e-9 * (1.0 + a.max_entry_norm() * x.max_entry_norm() * a.rows)
+
+
+def _assert_inverse(a, x, mul):
+    delta = BiMatrix.identity(a.algebra, a.rows)
+    assert max(diff_norm(mul(a, x), delta), diff_norm(mul(x, a), delta)) <= _inverse_tol(a, x)
+
+
+def _column(es):
+    return BiMatrix.from_elements([[e] for e in es])
+
+
+@given(a=near_singular(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_near_singular_answers_are_checked_or_typed_errors(a, seed):
+    n, alg = a.rows, a.algebra
+    singular = is_rc_singular(a)
+    k, sel = rc_rank(a)
+    assert len(sel.rows) == len(sel.cols) == k
+    # the two agree unless the smallest singular value of rho(a) is within
+    # rounding of the threshold, where either answer describes the data
+    s = np.linalg.svd(_kernels.rho(alg.table, a.data), compute_uv=False)
+    if abs(s[-1] - PIVOT_RTOL * s[0]) > n * alg.dim * np.finfo(np.float64).eps * s[0]:
+        assert singular == (k < n)
+
+    for inv, mul in ((rc_inv, rc_mul), (cr_inv, cr_mul)):
+        x = _checked(inv, a)
+        if x is not None:
+            _assert_inverse(a, x, mul)
+
+    b = [random_element(alg, np.random.default_rng(seed)) for _ in range(n)]
+    x = _checked(solve_rc, a, b)
+    if x is not None:
+        rhs = _column(b).data
+        resid = np.linalg.norm(rc_mul(a, _column(x)).data - rhs)
+        smax = np.linalg.norm(_kernels.rho(alg.table, a.data), 2)
+        assert resid <= 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(_column(x).data))
+
+    for i in range(n):
+        for j in range(n):
+            q = _checked(quasidet_rc, a, i, j)
+            if q is not None and n > 1:  # its interior was inverted with a checked residual
+                interior = submatrix(a, [r for r in range(n) if r != i], [c for c in range(n) if c != j])
+                _assert_inverse(interior, rc_inv(interior), rc_mul)
+            assert q is None or np.isfinite(q.coeffs).all()
+
+    lam = _checked(left_dependency, a, k, sel)
+    if k == n:
+        assert lam is None
+    elif lam is not None:
+        # the major minor B was inverted with a checked residual, so on the
+        # minor's columns lam rc a = row_p (B^-1 B - I) is within k sqrt(d)
+        # row_p's largest entry times that residual; lam is -1 at row p
+        major = submatrix(a, sel.rows, sel.cols)
+        major_inv = rc_inv(major)
+        _assert_inverse(major, major_inv, rc_mul)
+        p = next(r for r in range(n) if r not in sel.rows)
+        assert lam[p].close(-one(alg), 0.0)
+        row_p = submatrix(a, [p], sel.cols)
+        on_minor = submatrix(rc_mul(BiMatrix.from_elements([lam]), a), [0], sel.cols)
+        bound = k * np.sqrt(alg.dim) * row_p.max_entry_norm() * _inverse_tol(major, major_inv)
+        assert on_minor.max_entry_norm() <= bound
+    for p in (r for r in range(n) if r not in sel.rows):
+        for c in (c for c in range(n) if c not in sel.cols):
+            q = _checked(bordered_quasidet, a, sel, p, c)
+            assert q is None or np.isfinite(q.coeffs).all()

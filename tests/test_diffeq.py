@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncalg.algebra import basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, random_matrix, transpose
 from ncalg.diffeq import (
     BiForm,
@@ -11,6 +11,7 @@ from ncalg.diffeq import (
     LinearOde,
     OdeForm,
     SolutionCurve,
+    _probes,
     antiderivative_residual,
     closed_form_solution,
     eigen_conditions,
@@ -473,3 +474,34 @@ class TestFormDuality:
         r_curve, c_curve = closed_form_solution(r), closed_form_solution(c)
         for t in (0.0, 0.4, -1.3, 2.0):
             assert same(r_curve(t), c_curve(t))
+
+
+class TestNaNResiduals:
+    """A NaN residual refutes a check and is its witness; it never passes as 0."""
+
+    def test_nan_antiderivative_is_refuted(self, HH):
+        pts = probe_elements(HH, 5, 4)
+        rep = antiderivative_residual(lambda x: Element(HH, [math.nan] * 4), x_square_form(HH), pts, pts)
+        assert not rep.verdict and math.isnan(rep.residual)
+        assert rep.witness["x"] == list(pts[0].coeffs) and rep.witness["h"] == list(pts[0].coeffs)
+
+    def test_nan_probe_between_finite_ones_is_the_witness(self, HH):
+        pts = probe_elements(HH, 6, 4)
+        nan = Element(HH, [math.nan] * 4)
+        rep = antiderivative_residual(lambda x: x * x * 2.0,  # finite but wrong everywhere
+                                      lambda x, h: nan if x is pts[2] else x * h + h * x, pts, pts[:1])
+        assert not rep.verdict and math.isnan(rep.residual)
+        assert rep.witness["x"] == list(pts[2].coeffs)
+
+    def test_nan_only_in_the_cross_condition_is_refuted(self, HH):
+        # M is NaN at the probes' own x, where only the cross condition
+        # evaluates it: the symmetry of dM/dx moves x off the probe
+        probe_x = {p[0].coeffs.tobytes() for p in _probes(HH, 8, 0, 5)}
+        nan = Element(HH, [math.nan] * 4)
+        m = BiForm(HH, lambda x, y, dx: nan if x.coeffs.tobytes() in probe_x else dx * y)
+        n = BiForm(HH, lambda x, y, dy: dy * x)
+        rep = exactness_check(m, n, probes=8, seed=0)
+        assert rep.metrics["sym_x"] == rep.metrics["sym_y"] == 0.0
+        assert math.isnan(rep.metrics["cross"])
+        assert not rep.verdict and math.isnan(rep.residual)
+        assert rep.witness["condition"] == "cross"

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import count
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from ncalg.algebra import (
 )
 from ncalg.biring import BiMatrix, cr_mul, diff_norm, random_matrix, rc_mul, transpose
 from ncalg.series import (
+    TAYLOR_RTOL,
     SeriesBudgetError,
+    _expm,
+    _taylor_degree,
     cos_el,
     cosh_el,
     exp_at,
@@ -436,3 +440,64 @@ def test_exp_times_exp_of_negative_is_one(tag, coeffs):
     alg = make_algebra(tag)
     x = Element(alg, coeffs[:alg.dim])
     assert (exp_el(x) * exp_el(-x)).close(one(alg), 1e-13 * (1.0 + x.norm()))
+
+
+def _norm1(m):
+    return float(np.abs(m).sum(axis=0).max(initial=0.0))
+
+
+def adaptive_expm(m):
+    """(exp(m), s, terms) by the earlier rule: a term at most TAYLOR_RTOL (1 + ||sum||_1) ends the sum."""
+    norm = _norm1(m)
+    s = int(np.frexp(norm)[1]) + 1 if norm > 0.5 else 0
+    a = np.ldexp(m, -s)
+    total = term = np.eye(m.shape[0])
+    for n in count(1):
+        term = term @ a / n
+        total = total + term
+        if _norm1(term) <= TAYLOR_RTOL * (1.0 + _norm1(total)):
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            total = total @ total
+    return total, s, n
+
+
+class TestAprioriDegree:
+    """_expm fixes its Taylor degree from ||a||_1; the adaptive loop is the reference."""
+
+    @pytest.mark.parametrize("kind", ["random", "skew"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_matches_adaptive_loop(self, kind, n):
+        u = np.finfo(np.float64).eps / 2
+        rng = np.random.default_rng(1000 + n)
+        for norm in np.logspace(-8, 3, 12):
+            for _ in range(4):
+                m = rng.standard_normal((n, n))
+                if kind == "skew":
+                    m = m - m.T
+                if not m.any():
+                    continue
+                m *= norm / _norm1(m)
+                ref, s, terms = adaptive_expm(m)
+                assert terms <= _taylor_degree(math.ldexp(_norm1(m), -s))  # never looser
+                if not np.isfinite(ref).all():
+                    with pytest.raises(SeriesBudgetError):
+                        _expm(m)
+                    continue
+                scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
+                new = _expm(m)
+                assert _norm1((new - ref) / scale) <= 16 * u * 2.0 ** s * _norm1(ref / scale), (norm, s)
+
+    def test_degree_never_exceeds_14(self):
+        degrees = [_taylor_degree(x) for x in np.logspace(-300, np.log10(0.5), 400)]
+        assert degrees == sorted(degrees)
+        assert max(degrees) == _taylor_degree(0.5) == 14
+        assert _taylor_degree(0.0) == 1
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-3, 0.1, 0.25, 0.5])
+    def test_degree_is_the_first_within_tolerance(self, norm):
+        n = _taylor_degree(norm)
+        assert norm ** n / math.factorial(n) <= TAYLOR_RTOL * (1 + 1e-12)
+        if n > 1:
+            assert norm ** (n - 1) / math.factorial(n - 1) > TAYLOR_RTOL * (1 - 1e-12)
