@@ -11,6 +11,7 @@ that leaves exactly the reals, the complex numbers and the quaternions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -33,7 +34,10 @@ class AlgebraDesc:
     """Descriptor of a finite-dimensional associative unital real algebra.
 
     ``table[i, j, k]`` is the e_k-coefficient of the basis product e_i e_j.
-    Basis element 0 is the unit.
+    Basis element 0 is the unit. Two read-only derived arrays serve the
+    element kernels: ``_flat``, the table as a dim x dim^2 matrix, so that
+    a . _flat reshaped to dim x dim is L(a)^T; and ``_conj``, the signs
+    (1, -1, ..., -1) of the conjugation.
     """
 
     tag: str
@@ -48,6 +52,10 @@ class AlgebraDesc:
         tbl.flags.writeable = False
         object.__setattr__(self, "table", tbl)
         _validate_structure(self)
+        sign = np.where(np.arange(self.dim) == 0, 1.0, -1.0)
+        sign.flags.writeable = False
+        object.__setattr__(self, "_flat", tbl.reshape(self.dim, self.dim * self.dim))
+        object.__setattr__(self, "_conj", sign)
 
     def __repr__(self):
         return f"AlgebraDesc({self.tag!r}, dim={self.dim})"
@@ -116,6 +124,14 @@ class Element:
 
     Immutable; arithmetic returns new instances. Equality is tolerance-based
     (norm of the difference <= 1e-9), so Elements are unhashable.
+
+    The public constructor converts, checks the shape and copies. Results
+    the library has just computed go through ``_trusted`` instead, which
+    only marks the array read-only. Its invariant: the array is a float64
+    vector of length dim that nothing else will write, either freshly
+    computed and held by nobody else, or a view of an array that is already
+    read-only and owned by an immutable value (a BiMatrix row). Either way
+    ``coeffs`` is read-only for every Element.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -129,6 +145,15 @@ class Element:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _trusted(cls, algebra: AlgebraDesc, arr: np.ndarray) -> "Element":
+        """Element over arr without conversion, check or copy; see the class invariant."""
+        arr.flags.writeable = False
+        self = _new_element(cls)
+        _set_algebra(self, algebra)
+        _set_coeffs(self, arr)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -136,51 +161,51 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         _same(self, other)
-        return Element(self.algebra, self.coeffs + other.coeffs)
+        return _trusted(self.algebra, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Element") -> "Element":
         _same(self, other)
-        return Element(self.algebra, self.coeffs - other.coeffs)
+        return _trusted(self.algebra, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, -self.coeffs)
+        return _trusted(self.algebra, -self.coeffs)
 
     def __mul__(self, other):
+        alg = self.algebra
         if isinstance(other, Element):
             _same(self, other)
-            out = np.einsum("p,q,pqk->k", self.coeffs, other.coeffs, self.algebra.table)
-            return Element(self.algebra, out)
-        return Element(self.algebra, self.coeffs * float(other))
+            d = alg.dim
+            # (a b)_k = sum_q b_q sum_p a_p table[p, q, k]; the inner sum is a . _flat
+            return _trusted(alg, other.coeffs.dot(self.coeffs.dot(alg._flat).reshape(d, d)))
+        return _trusted(alg, self.coeffs * float(other))
 
     def __rmul__(self, other) -> "Element":
         # real scalars commute with everything; Element*Element goes via __mul__
-        return Element(self.algebra, self.coeffs * float(other))
+        return _trusted(self.algebra, self.coeffs * float(other))
 
     def __truediv__(self, other) -> "Element":
         if isinstance(other, Element):
             return self * inv(other)
-        return Element(self.algebra, self.coeffs / float(other))
+        return _trusted(self.algebra, self.coeffs / float(other))
 
     def __eq__(self, other):
         if not isinstance(other, Element) or other.algebra != self.algebra:
             return NotImplemented
-        return float(np.linalg.norm(self.coeffs - other.coeffs)) <= DEFAULT_TOL
+        return _norm(self.coeffs - other.coeffs) <= DEFAULT_TOL
 
     __hash__ = None
 
     def close(self, other: "Element", tol: float = DEFAULT_TOL) -> bool:
         _same(self, other)
-        return float(np.linalg.norm(self.coeffs - other.coeffs)) <= tol
+        return _norm(self.coeffs - other.coeffs) <= tol
 
     # -- structure ----------------------------------------------------------
 
     def conj(self) -> "Element":
-        c = self.coeffs.copy()
-        c[1:] = -c[1:]
-        return Element(self.algebra, c)
+        return _trusted(self.algebra, self.coeffs * self.algebra._conj)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs)
 
     def inv(self) -> "Element":
         return inv(self)
@@ -192,8 +217,19 @@ class Element:
         return f"<{self.algebra.tag}: {format_element(self)}>"
 
 
+_new_element = object.__new__
+_set_algebra = Element.algebra.__set__
+_set_coeffs = Element.coeffs.__set__
+_trusted = Element._trusted
+
+
+def _norm(c: np.ndarray) -> float:
+    return math.sqrt(c.dot(c))
+
+
 def _same(a: Element, b: Element) -> None:
-    if a.algebra != b.algebra:
+    # make_algebra is cached, so the descriptors are nearly always identical
+    if a.algebra is not b.algebra and a.algebra != b.algebra:
         raise AlgebraError(f"algebra mismatch: {a.algebra.tag} vs {b.algebra.tag}")
 
 
@@ -206,7 +242,7 @@ def mul(a: Element, b: Element) -> Element:
 
 
 def scale(a: Element, s: float) -> Element:
-    return Element(a.algebra, a.coeffs * float(s))
+    return _trusted(a.algebra, a.coeffs * float(s))
 
 
 def conj(a: Element) -> Element:
@@ -218,11 +254,26 @@ def norm(a: Element) -> float:
 
 
 def inv(a: Element) -> Element:
-    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras."""
-    n2 = float(a.coeffs @ a.coeffs)
-    if n2 == 0.0:
-        raise NotInvertibleError("zero element is not invertible")
-    return Element(a.algebra, a.conj().coeffs / n2)
+    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras.
+
+    The coefficients are first scaled by 2^-e, e the binary exponent of the
+    largest, so the norm^2 of the scaled s lies in [1/4, dim) and neither
+    over- nor underflows. Scaling by a power of two is exact, so wherever
+    the unscaled formula does not over- or underflow the two agree to the
+    bit. A zero or non-finite element raises, and so does one whose largest
+    coefficient is below 2^-1023, whose inverse is not representable.
+    """
+    c = a.coeffs
+    e = math.frexp(max(map(abs, c.tolist())))[1]
+    if e < -1022:
+        raise NotInvertibleError("inverse of a subnormal element overflows")
+    scale = math.ldexp(1.0, -e)
+    s = c * scale  # largest |s_i| in [1/2, 1)
+    n2 = s.dot(s)
+    if not 0.25 <= n2 < math.inf:  # also NaN, which max() may have skipped
+        raise NotInvertibleError("zero or non-finite element is not invertible")
+    # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
+    return _trusted(a.algebra, s * a.algebra._conj / n2 * scale)
 
 
 def commutator(a: Element, b: Element) -> Element:
@@ -230,25 +281,23 @@ def commutator(a: Element, b: Element) -> Element:
 
 
 def zero(algebra: AlgebraDesc) -> Element:
-    return Element(algebra, np.zeros(algebra.dim))
+    return _trusted(algebra, np.zeros(algebra.dim))
 
 
 def one(algebra: AlgebraDesc) -> Element:
-    c = np.zeros(algebra.dim)
-    c[0] = 1.0
-    return Element(algebra, c)
+    return basis(algebra, 0)
 
 
 def basis(algebra: AlgebraDesc, index: int) -> Element:
     c = np.zeros(algebra.dim)
     c[index] = 1.0
-    return Element(algebra, c)
+    return _trusted(algebra, c)
 
 
 def from_scalar(algebra: AlgebraDesc, value: float) -> Element:
     c = np.zeros(algebra.dim)
     c[0] = float(value)
-    return Element(algebra, c)
+    return _trusted(algebra, c)
 
 
 def in_centralizer(c: Element, b: Element, tol: float = DEFAULT_TOL) -> bool:
@@ -275,7 +324,7 @@ def random_element(algebra: AlgebraDesc, rng, scale: float = 1.0) -> Element:
     """
     if not hasattr(rng, "uniform"):
         rng = np.random.default_rng(rng)
-    return Element(algebra, rng.uniform(-scale, scale, algebra.dim))
+    return _trusted(algebra, rng.uniform(-scale, scale, algebra.dim))
 
 
 # ---------------------------------------------------------------------------

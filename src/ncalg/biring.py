@@ -35,6 +35,7 @@ from .algebra import (
     make_algebra,
     one,
     random_element,
+    zero,
 )
 from .report import Report
 from .tensor import SlotTensor, Tensor, eval_power, pure, star_product
@@ -105,7 +106,8 @@ class BiMatrix:
         return self.data.shape[1]
 
     def entry(self, i: int, j: int) -> Element:
-        return Element(self.algebra, self.data[i, j])
+        # data is read-only and owned by this immutable matrix, so the row can be shared
+        return Element._trusted(self.algebra, self.data[i, j])
 
     def max_entry_norm(self) -> float:
         return _max_entry_norm(self.data)
@@ -260,14 +262,19 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> np.ndarray:
     n, d = data.shape[0], table.shape[0]
     r, _ = _nonsingular_rho(table, data)
     out = _kernels.unrho(table, np.linalg.inv(r))
-    diag = np.arange(n)
+    # vec(a rc b) = rho(a) @ vec(b), vec stacking coefficients down each column
+    # (rc_contract's result is a transposed view of its vec); the identity's
+    # vec has its ones at flat index k (n d + 1), one stride apart
     left = r @ out.transpose(0, 2, 1).reshape(n * d, n)
-    left[diag * d, diag] -= 1.0
-    right = _kernels.rc_contract(table, out, data)
-    right[diag, diag, 0] -= 1.0
-    resid = max(float(np.abs(left).max()), float(np.abs(right).max()))
-    # scale the acceptance with the conditioning actually encountered
-    if resid > 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n):
+    right = _kernels.rc_contract(table, out, data).transpose(0, 2, 1).reshape(n * d, n)
+    resid = np.concatenate((left, right))
+    resid.reshape(2, n * d * n)[:, ::n * d + 1] -= 1.0
+    resid = float(np.abs(resid).max())
+    # scale the acceptance with the conditioning actually encountered; the
+    # bound is at least 1e-9, so the norms are needed only above that, and
+    # a NaN residual passes neither test
+    if not (resid <= 1e-9
+            or resid <= 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)):
         raise SingularMatrixError("inverse failed residual check")
     return out
 
@@ -294,7 +301,7 @@ def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
         ) from err
     row_inv = _kernels.rc_contract(table, data[[i]][:, keep_c], interior_inv)
     acc = _kernels.rc_contract(table, row_inv, data[keep_r][:, [j]])
-    return Element(a.algebra, data[i, j] - acc[0, 0])
+    return Element._trusted(a.algebra, data[i, j] - acc[0, 0])
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
@@ -337,9 +344,9 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     rhs = BiMatrix.from_elements([[e] for e in b]).data.reshape(n * d)
     x = np.linalg.solve(r, rhs)
     resid = float(np.linalg.norm(r @ x - rhs))
-    if resid > 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(x)):
+    if not resid <= 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(x)):  # NaN fails too
         raise SingularMatrixError("solution residual above tolerance")
-    return [Element(a.algebra, c) for c in x.reshape(n, d)]
+    return [Element._trusted(a.algebra, c) for c in x.reshape(n, d)]
 
 
 def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
@@ -350,13 +357,17 @@ def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     raises the rank, then the columns within those rows. In a matroid the
     greedy basis is the lexicographically first one, so the selector is the
     first nonsingular k x k minor, row sets then column sets in that order.
-    A singular value within rounding of the threshold can leave a minor
-    below it while the whole matrix is above; the search then narrows the
-    rows within the picked columns and the columns within those rows until
-    the selector is square, and k is its size.
+    A square matrix of full rank is its own major minor, and k = n agrees
+    with is_rc_singular, which applies the same test to the whole matrix.
+    Otherwise a singular value within rounding of the threshold can leave a
+    minor below it while the whole matrix is above; the search then narrows
+    the rows within the picked columns and the columns within those rows
+    until the selector is square, and k is its size.
     """
     d = a.algebra.dim
     k, smax = _rank(_rho(a), d)
+    if k == a.rows == a.cols:
+        return k, MinorSelector(tuple(range(k)), tuple(range(k)))
 
     def greedy(candidates, part):
         picked = ()
@@ -390,9 +401,9 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     major_inv = _inverse(table, a.data[list(sel.rows)][:, cols])
     p = next(r for r in range(m) if r not in sel.rows)
     coeffs = _kernels.rc_contract(table, a.data[[p]][:, cols], major_inv)  # 1 x k
-    lam = [Element(a.algebra, np.zeros(a.algebra.dim)) for _ in range(m)]
+    lam = [zero(a.algebra) for _ in range(m)]
     for idx, r in enumerate(sel.rows):
-        lam[r] = Element(a.algebra, coeffs[0, idx])
+        lam[r] = Element._trusted(a.algebra, coeffs[0, idx])
     lam[p] = -one(a.algebra)
     return lam
 

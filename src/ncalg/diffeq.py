@@ -447,7 +447,7 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
             return ode.init
         nsteps = max(1, math.ceil(abs(t) / h_target))
         vec = _kernels.rk4_linear(m, x0, t, nsteps)
-        return tuple(Element(alg, vec[i * d:(i + 1) * d]) for i in range(n))
+        return tuple(Element._trusted(alg, vec[i * d:(i + 1) * d]) for i in range(n))
 
     return SolutionCurve(evaluate, "rk4")
 

@@ -130,7 +130,7 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
             v = x if lab == X else args[lab]
             acc = acc * v * c
         total = total + acc.coeffs
-    return Element(s.algebra, total)
+    return Element._trusted(s.algebra, total)
 
 
 def eval_power(t: Tensor, x: Element) -> Element:
@@ -226,7 +226,7 @@ def poly_eval(p: TensorPolynomial, x: Element) -> Element:
     total = np.zeros(p.algebra.dim)
     for c in p.components:
         total = total + eval_power(c, x).coeffs
-    return Element(p.algebra, total)
+    return Element._trusted(p.algebra, total)
 
 
 def poly_derivative(p: TensorPolynomial, k: int = 1) -> list[SlotTensor]:

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from ncalg.algebra import (
     right_matrix,
     zero,
 )
+from ncalg.biring import random_matrix
 from conftest import quat_mul_oracle
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -237,3 +240,95 @@ class TestForms:
 
     def test_random_element_seeded(self, HH):
         assert random_element(HH, 5).close(random_element(HH, 5), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array-level kernels against the earlier formulas
+
+U = np.finfo(np.float64).eps / 2
+TAGS = ("real", "complex", "quaternion")
+
+
+@st.composite
+def element_pair(draw):
+    alg = make_algebra(draw(st.sampled_from(TAGS)))
+    wide = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+    a = Element(alg, draw(st.lists(wide, min_size=alg.dim, max_size=alg.dim)))
+    b = Element(alg, draw(st.lists(wide, min_size=alg.dim, max_size=alg.dim)))
+    return a, b
+
+
+def _read_only(*elements):
+    for e in elements:
+        assert not e.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            e.coeffs[0] = 1.0
+
+
+@given(pair=element_pair(), s=st.floats(min_value=-1e3, max_value=1e3))
+@settings(max_examples=300, deadline=None)
+def test_element_kernels_match_the_reference_formulas(pair, s):
+    a, b = pair
+    alg, ca, cb = a.algebra, a.coeffs, b.coeffs
+    prod = a * b
+    want = np.einsum("p,q,pqk->k", ca, cb, alg.table)
+    # each coefficient sums dim products a_p b_q, each rounded once
+    assert np.abs(prod.coeffs - want).max() <= 4 * alg.dim * U * np.abs(ca).sum() * np.abs(cb).sum()
+    assert np.array_equal((a + b).coeffs, ca + cb)
+    assert np.array_equal((a - b).coeffs, ca - cb)
+    assert np.array_equal((-a).coeffs, -ca)
+    assert np.array_equal((a * s).coeffs, ca * s)
+    assert np.array_equal((s * a).coeffs, ca * s)
+    assert np.array_equal(a.conj().coeffs, np.concatenate((ca[:1], -ca[1:])))
+    assert abs(a.norm() - np.linalg.norm(ca)) <= 2 * U * np.linalg.norm(ca)
+    results = [prod, a + b, a - b, -a, a * s, s * a, a.conj()]
+    if ca @ ca >= np.finfo(np.float64).tiny:  # where the unscaled formula holds
+        old = np.concatenate((ca[:1], -ca[1:])) / (ca @ ca)
+        assert np.linalg.norm(inv(a).coeffs - old) <= 4 * U * np.linalg.norm(old)
+        results.append(inv(a))
+    _read_only(*results)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_matrix_entries_are_read_only(tag, rng):
+    a = random_matrix(make_algebra(tag), 2, 3, rng)
+    entries = [a.entry(i, j) for i in range(2) for j in range(3)]
+    _read_only(*entries)
+    assert np.array_equal(np.stack([e.coeffs for e in entries]), a.data.reshape(6, -1))
+
+
+def test_public_constructor_still_checks_and_copies(HH):
+    src = np.array([1.0, 2.0, 3.0, 4.0])
+    x = Element(HH, src)
+    src[0] = 9.0
+    assert x.coeffs[0] == 1.0
+    _read_only(x)
+    with pytest.raises(AlgebraError):
+        Element(HH, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, Element.close])
+def test_mixed_algebras_raise(op, RR, CC, HH):
+    for x, y in ((one(HH), one(CC)), (one(CC), one(RR)), (one(RR), one(HH))):
+        with pytest.raises(AlgebraError):
+            op(x, y)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("size", [1e160, 1e-160, 1e170, 1e-170, 1e300, 1e-300])
+def test_inverse_at_extreme_scales(tag, size):
+    """norm^2 over- or underflows here; the inverse must not."""
+    alg = make_algebra(tag)
+    x = Element(alg, size * np.linspace(1.0, 0.25, alg.dim))
+    y = inv(x)
+    assert np.isfinite(y.coeffs).all()
+    assert (x * y).close(one(alg), 1e-15)
+    assert (y * x).close(one(alg), 1e-15)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 5e-324, 0.0])
+def test_inverse_of_non_finite_or_unrepresentable_elements_raises(tag, bad):
+    alg = make_algebra(tag)
+    with pytest.raises(NotInvertibleError):
+        inv(Element(alg, [bad] + [0.0] * (alg.dim - 1)))

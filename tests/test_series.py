@@ -22,6 +22,7 @@ from ncalg.series import (
     TAYLOR_RTOL,
     SeriesBudgetError,
     _expm,
+    _taylor,
     _taylor_degree,
     cos_el,
     cosh_el,
@@ -501,3 +502,27 @@ class TestAprioriDegree:
         assert norm ** n / math.factorial(n) <= TAYLOR_RTOL * (1 + 1e-12)
         if n > 1:
             assert norm ** (n - 1) / math.factorial(n - 1) > TAYLOR_RTOL * (1 - 1e-12)
+
+
+class TestPatersonStockmeyer:
+    """_taylor evaluates the degree-n Taylor polynomial in blocks of four;
+    summing a^k / k! term by term is the reference."""
+
+    @staticmethod
+    def term_by_term(a, n):
+        total = term = np.eye(a.shape[0])
+        for k in range(1, n + 1):
+            term = term @ a / k
+            total = total + term
+        return total
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 16])
+    def test_matches_the_term_by_term_sum(self, size):
+        u = np.finfo(np.float64).eps / 2
+        rng = np.random.default_rng(2000 + size)
+        for n in range(1, 15):
+            for norm in (0.0, 1e-8, 1e-3, 0.1, 0.25, 0.5):  # _expm scales to at most 1/2
+                m = rng.standard_normal((size, size))
+                m *= norm / _norm1(m)
+                ref = self.term_by_term(m, n)
+                assert _norm1(_taylor(m, n) - ref) <= 16 * u * (1.0 + _norm1(ref)), (n, norm)
