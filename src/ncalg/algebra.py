@@ -210,9 +210,6 @@ class Element:
     def inv(self) -> "Element":
         return inv(self)
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.norm() <= tol
-
     def __repr__(self):
         return f"<{self.algebra.tag}: {format_element(self)}>"
 

@@ -9,6 +9,12 @@ argument-free case, with every gap labelled x. The order-k derivative is k
 applications of :func:`slot_derivative`, each moving one x gap to a new
 argument; the labellings this yields are exactly the SO(k, n) sets of
 :func:`so_set` (k argument labels placed, the x gaps kept in order).
+
+:class:`TensorPolynomial` is the one polynomial type: a sum of SlotTensor
+components with a common number of argument slots, equal degrees merged.
+With no slots it is a polynomial in x; with one slot it is a first-order
+form x -> (h -> g(x) o h), and its derivative is the same type with one
+slot more. Calling it evaluates it.
 """
 
 from __future__ import annotations
@@ -97,10 +103,6 @@ def ones_tensor(algebra: AlgebraDesc, order: int) -> Tensor:
     return pure([one(algebra)] * (order + 1))
 
 
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    return a + b
-
-
 def tensor_scale(a: Tensor, s: float) -> Tensor:
     terms = [((coeffs[0] * s,) + coeffs[1:], labels) for coeffs, labels in a.terms]
     return SlotTensor(a.algebra, a.x_gaps, a.arg_slots, terms)
@@ -110,11 +112,13 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
     """Fuse a's last coefficient into b's first: order adds.
 
     [a_0..a_n] * [b_0..b_m] = [a_0, ..., a_{n-1}, a_n b_0, b_1, ..., b_m],
-    extended bilinearly over term sums.
+    extended bilinearly over term sums. b's arguments follow a's: its arg
+    labels shift by a.arg_slots.
     """
     if a.algebra != b.algebra:
         raise AlgebraError("algebra mismatch in star product")
-    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + lb)
+    shift = a.arg_slots
+    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + tuple(l if l == X else l + shift for l in lb))
              for ca, la in a.terms for cb, lb in b.terms]
     return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms)
 
@@ -200,56 +204,53 @@ def so_set(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class TensorPolynomial:
-    """Sum of homogeneous components with strictly ascending orders."""
+    """Sum of homogeneous components sharing one algebra and one number of argument slots.
 
-    __slots__ = ("algebra", "components")
+    Components of equal x_gaps are summed into one and components without
+    terms are dropped, so ``components`` holds at most one SlotTensor per
+    degree, in ascending order. A polynomial whose components all vanish is
+    zero and keeps one empty SlotTensor, so its algebra stays defined.
+    ``p(x, *args)`` evaluates it: the polynomial in x, multilinear in its
+    ``arg_slots`` arguments.
+    """
 
-    def __init__(self, components: Sequence[Tensor]):
+    __slots__ = ("algebra", "arg_slots", "components")
+
+    def __init__(self, components: Sequence[SlotTensor]):
         comps = tuple(components)
         if not comps:
             raise ValueError("need at least one component")
-        orders = [c.order for c in comps]
-        if sorted(set(orders)) != orders:
-            raise ValueError("component orders must be unique and ascending")
-        algebra = comps[0].algebra
+        algebra, arg_slots = comps[0].algebra, comps[0].arg_slots
+        by_gaps: dict[int, SlotTensor] = {}
         for c in comps:
             if c.algebra != algebra:
                 raise AlgebraError("mixed algebras in polynomial")
+            if c.arg_slots != arg_slots:
+                raise ValueError("polynomial components must share one number of argument slots")
+            by_gaps[c.x_gaps] = by_gaps[c.x_gaps] + c if c.x_gaps in by_gaps else c
+        kept = tuple(by_gaps[g] for g in sorted(by_gaps) if by_gaps[g].terms)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "arg_slots", arg_slots)
+        object.__setattr__(self, "components", kept or (SlotTensor(algebra, 0, arg_slots),))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorPolynomial is immutable")
 
+    def __call__(self, x: Element, *args: Element) -> Element:
+        total = np.zeros(self.algebra.dim)
+        for c in self.components:
+            total = total + eval_args(c, args, x).coeffs
+        return Element._trusted(self.algebra, total)
 
-def poly_eval(p: TensorPolynomial, x: Element) -> Element:
-    total = np.zeros(p.algebra.dim)
-    for c in p.components:
-        total = total + eval_power(c, x).coeffs
-    return Element._trusted(p.algebra, total)
 
-
-def poly_derivative(p: TensorPolynomial, k: int = 1) -> list[SlotTensor]:
-    """Componentwise order-k derivative; zero components are dropped."""
-    out = []
-    for c in p.components:
-        d = monomial_derivative(c, k)
-        if d.terms:
-            out.append(d)
-    return out
+def poly_derivative(p: TensorPolynomial, k: int = 1) -> TensorPolynomial:
+    """Componentwise order-k derivative: k more argument slots."""
+    return TensorPolynomial([monomial_derivative(c, k) for c in p.components])
 
 
 def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
-    """Product via pairwise star products, merging equal orders."""
-    by_order: dict[int, Tensor] = {}
-    for a in p.components:
-        for b in q.components:
-            s = star_product(a, b)
-            if s.order in by_order:
-                by_order[s.order] = by_order[s.order] + s
-            else:
-                by_order[s.order] = s
-    return TensorPolynomial([by_order[o] for o in sorted(by_order)])
+    """Product via pairwise star products; equal degrees merge in the constructor."""
+    return TensorPolynomial([star_product(a, b) for a in p.components for b in q.components])
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +280,6 @@ def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9, seed: in
     for _ in range(PROBE_RANDOM):
         cases.append(([random_element(alg, rng) for _ in range(k)], random_element(alg, rng)))
     return all(eval_args(a, args, x).close(eval_args(b, args, x), tol) for args, x in cases)
-
-
-tensors_equal = slot_tensors_equal
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ncalg.diffeq import (
     successive_powers,
 )
 from ncalg.series import cosh_el, exp_el, sinh_el
+from ncalg.tensor import monomial_derivative, ones_tensor
 
 
 def x_square_form(alg) -> FormPoly:
@@ -63,6 +64,12 @@ class TestIntegrability:
     def test_cubic_form_integrable_complex(self, CC):
         rep = integrability_check(three_x_form(CC), probes=32, seed=0)
         assert rep.verdict
+
+    @pytest.mark.parametrize("slots", [0, 2])
+    def test_form_needs_exactly_one_slot(self, HH, slots):
+        g = FormPoly([monomial_derivative(ones_tensor(HH, 2), slots)])
+        with pytest.raises(ValueError, match="exactly one argument slot"):
+            integrability_check(g)
 
 
 class TestAntiderivative:
@@ -505,3 +512,20 @@ class TestNaNResiduals:
         assert math.isnan(rep.metrics["cross"])
         assert not rep.verdict and math.isnan(rep.residual)
         assert rep.witness["condition"] == "cross"
+
+    def test_nan_in_one_partial_refutes_the_implicit_solution(self, HH):
+        # the x partial is exact, so only the NaN y partial can refute
+        rep = implicit_solution_check(lambda x, y: x, BiForm(HH, lambda x, y, dx: dx),
+                                      lambda x, y, dy: dy * math.nan)
+        assert not rep.verdict and math.isnan(rep.residual)
+
+    def test_nan_rk4_gap_refutes_the_fixture(self, HH):
+        from ncalg.diffeq import run_ode_fixture
+
+        # RK4 is unstable at h * lambda = 50 and overflows to NaN from t = 100 on
+        ode = LinearOde(elliptic_ode(HH).a * 50.0, OdeForm.RC_LEFT, (zero(HH), one(HH)))
+        check = {"kind": "rk4-match", "t_end": 1000, "steps": 1000, "points": 11, "tol": 1e-6}
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = run_ode_fixture({"ode": ode_to_data(ode), "checks": [check]})
+        assert not rep.verdict and math.isnan(rep.residual)
+        assert not rep.metrics["checks"][0]["ok"] and math.isnan(rep.metrics["checks"][0]["gap"])

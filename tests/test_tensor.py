@@ -14,18 +14,15 @@ from ncalg.tensor import (
     monomial_derivative,
     ones_tensor,
     poly_derivative,
-    poly_eval,
     poly_product,
     pure,
     slot_derivative,
     slot_tensors_equal,
     so_set,
     star_product,
-    tensor_add,
     tensor_from_data,
     tensor_scale,
     tensor_to_data,
-    tensors_equal,
 )
 
 
@@ -75,18 +72,24 @@ class TestStarProduct:
         a0, a1, b0, b1 = (random_element(HH, rng) for _ in range(4))
         got = star_product(pure([a0, a1]), pure([b0, b1]))
         expected = pure([a0, a1 * b0, b1])
-        assert tensors_equal(got, expected)
+        assert slot_tensors_equal(got, expected)
 
     def test_units_fuse(self, HH):
-        assert tensors_equal(star_product(ones_tensor(HH, 1), ones_tensor(HH, 1)), ones_tensor(HH, 2))
+        assert slot_tensors_equal(star_product(ones_tensor(HH, 1), ones_tensor(HH, 1)),
+                                  ones_tensor(HH, 2))
 
     def test_associative(self, HH, rng):
         for _ in range(10):
             a = pure([random_element(HH, rng) for _ in range(3)])
             b = pure([random_element(HH, rng) for _ in range(2)])
             c = pure([random_element(HH, rng) for _ in range(2)])
-            assert tensors_equal(star_product(star_product(a, b), c),
-                                 star_product(a, star_product(b, c)))
+            assert slot_tensors_equal(star_product(star_product(a, b), c),
+                                      star_product(a, star_product(b, c)))
+
+    def test_slotted_factors_keep_their_arguments_apart(self, HH, rng):
+        d = slot_derivative(ones_tensor(HH, 1))
+        h, k, x = (random_element(HH, rng) for _ in range(3))
+        assert eval_args(star_product(d, d), [h, k], x).close(h * k, 1e-12)
 
 
 class TestEvalPower:
@@ -233,8 +236,8 @@ class TestPolynomials:
         a2 = ones_tensor(HH, 2)
         p = TensorPolynomial([a0, a2])
         x = random_element(HH, rng)
-        assert poly_eval(p, x).close(eval_power(a0, x) + x * x, 1e-12)
-        comps = poly_derivative(p, 1)
+        assert p(x).close(eval_power(a0, x) + x * x, 1e-12)
+        comps = poly_derivative(p, 1).components
         assert len(comps) == 1  # the constant drops out
         h = random_element(HH, rng)
         assert eval_args(comps[0], [h], x).close(x * h + h * x, 1e-12)
@@ -244,11 +247,45 @@ class TestPolynomials:
         q = TensorPolynomial([ones_tensor(HH, 2)])
         prod = poly_product(p, q)
         x = random_element(HH, rng)
-        assert poly_eval(prod, x).close(poly_eval(p, x) * poly_eval(q, x), 1e-9)
+        assert prod(x).close(p(x) * q(x), 1e-9)
 
-    def test_order_validation(self, HH):
-        with pytest.raises(ValueError):
-            TensorPolynomial([ones_tensor(HH, 1), ones_tensor(HH, 1)])
+    def test_equal_orders_merge(self, HH, rng):
+        a = pure([random_element(HH, rng) for _ in range(2)])
+        b = pure([random_element(HH, rng) for _ in range(2)])
+        c = pure([random_element(HH, rng)])
+        p = TensorPolynomial([a, c, b])
+        assert [comp.order for comp in p.components] == [0, 1]
+        assert len(p.components[1].terms) == 2
+        x = random_element(HH, rng)
+        assert p(x).close(eval_power(a, x) + eval_power(b, x) + eval_power(c, x), 1e-12)
+
+    def test_mixed_argument_slots_raise(self, HH):
+        with pytest.raises(ValueError, match="argument slots"):
+            TensorPolynomial([ones_tensor(HH, 2), slot_derivative(ones_tensor(HH, 2))])
+
+    def test_vanishing_polynomial_is_zero(self, HH, rng):
+        p = poly_derivative(TensorPolynomial([ones_tensor(HH, 1)]), 2)
+        assert (p.arg_slots, p.algebra) == (2, HH)
+        assert [comp.terms for comp in p.components] == [()]
+        x, h1, h2 = (random_element(HH, rng) for _ in range(3))
+        assert p(x, h1, h2).close(zero(HH), 0.0)
+
+    def test_derivative_gains_slots(self, HH, rng):
+        p = TensorPolynomial([slot_derivative(ones_tensor(HH, 2)), slot_derivative(ones_tensor(HH, 3))])
+        d = poly_derivative(p, 1)
+        assert (p.arg_slots, d.arg_slots) == (1, 2)
+        x, h, k = (random_element(HH, rng) for _ in range(3))
+        expected = h * k + k * h + x * h * k + x * k * h + h * x * k + k * x * h + h * k * x + k * h * x
+        assert d(x, h, k).close(expected, 1e-9)
+
+    def test_product_of_forms(self, HH, rng):
+        # the second factor's argument follows the first's
+        p = TensorPolynomial([slot_derivative(ones_tensor(HH, 2))])
+        q = TensorPolynomial([slot_derivative(ones_tensor(HH, 1)), slot_derivative(ones_tensor(HH, 3))])
+        prod = poly_product(p, q)
+        assert prod.arg_slots == 2
+        x, h, k = (random_element(HH, rng) for _ in range(3))
+        assert prod(x, h, k).close(p(x, h) * q(x, k), 1e-9)
 
 
 class TestHelpers:
@@ -256,17 +293,17 @@ class TestHelpers:
         a = pure([random_element(HH, rng), random_element(HH, rng)])
         b = pure([random_element(HH, rng), random_element(HH, rng)])
         x = random_element(HH, rng)
-        assert eval_power(tensor_add(a, b), x).close(eval_power(a, x) + eval_power(b, x), 1e-12)
+        assert eval_power(a + b, x).close(eval_power(a, x) + eval_power(b, x), 1e-12)
         assert eval_power(tensor_scale(a, -2.5), x).close(-2.5 * eval_power(a, x), 1e-12)
 
     def test_tensors_equal_detects_difference(self, HH):
-        assert not tensors_equal(ones_tensor(HH, 2), tensor_scale(ones_tensor(HH, 2), 2.0))
+        assert not slot_tensors_equal(ones_tensor(HH, 2), tensor_scale(ones_tensor(HH, 2), 2.0))
 
     def test_data_round_trip(self, HH, rng):
         t = pure([random_element(HH, rng) for _ in range(3)])
         d = tensor_to_data(t)
         assert d["order"] == 2 and len(d["terms"]) == 1
-        assert tensors_equal(tensor_from_data(d), t)
+        assert slot_tensors_equal(tensor_from_data(d), t)
 
 
 @pytest.mark.parametrize("n", range(6))
