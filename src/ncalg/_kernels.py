@@ -6,6 +6,9 @@ real block matrix rho(A) = [L(a_ij)] of left multiplications, of shape
 rho(a rc b) = rho(a) @ rho(b), and unrho maps a real matrix back to the
 nearest matrix of elements. The cr product follows by transpose duality:
 a cr b = (a^T rc b^T)^T.
+
+rho, unrho and the contractions also take leading stack axes,
+(..., m, n, d), and give each member of a stack the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -17,13 +20,18 @@ HAVE_NUMBA = False
 
 
 def rho(table, a):
-    """Real representation of an (m, n, d) matrix under structure constants table."""
-    m, n, d = a.shape
-    return np.einsum("ijp,pqs->isjq", a, table).reshape(m * d, n * d)
+    """Real representation of (..., m, n, d) matrices under structure constants table.
+
+    Each entry of rho is one coefficient times a table entry of 0 or +-1, so
+    it is exact, and every member of a stack gets the same bits alone.
+    """
+    *stack, m, n, d = a.shape
+    blocks = (a @ table.reshape(d, d * d)).reshape(*stack, m, n, d, d)  # [..., i, j, q, s]
+    return blocks.swapaxes(-1, -3).swapaxes(-1, -2).reshape(*stack, m * d, n * d)
 
 
 def unrho(table, r):
-    """Matrix of elements whose rho is nearest to r in the Frobenius norm.
+    """Matrices of elements whose rho is nearest to r, for (..., m d, n d) stacks of r.
 
     The blocks L(e_p) are orthogonal with squared norm d, so each block M
     maps to the element with coefficients <M, L(e_p)> / d. On the image of
@@ -32,27 +40,35 @@ def unrho(table, r):
     rho(A); so ||rho(A) @ P(r) - I|| <= ||rho(A) @ r - I||, and likewise on
     the left, where reading the first column of each block can lose both
     residuals of an ill-conditioned inverse.
+
+    The inner products are one matmul of the d^2 block entries against the
+    table: numpy makes the same BLAS call for every member of a stack, so a
+    member's bits do not depend on the stack around it (an einsum over a
+    ``...`` axis does not promise that).
     """
     d = table.shape[0]
-    m, n = r.shape[0] // d, r.shape[1] // d
-    return np.einsum("isjq,pqs->ijp", r.reshape(m, d, n, d), table) / d
+    *stack, md, nd = r.shape
+    m, n = md // d, nd // d
+    blocks = r.reshape(*stack, m, d, n, d).swapaxes(-3, -2).swapaxes(-2, -1)  # [..., i, j, q, s]
+    return (blocks.reshape(*stack, m, n, d * d) @ table.reshape(d, d * d).T) / d
 
 
 def rc_contract(table, a, b):
-    """Row-over-column product C[i,j] = sum_k a[i,k] b[k,j].
+    """Row-over-column product C[..., i, j] = sum_k a[..., i, k] b[..., k, j].
 
-    a: (m, p, d), b: (p, n, d). With vec stacking the coefficient vectors
-    down each column, rho(a) @ vec(b) = vec(a rc b).
+    a: (..., m, p, d), b: (..., p, n, d) with equal stack axes. With vec
+    stacking the coefficient vectors down each column,
+    rho(a) @ vec(b) = vec(a rc b); the matmul is one BLAS call per member.
     """
-    m = a.shape[0]
-    p, n, d = b.shape
-    vec_b = b.transpose(0, 2, 1).reshape(p * d, n)
-    return (rho(table, a) @ vec_b).reshape(m, d, n).transpose(0, 2, 1)
+    *stack, m, _, _ = a.shape
+    p, n, d = b.shape[-3:]
+    vec_b = b.swapaxes(-1, -2).reshape(*stack, p * d, n)
+    return (rho(table, a) @ vec_b).reshape(*stack, m, d, n).swapaxes(-1, -2)
 
 
 def cr_contract(table, a, b):
-    """Column-over-row product C[i,j] = sum_k a[k,j] b[i,k] (a's entry left)."""
-    return rc_contract(table, a.transpose(1, 0, 2), b.transpose(1, 0, 2)).transpose(1, 0, 2)
+    """Column-over-row product C[..., i, j] = sum_k a[..., k, j] b[..., i, k] (a's entry left)."""
+    return rc_contract(table, a.swapaxes(-3, -2), b.swapaxes(-3, -2)).swapaxes(-3, -2)
 
 
 def rk4_linear(m, x0, t, steps):

@@ -15,11 +15,20 @@ of rho(A), linear systems are one LU solve, and rank is the SVD rank of
 rho(A) over d. A quasideterminant is the Schur expression
 a_ij - r . B^-1 . c with B^-1 from the inverse; it is the pivot that
 noncommutative Gaussian elimination meets at (i, j).
+
+The checked inverse (_inverse) takes a stack of square matrices and makes
+the rank decision and the residual test for each member alone, so every
+member gets the bits it would get alone. rc_inv, left_dependency and
+quasidet_rc call it with a stack of one; quasidets_rc builds the n^2
+interiors of a matrix by fancy indexing and inverts them in one call,
+giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
+Gelfand, Retakh and Wilson.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,7 +119,7 @@ class BiMatrix:
         return Element._trusted(self.algebra, self.data[i, j])
 
     def max_entry_norm(self) -> float:
-        return _max_entry_norm(self.data)
+        return float(_max_entry_norm(self.data))
 
     def __add__(self, other: "BiMatrix") -> "BiMatrix":
         if other.algebra != self.algebra or other.data.shape != self.data.shape:
@@ -138,10 +147,9 @@ class BiMatrix:
         return f"BiMatrix({self.algebra.tag}, {self.rows}x{self.cols})"
 
 
-def _max_entry_norm(data: np.ndarray) -> float:
-    if data.size == 0:
-        return 0.0
-    return float(np.sqrt((data ** 2).sum(axis=2)).max())
+def _max_entry_norm(data: np.ndarray) -> np.ndarray:
+    """Largest entry norm of each member of an (..., m, n, d) stack; 0 for an empty member."""
+    return np.sqrt((data ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0)
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
@@ -183,7 +191,7 @@ def hadamard_inv(a: BiMatrix) -> BiMatrix:
     for i in range(n):
         for j in range(m):
             e = a.entry(j, i)
-            if e.norm() == 0.0:
+            if not e.coeffs.any():  # the norm underflows to 0 below about 1e-162
                 raise ZeroDivisionError("Hadamard inverse undefined: zero entry")
             out[i, j] = el_inv(e).coeffs
     return BiMatrix(a.algebra, out)
@@ -243,40 +251,92 @@ def _rank(r: np.ndarray, d: int, smax: float | None = None) -> tuple[int, float]
     return int((s > PIVOT_RTOL * smax).sum()) // d, smax
 
 
-def _nonsingular_rho(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """rho of a square (n, n, d) array and its largest singular value; raises if rc-singular or empty."""
-    n = data.shape[0]
-    r = _kernels.rho(table, data)
-    k, smax = _rank(r, table.shape[0])
-    if n == 0 or k < n:
-        raise SingularMatrixError("rc-singular")
-    return r, smax
+def _nonsingular_rho(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho of a (k, n, n, d) stack of square arrays, each member's largest
+    singular value, and which members are rc-nonsingular.
 
-
-def _inverse(table: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """rc-inverse of a square (n, n, d) array, residual-checked on both sides.
-
-    It is the LU inverse of rho(data), projected by unrho. rho(data) @ vec(out)
-    is vec(data rc out), so that residual reuses rho(data).
+    A member is nonsingular when its smallest singular value is above
+    PIVOT_RTOL times its largest, which is _rank's rule for rank n. An empty
+    member is singular, and so is a non-finite one, which is replaced by the
+    zero matrix before rho (whose table product would turn inf into NaN).
     """
-    n, d = data.shape[0], table.shape[0]
-    r, _ = _nonsingular_rho(table, data)
+    if not np.isfinite(data).all():
+        data = np.where(np.isfinite(data).all(axis=(1, 2, 3), keepdims=True), data, 0.0)
+    r = _kernels.rho(table, data)
+    if r.shape[-1] == 0:
+        return r, np.zeros(len(r)), np.zeros(len(r), dtype=bool)
+    s = np.linalg.svd(r, compute_uv=False)
+    return r, s[:, 0], s[:, -1] > PIVOT_RTOL * s[:, 0]
+
+
+def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
+    """rc-inverses of a (k, n, n, d) stack of square arrays, and the members without one.
+
+    Each member's inverse is the LU inverse of its rho, projected by unrho
+    and residual-checked on both sides, and it has the bits it would have
+    alone. The second result lists, in ascending order, the members that
+    are rc-singular or fail their residual check; their entries in the
+    first result are meaningless. rho(data) @ vec(out) is
+    vec(data rc out), so that residual reuses rho(data).
+    """
+    k, n, d = data.shape[0], data.shape[1], table.shape[0]
+    r, _, ok = _nonsingular_rho(table, data)
+    flags = ok.tolist()  # the Python reductions cost less than numpy's on a short stack
+    regular = all(flags)
+    if not regular:
+        if not any(flags):
+            return data, range(k)
+        # the identity stands in for the failed members, so that LU and the
+        # residuals meet no singular or non-finite matrix
+        data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
+        r = np.where(ok[:, None, None], r, np.eye(n * d))
     out = _kernels.unrho(table, np.linalg.inv(r))
-    # vec(a rc b) = rho(a) @ vec(b), vec stacking coefficients down each column
-    # (rc_contract's result is a transposed view of its vec); the identity's
-    # vec has its ones at flat index k (n d + 1), one stride apart
-    left = r @ out.transpose(0, 2, 1).reshape(n * d, n)
-    right = _kernels.rc_contract(table, out, data).transpose(0, 2, 1).reshape(n * d, n)
-    resid = np.concatenate((left, right))
-    resid.reshape(2, n * d * n)[:, ::n * d + 1] -= 1.0
-    resid = float(np.abs(resid).max())
+    # vec(a rc b) = rho(a) @ vec(b), vec stacking coefficients down each
+    # column; the identity's vec has its ones at flat index t (n d + 1),
+    # one stride apart
+    left = r @ out.swapaxes(-1, -2).reshape(k, n * d, n)
+    right = _kernels.rho(table, out) @ data.swapaxes(-1, -2).reshape(k, n * d, n)
+    resid = np.concatenate((left, right), axis=1)
+    resid.reshape(k, 2, n * d * n)[..., ::n * d + 1] -= 1.0
+    resid = np.abs(resid)
+    if regular and resid.max() <= 1e-9:  # a NaN anywhere fails this
+        return out, ()
     # scale the acceptance with the conditioning actually encountered; the
     # bound is at least 1e-9, so the norms are needed only above that, and
     # a NaN residual passes neither test
-    if not (resid <= 1e-9
-            or resid <= 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)):
-        raise SingularMatrixError("inverse failed residual check")
+    resid = resid.max(axis=(1, 2))
+    bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)
+    return out, np.flatnonzero(~(ok & ((resid <= 1e-9) | (resid <= bound))))
+
+
+@lru_cache(maxsize=32)
+def _complements(n: int) -> np.ndarray:
+    """Read-only (n, n - 1) array whose row i is range(n) without i."""
+    k = np.arange(n - 1)
+    out = k + (k >= np.arange(n)[:, None])
+    out.flags.writeable = False
     return out
+
+
+def _quasidets(a: BiMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(k, d) array of the (rows[t], cols[t]) rc-quasideterminants of square a, n >= 2.
+
+    The k interiors are inverted in one stacked call; the first undefined
+    pair in the given order raises QuasideterminantUndefinedError.
+    """
+    table, data = a.algebra.table, a.data
+    others = _complements(a.rows)
+    keep_r, keep_c = others[rows], others[cols]
+    interior_inv, failed = _inverse(table, data[keep_r[:, :, None], keep_c[:, None, :]])
+    if len(failed):
+        t = failed[0]
+        raise QuasideterminantUndefinedError(
+            f"quasideterminant undefined at ({rows[t]}, {cols[t]}): interior submatrix is rc-singular"
+        )
+    row = data[rows[:, None, None], keep_c[:, None, :]]
+    col = data[keep_r[:, :, None], cols[:, None, None]]
+    acc = _kernels.rc_contract(table, _kernels.rc_contract(table, row, interior_inv), col)
+    return data[rows, cols] - acc[:, 0, 0]
 
 
 def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
@@ -290,18 +350,22 @@ def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
         raise IndexError("quasideterminant index out of range")
     if n == 1:
         return a.entry(0, 0)
-    table, data = a.algebra.table, a.data
-    keep_r = [r for r in range(n) if r != i]
-    keep_c = [c for c in range(n) if c != j]
-    try:
-        interior_inv = _inverse(table, data[keep_r][:, keep_c])
-    except SingularMatrixError as err:
-        raise QuasideterminantUndefinedError(
-            f"quasideterminant undefined at ({i}, {j}): interior submatrix is rc-singular"
-        ) from err
-    row_inv = _kernels.rc_contract(table, data[[i]][:, keep_c], interior_inv)
-    acc = _kernels.rc_contract(table, row_inv, data[keep_r][:, [j]])
-    return Element._trusted(a.algebra, data[i, j] - acc[0, 0])
+    return Element._trusted(a.algebra, _quasidets(a, np.array([i]), np.array([j]))[0])
+
+
+def quasidets_rc(a: BiMatrix) -> BiMatrix:
+    """Matrix of all rc-quasideterminants, entry (i, j) = quasidet_rc(a, i, j).
+
+    The n^2 interiors are inverted in one stacked call, and every entry has
+    the bits of its own quasidet_rc call. The first undefined entry in
+    row-major order raises QuasideterminantUndefinedError. A 1 x 1 (or
+    empty) matrix is its own quasideterminant matrix.
+    """
+    n = _require_square(a)
+    if n <= 1:
+        return a
+    rows, cols = np.divmod(np.arange(n * n), n)
+    return BiMatrix(a.algebra, _quasidets(a, rows, cols).reshape(n, n, a.algebra.dim))
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
@@ -312,7 +376,10 @@ def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
 def rc_inv(a: BiMatrix) -> BiMatrix:
     """rc-inverse: the LU inverse of rho(a), projected by unrho and residual-checked."""
     _require_square(a)
-    return BiMatrix(a.algebra, _inverse(a.algebra.table, a.data))
+    out, failed = _inverse(a.algebra.table, a.data[None])
+    if len(failed):
+        raise SingularMatrixError("rc-singular: rank test or inverse residual check failed")
+    return BiMatrix(a.algebra, out[0])
 
 
 def cr_inv(a: BiMatrix) -> BiMatrix:
@@ -322,11 +389,8 @@ def cr_inv(a: BiMatrix) -> BiMatrix:
 
 def is_rc_singular(a: BiMatrix) -> bool:
     _require_square(a)
-    try:
-        _nonsingular_rho(a.algebra.table, a.data)
-    except SingularMatrixError:
-        return True
-    return False
+    _, _, ok = _nonsingular_rho(a.algebra.table, a.data[None])
+    return not ok[0]
 
 
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
@@ -339,14 +403,18 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     b = list(b)
     if len(b) != n:
         raise AlgebraError("right-hand side height mismatch")
-    d = a.algebra.dim
-    r, smax = _nonsingular_rho(a.algebra.table, a.data)
-    rhs = BiMatrix.from_elements([[e] for e in b]).data.reshape(n * d)
+    if any(e.algebra != a.algebra for e in b):
+        raise AlgebraError("algebra mismatch")
+    r, smax, ok = _nonsingular_rho(a.algebra.table, a.data[None])
+    if not ok[0]:
+        raise SingularMatrixError("rc-singular")
+    r, smax = r[0], smax[0]
+    rhs = np.concatenate([e.coeffs for e in b])
     x = np.linalg.solve(r, rhs)
     resid = float(np.linalg.norm(r @ x - rhs))
     if not resid <= 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(x)):  # NaN fails too
         raise SingularMatrixError("solution residual above tolerance")
-    return [Element._trusted(a.algebra, c) for c in x.reshape(n, d)]
+    return [Element._trusted(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
 
 
 def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
@@ -398,9 +466,11 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     if rank >= m:
         return None
     table, cols = a.algebra.table, list(sel.cols)
-    major_inv = _inverse(table, a.data[list(sel.rows)][:, cols])
+    major_inv, failed = _inverse(table, a.data[list(sel.rows)][:, cols][None])
+    if len(failed):
+        raise SingularMatrixError("major minor is rc-singular")
     p = next(r for r in range(m) if r not in sel.rows)
-    coeffs = _kernels.rc_contract(table, a.data[[p]][:, cols], major_inv)  # 1 x k
+    coeffs = _kernels.rc_contract(table, a.data[[p]][:, cols], major_inv[0])  # 1 x k
     lam = [zero(a.algebra) for _ in range(m)]
     for idx, r in enumerate(sel.rows):
         lam[r] = Element._trusted(a.algebra, coeffs[0, idx])
@@ -441,7 +511,7 @@ def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = 
 
 def eigen_offdiag(f: Element) -> tuple[Element, Element]:
     """Both eigenvalues of [[0, f], [f, 0]]: f and -f."""
-    if f.norm() == 0.0:
+    if not f.coeffs.any():
         raise ValueError("off-diagonal entry must be nonzero")
     return f, -f
 

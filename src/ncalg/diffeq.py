@@ -339,7 +339,7 @@ def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
 def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> SolutionCurve:
     """Curve t -> e^{bt} c (side="left") or t -> c e^{bt} (side="right")."""
     c = tuple(c)
-    if all(e.norm() == 0.0 for e in c):
+    if not any(e.coeffs.any() for e in c):
         raise ValueError("eigen solution needs a nonzero vector")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

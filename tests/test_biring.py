@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ncalg import _kernels
-from ncalg.algebra import Element, basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg import _kernels, biring
+from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import (
     PIVOT_RTOL,
     BiMatrix,
@@ -28,6 +29,7 @@ from ncalg.biring import (
     matrix_to_data,
     quasidet_cr,
     quasidet_rc,
+    quasidets_rc,
     random_matrix,
     rc_inv,
     rc_mul,
@@ -138,6 +140,12 @@ class TestHadamard:
     def test_zero_entry_rejected(self, HH):
         with pytest.raises(ZeroDivisionError):
             hadamard_inv(BiMatrix.identity(HH, 2))
+
+    def test_tiny_entry_is_inverted(self, HH):
+        # the norm of 1e-200 underflows to 0, but the entry is not zero
+        h = hadamard_inv(BiMatrix.from_elements([[from_scalar(HH, 1e-200)]]))
+        assert h.data[0, 0, 0] == pytest.approx(1e200, rel=1e-15)
+        assert not h.data[0, 0, 1:].any()
 
 
 class TestPowers:
@@ -339,6 +347,13 @@ class TestEigen:
             rep = verify_eigen_rc(a, b, v)
             assert rep.verdict and rep.residual <= 1e-12
             assert rep.metrics["shifted_matrix_singular"]
+
+    def test_offdiag_tiny_entry(self, HH):
+        f = from_scalar(HH, 1e-200)
+        b1, b2 = eigen_offdiag(f)
+        assert b1.close(f, 0.0) and b2.close(-f, 0.0)
+        with pytest.raises(ValueError):
+            eigen_offdiag(zero(HH))
 
     def test_offdiag_unit(self, RR):
         f = one(RR)
@@ -873,3 +888,85 @@ def test_inverse_of_a_subnormal_matrix_is_a_typed_error(tag):
                     quasidet_rc(a, i, j)
         with pytest.raises(QuasideterminantUndefinedError):
             bordered_quasidet(a, MinorSelector((0,), (0,)), 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the stacked inverse and all quasideterminants in one call
+
+
+def _inverse_family(alg, family, n, rng):
+    """The matrices of test_inverse_paths_are_bit_identical_to_the_composed_reference."""
+    a = random_matrix(alg, n, n, rng).data.copy()
+    if family == "outer":
+        a = rc_mul(random_matrix(alg, n, 1, rng), random_matrix(alg, 1, n, rng)).data
+    elif family == "dup-column":
+        a[:, n - 1] = a[:, 0]
+    elif family == "zero-row":
+        a[n - 1] = 0.0
+    return BiMatrix(alg, a)
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("family", INVERSE_FAMILIES)
+def test_quasidets_rc_is_every_quasidet_rc(tag, family):
+    """Every entry has the bits of its own quasidet_rc call, and an undefined
+    one raises, naming the first pair in row-major order that quasidet_rc refuses."""
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(32)
+    refused = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            a = _inverse_family(alg, family, n, rng)
+            pairs = [(i, j) for i in range(n) for j in range(n)]
+            singles = [_outcome(quasidet_rc, a, i, j) for i, j in pairs]
+            undefined = [ij for ij, got in zip(pairs, singles) if got is QuasideterminantUndefinedError]
+            if undefined:
+                i, j = undefined[0]
+                with pytest.raises(QuasideterminantUndefinedError, match=re.escape(f"at ({i}, {j})")):
+                    quasidets_rc(a)
+                refused += 1
+                continue
+            q = quasidets_rc(a)
+            assert (q.algebra, q.rows, q.cols) == (alg, n, n)
+            for (i, j), want in zip(pairs, singles):
+                assert q.data[i, j].tobytes() == want, (n, i, j)
+    assert (refused > 0) == (family != "full")
+
+
+def test_quasidets_rc_needs_a_square_matrix(HH, rng):
+    with pytest.raises(AlgebraError):
+        quasidets_rc(random_matrix(HH, 2, 3, rng))
+
+
+def test_quasidets_rc_of_a_1x1_matrix_is_the_matrix(HH, rng):
+    a = random_matrix(HH, 1, 1, rng)
+    assert quasidets_rc(a).close(a, 0.0)
+
+
+def test_stacked_inverse_decides_each_member_alone(HH):
+    """A stack mixing regular, singular, non-finite and subnormal members:
+    the failed list is exactly the members whose inverse fails alone, and
+    every other member has the bits of its inverse alone."""
+    rng = np.random.default_rng(5)
+    members = [random_matrix(HH, 3, 3, rng).data for _ in range(6)]
+    members[1] = np.zeros((3, 3, 4))
+    members[3] = members[3].copy()
+    members[3][0, 2, 1] = np.nan
+    members[4] = BiMatrix.identity(HH, 3).data * 1e-310
+    stack = np.stack(members)
+    table = HH.table
+    with np.errstate(all="ignore"):
+        out, failed = biring._inverse(table, stack)
+        alone = [biring._inverse(table, m[None]) for m in members]
+    assert list(failed) == [k for k, (_, f) in enumerate(alone) if len(f)] == [1, 3, 4]
+    for k in (0, 2, 5):
+        assert out[k].tobytes() == alone[k][0][0].tobytes()
+        assert out[k].tobytes() == rc_inv(BiMatrix(HH, members[k])).data.tobytes()
+
+
+def test_solve_rc_rejects_a_right_hand_side_from_another_algebra(HH, CC, rng):
+    a = random_matrix(HH, 2, 2, rng)
+    with pytest.raises(AlgebraError):
+        solve_rc(a, [one(CC), one(CC)])
+    with pytest.raises(AlgebraError):
+        solve_rc(a, [one(HH), one(CC)])

@@ -303,6 +303,14 @@ class TestEigenSolutions:
         rep = solution_residual(ode, curve, (0.0, 0.5, 1.0))
         assert rep.verdict, rep.residual
 
+    def test_tiny_vector_is_nonzero(self, HH):
+        # the norm of 1e-200 underflows to 0, but the vector is not zero
+        c = [from_scalar(HH, 1e-200), zero(HH)]
+        curve = eigen_solution(basis(HH, 1), c, side="left")
+        assert curve(0.0)[0].close(c[0], 0.0)
+        with pytest.raises(ValueError):
+            eigen_solution(basis(HH, 1), [zero(HH), zero(HH)])
+
     def test_zero_eigenvalue_constant(self, HH, rng):
         c = [random_element(HH, rng)]
         curve = eigen_solution(zero(HH), c, side="right")
