@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _kernels
+
 DEFAULT_TOL = 1e-9
 
 
@@ -304,13 +306,13 @@ def in_centralizer(c: Element, b: Element, tol: float = DEFAULT_TOL) -> bool:
 
 
 def left_matrix(a: Element) -> np.ndarray:
-    """Real dim x dim matrix L with L @ coeffs(x) = coeffs(a x)."""
-    return np.einsum("i,ijk->kj", a.coeffs, a.algebra.table)
+    """Real dim x dim matrix L with L @ coeffs(x) = coeffs(a x): rho of the 1 x 1 matrix [a]."""
+    return _kernels.rho(a.algebra.table, a.coeffs.reshape(1, 1, -1))
 
 
 def right_matrix(a: Element) -> np.ndarray:
-    """Real dim x dim matrix R with R @ coeffs(x) = coeffs(x a)."""
-    return np.einsum("j,ijk->ki", a.coeffs, a.algebra.table)
+    """Real dim x dim matrix R with R @ coeffs(x) = coeffs(x a): rho under the transposed table."""
+    return _kernels.rho(a.algebra.table.transpose(1, 0, 2), a.coeffs.reshape(1, 1, -1))
 
 
 def random_element(algebra: AlgebraDesc, rng, scale: float = 1.0) -> Element:

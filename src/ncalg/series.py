@@ -38,6 +38,13 @@ class SeriesBudgetError(ArithmeticError):
     """Argument or value not finite, or too large to be accurate."""
 
 
+def _left(x: Element) -> np.ndarray:
+    """L(x) for an exponential; a non-finite x is refused before rho multiplies inf by zeros."""
+    if not all(map(math.isfinite, x.coeffs.tolist())):
+        raise SeriesBudgetError("exponential of a non-finite argument")
+    return left_matrix(x)
+
+
 def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max(initial=0.0))
 
@@ -118,7 +125,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 def exp_el(x: Element) -> Element:
     """exp(x) = sum x^n / n!: column 0 of exp(L(x))."""
-    return Element._trusted(x.algebra, _expm(left_matrix(x))[:, 0])
+    return Element._trusted(x.algebra, _expm(_left(x))[:, 0])
 
 
 def exp_at(a: Element, t: float) -> Element:
@@ -133,7 +140,7 @@ def _pair(x: Element, sign: float, block: int) -> Element:
     and [[cos L, sin L], [-sin L, cos L]] for sign = -1.
     """
     d = x.algebra.dim
-    lx = left_matrix(x)
+    lx = _left(x)
     big = np.zeros((2 * d, 2 * d))
     big[:d, d:] = lx
     big[d:, :d] = sign * lx
@@ -176,9 +183,9 @@ def quasiexp(cs: Sequence[Element], x: Element) -> Element:
     if any(c.algebra != x.algebra for c in cs):
         raise AlgebraError("algebra mismatch in quasiexp")
     n, d = len(cs), x.algebra.dim
-    big = np.kron(np.eye(n + 1), left_matrix(x))
+    big = np.kron(np.eye(n + 1), _left(x))
     total = np.zeros(d)
-    for order in permutations([left_matrix(c) for c in cs]):
+    for order in permutations([_left(c) for c in cs]):
         for k, lc in enumerate(order):
             big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = lc
         total += _expm(big)[:d, n * d]
@@ -201,6 +208,8 @@ def mexp_rc(x: BiMatrix) -> BiMatrix:
     """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
+    if not np.isfinite(x.data).all():  # before rho multiplies inf by the table's zeros
+        raise SeriesBudgetError("exponential of a non-finite argument")
     table = x.algebra.table
     return BiMatrix(x.algebra, _kernels.unrho(table, _expm(_kernels.rho(table, x.data))))
 

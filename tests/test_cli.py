@@ -1,9 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from ncalg.algebra import AlgebraError
-from ncalg.biring import QuasideterminantUndefinedError, SingularMatrixError
+from ncalg import cli
+from ncalg.algebra import AlgebraError, Element
+from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatrixError
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.series import SeriesBudgetError
 
@@ -177,3 +180,18 @@ class TestTypedErrors:
         with pytest.raises(KeyError):
             main(["run", "raises"])
         assert "unknown scenario" not in capsys.readouterr().err
+
+
+class TestNaNResiduals:
+    """A NaN from the library refutes a scenario; `max` would have dropped it."""
+
+    def test_nan_quasideterminants_fail(self, monkeypatch):
+        monkeypatch.setattr(cli, "quasidets_rc", lambda a: BiMatrix(a.algebra, np.full(a.data.shape, np.nan)))
+        report, _ = run_scenario("quasidet-2x2", Options(seed=0))
+        assert not report.verdict and math.isnan(report.residual)
+
+    def test_nan_solution_fails(self, monkeypatch):
+        nan = lambda a: Element(a.algebra, [np.nan] * a.algebra.dim)
+        monkeypatch.setattr(cli, "solve_rc", lambda a, b: [nan(a)] * len(b))
+        report, _ = run_scenario("solve-quaternion-system", Options(seed=0))
+        assert not report.verdict and math.isnan(report.residual)

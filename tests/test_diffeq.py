@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ncalg.algebra import Element, basis, from_scalar, make_algebra, one, random_element, zero
-from ncalg.biring import BiMatrix, random_matrix, transpose
+from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
 from ncalg.diffeq import (
     BiForm,
     FormPoly,
@@ -31,7 +31,7 @@ from ncalg.diffeq import (
     solution_residual,
     successive_powers,
 )
-from ncalg.series import cosh_el, exp_el, sinh_el
+from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import monomial_derivative, ones_tensor
 
 
@@ -241,6 +241,16 @@ class TestLinearOdeStructure:
         with pytest.raises(ValueError):
             LinearOde(a, OdeForm.RC_LEFT, (zero(HH), zero(HH)))
 
+    @pytest.mark.parametrize("form", list(OdeForm))
+    def test_state_from_another_algebra_or_of_another_length_raises(self, HH, CC, rng, form):
+        ode = LinearOde(random_matrix(HH, 2, 2, rng), form, (one(HH), zero(HH)))
+        # four complex entries carry the 8 coefficients of two quaternions
+        for xs in ([one(CC)] * 4, [one(CC)] * 2, [one(HH), one(CC)], [one(HH)] * 3, [one(HH)]):
+            with pytest.raises(AlgebraError):
+                ode.rhs(xs)
+            with pytest.raises(AlgebraError):
+                LinearOde(ode.a, form, tuple(xs))
+
 
 class TestClosedForm:
     def test_hyperbolic_values(self, RR):
@@ -270,6 +280,36 @@ class TestClosedForm:
             init = tuple(random_element(HH, rng) for _ in range(2))
             curve = closed_form_solution(LinearOde(a, form, init))
             assert all(u.close(v, 0.0) for u, v in zip(curve(0.0), init))
+
+
+class TestClosedFormReference:
+    """e^{tM} vec(x(0)) against the product it replaced, kept as the reference.
+
+    The reference multiplies the initial column by mexp_rc (left forms) or
+    mexp_cr (right forms) of the column-form coefficient c. Both sides round
+    the same exponential of rho(t c); the reference also projects it through
+    unrho and multiplies in another order, so they agree within
+    256 u ||e^{tM}||_inf ||x(0)||_inf (about 20 u is seen).
+    """
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    @pytest.mark.parametrize("form", list(OdeForm))
+    def test_matches_the_matrix_exponential_product(self, rng, tag, form):
+        alg = make_algebra(tag)
+        left = form in (OdeForm.RC_LEFT, OdeForm.CR_LEFT)
+        for n in (1, 2, 3):
+            a = random_matrix(alg, n, n, rng)
+            init = tuple(random_element(alg, rng) for _ in range(n))
+            curve = closed_form_solution(LinearOde(a, form, init))
+            c = transpose(a) if form in (OdeForm.CR_LEFT, OdeForm.RC_RIGHT) else a
+            col = BiMatrix.from_elements([[x] for x in init])
+            for t in (-1.3, 0.4, 2.0):
+                e = mexp_rc(c * t) if left else mexp_cr(c * t)
+                ref = (rc_mul(e, col) if left else cr_mul(col, e)).data[:, 0]
+                got = np.stack([x.coeffs for x in curve(t)])
+                # each row of rho(e) holds every coefficient of one row of e once
+                e_norm = np.abs(e.data).sum(axis=(1, 2)).max()
+                assert np.abs(got - ref).max() <= 256 * np.finfo(float).eps * e_norm * np.abs(col.data).max()
 
 
 class TestSuccessivePowers:
