@@ -43,7 +43,6 @@ from .algebra import (
     inv as el_inv,
     make_algebra,
     one,
-    random_element,
     zero,
 )
 from .report import Report
@@ -479,7 +478,15 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
 
 
 def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Element:
-    """Quasideterminant of the minor bordered by row p and column r, at (p, r)."""
+    """Quasideterminant of the minor bordered by row p and column r, at (p, r).
+
+    The border lies outside the minor: a row or column already in it would
+    repeat in the bordered matrix.
+    """
+    if not (0 <= p < a.rows and 0 <= r < a.cols):
+        raise IndexError("border index out of range")
+    if p in sel.rows or r in sel.cols:
+        raise ValueError("border row or column already in the minor")
     rows = tuple(sorted(sel.rows + (p,)))
     cols = tuple(sorted(sel.cols + (r,)))
     sub = submatrix(a, rows, cols)
@@ -592,6 +599,4 @@ def matrix_from_data(data: dict) -> BiMatrix:
 def random_matrix(algebra: AlgebraDesc, m: int, n: int, rng, scale: float = 1.0) -> BiMatrix:
     if not hasattr(rng, "uniform"):
         rng = np.random.default_rng(rng)
-    return BiMatrix.from_elements(
-        [[random_element(algebra, rng, scale) for _ in range(n)] for _ in range(m)]
-    )
+    return BiMatrix(algebra, rng.uniform(-scale, scale, (m, n, algebra.dim)))

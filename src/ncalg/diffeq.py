@@ -261,7 +261,10 @@ class LinearOde:
     def __post_init__(self):
         if self.a.rows != self.a.cols:
             raise ValueError("coefficient matrix must be square")
-        object.__setattr__(self, "init", self._state(self.init))
+        init = self._state(self.init)
+        if not (np.isfinite(self.a.data).all() and np.isfinite(_vec(init)).all()):
+            raise AlgebraError("a linear system needs finite coefficients and initial value")
+        object.__setattr__(self, "init", init)
 
     @property
     def size(self) -> int:

@@ -331,6 +331,19 @@ class TestRank:
                     continue
                 assert bordered_quasidet(a, sel, p, r).norm() <= 1e-8
 
+    def test_bordered_quasidet_refuses_a_border_inside_the_minor_or_out_of_range(self, HH, rng):
+        u = [random_element(HH, rng) for _ in range(3)]
+        v = [random_element(HH, rng) for _ in range(3)]
+        a = BiMatrix.from_elements([[u[i] * v[j] for j in range(3)] for i in range(3)])
+        sel = MinorSelector((0,), (0,))
+        # row 0 twice would give a minor with a repeated row, whose quasideterminant is 0
+        for p, r in ((0, 1), (1, 0), (0, 0)):
+            with pytest.raises(ValueError, match="already in the minor"):
+                bordered_quasidet(a, sel, p, r)
+        for p, r in ((-1, 1), (1, -1), (3, 1), (1, 3)):
+            with pytest.raises(IndexError):
+                bordered_quasidet(a, sel, p, r)
+
     def test_zero_matrix(self, HH):
         k, sel = rc_rank(BiMatrix.zeros(HH, 2, 2))
         assert k == 0 and sel == MinorSelector((), ())
@@ -962,6 +975,19 @@ def test_stacked_inverse_decides_each_member_alone(HH):
     for k in (0, 2, 5):
         assert out[k].tobytes() == alone[k][0][0].tobytes()
         assert out[k].tobytes() == rc_inv(BiMatrix(HH, members[k])).data.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_random_matrix_draws_its_entries_row_major(tag):
+    """One draw of m n d coefficients: the bytes and the generator state of m n random_element calls."""
+    alg = make_algebra(tag)
+    for m, n, scale in ((1, 1, 1.0), (2, 3, 0.5), (3, 2, 20.0)):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = random_matrix(alg, m, n, rng, scale=scale)
+        want = np.array([[random_element(alg, ref_rng, scale).coeffs for _ in range(n)] for _ in range(m)])
+        assert got.data.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert random_matrix(alg, m, n, 5, scale).data.tobytes() == want.tobytes()  # a seed
 
 
 def test_solve_rc_rejects_a_right_hand_side_from_another_algebra(HH, CC, rng):

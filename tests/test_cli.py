@@ -71,7 +71,7 @@ class TestRunScenario:
         "name",
         ["quasidet-2x2", "solve-quaternion-system", "rank-demo", "integrability-x2",
          "exact-723", "exact-724", "exact-725", "separable-712", "exp-properties",
-         "quasiexp-demo", "euler-quaternion", "elliptic-family"],
+         "quasiexp-demo", "euler-quaternion", "elliptic-family", "ode-forms-cross-check"],
     )
     def test_scenario_verdicts(self, name):
         report, payload = run_scenario(name, Options())

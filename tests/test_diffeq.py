@@ -251,6 +251,18 @@ class TestLinearOdeStructure:
             with pytest.raises(AlgebraError):
                 LinearOde(ode.a, form, tuple(xs))
 
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("form", list(OdeForm))
+    def test_non_finite_coefficient_or_initial_value_raises(self, HH, rng, form, v):
+        a = random_matrix(HH, 2, 2, rng)
+        bad = a.data.copy()
+        bad[0, 1, 2] = v
+        init = (one(HH), zero(HH))
+        with pytest.raises(AlgebraError):
+            LinearOde(BiMatrix(HH, bad), form, init)
+        with pytest.raises(AlgebraError):
+            LinearOde(a, form, (one(HH), Element(HH, [0.0, v, 0.0, 0.0])))
+
 
 class TestClosedForm:
     def test_hyperbolic_values(self, RR):

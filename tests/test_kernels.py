@@ -51,3 +51,27 @@ def test_contractions_of_a_stack_match_each_member(tag):
                 c = rng.normal(size=(STACK, n, m, d))
                 cr = _kernels.cr_contract
                 _members_equal(lambda x, y: cr(table, x, y), lambda x, y: cr(table, x, y), a, c)
+
+
+def _rk4_steps(m, x0, t, steps):
+    """Classical RK4 on x' = m x, one k1..k4 step at a time."""
+    h, x = t / steps, x0.copy()
+    for _ in range(steps):
+        k1 = m @ x
+        k2 = m @ (x + h / 2 * k1)
+        k3 = m @ (x + h / 2 * k2)
+        k4 = m @ (x + h * k3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("steps", [1, 7, 100, 1000])
+def test_rk4_linear_is_the_stepwise_rk4(steps):
+    rng = np.random.default_rng(6)
+    for n in (1, 4, 8):
+        m = rng.normal(size=(n, n))
+        x0 = rng.normal(size=n)
+        for t in (-0.7, 0.5, 2.0):
+            want = _rk4_steps(m, x0, t, steps)
+            got = _kernels.rk4_linear(m, x0, t, steps)
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), (n, t)

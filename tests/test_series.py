@@ -1,6 +1,6 @@
 import cmath
 import math
-from itertools import count
+from itertools import count, permutations
 
 import numpy as np
 import pytest
@@ -113,6 +113,18 @@ class TestQuasiexp:
     def test_empty_directions_rejected(self, HH):
         with pytest.raises(ValueError):
             quasiexp([], one(HH))
+
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_subset_lattice_is_the_sum_over_orders(self, tag, n, rng):
+        alg = make_algebra(tag)
+        for scale in (0.5, 1.0, 3.0):
+            for _ in range(3):
+                x = random_element(alg, rng, scale)
+                cs = [random_element(alg, rng) for _ in range(n)]
+                ref = permutation_quasiexp(cs, x)
+                err = float(np.linalg.norm(quasiexp(cs, x).coeffs - ref))
+                assert err <= 1e-12 * max(1.0, float(np.linalg.norm(ref))), (scale, err)
 
 
 class TestQuasiexpAt:
@@ -309,6 +321,24 @@ def placement_quasiexp(cs, x, extra_degrees):
     return Element(alg, total)
 
 
+def permutation_quasiexp(cs, x):
+    """The quasiexponent as a sum over the n! orders of cs (Van Loan, IEEE TAC 23(3), 1978).
+
+    The placements of the directions in one order c_s1..c_sn among the gaps
+    of x^N are the (0, n) block of B^N, for B block-bidiagonal with L(x) on
+    the diagonal and L(c_s1)..L(c_sn) above it; so each order adds the
+    (0, n) block of exp(B).
+    """
+    n, d = len(cs), x.algebra.dim
+    big = np.kron(np.eye(n + 1), left_matrix(x))
+    total = np.zeros(d)
+    for order in permutations([left_matrix(c) for c in cs]):
+        for k, lc in enumerate(order):
+            big[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = lc
+        total += _expm(big)[:d, n * d]
+    return total
+
+
 def scaled_element(alg, rng, norm):
     x = random_element(alg, rng)
     return x * (norm / x.norm())
@@ -423,6 +453,13 @@ class TestNonFinite:
             exp_el(from_scalar(HH, v))
         with pytest.raises(SeriesBudgetError):
             sin_el(Element(HH, [0.0, v, 0.0, 0.0]))  # sin(v i) = i sinh(v)
+        with pytest.raises(SeriesBudgetError):
+            cosh_el(from_scalar(HH, v))
+        with pytest.raises(SeriesBudgetError):
+            quasiexp([one(HH), basis(HH, 1)], Element(HH, [v, 0.0, 0.5, 0.0]))
+        if not v < 2.0 ** 52:  # linear in each direction: only a non-finite or huge one is refused
+            with pytest.raises(SeriesBudgetError):
+                quasiexp([one(HH), Element(HH, [0.0, 0.0, 0.0, v])], one(HH))
         data = np.zeros((2, 2, 4))
         data[0, 0, 0] = data[1, 1, 0] = v
         with pytest.raises(SeriesBudgetError):
