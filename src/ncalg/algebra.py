@@ -66,7 +66,9 @@ class AlgebraDesc:
         return hash((self.tag, self.dim))
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraDesc) and self.tag == other.tag and self.dim == other.dim
+        # make_algebra is cached, so identity settles nearly every comparison
+        return self is other or (isinstance(other, AlgebraDesc) and self.tag == other.tag
+                                 and self.dim == other.dim and np.array_equal(self.table, other.table))
 
 
 def _validate_structure(alg: AlgebraDesc) -> None:
@@ -188,7 +190,10 @@ class Element:
     def __truediv__(self, other) -> "Element":
         if isinstance(other, Element):
             return self * inv(other)
-        return _trusted(self.algebra, self.coeffs / float(other))
+        s = float(other)
+        if s == 0.0:
+            raise NotInvertibleError("division by the scalar zero")
+        return _trusted(self.algebra, self.coeffs / s)
 
     def __eq__(self, other):
         if not isinstance(other, Element) or other.algebra != self.algebra:

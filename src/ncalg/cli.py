@@ -421,6 +421,14 @@ def _probe_count(text: str) -> int:
     return count
 
 
+def _seed(text: str) -> int:
+    # numpy seeds are non-negative; a negative one would end in a traceback
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ncalg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -429,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario")
     run.add_argument("scenario")
     defaults = Options()
-    run.add_argument("--seed", type=int, default=defaults.seed)
+    run.add_argument("--seed", type=_seed, default=defaults.seed)
     run.add_argument("--probes", type=_probe_count, default=defaults.probes)
     run.add_argument("--algebra", default=defaults.algebra,
                      choices=["real", "complex", "quaternion"])

@@ -393,7 +393,12 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
 
 
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
-    """Step count making the O(h^4) global error a tenth of the tolerance."""
+    """Step count making the O(h^4) global error a tenth of the tolerance.
+
+    tol must be positive and finite, else ValueError.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return max(1, math.ceil(abs(t_end) / (0.1 * tol) ** 0.25))
 
 

@@ -5,10 +5,18 @@ a_0 x a_1 x ... x a_n; sums of such terms are the homogeneous polynomials.
 Every tensor is one labelled-term type, :class:`SlotTensor`: each gap
 between coefficients holds the variable x or one of k arguments, so a sum of
 terms is a multilinear-map-valued polynomial. ``Tensor`` is its
-argument-free case, with every gap labelled x. The order-k derivative is k
-applications of :func:`slot_derivative`, each moving one x gap to a new
-argument; the labellings this yields are exactly the SO(k, n) sets of
-:func:`so_set` (k argument labels placed, the x gaps kept in order).
+argument-free case, with every gap labelled x.
+
+Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
+an array with a value axis, one axis per x gap and one per argument, built
+once per tensor. Evaluation contracts it with x and the arguments, and
+:func:`slot_tensors_equal` compares its parts symmetric in the x axes,
+which fix the polynomial, so equality needs no probe points.
+
+The order-k derivative is k applications of :func:`slot_derivative`, each
+moving one x gap to a new argument; the labellings this yields are exactly
+the SO(k, n) sets of :func:`so_set` (k argument labels placed, the x gaps
+kept in order).
 
 :class:`TensorPolynomial` is the one polynomial type: a sum of SlotTensor
 components with a common number of argument slots, equal degrees merged.
@@ -19,21 +27,13 @@ slot more. Calling it evaluates it.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraDesc,
-    AlgebraError,
-    Element,
-    basis,
-    element_from_data,
-    element_to_data,
-    one,
-    random_element,
-)
+from .algebra import (AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one,
+                      right_matrix)
 
 X = -1  # gap label: the polynomial variable
 
@@ -44,10 +44,10 @@ class SlotTensor:
     Each term is (coeffs, labels) with len(coeffs) = x_gaps + arg_slots + 1
     and labels marking every gap as X or as one of the arg indices 0..k-1
     (each appearing exactly once per term). Evaluation substitutes the args
-    and x into their gaps.
+    and x into their gaps. ``_real`` holds :func:`real_tensor` once built.
     """
 
-    __slots__ = ("algebra", "x_gaps", "arg_slots", "terms")
+    __slots__ = ("algebra", "x_gaps", "arg_slots", "terms", "_real")
 
     def __init__(self, algebra: AlgebraDesc, x_gaps: int, arg_slots: int,
                  terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = ()):
@@ -70,6 +70,7 @@ class SlotTensor:
         object.__setattr__(self, "x_gaps", x_gaps)
         object.__setattr__(self, "arg_slots", arg_slots)
         object.__setattr__(self, "terms", tuple(norm_terms))
+        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlotTensor is immutable")
@@ -123,18 +124,41 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
     return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms)
 
 
+def real_tensor(s: SlotTensor) -> np.ndarray:
+    """s as one real multilinear map: a read-only array of shape (dim,) * (order + 1).
+
+    Axis 0 is the value, then come the x gaps left to right, then the
+    arguments in slot order. Each gap of a term is one contraction with
+    table @ right_matrix(c).T, whose [p, q, k] entry is the e_k coefficient
+    of e_p e_q c for the coefficient c after the gap, and the terms sum.
+    Built on first use and kept, since a SlotTensor is immutable.
+    """
+    if s._real is None:
+        alg, n = s.algebra, s.order
+        total = np.zeros((alg.dim,) * (n + 1))
+        for coeffs, labels in s.terms:
+            chain = coeffs[0].coeffs  # axes: the gaps so far, then the value
+            for c in coeffs[1:]:
+                chain = np.tensordot(chain, alg.table @ right_matrix(c).T, 1)
+            # X = -1 sorts before every argument and the sort is stable, so x gaps keep their order
+            total += chain.transpose([n] + sorted(range(n), key=labels.__getitem__))
+        total.flags.writeable = False
+        object.__setattr__(s, "_real", total)
+    return s._real
+
+
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
-    """Substitute args into their slots and x into the x gaps."""
+    """Substitute args into their slots and x into the x gaps: real_tensor(s) contracted."""
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
-    total = np.zeros(s.algebra.dim)
-    for coeffs, labels in s.terms:
-        acc = coeffs[0]
-        for c, lab in zip(coeffs[1:], labels):
-            v = x if lab == X else args[lab]
-            acc = acc * v * c
-        total = total + acc.coeffs
-    return Element._trusted(s.algebra, total)
+    if any(v.algebra != s.algebra for v in (x, *args)):
+        raise AlgebraError("argument or x from another algebra than the tensor")
+    acc = real_tensor(s)
+    for v in reversed(args):
+        acc = acc @ v.coeffs
+    for _ in range(s.x_gaps):
+        acc = acc @ x.coeffs
+    return Element._trusted(s.algebra, acc)
 
 
 def eval_power(t: Tensor, x: Element) -> Element:
@@ -254,32 +278,24 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# extensional equality on a probe set
-
-PROBE_RANDOM = 20
+# equality
 
 
-def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9, seed: int = 1234) -> bool:
-    """Extensional equality: agreement of evaluations on a probe set.
+def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
+    """Equality as maps: the real tensors agree once averaged over their x axes.
 
-    Probes pair basis argument tuples (when there are few) and seeded random
-    arguments with basis and random x; canonical forms over A (x) A are out
-    of scope, so evaluation decides.
+    A polynomial in x is fixed by the part of its tensor symmetric in the x
+    axes (polarization), so this is exact, not sampled. Given the average
+    over axes 1..j-1, the average over 1..j is the mean of its transposes
+    (i j), i <= j: m(m+1)/2 transposes for m x gaps, never the m! orders.
+    The difference must be within tol in the Frobenius norm.
     """
     if (a.x_gaps, a.arg_slots, a.algebra) != (b.x_gaps, b.arg_slots, b.algebra):
         return False
-    alg = a.algebra
-    k = a.arg_slots
-    cases = []
-    if k <= 3 and alg.dim ** k <= 64:
-        xs = [basis(alg, i) for i in range(alg.dim)]
-        for x in xs:
-            for tup in product(xs, repeat=k):
-                cases.append((list(tup), x))
-    rng = np.random.default_rng(seed)
-    for _ in range(PROBE_RANDOM):
-        cases.append(([random_element(alg, rng) for _ in range(k)], random_element(alg, rng)))
-    return all(eval_args(a, args, x).close(eval_args(b, args, x), tol) for args, x in cases)
+    sym = real_tensor(a) - real_tensor(b)
+    for j in range(2, a.x_gaps + 1):
+        sym = sum(sym.swapaxes(i, j) for i in range(1, j + 1)) / j
+    return float(np.linalg.norm(sym)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ class TestMakeAlgebra:
         with pytest.raises(AlgebraError):
             AlgebraDesc("split-complex", 2, ("1", "j"), t)
 
+    def test_equality_compares_the_table(self, HH):
+        # j and k swapped is a valid quaternion table of the other orientation
+        swapped = HH.table[:, :, [0, 1, 3, 2]][:, [0, 1, 3, 2]][[0, 1, 3, 2]]
+        other = AlgebraDesc("quaternion", 4, HH.basis_names, swapped)
+        assert other != HH and not other == HH
+        assert AlgebraDesc("quaternion", 4, HH.basis_names, HH.table.copy()) == HH
+        with pytest.raises(AlgebraError):
+            basis(other, 1) * basis(HH, 2)
+
 
 class TestMul:
     def test_square_formula(self, HH, rng):
@@ -117,6 +126,14 @@ class TestInv:
     def test_zero_not_invertible(self, HH):
         with pytest.raises(NotInvertibleError):
             inv(zero(HH))
+
+    @pytest.mark.parametrize("zero_scalar", [0.0, -0.0, 0])
+    def test_division_by_zero_scalar(self, HH, zero_scalar):
+        with pytest.raises(NotInvertibleError):
+            Element(HH, [1, 2, 3, 4]) / zero_scalar
+
+    def test_division_by_scalar(self, HH):
+        assert (Element(HH, [1, 2, 3, 4]) / 2).close(Element(HH, [0.5, 1, 1.5, 2]), 0.0)
 
 
 class TestCentralizer:

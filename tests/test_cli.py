@@ -68,13 +68,16 @@ class TestRunScenario:
             run_scenario("nonexistent", Options())
 
     @pytest.mark.parametrize(
-        "name",
-        ["quasidet-2x2", "solve-quaternion-system", "rank-demo", "integrability-x2",
-         "exact-723", "exact-724", "exact-725", "separable-712", "exp-properties",
-         "quasiexp-demo", "euler-quaternion", "elliptic-family", "ode-forms-cross-check"],
+        "name, algebra",
+        [pytest.param(name, Options.algebra, id=name) for name in
+         ["quasidet-2x2", "solve-quaternion-system", "rank-demo", "integrability-x2",
+          "exact-723", "exact-724", "exact-725", "separable-712", "exp-properties",
+          "quasiexp-demo", "euler-quaternion", "elliptic-family", "ode-forms-cross-check"]]
+        + [pytest.param("integrability-x2", alg, id=f"integrability-x2-{alg}")
+           for alg in ("real", "complex")],
     )
-    def test_scenario_verdicts(self, name):
-        report, payload = run_scenario(name, Options())
+    def test_scenario_verdicts(self, name, algebra):
+        report, payload = run_scenario(name, Options(algebra=algebra))
         assert report.verdict, payload["metrics"]
 
     def test_elliptic_nonunique_reports_coincident_curves(self):
@@ -122,15 +125,19 @@ class TestMain:
         capsys.readouterr()
         assert code == 0
 
-    @pytest.mark.parametrize("scenario, probes", [("integrability-x2", "0"),
-                                                  ("separable-712", "-3"),
-                                                  ("integrability-3xx", "0")])
-    def test_probe_count_below_one_is_a_usage_error(self, capsys, scenario, probes):
-        # with no probe a checker would print a vacuous PASS
+    @pytest.mark.parametrize("scenario, option, value", [
+        pytest.param("integrability-x2", "--probes", "0", id="integrability-x2-0"),
+        pytest.param("separable-712", "--probes", "-3", id="separable-712--3"),
+        pytest.param("integrability-3xx", "--probes", "0", id="integrability-3xx-0"),
+        pytest.param("quasidet-2x2", "--seed", "-1", id="quasidet-2x2-seed--1"),
+    ])
+    def test_probe_count_below_one_is_a_usage_error(self, capsys, scenario, option, value):
+        # with no probe a checker would print a vacuous PASS; a negative seed
+        # is refused here too, before numpy's seeding would raise mid-run
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", scenario, "--probes", probes, "--algebra", "quaternion"])
+            main(["run", scenario, option, value, "--algebra", "quaternion"])
         assert exit_info.value.code == 2
-        assert "--probes" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
 
 
 class TestExactnessWitness:

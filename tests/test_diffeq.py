@@ -410,6 +410,11 @@ class TestRk4:
         steps = rk4_steps_for(1.0, 1e-6)
         assert (1.0 / steps) ** 4 <= 0.1 * 1e-6
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+    def test_steps_rule_needs_a_positive_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            rk4_steps_for(1.0, tol)
+
 
 class TestResiduals:
     def test_closed_form_residual_small(self, HH, rng):

@@ -1,9 +1,10 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
-from ncalg.algebra import from_scalar, one, random_element, zero
+from ncalg.algebra import AlgebraError, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.tensor import (
     SlotTensor,
     Tensor,
@@ -16,6 +17,7 @@ from ncalg.tensor import (
     poly_derivative,
     poly_product,
     pure,
+    real_tensor,
     slot_derivative,
     slot_tensors_equal,
     so_set,
@@ -324,3 +326,88 @@ def test_tensor_is_argument_free_slot_tensor(HH, rng):
     assert [labels for _, labels in t.terms] == [(X, X, X)]
     with pytest.raises(ValueError):
         tensor_to_data(monomial_derivative(t, 1))  # labels have no data form
+
+
+def element_chain_eval(s, args, x):
+    """Reference evaluation: each term as a chain of Element products, summed."""
+    total = zero(s.algebra)
+    for coeffs, labels in s.terms:
+        acc = coeffs[0]
+        for c, lab in zip(coeffs[1:], labels):
+            acc = acc * (x if lab == X else args[lab]) * c
+        total = total + acc
+    return total
+
+
+def random_slot_tensor(alg, rng, x_gaps, arg_slots, terms=3):
+    """Random coefficients on random labellings, X and argument gaps mixed."""
+    n = x_gaps + arg_slots
+    out = []
+    for _ in range(terms):
+        labels = [X] * x_gaps + list(range(arg_slots))
+        rng.shuffle(labels)
+        out.append(([random_element(alg, rng) for _ in range(n + 1)], labels))
+    return SlotTensor(alg, x_gaps, arg_slots, out)
+
+
+def conj_tensor(alg):
+    """conj(x) = -1/2 (x + i x i + j x j + k x k) as an order-1 tensor over H."""
+    return SlotTensor(alg, 1, 0, [((-0.5 * basis(alg, m), basis(alg, m)), (X,)) for m in range(4)])
+
+
+class TestRealTensor:
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_eval_matches_element_chain(self, rng, tag):
+        alg = make_algebra(tag)
+        for order in range(6):
+            for k in range(order + 1):
+                s = random_slot_tensor(alg, rng, order - k, k)
+                args = [random_element(alg, rng) for _ in range(k)]
+                x = random_element(alg, rng)
+                # |a b| = |a| |b| here, so this bounds every term's size
+                size = sum(math.prod(c.norm() for c in coeffs) for coeffs, _ in s.terms)
+                size *= max(1.0, x.norm()) ** (order - k) * math.prod(a.norm() for a in args)
+                gap = (eval_args(s, args, x) - element_chain_eval(s, args, x)).norm()
+                assert gap <= 1e-12 * size
+
+    def test_axis_order_and_read_only(self, HH, rng):
+        # value c0 h1 c1 x c2 h0 c3: axes value, x, h0, h1
+        coeffs = [random_element(HH, rng) for _ in range(4)]
+        s = SlotTensor(HH, 1, 2, [(coeffs, (1, X, 0))])
+        r = real_tensor(s)
+        assert r.shape == (4, 4, 4, 4)
+        for i, a, b in product(range(4), repeat=3):
+            e = basis(HH, i), basis(HH, a), basis(HH, b)
+            direct = coeffs[0] * e[2] * coeffs[1] * e[0] * coeffs[2] * e[1] * coeffs[3]
+            assert np.allclose(r[:, i, a, b], direct.coeffs, rtol=0, atol=1e-14)
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0, 0, 0] = 1.0
+        assert real_tensor(s) is r  # built once
+
+    def test_empty_tensor_is_zero(self, HH):
+        r = real_tensor(SlotTensor(HH, 2, 1))
+        assert r.shape == (4,) * 4 and not r.any()
+
+    def test_norm_square_commutes_over_h(self, HH):
+        # x conj(x) = conj(x) x = |x|^2: unequal arrays, equal symmetric parts
+        xt, c = ones_tensor(HH, 1), conj_tensor(HH)
+        left, right = star_product(xt, c), star_product(c, xt)
+        assert np.abs(real_tensor(left) - real_tensor(right)).max() == 2.0
+        assert slot_tensors_equal(left, right)
+        assert not slot_tensors_equal(left, ones_tensor(HH, 2))
+        # x conj(x) x = x x conj(x): three x axes
+        assert slot_tensors_equal(star_product(left, xt), star_product(xt, right))
+
+    def test_mixed_conjugate_does_not_commute(self, HH):
+        # x conj(h) and conj(h) x are different bilinear maps
+        xt, ch = ones_tensor(HH, 1), slot_derivative(conj_tensor(HH))
+        assert not slot_tensors_equal(star_product(xt, ch), star_product(ch, xt))
+
+    def test_other_algebra_raises(self, HH, CC, rng):
+        d = monomial_derivative(ones_tensor(HH, 2), 1)
+        h, x = random_element(HH, rng), random_element(HH, rng)
+        with pytest.raises(AlgebraError):
+            eval_args(d, [random_element(CC, rng)], x)
+        with pytest.raises(AlgebraError):
+            eval_args(d, [h], random_element(CC, rng))
