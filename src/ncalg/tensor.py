@@ -9,9 +9,11 @@ argument-free case, with every gap labelled x.
 
 Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
 an array with a value axis, one axis per x gap and one per argument, built
-once per tensor. Evaluation contracts it with x and the arguments, and
-:func:`slot_tensors_equal` compares its parts symmetric in the x axes,
-which fix the polynomial, so equality needs no probe points.
+once per tensor. :func:`slot_tensors_equal` compares its parts symmetric in
+the x axes, which fix the polynomial, so equality needs no probe points.
+Evaluation contracts that array when it is small; at high orders, where it
+grows as dim^(order + 1), it multiplies the coefficient vectors of all
+terms through the structure table instead, one gap at a time.
 
 The order-k derivative is k applications of :func:`slot_derivative`, each
 moving one x gap to a new argument; the labellings this yields are exactly
@@ -32,8 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one,
-                      right_matrix)
+from .algebra import AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one
 
 X = -1  # gap label: the polynomial variable
 
@@ -56,8 +57,7 @@ class SlotTensor:
         n = x_gaps + arg_slots
         norm_terms = []
         for coeffs, labels in terms:
-            coeffs = tuple(coeffs)
-            labels = tuple(labels)
+            coeffs, labels = tuple(coeffs), tuple(labels)
             if len(coeffs) != n + 1 or len(labels) != n:
                 raise ValueError("term shape does not match x_gaps + arg_slots")
             args_seen = sorted(l for l in labels if l != X)
@@ -118,8 +118,7 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.algebra != b.algebra:
         raise AlgebraError("algebra mismatch in star product")
-    shift = a.arg_slots
-    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + tuple(l if l == X else l + shift for l in lb))
+    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + tuple(l if l == X else l + a.arg_slots for l in lb))
              for ca, la in a.terms for cb, lb in b.terms]
     return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms)
 
@@ -128,37 +127,61 @@ def real_tensor(s: SlotTensor) -> np.ndarray:
     """s as one real multilinear map: a read-only array of shape (dim,) * (order + 1).
 
     Axis 0 is the value, then come the x gaps left to right, then the
-    arguments in slot order. Each gap of a term is one contraction with
-    table @ right_matrix(c).T, whose [p, q, k] entry is the e_k coefficient
-    of e_p e_q c for the coefficient c after the gap, and the terms sum.
-    Built on first use and kept, since a SlotTensor is immutable.
+    arguments in slot order. Each gap of a term is one contraction with the
+    dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
+    e_p e_q c, for the coefficient c after the gap, and the terms sum.
+    Built on first use and kept, since a SlotTensor is immutable. That takes
+    O(terms * dim^(order + 2)) time and dim^(order + 1) floats: over H, order
+    12 holds 537 MB.
     """
     if s._real is None:
-        alg, n = s.algebra, s.order
-        total = np.zeros((alg.dim,) * (n + 1))
+        n, d = s.order, s.algebra.dim
+        # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
+        triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
+        total = np.zeros((d,) * (n + 1))
         for coeffs, labels in s.terms:
-            chain = coeffs[0].coeffs  # axes: the gaps so far, then the value
+            chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
             for c in coeffs[1:]:
-                chain = np.tensordot(chain, alg.table @ right_matrix(c).T, 1)
+                chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
             # X = -1 sorts before every argument and the sort is stable, so x gaps keep their order
-            total += chain.transpose([n] + sorted(range(n), key=labels.__getitem__))
+            total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
         total.flags.writeable = False
         object.__setattr__(s, "_real", total)
     return s._real
 
 
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
-    """Substitute args into their slots and x into the x gaps: real_tensor(s) contracted."""
+    """Substitute args into their slots and x into the x gaps.
+
+    Two ways give one value. Contracting :func:`real_tensor` with the
+    arguments and x costs dim^(order + 1) per call once the array is built.
+    Advancing all terms together, one gap at a time (the running products,
+    one row per term, times the value in the gap and then the next
+    coefficient), costs O(terms * order * dim^3) per call and stores nothing.
+    The array is used while it has no more than terms * order * dim^3
+    entries: the low orders, evaluated many times, of the integrability
+    checks. The chain takes the high orders, where the array would not fit
+    (537 MB at order 12 over H).
+    """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
     if any(v.algebra != s.algebra for v in (x, *args)):
         raise AlgebraError("argument or x from another algebra than the tensor")
-    acc = real_tensor(s)
-    for v in reversed(args):
-        acc = acc @ v.coeffs
-    for _ in range(s.x_gaps):
-        acc = acc @ x.coeffs
-    return Element._trusted(s.algebra, acc)
+    n, d = s.order, s.algebra.dim
+    if d ** (n + 1) <= len(s.terms) * n * d ** 3:
+        acc = real_tensor(s)
+        for v in (*reversed(args), *[x] * s.x_gaps):
+            acc = acc @ v.coeffs
+        return Element._trusted(s.algebra, acc)
+    coeffs = np.array([[c.coeffs for c in cs] for cs, _ in s.terms]).reshape(len(s.terms), n + 1, d)
+    gaps = np.array([x.coeffs, *(v.coeffs for v in args)])  # row 0 for X, row l + 1 for argument l
+    labels = np.array([ls for _, ls in s.terms], dtype=int).reshape(len(s.terms), n) + 1
+    acc = coeffs[:, 0]
+    for g in range(n):
+        for right in (gaps[labels[:, g]], coeffs[:, g + 1]):
+            # row by row, (a b)_k = sum_q b_q sum_p a_p table[p, q, k], as in Element.__mul__
+            acc = np.einsum("tq,tqk->tk", right, (acc @ s.algebra.table.reshape(d, -1)).reshape(-1, d, d))
+    return Element._trusted(s.algebra, acc.sum(axis=0))
 
 
 def eval_power(t: Tensor, x: Element) -> Element:
@@ -261,10 +284,8 @@ class TensorPolynomial:
         raise AttributeError("TensorPolynomial is immutable")
 
     def __call__(self, x: Element, *args: Element) -> Element:
-        total = np.zeros(self.algebra.dim)
-        for c in self.components:
-            total = total + eval_args(c, args, x).coeffs
-        return Element._trusted(self.algebra, total)
+        values = [eval_args(c, args, x).coeffs for c in self.components]
+        return Element._trusted(self.algebra, np.sum(values, axis=0))
 
 
 def poly_derivative(p: TensorPolynomial, k: int = 1) -> TensorPolynomial:
@@ -310,7 +331,6 @@ def tensor_to_data(t: Tensor) -> dict:
 
 def tensor_from_data(data: dict) -> Tensor:
     terms = [[element_from_data(c) for c in term] for term in data["terms"]]
-    if terms:
-        order = data["order"]
-        return SlotTensor(terms[0][0].algebra, order, 0, [(c, (X,) * order) for c in terms])
-    raise ValueError("tensor data needs at least one term to fix the algebra")
+    if not terms:
+        raise ValueError("tensor data needs at least one term to fix the algebra")
+    return SlotTensor(terms[0][0].algebra, data["order"], 0, [(c, (X,) * data["order"]) for c in terms])

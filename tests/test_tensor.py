@@ -367,8 +367,26 @@ class TestRealTensor:
                 # |a b| = |a| |b| here, so this bounds every term's size
                 size = sum(math.prod(c.norm() for c in coeffs) for coeffs, _ in s.terms)
                 size *= max(1.0, x.norm()) ** (order - k) * math.prod(a.norm() for a in args)
-                gap = (eval_args(s, args, x) - element_chain_eval(s, args, x)).norm()
-                assert gap <= 1e-12 * size
+                reference = element_chain_eval(s, args, x)
+                assert (eval_args(s, args, x) - reference).norm() <= 1e-12 * size
+                contracted = real_tensor(s)
+                for v in [*reversed(args), *[x] * (order - k)]:
+                    contracted = contracted @ v.coeffs
+                assert np.linalg.norm(contracted - reference.coeffs) <= 1e-12 * size
+
+    def test_eval_stores_real_tensor_only_when_small(self, HH, rng):
+        x = random_element(HH, rng)
+        # x^2: 4^3 entries, no more than one chain pass (1 term * 2 gaps * 4^3)
+        small = ones_tensor(HH, 2)
+        assert (eval_power(small, x) - x * x).norm() <= 1e-12 * x.norm() ** 2
+        assert small._real is not None
+        # x^12: real_tensor would hold 4^13 floats (537 MB)
+        big = ones_tensor(HH, 12)
+        power = one(HH)
+        for _ in range(12):
+            power = power * x
+        assert (eval_power(big, x) - power).norm() <= 1e-12 * x.norm() ** 12
+        assert big._real is None
 
     def test_axis_order_and_read_only(self, HH, rng):
         # value c0 h1 c1 x c2 h0 c3: axes value, x, h0, h1
