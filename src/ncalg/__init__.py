@@ -1,12 +1,12 @@
 """Calculus and linear algebra over noncommutative division algebras.
 
 The package covers arithmetic in the reals, complexes and quaternions
-(algebra), symbolic tensor-monomial polynomials with order-k derivatives
-(tensor), matrices under both biring products with quasideterminants,
-inverses and rank (biring), series exponentials and quasiexponentials
-(series), and integrability/exactness checking plus homogeneous linear
-systems in four product forms (diffeq). The cli module exposes batch
-scenarios over the worked examples.
+(algebra), symbolic tensor-monomial polynomials in one or two variables
+with order-k derivatives (tensor), matrices under both biring products with
+quasideterminants, inverses and rank (biring), series exponentials and
+quasiexponentials (series), and integrability/exactness checking of
+polynomial forms plus homogeneous linear systems in four product forms
+(diffeq). The cli module exposes batch scenarios over the worked examples.
 """
 
 from .algebra import (
@@ -22,7 +22,7 @@ from .biring import (
     QuasideterminantUndefinedError,
     SingularMatrixError,
 )
-from .diffeq import BiForm, FormPoly, LinearOde, OdeForm, SolutionCurve
+from .diffeq import FormPoly, LinearOde, OdeForm, SolutionCurve
 from .report import Report
 from .series import SeriesBudgetError
 from .tensor import SlotTensor, Tensor, TensorPolynomial
@@ -30,7 +30,6 @@ from .tensor import SlotTensor, Tensor, TensorPolynomial
 __all__ = [
     "AlgebraDesc",
     "AlgebraError",
-    "BiForm",
     "BiMatrix",
     "Element",
     "FormPoly",

@@ -1,12 +1,15 @@
 """Differential-equation layer: integrability, exactness, and linear systems.
 
-Derivative verification here is numeric: central finite differences certify
-or refute stated solutions instead of re-deriving them symbolically. The
-linear systems come in four product forms (row-column / column-row product,
-coefficient matrix on either side), each one real system x' = M x on the
-stacked coefficients, with M built only by `LinearOde.real_matrix`. The
-right-hand side is M x and the closed form e^{tM} x(0); RK4 integrates M as
-an independent algorithm, and the tests check M x against Element products.
+Forms and potentials are :class:`TensorPolynomial`s in x (and y), so the
+form checkers differentiate them symbolically, build once the polynomial
+that must vanish, and evaluate it at seeded random probes. Curves and
+opaque callables have no symbolic derivative: central finite differences
+certify or refute them. The linear systems come in four product forms
+(row-column / column-row product, coefficient matrix on either side), each
+one real system x' = M x on the stacked coefficients, with M built only by
+`LinearOde.real_matrix`. The right-hand side is M x and the closed form
+e^{tM} x(0); RK4 integrates M as an independent algorithm, and the tests
+check M x against Element products.
 """
 
 from __future__ import annotations
@@ -35,13 +38,12 @@ from .algebra import (
 from .biring import BiMatrix, cr_pow, matrix_from_data, matrix_to_data, rc_pow
 from .report import Report
 from .series import _expm, exp_at
-from .tensor import SlotTensor, TensorPolynomial, X, poly_derivative
+from .tensor import SlotTensor, TensorPolynomial, Y, poly_derivative, tensor_scale
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
 DEFAULT_PROBES = 32
 WITNESS_FLOOR = 1e-3
-LINEARITY_CHECK_SEED = 7  # seeds BiForm's spot check, so a rejection is reproducible
 
 
 def _fd_step(scale: float) -> float:
@@ -58,7 +60,12 @@ def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | 
 
 
 def _probes(alg: AlgebraDesc, probes: int, seed: int, k: int) -> Iterator[tuple[Element, ...]]:
-    """`probes` k-tuples of random elements, drawn in order from one seeded generator."""
+    """`probes` k-tuples of random elements, drawn in order from one seeded generator.
+
+    A negative seed raises ValueError before the first draw.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(probes):
         yield tuple(random_element(alg, rng) for _ in range(k))
@@ -103,20 +110,36 @@ def _judge(gaps: Iterable[tuple[float, Callable[[], dict]]], tol: float, **metri
 
 
 # ---------------------------------------------------------------------------
-# one-variable differential forms
+# differential forms and exact equations
 
 
-# a form x -> (h -> g(x) o h) is the one-slot case of the one polynomial type
+# a form x -> (h -> g(x) o h), or (x, y) -> (dx -> M(x, y) o dx), is the one-slot
+# case of the one polynomial type
 FormPoly = TensorPolynomial
 
 
-def sandwich_form(algebra: AlgebraDesc, left_xpow: int, right_xpow: int, coeff: float = 1.0) -> SlotTensor:
-    """The form h -> coeff * x^left_xpow . h . x^right_xpow as one labelled term."""
-    n = left_xpow + 1 + right_xpow
-    coeffs = [one(algebra)] * (n + 1)
-    coeffs[0] = coeff * coeffs[0]
-    labels = (X,) * left_xpow + (0,) + (X,) * right_xpow
-    return SlotTensor(algebra, left_xpow + right_xpow, 1, [(coeffs, labels)])
+def _minus(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
+    """p - q, equal degrees merged."""
+    return TensorPolynomial([*p.components, *(tensor_scale(c, -1.0) for c in q.components)])
+
+
+def _swapped(p: TensorPolynomial) -> TensorPolynomial:
+    """p with its two argument slots exchanged."""
+    def swap(c: SlotTensor) -> SlotTensor:
+        terms = [(cs, tuple(l if l < 0 else 1 - l for l in ls)) for cs, ls in c.terms]
+        return SlotTensor(c.algebra, c.x_gaps, c.arg_slots, terms, c.y_gaps)
+
+    return TensorPolynomial([swap(c) for c in p.components])
+
+
+def _asymmetry(p: TensorPolynomial) -> TensorPolynomial:
+    """p minus p with its two argument slots exchanged: zero iff p is symmetric."""
+    return _minus(p, _swapped(p))
+
+
+def _check_forms(*forms: FormPoly) -> None:
+    if any(f.arg_slots != 1 for f in forms):
+        raise ValueError("a form needs exactly one argument slot")
 
 
 def integrability_check(g: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0,
@@ -124,16 +147,16 @@ def integrability_check(g: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0
     """Integrable iff the x-derivative of the form is a symmetric bilinear map.
 
     g must have exactly one argument slot, else ValueError. The derivative
-    is formed symbolically (one more labelled slot) and antisymmetry is
-    probed at seeded random (x, h1, h2) triples; a non-integrable verdict
-    carries a witness triple whose violation clears the separation floor.
+    is formed symbolically (one more labelled slot), its antisymmetric part
+    once, and that is probed at seeded random (x, h1, h2) triples; a
+    non-integrable verdict carries a witness triple whose violation clears
+    the separation floor.
     """
-    if g.arg_slots != 1:
-        raise ValueError("integrability needs a form with exactly one argument slot")
-    dg = poly_derivative(g, 1)
+    _check_forms(g)
+    skew = _asymmetry(poly_derivative(g))
 
     def gap(x: Element, h1: Element, h2: Element):
-        violation = (dg(x, h1, h2) - dg(x, h2, h1)).norm()
+        violation = skew(x, h1, h2).norm()
         return violation, _witness(x=x, h1=h1, h2=h2, violation=violation)
 
     rep = _judge((gap(*p) for p in _probes(g.algebra, probes, seed, 3)), tol, probes=probes)
@@ -155,65 +178,26 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     return _judge((gap(x, h) for x in points for h in dirs), tol)
 
 
-# ---------------------------------------------------------------------------
-# two-variable forms and exact equations
-
-
-class BiForm:
-    """One piece M(x, y) o dx of a two-variable equation, as an evaluator.
-
-    The callable must be linear in its differential argument; that is spot
-    checked at construction on seeded probes.
-    """
-
-    __slots__ = ("algebra", "fn")
-
-    def __init__(self, algebra: AlgebraDesc, fn: Callable[[Element, Element, Element], Element]):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "fn", fn)
-        rng = np.random.default_rng(LINEARITY_CHECK_SEED)
-        for _ in range(3):
-            x, y, d1, d2 = (random_element(algebra, rng) for _ in range(4))
-            a, b = rng.uniform(-2, 2, 2)
-            lhs = fn(x, y, float(a) * d1 + float(b) * d2)
-            rhs = float(a) * fn(x, y, d1) + float(b) * fn(x, y, d2)
-            if not lhs.close(rhs, 1e-8 * (1 + lhs.norm())):
-                raise ValueError("BiForm evaluator is not linear in its differential")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiForm is immutable")
-
-    def __call__(self, x: Element, y: Element, d: Element) -> Element:
-        return self.fn(x, y, d)
-
-
-def _sym_defect(form: BiForm, x: Element, y: Element, d1: Element, d2: Element, s: float,
-                wrt_x: bool) -> float:
-    """Symmetry defect of the form's own-variable derivative at one probe, step s."""
-    def moved(e: float, d: Element) -> tuple[Element, Element]:
-        return (x + e * d, y) if wrt_x else (x, y + e * d)
-
-    d_a = _central(lambda e: form(*moved(e, d2), d1), s)
-    d_b = _central(lambda e: form(*moved(e, d1), d2), s)
-    return (d_a - d_b).norm()
-
-
-def exactness_check(m: BiForm, n: BiForm, probes: int = DEFAULT_PROBES, seed: int = 0,
+def exactness_check(m: FormPoly, n: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0,
                     tol: float = 1e-5) -> Report:
     """Three conditions for M o dx + N o dy = 0 to admit a potential.
 
-    dM/dx and dN/dy must be symmetric, and the cross condition matches
-    dM/dy o (dx, dy) with dN/dx o (dy, dx) - the argument order matters, the
-    first slot is the form's own differential, the second the direction of
-    differentiation. A refutation's witness is the probe with the largest of
-    the three violations and names its condition.
+    M and N are one-slot polynomials in x and y. D_x M and D_y N must be
+    symmetric, and the cross condition matches D_y M o (dx, dy) with
+    D_x N o (dy, dx) - the argument order matters, the first slot is the
+    form's own differential, the second the direction of differentiation.
+    Each condition is one polynomial, built once and probed at seeded random
+    (x, y, dx1, dx2, dy). A refutation's witness is the probe with the
+    largest of the three violations and names its condition.
     """
+    _check_forms(m, n)
+    conditions = {"sym_x": _asymmetry(poly_derivative(m)),
+                  "sym_y": _asymmetry(poly_derivative(n, var=Y)),
+                  "cross": _minus(poly_derivative(m, var=Y), _swapped(poly_derivative(n)))}
+
     def violations(x: Element, y: Element, dx1: Element, dx2: Element, dy: Element):
-        s = _fd_step(max(x.norm(), y.norm()))
-        v = {"sym_x": _sym_defect(m, x, y, dx1, dx2, s, wrt_x=True),
-             "sym_y": _sym_defect(n, x, y, dx1, dy, s, wrt_x=False),
-             "cross": (_central(lambda e: m(x, y + e * dy, dx1), s)
-                       - _central(lambda e: n(x + e * dx1, y, dy), s)).norm()}
+        second = {"sym_x": dx2, "sym_y": dy, "cross": dy}
+        v = {k: p(x, dx1, second[k], y=y).norm() for k, p in conditions.items()}
         c = "sym_x"
         for k in ("sym_y", "cross"):
             if _worse(v[k], v[c]):
@@ -221,19 +205,23 @@ def exactness_check(m: BiForm, n: BiForm, probes: int = DEFAULT_PROBES, seed: in
         return v, c, _witness(condition=c, x=x, y=y, dx1=dx1, dx2=dx2, dy=dy, violation=v[c])
 
     probed = [violations(*p) for p in _probes(m.algebra, probes, seed, 5)]
-    worst = {k: _worst(v[k] for v, _, _ in probed) for k in ("sym_x", "sym_y", "cross")}
+    worst = {k: _worst(v[k] for v, _, _ in probed) for k in conditions}
     return _judge(((v[c], w) for v, c, w in probed), tol, **worst)
 
 
-def implicit_solution_check(u: Callable[[Element, Element], Element], m: BiForm, n: BiForm,
+def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly,
                             probes: int = DEFAULT_PROBES, seed: int = 0,
                             tol: float = FD_TOL) -> Report:
-    """Do the partials of u reproduce M and N? Checked by central differences."""
+    """Do the partials of the potential u reproduce M and N?
+
+    u has no argument slot. D_x u - M and D_y u - N are formed symbolically
+    once and probed at seeded random (x, y, dx, dy).
+    """
+    _check_forms(m, n)
+    gap_x, gap_y = _minus(poly_derivative(u), m), _minus(poly_derivative(u, var=Y), n)
+
     def gap(x: Element, y: Element, dx: Element, dy: Element):
-        s = _fd_step(max(x.norm(), y.norm()))
-        rx = (_central(lambda e: u(x + e * dx, y), s) - m(x, y, dx)).norm()
-        ry = (_central(lambda e: u(x, y + e * dy), s) - n(x, y, dy)).norm()
-        r = _worst((rx, ry))
+        r = _worst((gap_x(x, dx, y=y).norm(), gap_y(x, dy, y=y).norm()))
         return r, _witness(x=x, y=y, residual=r)
 
     return _judge((gap(*p) for p in _probes(m.algebra, probes, seed, 4)), tol)

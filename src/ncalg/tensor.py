@@ -3,28 +3,30 @@
 A pure tensor a_0 (x) a_1 (x) ... (x) a_n of order n acts on x by
 a_0 x a_1 x ... x a_n; sums of such terms are the homogeneous polynomials.
 Every tensor is one labelled-term type, :class:`SlotTensor`: each gap
-between coefficients holds the variable x or one of k arguments, so a sum of
-terms is a multilinear-map-valued polynomial. ``Tensor`` is its
-argument-free case, with every gap labelled x.
+between coefficients holds one of the variables x and y or one of k
+arguments, so a sum of terms is a multilinear-map-valued polynomial in x and
+y. ``Tensor`` is its argument-free case, with every gap labelled x.
 
 Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
-an array with a value axis, one axis per x gap and one per argument, built
-once per tensor. :func:`slot_tensors_equal` compares its parts symmetric in
-the x axes, which fix the polynomial, so equality needs no probe points.
+an array with a value axis and one axis per gap, built once per tensor.
+:func:`slot_tensors_equal` compares its parts symmetric in the x axes and,
+separately, in the y axes, which fix the polynomial, so equality needs no
+probe points.
 Evaluation contracts that array when it is small; at high orders, where it
 grows as dim^(order + 1), it multiplies the coefficient vectors of all
 terms through the structure table instead, one gap at a time.
 
-The order-k derivative is k applications of :func:`slot_derivative`, each
-moving one x gap to a new argument; the labellings this yields are exactly
-the SO(k, n) sets of :func:`so_set` (k argument labels placed, the x gaps
-kept in order).
+The order-k derivative in a variable is k applications of
+:func:`slot_derivative`, each moving one gap of that variable to a new
+argument; the labellings this yields are exactly the SO(k, n) sets of
+:func:`so_set` (k argument labels placed, the x gaps kept in order).
 
 :class:`TensorPolynomial` is the one polynomial type: a sum of SlotTensor
 components with a common number of argument slots, equal degrees merged.
-With no slots it is a polynomial in x; with one slot it is a first-order
-form x -> (h -> g(x) o h), and its derivative is the same type with one
-slot more. Calling it evaluates it.
+With no slots it is a polynomial in x (and y); with one slot it is a
+first-order form such as x -> (h -> g(x) o h) or the M(x, y) o dx of an
+exact equation, and its derivative is the same type with one slot more.
+Calling it evaluates it.
 """
 
 from __future__ import annotations
@@ -36,39 +38,43 @@ import numpy as np
 
 from .algebra import AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one
 
-X = -1  # gap label: the polynomial variable
+X = -1  # gap labels: the polynomial variables
+Y = -2
 
 
 class SlotTensor:
-    """Labelled tensor terms: gaps hold either the variable x or an argument.
+    """Labelled tensor terms: gaps hold the variable x, the variable y or an argument.
 
-    Each term is (coeffs, labels) with len(coeffs) = x_gaps + arg_slots + 1
-    and labels marking every gap as X or as one of the arg indices 0..k-1
-    (each appearing exactly once per term). Evaluation substitutes the args
-    and x into their gaps. ``_real`` holds :func:`real_tensor` once built.
+    Each term is (coeffs, labels) with len(coeffs) = x_gaps + y_gaps +
+    arg_slots + 1 and labels marking every gap as X, as Y or as one of the
+    arg indices 0..k-1 (each appearing exactly once per term). Evaluation
+    substitutes the args, x and y into their gaps. ``_real`` holds
+    :func:`real_tensor` once built.
     """
 
-    __slots__ = ("algebra", "x_gaps", "arg_slots", "terms", "_real")
+    __slots__ = ("algebra", "x_gaps", "arg_slots", "y_gaps", "terms", "_real")
 
     def __init__(self, algebra: AlgebraDesc, x_gaps: int, arg_slots: int,
-                 terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = ()):
-        if x_gaps < 0 or arg_slots < 0:
-            raise ValueError("x_gaps and arg_slots must be >= 0")
-        n = x_gaps + arg_slots
+                 terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = (), y_gaps: int = 0):
+        if min(x_gaps, y_gaps, arg_slots) < 0:
+            raise ValueError("x_gaps, y_gaps and arg_slots must be >= 0")
+        n = x_gaps + y_gaps + arg_slots
         norm_terms = []
         for coeffs, labels in terms:
             coeffs, labels = tuple(coeffs), tuple(labels)
             if len(coeffs) != n + 1 or len(labels) != n:
-                raise ValueError("term shape does not match x_gaps + arg_slots")
-            args_seen = sorted(l for l in labels if l != X)
-            if args_seen != list(range(arg_slots)):
-                raise ValueError(f"labels must use each arg index once, got {labels}")
+                raise ValueError("term shape does not match x_gaps + y_gaps + arg_slots")
+            # the y count and the argument set together leave exactly x_gaps labels X
+            args_seen = sorted(l for l in labels if l not in (X, Y))
+            if args_seen != list(range(arg_slots)) or labels.count(Y) != y_gaps:
+                raise ValueError(f"labels must use each arg index once and Y y_gaps times, got {labels}")
             if any(c.algebra != algebra for c in coeffs):
                 raise AlgebraError("mixed algebras in tensor term")
             norm_terms.append((coeffs, labels))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "x_gaps", x_gaps)
         object.__setattr__(self, "arg_slots", arg_slots)
+        object.__setattr__(self, "y_gaps", y_gaps)
         object.__setattr__(self, "terms", tuple(norm_terms))
         object.__setattr__(self, "_real", None)
 
@@ -77,16 +83,20 @@ class SlotTensor:
 
     @property
     def order(self) -> int:
-        """Number of gaps, x and argument alike: the polynomial degree."""
-        return self.x_gaps + self.arg_slots
+        """Number of gaps, variable and argument alike: the polynomial degree."""
+        return self.x_gaps + self.y_gaps + self.arg_slots
+
+    def _shape(self) -> tuple:
+        return self.x_gaps, self.y_gaps, self.arg_slots, self.algebra
 
     def __add__(self, other: "SlotTensor") -> "SlotTensor":
-        if (other.x_gaps, other.arg_slots, other.algebra) != (self.x_gaps, self.arg_slots, self.algebra):
+        if other._shape() != self._shape():
             raise ValueError("shape mismatch in SlotTensor sum")
-        return SlotTensor(self.algebra, self.x_gaps, self.arg_slots, self.terms + other.terms)
+        return SlotTensor(self.algebra, self.x_gaps, self.arg_slots, self.terms + other.terms, self.y_gaps)
 
     def __repr__(self):
-        return f"SlotTensor(x_gaps={self.x_gaps}, arg_slots={self.arg_slots}, terms={len(self.terms)})"
+        return (f"SlotTensor(x_gaps={self.x_gaps}, y_gaps={self.y_gaps}, arg_slots={self.arg_slots}, "
+                f"terms={len(self.terms)})")
 
 
 Tensor = SlotTensor
@@ -99,14 +109,27 @@ def pure(coeffs: Sequence[Element]) -> Tensor:
     return SlotTensor(coeffs[0].algebra, n, 0, [(coeffs, (X,) * n)])
 
 
+def monomial(algebra: AlgebraDesc, labels: Sequence[int], coeff: float = 1.0) -> SlotTensor:
+    """The word coeff * g_1 g_2 ... g_n with unit coefficients and gap labels g_i.
+
+    Each label is X, Y or an argument index; ``monomial(A, (X, 0, Y))`` is
+    h -> x h y and ``monomial(A, (0,), 3.0)`` is h -> 3 h.
+    """
+    labels = tuple(labels)
+    coeffs = [one(algebra)] * (len(labels) + 1)
+    coeffs[0] = coeff * coeffs[0]
+    args = sum(l >= 0 for l in labels)
+    return SlotTensor(algebra, len(labels) - args - labels.count(Y), args, [(coeffs, labels)], labels.count(Y))
+
+
 def ones_tensor(algebra: AlgebraDesc, order: int) -> Tensor:
     """1 (x) 1 (x) ... (x) 1: the monomial x^order."""
-    return pure([one(algebra)] * (order + 1))
+    return monomial(algebra, (X,) * order)
 
 
 def tensor_scale(a: Tensor, s: float) -> Tensor:
     terms = [((coeffs[0] * s,) + coeffs[1:], labels) for coeffs, labels in a.terms]
-    return SlotTensor(a.algebra, a.x_gaps, a.arg_slots, terms)
+    return SlotTensor(a.algebra, a.x_gaps, a.arg_slots, terms, a.y_gaps)
 
 
 def star_product(a: Tensor, b: Tensor) -> Tensor:
@@ -118,17 +141,18 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.algebra != b.algebra:
         raise AlgebraError("algebra mismatch in star product")
-    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + tuple(l if l == X else l + a.arg_slots for l in lb))
+    terms = [(ca[:-1] + (ca[-1] * cb[0],) + cb[1:], la + tuple(l if l < 0 else l + a.arg_slots for l in lb))
              for ca, la in a.terms for cb, lb in b.terms]
-    return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms)
+    return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms, a.y_gaps + b.y_gaps)
 
 
 def real_tensor(s: SlotTensor) -> np.ndarray:
     """s as one real multilinear map: a read-only array of shape (dim,) * (order + 1).
 
-    Axis 0 is the value, then come the x gaps left to right, then the
-    arguments in slot order. Each gap of a term is one contraction with the
-    dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
+    Axis 0 is the value; the other axes are the gaps sorted by label, each
+    variable's left to right: the y gaps (Y = -2), the x gaps (X = -1), then
+    the arguments in slot order. Each gap of a term is one contraction with
+    the dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
     e_p e_q c, for the coefficient c after the gap, and the terms sum.
     Built on first use and kept, since a SlotTensor is immutable. That takes
     O(terms * dim^(order + 2)) time and dim^(order + 1) floats: over H, order
@@ -143,39 +167,42 @@ def real_tensor(s: SlotTensor) -> np.ndarray:
             chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
             for c in coeffs[1:]:
                 chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
-            # X = -1 sorts before every argument and the sort is stable, so x gaps keep their order
+            # Y < X < every argument and the sort is stable, so each variable's gaps keep their order
             total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
         total.flags.writeable = False
         object.__setattr__(s, "_real", total)
     return s._real
 
 
-def eval_args(s: SlotTensor, args: Sequence[Element], x: Element) -> Element:
-    """Substitute args into their slots and x into the x gaps.
+def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | None = None) -> Element:
+    """Substitute args into their slots, x into the x gaps and y into the y gaps.
 
-    Two ways give one value. Contracting :func:`real_tensor` with the
-    arguments and x costs dim^(order + 1) per call once the array is built.
-    Advancing all terms together, one gap at a time (the running products,
-    one row per term, times the value in the gap and then the next
-    coefficient), costs O(terms * order * dim^3) per call and stores nothing.
-    The array is used while it has no more than terms * order * dim^3
-    entries: the low orders, evaluated many times, of the integrability
-    checks. The chain takes the high orders, where the array would not fit
-    (537 MB at order 12 over H).
+    y may be omitted when s has no y gaps. Two ways give one value.
+    Contracting :func:`real_tensor` with the arguments, x and y costs
+    dim^(order + 1) per call once the array is built. Advancing all terms
+    together, one gap at a time (the running products, one row per term,
+    times the value in the gap and then the next coefficient), costs
+    O(terms * order * dim^3) per call and stores nothing. The array is used
+    while it has no more than terms * order * dim^3 entries: the low orders,
+    evaluated many times, of the form checks. The chain takes the high
+    orders, where the array would not fit (537 MB at order 12 over H).
     """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
-    if any(v.algebra != s.algebra for v in (x, *args)):
-        raise AlgebraError("argument or x from another algebra than the tensor")
+    if y is None and s.y_gaps:
+        raise ValueError("a tensor with y gaps needs a y value")
+    y = x if y is None else y  # without y gaps, never substituted
+    if any(v.algebra != s.algebra for v in (x, y, *args)):
+        raise AlgebraError("argument, x or y from another algebra than the tensor")
     n, d = s.order, s.algebra.dim
     if d ** (n + 1) <= len(s.terms) * n * d ** 3:
         acc = real_tensor(s)
-        for v in (*reversed(args), *[x] * s.x_gaps):
+        for v in (*reversed(args), *[x] * s.x_gaps, *[y] * s.y_gaps):
             acc = acc @ v.coeffs
         return Element._trusted(s.algebra, acc)
     coeffs = np.array([[c.coeffs for c in cs] for cs, _ in s.terms]).reshape(len(s.terms), n + 1, d)
-    gaps = np.array([x.coeffs, *(v.coeffs for v in args)])  # row 0 for X, row l + 1 for argument l
-    labels = np.array([ls for _, ls in s.terms], dtype=int).reshape(len(s.terms), n) + 1
+    gaps = np.array([y.coeffs, x.coeffs, *(v.coeffs for v in args)])  # row label + 2
+    labels = np.array([ls for _, ls in s.terms], dtype=int).reshape(len(s.terms), n) + 2
     acc = coeffs[:, 0]
     for g in range(n):
         for right in (gaps[labels[:, g]], coeffs[:, g + 1]):
@@ -193,34 +220,35 @@ def eval_power(t: Tensor, x: Element) -> Element:
 # derivatives
 
 
-def slot_derivative(s: SlotTensor) -> SlotTensor:
-    """Differentiate a SlotTensor in its x dependence.
+def slot_derivative(s: SlotTensor, var: int = X) -> SlotTensor:
+    """Differentiate a SlotTensor in its dependence on the variable var (X or Y).
 
     The new direction becomes the highest arg index; each term contributes
-    one copy per x gap replaced (product rule over the multilinear gaps).
+    one copy per gap of var replaced (product rule over the multilinear gaps).
     """
     new_arg = s.arg_slots
     terms = []
     for coeffs, labels in s.terms:
         for pos, lab in enumerate(labels):
-            if lab == X:
+            if lab == var:
                 nl = list(labels)
                 nl[pos] = new_arg
                 terms.append((coeffs, tuple(nl)))
-    return SlotTensor(s.algebra, s.x_gaps - 1 if s.x_gaps else 0, s.arg_slots + 1, terms)
+    x_gaps, y_gaps = max(0, s.x_gaps - (var == X)), max(0, s.y_gaps - (var == Y))
+    return SlotTensor(s.algebra, x_gaps, s.arg_slots + 1, terms, y_gaps)
 
 
-def monomial_derivative(t: SlotTensor, k: int) -> SlotTensor:
-    """Order-k derivative: k applications of :func:`slot_derivative`.
+def monomial_derivative(t: SlotTensor, k: int, var: int = X) -> SlotTensor:
+    """Order-k derivative in var: k applications of :func:`slot_derivative`.
 
-    A term with n x gaps yields one term per placement in so_set(k, n),
+    A term with n gaps of var yields one term per placement in so_set(k, n),
     n!/(n-k)! in all; for k > n its contribution is zero, and a tensor with
     no terms left is the zero SlotTensor with k more argument slots.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     for _ in range(k):
-        t = slot_derivative(t)
+        t = slot_derivative(t, var)
     return t
 
 
@@ -253,12 +281,12 @@ def so_set(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 class TensorPolynomial:
     """Sum of homogeneous components sharing one algebra and one number of argument slots.
 
-    Components of equal x_gaps are summed into one and components without
-    terms are dropped, so ``components`` holds at most one SlotTensor per
-    degree, in ascending order. A polynomial whose components all vanish is
-    zero and keeps one empty SlotTensor, so its algebra stays defined.
-    ``p(x, *args)`` evaluates it: the polynomial in x, multilinear in its
-    ``arg_slots`` arguments.
+    Components of equal (x_gaps, y_gaps) are summed into one and components
+    without terms are dropped, so ``components`` holds at most one
+    SlotTensor per bidegree, in ascending order. A polynomial whose
+    components all vanish is zero and keeps one empty SlotTensor, so its
+    algebra stays defined. ``p(x, *args, y=y)`` evaluates it: the
+    polynomial in x and y, multilinear in its ``arg_slots`` arguments.
     """
 
     __slots__ = ("algebra", "arg_slots", "components")
@@ -268,13 +296,14 @@ class TensorPolynomial:
         if not comps:
             raise ValueError("need at least one component")
         algebra, arg_slots = comps[0].algebra, comps[0].arg_slots
-        by_gaps: dict[int, SlotTensor] = {}
+        by_gaps: dict[tuple[int, int], SlotTensor] = {}
         for c in comps:
             if c.algebra != algebra:
                 raise AlgebraError("mixed algebras in polynomial")
             if c.arg_slots != arg_slots:
                 raise ValueError("polynomial components must share one number of argument slots")
-            by_gaps[c.x_gaps] = by_gaps[c.x_gaps] + c if c.x_gaps in by_gaps else c
+            g = c.x_gaps, c.y_gaps
+            by_gaps[g] = by_gaps[g] + c if g in by_gaps else c
         kept = tuple(by_gaps[g] for g in sorted(by_gaps) if by_gaps[g].terms)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "arg_slots", arg_slots)
@@ -283,14 +312,14 @@ class TensorPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("TensorPolynomial is immutable")
 
-    def __call__(self, x: Element, *args: Element) -> Element:
-        values = [eval_args(c, args, x).coeffs for c in self.components]
+    def __call__(self, x: Element, *args: Element, y: Element | None = None) -> Element:
+        values = [eval_args(c, args, x, y).coeffs for c in self.components]
         return Element._trusted(self.algebra, np.sum(values, axis=0))
 
 
-def poly_derivative(p: TensorPolynomial, k: int = 1) -> TensorPolynomial:
-    """Componentwise order-k derivative: k more argument slots."""
-    return TensorPolynomial([monomial_derivative(c, k) for c in p.components])
+def poly_derivative(p: TensorPolynomial, k: int = 1, var: int = X) -> TensorPolynomial:
+    """Componentwise order-k derivative in var: k more argument slots."""
+    return TensorPolynomial([monomial_derivative(c, k, var) for c in p.components])
 
 
 def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
@@ -303,19 +332,22 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 
 
 def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
-    """Equality as maps: the real tensors agree once averaged over their x axes.
+    """Equality as maps: the real tensors agree once averaged over their y axes and their x axes.
 
-    A polynomial in x is fixed by the part of its tensor symmetric in the x
-    axes (polarization), so this is exact, not sampled. Given the average
-    over axes 1..j-1, the average over 1..j is the mean of its transposes
-    (i j), i <= j: m(m+1)/2 transposes for m x gaps, never the m! orders.
-    The difference must be within tol in the Frobenius norm.
+    A polynomial in x and y is fixed by the part of its tensor symmetric in
+    the x axes and in the y axes, each set on its own (polarization in each
+    variable), so this is exact, not sampled. Given the average over a
+    variable's first j - 1 axes, the average over its first j is the mean
+    of the transposes that swap axis j with each of them and itself:
+    m(m+1)/2 transposes for m gaps, never the m! orders. The difference
+    must be within tol in the Frobenius norm.
     """
-    if (a.x_gaps, a.arg_slots, a.algebra) != (b.x_gaps, b.arg_slots, b.algebra):
+    if a._shape() != b._shape():
         return False
     sym = real_tensor(a) - real_tensor(b)
-    for j in range(2, a.x_gaps + 1):
-        sym = sum(sym.swapaxes(i, j) for i in range(1, j + 1)) / j
+    for first, gaps in ((1, a.y_gaps), (1 + a.y_gaps, a.x_gaps)):
+        for j in range(first + 1, first + gaps):
+            sym = sum(sym.swapaxes(i, j) for i in range(first, j + 1)) / (j - first + 1)
     return float(np.linalg.norm(sym)) <= tol
 
 
@@ -324,8 +356,8 @@ def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
 
 
 def tensor_to_data(t: Tensor) -> dict:
-    if t.arg_slots:
-        raise ValueError("only argument-free tensors have a data form")
+    if t.arg_slots or t.y_gaps:
+        raise ValueError("only argument-free tensors in x have a data form")
     return {"order": t.order, "terms": [[element_to_data(c) for c in coeffs] for coeffs, _ in t.terms]}
 
 

@@ -30,7 +30,6 @@ from ncalg.biring import (
     transpose,
 )
 from ncalg.diffeq import (
-    BiForm,
     LinearOde,
     OdeForm,
     antiderivative_residual,
@@ -57,7 +56,7 @@ from ncalg.tensor import (
 )
 from conftest import complex_matrix
 
-from test_diffeq import three_x_form, x_square_form
+from test_diffeq import exact_723, exact_724, exact_725, separable_712, three_x_form, x_square_form
 
 
 def _line(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -204,22 +203,16 @@ def test_criterion_05_exact_equation_verdicts():
     HH = make_algebra("quaternion")
     tol = 1e-5
 
-    m3 = BiForm(HH, lambda x, y, dx: dx + dx * y)
-    n3 = BiForm(HH, lambda x, y, dy: x * dy + dy)
+    m3, n3, p3 = exact_723(HH)
     r3 = exactness_check(m3, n3, probes=32, seed=105, tol=tol)
-    u3 = implicit_solution_check(lambda x, y: x + x * y + y, m3, n3, probes=32, seed=105, tol=tol)
+    u3 = implicit_solution_check(p3, m3, n3, probes=32, seed=105, tol=tol)
 
-    m4 = BiForm(HH, lambda x, y, dx: 3.0 * (x * x * dx) + dx * y)
-    n4 = BiForm(HH, lambda x, y, dy: x * dy)
-    r4 = exactness_check(m4, n4, probes=32, seed=105, tol=tol)
+    r4 = exactness_check(*exact_724(HH), probes=32, seed=105, tol=tol)
 
-    m5 = BiForm(HH, lambda x, y, dx: dx * y)
-    n5 = BiForm(HH, lambda x, y, dy: dy * x)
-    r5 = exactness_check(m5, n5, probes=32, seed=105, tol=tol)
+    r5 = exactness_check(*exact_725(HH), probes=32, seed=105, tol=tol)
 
-    m1 = BiForm(HH, lambda x, y, dx: dx * x + x * dx)
-    n1 = BiForm(HH, lambda x, y, dy: dy * y + y * dy)
-    u1 = implicit_solution_check(lambda x, y: x * x + y * y, m1, n1, probes=32, seed=105, tol=tol)
+    m1, n1, p1 = separable_712(HH)
+    u1 = implicit_solution_check(p1, m1, n1, probes=32, seed=105, tol=tol)
 
     passed = (
         r3.verdict and u3.verdict

@@ -73,8 +73,8 @@ class TestRunScenario:
          ["quasidet-2x2", "solve-quaternion-system", "rank-demo", "integrability-x2",
           "exact-723", "exact-724", "exact-725", "separable-712", "exp-properties",
           "quasiexp-demo", "euler-quaternion", "elliptic-family", "ode-forms-cross-check"]]
-        + [pytest.param("integrability-x2", alg, id=f"integrability-x2-{alg}")
-           for alg in ("real", "complex")],
+        + [pytest.param(name, alg, id=f"{name}-{alg}")
+           for name in ("integrability-x2", "exact-724", "exact-725") for alg in ("real", "complex")],
     )
     def test_scenario_verdicts(self, name, algebra):
         report, payload = run_scenario(name, Options(algebra=algebra))
@@ -138,6 +138,37 @@ class TestMain:
             main(["run", scenario, option, value, "--algebra", "quaternion"])
         assert exit_info.value.code == 2
         assert option in capsys.readouterr().err
+
+
+# exit codes of `ncalg run <scenario> --algebra <tag> --seed 0`, ordered real, complex,
+# quaternion; elliptic-nonunique reports its coincident curves as a FAIL
+EXIT_CODES = {
+    "quasidet-2x2": (0, 0, 0),
+    "solve-quaternion-system": (0, 0, 0),
+    "rank-demo": (0, 0, 0),
+    "integrability-x2": (0, 0, 0),
+    "integrability-3xx": (0, 0, 0),
+    "exact-723": (0, 0, 0),
+    "exact-724": (0, 0, 0),
+    "exact-725": (0, 0, 0),
+    "separable-712": (0, 0, 0),
+    "exp-properties": (0, 0, 0),
+    "quasiexp-demo": (0, 0, 0),
+    "euler-hyperbolic": (0, 0, 0),
+    "euler-quaternion": (0, 0, 0),
+    "elliptic-nonunique": (1, 1, 1),
+    "elliptic-family": (0, 0, 0),
+    "ode-forms-cross-check": (0, 0, 0),
+}
+
+
+def test_every_scenario_exit_code(capsys):
+    assert sorted(EXIT_CODES) == sorted(SCENARIOS)
+    got = {name: tuple(main(["run", name, "--algebra", tag, "--seed", "0"])
+                       for tag in ("real", "complex", "quaternion"))
+           for name in EXIT_CODES}
+    capsys.readouterr()
+    assert got == EXIT_CODES
 
 
 class TestExactnessWitness:

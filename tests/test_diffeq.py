@@ -6,12 +6,10 @@ import pytest
 from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
 from ncalg.diffeq import (
-    BiForm,
     FormPoly,
     LinearOde,
     OdeForm,
     SolutionCurve,
-    _probes,
     antiderivative_residual,
     closed_form_solution,
     eigen_conditions,
@@ -27,22 +25,49 @@ from ncalg.diffeq import (
     ode_to_data,
     rk4_integrate,
     rk4_steps_for,
-    sandwich_form,
     solution_residual,
     successive_powers,
 )
 from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
-from ncalg.tensor import monomial_derivative, ones_tensor
+from ncalg.tensor import SlotTensor, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative
+
+
+def poly(alg, *words, scale=1.0) -> FormPoly:
+    """scale times the sum of the unit-coefficient words with these gap labels."""
+    return FormPoly([monomial(alg, labels, scale) for labels in words])
 
 
 def x_square_form(alg) -> FormPoly:
     """h -> x h + h x, the derivative form of x^2."""
-    return FormPoly([sandwich_form(alg, 1, 0), sandwich_form(alg, 0, 1)])
+    return poly(alg, (X, 0), (0, X))
 
 
 def three_x_form(alg) -> FormPoly:
     """h -> 3 x h x."""
-    return FormPoly([sandwich_form(alg, 1, 1, 3.0)])
+    return poly(alg, (X, 0, X), scale=3.0)
+
+
+def exact_723(alg, scale=1.0):
+    """M = dx + dx y, N = x dy + dy and the potential u = x + x y + y."""
+    return (poly(alg, (0,), (0, Y), scale=scale), poly(alg, (X, 0), (0,), scale=scale),
+            poly(alg, (X,), (X, Y), (Y,), scale=scale))
+
+
+def exact_724(alg, scale=1.0):
+    """M = 3 x x dx + dx y and N = x dy: exact only where x and dx commute."""
+    m = FormPoly([monomial(alg, (X, X, 0), 3.0 * scale), monomial(alg, (0, Y), scale)])
+    return m, poly(alg, (X, 0), scale=scale)
+
+
+def exact_725(alg, scale=1.0):
+    """M = dx y and N = dy x: exact only where dx and dy commute."""
+    return poly(alg, (0, Y), scale=scale), poly(alg, (0, X), scale=scale)
+
+
+def separable_712(alg, scale=1.0):
+    """M = dx x + x dx, N = dy y + y dy and the potential u = x x + y y."""
+    return (poly(alg, (0, X), (X, 0), scale=scale), poly(alg, (0, Y), (Y, 0), scale=scale),
+            poly(alg, (X, X), (Y, Y), scale=scale))
 
 
 def probe_elements(alg, seed, count):
@@ -168,42 +193,66 @@ class TestDerivativeTableFixtures:
 
 class TestExactness:
     def test_exact_with_potential(self, HH):
-        m = BiForm(HH, lambda x, y, dx: dx + dx * y)
-        n = BiForm(HH, lambda x, y, dy: x * dy + dy)
+        m, n, u = exact_723(HH)
         rep = exactness_check(m, n, probes=32, seed=0)
         assert rep.verdict and rep.residual <= 1e-5
-        sol = implicit_solution_check(lambda x, y: x + x * y + y, m, n, probes=32, seed=1)
+        sol = implicit_solution_check(u, m, n, probes=32, seed=1)
         assert sol.verdict and sol.residual <= 1e-6
 
     def test_cubic_term_breaks_symmetry(self, HH):
-        m = BiForm(HH, lambda x, y, dx: 3.0 * (x * x * dx) + dx * y)
-        n = BiForm(HH, lambda x, y, dy: x * dy)
-        rep = exactness_check(m, n, probes=32, seed=0)
+        rep = exactness_check(*exact_724(HH), probes=32, seed=0)
         assert not rep.verdict
         assert rep.metrics["sym_x"] > 1e-3  # the x-part fails
 
     def test_order_sensitive_cross_condition(self, HH):
-        m = BiForm(HH, lambda x, y, dx: dx * y)
-        n = BiForm(HH, lambda x, y, dy: dy * x)
-        rep = exactness_check(m, n, probes=32, seed=0)
+        rep = exactness_check(*exact_725(HH), probes=32, seed=0)
         assert not rep.verdict
         assert rep.metrics["sym_x"] <= 1e-6 and rep.metrics["sym_y"] <= 1e-6
         assert rep.metrics["cross"] > 1e-3  # dx dy vs dy dx
 
     def test_separated_variables_potential(self, HH):
-        m = BiForm(HH, lambda x, y, dx: dx * x + x * dx)
-        n = BiForm(HH, lambda x, y, dy: dy * y + y * dy)
-        rep = implicit_solution_check(lambda x, y: x * x + y * y, m, n, probes=32, seed=2)
+        m, n, u = separable_712(HH)
+        rep = implicit_solution_check(u, m, n, probes=32, seed=2)
         assert rep.verdict
 
     def test_zero_everything(self, HH):
-        z = BiForm(HH, lambda x, y, d: zero(HH))
-        rep = implicit_solution_check(lambda x, y: zero(HH), z, z, probes=8, seed=3)
+        z = FormPoly([SlotTensor(HH, 0, 1)])
+        rep = implicit_solution_check(FormPoly([SlotTensor(HH, 0, 0)]), z, z, probes=8, seed=3)
         assert rep.verdict
 
-    def test_nonlinear_evaluator_rejected(self, HH):
-        with pytest.raises(ValueError):
-            BiForm(HH, lambda x, y, d: d * d)
+    @pytest.mark.parametrize("tag", ["real", "complex"])
+    def test_inexact_over_h_is_exact_over_a_commutative_algebra(self, tag):
+        alg = make_algebra(tag)
+        for forms in (exact_724(alg), exact_725(alg)):
+            rep = exactness_check(*forms, probes=32, seed=0)
+            assert rep.verdict and rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("slots", [0, 2])
+    def test_forms_need_exactly_one_slot(self, HH, slots):
+        m, n, u = exact_723(HH)
+        bad = poly_derivative(m) if slots else u
+        with pytest.raises(ValueError, match="exactly one argument slot"):
+            exactness_check(bad, n)
+        with pytest.raises(ValueError, match="exactly one argument slot"):
+            implicit_solution_check(u, m, bad)
+
+
+class TestScale:
+    """The exact-equation verdicts hold at every scale of the forms: they are symbolic."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("forms", [exact_723, separable_712])
+    def test_potential_passes_at_every_scale(self, HH, scale, forms):
+        m, n, u = forms(HH, scale)
+        ex = exactness_check(m, n)
+        sol = implicit_solution_check(u, m, n)
+        assert ex.verdict and sol.verdict, (ex.residual, sol.residual)
+
+    @pytest.mark.parametrize("forms, condition", [(exact_724, "sym_x"), (exact_725, "cross")])
+    def test_scaled_inexact_forms_are_still_refuted(self, HH, forms, condition):
+        rep = exactness_check(*forms(HH, 1e6))
+        assert not rep.verdict and rep.witness["condition"] == condition
+        assert rep.witness["violation"] == rep.residual == rep.metrics[condition] > 1e3
 
 
 class TestLinearOdeStructure:
@@ -503,8 +552,7 @@ class TestDataForms:
 
 def _empty_probe_checks(alg):
     """Every checker called with nothing to check, by name."""
-    m = BiForm(alg, lambda x, y, dx: dx * x + x * dx)
-    n = BiForm(alg, lambda x, y, dy: dy * y + y * dy)
+    m, n, u = separable_712(alg)
     g = x_square_form(alg)
     pts = probe_elements(alg, 5, 2)
     ode = elliptic_ode(alg)
@@ -514,7 +562,7 @@ def _empty_probe_checks(alg):
         "antiderivative-points": lambda: antiderivative_residual(lambda x: x * x, g, [], pts),
         "antiderivative-dirs": lambda: antiderivative_residual(lambda x: x * x, g, pts, []),
         "exactness": lambda: exactness_check(m, n, probes=0),
-        "implicit": lambda: implicit_solution_check(lambda x, y: x * x + y * y, m, n, probes=0),
+        "implicit": lambda: implicit_solution_check(u, m, n, probes=0),
         "solution": lambda: solution_residual(ode, closed_form_solution(ode), []),
     }
 
@@ -524,6 +572,16 @@ def test_a_check_without_probes_raises(HH, name):
     # a verdict over no probe would certify anything, e.g. 3 x dx x over H
     with pytest.raises(ValueError, match="at least one probe"):
         _empty_probe_checks(HH)[name]()
+
+
+@pytest.mark.parametrize("name", ["integrability", "exactness", "implicit"])
+def test_a_negative_seed_raises_a_named_error(HH, name):
+    m, n, u = separable_712(HH)
+    check = {"integrability": lambda: integrability_check(x_square_form(HH), probes=4, seed=-1),
+             "exactness": lambda: exactness_check(m, n, probes=4, seed=-1),
+             "implicit": lambda: implicit_solution_check(u, m, n, probes=4, seed=-1)}[name]
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        check()
 
 
 class TestFormDuality:
@@ -566,12 +624,10 @@ class TestNaNResiduals:
         assert rep.witness["x"] == list(pts[2].coeffs)
 
     def test_nan_only_in_the_cross_condition_is_refuted(self, HH):
-        # M is NaN at the probes' own x, where only the cross condition
-        # evaluates it: the symmetry of dM/dx moves x off the probe
-        probe_x = {p[0].coeffs.tobytes() for p in _probes(HH, 8, 0, 5)}
-        nan = Element(HH, [math.nan] * 4)
-        m = BiForm(HH, lambda x, y, dx: nan if x.coeffs.tobytes() in probe_x else dx * y)
-        n = BiForm(HH, lambda x, y, dy: dy * x)
+        # M = NaN dx y has no x gap, so its NaN reaches only D_y M, which
+        # only the cross condition reads
+        m = poly(HH, (0, Y), scale=math.nan)
+        n = poly(HH, (0, X))
         rep = exactness_check(m, n, probes=8, seed=0)
         assert rep.metrics["sym_x"] == rep.metrics["sym_y"] == 0.0
         assert math.isnan(rep.metrics["cross"])
@@ -580,8 +636,7 @@ class TestNaNResiduals:
 
     def test_nan_in_one_partial_refutes_the_implicit_solution(self, HH):
         # the x partial is exact, so only the NaN y partial can refute
-        rep = implicit_solution_check(lambda x, y: x, BiForm(HH, lambda x, y, dx: dx),
-                                      lambda x, y, dy: dy * math.nan)
+        rep = implicit_solution_check(poly(HH, (X,)), poly(HH, (0,)), poly(HH, (0,), scale=math.nan))
         assert not rep.verdict and math.isnan(rep.residual)
 
     def test_nan_rk4_gap_refutes_the_fixture(self, HH):

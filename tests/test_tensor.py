@@ -10,8 +10,10 @@ from ncalg.tensor import (
     Tensor,
     TensorPolynomial,
     X,
+    Y,
     eval_args,
     eval_power,
+    monomial,
     monomial_derivative,
     ones_tensor,
     poly_derivative,
@@ -328,26 +330,26 @@ def test_tensor_is_argument_free_slot_tensor(HH, rng):
         tensor_to_data(monomial_derivative(t, 1))  # labels have no data form
 
 
-def element_chain_eval(s, args, x):
+def element_chain_eval(s, args, x, y=None):
     """Reference evaluation: each term as a chain of Element products, summed."""
     total = zero(s.algebra)
     for coeffs, labels in s.terms:
         acc = coeffs[0]
         for c, lab in zip(coeffs[1:], labels):
-            acc = acc * (x if lab == X else args[lab]) * c
+            acc = acc * (x if lab == X else y if lab == Y else args[lab]) * c
         total = total + acc
     return total
 
 
-def random_slot_tensor(alg, rng, x_gaps, arg_slots, terms=3):
-    """Random coefficients on random labellings, X and argument gaps mixed."""
-    n = x_gaps + arg_slots
+def random_slot_tensor(alg, rng, x_gaps, arg_slots, terms=3, y_gaps=0):
+    """Random coefficients on random labellings, X, Y and argument gaps mixed."""
+    n = x_gaps + y_gaps + arg_slots
     out = []
     for _ in range(terms):
-        labels = [X] * x_gaps + list(range(arg_slots))
+        labels = [X] * x_gaps + [Y] * y_gaps + list(range(arg_slots))
         rng.shuffle(labels)
         out.append(([random_element(alg, rng) for _ in range(n + 1)], labels))
-    return SlotTensor(alg, x_gaps, arg_slots, out)
+    return SlotTensor(alg, x_gaps, arg_slots, out, y_gaps)
 
 
 def conj_tensor(alg):
@@ -358,21 +360,23 @@ def conj_tensor(alg):
 class TestRealTensor:
     @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
     def test_eval_matches_element_chain(self, rng, tag):
+        # orders 0-5 take both evaluation paths, with x, y and argument gaps mixed
         alg = make_algebra(tag)
         for order in range(6):
-            for k in range(order + 1):
-                s = random_slot_tensor(alg, rng, order - k, k)
-                args = [random_element(alg, rng) for _ in range(k)]
-                x = random_element(alg, rng)
-                # |a b| = |a| |b| here, so this bounds every term's size
-                size = sum(math.prod(c.norm() for c in coeffs) for coeffs, _ in s.terms)
-                size *= max(1.0, x.norm()) ** (order - k) * math.prod(a.norm() for a in args)
-                reference = element_chain_eval(s, args, x)
-                assert (eval_args(s, args, x) - reference).norm() <= 1e-12 * size
-                contracted = real_tensor(s)
-                for v in [*reversed(args), *[x] * (order - k)]:
-                    contracted = contracted @ v.coeffs
-                assert np.linalg.norm(contracted - reference.coeffs) <= 1e-12 * size
+            for y_gaps in range(order + 1):
+                for k in range(order - y_gaps + 1):
+                    s = random_slot_tensor(alg, rng, order - y_gaps - k, k, y_gaps=y_gaps)
+                    args = [random_element(alg, rng) for _ in range(k)]
+                    x, y = random_element(alg, rng), random_element(alg, rng)
+                    # |a b| = |a| |b| here, so this bounds every term's size
+                    size = sum(math.prod(c.norm() for c in coeffs) for coeffs, _ in s.terms)
+                    size *= max(1.0, x.norm(), y.norm()) ** (order - k) * math.prod(a.norm() for a in args)
+                    reference = element_chain_eval(s, args, x, y)
+                    assert (eval_args(s, args, x, y) - reference).norm() <= 1e-12 * size
+                    contracted = real_tensor(s)
+                    for v in [*reversed(args), *[x] * s.x_gaps, *[y] * y_gaps]:
+                        contracted = contracted @ v.coeffs
+                    assert np.linalg.norm(contracted - reference.coeffs) <= 1e-12 * size
 
     def test_eval_stores_real_tensor_only_when_small(self, HH, rng):
         x = random_element(HH, rng)
@@ -429,3 +433,74 @@ class TestRealTensor:
             eval_args(d, [random_element(CC, rng)], x)
         with pytest.raises(AlgebraError):
             eval_args(d, [h], random_element(CC, rng))
+
+
+class TestTwoVariables:
+    """Gaps labelled Y hold a second variable; its axes never mix with the x axes."""
+
+    @pytest.mark.parametrize("labels", [(X, -5), (Y, Y), (X, 1), (0, 0)])
+    def test_foreign_or_miscounted_label_raises(self, HH, labels):
+        # x_gaps = 1, y_gaps = 1: -5 is neither X, Y nor an argument
+        with pytest.raises(ValueError, match="labels"):
+            SlotTensor(HH, 1, 0, [((one(HH),) * 3, labels)], y_gaps=1)
+
+    def test_monomial_counts_its_gaps(self, HH):
+        t = monomial(HH, (X, 0, Y, X), 2.0)
+        assert (t.x_gaps, t.y_gaps, t.arg_slots, t.order) == (2, 1, 1, 4)
+        assert slot_tensors_equal(monomial(HH, (X, X)), ones_tensor(HH, 2))
+
+    def test_xy_and_yx_differ_over_h(self, HH):
+        assert not slot_tensors_equal(monomial(HH, (X, Y)), monomial(HH, (Y, X)))
+        # symmetrizing x and y axes together would equate these two
+        assert not slot_tensors_equal(monomial(HH, (X, X, Y)), monomial(HH, (X, Y, X)))
+
+    @pytest.mark.parametrize("tag", ["real", "complex"])
+    def test_xy_and_yx_agree_over_a_commutative_algebra(self, tag):
+        alg = make_algebra(tag)
+        assert slot_tensors_equal(monomial(alg, (X, Y)), monomial(alg, (Y, X)))
+        assert slot_tensors_equal(monomial(alg, (X, X, Y)), monomial(alg, (X, Y, X)))
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_xx_and_xy_never_equal(self, tag):
+        alg = make_algebra(tag)
+        assert not slot_tensors_equal(monomial(alg, (X, X)), monomial(alg, (X, Y)))
+        assert not slot_tensors_equal(monomial(alg, (X, Y)), monomial(alg, (Y, Y)))
+
+    def test_y_axes_come_before_x_axes(self, HH, rng):
+        coeffs = [random_element(HH, rng) for _ in range(3)]
+        r = real_tensor(SlotTensor(HH, 1, 0, [(coeffs, (X, Y))], y_gaps=1))
+        for a, b in product(range(4), repeat=2):
+            direct = coeffs[0] * basis(HH, b) * coeffs[1] * basis(HH, a) * coeffs[2]
+            assert np.allclose(r[:, a, b], direct.coeffs, rtol=0, atol=1e-14)
+
+    def test_missing_y_raises(self, HH):
+        with pytest.raises(ValueError, match="y value"):
+            eval_args(monomial(HH, (X, Y)), [], one(HH))
+        assert eval_args(ones_tensor(HH, 1), [], one(HH)).close(one(HH), 0.0)
+
+    def test_derivative_in_each_variable(self, HH, rng):
+        # p = x y x + y: D_x p o h = h y x + x y h, D_y p o h = x h x + h
+        p = TensorPolynomial([monomial(HH, (X, Y, X)), monomial(HH, (Y,))])
+        x, y, h = (random_element(HH, rng) for _ in range(3))
+        assert poly_derivative(p, var=X)(x, h, y=y).close(h * y * x + x * y * h, 1e-12)
+        assert poly_derivative(p, var=Y)(x, h, y=y).close(x * h * x + h, 1e-12)
+        d = slot_derivative(monomial(HH, (X, Y, X)), Y)
+        assert (d.x_gaps, d.y_gaps, d.arg_slots) == (2, 0, 1)
+
+    def test_components_merge_by_both_degrees(self, HH, rng):
+        p = TensorPolynomial([monomial(HH, (X, Y)), monomial(HH, (Y, X)), monomial(HH, (X, X)),
+                              monomial(HH, (Y, Y))])
+        assert [(c.x_gaps, c.y_gaps, len(c.terms)) for c in p.components] == [(0, 2, 1), (1, 1, 2), (2, 0, 1)]
+        x, y = random_element(HH, rng), random_element(HH, rng)
+        assert p(x, y=y).close(x * y + y * x + x * x + y * y, 1e-12)
+
+    def test_star_product_adds_y_gaps(self, HH, rng):
+        a, b = monomial(HH, (Y, 0)), monomial(HH, (X, 0, Y))
+        ab = star_product(a, b)
+        assert (ab.x_gaps, ab.y_gaps, ab.arg_slots) == (1, 2, 2)
+        x, y, h, k = (random_element(HH, rng) for _ in range(4))
+        assert eval_args(ab, [h, k], x, y).close(y * h * x * k * y, 1e-12)
+
+    def test_y_tensor_has_no_data_form(self, HH):
+        with pytest.raises(ValueError):
+            tensor_to_data(monomial(HH, (X, Y)))
