@@ -2,7 +2,7 @@
 
 Usage:
     ncalg list
-    ncalg run <scenario> [--seed N] [--probes N] [--algebra TAG]
+    ncalg run <scenario> [--seed N] [--algebra TAG]
                          [--format {text,json}]
 
 Exit code is 0 iff the scenario's verdict is true, so the driver doubles as
@@ -10,7 +10,9 @@ a test harness: 1 is a false verdict, 2 a usage error or unknown scenario,
 and 3 a typed numeric error (an exponential that cannot be accurate, a
 singular matrix, an undefined quasideterminant, algebra misuse), reported as
 data instead of a traceback.
-Reports are deterministic for a fixed seed and options.
+Reports are deterministic for a fixed seed and options. The form scenarios
+(integrability-*, exact-*, separable-712) judge polynomials exactly and
+draw nothing, so the seed does not change their reports.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, quasidets_rc, random_matrix, rc_inv, rc_mul, rc_rank, solve_rc
 from .diffeq import (
-    DEFAULT_PROBES,
+    WITNESS_FLOOR,
     FormPoly,
     LinearOde,
     OdeForm,
@@ -60,7 +62,6 @@ from .tensor import X, Y, monomial
 @dataclass
 class Options:
     seed: int = 0
-    probes: int = DEFAULT_PROBES
     algebra: str = "quaternion"
 
 
@@ -146,24 +147,24 @@ def _expect_refusal(alg, inner: Report, expected: str, condition: str | None = N
     """Over R and C the check must pass; over H it must refuse clearly.
 
     A clear refusal has a residual, or the metric of the named condition,
-    above 1e-3.
+    above WITNESS_FLOOR.
     """
     if alg.tag in ("real", "complex"):
         return inner
     size = inner.residual if condition is None else inner.metrics[condition]
-    refused = (not inner.verdict) and size > 1e-3
+    refused = (not inner.verdict) and size > WITNESS_FLOOR
     return Report(verdict=refused, residual=inner.residual, witness=inner.witness,
                   metrics=dict(inner.metrics, expected=expected))
 
 
 def _scn_integrability_x2(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
-    return integrability_check(_poly(alg, (X, 0), (0, X)), probes=opt.probes, seed=opt.seed)
+    return integrability_check(_poly(alg, (X, 0), (0, X)))
 
 
 def _scn_integrability_3xx(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
-    inner = integrability_check(FormPoly([monomial(alg, (X, 0, X), 3.0)]), probes=opt.probes, seed=opt.seed)
+    inner = integrability_check(FormPoly([monomial(alg, (X, 0, X), 3.0)]))
     return _expect_refusal(alg, inner, "not integrable")
 
 
@@ -171,8 +172,8 @@ def _scn_exact_723(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
     # dx + dx y, x dy + dy, and the potential x + x y + y
     m, n, u = _poly(alg, (0,), (0, Y)), _poly(alg, (X, 0), (0,)), _poly(alg, (X,), (X, Y), (Y,))
-    ex = exactness_check(m, n, probes=opt.probes, seed=opt.seed)
-    sol = implicit_solution_check(u, m, n, probes=opt.probes, seed=opt.seed)
+    ex = exactness_check(m, n)
+    sol = implicit_solution_check(u, m, n)
     return Report(verdict=ex.verdict and sol.verdict,
                   residual=_worst((ex.residual, sol.residual)),
                   metrics={"exactness": ex.to_data(), "solution": sol.to_data()})
@@ -182,7 +183,7 @@ def _scn_exact_724(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
     # 3 x x dx + dx y and x dy: over H the x-part's symmetry fails
     m = FormPoly([monomial(alg, (X, X, 0), 3.0), monomial(alg, (0, Y))])
-    ex = exactness_check(m, _poly(alg, (X, 0)), probes=opt.probes, seed=opt.seed)
+    ex = exactness_check(m, _poly(alg, (X, 0)))
     return _expect_refusal(alg, ex, "not exact", "sym_x")
 
 
@@ -190,7 +191,7 @@ def _scn_exact_725(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
     # dx y and dy x pass both symmetry conditions over H; the order-sensitive
     # cross condition is what must fail
-    ex = exactness_check(_poly(alg, (0, Y)), _poly(alg, (0, X)), probes=opt.probes, seed=opt.seed)
+    ex = exactness_check(_poly(alg, (0, Y)), _poly(alg, (0, X)))
     return _expect_refusal(alg, ex, "not exact", "cross")
 
 
@@ -198,7 +199,7 @@ def _scn_separable_712(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
     # dx x + x dx and dy y + y dy, with the potential x x + y y
     m, n, u = _poly(alg, (0, X), (X, 0)), _poly(alg, (0, Y), (Y, 0)), _poly(alg, (X, X), (Y, Y))
-    return implicit_solution_check(u, m, n, probes=opt.probes, seed=opt.seed)
+    return implicit_solution_check(u, m, n)
 
 
 def _scn_exp_properties(opt: Options) -> Report:
@@ -410,13 +411,6 @@ def _plain(obj):
     return obj
 
 
-def _probe_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
 def _seed(text: str) -> int:
     # numpy seeds are non-negative; a negative one would end in a traceback
     seed = int(text)
@@ -434,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("scenario")
     defaults = Options()
     run.add_argument("--seed", type=_seed, default=defaults.seed)
-    run.add_argument("--probes", type=_probe_count, default=defaults.probes)
     run.add_argument("--algebra", default=defaults.algebra,
                      choices=["real", "complex", "quaternion"])
     run.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])
@@ -446,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "list":
         print(list_scenarios())
         return 0
-    options = Options(seed=args.seed, probes=args.probes, algebra=args.algebra)
+    options = Options(seed=args.seed, algebra=args.algebra)
     if args.scenario not in SCENARIOS:
         print(f"unknown scenario: {args.scenario!r}", file=sys.stderr)
         print("available scenarios:", file=sys.stderr)

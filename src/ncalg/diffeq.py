@@ -2,14 +2,17 @@
 
 Forms and potentials are :class:`TensorPolynomial`s in x (and y), so the
 form checkers differentiate them symbolically, build once the polynomial
-that must vanish, and evaluate it at seeded random probes. Curves and
-opaque callables have no symbolic derivative: central finite differences
-certify or refute them. The linear systems come in four product forms
-(row-column / column-row product, coefficient matrix on either side), each
-one real system x' = M x on the stacked coefficients, with M built only by
-`LinearOde.real_matrix`. The right-hand side is M x and the closed form
-e^{tM} x(0); RK4 integrates M as an independent algorithm, and the tests
-check M x against Element products.
+that must vanish, and judge its :func:`tensor.poly_norm` against the same
+norm of the polynomials it was built from: no probe point is drawn, so the
+verdict is exact and scale-free. That norm reads each component's real
+tensor, dim^(order + 1) floats, which bounds the degree of form a check can
+take. Curves and opaque callables have no symbolic derivative: central
+finite differences certify or refute them. The linear systems come in four
+product forms (row-column / column-row product, coefficient matrix on
+either side), each one real system x' = M x on the stacked coefficients,
+with M built only by `LinearOde.real_matrix`. The right-hand side is M x
+and the closed form e^{tM} x(0); RK4 integrates M as an independent
+algorithm, and the tests check M x against Element products.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,18 +35,16 @@ from .algebra import (
     in_centralizer,
     inv as el_inv,
     one,
-    random_element,
     zero,
 )
 from .biring import BiMatrix, cr_pow, matrix_from_data, matrix_to_data, rc_pow
 from .report import Report
 from .series import _expm, exp_at
-from .tensor import SlotTensor, TensorPolynomial, Y, poly_derivative, tensor_scale
+from .tensor import X, Y, SlotTensor, TensorPolynomial, poly_derivative, poly_norm, symmetric_part, tensor_scale
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
-DEFAULT_PROBES = 32
-WITNESS_FLOOR = 1e-3
+WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 
 
 def _fd_step(scale: float) -> float:
@@ -57,18 +58,6 @@ def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | 
     f may return an Element or a coefficient array.
     """
     return (f(s) - f(-s)) * (1.0 / (2 * s))
-
-
-def _probes(alg: AlgebraDesc, probes: int, seed: int, k: int) -> Iterator[tuple[Element, ...]]:
-    """`probes` k-tuples of random elements, drawn in order from one seeded generator.
-
-    A negative seed raises ValueError before the first draw.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
-        yield tuple(random_element(alg, rng) for _ in range(k))
 
 
 def _witness(**fields) -> Callable[[], dict]:
@@ -91,12 +80,13 @@ def _worst(residuals: Iterable[float]) -> float:
 
 
 def _judge(gaps: Iterable[tuple[float, Callable[[], dict]]], tol: float, **metrics) -> Report:
-    """The verdict rule of every checker, over (residual, witness thunk) per probe.
+    """The verdict rule of every checker, over (residual, witness thunk) pairs.
 
-    The first probe with the largest residual is the witness, built only when
-    the check fails; the check passes iff that residual is within tol. A NaN
-    residual counts as the largest, so it refutes the check. A check that saw
-    no probe proves nothing, so it raises ValueError.
+    A pair is a probe of a finite-difference check, or a polynomial that
+    must vanish. The first pair with the largest residual is the witness,
+    built only when the check fails; the check passes iff that residual is
+    within tol. A NaN residual counts as the largest, so it refutes the
+    check. A check that saw no probe proves nothing, so it raises ValueError.
     """
     worst, witness, count = 0.0, None, 0
     for count, (r, thunk) in enumerate(gaps, 1):
@@ -142,27 +132,37 @@ def _check_forms(*forms: FormPoly) -> None:
         raise ValueError("a form needs exactly one argument slot")
 
 
-def integrability_check(g: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0,
-                        tol: float = 1e-9) -> Report:
+def _vanishing(p: TensorPolynomial, **fields) -> tuple[float, Callable[[], dict]]:
+    """p's norm, and a witness thunk: the fields, that norm as the violation, and p's largest entry.
+
+    The entry is the largest of the symmetric parts of p's components, named
+    by its component's bidegree (x gaps, y gaps) and its index into that
+    part; a NaN entry counts as the largest.
+    """
+    violation = poly_norm(p)
+
+    def witness() -> dict:
+        parts = [(c, np.nan_to_num(np.abs(symmetric_part(c)), nan=np.inf)) for c in p.components]
+        c, size = max(parts, key=lambda part: part[1].max())
+        index = np.unravel_index(np.argmax(size), size.shape)
+        return dict(fields, violation=violation, bidegree=[c.x_gaps, c.y_gaps], index=[int(i) for i in index])
+
+    return violation, witness
+
+
+def integrability_check(g: FormPoly, tol: float = 1e-9) -> Report:
     """Integrable iff the x-derivative of the form is a symmetric bilinear map.
 
     g must have exactly one argument slot, else ValueError. The derivative
-    is formed symbolically (one more labelled slot), its antisymmetric part
-    once, and that is probed at seeded random (x, h1, h2) triples; a
-    non-integrable verdict carries a witness triple whose violation clears
-    the separation floor.
+    D g is formed symbolically (one more labelled slot) and so is its
+    antisymmetric part; the check passes iff the norm of that part is within
+    tol times the norm of D g. A refutation's witness is the part's largest
+    entry.
     """
     _check_forms(g)
-    skew = _asymmetry(poly_derivative(g))
-
-    def gap(x: Element, h1: Element, h2: Element):
-        violation = skew(x, h1, h2).norm()
-        return violation, _witness(x=x, h1=h1, h2=h2, violation=violation)
-
-    rep = _judge((gap(*p) for p in _probes(g.algebra, probes, seed, 3)), tol, probes=probes)
-    if not rep.verdict:
-        rep.metrics["violation_above_floor"] = rep.residual > WITNESS_FLOOR
-    return rep
+    dg = poly_derivative(g)
+    scale = poly_norm(dg)
+    return _judge([_vanishing(_asymmetry(dg))], tol * scale, scale=scale)
 
 
 def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence[Element],
@@ -178,53 +178,39 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     return _judge((gap(x, h) for x in points for h in dirs), tol)
 
 
-def exactness_check(m: FormPoly, n: FormPoly, probes: int = DEFAULT_PROBES, seed: int = 0,
-                    tol: float = 1e-5) -> Report:
+def exactness_check(m: FormPoly, n: FormPoly, tol: float = 1e-5) -> Report:
     """Three conditions for M o dx + N o dy = 0 to admit a potential.
 
     M and N are one-slot polynomials in x and y. D_x M and D_y N must be
     symmetric, and the cross condition matches D_y M o (dx, dy) with
     D_x N o (dy, dx) - the argument order matters, the first slot is the
     form's own differential, the second the direction of differentiation.
-    Each condition is one polynomial, built once and probed at seeded random
-    (x, y, dx1, dx2, dy). A refutation's witness is the probe with the
-    largest of the three violations and names its condition.
+    Each condition is one polynomial, built once; the metrics give their
+    norms. The check passes iff the largest is within tol times the summed
+    norms of the four partials, and a refutation's witness names its
+    condition.
     """
     _check_forms(m, n)
-    conditions = {"sym_x": _asymmetry(poly_derivative(m)),
-                  "sym_y": _asymmetry(poly_derivative(n, var=Y)),
-                  "cross": _minus(poly_derivative(m, var=Y), _swapped(poly_derivative(n)))}
-
-    def violations(x: Element, y: Element, dx1: Element, dx2: Element, dy: Element):
-        second = {"sym_x": dx2, "sym_y": dy, "cross": dy}
-        v = {k: p(x, dx1, second[k], y=y).norm() for k, p in conditions.items()}
-        c = "sym_x"
-        for k in ("sym_y", "cross"):
-            if _worse(v[k], v[c]):
-                c = k
-        return v, c, _witness(condition=c, x=x, y=y, dx1=dx1, dx2=dx2, dy=dy, violation=v[c])
-
-    probed = [violations(*p) for p in _probes(m.algebra, probes, seed, 5)]
-    worst = {k: _worst(v[k] for v, _, _ in probed) for k in conditions}
-    return _judge(((v[c], w) for v, c, w in probed), tol, **worst)
+    dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
+    scale = sum(poly_norm(d) for d in (dxm, dym, dxn, dyn))
+    conditions = {"sym_x": _asymmetry(dxm), "sym_y": _asymmetry(dyn), "cross": _minus(dym, _swapped(dxn))}
+    gaps = {k: _vanishing(p, condition=k) for k, p in conditions.items()}
+    return _judge(gaps.values(), tol * scale, scale=scale, **{k: v for k, (v, _) in gaps.items()})
 
 
-def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly,
-                            probes: int = DEFAULT_PROBES, seed: int = 0,
-                            tol: float = FD_TOL) -> Report:
+def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: float = FD_TOL) -> Report:
     """Do the partials of the potential u reproduce M and N?
 
-    u has no argument slot. D_x u - M and D_y u - N are formed symbolically
-    once and probed at seeded random (x, y, dx, dy).
+    u has no argument slot, else ValueError. D_x u - M and D_y u - N are
+    formed symbolically; the check passes iff the larger of their norms is
+    within tol times the summed norms of M and N.
     """
+    if u.arg_slots:
+        raise ValueError("the potential needs no argument slot")
     _check_forms(m, n)
-    gap_x, gap_y = _minus(poly_derivative(u), m), _minus(poly_derivative(u, var=Y), n)
-
-    def gap(x: Element, y: Element, dx: Element, dy: Element):
-        r = _worst((gap_x(x, dx, y=y).norm(), gap_y(x, dy, y=y).norm()))
-        return r, _witness(x=x, y=y, residual=r)
-
-    return _judge((gap(*p) for p in _probes(m.algebra, probes, seed, 4)), tol)
+    scale = poly_norm(m) + poly_norm(n)
+    gaps = [_vanishing(_minus(poly_derivative(u), m)), _vanishing(_minus(poly_derivative(u, var=Y), n))]
+    return _judge(gaps, tol * scale, scale=scale)
 
 
 # ---------------------------------------------------------------------------

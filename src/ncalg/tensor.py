@@ -9,12 +9,12 @@ y. ``Tensor`` is its argument-free case, with every gap labelled x.
 
 Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
 an array with a value axis and one axis per gap, built once per tensor.
-:func:`slot_tensors_equal` compares its parts symmetric in the x axes and,
-separately, in the y axes, which fix the polynomial, so equality needs no
-probe points.
-Evaluation contracts that array when it is small; at high orders, where it
-grows as dim^(order + 1), it multiplies the coefficient vectors of all
-terms through the structure table instead, one gap at a time.
+Its part symmetric in the x axes and, separately, in the y axes,
+:func:`symmetric_part`, fixes the polynomial, so :func:`slot_tensors_equal`
+and the norm :func:`poly_norm` decide equality and size with no probe
+points. Evaluation never builds that array, which grows as
+dim^(order + 1): it multiplies the coefficient vectors of all terms
+through the structure table, one gap at a time.
 
 The order-k derivative in a variable is k applications of
 :func:`slot_derivative`, each moving one gap of that variable to a new
@@ -177,15 +177,12 @@ def real_tensor(s: SlotTensor) -> np.ndarray:
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | None = None) -> Element:
     """Substitute args into their slots, x into the x gaps and y into the y gaps.
 
-    y may be omitted when s has no y gaps. Two ways give one value.
-    Contracting :func:`real_tensor` with the arguments, x and y costs
-    dim^(order + 1) per call once the array is built. Advancing all terms
-    together, one gap at a time (the running products, one row per term,
-    times the value in the gap and then the next coefficient), costs
-    O(terms * order * dim^3) per call and stores nothing. The array is used
-    while it has no more than terms * order * dim^3 entries: the low orders,
-    evaluated many times, of the form checks. The chain takes the high
-    orders, where the array would not fit (537 MB at order 12 over H).
+    y may be omitted when s has no y gaps. All terms advance together, one
+    gap at a time: the running products, one row per term, times the value
+    in the gap and then the next coefficient. That costs
+    O(terms * order * dim^3) per call and stores nothing, where contracting
+    :func:`real_tensor` would hold dim^(order + 1) floats (537 MB at order
+    12 over H).
     """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
@@ -195,11 +192,6 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | N
     if any(v.algebra != s.algebra for v in (x, y, *args)):
         raise AlgebraError("argument, x or y from another algebra than the tensor")
     n, d = s.order, s.algebra.dim
-    if d ** (n + 1) <= len(s.terms) * n * d ** 3:
-        acc = real_tensor(s)
-        for v in (*reversed(args), *[x] * s.x_gaps, *[y] * s.y_gaps):
-            acc = acc @ v.coeffs
-        return Element._trusted(s.algebra, acc)
     coeffs = np.array([[c.coeffs for c in cs] for cs, _ in s.terms]).reshape(len(s.terms), n + 1, d)
     gaps = np.array([y.coeffs, x.coeffs, *(v.coeffs for v in args)])  # row label + 2
     labels = np.array([ls for _, ls in s.terms], dtype=int).reshape(len(s.terms), n) + 2
@@ -225,7 +217,10 @@ def slot_derivative(s: SlotTensor, var: int = X) -> SlotTensor:
 
     The new direction becomes the highest arg index; each term contributes
     one copy per gap of var replaced (product rule over the multilinear gaps).
+    Any other var raises ValueError.
     """
+    if var not in (X, Y):
+        raise ValueError(f"can only differentiate in X ({X}) or Y ({Y}), got variable {var}")
     new_arg = s.arg_slots
     terms = []
     for coeffs, labels in s.terms:
@@ -328,27 +323,41 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# equality
+# equality and size
+
+
+def symmetric_part(s: SlotTensor) -> np.ndarray:
+    """real_tensor(s) averaged over its y axes and, separately, over its x axes.
+
+    A polynomial in x and y is fixed by this part (polarization in each
+    variable); the argument axes stay as they are. Given the average over a
+    variable's first j - 1 axes, the average over its first j is the mean
+    of the transposes that swap axis j with each of them and itself:
+    m(m+1)/2 transposes for m gaps, never the m! orders.
+    """
+    sym = real_tensor(s)
+    for first, gaps in ((1, s.y_gaps), (1 + s.y_gaps, s.x_gaps)):
+        for j in range(first + 1, first + gaps):
+            sym = sum(sym.swapaxes(i, j) for i in range(first, j + 1)) / (j - first + 1)
+    return sym
 
 
 def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
-    """Equality as maps: the real tensors agree once averaged over their y axes and their x axes.
+    """Equality as maps: the symmetric parts differ by at most tol in the Frobenius norm.
 
-    A polynomial in x and y is fixed by the part of its tensor symmetric in
-    the x axes and in the y axes, each set on its own (polarization in each
-    variable), so this is exact, not sampled. Given the average over a
-    variable's first j - 1 axes, the average over its first j is the mean
-    of the transposes that swap axis j with each of them and itself:
-    m(m+1)/2 transposes for m gaps, never the m! orders. The difference
-    must be within tol in the Frobenius norm.
+    The symmetric part fixes the polynomial, so this is exact, not sampled.
     """
     if a._shape() != b._shape():
         return False
-    sym = real_tensor(a) - real_tensor(b)
-    for first, gaps in ((1, a.y_gaps), (1 + a.y_gaps, a.x_gaps)):
-        for j in range(first + 1, first + gaps):
-            sym = sum(sym.swapaxes(i, j) for i in range(first, j + 1)) / (j - first + 1)
-    return float(np.linalg.norm(sym)) <= tol
+    return float(np.linalg.norm(symmetric_part(a) - symmetric_part(b))) <= tol
+
+
+def poly_norm(p: TensorPolynomial) -> float:
+    """Sum over components of the Frobenius norm of the symmetric part: zero iff p is.
+
+    It scales with p and reads NaN when a coefficient is NaN.
+    """
+    return sum(float(np.linalg.norm(symmetric_part(c))) for c in p.components)
 
 
 # ---------------------------------------------------------------------------

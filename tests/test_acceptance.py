@@ -174,9 +174,9 @@ def test_criterion_04_integrability_verdicts():
     CC = make_algebra("complex")
     rng = np.random.default_rng(104)
 
-    r_sq = integrability_check(x_square_form(HH), probes=32, seed=104)
-    r_hh = integrability_check(three_x_form(HH), probes=32, seed=104)
-    r_cc = integrability_check(three_x_form(CC), probes=32, seed=104)
+    r_sq = integrability_check(x_square_form(HH))
+    r_hh = integrability_check(three_x_form(HH))
+    r_cc = integrability_check(three_x_form(CC))
 
     points = [random_element(HH, rng) for _ in range(8)]
     dirs = [random_element(HH, rng) for _ in range(4)]
@@ -204,15 +204,15 @@ def test_criterion_05_exact_equation_verdicts():
     tol = 1e-5
 
     m3, n3, p3 = exact_723(HH)
-    r3 = exactness_check(m3, n3, probes=32, seed=105, tol=tol)
-    u3 = implicit_solution_check(p3, m3, n3, probes=32, seed=105, tol=tol)
+    r3 = exactness_check(m3, n3, tol=tol)
+    u3 = implicit_solution_check(p3, m3, n3, tol=tol)
 
-    r4 = exactness_check(*exact_724(HH), probes=32, seed=105, tol=tol)
+    r4 = exactness_check(*exact_724(HH), tol=tol)
 
-    r5 = exactness_check(*exact_725(HH), probes=32, seed=105, tol=tol)
+    r5 = exactness_check(*exact_725(HH), tol=tol)
 
     m1, n1, p1 = separable_712(HH)
-    u1 = implicit_solution_check(p1, m1, n1, probes=32, seed=105, tol=tol)
+    u1 = implicit_solution_check(p1, m1, n1, tol=tol)
 
     passed = (
         r3.verdict and u3.verdict

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ncalg import cli
+from ncalg import cli, tensor
 from ncalg.algebra import AlgebraError, Element
 from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatrixError
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
@@ -121,23 +121,16 @@ class TestMain:
         assert set(payload) == {"scenario", "anchor", "verdict", "metrics", "witness", "seed"}
 
     def test_options_are_honoured(self, capsys):
-        code = main(["run", "integrability-3xx", "--algebra", "complex", "--probes", "8"])
+        code = main(["run", "integrability-3xx", "--algebra", "complex"])
         capsys.readouterr()
         assert code == 0
 
-    @pytest.mark.parametrize("scenario, option, value", [
-        pytest.param("integrability-x2", "--probes", "0", id="integrability-x2-0"),
-        pytest.param("separable-712", "--probes", "-3", id="separable-712--3"),
-        pytest.param("integrability-3xx", "--probes", "0", id="integrability-3xx-0"),
-        pytest.param("quasidet-2x2", "--seed", "-1", id="quasidet-2x2-seed--1"),
-    ])
-    def test_probe_count_below_one_is_a_usage_error(self, capsys, scenario, option, value):
-        # with no probe a checker would print a vacuous PASS; a negative seed
-        # is refused here too, before numpy's seeding would raise mid-run
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # refused here, before numpy's seeding would raise mid-run
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", scenario, option, value, "--algebra", "quaternion"])
+            main(["run", "quasidet-2x2", "--seed", "-1", "--algebra", "quaternion"])
         assert exit_info.value.code == 2
-        assert option in capsys.readouterr().err
+        assert "--seed" in capsys.readouterr().err
 
 
 # exit codes of `ncalg run <scenario> --algebra <tag> --seed 0`, ordered real, complex,
@@ -169,6 +162,39 @@ def test_every_scenario_exit_code(capsys):
            for name in EXIT_CODES}
     capsys.readouterr()
     assert got == EXIT_CODES
+
+
+FORM_SCENARIOS = ("integrability-x2", "integrability-3xx", "exact-723", "exact-724", "exact-725",
+                  "separable-712")
+
+
+class TestFormScenarios:
+    """The form checks judge symbolic polynomials: no probe, no seed, no evaluation."""
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    @pytest.mark.parametrize("name", FORM_SCENARIOS)
+    def test_json_is_the_same_for_every_seed(self, capsys, name, tag):
+        outputs = set()
+        for seed in range(4):
+            main(["run", name, "--algebra", tag, "--seed", str(seed), "--format", "json"])
+            outputs.add(capsys.readouterr().out.replace(f'"seed": {seed}', '"seed": 0'))
+        assert len(outputs) == 1
+
+    def test_verdicts_need_no_evaluation(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form check evaluated a tensor")
+
+        monkeypatch.setattr(tensor, "eval_args", refuse)
+        got = {name: tuple(main(["run", name, "--algebra", tag]) for tag in ("real", "complex", "quaternion"))
+               for name in FORM_SCENARIOS}
+        capsys.readouterr()
+        assert got == {name: EXIT_CODES[name] for name in FORM_SCENARIOS}
+
+    def test_probes_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "integrability-x2", "--probes", "8"])
+        assert exit_info.value.code == 2
+        assert "--probes" in capsys.readouterr().err
 
 
 class TestExactnessWitness:

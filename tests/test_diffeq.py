@@ -42,9 +42,9 @@ def x_square_form(alg) -> FormPoly:
     return poly(alg, (X, 0), (0, X))
 
 
-def three_x_form(alg) -> FormPoly:
+def three_x_form(alg, scale=1.0) -> FormPoly:
     """h -> 3 x h x."""
-    return poly(alg, (X, 0, X), scale=3.0)
+    return poly(alg, (X, 0, X), scale=3.0 * scale)
 
 
 def exact_723(alg, scale=1.0):
@@ -77,17 +77,18 @@ def probe_elements(alg, seed, count):
 
 class TestIntegrability:
     def test_square_form_integrable(self, HH):
-        rep = integrability_check(x_square_form(HH), probes=32, seed=0)
+        rep = integrability_check(x_square_form(HH))
         assert rep.verdict and rep.residual <= 1e-9
 
-    def test_cubic_form_not_integrable_quaternion(self, HH):
-        rep = integrability_check(three_x_form(HH), probes=32, seed=0)
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_cubic_form_not_integrable_quaternion(self, HH, scale):
+        rep = integrability_check(three_x_form(HH, scale))
         assert not rep.verdict
-        assert rep.residual > 1e-3
-        assert rep.witness is not None and rep.witness["violation"] > 1e-3
+        assert rep.residual > 1e-3 * scale
+        assert rep.witness is not None and rep.witness["violation"] == rep.residual
 
     def test_cubic_form_integrable_complex(self, CC):
-        rep = integrability_check(three_x_form(CC), probes=32, seed=0)
+        rep = integrability_check(three_x_form(CC))
         assert rep.verdict
 
     @pytest.mark.parametrize("slots", [0, 2])
@@ -194,42 +195,49 @@ class TestDerivativeTableFixtures:
 class TestExactness:
     def test_exact_with_potential(self, HH):
         m, n, u = exact_723(HH)
-        rep = exactness_check(m, n, probes=32, seed=0)
+        rep = exactness_check(m, n)
         assert rep.verdict and rep.residual <= 1e-5
-        sol = implicit_solution_check(u, m, n, probes=32, seed=1)
+        sol = implicit_solution_check(u, m, n)
         assert sol.verdict and sol.residual <= 1e-6
 
     def test_cubic_term_breaks_symmetry(self, HH):
-        rep = exactness_check(*exact_724(HH), probes=32, seed=0)
+        rep = exactness_check(*exact_724(HH))
         assert not rep.verdict
         assert rep.metrics["sym_x"] > 1e-3  # the x-part fails
+        # D_x of 3 x x dx keeps one x gap: value, x and two argument axes
+        assert rep.witness["bidegree"] == [1, 0] and len(rep.witness["index"]) == 4
 
     def test_order_sensitive_cross_condition(self, HH):
-        rep = exactness_check(*exact_725(HH), probes=32, seed=0)
+        rep = exactness_check(*exact_725(HH))
         assert not rep.verdict
         assert rep.metrics["sym_x"] <= 1e-6 and rep.metrics["sym_y"] <= 1e-6
         assert rep.metrics["cross"] > 1e-3  # dx dy vs dy dx
+        assert rep.witness["bidegree"] == [0, 0] and len(rep.witness["index"]) == 3
 
     def test_separated_variables_potential(self, HH):
         m, n, u = separable_712(HH)
-        rep = implicit_solution_check(u, m, n, probes=32, seed=2)
+        rep = implicit_solution_check(u, m, n)
         assert rep.verdict
 
     def test_zero_everything(self, HH):
         z = FormPoly([SlotTensor(HH, 0, 1)])
-        rep = implicit_solution_check(FormPoly([SlotTensor(HH, 0, 0)]), z, z, probes=8, seed=3)
+        rep = implicit_solution_check(FormPoly([SlotTensor(HH, 0, 0)]), z, z)
         assert rep.verdict
 
     @pytest.mark.parametrize("tag", ["real", "complex"])
     def test_inexact_over_h_is_exact_over_a_commutative_algebra(self, tag):
         alg = make_algebra(tag)
         for forms in (exact_724(alg), exact_725(alg)):
-            rep = exactness_check(*forms, probes=32, seed=0)
+            rep = exactness_check(*forms)
             assert rep.verdict and rep.residual <= 1e-12
 
-    @pytest.mark.parametrize("slots", [0, 2])
+    @pytest.mark.parametrize("slots", [0, 2, pytest.param(None, id="potential")])
     def test_forms_need_exactly_one_slot(self, HH, slots):
         m, n, u = exact_723(HH)
+        if slots is None:  # a potential with a slot is refused by name, not as a mixed polynomial
+            with pytest.raises(ValueError, match="the potential needs no argument slot"):
+                implicit_solution_check(m, m, n)
+            return
         bad = poly_derivative(m) if slots else u
         with pytest.raises(ValueError, match="exactly one argument slot"):
             exactness_check(bad, n)
@@ -248,11 +256,12 @@ class TestScale:
         sol = implicit_solution_check(u, m, n)
         assert ex.verdict and sol.verdict, (ex.residual, sol.residual)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
     @pytest.mark.parametrize("forms, condition", [(exact_724, "sym_x"), (exact_725, "cross")])
-    def test_scaled_inexact_forms_are_still_refuted(self, HH, forms, condition):
-        rep = exactness_check(*forms(HH, 1e6))
+    def test_scaled_inexact_forms_are_still_refuted(self, HH, forms, condition, scale):
+        rep = exactness_check(*forms(HH, scale))
         assert not rep.verdict and rep.witness["condition"] == condition
-        assert rep.witness["violation"] == rep.residual == rep.metrics[condition] > 1e3
+        assert rep.witness["violation"] == rep.residual == rep.metrics[condition] > 1e-3 * scale
 
 
 class TestLinearOdeStructure:
@@ -551,37 +560,22 @@ class TestDataForms:
 
 
 def _empty_probe_checks(alg):
-    """Every checker called with nothing to check, by name."""
-    m, n, u = separable_712(alg)
+    """Every finite-difference checker called with nothing to check, by name."""
     g = x_square_form(alg)
     pts = probe_elements(alg, 5, 2)
     ode = elliptic_ode(alg)
     return {
-        "integrability": lambda: integrability_check(g, probes=0),
-        "integrability-negative": lambda: integrability_check(g, probes=-3),
         "antiderivative-points": lambda: antiderivative_residual(lambda x: x * x, g, [], pts),
         "antiderivative-dirs": lambda: antiderivative_residual(lambda x: x * x, g, pts, []),
-        "exactness": lambda: exactness_check(m, n, probes=0),
-        "implicit": lambda: implicit_solution_check(u, m, n, probes=0),
         "solution": lambda: solution_residual(ode, closed_form_solution(ode), []),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_empty_probe_checks(make_algebra("quaternion"))))
 def test_a_check_without_probes_raises(HH, name):
-    # a verdict over no probe would certify anything, e.g. 3 x dx x over H
+    # a verdict over no probe would certify anything, a wrong antiderivative included
     with pytest.raises(ValueError, match="at least one probe"):
         _empty_probe_checks(HH)[name]()
-
-
-@pytest.mark.parametrize("name", ["integrability", "exactness", "implicit"])
-def test_a_negative_seed_raises_a_named_error(HH, name):
-    m, n, u = separable_712(HH)
-    check = {"integrability": lambda: integrability_check(x_square_form(HH), probes=4, seed=-1),
-             "exactness": lambda: exactness_check(m, n, probes=4, seed=-1),
-             "implicit": lambda: implicit_solution_check(u, m, n, probes=4, seed=-1)}[name]
-    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        check()
 
 
 class TestFormDuality:
@@ -628,7 +622,7 @@ class TestNaNResiduals:
         # only the cross condition reads
         m = poly(HH, (0, Y), scale=math.nan)
         n = poly(HH, (0, X))
-        rep = exactness_check(m, n, probes=8, seed=0)
+        rep = exactness_check(m, n)
         assert rep.metrics["sym_x"] == rep.metrics["sym_y"] == 0.0
         assert math.isnan(rep.metrics["cross"])
         assert not rep.verdict and math.isnan(rep.residual)

@@ -17,6 +17,7 @@ from ncalg.tensor import (
     monomial_derivative,
     ones_tensor,
     poly_derivative,
+    poly_norm,
     poly_product,
     pure,
     real_tensor,
@@ -360,7 +361,7 @@ def conj_tensor(alg):
 class TestRealTensor:
     @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
     def test_eval_matches_element_chain(self, rng, tag):
-        # orders 0-5 take both evaluation paths, with x, y and argument gaps mixed
+        # orders 0-5, with x, y and argument gaps mixed, evaluated and contracted
         alg = make_algebra(tag)
         for order in range(6):
             for y_gaps in range(order + 1):
@@ -378,12 +379,11 @@ class TestRealTensor:
                         contracted = contracted @ v.coeffs
                     assert np.linalg.norm(contracted - reference.coeffs) <= 1e-12 * size
 
-    def test_eval_stores_real_tensor_only_when_small(self, HH, rng):
+    def test_eval_never_builds_real_tensor(self, HH, rng):
         x = random_element(HH, rng)
-        # x^2: 4^3 entries, no more than one chain pass (1 term * 2 gaps * 4^3)
         small = ones_tensor(HH, 2)
         assert (eval_power(small, x) - x * x).norm() <= 1e-12 * x.norm() ** 2
-        assert small._real is not None
+        assert small._real is None
         # x^12: real_tensor would hold 4^13 floats (537 MB)
         big = ones_tensor(HH, 12)
         power = one(HH)
@@ -420,6 +420,17 @@ class TestRealTensor:
         assert not slot_tensors_equal(left, ones_tensor(HH, 2))
         # x conj(x) x = x x conj(x): three x axes
         assert slot_tensors_equal(star_product(left, xt), star_product(xt, right))
+
+    def test_poly_norm_is_zero_only_for_zero_and_scales(self, HH):
+        xt, c = ones_tensor(HH, 1), conj_tensor(HH)
+        left, right = star_product(xt, c), star_product(c, xt)
+        assert poly_norm(TensorPolynomial([left, tensor_scale(right, -1.0)])) == 0.0
+        # h -> h is the 4 x 4 identity: Frobenius norm 2
+        form = TensorPolynomial([monomial(HH, (0,)), monomial(HH, (X, Y, 0))])
+        assert poly_norm(TensorPolynomial([monomial(HH, (0,))])) == 2.0
+        assert poly_norm(TensorPolynomial([tensor_scale(c, 1e6) for c in form.components])) == \
+            pytest.approx(1e6 * poly_norm(form), rel=1e-14)
+        assert math.isnan(poly_norm(TensorPolynomial([monomial(HH, (X, 0), math.nan)])))
 
     def test_mixed_conjugate_does_not_commute(self, HH):
         # x conj(h) and conj(h) x are different bilinear maps
@@ -477,6 +488,15 @@ class TestTwoVariables:
         with pytest.raises(ValueError, match="y value"):
             eval_args(monomial(HH, (X, Y)), [], one(HH))
         assert eval_args(ones_tensor(HH, 1), [], one(HH)).close(one(HH), 0.0)
+
+    @pytest.mark.parametrize("var", [5, -3, 0])
+    def test_derivative_in_another_variable_raises(self, HH, var):
+        # x x over H: a zero form with one more slot would pass for a derivative
+        p = TensorPolynomial([monomial(HH, (X, X))])
+        with pytest.raises(ValueError, match=f"variable {var}"):
+            poly_derivative(p, var=var)
+        with pytest.raises(ValueError, match=f"variable {var}"):
+            slot_derivative(p.components[0], var)
 
     def test_derivative_in_each_variable(self, HH, rng):
         # p = x y x + y: D_x p o h = h y x + x y h, D_y p o h = x h x + h
