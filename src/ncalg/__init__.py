@@ -25,7 +25,7 @@ from .biring import (
 from .diffeq import FormPoly, LinearOde, OdeForm, SolutionCurve
 from .report import Report
 from .series import SeriesBudgetError
-from .tensor import SlotTensor, Tensor, TensorPolynomial
+from .tensor import SlotTensor, Tensor, TensorPolynomial, TensorSizeError
 
 __all__ = [
     "AlgebraDesc",
@@ -45,6 +45,7 @@ __all__ = [
     "SolutionCurve",
     "Tensor",
     "TensorPolynomial",
+    "TensorSizeError",
     "make_algebra",
 ]
 

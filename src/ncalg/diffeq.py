@@ -1,13 +1,14 @@
 """Differential-equation layer: integrability, exactness, and linear systems.
 
 Forms and potentials are :class:`TensorPolynomial`s in x (and y), so the
-form checkers differentiate them symbolically, build once the polynomial
-that must vanish, and judge its :func:`tensor.poly_norm` against the same
-norm of the polynomials it was built from: no probe point is drawn, so the
-verdict is exact and scale-free. That norm reads each component's real
-tensor, dim^(order + 1) floats, which bounds the degree of form a check can
-take. Curves and opaque callables have no symbolic derivative: central
-finite differences certify or refute them. The linear systems come in four
+form checkers differentiate them symbolically, build once each polynomial
+that must vanish, and judge its :func:`tensor.poly_norm` against FORM_TOL
+times the same norm of the polynomials it was built from: no probe point is
+drawn, so the verdict is exact up to rounding and scale-free. That norm
+reads each component's real tensor, dim^(order + 1) floats, so a form of
+too high a degree raises :class:`tensor.TensorSizeError`. Curves and
+opaque callables have no symbolic derivative: central finite differences
+certify or refute them. The linear systems come in four
 product forms (row-column / column-row product, coefficient matrix on
 either side), each one real system x' = M x on the stacked coefficients,
 with M built only by `LinearOde.real_matrix`. The right-hand side is M x
@@ -44,6 +45,7 @@ from .tensor import X, Y, SlotTensor, TensorPolynomial, poly_derivative, poly_no
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
+FORM_TOL = 1e-12  # relative: the form checks' vanishing norms are 0.0, or rounding, when they hold
 WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 
 
@@ -79,24 +81,27 @@ def _worst(residuals: Iterable[float]) -> float:
     return worst
 
 
-def _judge(gaps: Iterable[tuple[float, Callable[[], dict]]], tol: float, **metrics) -> Report:
-    """The verdict rule of every checker, over (residual, witness thunk) pairs.
+def _judge(gaps: Iterable[tuple[float, float, Callable[[], dict]]], **metrics) -> Report:
+    """The verdict rule of every checker, over (residual, bound, witness thunk) triples.
 
-    A pair is a probe of a finite-difference check, or a polynomial that
-    must vanish. The first pair with the largest residual is the witness,
-    built only when the check fails; the check passes iff that residual is
-    within tol. A NaN residual counts as the largest, so it refutes the
-    check. A check that saw no probe proves nothing, so it raises ValueError.
+    A triple is a probe of a finite-difference check, bounded by the check's
+    tol, or a polynomial that must vanish, bounded by tol times the norms of
+    the polynomials it was built from. The check passes iff every residual
+    is within its bound; a NaN is within none. It reports the largest
+    residual, a NaN the largest of all, and on failure the witness of the
+    first failing triple with the largest residual. A check that saw no
+    probe proves nothing, so it raises ValueError.
     """
-    worst, witness, count = 0.0, None, 0
-    for count, (r, thunk) in enumerate(gaps, 1):
+    worst, failed, witness, count = 0.0, 0.0, None, 0
+    for count, (r, bound, thunk) in enumerate(gaps, 1):
         if _worse(r, worst):
-            worst, witness = r, thunk
+            worst = r
+        if not r <= bound and (witness is None or _worse(r, failed)):
+            failed, witness = r, thunk
     if not count:
         raise ValueError("a check needs at least one probe")
-    verdict = worst <= tol
-    return Report(verdict=verdict, residual=worst, metrics=metrics,
-                  witness=None if verdict or witness is None else witness())
+    return Report(verdict=witness is None, residual=worst, metrics=metrics,
+                  witness=None if witness is None else witness())
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +137,29 @@ def _check_forms(*forms: FormPoly) -> None:
         raise ValueError("a form needs exactly one argument slot")
 
 
-def _vanishing(p: TensorPolynomial, **fields) -> tuple[float, Callable[[], dict]]:
-    """p's norm, and a witness thunk: the fields, that norm as the violation, and p's largest entry.
+def _vanishing(p: TensorPolynomial, sources: Sequence[TensorPolynomial], tol: float,
+               **fields) -> tuple[float, float, Callable[[], dict]]:
+    """p's norm, its bound and a witness thunk, for _judge.
 
-    The entry is the largest of the symmetric parts of p's components, named
-    by its component's bidegree (x gaps, y gaps) and its index into that
-    part; a NaN entry counts as the largest.
+    The bound is tol times the summed norms of the sources, the polynomials
+    p was built from, so a large part of another condition cannot hide p.
+    The witness holds the fields, p's norm as the violation, and p's largest
+    symmetrized entry, named by its component's bidegree (x gaps, y gaps)
+    and its index; a NaN entry counts as the largest.
     """
-    violation = poly_norm(p)
+    parts = [(c, symmetric_part(c)) for c in p.components]
+    violation = sum(float(np.linalg.norm(part)) for _, part in parts)
 
     def witness() -> dict:
-        parts = [(c, np.nan_to_num(np.abs(symmetric_part(c)), nan=np.inf)) for c in p.components]
-        c, size = max(parts, key=lambda part: part[1].max())
+        c, size = max(((c, np.nan_to_num(np.abs(part), nan=np.inf)) for c, part in parts),
+                      key=lambda cs: cs[1].max())
         index = np.unravel_index(np.argmax(size), size.shape)
         return dict(fields, violation=violation, bidegree=[c.x_gaps, c.y_gaps], index=[int(i) for i in index])
 
-    return violation, witness
+    return violation, tol * sum(poly_norm(q) for q in sources), witness
 
 
-def integrability_check(g: FormPoly, tol: float = 1e-9) -> Report:
+def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
     """Integrable iff the x-derivative of the form is a symmetric bilinear map.
 
     g must have exactly one argument slot, else ValueError. The derivative
@@ -161,8 +170,7 @@ def integrability_check(g: FormPoly, tol: float = 1e-9) -> Report:
     """
     _check_forms(g)
     dg = poly_derivative(g)
-    scale = poly_norm(dg)
-    return _judge([_vanishing(_asymmetry(dg))], tol * scale, scale=scale)
+    return _judge([_vanishing(_asymmetry(dg), [dg], tol)])
 
 
 def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence[Element],
@@ -173,12 +181,12 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     """
     def gap(x: Element, h: Element):
         r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
-        return r, _witness(x=x, h=h, residual=r)
+        return r, tol, _witness(x=x, h=h, residual=r)
 
-    return _judge((gap(x, h) for x in points for h in dirs), tol)
+    return _judge(gap(x, h) for x in points for h in dirs)
 
 
-def exactness_check(m: FormPoly, n: FormPoly, tol: float = 1e-5) -> Report:
+def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     """Three conditions for M o dx + N o dy = 0 to admit a potential.
 
     M and N are one-slot polynomials in x and y. D_x M and D_y N must be
@@ -186,31 +194,30 @@ def exactness_check(m: FormPoly, n: FormPoly, tol: float = 1e-5) -> Report:
     D_x N o (dy, dx) - the argument order matters, the first slot is the
     form's own differential, the second the direction of differentiation.
     Each condition is one polynomial, built once; the metrics give their
-    norms. The check passes iff the largest is within tol times the summed
-    norms of the four partials, and a refutation's witness names its
-    condition.
+    norms. Each must be within tol times the norms of the partials it is
+    built from (D_x M for sym_x, D_y N for sym_y, D_y M and D_x N for cross),
+    and a refutation's witness names its condition.
     """
     _check_forms(m, n)
     dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
-    scale = sum(poly_norm(d) for d in (dxm, dym, dxn, dyn))
-    conditions = {"sym_x": _asymmetry(dxm), "sym_y": _asymmetry(dyn), "cross": _minus(dym, _swapped(dxn))}
-    gaps = {k: _vanishing(p, condition=k) for k, p in conditions.items()}
-    return _judge(gaps.values(), tol * scale, scale=scale, **{k: v for k, (v, _) in gaps.items()})
+    conditions = {"sym_x": (_asymmetry(dxm), [dxm]), "sym_y": (_asymmetry(dyn), [dyn]),
+                  "cross": (_minus(dym, _swapped(dxn)), [dym, dxn])}
+    gaps = {k: _vanishing(p, sources, tol, condition=k) for k, (p, sources) in conditions.items()}
+    return _judge(gaps.values(), **{k: v for k, (v, _, _) in gaps.items()})
 
 
-def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: float = FD_TOL) -> Report:
+def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     """Do the partials of the potential u reproduce M and N?
 
     u has no argument slot, else ValueError. D_x u - M and D_y u - N are
-    formed symbolically; the check passes iff the larger of their norms is
-    within tol times the summed norms of M and N.
+    formed symbolically; the check passes iff each one's norm is within tol
+    times the summed norms of the two polynomials it subtracts.
     """
     if u.arg_slots:
         raise ValueError("the potential needs no argument slot")
     _check_forms(m, n)
-    scale = poly_norm(m) + poly_norm(n)
-    gaps = [_vanishing(_minus(poly_derivative(u), m)), _vanishing(_minus(poly_derivative(u, var=Y), n))]
-    return _judge(gaps, tol * scale, scale=scale)
+    partials = [(poly_derivative(u, var=v), f) for v, f in ((X, m), (Y, n))]
+    return _judge(_vanishing(_minus(du, f), [du, f], tol) for du, f in partials)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +368,9 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
             rhs = ode.rhs(curve(t))
             for i in range(ode.size):
                 r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
-                yield r, _witness(t=t, component=i, residual=r)
+                yield r, tol, _witness(t=t, component=i, residual=r)
 
-    return _judge(gaps(), tol, provenance=curve.provenance)
+    return _judge(gaps(), provenance=curve.provenance)
 
 
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:

@@ -12,9 +12,10 @@ an array with a value axis and one axis per gap, built once per tensor.
 Its part symmetric in the x axes and, separately, in the y axes,
 :func:`symmetric_part`, fixes the polynomial, so :func:`slot_tensors_equal`
 and the norm :func:`poly_norm` decide equality and size with no probe
-points. Evaluation never builds that array, which grows as
-dim^(order + 1): it multiplies the coefficient vectors of all terms
-through the structure table, one gap at a time.
+points. That array grows as dim^(order + 1), so it is refused above
+REAL_TENSOR_MAX floats with :class:`TensorSizeError`. Evaluation never
+builds it: it multiplies the coefficient vectors of all terms through the
+structure table, one gap at a time.
 
 The order-k derivative in a variable is k applications of
 :func:`slot_derivative`, each moving one gap of that variable to a new
@@ -40,6 +41,11 @@ from .algebra import AlgebraDesc, AlgebraError, Element, element_from_data, elem
 
 X = -1  # gap labels: the polynomial variables
 Y = -2
+REAL_TENSOR_MAX = 2 ** 20  # floats in one real_tensor: 8 MB, order 9 over H
+
+
+class TensorSizeError(ValueError):
+    """A real tensor, or a norm or equality that needs one, above REAL_TENSOR_MAX floats."""
 
 
 class SlotTensor:
@@ -155,11 +161,15 @@ def real_tensor(s: SlotTensor) -> np.ndarray:
     the dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
     e_p e_q c, for the coefficient c after the gap, and the terms sum.
     Built on first use and kept, since a SlotTensor is immutable. That takes
-    O(terms * dim^(order + 2)) time and dim^(order + 1) floats: over H, order
-    12 holds 537 MB.
+    O(terms * dim^(order + 2)) time and dim^(order + 1) floats, so above
+    REAL_TENSOR_MAX floats (order 9 over H) it raises TensorSizeError
+    before allocating.
     """
     if s._real is None:
         n, d = s.order, s.algebra.dim
+        if d ** (n + 1) > REAL_TENSOR_MAX:
+            raise TensorSizeError(f"the real tensor of an order-{n} tensor over the {s.algebra.tag} algebra "
+                                  f"holds {d ** (n + 1)} floats, above the bound of {REAL_TENSOR_MAX}")
         # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
         triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
         total = np.zeros((d,) * (n + 1))

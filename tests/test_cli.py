@@ -198,7 +198,7 @@ class TestFormScenarios:
 
 
 class TestExactnessWitness:
-    """A refuted exactness check reports the probe of the failing condition."""
+    """A refuted exactness check's witness gives the failing condition and its largest entry."""
 
     def test_724_witness_is_the_symmetry_failure(self):
         report, payload = run_scenario("exact-724", Options(seed=0, algebra="quaternion"))

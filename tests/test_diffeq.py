@@ -29,7 +29,7 @@ from ncalg.diffeq import (
     successive_powers,
 )
 from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
-from ncalg.tensor import SlotTensor, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative
+from ncalg.tensor import SlotTensor, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative
 
 
 def poly(alg, *words, scale=1.0) -> FormPoly:
@@ -96,6 +96,12 @@ class TestIntegrability:
         g = FormPoly([monomial_derivative(ones_tensor(HH, 2), slots)])
         with pytest.raises(ValueError, match="exactly one argument slot"):
             integrability_check(g)
+
+    def test_a_form_above_the_size_bound_raises(self, HH, CC):
+        # D of the derivative form of x^10 has order 10: 4^11 floats over H, 2^11 over C
+        with pytest.raises(TensorSizeError):
+            integrability_check(poly_derivative(FormPoly([ones_tensor(HH, 10)])))
+        assert integrability_check(poly_derivative(FormPoly([ones_tensor(CC, 10)]))).verdict
 
 
 class TestAntiderivative:
@@ -231,6 +237,20 @@ class TestExactness:
             rep = exactness_check(*forms)
             assert rep.verdict and rep.residual <= 1e-12
 
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_random_coefficient_forms_pass_at_the_default_tolerance(self, tag, rng):
+        # the partials of a potential with random coefficients: their vanishing norms are rounding
+        alg = make_algebra(tag)
+
+        def random_poly(*words):
+            return FormPoly([SlotTensor(alg, w.count(X), 0, [([random_element(alg, rng) for _ in range(len(w) + 1)], w)
+                                                             for _ in range(3)], w.count(Y)) for w in words])
+
+        u = random_poly((X, Y, X), (Y, X, Y, X), (X, X), (Y,))
+        m, n = poly_derivative(u), poly_derivative(u, var=Y)
+        assert exactness_check(m, n).verdict and implicit_solution_check(u, m, n).verdict
+        assert integrability_check(poly_derivative(random_poly((X, X, X), (X, X, X, X)))).verdict
+
     @pytest.mark.parametrize("slots", [0, 2, pytest.param(None, id="potential")])
     def test_forms_need_exactly_one_slot(self, HH, slots):
         m, n, u = exact_723(HH)
@@ -262,6 +282,17 @@ class TestScale:
         rep = exactness_check(*forms(HH, scale))
         assert not rep.verdict and rep.witness["condition"] == condition
         assert rep.witness["violation"] == rep.residual == rep.metrics[condition] > 1e-3 * scale
+
+    @pytest.mark.parametrize("big", [1e5, 1e11])
+    def test_a_large_exact_part_does_not_hide_an_inexact_one(self, HH, big):
+        # exact-725 plus big times separable-712's forms, which are exact and add nothing to cross
+        (m, n), (bm, bn, _) = exact_725(HH), separable_712(HH, big)
+        rep = exactness_check(FormPoly([*m.components, *bm.components]), FormPoly([*n.components, *bn.components]))
+        assert not rep.verdict and rep.witness["condition"] == "cross"
+        assert rep.metrics == {"sym_x": 0.0, "sym_y": 0.0, "cross": rep.residual} and rep.residual > 1.0
+        # 3 x h x plus big times the integrable x h + h x
+        rep = integrability_check(FormPoly([*three_x_form(HH).components, *poly(HH, (X, 0), (0, X), scale=big).components]))
+        assert not rep.verdict and rep.residual > 1.0
 
 
 class TestLinearOdeStructure:

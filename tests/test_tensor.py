@@ -9,6 +9,7 @@ from ncalg.tensor import (
     SlotTensor,
     Tensor,
     TensorPolynomial,
+    TensorSizeError,
     X,
     Y,
     eval_args,
@@ -391,6 +392,17 @@ class TestRealTensor:
             power = power * x
         assert (eval_power(big, x) - power).norm() <= 1e-12 * x.norm() ** 12
         assert big._real is None
+
+    def test_size_bound_raises_before_allocating(self, HH, CC):
+        big = ones_tensor(HH, 10)  # 4^11 floats, above the bound of 2^20
+        with pytest.raises(TensorSizeError, match="order-10 tensor over the quaternion algebra holds 4194304 floats"):
+            real_tensor(big)
+        assert big._real is None
+        with pytest.raises(TensorSizeError):
+            slot_tensors_equal(big, big)
+        with pytest.raises(TensorSizeError):
+            poly_norm(TensorPolynomial([big]))
+        assert real_tensor(ones_tensor(CC, 10)).shape == (2,) * 11  # 2^11 floats are within it
 
     def test_axis_order_and_read_only(self, HH, rng):
         # value c0 h1 c1 x c2 h0 c3: axes value, x, h0, h1
