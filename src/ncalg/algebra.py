@@ -332,7 +332,7 @@ def random_element(algebra: AlgebraDesc, rng, scale: float = 1.0) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# text and data forms
+# text form
 
 
 def format_element(a: Element, digits: int = 12) -> str:
@@ -346,11 +346,3 @@ def format_element(a: Element, digits: int = 12) -> str:
         else:
             parts.append(f"+ {term}" if c >= 0 else f"- {term}")
     return " ".join(parts)
-
-
-def element_to_data(a: Element) -> dict:
-    return {"algebra": a.algebra.tag, "coeffs": [float(c) for c in a.coeffs]}
-
-
-def element_from_data(data: dict) -> Element:
-    return Element(make_algebra(data["algebra"]), data["coeffs"])

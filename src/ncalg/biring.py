@@ -38,10 +38,7 @@ from .algebra import (
     AlgebraDesc,
     AlgebraError,
     Element,
-    element_from_data,
-    element_to_data,
     inv as el_inv,
-    make_algebra,
     one,
     zero,
 )
@@ -575,25 +572,6 @@ def tmat_pow(a: Sequence[Sequence[Tensor]], n: int) -> list[list[Tensor]]:
 
 def tmat_eval(a: Sequence[Sequence[Tensor]], x: Element) -> BiMatrix:
     return BiMatrix.from_elements([[eval_power(t, x) for t in row] for row in a])
-
-
-# ---------------------------------------------------------------------------
-# data form
-
-
-def matrix_to_data(a: BiMatrix) -> dict:
-    return {
-        "algebra": a.algebra.tag,
-        "entries": [[element_to_data(a.entry(i, j)) for j in range(a.cols)] for i in range(a.rows)],
-    }
-
-
-def matrix_from_data(data: dict) -> BiMatrix:
-    entries = [[element_from_data(e) for e in row] for row in data["entries"]]
-    mat = BiMatrix.from_elements(entries)
-    if mat.algebra != make_algebra(data["algebra"]):
-        raise AlgebraError("entry algebras disagree with the declared tag")
-    return mat
 
 
 def random_matrix(algebra: AlgebraDesc, m: int, n: int, rng, scale: float = 1.0) -> BiMatrix:

@@ -2,11 +2,12 @@
 
 Forms and potentials are :class:`TensorPolynomial`s in x (and y), so the
 form checkers differentiate them symbolically, build once each polynomial
-that must vanish, and judge its :func:`tensor.poly_norm` against FORM_TOL
-times the same norm of the polynomials it was built from: no probe point is
-drawn, so the verdict is exact up to rounding and scale-free. That norm
-reads each component's real tensor, dim^(order + 1) floats, so a form of
-too high a degree raises :class:`tensor.TensorSizeError`. Curves and
+that must vanish, and judge the norm of each of its bidegrees against
+FORM_TOL times the same norm of that bidegree of the polynomials it was
+built from: no probe point is drawn, so the verdict is exact up to rounding
+and scale-free. That norm reads each component's real tensor,
+dim^(order + 1) floats, so a form of too high a degree raises
+:class:`tensor.TensorSizeError`. Curves and
 opaque callables have no symbolic derivative: central finite differences
 certify or refute them. The linear systems come in four
 product forms (row-column / column-row product, coefficient matrix on
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -31,17 +33,15 @@ from .algebra import (
     AlgebraError,
     Element,
     basis,
-    element_from_data,
-    element_to_data,
     in_centralizer,
     inv as el_inv,
     one,
     zero,
 )
-from .biring import BiMatrix, cr_pow, matrix_from_data, matrix_to_data, rc_pow
+from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report
 from .series import _expm, exp_at
-from .tensor import X, Y, SlotTensor, TensorPolynomial, poly_derivative, poly_norm, symmetric_part, tensor_scale
+from .tensor import X, Y, SlotTensor, TensorPolynomial, poly_derivative, symmetric_part, tensor_norm, tensor_scale
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -81,22 +81,22 @@ def _worst(residuals: Iterable[float]) -> float:
     return worst
 
 
-def _judge(gaps: Iterable[tuple[float, float, Callable[[], dict]]], **metrics) -> Report:
-    """The verdict rule of every checker, over (residual, bound, witness thunk) triples.
+def _judge(gaps: Iterable[tuple[float, bool, Callable[[], dict]]], **metrics) -> Report:
+    """The verdict rule of every checker, over (residual, held, witness thunk) triples.
 
-    A triple is a probe of a finite-difference check, bounded by the check's
-    tol, or a polynomial that must vanish, bounded by tol times the norms of
-    the polynomials it was built from. The check passes iff every residual
-    is within its bound; a NaN is within none. It reports the largest
-    residual, a NaN the largest of all, and on failure the witness of the
-    first failing triple with the largest residual. A check that saw no
-    probe proves nothing, so it raises ValueError.
+    A triple is a probe of a finite-difference check, held when its residual
+    is within the check's tol, or a polynomial that must vanish, held per
+    :func:`_vanishing`; a NaN residual never holds. The check passes iff
+    every triple holds. It reports the largest residual, a NaN the largest
+    of all, and on failure the witness of the first failing triple with the
+    largest residual. A check that saw no probe proves nothing, so it raises
+    ValueError.
     """
     worst, failed, witness, count = 0.0, 0.0, None, 0
-    for count, (r, bound, thunk) in enumerate(gaps, 1):
+    for count, (r, held, thunk) in enumerate(gaps, 1):
         if _worse(r, worst):
             worst = r
-        if not r <= bound and (witness is None or _worse(r, failed)):
+        if not held and (witness is None or _worse(r, failed)):
             failed, witness = r, thunk
     if not count:
         raise ValueError("a check needs at least one probe")
@@ -138,25 +138,32 @@ def _check_forms(*forms: FormPoly) -> None:
 
 
 def _vanishing(p: TensorPolynomial, sources: Sequence[TensorPolynomial], tol: float,
-               **fields) -> tuple[float, float, Callable[[], dict]]:
-    """p's norm, its bound and a witness thunk, for _judge.
+               **fields) -> tuple[float, bool, Callable[[], dict]]:
+    """p's norm, whether p vanishes, and a witness thunk, for _judge.
 
-    The bound is tol times the summed norms of the sources, the polynomials
-    p was built from, so a large part of another condition cannot hide p.
-    The witness holds the fields, p's norm as the violation, and p's largest
-    symmetrized entry, named by its component's bidegree (x gaps, y gaps)
-    and its index; a NaN entry counts as the largest.
+    p vanishes iff the norm of each of its components is within tol times
+    the summed norms of the components of the same bidegree (x gaps, y gaps)
+    of the sources, the polynomials p was built from. Rounding stays within
+    a bidegree, so a large part of another condition, or of another bidegree
+    of the same one, cannot hide p. The witness holds the fields, p's norm
+    as the violation, and the largest symmetrized entry of p's failing
+    components, named by its component's bidegree and its index; a NaN
+    entry counts as the largest.
     """
-    parts = [(c, symmetric_part(c)) for c in p.components]
-    violation = sum(float(np.linalg.norm(part)) for _, part in parts)
+    scale = defaultdict(float)  # bidegree: the summed norms of the sources' components
+    for c in (c for q in sources for c in q.components):
+        scale[c.x_gaps, c.y_gaps] += tensor_norm(c)
+    norms = [tensor_norm(c) for c in p.components]
+    violation = sum(norms)
+    failing = [c for c, r in zip(p.components, norms) if not r <= tol * scale[c.x_gaps, c.y_gaps]]
 
     def witness() -> dict:
-        c, size = max(((c, np.nan_to_num(np.abs(part), nan=np.inf)) for c, part in parts),
+        c, size = max(((c, np.nan_to_num(np.abs(symmetric_part(c)), nan=np.inf)) for c in failing),
                       key=lambda cs: cs[1].max())
         index = np.unravel_index(np.argmax(size), size.shape)
         return dict(fields, violation=violation, bidegree=[c.x_gaps, c.y_gaps], index=[int(i) for i in index])
 
-    return violation, tol * sum(poly_norm(q) for q in sources), witness
+    return violation, not failing, witness
 
 
 def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
@@ -164,9 +171,10 @@ def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
 
     g must have exactly one argument slot, else ValueError. The derivative
     D g is formed symbolically (one more labelled slot) and so is its
-    antisymmetric part; the check passes iff the norm of that part is within
-    tol times the norm of D g. A refutation's witness is the part's largest
-    entry.
+    antisymmetric part; the check passes iff the norm of each bidegree of
+    that part is within tol times the norm of the same bidegree of D g. A
+    refutation's witness is the largest entry of the part's failing
+    bidegrees.
     """
     _check_forms(g)
     dg = poly_derivative(g)
@@ -181,7 +189,7 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     """
     def gap(x: Element, h: Element):
         r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
-        return r, tol, _witness(x=x, h=h, residual=r)
+        return r, r <= tol, _witness(x=x, h=h, residual=r)
 
     return _judge(gap(x, h) for x in points for h in dirs)
 
@@ -196,7 +204,7 @@ def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     Each condition is one polynomial, built once; the metrics give their
     norms. Each must be within tol times the norms of the partials it is
     built from (D_x M for sym_x, D_y N for sym_y, D_y M and D_x N for cross),
-    and a refutation's witness names its condition.
+    bidegree by bidegree, and a refutation's witness names its condition.
     """
     _check_forms(m, n)
     dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
@@ -211,7 +219,8 @@ def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: 
 
     u has no argument slot, else ValueError. D_x u - M and D_y u - N are
     formed symbolically; the check passes iff each one's norm is within tol
-    times the summed norms of the two polynomials it subtracts.
+    times the summed norms of the two polynomials it subtracts, bidegree by
+    bidegree.
     """
     if u.arg_slots:
         raise ValueError("the potential needs no argument slot")
@@ -368,7 +377,7 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
             rhs = ode.rhs(curve(t))
             for i in range(ode.size):
                 r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
-                yield r, tol, _witness(t=t, component=i, residual=r)
+                yield r, r <= tol, _witness(t=t, component=i, residual=r)
 
     return _judge(gaps(), provenance=curve.provenance)
 
@@ -476,56 +485,3 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
         return (x1, x2)
 
     return SolutionCurve(evaluate, "three-exponential-family")
-
-
-# ---------------------------------------------------------------------------
-# data forms
-
-
-def ode_to_data(ode: LinearOde) -> dict:
-    return {
-        "matrix": matrix_to_data(ode.a),
-        "form": ode.form.value,
-        "init": [element_to_data(e) for e in ode.init],
-    }
-
-
-def ode_from_data(data: dict) -> LinearOde:
-    return LinearOde(
-        matrix_from_data(data["matrix"]),
-        OdeForm(data["form"]),
-        tuple(element_from_data(e) for e in data["init"]),
-    )
-
-
-def run_ode_fixture(data: dict) -> Report:
-    """Run a scenario fixture: {"ode": {...}, "checks": [...]}.
-
-    Supported checks: {"kind": "residual", "ts": [...], "tol": ...} verifies
-    the closed-form curve against the equation, and {"kind": "rk4-match",
-    "t_end": ..., "steps": ..., "points": ..., "tol": ...} compares it with
-    the RK4 oracle. The combined verdict requires every check to pass.
-    """
-    ode = ode_from_data(data["ode"])
-    closed = closed_form_solution(ode)
-    verdict = True
-    residuals = []
-    details = []
-    for check in data["checks"]:
-        kind = check["kind"]
-        tol = float(check.get("tol", FD_TOL))
-        if kind == "residual":
-            rep = solution_residual(ode, closed, check["ts"], tol=tol)
-            r, ok = rep.residual, rep.verdict
-            details.append({"kind": kind, "residual": r, "ok": ok})
-        elif kind == "rk4-match":
-            rk = rk4_integrate(ode, float(check["t_end"]), int(check["steps"]))
-            ts = np.linspace(0.0, float(check["t_end"]), int(check.get("points", 11)))
-            r = _worst((u - v).norm() for t in ts for u, v in zip(closed(t), rk(t)))
-            ok = r <= tol
-            details.append({"kind": kind, "gap": r, "ok": ok})
-        else:
-            raise ValueError(f"unknown check kind {kind!r}")
-        verdict = verdict and ok
-        residuals.append(r)
-    return Report(verdict=verdict, residual=_worst(residuals), metrics={"checks": details})

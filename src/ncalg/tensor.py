@@ -8,10 +8,10 @@ arguments, so a sum of terms is a multilinear-map-valued polynomial in x and
 y. ``Tensor`` is its argument-free case, with every gap labelled x.
 
 Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
-an array with a value axis and one axis per gap, built once per tensor.
+an array with a value axis and one axis per gap.
 Its part symmetric in the x axes and, separately, in the y axes,
 :func:`symmetric_part`, fixes the polynomial, so :func:`slot_tensors_equal`
-and the norm :func:`poly_norm` decide equality and size with no probe
+and the norm :func:`tensor_norm` decide equality and size with no probe
 points. That array grows as dim^(order + 1), so it is refused above
 REAL_TENSOR_MAX floats with :class:`TensorSizeError`. Evaluation never
 builds it: it multiplies the coefficient vectors of all terms through the
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDesc, AlgebraError, Element, element_from_data, element_to_data, one
+from .algebra import AlgebraDesc, AlgebraError, Element, one
 
 X = -1  # gap labels: the polynomial variables
 Y = -2
@@ -54,11 +54,10 @@ class SlotTensor:
     Each term is (coeffs, labels) with len(coeffs) = x_gaps + y_gaps +
     arg_slots + 1 and labels marking every gap as X, as Y or as one of the
     arg indices 0..k-1 (each appearing exactly once per term). Evaluation
-    substitutes the args, x and y into their gaps. ``_real`` holds
-    :func:`real_tensor` once built.
+    substitutes the args, x and y into their gaps.
     """
 
-    __slots__ = ("algebra", "x_gaps", "arg_slots", "y_gaps", "terms", "_real")
+    __slots__ = ("algebra", "x_gaps", "arg_slots", "y_gaps", "terms")
 
     def __init__(self, algebra: AlgebraDesc, x_gaps: int, arg_slots: int,
                  terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = (), y_gaps: int = 0):
@@ -82,7 +81,6 @@ class SlotTensor:
         object.__setattr__(self, "arg_slots", arg_slots)
         object.__setattr__(self, "y_gaps", y_gaps)
         object.__setattr__(self, "terms", tuple(norm_terms))
-        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlotTensor is immutable")
@@ -153,35 +151,31 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
 
 
 def real_tensor(s: SlotTensor) -> np.ndarray:
-    """s as one real multilinear map: a read-only array of shape (dim,) * (order + 1).
+    """s as one real multilinear map: an array of shape (dim,) * (order + 1).
 
     Axis 0 is the value; the other axes are the gaps sorted by label, each
     variable's left to right: the y gaps (Y = -2), the x gaps (X = -1), then
     the arguments in slot order. Each gap of a term is one contraction with
     the dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
     e_p e_q c, for the coefficient c after the gap, and the terms sum.
-    Built on first use and kept, since a SlotTensor is immutable. That takes
-    O(terms * dim^(order + 2)) time and dim^(order + 1) floats, so above
-    REAL_TENSOR_MAX floats (order 9 over H) it raises TensorSizeError
-    before allocating.
+    That takes O(terms * dim^(order + 2)) time and dim^(order + 1) floats,
+    so above REAL_TENSOR_MAX floats (order 9 over H) it raises
+    TensorSizeError before allocating.
     """
-    if s._real is None:
-        n, d = s.order, s.algebra.dim
-        if d ** (n + 1) > REAL_TENSOR_MAX:
-            raise TensorSizeError(f"the real tensor of an order-{n} tensor over the {s.algebra.tag} algebra "
-                                  f"holds {d ** (n + 1)} floats, above the bound of {REAL_TENSOR_MAX}")
-        # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
-        triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
-        total = np.zeros((d,) * (n + 1))
-        for coeffs, labels in s.terms:
-            chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
-            for c in coeffs[1:]:
-                chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
-            # Y < X < every argument and the sort is stable, so each variable's gaps keep their order
-            total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
-        total.flags.writeable = False
-        object.__setattr__(s, "_real", total)
-    return s._real
+    n, d = s.order, s.algebra.dim
+    if d ** (n + 1) > REAL_TENSOR_MAX:
+        raise TensorSizeError(f"the real tensor of an order-{n} tensor over the {s.algebra.tag} algebra "
+                              f"holds {d ** (n + 1)} floats, above the bound of {REAL_TENSOR_MAX}")
+    # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
+    triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
+    total = np.zeros((d,) * (n + 1))
+    for coeffs, labels in s.terms:
+        chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
+        for c in coeffs[1:]:
+            chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
+        # Y < X < every argument and the sort is stable, so each variable's gaps keep their order
+        total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
+    return total
 
 
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | None = None) -> Element:
@@ -362,26 +356,9 @@ def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
     return float(np.linalg.norm(symmetric_part(a) - symmetric_part(b))) <= tol
 
 
-def poly_norm(p: TensorPolynomial) -> float:
-    """Sum over components of the Frobenius norm of the symmetric part: zero iff p is.
+def tensor_norm(s: SlotTensor) -> float:
+    """The Frobenius norm of the symmetric part: zero iff s is the zero map.
 
-    It scales with p and reads NaN when a coefficient is NaN.
+    It scales with s and reads NaN when a coefficient is NaN.
     """
-    return sum(float(np.linalg.norm(symmetric_part(c))) for c in p.components)
-
-
-# ---------------------------------------------------------------------------
-# data form
-
-
-def tensor_to_data(t: Tensor) -> dict:
-    if t.arg_slots or t.y_gaps:
-        raise ValueError("only argument-free tensors in x have a data form")
-    return {"order": t.order, "terms": [[element_to_data(c) for c in coeffs] for coeffs, _ in t.terms]}
-
-
-def tensor_from_data(data: dict) -> Tensor:
-    terms = [[element_from_data(c) for c in term] for term in data["terms"]]
-    if not terms:
-        raise ValueError("tensor data needs at least one term to fix the algebra")
-    return SlotTensor(terms[0][0].algebra, data["order"], 0, [(c, (X,) * data["order"]) for c in terms])
+    return float(np.linalg.norm(symmetric_part(s)))

@@ -13,8 +13,6 @@ from ncalg.algebra import (
     basis,
     commutator,
     conj,
-    element_from_data,
-    element_to_data,
     format_element,
     from_scalar,
     in_centralizer,
@@ -240,12 +238,6 @@ class TestForms:
 
     def test_text_digits(self, RR):
         assert format_element(Element(RR, [1 / 3])) == "0.333333333333"
-
-    def test_data_round_trip(self, HH, rng):
-        e = random_element(HH, rng)
-        d = element_to_data(e)
-        assert d["algebra"] == "quaternion" and len(d["coeffs"]) == 4
-        assert element_from_data(d).close(e, 0.0)
 
     def test_norm_conj(self, HH):
         e = Element(HH, [1, 2, 2, 0])

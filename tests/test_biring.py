@@ -25,8 +25,6 @@ from ncalg.biring import (
     hadamard_inv,
     is_rc_singular,
     left_dependency,
-    matrix_from_data,
-    matrix_to_data,
     quasidet_cr,
     quasidet_rc,
     quasidets_rc,
@@ -430,13 +428,7 @@ class TestTensorMatrices:
             assert lhs.close(rhs, 1e-8)
 
 
-class TestDataForms:
-    def test_round_trip(self, HH, rng):
-        a = random_matrix(HH, 2, 3, rng)
-        d = matrix_to_data(a)
-        assert d["algebra"] == "quaternion"
-        assert matrix_from_data(d).close(a, 0.0)
-
+class TestSubmatrix:
     def test_submatrix(self, HH, rng):
         a = random_matrix(HH, 3, 3, rng)
         s = submatrix(a, [0, 2], [1])

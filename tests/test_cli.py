@@ -8,6 +8,7 @@ from ncalg import cli, tensor
 from ncalg.algebra import AlgebraError, Element
 from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatrixError
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
+from ncalg.diffeq import SolutionCurve
 from ncalg.series import SeriesBudgetError
 
 REQUIRED = [
@@ -258,4 +259,15 @@ class TestNaNResiduals:
         nan = lambda a: Element(a.algebra, [np.nan] * a.algebra.dim)
         monkeypatch.setattr(cli, "solve_rc", lambda a, b: [nan(a)] * len(b))
         report, _ = run_scenario("solve-quaternion-system", Options(seed=0))
+        assert not report.verdict and math.isnan(report.residual)
+
+    def test_nan_rk4_curve_fails_the_cross_check(self, monkeypatch):
+        # an unstable RK4 starts at x(0) and overflows to NaN after it, so the
+        # first gap is 0 and every later one NaN
+        def nan_curve(ode, t_end, steps):
+            nan = Element(ode.algebra, [np.nan] * ode.algebra.dim)
+            return SolutionCurve(lambda t: ode.init if t == 0.0 else (nan,) * ode.size, "rk4")
+
+        monkeypatch.setattr(cli, "rk4_integrate", nan_curve)
+        report, _ = run_scenario("ode-forms-cross-check", Options(seed=0))
         assert not report.verdict and math.isnan(report.residual)
