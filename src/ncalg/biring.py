@@ -233,36 +233,25 @@ def submatrix(a: BiMatrix, rows: Iterable[int], cols: Iterable[int]) -> BiMatrix
 # inverses, quasideterminants, linear systems and rank, all through rho
 
 
-def _rank(r: np.ndarray, d: int, smax: float | None = None) -> tuple[int, float]:
-    """rc rank of the matrix whose real representation is r, and smax.
+def _rc_ranks(table: np.ndarray, data: np.ndarray,
+              smax: float | None = None) -> tuple[np.ndarray, list[int], list[float]]:
+    """rho of a (k, m, n, d) stack of arrays, each member's rc rank, and its largest singular value.
 
     Singular values at or below PIVOT_RTOL * smax count as zero, smax being
-    r's largest unless given, so the rule does not depend on scale. Each
-    occurs d times in rho(A). An empty or non-finite r has rank 0.
-    """
-    if r.size == 0 or not np.isfinite(r).all():
-        return 0, 0.0
-    s = np.linalg.svd(r, compute_uv=False)
-    smax = s[0] if smax is None else smax
-    return int((s > PIVOT_RTOL * smax).sum()) // d, smax
-
-
-def _nonsingular_rho(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rho of a (k, n, n, d) stack of square arrays, each member's largest
-    singular value, and which members are rc-nonsingular.
-
-    A member is nonsingular when its smallest singular value is above
-    PIVOT_RTOL times its largest, which is _rank's rule for rank n. An empty
-    member is singular, and so is a non-finite one, which is replaced by the
-    zero matrix before rho (whose table product would turn inf into NaN).
+    each member's largest unless given, so the rule does not depend on
+    scale; each occurs d times in rho. A square member is rc-nonsingular iff
+    its rank is n > 0. An empty member has rank 0, and so does a non-finite
+    one, which is replaced by the zero matrix before rho (whose table
+    product would turn inf into NaN).
     """
     if not np.isfinite(data).all():
         data = np.where(np.isfinite(data).all(axis=(1, 2, 3), keepdims=True), data, 0.0)
     r = _kernels.rho(table, data)
-    if r.shape[-1] == 0:
-        return r, np.zeros(len(r)), np.zeros(len(r), dtype=bool)
-    s = np.linalg.svd(r, compute_uv=False)
-    return r, s[:, 0], s[:, -1] > PIVOT_RTOL * s[:, 0]
+    if r.size == 0:
+        return r, [0] * len(r), [0.0] * len(r)
+    s = np.linalg.svd(r, compute_uv=False).tolist()  # Python costs less than numpy on a short stack
+    bounds = [PIVOT_RTOL * (row[0] if smax is None else smax) for row in s]
+    return r, [sum(v > b for v in row) // table.shape[0] for row, b in zip(s, bounds)], [row[0] for row in s]
 
 
 def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
@@ -276,12 +265,13 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     vec(data rc out), so that residual reuses rho(data).
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r, _, ok = _nonsingular_rho(table, data)
-    flags = ok.tolist()  # the Python reductions cost less than numpy's on a short stack
+    r, rank, _ = _rc_ranks(table, data)
+    flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
     regular = all(flags)
     if not regular:
         if not any(flags):
             return data, range(k)
+        ok = np.array(flags)
         # the identity stands in for the failed members, so that LU and the
         # residuals meet no singular or non-finite matrix
         data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
@@ -302,7 +292,7 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     # a NaN residual passes neither test
     resid = resid.max(axis=(1, 2))
     bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)
-    return out, np.flatnonzero(~(ok & ((resid <= 1e-9) | (resid <= bound))))
+    return out, np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid <= bound))))
 
 
 @lru_cache(maxsize=32)
@@ -384,9 +374,8 @@ def cr_inv(a: BiMatrix) -> BiMatrix:
 
 
 def is_rc_singular(a: BiMatrix) -> bool:
-    _require_square(a)
-    _, _, ok = _nonsingular_rho(a.algebra.table, a.data[None])
-    return not ok[0]
+    n = _require_square(a)
+    return not 0 < n == _rc_ranks(a.algebra.table, a.data[None])[1][0]
 
 
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
@@ -401,10 +390,9 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
         raise AlgebraError("right-hand side height mismatch")
     if any(e.algebra != a.algebra for e in b):
         raise AlgebraError("algebra mismatch")
-    r, smax, ok = _nonsingular_rho(a.algebra.table, a.data[None])
-    if not ok[0]:
+    (r,), (rank,), (smax,) = _rc_ranks(a.algebra.table, a.data[None])
+    if not 0 < n == rank:
         raise SingularMatrixError("rc-singular")
-    r, smax = r[0], smax[0]
     rhs = np.concatenate([e.coeffs for e in b])
     x = np.linalg.solve(r, rhs)
     resid = float(np.linalg.norm(r @ x - rhs))
@@ -428,8 +416,8 @@ def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     the rows within the picked columns and the columns within those rows
     until the selector is square, and k is its size.
     """
-    d = a.algebra.dim
-    k, smax = _rank(_rho(a), d)
+    table = a.algebra.table
+    _, (k,), (smax,) = _rc_ranks(table, a.data[None])
     if k == a.rows == a.cols:
         return k, MinorSelector(tuple(range(k)), tuple(range(k)))
 
@@ -438,14 +426,14 @@ def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
         for idx in candidates:
             if len(picked) == k:
                 break
-            if _rank(_rho(part(picked + (idx,))), d, smax)[0] > len(picked):
+            if _rc_ranks(table, part(picked + (idx,))[None], smax)[1][0] > len(picked):
                 picked += (idx,)
         return picked
 
     rows, cols = range(a.rows), range(a.cols)
     while True:
-        rows = greedy(rows, lambda rows: submatrix(a, rows, cols))
-        cols = greedy(cols, lambda cols: submatrix(a, rows, cols))
+        rows = greedy(rows, lambda rows: a.data[np.ix_(rows, cols)])
+        cols = greedy(cols, lambda cols: a.data[np.ix_(rows, cols)])
         if len(rows) == len(cols):
             return len(rows), MinorSelector(rows, cols)
         k = len(cols)

@@ -1,13 +1,16 @@
 """Differential-equation layer: integrability, exactness, and linear systems.
 
 Forms and potentials are :class:`TensorPolynomial`s in x (and y), so the
-form checkers differentiate them symbolically, build once each polynomial
-that must vanish, and judge the norm of each of its bidegrees against
-FORM_TOL times the same norm of that bidegree of the polynomials it was
-built from: no probe point is drawn, so the verdict is exact up to rounding
-and scale-free. That norm reads each component's real tensor,
-dim^(order + 1) floats, so a form of too high a degree raises
-:class:`tensor.TensorSizeError`. Curves and
+form checkers differentiate them symbolically and take the symmetric part
+of each bidegree of every source polynomial once. Each condition is
+linear in its sources, so the polynomial that must vanish is never built:
+its parts are differences of the sources' parts, one of them transposed
+in its two argument axes where the condition exchanges the slots. The
+norm of each of its bidegrees is judged against FORM_TOL times the same
+norm of that bidegree of the sources: no probe point is drawn, so the
+verdict is exact up to rounding and scale-free. A symmetric part reads
+the component's real tensor, dim^(order + 1) floats, so a form of too
+high a degree raises :class:`tensor.TensorSizeError`. Curves and
 opaque callables have no symbolic derivative: central finite differences
 certify or refute them. The linear systems come in four
 product forms (row-column / column-row product, coefficient matrix on
@@ -41,7 +44,7 @@ from .algebra import (
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report
 from .series import _expm, exp_at
-from .tensor import X, Y, SlotTensor, TensorPolynomial, poly_derivative, symmetric_part, tensor_norm, tensor_scale
+from .tensor import X, Y, TensorPolynomial, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -111,25 +114,31 @@ def _judge(gaps: Iterable[tuple[float, bool, Callable[[], dict]]], **metrics) ->
 # a form x -> (h -> g(x) o h), or (x, y) -> (dx -> M(x, y) o dx), is the one-slot
 # case of the one polynomial type
 FormPoly = TensorPolynomial
+Parts = dict[tuple[int, int], np.ndarray]  # symmetric parts of a polynomial's components, by bidegree
 
 
-def _minus(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
-    """p - q, equal degrees merged."""
-    return TensorPolynomial([*p.components, *(tensor_scale(c, -1.0) for c in q.components)])
+def _parts(p: TensorPolynomial) -> Parts:
+    """The symmetric part of each component of p, keyed by its bidegree (x gaps, y gaps)."""
+    return {(c.x_gaps, c.y_gaps): symmetric_part(c) for c in p.components}
 
 
-def _swapped(p: TensorPolynomial) -> TensorPolynomial:
-    """p with its two argument slots exchanged."""
-    def swap(c: SlotTensor) -> SlotTensor:
-        terms = [(cs, tuple(l if l < 0 else 1 - l for l in ls)) for cs, ls in c.terms]
-        return SlotTensor(c.algebra, c.x_gaps, c.arg_slots, terms, c.y_gaps)
+def _transposed(parts: Parts) -> Parts:
+    """The parts of a two-slot polynomial with its argument slots exchanged.
 
-    return TensorPolynomial([swap(c) for c in p.components])
+    real_tensor puts the arguments last, in slot order, and symmetric_part
+    averages only x and y axes, so exchanging the argument labels 0 and 1
+    exchanges the last two axes.
+    """
+    return {b: s.swapaxes(-1, -2) for b, s in parts.items()}
 
 
-def _asymmetry(p: TensorPolynomial) -> TensorPolynomial:
-    """p minus p with its two argument slots exchanged: zero iff p is symmetric."""
-    return _minus(p, _swapped(p))
+def _difference(p: Parts, q: Parts) -> Parts:
+    """The parts of the difference of two polynomials, in ascending bidegree.
+
+    real_tensor and symmetric_part are linear in the terms, so these are the
+    differences of the parts; a bidegree one side lacks counts as zero.
+    """
+    return {b: p.get(b, 0.0) - q.get(b, 0.0) for b in sorted(p.keys() | q.keys())}
 
 
 def _check_forms(*forms: FormPoly) -> None:
@@ -137,31 +146,32 @@ def _check_forms(*forms: FormPoly) -> None:
         raise ValueError("a form needs exactly one argument slot")
 
 
-def _vanishing(p: TensorPolynomial, sources: Sequence[TensorPolynomial], tol: float,
-               **fields) -> tuple[float, bool, Callable[[], dict]]:
-    """p's norm, whether p vanishes, and a witness thunk, for _judge.
+def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tuple[float, bool, Callable[[], dict]]:
+    """The norm of a polynomial that must vanish, whether it does, and a witness thunk, for _judge.
 
-    p vanishes iff the norm of each of its components is within tol times
-    the summed norms of the components of the same bidegree (x gaps, y gaps)
-    of the sources, the polynomials p was built from. Rounding stays within
-    a bidegree, so a large part of another condition, or of another bidegree
-    of the same one, cannot hide p. The witness holds the fields, p's norm
-    as the violation, and the largest symmetrized entry of p's failing
-    components, named by its component's bidegree and its index; a NaN
-    entry counts as the largest.
+    gap holds the symmetric parts of that polynomial's components and each
+    of sources those of a polynomial it was built from, all keyed by
+    bidegree (x gaps, y gaps). The polynomial vanishes iff the Frobenius
+    norm of each of its parts is within tol times the summed norms of the
+    sources' parts of the same bidegree. Rounding stays within a bidegree,
+    so a large part of another condition, or of another bidegree of the same
+    one, cannot hide it. Its norm, reported as the residual and as the
+    witness's violation, sums the norms of the failing parts, or of all
+    parts when none fails. The witness holds the fields and the largest
+    entry of the failing parts, named by its part's bidegree and its index;
+    a NaN entry counts as the largest.
     """
-    scale = defaultdict(float)  # bidegree: the summed norms of the sources' components
-    for c in (c for q in sources for c in q.components):
-        scale[c.x_gaps, c.y_gaps] += tensor_norm(c)
-    norms = [tensor_norm(c) for c in p.components]
-    violation = sum(norms)
-    failing = [c for c, r in zip(p.components, norms) if not r <= tol * scale[c.x_gaps, c.y_gaps]]
+    scale = defaultdict(float)  # bidegree: the summed norms of the sources' parts
+    for b, s in (bs for parts in sources for bs in parts.items()):
+        scale[b] += float(np.linalg.norm(s))
+    norms = {b: float(np.linalg.norm(s)) for b, s in gap.items()}
+    failing = [b for b, r in norms.items() if not r <= tol * scale[b]]
+    violation = sum(norms[b] for b in failing or norms)
 
     def witness() -> dict:
-        c, size = max(((c, np.nan_to_num(np.abs(symmetric_part(c)), nan=np.inf)) for c in failing),
-                      key=lambda cs: cs[1].max())
+        b, size = max(((b, np.nan_to_num(np.abs(gap[b]), nan=np.inf)) for b in failing), key=lambda bs: bs[1].max())
         index = np.unravel_index(np.argmax(size), size.shape)
-        return dict(fields, violation=violation, bidegree=[c.x_gaps, c.y_gaps], index=[int(i) for i in index])
+        return dict(fields, violation=violation, bidegree=list(b), index=[int(i) for i in index])
 
     return violation, not failing, witness
 
@@ -170,15 +180,16 @@ def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
     """Integrable iff the x-derivative of the form is a symmetric bilinear map.
 
     g must have exactly one argument slot, else ValueError. The derivative
-    D g is formed symbolically (one more labelled slot) and so is its
-    antisymmetric part; the check passes iff the norm of each bidegree of
-    that part is within tol times the norm of the same bidegree of D g. A
+    D g is formed symbolically (one more labelled slot). Its antisymmetric
+    part is S - S^T for the symmetric part S of each bidegree, transposed
+    in its two argument axes; the check passes iff the norm of each
+    bidegree of that part is within tol times the norm of S. A
     refutation's witness is the largest entry of the part's failing
     bidegrees.
     """
     _check_forms(g)
-    dg = poly_derivative(g)
-    return _judge([_vanishing(_asymmetry(dg), [dg], tol)])
+    dg = _parts(poly_derivative(g))
+    return _judge([_vanishing(_difference(dg, _transposed(dg)), [dg], tol)])
 
 
 def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence[Element],
@@ -201,15 +212,18 @@ def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     symmetric, and the cross condition matches D_y M o (dx, dy) with
     D_x N o (dy, dx) - the argument order matters, the first slot is the
     form's own differential, the second the direction of differentiation.
-    Each condition is one polynomial, built once; the metrics give their
-    norms. Each must be within tol times the norms of the partials it is
-    built from (D_x M for sym_x, D_y N for sym_y, D_y M and D_x N for cross),
-    bidegree by bidegree, and a refutation's witness names its condition.
+    Each condition compares the symmetric parts of the partials, bidegree by
+    bidegree: S - S^T for sym_x and sym_y, and A - B^T for cross, with the
+    argument axes transposed; the metrics give their norms. Each must be
+    within tol times the norms of the partials it compares (D_x M for sym_x,
+    D_y N for sym_y, D_y M and D_x N for cross), bidegree by bidegree, and a
+    refutation's witness names its condition.
     """
     _check_forms(m, n)
-    dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
-    conditions = {"sym_x": (_asymmetry(dxm), [dxm]), "sym_y": (_asymmetry(dyn), [dyn]),
-                  "cross": (_minus(dym, _swapped(dxn)), [dym, dxn])}
+    dxm, dym, dxn, dyn = (_parts(poly_derivative(f, var=v)) for f in (m, n) for v in (X, Y))
+    conditions = {"sym_x": (_difference(dxm, _transposed(dxm)), [dxm]),
+                  "sym_y": (_difference(dyn, _transposed(dyn)), [dyn]),
+                  "cross": (_difference(dym, _transposed(dxn)), [dym, dxn])}
     gaps = {k: _vanishing(p, sources, tol, condition=k) for k, (p, sources) in conditions.items()}
     return _judge(gaps.values(), **{k: v for k, (v, _, _) in gaps.items()})
 
@@ -217,16 +231,17 @@ def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
 def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     """Do the partials of the potential u reproduce M and N?
 
-    u has no argument slot, else ValueError. D_x u - M and D_y u - N are
-    formed symbolically; the check passes iff each one's norm is within tol
+    u has no argument slot, else ValueError. D_x u and D_y u are formed
+    symbolically, and D_x u - M and D_y u - N are the differences of the
+    symmetric parts; the check passes iff each one's norm is within tol
     times the summed norms of the two polynomials it subtracts, bidegree by
     bidegree.
     """
     if u.arg_slots:
         raise ValueError("the potential needs no argument slot")
     _check_forms(m, n)
-    partials = [(poly_derivative(u, var=v), f) for v, f in ((X, m), (Y, n))]
-    return _judge(_vanishing(_minus(du, f), [du, f], tol) for du, f in partials)
+    partials = [(_parts(poly_derivative(u, var=v)), _parts(f)) for v, f in ((X, m), (Y, n))]
+    return _judge(_vanishing(_difference(du, f), [du, f], tol) for du, f in partials)
 
 
 # ---------------------------------------------------------------------------

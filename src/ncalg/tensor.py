@@ -11,7 +11,7 @@ Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
 an array with a value axis and one axis per gap.
 Its part symmetric in the x axes and, separately, in the y axes,
 :func:`symmetric_part`, fixes the polynomial, so :func:`slot_tensors_equal`
-and the norm :func:`tensor_norm` decide equality and size with no probe
+and the Frobenius norm of that part decide equality and size with no probe
 points. That array grows as dim^(order + 1), so it is refused above
 REAL_TENSOR_MAX floats with :class:`TensorSizeError`. Evaluation never
 builds it: it multiplies the coefficient vectors of all terms through the
@@ -354,11 +354,3 @@ def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
     if a._shape() != b._shape():
         return False
     return float(np.linalg.norm(symmetric_part(a) - symmetric_part(b))) <= tol
-
-
-def tensor_norm(s: SlotTensor) -> float:
-    """The Frobenius norm of the symmetric part: zero iff s is the zero map.
-
-    It scales with s and reads NaN when a coefficient is NaN.
-    """
-    return float(np.linalg.norm(symmetric_part(s)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ncalg import tensor
 from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
 from ncalg.diffeq import (
@@ -27,8 +28,8 @@ from ncalg.diffeq import (
     successive_powers,
 )
 from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
-from ncalg.tensor import (SlotTensor, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
-                          tensor_scale)
+from ncalg.tensor import (SlotTensor, TensorPolynomial, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor,
+                          poly_derivative, symmetric_part, tensor_scale)
 
 
 def poly(alg, *words, scale=1.0) -> FormPoly:
@@ -302,6 +303,117 @@ class TestScale:
         assert integrability_check(big).residual > 100 * integrability_check(small).residual
         rep = integrability_check(FormPoly([*big.components, *small.components]))
         assert not rep.verdict and rep.witness["bidegree"] == [1, 0]
+
+    def test_a_refuted_residual_is_the_norm_of_the_failing_bidegrees(self, HH, rng):
+        # the passing bidegree [2, 0] of the large exact part adds none of its rounding
+        coeffs = [random_element(HH, rng) for _ in range(5)]
+        exact = poly_derivative(FormPoly([SlotTensor(HH, 4, 0, [(coeffs, (X,) * 4)])]))
+        big = FormPoly([tensor_scale(c, 1e10) for c in exact.components])
+        small = three_x_form(HH, 1e-8)
+        rep = integrability_check(FormPoly([*big.components, *small.components]))
+        assert rep.residual == rep.witness["violation"] == integrability_check(small).residual > 0.0
+
+
+def random_form(alg, rng, *words, slots=1) -> TensorPolynomial:
+    """The sum of the words with these gap labels, each with random coefficients."""
+    def term(labels):
+        coeffs = [random_element(alg, rng) for _ in range(len(labels) + 1)]
+        return SlotTensor(alg, labels.count(X), slots, [(coeffs, labels)], labels.count(Y))
+
+    return TensorPolynomial([term(labels) for labels in words])
+
+
+def swapped(p: TensorPolynomial) -> TensorPolynomial:
+    """p with its argument labels 0 and 1 exchanged, term by term."""
+    return TensorPolynomial([SlotTensor(c.algebra, c.x_gaps, c.arg_slots,
+                                        [(cs, tuple(l if l < 0 else 1 - l for l in ls)) for cs, ls in c.terms],
+                                        c.y_gaps) for c in p.components])
+
+
+def minus(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
+    return TensorPolynomial([*p.components, *(tensor_scale(c, -1.0) for c in q.components)])
+
+
+def norm(p: TensorPolynomial) -> float:
+    """The summed Frobenius norms of the symmetric parts of p's components."""
+    return sum(float(np.linalg.norm(symmetric_part(c))) for c in p.components)
+
+
+class TestSymbolicReference:
+    """Each form check's metric is the norm of its vanishing polynomial, built symbolically."""
+
+    @pytest.fixture(params=["real", "complex", "quaternion"])
+    def alg(self, request):
+        return make_algebra(request.param)
+
+    @staticmethod
+    def assert_matches(metric, reference, *sources):
+        assert abs(metric - norm(reference)) <= 1e-13 * sum(norm(q) for q in sources), (metric, norm(reference))
+
+    def test_integrability(self, alg, rng):
+        for g in (random_form(alg, rng, (X, 0, X), (X, X, 0), (0,), (X, 0)), x_square_form(alg),
+                  FormPoly([SlotTensor(alg, 0, 1)])):
+            dg = poly_derivative(g)
+            self.assert_matches(integrability_check(g).residual, minus(dg, swapped(dg)), dg)
+
+    def test_exactness(self, alg, rng):
+        # D_y M has bidegree [1, 0] and D_x N has [0, 1]; M = 0 is the zero polynomial
+        n = random_form(alg, rng, (Y, 0, X), (0, Y), (X, 0, X))
+        for m in (random_form(alg, rng, (X, 0, Y), (X, X, 0), (0,)), FormPoly([SlotTensor(alg, 0, 1)])):
+            dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
+            rep = exactness_check(m, n)
+            self.assert_matches(rep.metrics["sym_x"], minus(dxm, swapped(dxm)), dxm)
+            self.assert_matches(rep.metrics["sym_y"], minus(dyn, swapped(dyn)), dyn)
+            self.assert_matches(rep.metrics["cross"], minus(dym, swapped(dxn)), dym, dxn)
+
+    def test_implicit_solution(self, alg, rng):
+        u = random_form(alg, rng, (X, Y), (Y, X, X), (X,), slots=0)
+        dxu, dyu = poly_derivative(u), poly_derivative(u, var=Y)
+        for m, n in ((random_form(alg, rng, (X, 0), (0, Y)), random_form(alg, rng, (Y, 0, X))), (dxu, dyu),
+                     (FormPoly([SlotTensor(alg, 0, 1)]), dyu)):
+            gaps = [(minus(dxu, m), dxu, m), (minus(dyu, n), dyu, n)]
+            self.assert_matches(implicit_solution_check(u, m, n).residual, *max(gaps, key=lambda g: norm(g[0])))
+
+
+class TestSourceParts:
+    """A form check builds one real tensor per component of its sources, whether it passes or refutes."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count, build = [0], tensor.real_tensor
+
+        def counting(s):
+            count[0] += 1
+            return build(s)
+
+        monkeypatch.setattr(tensor, "real_tensor", counting)
+        return count
+
+    @staticmethod
+    def components(*polys):
+        return sum(len(p.components) for p in polys)
+
+    @pytest.mark.parametrize("form, verdict", [(x_square_form, True), (three_x_form, False)])
+    def test_integrability(self, HH, builds, form, verdict):
+        g = form(HH)
+        expected = self.components(poly_derivative(g))
+        assert integrability_check(g).verdict is verdict
+        assert builds[0] == expected
+
+    @pytest.mark.parametrize("forms, verdict", [(exact_723, True), (separable_712, True), (exact_724, False),
+                                                (exact_725, False)])
+    def test_exactness(self, HH, builds, forms, verdict):
+        m, n = forms(HH)[:2]
+        expected = self.components(*(poly_derivative(f, var=v) for f in (m, n) for v in (X, Y)))
+        assert exactness_check(m, n).verdict is verdict
+        assert builds[0] == expected
+
+    @pytest.mark.parametrize("potential, verdict", [(exact_723, True), (separable_712, False)])
+    def test_implicit_solution(self, HH, builds, potential, verdict):
+        (m, n, _), (_, _, u) = exact_723(HH), potential(HH)
+        expected = self.components(poly_derivative(u), poly_derivative(u, var=Y), m, n)
+        assert implicit_solution_check(u, m, n).verdict is verdict
+        assert builds[0] == expected
 
 
 class TestLinearOdeStructure:
