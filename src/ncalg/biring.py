@@ -445,15 +445,19 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     Expresses the first row outside the major minor as a left combination of
     the minor's rows (coefficients from row . inv(major)); returns the full
     length-m coefficient list with -1 at that row, or None when rank is full.
+    At rank 0 the minor is empty, and lam is -1 at that row and zero
+    elsewhere when the row is exactly zero and a is finite.
     """
     m = a.rows
     if rank >= m:
         return None
     table, cols = a.algebra.table, list(sel.cols)
+    p = next(r for r in range(m) if r not in sel.rows)
+    if not sel.rows and not a.data[p].any() and np.isfinite(a.data).all():
+        return [-one(a.algebra) if r == p else zero(a.algebra) for r in range(m)]
     major_inv, failed = _inverse(table, a.data[list(sel.rows)][:, cols][None])
     if len(failed):
         raise SingularMatrixError("major minor is rc-singular")
-    p = next(r for r in range(m) if r not in sel.rows)
     coeffs = _kernels.rc_contract(table, a.data[[p]][:, cols], major_inv[0])  # 1 x k
     lam = [zero(a.algebra) for _ in range(m)]
     for idx, r in enumerate(sel.rows):

@@ -8,8 +8,9 @@ Usage:
 Exit code is 0 iff the scenario's verdict is true, so the driver doubles as
 a test harness: 1 is a false verdict, 2 a usage error or unknown scenario,
 and 3 a typed numeric error (an exponential that cannot be accurate, a
-singular matrix, an undefined quasideterminant, algebra misuse), reported as
-data instead of a traceback.
+singular matrix, an undefined quasideterminant, algebra misuse, a zero
+element inverted, a real tensor too large to build), reported as data
+instead of a traceback.
 Reports are deterministic for a fixed seed and options. The form scenarios
 (integrability-*, exact-*, separable-712) judge polynomials exactly and
 draw nothing, so the seed does not change their reports.
@@ -21,7 +22,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from . import biring
 from .algebra import (
     AlgebraError,
     Element,
+    NotInvertibleError,
     basis,
     commutator,
     make_algebra,
@@ -38,11 +40,9 @@ from .algebra import (
 )
 from .biring import BiMatrix, quasidets_rc, random_matrix, rc_inv, rc_mul, rc_rank, solve_rc
 from .diffeq import (
-    WITNESS_FLOOR,
     FormPoly,
     LinearOde,
     OdeForm,
-    _worst,
     antiderivative_residual,
     closed_form_solution,
     elliptic_family,
@@ -56,7 +56,9 @@ from .diffeq import (
 )
 from .report import Report
 from .series import SeriesBudgetError, cosh_el, exp_el, quasiexp, sinh_el
-from .tensor import X, Y, monomial
+from .tensor import X, Y, TensorSizeError, monomial
+
+WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 
 
 @dataclass
@@ -75,6 +77,11 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # scenario runners
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or the first NaN if any is NaN; 0.0 for none."""
+    return max(residuals, key=lambda r: (r != r, r), default=0.0)
 
 
 def _scn_quasidet_2x2(opt: Options) -> Report:
@@ -389,26 +396,11 @@ def run_scenario(name: str, options: Options) -> tuple[Report, dict]:
         "scenario": s.name,
         "anchor": s.anchor,
         "verdict": bool(report.verdict),
-        "metrics": _plain(dict(report.metrics, residual=report.residual)),
-        "witness": _plain(report.witness),
+        "metrics": dict(report.metrics, residual=report.residual),
+        "witness": report.witness,
         "seed": options.seed,
     }
     return report, payload
-
-
-def _plain(obj):
-    """Make numpy scalars/arrays JSON-friendly."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _seed(text: str) -> int:
@@ -448,7 +440,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report, payload = run_scenario(args.scenario, options)
     except (SeriesBudgetError, biring.SingularMatrixError, biring.QuasideterminantUndefinedError,
-            AlgebraError) as exc:
+            AlgebraError, NotInvertibleError, TensorSizeError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if args.fmt == "json":
             print(json.dumps({"scenario": args.scenario, "seed": args.seed, "error": error},

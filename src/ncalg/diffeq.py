@@ -49,7 +49,6 @@ from .tensor import X, Y, TensorPolynomial, poly_derivative, symmetric_part
 FD_STEP = 1e-5
 FD_TOL = 1e-6
 FORM_TOL = 1e-12  # relative: the form checks' vanishing norms are 0.0, or rounding, when they hold
-WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 
 
 def _fd_step(scale: float) -> float:
@@ -65,46 +64,32 @@ def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | 
     return (f(s) - f(-s)) * (1.0 / (2 * s))
 
 
-def _witness(**fields) -> Callable[[], dict]:
-    """A witness thunk; Elements become coefficient lists when it is called."""
-    return lambda: {k: list(v.coeffs) if isinstance(v, Element) else v for k, v in fields.items()}
-
-
 def _worse(r: float, worst: float) -> bool:
     """Does residual r displace worst? A NaN outranks every number, and the first NaN stays."""
     return r > worst or (r != r and worst == worst)
 
 
-def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN; 0.0 for none."""
-    worst = 0.0
-    for r in residuals:
-        if _worse(r, worst):
-            worst = r
-    return worst
-
-
-def _judge(gaps: Iterable[tuple[float, bool, Callable[[], dict]]], **metrics) -> Report:
-    """The verdict rule of every checker, over (residual, held, witness thunk) triples.
+def _judge(gaps: Iterable[tuple[float, bool, dict | None]], **metrics) -> Report:
+    """The verdict rule of every checker, over (residual, held, witness) triples.
 
     A triple is a probe of a finite-difference check, held when its residual
     is within the check's tol, or a polynomial that must vanish, held per
-    :func:`_vanishing`; a NaN residual never holds. The check passes iff
-    every triple holds. It reports the largest residual, a NaN the largest
-    of all, and on failure the witness of the first failing triple with the
-    largest residual. A check that saw no probe proves nothing, so it raises
-    ValueError.
+    :func:`_vanishing`; a NaN residual never holds. A witness is plain
+    Python data, a dict, and only a triple that holds may have None. The
+    check passes iff every triple holds. It reports the largest residual, a
+    NaN the largest of all, and on failure the witness of the first failing
+    triple with the largest residual. A check that saw no probe proves
+    nothing, so it raises ValueError.
     """
     worst, failed, witness, count = 0.0, 0.0, None, 0
-    for count, (r, held, thunk) in enumerate(gaps, 1):
+    for count, (r, held, w) in enumerate(gaps, 1):
         if _worse(r, worst):
             worst = r
         if not held and (witness is None or _worse(r, failed)):
-            failed, witness = r, thunk
+            failed, witness = r, w
     if not count:
         raise ValueError("a check needs at least one probe")
-    return Report(verdict=witness is None, residual=worst, metrics=metrics,
-                  witness=None if witness is None else witness())
+    return Report(verdict=witness is None, residual=worst, metrics=metrics, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +131,8 @@ def _check_forms(*forms: FormPoly) -> None:
         raise ValueError("a form needs exactly one argument slot")
 
 
-def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tuple[float, bool, Callable[[], dict]]:
-    """The norm of a polynomial that must vanish, whether it does, and a witness thunk, for _judge.
+def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tuple[float, bool, dict | None]:
+    """The norm of a polynomial that must vanish, whether it does, and a witness, for _judge.
 
     gap holds the symmetric parts of that polynomial's components and each
     of sources those of a polynomial it was built from, all keyed by
@@ -157,9 +142,9 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     so a large part of another condition, or of another bidegree of the same
     one, cannot hide it. Its norm, reported as the residual and as the
     witness's violation, sums the norms of the failing parts, or of all
-    parts when none fails. The witness holds the fields and the largest
-    entry of the failing parts, named by its part's bidegree and its index;
-    a NaN entry counts as the largest.
+    parts when none fails. The witness, None when none fails, holds the
+    fields and the largest entry of the failing parts, named by its part's
+    bidegree and its index; a NaN entry counts as the largest.
     """
     scale = defaultdict(float)  # bidegree: the summed norms of the sources' parts
     for b, s in (bs for parts in sources for bs in parts.items()):
@@ -167,13 +152,11 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     norms = {b: float(np.linalg.norm(s)) for b, s in gap.items()}
     failing = [b for b, r in norms.items() if not r <= tol * scale[b]]
     violation = sum(norms[b] for b in failing or norms)
-
-    def witness() -> dict:
-        b, size = max(((b, np.nan_to_num(np.abs(gap[b]), nan=np.inf)) for b in failing), key=lambda bs: bs[1].max())
-        index = np.unravel_index(np.argmax(size), size.shape)
-        return dict(fields, violation=violation, bidegree=list(b), index=[int(i) for i in index])
-
-    return violation, not failing, witness
+    if not failing:
+        return violation, True, None
+    b, size = max(((b, np.nan_to_num(np.abs(gap[b]), nan=np.inf)) for b in failing), key=lambda bs: bs[1].max())
+    index = np.unravel_index(np.argmax(size), size.shape)
+    return violation, False, dict(fields, violation=violation, bidegree=list(b), index=[int(i) for i in index])
 
 
 def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
@@ -200,7 +183,7 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     """
     def gap(x: Element, h: Element):
         r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
-        return r, r <= tol, _witness(x=x, h=h, residual=r)
+        return r, r <= tol, {"x": x.coeffs.tolist(), "h": h.coeffs.tolist(), "residual": r}
 
     return _judge(gap(x, h) for x in points for h in dirs)
 
@@ -392,7 +375,7 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
             rhs = ode.rhs(curve(t))
             for i in range(ode.size):
                 r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
-                yield r, r <= tol, _witness(t=t, component=i, residual=r)
+                yield r, r <= tol, {"t": float(t), "component": i, "residual": r}
 
     return _judge(gaps(), provenance=curve.provenance)
 
@@ -413,14 +396,19 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
     The returned curve re-integrates from 0 on every evaluation, keeping the
     step size at or below t_end/steps (so the stated global error bound holds
     at every requested time, including slightly outside [0, t_end] for
-    finite-difference probes).
+    finite-difference probes). A non-finite t_end, or evaluation time,
+    raises AlgebraError.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not math.isfinite(t_end):
+        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
     h_target = abs(t_end) / steps if t_end else 1.0 / steps
 
     def evaluate(t: float) -> tuple[Element, ...]:
+        if not math.isfinite(t):
+            raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
         if t == 0.0:
             return ode.init
         nsteps = max(1, math.ceil(abs(t) / h_target))

@@ -52,3 +52,18 @@ def as_complex(e: Element) -> complex:
 def complex_matrix(m) -> np.ndarray:
     """BiMatrix over the complexes as a numpy complex array."""
     return m.data[:, :, 0] + 1j * m.data[:, :, 1]
+
+
+PLAIN_TYPES = (str, int, float, bool, type(None))
+
+
+def is_plain(obj) -> bool:
+    """Is obj dicts with str keys, lists and these exact scalar types all the way down?
+
+    Exact types: a numpy scalar such as np.float64 subclasses float, and is not plain.
+    """
+    if type(obj) is dict:
+        return all(type(k) is str and is_plain(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(is_plain(v) for v in obj)
+    return type(obj) in PLAIN_TYPES

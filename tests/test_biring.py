@@ -686,8 +686,10 @@ def reference_left_dependency(a, rank, sel):
     m = a.rows
     if rank >= m:
         return None
-    major_inv = reference_rc_inv(submatrix(a, sel.rows, sel.cols))
     p = next(r for r in range(m) if r not in sel.rows)
+    if not sel.rows and not a.data[p].any() and np.isfinite(a.data).all():  # rank 0: lam = -e_p
+        return [-one(a.algebra) if r == p else zero(a.algebra) for r in range(m)]
+    major_inv = reference_rc_inv(submatrix(a, sel.rows, sel.cols))
     coeffs = rc_mul(submatrix(a, [p], sel.cols), major_inv)
     lam = [zero(a.algebra) for _ in range(m)]
     for idx, r in enumerate(sel.rows):
@@ -872,6 +874,24 @@ def test_rank_of_a_nonsingular_matrix_is_full_at_the_threshold(RR):
     k, sel = rc_rank(a)
     assert (k, sel) == (3, MinorSelector((0, 1, 2), (0, 1, 2)))
     assert left_dependency(a, k, sel) is None
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_left_dependency_of_a_rank_0_matrix(tag):
+    """A zero matrix has rank 0 and an empty major minor; lam = -e_0 is an
+    exact dependency. A NaN matrix also has rank 0, but no answer."""
+    alg = make_algebra(tag)
+    a = BiMatrix.zeros(alg, 2, 3)
+    k, sel = rc_rank(a)
+    assert (k, sel) == (0, MinorSelector((), ()))
+    lam = left_dependency(a, k, sel)
+    assert lam[0].close(-one(alg), 0.0) and lam[1].close(zero(alg), 0.0)
+    assert not rc_mul(BiMatrix.from_elements([lam]), a).data.any()
+    nan = BiMatrix(alg, np.full((2, 3, alg.dim), np.nan))
+    k, sel = rc_rank(nan)
+    assert k == 0
+    with pytest.raises(SingularMatrixError):
+        left_dependency(nan, k, sel)
 
 
 @pytest.mark.parametrize("tag", ["real", "quaternion"])

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from ncalg import cli, tensor
-from ncalg.algebra import AlgebraError, Element
+from ncalg.algebra import AlgebraError, Element, NotInvertibleError
 from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatrixError
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.diffeq import SolutionCurve
 from ncalg.series import SeriesBudgetError
+from ncalg.tensor import TensorSizeError
+
+from conftest import is_plain
 
 REQUIRED = [
     "quasidet-2x2",
@@ -165,6 +168,14 @@ def test_every_scenario_exit_code(capsys):
     assert got == EXIT_CODES
 
 
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_payload_metrics_and_witness_are_plain_data(name, tag):
+    # the payload is serialized as it comes: no numpy value may reach it
+    _, payload = run_scenario(name, Options(seed=0, algebra=tag))
+    assert is_plain(payload["metrics"]) and is_plain(payload["witness"])
+
+
 FORM_SCENARIOS = ("integrability-x2", "integrability-3xx", "exact-723", "exact-724", "exact-725",
                   "separable-712")
 
@@ -212,7 +223,8 @@ class TestExactnessWitness:
         assert payload["witness"]["violation"] == report.residual == report.metrics["cross"]
 
 
-TYPED_ERRORS = (SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError)
+TYPED_ERRORS = (SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError,
+                NotInvertibleError, TensorSizeError)
 
 
 class TestTypedErrors:

@@ -31,6 +31,8 @@ from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import (SlotTensor, TensorPolynomial, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor,
                           poly_derivative, symmetric_part, tensor_scale)
 
+from conftest import is_plain
+
 
 def poly(alg, *words, scale=1.0) -> FormPoly:
     """scale times the sum of the unit-coefficient words with these gap labels."""
@@ -123,6 +125,14 @@ class TestAntiderivative:
         dirs = probe_elements(CC, 4, 4)
         rep = antiderivative_residual(lambda x: x * x * x, three_x_form(CC), points, dirs)
         assert rep.verdict
+
+    def test_a_refuted_witness_is_plain_data(self, HH):
+        points = probe_elements(HH, 3, 8)
+        dirs = probe_elements(HH, 4, 4)
+        rep = antiderivative_residual(lambda x: x * x * x, three_x_form(HH), points, dirs)
+        assert not rep.verdict and is_plain(rep.witness)
+        assert rep.witness["residual"] == rep.residual
+        assert all(type(c) is float for c in rep.witness["x"] + rep.witness["h"])
 
     def test_constant_solves_zero_form(self, HH, rng):
         c = random_element(HH, rng)
@@ -616,6 +626,14 @@ class TestRk4:
             assert abs(x1.coeffs[0] - math.sin(t)) <= 1e-9
             assert abs(x2.coeffs[0] - math.cos(t)) <= 1e-9
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_time_is_a_typed_error(self, HH, t):
+        ode = elliptic_ode(HH)
+        with pytest.raises(AlgebraError, match="finite"):
+            rk4_integrate(ode, t, 10)
+        with pytest.raises(AlgebraError, match="finite"):
+            rk4_integrate(ode, 1.0, 10)(t)
+
     def test_steps_rule(self):
         steps = rk4_steps_for(1.0, 1e-6)
         assert (1.0 / steps) ** 4 <= 0.1 * 1e-6
@@ -650,6 +668,15 @@ class TestResiduals:
         )
         rep = solution_residual(ode, bad, (0.5, 1.0))
         assert not rep.verdict and rep.residual > 0.1
+
+    def test_a_refuted_witness_is_plain_data_for_numpy_times(self, HH):
+        ode = elliptic_ode(HH)
+        bad = SolutionCurve(
+            lambda t: (from_scalar(HH, math.sin(t)), from_scalar(HH, math.sin(t))), "user"
+        )
+        rep = solution_residual(ode, bad, np.array([0.5, 1.0]))
+        assert not rep.verdict and is_plain(rep.witness)
+        assert type(rep.witness["t"]) is float and type(rep.witness["residual"]) is float
 
 
 class TestEllipticCurves:
