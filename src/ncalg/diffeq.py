@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report
-from .series import _expm, exp_at
+from .series import _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -308,12 +308,16 @@ class SolutionCurve:
 
 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
-    """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}."""
+    """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
+
+    A non-finite t raises SeriesBudgetError before it meets M.
+    """
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
 
     def evaluate(t: float) -> tuple[Element, ...]:
         if t == 0.0:
             return ode.init
+        _require_finite_time(t)
         return _unvec(alg, _expm(t * m) @ x0)
 
     return SolutionCurve(evaluate, "closed-form")
@@ -383,10 +387,13 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
     """Step count making the O(h^4) global error a tenth of the tolerance.
 
-    tol must be positive and finite, else ValueError.
+    tol must be positive and finite, else ValueError; t_end must be finite,
+    else AlgebraError, as in rk4_integrate.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not math.isfinite(t_end):
+        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
     return max(1, math.ceil(abs(t_end) / (0.1 * tol) ** 0.25))
 
 

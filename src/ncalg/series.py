@@ -135,8 +135,15 @@ def exp_el(x: Element) -> Element:
     return Element._trusted(x.algebra, _exp_rho(x.algebra, x.coeffs[None, None])[:, 0])
 
 
+def _require_finite_time(t: float) -> None:
+    """Refuse a non-finite time before a product with it turns 0 * inf into NaN."""
+    if not math.isfinite(t):
+        raise SeriesBudgetError(f"exponential at the non-finite time {t}")
+
+
 def exp_at(a: Element, t: float) -> Element:
     """exp(a t) for real t; (a t)^n = a^n t^n, so this is exp_el(a*t)."""
+    _require_finite_time(t)
     return exp_el(el_scale(a, t))
 
 
@@ -202,6 +209,7 @@ def quasiexp(cs: Sequence[Element], x: Element) -> Element:
 
 def quasiexp_at(c: Element, a: Element, t: float) -> Element:
     """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t)."""
+    _require_finite_time(t)
     return quasiexp([c], el_scale(a, t))
 
 

@@ -17,6 +17,7 @@ from ncalg.algebra import (
     from_scalar,
     in_centralizer,
     inv,
+    inv_stack,
     left_matrix,
     make_algebra,
     mul,
@@ -341,3 +342,39 @@ def test_inverse_of_non_finite_or_unrepresentable_elements_raises(tag, bad):
     alg = make_algebra(tag)
     with pytest.raises(NotInvertibleError):
         inv(Element(alg, [bad] + [0.0] * (alg.dim - 1)))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_stacked_inverse_has_the_bits_of_inv(tag):
+    """Every member of inv_stack, over many scales, has inv's bits, and the
+    members inv refuses are False in the mask and NaN in the result."""
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(3)
+    good = rng.uniform(-1, 1, (40, alg.dim)) * 10.0 ** rng.uniform(-300, 300, (40, 1))
+    bad = np.zeros((5, alg.dim))
+    bad[:, 0] = [np.inf, -np.inf, np.nan, 5e-324, 0.0]
+    out, ok = inv_stack(alg, np.concatenate((good, bad)).reshape(5, 9, alg.dim))
+    out, ok = out.reshape(45, alg.dim), ok.ravel()
+    assert ok.tolist() == [True] * 40 + [False] * 5
+    assert np.isnan(out[40:]).all()
+    for c, got in zip(good, out):
+        assert got.tobytes() == inv(Element(alg, c)).coeffs.tobytes()
+
+
+class TestExactEquality:
+    def test_a_tiny_difference_is_unequal(self, HH):
+        assert not 1e-10 * basis(HH, 1) == zero(HH)
+        assert 1e-10 * basis(HH, 1) != zero(HH)
+
+    def test_equal_coefficients_are_equal_and_hash_alike(self, HH):
+        x, y = Element(HH, [0.0, 1.5, -2.0, 3.0]), Element(HH, [-0.0, 1.5, -2.0, 3.0])
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, one(HH)}) == 2
+
+    def test_nan_equals_nothing(self, HH):
+        x = Element(HH, [np.nan, 0.0, 0.0, 0.0])
+        assert x != x
+
+    def test_other_algebras_and_types_are_unequal(self, RR, CC):
+        assert one(RR) != one(CC)
+        assert one(RR) != 1.0

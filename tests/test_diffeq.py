@@ -27,7 +27,7 @@ from ncalg.diffeq import (
     solution_residual,
     successive_powers,
 )
-from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
+from ncalg.series import SeriesBudgetError, cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import (SlotTensor, TensorPolynomial, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor,
                           poly_derivative, symmetric_part, tensor_scale)
 
@@ -638,6 +638,11 @@ class TestRk4:
         steps = rk4_steps_for(1.0, 1e-6)
         assert (1.0 / steps) ** 4 <= 0.1 * 1e-6
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_steps_rule_refuses_a_non_finite_time(self, t):
+        with pytest.raises(AlgebraError, match="finite"):
+            rk4_steps_for(t)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
     def test_steps_rule_needs_a_positive_finite_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -677,6 +682,17 @@ class TestResiduals:
         rep = solution_residual(ode, bad, np.array([0.5, 1.0]))
         assert not rep.verdict and is_plain(rep.witness)
         assert type(rep.witness["t"]) is float and type(rep.witness["residual"]) is float
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_exponential_curves_refuse_a_non_finite_time_before_any_arithmetic(HH, t):
+    """0 * inf would warn and make a NaN; the time is refused first."""
+    curves = [closed_form_solution(elliptic_ode(HH)), eigen_solution(basis(HH, 1), [one(HH)]),
+              elliptic_two_exp_curve(HH), elliptic_family(one(HH))]
+    for curve in curves:
+        with pytest.raises(SeriesBudgetError, match="non-finite time"):
+            curve(t)
 
 
 class TestEllipticCurves:

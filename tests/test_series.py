@@ -465,6 +465,15 @@ class TestNonFinite:
         with pytest.raises(SeriesBudgetError):
             mexp_rc(BiMatrix(HH, data))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_time_is_refused_before_any_arithmetic(self, HH, t):
+        """0 * inf would warn and make a NaN; the time is refused first."""
+        with pytest.raises(SeriesBudgetError, match="non-finite time"):
+            exp_at(basis(HH, 1), t)
+        with pytest.raises(SeriesBudgetError, match="non-finite time"):
+            quasiexp_at(one(HH), basis(HH, 1), t)
+
     def test_real_sine_stays_bounded(self, HH):
         assert sin_el(from_scalar(HH, 1000.0)).close(from_scalar(HH, math.sin(1000.0)), 1e-11)
         # 1e300 carries no digit of its phase: refused rather than answered
