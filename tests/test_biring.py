@@ -931,31 +931,18 @@ def _inverse_family(alg, family, n, rng):
     return BiMatrix(alg, a)
 
 
-def _assert_quasidets_agree(a, q, singles):
-    """q = quasidets_rc(a) against the quasidet_rc outcomes of every pair, row-major.
+def _assert_quasidets_rc_is_every_quasidet_rc(a):
+    """quasidets_rc(a) against the quasidet_rc outcome of every pair; True if it refused.
 
-    An rc-singular a takes the interior route, so every entry has the bits
-    of its own quasidet_rc call. A regular a gives ((A^-1)_ji)^-1, with A^-1
-    accepted by a residual within _inverse_tol. Carried to entry (j, i) of
-    A^-1, that residual moves it by at most n d ||A^-1|| _inverse_tol, so the
-    two routes agree within that much relative to |(A^-1)_ji|.
+    It refuses at the first pair in row-major order that quasidet_rc
+    refuses. Otherwise an rc-singular a takes the interior route, so every
+    entry has the bits of its own quasidet_rc call. A regular a gives
+    ((A^-1)_ji)^-1, with A^-1 accepted by a residual within _inverse_tol.
+    Carried to entry (j, i) of A^-1, that residual moves it by at most
+    n d ||A^-1|| _inverse_tol, so the two routes agree within that much
+    relative to |(A^-1)_ji|.
     """
     n, alg = a.rows, a.algebra
-    assert (q.algebra, q.rows, q.cols) == (alg, n, n)
-    x = _checked(rc_inv, a)
-    for (i, j), want in zip(((i, j) for i in range(n) for j in range(n)), singles):
-        if x is None:
-            assert q.data[i, j].tobytes() == want, (n, i, j)
-            continue
-        ref = np.frombuffer(want)
-        x_ji = np.linalg.norm(x.data[j, i])
-        bound = n * alg.dim * x.max_entry_norm() * _inverse_tol(a, x) / x_ji
-        assert np.linalg.norm(q.data[i, j] - ref) <= bound * np.linalg.norm(ref), (n, i, j)
-
-
-def _assert_quasidets_rc_is_every_quasidet_rc(a):
-    """quasidets_rc(a) refuses at the first pair quasidet_rc refuses, else agrees entrywise; True if it refused."""
-    n = a.rows
     pairs = [(i, j) for i in range(n) for j in range(n)]
     singles = [_outcome(quasidet_rc, a, i, j) for i, j in pairs]
     undefined = [ij for ij, got in zip(pairs, singles) if got is QuasideterminantUndefinedError]
@@ -964,7 +951,16 @@ def _assert_quasidets_rc_is_every_quasidet_rc(a):
         with pytest.raises(QuasideterminantUndefinedError, match=re.escape(f"at ({i}, {j})")):
             quasidets_rc(a)
         return True
-    _assert_quasidets_agree(a, quasidets_rc(a), singles)
+    q = quasidets_rc(a)
+    assert (q.algebra, q.rows, q.cols) == (alg, n, n)
+    x = _checked(rc_inv, a)
+    for (i, j), want in zip(pairs, singles):
+        if x is None:
+            assert q.data[i, j].tobytes() == want, (n, i, j)
+            continue
+        ref = np.frombuffer(want)
+        bound = n * alg.dim * x.max_entry_norm() * _inverse_tol(a, x) / np.linalg.norm(x.data[j, i])
+        assert np.linalg.norm(q.data[i, j] - ref) <= bound * np.linalg.norm(ref), (n, i, j)
     return False
 
 
