@@ -262,33 +262,39 @@ def norm(a: Element) -> float:
 
 
 def inv(a: Element) -> Element:
-    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras: inv_stack of one member.
+    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras.
 
-    A zero or non-finite element raises NotInvertibleError, and so does one
-    whose largest coefficient is below 2^-1023, whose inverse may not be
-    representable.
+    The coefficients are first scaled by 2^-e, e the binary exponent of the
+    largest, so the norm^2 of the scaled s lies in [1/4, dim) and neither
+    over- nor underflows. Scaling by a power of two is exact, so wherever
+    the unscaled formula does not over- or underflow the two agree to the
+    bit. A zero or non-finite element raises, and so does one whose largest
+    coefficient is below 2^-1023, whose inverse is not representable.
     """
-    out, ok = inv_stack(a.algebra, a.coeffs)
-    if not ok:
-        raise NotInvertibleError("zero, non-finite or subnormal element is not invertible")
-    return _trusted(a.algebra, out)
+    c = a.coeffs
+    e = math.frexp(max(map(abs, c.tolist())))[1]
+    if e < -1022:
+        raise NotInvertibleError("inverse of a subnormal element overflows")
+    scale = math.ldexp(1.0, -e)
+    s = c * scale  # largest |s_i| in [1/2, 1)
+    n2 = s.dot(s)
+    if not 0.25 <= n2 < math.inf:  # also NaN, which max() may have skipped
+        raise NotInvertibleError("zero or non-finite element is not invertible")
+    # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
+    return _trusted(a.algebra, s * a.algebra._conj / n2 * scale)
 
 
 def inv_stack(algebra: AlgebraDesc, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (..., dim) stack of coefficient vectors, and which members have one.
 
-    Each member is scaled by 2^-e, e the binary exponent of its largest
-    coefficient, so the norm^2 of the scaled s lies in [1/4, dim) and
-    neither over- nor underflows. Scaling by a power of two is exact, so
-    wherever the unscaled formula does not over- or underflow the two agree
-    to the bit, and each member gets the bits it would get alone. A member
+    Each member is scaled by 2^-e as in inv, so it gets inv's bits. A member
     that is zero, non-finite, or whose largest coefficient is below
     2^-1023 has no representable inverse: it is False in the mask and NaN
     in the inverses.
     """
     e = -np.frexp(np.abs(c).max(axis=-1))[1][..., None]
     s = np.ldexp(c, e)  # the largest |s_i| of a member inv accepts is in [1/2, 1)
-    n2 = (s * s).sum(axis=-1)
+    n2 = (s[..., None, :] @ s[..., None])[..., 0, 0]  # the dot product inv takes, bit for bit
     ok = (e[..., 0] <= 1022) & (0.25 <= n2) & (n2 < math.inf)
     return np.ldexp(s * algebra._conj / np.where(ok, n2, np.nan)[..., None], e), ok
 

@@ -19,13 +19,10 @@ noncommutative Gaussian elimination meets at (i, j).
 The checked inverse (_inverse) takes a stack of square matrices and makes
 the rank decision and the residual test for each member alone, so every
 member gets the bits it would get alone. rc_inv, left_dependency and
-quasidet_rc (on its interior) call it with a stack of one. quasidets_rc
-gives the n x n matrix of all quasideterminants |A|_ij of Gelfand,
-Gelfand, Retakh and Wilson from one checked inverse of A, as
-|A|_ij = ((A^-1)_ji)^-1, in O(n^3 d^3). An entry whose (A^-1)_ji is too
-small to vouch for its interior, and every entry of an rc-singular A,
-takes the interior route instead: those interiors are built by fancy
-indexing and inverted in one stacked call.
+quasidet_rc call it with a stack of one; quasidets_rc builds the n^2
+interiors of a matrix by fancy indexing and inverts them in one call,
+giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
+Gelfand, Retakh and Wilson.
 """
 
 from __future__ import annotations
@@ -341,44 +338,16 @@ def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
 def quasidets_rc(a: BiMatrix) -> BiMatrix:
     """Matrix of all rc-quasideterminants, entry (i, j) = quasidet_rc(a, i, j).
 
-    An rc-regular a is inverted once, with its residual checked, and
-    |A|_ij = ((A^-1)_ji)^-1 (Gelfand, Gelfand, Retakh and Wilson, Adv.
-    Math. 193(1), 2005, section 1), the n^2 element inverses in one stacked
-    call: O(n^3 d^3), where inverting every interior costs O(n^5 d^3). An
-    entry whose (A^-1)_ji lies below the bound derived in the body, and
-    every entry of an rc-singular a, takes the interior route instead and
-    has the bits of its own quasidet_rc call. So the interior rank rule
-    decides every entry that could be undefined, and the first undefined
-    entry in row-major order raises QuasideterminantUndefinedError.
-    Elsewhere the two routes agree to rounding. A 1 x 1 (or empty) matrix
-    is its own quasideterminant matrix.
+    The n^2 interiors are inverted in one stacked call, and every entry has
+    the bits of its own quasidet_rc call. The first undefined entry in
+    row-major order raises QuasideterminantUndefinedError. A 1 x 1 (or
+    empty) matrix is its own quasideterminant matrix.
     """
     n = _require_square(a)
     if n <= 1:
         return a
-    alg, d = a.algebra, a.algebra.dim
     rows, cols = np.divmod(np.arange(n * n), n)
-    inv, failed = _inverse(alg.table, a.data[None])
-    if len(failed):
-        return BiMatrix(alg, _quasidets(a, rows, cols).reshape(n, n, d))
-    x = inv[0].transpose(1, 0, 2).reshape(n * n, d)  # (A^-1)_ji at row-major (i, j)
-    out, ok = inv_stack(alg, x)
-    # Order rho(A) with row i and column j first: A = [[a_ij, r], [c, B]],
-    # and X = rho(A)^-1 = [[L(x), y], [z, W]] with x = (A^-1)_ji. The Schur
-    # complement gives B^-1 = W - z L(x)^-1 y, and L(x) is |x| times an
-    # orthogonal matrix, so ||B^-1|| <= ||X|| + ||X||^2 / |x| <= 2 ||X||^2 / |x|
-    # in the 2-norm. The interior rule finds B regular when sigma_min(B) >
-    # PIVOT_RTOL sigma_max(B), and sigma_max(B) <= ||A||, so
-    # |x| > 2 PIVOT_RTOL ||A|| ||X||^2 makes it so. The Frobenius norms of
-    # the coefficients bound both 2-norms from above, and a second factor 2
-    # covers the rounding of x, near u cond(A) ||X||, far below
-    # PIVOT_RTOL cond(A) ||X||.
-    bound = 4.0 * PIVOT_RTOL * np.linalg.norm(a.data) * np.linalg.norm(inv) ** 2
-    ok &= np.sqrt((x * x).sum(axis=1)) > bound
-    if not ok.all():
-        t = np.flatnonzero(~ok)
-        out[t] = _quasidets(a, rows[t], cols[t])
-    return BiMatrix(alg, out.reshape(n, n, d))
+    return BiMatrix(a.algebra, _quasidets(a, rows, cols).reshape(n, n, a.algebra.dim))
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
