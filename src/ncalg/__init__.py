@@ -25,7 +25,7 @@ from .biring import (
 from .diffeq import FormPoly, LinearOde, OdeForm, SolutionCurve
 from .report import Report
 from .series import SeriesBudgetError
-from .tensor import SlotTensor, Tensor, TensorPolynomial, TensorSizeError
+from .tensor import SlotTensor, Tensor, TensorPolynomial
 
 __all__ = [
     "AlgebraDesc",
@@ -45,7 +45,6 @@ __all__ = [
     "SolutionCurve",
     "Tensor",
     "TensorPolynomial",
-    "TensorSizeError",
     "make_algebra",
 ]
 

@@ -36,10 +36,12 @@ class AlgebraDesc:
     """Descriptor of a finite-dimensional associative unital real algebra.
 
     ``table[i, j, k]`` is the e_k-coefficient of the basis product e_i e_j.
-    Basis element 0 is the unit. Two read-only derived arrays serve the
-    element kernels: ``_flat``, the table as a dim x dim^2 matrix, so that
-    a . _flat reshaped to dim x dim is L(a)^T; and ``_conj``, the signs
-    (1, -1, ..., -1) of the conjugation.
+    Basis element 0 is the unit. Three read-only derived arrays serve the
+    kernels: ``_flat``, the table as a dim x dim^2 matrix, so that a . _flat
+    reshaped to dim x dim is L(a)^T; ``_conj``, the signs (1, -1, ..., -1)
+    of the conjugation; and ``_triple``, the dim x dim^3 matrix whose row r,
+    column (p, q, k) is the e_k coefficient of e_p e_q e_r, with which
+    ``tensor.symmetric_part`` advances a chain of coefficients by one gap.
     """
 
     tag: str
@@ -55,9 +57,10 @@ class AlgebraDesc:
         object.__setattr__(self, "table", tbl)
         _validate_structure(self)
         sign = np.where(np.arange(self.dim) == 0, 1.0, -1.0)
-        sign.flags.writeable = False
-        object.__setattr__(self, "_flat", tbl.reshape(self.dim, self.dim * self.dim))
-        object.__setattr__(self, "_conj", sign)
+        triple = np.einsum("pqm,mrk->rpqk", tbl, tbl).reshape(self.dim, -1)
+        for name, derived in (("_flat", tbl.reshape(self.dim, -1)), ("_conj", sign), ("_triple", triple)):
+            derived.flags.writeable = False
+            object.__setattr__(self, name, derived)
 
     def __repr__(self):
         return f"AlgebraDesc({self.tag!r}, dim={self.dim})"
@@ -324,9 +327,13 @@ def from_scalar(algebra: AlgebraDesc, value: float) -> Element:
 
 
 def in_centralizer(c: Element, b: Element, tol: float = DEFAULT_TOL) -> bool:
-    """True iff c commutes with b: norm(cb - bc) <= tol."""
+    """True iff c commutes with b: norm(cb - bc) <= tol * 2 norm(c) norm(b).
+
+    |cb - bc| <= 2 |c| |b| always, so tol is relative and the test holds at
+    every scale of c and b.
+    """
     _same(c, b)
-    return commutator(c, b).norm() <= tol
+    return commutator(c, b).norm() <= tol * 2 * c.norm() * b.norm()
 
 
 def left_matrix(a: Element) -> np.ndarray:

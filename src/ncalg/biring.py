@@ -145,8 +145,14 @@ class BiMatrix:
 
 
 def _max_entry_norm(data: np.ndarray) -> np.ndarray:
-    """Largest entry norm of each member of an (..., m, n, d) stack; 0 for an empty member."""
-    return np.sqrt((data ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0)
+    """Largest entry norm of each member of an (..., m, n, d) stack; 0 for an empty member.
+
+    Each member is scaled by 2^-e, e the binary exponent of its largest
+    coefficient, as inv scales an element, so no square over- or underflows
+    at any magnitude; scaling by a power of two is exact.
+    """
+    e = np.frexp(np.abs(data).max(axis=(-3, -2, -1), keepdims=True, initial=0.0))[1]
+    return np.ldexp(np.sqrt((np.ldexp(data, -e) ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
@@ -285,10 +291,11 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
         return out, ()
     # scale the acceptance with the conditioning actually encountered; the
     # bound is at least 1e-9, so the norms are needed only above that, and
-    # a NaN residual passes neither test
+    # a NaN or infinite residual passes neither test, even where an
+    # overflowed inverse makes the bound infinite
     resid = resid.max(axis=(1, 2))
     bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)
-    return out, np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid <= bound))))
+    return out, np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid < bound))))
 
 
 @lru_cache(maxsize=32)

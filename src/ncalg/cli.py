@@ -9,8 +9,7 @@ Exit code is 0 iff the scenario's verdict is true, so the driver doubles as
 a test harness: 1 is a false verdict, 2 a usage error or unknown scenario,
 and 3 a typed numeric error (an exponential that cannot be accurate, a
 singular matrix, an undefined quasideterminant, algebra misuse, a zero
-element inverted, a real tensor too large to build), reported as data
-instead of a traceback.
+element inverted), reported as data instead of a traceback.
 Reports are deterministic for a fixed seed and options. The form scenarios
 (integrability-*, exact-*, separable-712) judge polynomials exactly and
 draw nothing, so the seed does not change their reports.
@@ -57,7 +56,7 @@ from .diffeq import (
 )
 from .report import Report
 from .series import SeriesBudgetError, cosh_el, exp_el, quasiexp, sinh_el
-from .tensor import X, Y, TensorSizeError, monomial
+from .tensor import X, Y, monomial
 
 WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 
@@ -449,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report, payload = run_scenario(args.scenario, options)
     except (SeriesBudgetError, biring.SingularMatrixError, biring.QuasideterminantUndefinedError,
-            AlgebraError, NotInvertibleError, TensorSizeError) as exc:
+            AlgebraError, NotInvertibleError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if args.fmt == "json":
             print(json.dumps({"scenario": args.scenario, "seed": args.seed, "error": error},

@@ -8,9 +8,9 @@ its parts are differences of the sources' parts, one of them transposed
 in its two argument axes where the condition exchanges the slots. The
 norm of each of its bidegrees is judged against FORM_TOL times the same
 norm of that bidegree of the sources: no probe point is drawn, so the
-verdict is exact up to rounding and scale-free. A symmetric part reads
-the component's real tensor, dim^(order + 1) floats, so a form of too
-high a degree raises :class:`tensor.TensorSizeError`. Curves and
+verdict is exact up to rounding and scale-free. A symmetric part holds
+one weighted coefficient per monomial, a number of floats polynomial in
+the degree, so a form of any degree is judged. Curves and
 opaque callables have no symbolic derivative: central finite differences
 certify or refute them. The linear systems come in four
 product forms (row-column / column-row product, coefficient matrix on
@@ -44,7 +44,7 @@ from .algebra import (
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report
 from .series import _expm, _require_finite_time, exp_at
-from .tensor import X, Y, TensorPolynomial, poly_derivative, symmetric_part
+from .tensor import X, Y, TensorPolynomial, gap_index, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -110,8 +110,8 @@ def _parts(p: TensorPolynomial) -> Parts:
 def _transposed(parts: Parts) -> Parts:
     """The parts of a two-slot polynomial with its argument slots exchanged.
 
-    real_tensor puts the arguments last, in slot order, and symmetric_part
-    averages only x and y axes, so exchanging the argument labels 0 and 1
+    symmetric_part puts the arguments last, in slot order, and symmetrizes
+    only the x and y gaps, so exchanging the argument labels 0 and 1
     exchanges the last two axes.
     """
     return {b: s.swapaxes(-1, -2) for b, s in parts.items()}
@@ -120,8 +120,8 @@ def _transposed(parts: Parts) -> Parts:
 def _difference(p: Parts, q: Parts) -> Parts:
     """The parts of the difference of two polynomials, in ascending bidegree.
 
-    real_tensor and symmetric_part are linear in the terms, so these are the
-    differences of the parts; a bidegree one side lacks counts as zero.
+    symmetric_part is linear in the terms, so these are the differences of
+    the parts; a bidegree one side lacks counts as zero.
     """
     return {b: p.get(b, 0.0) - q.get(b, 0.0) for b in sorted(p.keys() | q.keys())}
 
@@ -144,7 +144,11 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     witness's violation, sums the norms of the failing parts, or of all
     parts when none fails. The witness, None when none fails, holds the
     fields and the largest entry of the failing parts, named by its part's
-    bidegree and its index; a NaN entry counts as the largest.
+    bidegree and its :func:`tensor.gap_index`: one coordinate per gap, each
+    variable's monomial by its sorted coordinates; a NaN entry counts as the
+    largest. An entry weighs its monomial's share of the norm, so with two
+    or more gaps of a variable the largest entry is the monomial whose
+    orderings carry the most of it.
     """
     scale = defaultdict(float)  # bidegree: the summed norms of the sources' parts
     for b, s in (bs for parts in sources for bs in parts.items()):
@@ -155,8 +159,8 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     if not failing:
         return violation, True, None
     b, size = max(((b, np.nan_to_num(np.abs(gap[b]), nan=np.inf)) for b in failing), key=lambda bs: bs[1].max())
-    index = np.unravel_index(np.argmax(size), size.shape)
-    return violation, False, dict(fields, violation=violation, bidegree=list(b), index=[int(i) for i in index])
+    index = gap_index(size, np.unravel_index(np.argmax(size), size.shape), *b)
+    return violation, False, dict(fields, violation=violation, bidegree=list(b), index=index)
 
 
 def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:

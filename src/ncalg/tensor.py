@@ -7,15 +7,19 @@ between coefficients holds one of the variables x and y or one of k
 arguments, so a sum of terms is a multilinear-map-valued polynomial in x and
 y. ``Tensor`` is its argument-free case, with every gap labelled x.
 
-Numerically a SlotTensor is one real multilinear map, :func:`real_tensor`:
-an array with a value axis and one axis per gap.
-Its part symmetric in the x axes and, separately, in the y axes,
-:func:`symmetric_part`, fixes the polynomial, so :func:`slot_tensors_equal`
-and the Frobenius norm of that part decide equality and size with no probe
-points. That array grows as dim^(order + 1), so it is refused above
-REAL_TENSOR_MAX floats with :class:`TensorSizeError`. Evaluation never
-builds it: it multiplies the coefficient vectors of all terms through the
-structure table, one gap at a time.
+Numerically a SlotTensor is one real multilinear map, with a value axis and
+one axis per gap. Its part symmetric in the x gaps and, separately, in the
+y gaps fixes the polynomial. :func:`symmetric_part` stores that part once
+per monomial: an array with the value axis, one axis of y monomials, one of
+x monomials (sorted coordinate tuples) and one axis per argument, each
+entry weighted so that the plain Frobenius norm is the Bombieri-Weyl norm,
+the norm of the averaged map. It holds dim * C(dim + q - 1, q) *
+C(dim + p - 1, p) * dim^k floats for p x gaps, q y gaps and k arguments,
+polynomial in the degree, so :func:`slot_tensors_equal` and that norm
+decide equality and size with no probe points at any degree.
+:func:`gap_index` names an entry by one coordinate per gap. Evaluation
+builds no array: it multiplies the coefficient vectors of all terms
+through the structure table, one gap at a time.
 
 The order-k derivative in a variable is k applications of
 :func:`slot_derivative`, each moving one gap of that variable to a new
@@ -32,8 +36,9 @@ Calling it evaluates it.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import Sequence
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,11 +46,6 @@ from .algebra import AlgebraDesc, AlgebraError, Element, one
 
 X = -1  # gap labels: the polynomial variables
 Y = -2
-REAL_TENSOR_MAX = 2 ** 20  # floats in one real_tensor: 8 MB, order 9 over H
-
-
-class TensorSizeError(ValueError):
-    """A real tensor, or a norm or equality that needs one, above REAL_TENSOR_MAX floats."""
 
 
 class SlotTensor:
@@ -150,43 +150,15 @@ def star_product(a: Tensor, b: Tensor) -> Tensor:
     return SlotTensor(a.algebra, a.x_gaps + b.x_gaps, a.arg_slots + b.arg_slots, terms, a.y_gaps + b.y_gaps)
 
 
-def real_tensor(s: SlotTensor) -> np.ndarray:
-    """s as one real multilinear map: an array of shape (dim,) * (order + 1).
-
-    Axis 0 is the value; the other axes are the gaps sorted by label, each
-    variable's left to right: the y gaps (Y = -2), the x gaps (X = -1), then
-    the arguments in slot order. Each gap of a term is one contraction with
-    the dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
-    e_p e_q c, for the coefficient c after the gap, and the terms sum.
-    That takes O(terms * dim^(order + 2)) time and dim^(order + 1) floats,
-    so above REAL_TENSOR_MAX floats (order 9 over H) it raises
-    TensorSizeError before allocating.
-    """
-    n, d = s.order, s.algebra.dim
-    if d ** (n + 1) > REAL_TENSOR_MAX:
-        raise TensorSizeError(f"the real tensor of an order-{n} tensor over the {s.algebra.tag} algebra "
-                              f"holds {d ** (n + 1)} floats, above the bound of {REAL_TENSOR_MAX}")
-    # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
-    triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
-    total = np.zeros((d,) * (n + 1))
-    for coeffs, labels in s.terms:
-        chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
-        for c in coeffs[1:]:
-            chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
-        # Y < X < every argument and the sort is stable, so each variable's gaps keep their order
-        total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
-    return total
-
-
 def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | None = None) -> Element:
     """Substitute args into their slots, x into the x gaps and y into the y gaps.
 
     y may be omitted when s has no y gaps. All terms advance together, one
     gap at a time: the running products, one row per term, times the value
     in the gap and then the next coefficient. That costs
-    O(terms * order * dim^3) per call and stores nothing, where contracting
-    :func:`real_tensor` would hold dim^(order + 1) floats (537 MB at order
-    12 over H).
+    O(terms * order * dim^3) per call and stores nothing, where the
+    multilinear map would hold dim^(order + 1) floats (537 MB at order 12
+    over H).
     """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
@@ -330,27 +302,79 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 # equality and size
 
 
-def symmetric_part(s: SlotTensor) -> np.ndarray:
-    """real_tensor(s) averaged over its y axes and, separately, over its x axes.
+def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """The monomials of that degree in dim coordinates: sorted tuples, in combinations_with_replacement order."""
+    return list(combinations_with_replacement(range(dim), degree))
 
-    A polynomial in x and y is fixed by this part (polarization in each
-    variable); the argument axes stay as they are. Given the average over a
-    variable's first j - 1 axes, the average over its first j is the mean
-    of the transposes that swap axis j with each of them and itself:
-    m(m+1)/2 transposes for m gaps, never the m! orders.
+
+@lru_cache(maxsize=None)
+def _merger(dim: int, degree: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The merge of a coordinate into the monomials of that degree, as a function of the array.
+
+    It takes axes (any, any, monomial, coordinate, value) to (any, any,
+    monomial one degree up, value). Its entry n sums, over each coordinate
+    q of n, the entry (n without one copy of q, q) times
+    sqrt(copies of q in n / (degree + 1)); a q that n lacks reads any
+    monomial with weight 0. At degree 0 that is the coordinate axis itself.
     """
-    sym = real_tensor(s)
-    for first, gaps in ((1, s.y_gaps), (1 + s.y_gaps, s.x_gaps)):
-        for j in range(first + 1, first + gaps):
-            sym = sum(sym.swapaxes(i, j) for i in range(first, j + 1)) / (j - first + 1)
-    return sym
+    up, low = _monomials(dim, degree + 1), {m: i for i, m in enumerate(_monomials(dim, degree))}
+    rest = np.array([[low[n[:n.index(q)] + n[n.index(q) + 1:] if q in n else n[1:]] for q in range(dim)] for n in up])
+    weight = np.sqrt(np.array([[n.count(q) for q in range(dim)] for n in up]) / (degree + 1))
+    # the monomials of degree 1 are the coordinates: the first merge only drops the monomial axis
+    return ((lambda a: a[:, :, 0]) if not degree
+            else lambda a: np.einsum("abnqk,nq->abnk", a[:, :, rest, np.arange(dim)], weight))
+
+
+def symmetric_part(s: SlotTensor) -> np.ndarray:
+    """The coefficients of s symmetric in its x gaps and, separately, in its y gaps.
+
+    A polynomial in x and y is fixed by them (polarization in each
+    variable). The array has shape (dim, y monomials, x monomials, dim,
+    ..., dim): the value axis, then the monomials of degree y_gaps and
+    x_gaps in the dim coordinates, in :func:`_monomials` order, then one
+    axis per argument in slot order. Entry alpha of a variable of p gaps is
+    the mean of the multilinear map over the p!/alpha! orderings of alpha,
+    times sqrt(p!/alpha!), so the plain Frobenius norm of the array is the
+    Bombieri-Weyl norm: the norm of the map averaged over each variable's
+    orderings. Each term runs its coefficient chain one gap at a time, as
+    :func:`eval_args` does with the basis in every gap: an argument gap adds
+    an axis, and a variable gap merges its coordinate into that variable's
+    monomial by the weighted sums of :func:`_merger`. That takes
+    O(terms * order * dim^2 * size) time for an array of size floats.
+    """
+    d, k, triple = s.algebra.dim, s.arg_slots, s.algebra._triple  # triple[r, (p, q, k)]: e_k in e_p e_q e_r
+    total = np.zeros((d, len(_monomials(d, s.y_gaps)), len(_monomials(d, s.x_gaps))) + (d,) * k)
+    for coeffs, labels in s.terms:
+        chain = coeffs[0].coeffs.reshape(1, 1, 1, d)  # axes: the arguments so far, y, x, the value
+        for g, (label, c) in enumerate(zip(labels, coeffs[1:])):
+            # axes as chain's, then the coordinate in this gap and the new value
+            step = (chain.reshape(-1, d) @ (c.coeffs @ triple).reshape(d, d * d)).reshape(chain.shape[:3] + (d, d))
+            if label >= 0:
+                chain = step.transpose(0, 3, 1, 2, 4).reshape((-1,) + step.shape[1:3] + (d,))
+            else:  # the variable's monomials on axis 2 (y swapped there and back), merged into the new ones
+                chain = _merger(d, labels[:g].count(label))(step.swapaxes(label + 3, 2)).swapaxes(label + 3, 2)
+        slots = sorted(range(k), key=[l for l in labels if l >= 0].__getitem__)  # each slot's axis
+        total += chain.reshape((d,) * k + chain.shape[1:]).transpose(k + 2, k, k + 1, *slots)
+    return total
+
+
+def gap_index(part: np.ndarray, index: Sequence[int], x_gaps: int, y_gaps: int) -> list[int]:
+    """An index of a symmetric part of bidegree (x_gaps, y_gaps) as one coordinate per gap.
+
+    The value coordinate, then the y gaps' and the x gaps' coordinates,
+    each monomial by its sorted coordinates, then the arguments.
+    """
+    d = part.shape[0]
+    return [int(index[0]), *_monomials(d, y_gaps)[index[1]], *_monomials(d, x_gaps)[index[2]], *map(int, index[3:])]
 
 
 def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
-    """Equality as maps: the symmetric parts differ by at most tol in the Frobenius norm.
+    """Equality as maps: ||S_a - S_b|| <= tol (||S_a|| + ||S_b||) for the symmetric parts S.
 
-    The symmetric part fixes the polynomial, so this is exact, not sampled.
+    The symmetric part fixes the polynomial, so this is exact, not sampled,
+    and the bound scales with the tensors, so it holds at every magnitude.
     """
     if a._shape() != b._shape():
         return False
-    return float(np.linalg.norm(symmetric_part(a) - symmetric_part(b))) <= tol
+    sa, sb = symmetric_part(a), symmetric_part(b)
+    return float(np.linalg.norm(sa - sb)) <= tol * float(np.linalg.norm(sa) + np.linalg.norm(sb))

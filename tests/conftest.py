@@ -67,3 +67,39 @@ def is_plain(obj) -> bool:
     if type(obj) is list:
         return all(is_plain(v) for v in obj)
     return type(obj) in PLAIN_TYPES
+
+
+def real_tensor(s) -> np.ndarray:
+    """Reference: s as one real multilinear map, an array of shape (dim,) * (order + 1).
+
+    Axis 0 is the value; the other axes are the gaps sorted by label, each
+    variable's left to right: the y gaps (Y = -2), the x gaps (X = -1), then
+    the arguments in slot order. Each gap of a term is one contraction with
+    the dim x dim x dim array whose [p, q, k] entry is the e_k coefficient of
+    e_p e_q c, for the coefficient c after the gap, and the terms sum.
+    """
+    n, d = s.order, s.algebra.dim
+    # row r, column (p, q, k): the e_k coefficient of e_p e_q e_r
+    triple = np.einsum("pqm,mrk->rpqk", s.algebra.table, s.algebra.table).reshape(d, -1)
+    total = np.zeros((d,) * (n + 1))
+    for coeffs, labels in s.terms:
+        chain = coeffs[0].coeffs  # rows: the gaps so far; columns: the value
+        for c in coeffs[1:]:
+            chain = (chain @ (c.coeffs @ triple).reshape(d, d * d)).reshape(-1, d)
+        # Y < X < every argument and the sort is stable, so each variable's gaps keep their order
+        total += chain.reshape((d,) * (n + 1)).transpose([n] + sorted(range(n), key=labels.__getitem__))
+    return total
+
+
+def dense_symmetric_part(s) -> np.ndarray:
+    """Reference: real_tensor(s) averaged over its y axes and, separately, over its x axes.
+
+    Given the average over a variable's first j - 1 axes, the average over
+    its first j is the mean of the transposes that swap axis j with each of
+    them and itself: m(m+1)/2 transposes for m gaps.
+    """
+    sym = real_tensor(s)
+    for first, gaps in ((1, s.y_gaps), (1 + s.y_gaps, s.x_gaps)):
+        for j in range(first + 1, first + gaps):
+            sym = sum(sym.swapaxes(i, j) for i in range(first, j + 1)) / (j - first + 1)
+    return sym

@@ -142,6 +142,11 @@ class TestCentralizer:
     def test_j_not_with_i(self, HH):
         assert not in_centralizer(basis(HH, 2), basis(HH, 1), 1e-9)
 
+    def test_small_elements_do_not_commute(self, HH):
+        # the bound is relative to |c| |b|: 1e-10 i and j differ by 2e-10, their whole size
+        assert not in_centralizer(1e-10 * basis(HH, 1), basis(HH, 2))
+        assert in_centralizer(1e-10 * basis(HH, 1), 1e10 * basis(HH, 1), 0.0)
+
     def test_complex_line(self, HH):
         c = Element(HH, [1, 2, 0, 0])  # 1 + 2i commutes with i
         assert in_centralizer(c, basis(HH, 1), 1e-12)

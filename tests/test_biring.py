@@ -190,6 +190,21 @@ class TestQuasideterminant:
             quasidet_rc(swap, 0, 0)
 
 
+class TestMaxEntryNorm:
+    """The largest entry norm at every magnitude: no square over- or underflows."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_scale_free(self, HH, scale):
+        a = random_matrix(HH, 3, 3, np.random.default_rng(0))
+        assert (a * scale).max_entry_norm() == pytest.approx(a.max_entry_norm() * scale, rel=1e-15, abs=0.0)
+
+    def test_each_member_of_a_stack_alone(self, HH):
+        a = random_matrix(HH, 3, 3, np.random.default_rng(0))
+        norms = biring._max_entry_norm(np.stack([a.data, a.data * 1e-170, a.data * 1e160, 0.0 * a.data]))
+        assert norms.tolist() == pytest.approx([a.max_entry_norm() * s for s in (1.0, 1e-170, 1e160, 0.0)],
+                                               rel=1e-15, abs=0.0)
+
+
 class TestInverse:
     def test_worked_2x2(self, RR):
         a = real_mat(RR, [[1, 2], [3, 4]])

@@ -10,7 +10,6 @@ from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatri
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.diffeq import SolutionCurve
 from ncalg.series import SeriesBudgetError
-from ncalg.tensor import TensorSizeError
 
 from conftest import is_plain
 
@@ -224,7 +223,7 @@ class TestExactnessWitness:
 
 
 TYPED_ERRORS = (SeriesBudgetError, SingularMatrixError, QuasideterminantUndefinedError, AlgebraError,
-                NotInvertibleError, TensorSizeError)
+                NotInvertibleError)
 
 
 class TestTypedErrors:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncalg import tensor
+from ncalg import diffeq
 from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
 from ncalg.diffeq import (
@@ -28,8 +28,8 @@ from ncalg.diffeq import (
     successive_powers,
 )
 from ncalg.series import SeriesBudgetError, cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
-from ncalg.tensor import (SlotTensor, TensorPolynomial, TensorSizeError, X, Y, monomial, monomial_derivative, ones_tensor,
-                          poly_derivative, symmetric_part, tensor_scale)
+from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
+                          symmetric_part, tensor_scale)
 
 from conftest import is_plain
 
@@ -99,11 +99,19 @@ class TestIntegrability:
         with pytest.raises(ValueError, match="exactly one argument slot"):
             integrability_check(g)
 
-    def test_a_form_above_the_size_bound_raises(self, HH, CC):
-        # D of the derivative form of x^10 has order 10: 4^11 floats over H, 2^11 over C
-        with pytest.raises(TensorSizeError):
-            integrability_check(poly_derivative(FormPoly([ones_tensor(HH, 10)])))
-        assert integrability_check(poly_derivative(FormPoly([ones_tensor(CC, 10)]))).verdict
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_high_degree_derivative_forms_are_integrable(self, HH, k):
+        # D of the derivative form of x^k has order k: C(k + 1, 3) x monomials times 4^3 over H,
+        # against 4^(k + 1) entries of the multilinear map
+        assert integrability_check(poly_derivative(FormPoly([ones_tensor(HH, k)]))).verdict
+
+    def test_x4_h_x5_integrable_over_c_only(self, HH, CC):
+        # x^4 h x^5 = x^9 h over C, the derivative form of x^10 / 10; over H it is not one
+        form = poly(CC, (X,) * 4 + (0,) + (X,) * 5)
+        assert integrability_check(form).verdict
+        rep = integrability_check(poly(HH, (X,) * 4 + (0,) + (X,) * 5))
+        assert not rep.verdict
+        assert rep.witness["bidegree"] == [8, 0] and len(rep.witness["index"]) == 1 + 8 + 2
 
 
 class TestAntiderivative:
@@ -386,17 +394,17 @@ class TestSymbolicReference:
 
 
 class TestSourceParts:
-    """A form check builds one real tensor per component of its sources, whether it passes or refutes."""
+    """A form check builds one symmetric part per component of its sources, whether it passes or refutes."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        count, build = [0], tensor.real_tensor
+        count, build = [0], diffeq.symmetric_part
 
         def counting(s):
             count[0] += 1
             return build(s)
 
-        monkeypatch.setattr(tensor, "real_tensor", counting)
+        monkeypatch.setattr(diffeq, "symmetric_part", counting)
         return count
 
     @staticmethod
@@ -598,6 +606,13 @@ class TestEigenSolutions:
         # and the corresponding curve indeed fails the equation
         curve = eigen_solution(i, [one(HH), k], side="left")
         assert not solution_residual(ode, curve, (0.5, 1.0)).verdict
+
+    def test_a_small_eigenvalue_does_not_commute(self, HH):
+        # i and j do not commute at any scale: the test is relative to |b| |c|
+        j = basis(HH, 2)
+        ode = LinearOde(BiMatrix.from_elements([[j, j], [j, j]]), OdeForm.RC_LEFT, (j, j))
+        rep = eigen_conditions(ode, 1e-10 * basis(HH, 1), [j, j])
+        assert not rep.verdict and rep.metrics["note"] == "conditions not met"
 
     def test_conditions_met_either_way(self, HH):
         i = basis(HH, 1)

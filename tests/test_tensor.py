@@ -1,5 +1,6 @@
 import math
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -10,18 +11,17 @@ from ncalg.tensor import (
     SlotTensor,
     Tensor,
     TensorPolynomial,
-    TensorSizeError,
     X,
     Y,
     eval_args,
     eval_power,
+    gap_index,
     monomial,
     monomial_derivative,
     ones_tensor,
     poly_derivative,
     poly_product,
     pure,
-    real_tensor,
     slot_derivative,
     slot_tensors_equal,
     so_set,
@@ -29,6 +29,8 @@ from ncalg.tensor import (
     symmetric_part,
     tensor_scale,
 )
+
+from conftest import dense_symmetric_part, real_tensor
 
 
 def brute_force_so(k, n):
@@ -371,49 +373,40 @@ class TestRealTensor:
                         contracted = contracted @ v.coeffs
                     assert np.linalg.norm(contracted - reference.coeffs) <= 1e-12 * size
 
-    def test_eval_never_builds_real_tensor(self, HH, rng, monkeypatch):
+    def test_eval_never_builds_a_symmetric_part(self, HH, rng, monkeypatch):
         def refuse(s):
-            raise AssertionError("evaluation built a real tensor")
+            raise AssertionError("evaluation built a symmetric part")
 
-        monkeypatch.setattr(tensor, "real_tensor", refuse)
+        monkeypatch.setattr(tensor, "symmetric_part", refuse)
         x = random_element(HH, rng)
         small = ones_tensor(HH, 2)
         assert (eval_power(small, x) - x * x).norm() <= 1e-12 * x.norm() ** 2
-        # x^12: real_tensor would hold 4^13 floats (537 MB)
+        # x^12: the reference real_tensor would hold 4^13 floats (537 MB)
         big = ones_tensor(HH, 12)
         power = one(HH)
         for _ in range(12):
             power = power * x
         assert (eval_power(big, x) - power).norm() <= 1e-12 * x.norm() ** 12
 
-    def test_size_bound_raises_before_allocating(self, HH, CC):
-        big = ones_tensor(HH, 10)  # 4^11 floats, above the bound of 2^20
-        with pytest.raises(TensorSizeError, match="order-10 tensor over the quaternion algebra holds 4194304 floats"):
-            real_tensor(big)
-        with pytest.raises(TensorSizeError):
-            slot_tensors_equal(big, big)
-        with pytest.raises(TensorSizeError):
-            symmetric_part(big)
-        assert real_tensor(ones_tensor(CC, 10)).shape == (2,) * 11  # 2^11 floats are within it
-
     def test_axis_order_and_fresh_array(self, HH, rng):
-        # value c0 h1 c1 x c2 h0 c3: axes value, x, h0, h1
+        # value c0 h1 c1 x c2 h0 c3: axes value, y monomials (one, of degree 0), x, h0, h1
         coeffs = [random_element(HH, rng) for _ in range(4)]
         s = SlotTensor(HH, 1, 2, [(coeffs, (1, X, 0))])
-        r = real_tensor(s)
-        assert r.shape == (4, 4, 4, 4)
+        r = symmetric_part(s)
+        assert r.shape == (4, 1, 4, 4, 4)
         for i, a, b in product(range(4), repeat=3):
             e = basis(HH, i), basis(HH, a), basis(HH, b)
             direct = coeffs[0] * e[2] * coeffs[1] * e[0] * coeffs[2] * e[1] * coeffs[3]
-            assert np.allclose(r[:, i, a, b], direct.coeffs, rtol=0, atol=1e-14)
+            assert np.allclose(r[:, 0, i, a, b], direct.coeffs, rtol=0, atol=1e-14)
         # each call builds a new array, so writing to one changes no later one
         before = r.copy()
         r[...] = 0.0
-        assert np.array_equal(real_tensor(s), before)
+        assert np.array_equal(symmetric_part(s), before)
 
     def test_empty_tensor_is_zero(self, HH):
-        r = real_tensor(SlotTensor(HH, 2, 1))
-        assert r.shape == (4,) * 4 and not r.any()
+        # x^2 over H has C(5, 2) = 10 monomials
+        r = symmetric_part(SlotTensor(HH, 2, 1))
+        assert r.shape == (4, 1, 10, 4) and not r.any()
 
     def test_norm_square_commutes_over_h(self, HH):
         # x conj(x) = conj(x) x = |x|^2: unequal arrays, equal symmetric parts
@@ -453,6 +446,64 @@ class TestRealTensor:
             eval_args(d, [h], random_element(CC, rng))
 
 
+def orbit_weight(coords) -> float:
+    """sqrt(p! / alpha!) for the monomial with these p coordinates, alpha its multiplicities."""
+    return math.sqrt(math.factorial(len(coords)) / math.prod(map(math.factorial, Counter(coords).values())))
+
+
+class TestSymmetricPart:
+    """symmetric_part against the reference: the real tensor averaged over each variable's axes."""
+
+    @staticmethod
+    def expected(s):
+        """The reference's entry at each monomial's sorted coordinates, times sqrt(p! / alpha!)."""
+        ref, d = dense_symmetric_part(s), s.algebra.dim
+        ys = list(combinations_with_replacement(range(d), s.y_gaps))
+        xs = list(combinations_with_replacement(range(d), s.x_gaps))
+        out = np.empty((d, len(ys), len(xs)) + (d,) * s.arg_slots)
+        for (iy, my), (ix, mx) in product(enumerate(ys), enumerate(xs)):
+            out[:, iy, ix] = ref[(slice(None), *my, *mx)] * orbit_weight(my) * orbit_weight(mx)
+        return ref, out
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_matches_the_averaged_reference(self, rng, tag):
+        # orders 0-6 with x, y and up to two argument gaps, three random terms each
+        alg = make_algebra(tag)
+        for order in range(7):
+            for y_gaps in range(order + 1):
+                for k in range(min(2, order - y_gaps) + 1):
+                    s = random_slot_tensor(alg, rng, order - y_gaps - k, k, y_gaps=y_gaps)
+                    part, (ref, expected) = symmetric_part(s), self.expected(s)
+                    size = np.linalg.norm(ref)
+                    assert part.shape == expected.shape
+                    assert np.abs(part - expected).max() <= 1e-14 * size
+                    assert abs(np.linalg.norm(part) - size) <= 1e-14 * size
+                    if k == 2:
+                        swapped = np.linalg.norm(part - part.swapaxes(-1, -2))
+                        assert abs(swapped - np.linalg.norm(ref - ref.swapaxes(-1, -2))) <= 1e-14 * size
+                    # the largest entry names its monomials by their sorted coordinates
+                    index = np.unravel_index(np.argmax(np.abs(part)), part.shape)
+                    at = gap_index(part, index, s.x_gaps, y_gaps)
+                    assert at[1:1 + y_gaps] == sorted(at[1:1 + y_gaps])
+                    assert at[1 + y_gaps:1 + order - k] == sorted(at[1 + y_gaps:1 + order - k])
+                    weight = orbit_weight(at[1:1 + y_gaps]) * orbit_weight(at[1 + y_gaps:1 + order - k])
+                    assert abs(ref[tuple(at)] * weight - part[index]) <= 1e-14 * size
+
+    def test_high_degree_stays_polynomial(self, HH):
+        # x^12 over H: C(15, 3) = 455 monomials, against 4^13 entries (537 MB) of the multilinear map
+        part = symmetric_part(ones_tensor(HH, 12))
+        assert part.shape == (4, 1, 455)
+        # the monomial 1^12 has one ordering, and 1^12 = 1
+        assert part[0, 0, 0] == 1.0 and gap_index(part, (0, 0, 0), 12, 0) == [0] + [0] * 12
+
+    def test_small_tensors_are_not_equal_to_zero(self, HH):
+        # the bound is relative: 1e-12 x^2 is far from 0 however small its norm
+        small = tensor_scale(ones_tensor(HH, 2), 1e-12)
+        assert not slot_tensors_equal(small, SlotTensor(HH, 2, 0))
+        assert slot_tensors_equal(small, tensor_scale(ones_tensor(HH, 2), 1e-12))
+        assert slot_tensors_equal(SlotTensor(HH, 2, 0), SlotTensor(HH, 2, 0))
+
+
 class TestTwoVariables:
     """Gaps labelled Y hold a second variable; its axes never mix with the x axes."""
 
@@ -486,7 +537,7 @@ class TestTwoVariables:
 
     def test_y_axes_come_before_x_axes(self, HH, rng):
         coeffs = [random_element(HH, rng) for _ in range(3)]
-        r = real_tensor(SlotTensor(HH, 1, 0, [(coeffs, (X, Y))], y_gaps=1))
+        r = symmetric_part(SlotTensor(HH, 1, 0, [(coeffs, (X, Y))], y_gaps=1))
         for a, b in product(range(4), repeat=2):
             direct = coeffs[0] * basis(HH, b) * coeffs[1] * basis(HH, a) * coeffs[2]
             assert np.allclose(r[:, a, b], direct.coeffs, rtol=0, atol=1e-14)
