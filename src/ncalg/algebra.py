@@ -36,12 +36,10 @@ class AlgebraDesc:
     """Descriptor of a finite-dimensional associative unital real algebra.
 
     ``table[i, j, k]`` is the e_k-coefficient of the basis product e_i e_j.
-    Basis element 0 is the unit. Three read-only derived arrays serve the
-    kernels: ``_flat``, the table as a dim x dim^2 matrix, so that a . _flat
-    reshaped to dim x dim is L(a)^T; ``_conj``, the signs (1, -1, ..., -1)
-    of the conjugation; and ``_triple``, the dim x dim^3 matrix whose row r,
-    column (p, q, k) is the e_k coefficient of e_p e_q e_r, with which
-    ``tensor.symmetric_part`` advances a chain of coefficients by one gap.
+    Basis element 0 is the unit. Two read-only derived arrays serve the
+    element kernels: ``_flat``, the table as a dim x dim^2 matrix, so that
+    a . _flat reshaped to dim x dim is L(a)^T; and ``_conj``, the signs
+    (1, -1, ..., -1) of the conjugation.
     """
 
     tag: str
@@ -57,10 +55,9 @@ class AlgebraDesc:
         object.__setattr__(self, "table", tbl)
         _validate_structure(self)
         sign = np.where(np.arange(self.dim) == 0, 1.0, -1.0)
-        triple = np.einsum("pqm,mrk->rpqk", tbl, tbl).reshape(self.dim, -1)
-        for name, derived in (("_flat", tbl.reshape(self.dim, -1)), ("_conj", sign), ("_triple", triple)):
-            derived.flags.writeable = False
-            object.__setattr__(self, name, derived)
+        sign.flags.writeable = False
+        object.__setattr__(self, "_flat", tbl.reshape(self.dim, self.dim * self.dim))
+        object.__setattr__(self, "_conj", sign)
 
     def __repr__(self):
         return f"AlgebraDesc({self.tag!r}, dim={self.dim})"

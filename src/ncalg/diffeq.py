@@ -44,7 +44,7 @@ from .algebra import (
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report
 from .series import _expm, _require_finite_time, exp_at
-from .tensor import X, Y, TensorPolynomial, gap_index, poly_derivative, symmetric_part
+from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -143,12 +143,10 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     one, cannot hide it. Its norm, reported as the residual and as the
     witness's violation, sums the norms of the failing parts, or of all
     parts when none fails. The witness, None when none fails, holds the
-    fields and the largest entry of the failing parts, named by its part's
-    bidegree and its :func:`tensor.gap_index`: one coordinate per gap, each
-    variable's monomial by its sorted coordinates; a NaN entry counts as the
-    largest. An entry weighs its monomial's share of the norm, so with two
-    or more gaps of a variable the largest entry is the monomial whose
-    orderings carry the most of it.
+    fields and the largest entry of the averaged map over the failing parts,
+    :func:`tensor.largest_entry`, named by its part's bidegree and one
+    coordinate per gap, each variable's monomial by its sorted coordinates;
+    a NaN entry counts as the largest.
     """
     scale = defaultdict(float)  # bidegree: the summed norms of the sources' parts
     for b, s in (bs for parts in sources for bs in parts.items()):
@@ -158,8 +156,7 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     violation = sum(norms[b] for b in failing or norms)
     if not failing:
         return violation, True, None
-    b, size = max(((b, np.nan_to_num(np.abs(gap[b]), nan=np.inf)) for b in failing), key=lambda bs: bs[1].max())
-    index = gap_index(size, np.unravel_index(np.argmax(size), size.shape), *b)
+    _, index, b = max((largest_entry(gap[b], *b) + (b,) for b in failing), key=lambda entry: entry[0])
     return violation, False, dict(fields, violation=violation, bidegree=list(b), index=index)
 
 

@@ -17,7 +17,8 @@ the norm of the averaged map. It holds dim * C(dim + q - 1, q) *
 C(dim + p - 1, p) * dim^k floats for p x gaps, q y gaps and k arguments,
 polynomial in the degree, so :func:`slot_tensors_equal` and that norm
 decide equality and size with no probe points at any degree.
-:func:`gap_index` names an entry by one coordinate per gap. Evaluation
+:func:`largest_entry` names the largest entry of the averaged map by
+one coordinate per gap. Evaluation
 builds no array: it multiplies the coefficient vectors of all terms
 through the structure table, one gap at a time.
 
@@ -315,14 +316,12 @@ def _merger(dim: int, degree: int) -> Callable[[np.ndarray], np.ndarray]:
     monomial one degree up, value). Its entry n sums, over each coordinate
     q of n, the entry (n without one copy of q, q) times
     sqrt(copies of q in n / (degree + 1)); a q that n lacks reads any
-    monomial with weight 0. At degree 0 that is the coordinate axis itself.
+    monomial with weight 0.
     """
     up, low = _monomials(dim, degree + 1), {m: i for i, m in enumerate(_monomials(dim, degree))}
     rest = np.array([[low[n[:n.index(q)] + n[n.index(q) + 1:] if q in n else n[1:]] for q in range(dim)] for n in up])
     weight = np.sqrt(np.array([[n.count(q) for q in range(dim)] for n in up]) / (degree + 1))
-    # the monomials of degree 1 are the coordinates: the first merge only drops the monomial axis
-    return ((lambda a: a[:, :, 0]) if not degree
-            else lambda a: np.einsum("abnqk,nq->abnk", a[:, :, rest, np.arange(dim)], weight))
+    return lambda a: np.einsum("abnqk,nq->abnk", a[:, :, rest, np.arange(dim)], weight)
 
 
 def symmetric_part(s: SlotTensor) -> np.ndarray:
@@ -342,13 +341,14 @@ def symmetric_part(s: SlotTensor) -> np.ndarray:
     monomial by the weighted sums of :func:`_merger`. That takes
     O(terms * order * dim^2 * size) time for an array of size floats.
     """
-    d, k, triple = s.algebra.dim, s.arg_slots, s.algebra._triple  # triple[r, (p, q, k)]: e_k in e_p e_q e_r
+    d, k, t = s.algebra.dim, s.arg_slots, s.algebra.table
     total = np.zeros((d, len(_monomials(d, s.y_gaps)), len(_monomials(d, s.x_gaps))) + (d,) * k)
     for coeffs, labels in s.terms:
         chain = coeffs[0].coeffs.reshape(1, 1, 1, d)  # axes: the arguments so far, y, x, the value
         for g, (label, c) in enumerate(zip(labels, coeffs[1:])):
-            # axes as chain's, then the coordinate in this gap and the new value
-            step = (chain.reshape(-1, d) @ (c.coeffs @ triple).reshape(d, d * d)).reshape(chain.shape[:3] + (d, d))
+            # t @ (c @ t) holds at [p, q, k] the e_k coefficient of e_p e_q c, for the table t; the step's
+            # axes are chain's, then the coordinate in this gap and the new value
+            step = (chain.reshape(-1, d) @ (t @ (c.coeffs @ t)).reshape(d, d * d)).reshape(chain.shape[:3] + (d, d))
             if label >= 0:
                 chain = step.transpose(0, 3, 1, 2, 4).reshape((-1,) + step.shape[1:3] + (d,))
             else:  # the variable's monomials on axis 2 (y swapped there and back), merged into the new ones
@@ -358,14 +358,22 @@ def symmetric_part(s: SlotTensor) -> np.ndarray:
     return total
 
 
-def gap_index(part: np.ndarray, index: Sequence[int], x_gaps: int, y_gaps: int) -> list[int]:
-    """An index of a symmetric part of bidegree (x_gaps, y_gaps) as one coordinate per gap.
+def largest_entry(part: np.ndarray, x_gaps: int, y_gaps: int) -> tuple[float, list[int]]:
+    """The largest magnitude of the averaged map in a symmetric part of bidegree (x_gaps, y_gaps), and its place.
 
-    The value coordinate, then the y gaps' and the x gaps' coordinates,
-    each monomial by its sorted coordinates, then the arguments.
+    An entry divided by sqrt(p!/alpha!) per variable is the map's value at
+    each ordering of its monomial alpha; a NaN counts as the largest, and of
+    equal magnitudes the first in the array's order wins. The place is one
+    coordinate per gap: the value, the y gaps' and the x gaps' (each
+    monomial by its sorted coordinates, the first of its orderings), then
+    the arguments.
     """
-    d = part.shape[0]
-    return [int(index[0]), *_monomials(d, y_gaps)[index[1]], *_monomials(d, x_gaps)[index[2]], *map(int, index[3:])]
+    monomials = [_monomials(part.shape[0], gaps) for gaps in (y_gaps, x_gaps)]
+    # sqrt(alpha!/p!): alpha! is the product, over the sorted coordinates, of each one's copies up to it
+    scales = ([np.sqrt(np.prod([m[:j].count(q) / j for j, q in enumerate(m, 1)])) for m in ms] for ms in monomials)
+    size = np.einsum("vyx...,y,x->vyx...", np.nan_to_num(np.abs(part), nan=np.inf), *scales)
+    at = np.unravel_index(np.argmax(size), size.shape)
+    return float(size[at]), [int(at[0]), *monomials[0][at[1]], *monomials[1][at[2]], *map(int, at[3:])]
 
 
 def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:

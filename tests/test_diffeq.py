@@ -31,7 +31,7 @@ from ncalg.series import SeriesBudgetError, cosh_el, exp_el, mexp_cr, mexp_rc, s
 from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
                           symmetric_part, tensor_scale)
 
-from conftest import is_plain
+from conftest import dense_symmetric_part, is_plain
 
 
 def poly(alg, *words, scale=1.0) -> FormPoly:
@@ -112,6 +112,19 @@ class TestIntegrability:
         rep = integrability_check(poly(HH, (X,) * 4 + (0,) + (X,) * 5))
         assert not rep.verdict
         assert rep.witness["bidegree"] == [8, 0] and len(rep.witness["index"]) == 1 + 8 + 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_is_the_largest_entry_of_the_averaged_map(self, HH, seed):
+        # D g has two x gaps: monomials of one and of two orderings, which an entry weighted by
+        # its orderings would rank differently (it would, for each of these seeds)
+        g = random_form(HH, np.random.default_rng(seed), (X, X, 0, X), (X, 0, X, X))
+        rep = integrability_check(g)
+        (c,) = poly_derivative(g).components
+        ref = dense_symmetric_part(c)
+        antisym = np.abs(ref - ref.swapaxes(-1, -2))
+        at = [int(i) for i in np.unravel_index(np.argmax(antisym), antisym.shape)]
+        at[1:3] = sorted(at[1:3])  # the orbit's sorted representative
+        assert rep.witness["bidegree"] == [2, 0] and rep.witness["index"] == at
 
 
 class TestAntiderivative:
