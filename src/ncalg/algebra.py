@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 
-DEFAULT_TOL = 1e-9
+CLOSE_RTOL = 1e-9  # relative: see close
 
 
 class AlgebraError(ValueError):
@@ -129,7 +129,8 @@ class Element:
     Immutable; arithmetic returns new instances. Equality is exact: two
     Elements of one algebra are equal when every coefficient is, so
     0.0 == -0.0 and a NaN coefficient equals nothing. Elements hash
-    consistently with it; ``close`` compares within a tolerance.
+    consistently with it; ``close`` applies the one relative closeness
+    rule, :func:`close`, to the coefficients.
 
     The public constructor converts, checks the shape and copies. Results
     the library has just computed go through ``_trusted`` instead, which
@@ -206,9 +207,9 @@ class Element:
         # tolist's floats hash 0.0 and -0.0 alike, as __eq__ requires
         return hash((self.algebra, tuple(self.coeffs.tolist())))
 
-    def close(self, other: "Element", tol: float = DEFAULT_TOL) -> bool:
+    def close(self, other: "Element", tol: float = CLOSE_RTOL) -> bool:
         _same(self, other)
-        return _norm(self.coeffs - other.coeffs) <= tol
+        return close(self.coeffs, other.coeffs, tol)
 
     # -- structure ----------------------------------------------------------
 
@@ -216,7 +217,15 @@ class Element:
         return _trusted(self.algebra, self.coeffs * self.algebra._conj)
 
     def norm(self) -> float:
-        return _norm(self.coeffs)
+        """frobenius of the coefficients, in a scalar form that costs about one dot product.
+
+        math.hypot never over- or underflows, so it tells cheaply whether
+        the unscaled sqrt(c . c) can: within 2^+-500 that formula is taken,
+        and frobenius outside.
+        """
+        c = self.coeffs
+        h = math.hypot(*c.tolist())
+        return math.sqrt(c.dot(c)) if h == 0.0 or 2.0 ** -500 <= h <= 2.0 ** 500 else frobenius(c)
 
     def inv(self) -> "Element":
         return inv(self)
@@ -231,8 +240,40 @@ _set_coeffs = Element.coeffs.__set__
 _trusted = Element._trusted
 
 
-def _norm(c: np.ndarray) -> float:
-    return math.sqrt(c.dot(c))
+def _scaled(c: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """c * 2^-e and e, e the binary exponent of the largest magnitude of c over axis (all axes by default).
+
+    e keeps the reduced axes with length 1, so it broadcasts against c, and
+    is 0 where that magnitude is 0, NaN or infinite. Elsewhere the largest
+    magnitude of the result lies in [1/2, 1), so no square that matters
+    over- or underflows, and scaling by a power of two is exact.
+    """
+    e = np.frexp(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(c, -e), e
+
+
+def frobenius(c: np.ndarray) -> float:
+    """The Frobenius norm of an array at every magnitude; 0.0 for an empty one.
+
+    The squares are summed after the scaling of :func:`_scaled`, so none
+    that matters over- or underflows. Wherever the unscaled sqrt(c . c)
+    neither over- nor underflows, the two agree to the bit.
+    """
+    s, e = _scaled(c)
+    v = s.ravel(order="K")
+    return float(np.ldexp(math.sqrt(v.dot(v)), e.item()))
+
+
+def close(a: np.ndarray, b: np.ndarray, rtol: float = CLOSE_RTOL) -> bool:
+    """The one closeness rule: ||a - b|| <= rtol (||a|| + ||b||), in the Frobenius norm.
+
+    The bound scales with a and b, so the answer is the same at every
+    magnitude short of overflow: only an exactly zero array is close to
+    zero, two empty arrays are close, and an array holding a NaN or an
+    infinity is close to nothing, whatever rtol.
+    """
+    d = frobenius(a - b)
+    return d < math.inf and d <= rtol * (frobenius(a) + frobenius(b))
 
 
 def _same(a: Element, b: Element) -> None:
@@ -262,41 +303,32 @@ def norm(a: Element) -> float:
 
 
 def inv(a: Element) -> Element:
-    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras.
+    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras: inv_stack of the one element.
 
-    The coefficients are first scaled by 2^-e, e the binary exponent of the
-    largest, so the norm^2 of the scaled s lies in [1/4, dim) and neither
-    over- nor underflows. Scaling by a power of two is exact, so wherever
-    the unscaled formula does not over- or underflow the two agree to the
-    bit. A zero or non-finite element raises, and so does one whose largest
+    A zero or non-finite element raises, and so does one whose largest
     coefficient is below 2^-1023, whose inverse is not representable.
     """
-    c = a.coeffs
-    e = math.frexp(max(map(abs, c.tolist())))[1]
-    if e < -1022:
-        raise NotInvertibleError("inverse of a subnormal element overflows")
-    scale = math.ldexp(1.0, -e)
-    s = c * scale  # largest |s_i| in [1/2, 1)
-    n2 = s.dot(s)
-    if not 0.25 <= n2 < math.inf:  # also NaN, which max() may have skipped
-        raise NotInvertibleError("zero or non-finite element is not invertible")
-    # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
-    return _trusted(a.algebra, s * a.algebra._conj / n2 * scale)
+    out, ok = inv_stack(a.algebra, a.coeffs[None])
+    if not ok[0]:
+        raise NotInvertibleError("a zero, subnormal or non-finite element is not invertible")
+    return _trusted(a.algebra, out[0])
 
 
 def inv_stack(algebra: AlgebraDesc, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (..., dim) stack of coefficient vectors, and which members have one.
 
-    Each member is scaled by 2^-e as in inv, so it gets inv's bits. A member
+    Each member is scaled by :func:`_scaled`, so its norm^2 n2 lies in
+    [1/4, dim) and neither over- nor underflows; wherever the unscaled
+    formula does not over- or underflow the two agree to the bit. A member
     that is zero, non-finite, or whose largest coefficient is below
     2^-1023 has no representable inverse: it is False in the mask and NaN
     in the inverses.
     """
-    e = -np.frexp(np.abs(c).max(axis=-1))[1][..., None]
-    s = np.ldexp(c, e)  # the largest |s_i| of a member inv accepts is in [1/2, 1)
-    n2 = (s[..., None, :] @ s[..., None])[..., 0, 0]  # the dot product inv takes, bit for bit
-    ok = (e[..., 0] <= 1022) & (0.25 <= n2) & (n2 < math.inf)
-    return np.ldexp(s * algebra._conj / np.where(ok, n2, np.nan)[..., None], e), ok
+    s, e = _scaled(c, -1)
+    n2 = (s[..., None, :] @ s[..., None])[..., 0, 0]
+    ok = (e[..., 0] >= -1022) & (0.25 <= n2) & (n2 < math.inf)
+    # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
+    return np.ldexp(s * algebra._conj / np.where(ok, n2, np.nan)[..., None], -e), ok
 
 
 def commutator(a: Element, b: Element) -> Element:
@@ -323,14 +355,13 @@ def from_scalar(algebra: AlgebraDesc, value: float) -> Element:
     return _trusted(algebra, c)
 
 
-def in_centralizer(c: Element, b: Element, tol: float = DEFAULT_TOL) -> bool:
-    """True iff c commutes with b: norm(cb - bc) <= tol * 2 norm(c) norm(b).
+def in_centralizer(c: Element, b: Element, tol: float = CLOSE_RTOL) -> bool:
+    """True iff c commutes with b: cb and bc are close under the one rule.
 
-    |cb - bc| <= 2 |c| |b| always, so tol is relative and the test holds at
-    every scale of c and b.
+    |cb| = |bc| = |c| |b| in these algebras, so the bound is tol 2 |c| |b|,
+    relative, and the test holds at every scale of c and b.
     """
-    _same(c, b)
-    return commutator(c, b).norm() <= tol * 2 * c.norm() * b.norm()
+    return (c * b).close(b * c, tol)
 
 
 def left_matrix(a: Element) -> np.ndarray:

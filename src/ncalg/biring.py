@@ -35,10 +35,14 @@ import numpy as np
 
 from . import _kernels
 from .algebra import (
+    CLOSE_RTOL,
     AlgebraDesc,
     AlgebraError,
     Element,
     NotInvertibleError,
+    _scaled,
+    close,
+    frobenius,
     inv_stack,
     one,
     zero,
@@ -133,12 +137,10 @@ class BiMatrix:
 
     __rmul__ = __mul__
 
-    def close(self, other: "BiMatrix", tol: float = 1e-9) -> bool:
-        return (
-            self.algebra == other.algebra
-            and self.data.shape == other.data.shape
-            and float(np.abs(self.data - other.data).max()) <= tol
-        )
+    def close(self, other: "BiMatrix", tol: float = CLOSE_RTOL) -> bool:
+        """Same algebra and shape, and close under the one rule, algebra.close, over all coefficients."""
+        return (self.algebra == other.algebra and self.data.shape == other.data.shape
+                and close(self.data, other.data, tol))
 
     def __repr__(self):
         return f"BiMatrix({self.algebra.tag}, {self.rows}x{self.cols})"
@@ -147,16 +149,16 @@ class BiMatrix:
 def _max_entry_norm(data: np.ndarray) -> np.ndarray:
     """Largest entry norm of each member of an (..., m, n, d) stack; 0 for an empty member.
 
-    Each member is scaled by 2^-e, e the binary exponent of its largest
-    coefficient, as inv scales an element, so no square over- or underflows
-    at any magnitude; scaling by a power of two is exact.
+    Each member is scaled as algebra.frobenius scales an array, so no
+    square over- or underflows at any magnitude.
     """
-    e = np.frexp(np.abs(data).max(axis=(-3, -2, -1), keepdims=True, initial=0.0))[1]
-    return np.ldexp(np.sqrt((np.ldexp(data, -e) ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
+    s, e = _scaled(data, (-3, -2, -1))
+    return np.ldexp(np.sqrt((s ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
-    return float(np.abs(a.data - b.data).max())
+    """The largest coefficient difference; 0.0 for empty matrices."""
+    return float(np.abs(a.data - b.data).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,8 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     """Unique solution x of a rc x = b for rc-nonsingular square a.
 
     x comes from one LU solve on rho(a) and is accepted by its backward
-    error: ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||).
+    error: ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||), each vector
+    norm algebra.frobenius, so the test holds at every scale.
     """
     n = _require_square(a)
     b = list(b)
@@ -398,8 +401,7 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
         raise SingularMatrixError("rc-singular")
     rhs = np.concatenate([e.coeffs for e in b])
     x = np.linalg.solve(r, rhs)
-    resid = float(np.linalg.norm(r @ x - rhs))
-    if not resid <= 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(x)):  # NaN fails too
+    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + smax * frobenius(x)):  # NaN fails too
         raise SingularMatrixError("solution residual above tolerance")
     return [Element._trusted(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
 
@@ -489,8 +491,12 @@ def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Elemen
 # eigenvalue utilities
 
 
-def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = 1e-9) -> Report:
-    """Check a rc v = b v and report the residual plus singularity of a - bE."""
+def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = CLOSE_RTOL) -> Report:
+    """Check a rc v = b v and report the residual plus singularity of a - bE.
+
+    The verdict is BiMatrix.close of a rc v and b v; the residual is their
+    diff_norm.
+    """
     n = _require_square(a)
     v = list(v)
     col = BiMatrix.from_elements([[e] for e in v])
@@ -502,7 +508,7 @@ def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = 
     )
     singular = is_rc_singular(shifted)
     return Report(
-        verdict=residual <= tol,
+        verdict=av.close(bv, tol),
         residual=residual,
         metrics={"shifted_matrix_singular": singular},
     )

@@ -32,17 +32,19 @@ import numpy as np
 
 from . import _kernels
 from .algebra import (
+    CLOSE_RTOL,
     AlgebraDesc,
     AlgebraError,
     Element,
     basis,
+    frobenius,
     in_centralizer,
     inv as el_inv,
     one,
     zero,
 )
 from .biring import BiMatrix, cr_pow, rc_pow
-from .report import Report
+from .report import Report, severity, worst
 from .series import _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
@@ -64,11 +66,6 @@ def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | 
     return (f(s) - f(-s)) * (1.0 / (2 * s))
 
 
-def _worse(r: float, worst: float) -> bool:
-    """Does residual r displace worst? A NaN outranks every number, and the first NaN stays."""
-    return r > worst or (r != r and worst == worst)
-
-
 def _judge(gaps: Iterable[tuple[float, bool, dict | None]], **metrics) -> Report:
     """The verdict rule of every checker, over (residual, held, witness) triples.
 
@@ -76,20 +73,17 @@ def _judge(gaps: Iterable[tuple[float, bool, dict | None]], **metrics) -> Report
     is within the check's tol, or a polynomial that must vanish, held per
     :func:`_vanishing`; a NaN residual never holds. A witness is plain
     Python data, a dict, and only a triple that holds may have None. The
-    check passes iff every triple holds. It reports the largest residual, a
-    NaN the largest of all, and on failure the witness of the first failing
-    triple with the largest residual. A check that saw no probe proves
-    nothing, so it raises ValueError.
+    check passes iff every triple holds. It reports the worst residual, a
+    NaN the worst of all (report.worst), and on failure the witness of the
+    first failing triple with the worst residual. A check that saw no probe
+    proves nothing, so it raises ValueError.
     """
-    worst, failed, witness, count = 0.0, 0.0, None, 0
-    for count, (r, held, w) in enumerate(gaps, 1):
-        if _worse(r, worst):
-            worst = r
-        if not held and (witness is None or _worse(r, failed)):
-            failed, witness = r, w
-    if not count:
+    gaps = list(gaps)
+    if not gaps:
         raise ValueError("a check needs at least one probe")
-    return Report(verdict=witness is None, residual=worst, metrics=metrics, witness=witness)
+    failing = [(r, w) for r, held, w in gaps if not held]
+    witness = max(failing, key=lambda f: severity(f[0]))[1] if failing else None
+    return Report(verdict=not failing, residual=worst(r for r, _, _ in gaps), metrics=metrics, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +144,8 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     """
     scale = defaultdict(float)  # bidegree: the summed norms of the sources' parts
     for b, s in (bs for parts in sources for bs in parts.items()):
-        scale[b] += float(np.linalg.norm(s))
-    norms = {b: float(np.linalg.norm(s)) for b, s in gap.items()}
+        scale[b] += frobenius(s)
+    norms = {b: frobenius(s) for b, s in gap.items()}
     failing = [b for b, r in norms.items() if not r <= tol * scale[b]]
     violation = sum(norms[b] for b in failing or norms)
     if not failing:
@@ -348,7 +342,7 @@ def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> Solu
 
 
 def eigen_conditions(ode: LinearOde, b: Element, c: Sequence[Element],
-                     tol: float = 1e-9) -> Report:
+                     tol: float = CLOSE_RTOL) -> Report:
     """Sufficient conditions for e^{bt}-type curves to solve the system.
 
     Either every coefficient entry or every component of c must commute
@@ -379,7 +373,7 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
             fd = _central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), _fd_step(abs(t)))
             rhs = ode.rhs(curve(t))
             for i in range(ode.size):
-                r = float(np.linalg.norm(fd[i] - rhs[i].coeffs))
+                r = frobenius(fd[i] - rhs[i].coeffs)
                 yield r, r <= tol, {"t": float(t), "component": i, "residual": r}
 
     return _judge(gaps(), provenance=curve.provenance)

@@ -3,6 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
+
+def severity(residual: float) -> tuple[bool, float]:
+    """The order of residuals: by size, a NaN above every number."""
+    return residual != residual, residual
+
+
+def worst(residuals: Iterable[float]) -> float:
+    """The largest residual by severity, the first of equals (so the first NaN); 0.0 for none."""
+    return max(residuals, key=severity, default=0.0)
 
 
 @dataclass

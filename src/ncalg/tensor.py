@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDesc, AlgebraError, Element, one
+from .algebra import CLOSE_RTOL, AlgebraDesc, AlgebraError, Element, close, one
 
 X = -1  # gap labels: the polynomial variables
 Y = -2
@@ -376,13 +376,11 @@ def largest_entry(part: np.ndarray, x_gaps: int, y_gaps: int) -> tuple[float, li
     return float(size[at]), [int(at[0]), *monomials[0][at[1]], *monomials[1][at[2]], *map(int, at[3:])]
 
 
-def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = 1e-9) -> bool:
-    """Equality as maps: ||S_a - S_b|| <= tol (||S_a|| + ||S_b||) for the symmetric parts S.
+def slot_tensors_equal(a: SlotTensor, b: SlotTensor, tol: float = CLOSE_RTOL) -> bool:
+    """Equality as maps: the symmetric parts S_a and S_b are close under the one rule, algebra.close.
 
     The symmetric part fixes the polynomial, so this is exact, not sampled,
-    and the bound scales with the tensors, so it holds at every magnitude.
+    and the bound tol (||S_a|| + ||S_b||) scales with the tensors, so it
+    holds at every magnitude.
     """
-    if a._shape() != b._shape():
-        return False
-    sa, sb = symmetric_part(a), symmetric_part(b)
-    return float(np.linalg.norm(sa - sb)) <= tol * float(np.linalg.norm(sa) + np.linalg.norm(sb))
+    return a._shape() == b._shape() and close(symmetric_part(a), symmetric_part(b), tol)

@@ -1,3 +1,4 @@
+import math
 import operator
 
 import numpy as np
@@ -27,7 +28,9 @@ from ncalg.algebra import (
     right_matrix,
     zero,
 )
-from ncalg.biring import random_matrix
+from ncalg.biring import BiMatrix, random_matrix, rc_mul, verify_eigen_rc
+from ncalg.diffeq import eigen_conditions, hyperbolic_ode
+from ncalg.tensor import pure, slot_tensors_equal
 from conftest import quat_mul_oracle
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -295,7 +298,7 @@ def test_element_kernels_match_the_reference_formulas(pair, s):
     assert np.array_equal((a * s).coeffs, ca * s)
     assert np.array_equal((s * a).coeffs, ca * s)
     assert np.array_equal(a.conj().coeffs, np.concatenate((ca[:1], -ca[1:])))
-    assert abs(a.norm() - np.linalg.norm(ca)) <= 2 * U * np.linalg.norm(ca)
+    assert abs(a.norm() - math.hypot(*ca)) <= 2 * U * math.hypot(*ca)
     results = [prod, a + b, a - b, -a, a * s, s * a, a.conj()]
     if ca @ ca >= np.finfo(np.float64).tiny:  # where the unscaled formula holds
         old = np.concatenate((ca[:1], -ca[1:])) / (ca @ ca)
@@ -383,3 +386,57 @@ class TestExactEquality:
     def test_other_algebras_and_types_are_unequal(self, RR, CC):
         assert one(RR) != one(CC)
         assert one(RR) != 1.0
+
+
+# ---------------------------------------------------------------------------
+# the one closeness rule at every magnitude
+
+
+def _scale_cases():
+    """(answer, predicate of a scale s that multiplies its inputs) for each predicate, named."""
+    H = make_algebra("quaternion")
+    rng = np.random.default_rng(5)
+    e, i, j, k = (basis(H, m) for m in range(4))
+    z = zero(H)
+    a, b, c = (random_element(H, rng, 1e4) for _ in range(3))
+    f, g = random_element(H, rng), random_element(H, rng)
+    m, p, q = (random_matrix(H, 3, 3, rng) for _ in range(3))
+    cases = [
+        ("norm of j", True, lambda s: (s * j).norm() == pytest.approx(s, rel=2 * U, abs=0.0)),
+        ("norm of f", True, lambda s: (s * f).norm() == pytest.approx(s * f.norm(), rel=16 * U, abs=0.0)),
+        ("Element.close i, j", False, lambda s: (s * i).close(s * j)),
+        ("Element.close 1e-6 apart", False, lambda s: (s * f).close(s * f * (1 + 1e-6))),
+        # the factors are near 1e4, so the two products differ by rounding near 1e-4
+        ("Element.close associativity", True, lambda s: ((s * a) * b * c).close((s * a) * (b * c))),
+        ("BiMatrix.close 1e-6 apart", False, lambda s: (m * s).close(m * s * (1 + 1e-6))),
+        ("BiMatrix.close associativity", True,
+         lambda s: rc_mul(rc_mul(m * s, p), q).close(rc_mul(m * s, rc_mul(p, q)))),
+        ("in_centralizer j, i", False, lambda s: in_centralizer(s * j, i)),
+        ("in_centralizer complex line", True, lambda s: in_centralizer(s * (e + 2 * i), 3 * i - e)),
+        ("slot_tensors_equal linearity", True,
+         lambda s: slot_tensors_equal(pure([s * f, g]) + pure([s * a, g]), pure([s * (f + a), g]))),
+        ("slot_tensors_equal ixi, jxj", False, lambda s: slot_tensors_equal(pure([s * i, i]), pure([s * j, j]))),
+        # (f + a) - a is f up to rounding near 1e-12
+        ("verify_eigen_rc eigenpair", True, lambda s: verify_eigen_rc(
+            BiMatrix.from_elements([[s * (f + a), -s * a], [s * a, s * (f - a)]]), s * f, [e, e]).verdict),
+        ("verify_eigen_rc no eigenpair", False, lambda s: verify_eigen_rc(
+            BiMatrix.from_elements([[z, s * f], [s * f, z]]), s * f, [e, -e]).verdict),
+        ("eigen_conditions met", True, lambda s: eigen_conditions(hyperbolic_ode(H, i), s * i, [j, k]).verdict),
+        ("eigen_conditions not met", False,
+         lambda s: eigen_conditions(hyperbolic_ode(H, j), s * i, [j, k]).verdict),
+    ]
+    return [pytest.param(answer, predicate, id=name) for name, answer, predicate in cases]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_element_is_close_to_nothing(HH, bad):
+    x = Element(HH, [bad, 0.0, 0.0, 0.0])
+    assert not x.close(one(HH))
+    assert not one(HH).close(x, np.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1.0, 1e-200, 1e-9, 1e4, 1e200])
+@pytest.mark.parametrize("answer, predicate", _scale_cases())
+def test_predicates_answer_alike_at_every_scale(answer, predicate, s):
+    assert predicate(s) == answer

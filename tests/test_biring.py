@@ -1034,3 +1034,35 @@ def test_solve_rc_rejects_a_right_hand_side_from_another_algebra(HH, CC, rng):
         solve_rc(a, [one(CC), one(CC)])
     with pytest.raises(AlgebraError):
         solve_rc(a, [one(HH), one(CC)])
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_empty_matrices_are_close_and_zero_apart(tag):
+    alg = make_algebra(tag)
+    for m, n in ((0, 0), (0, 3), (3, 0)):
+        empty = BiMatrix.zeros(alg, m, n)
+        assert empty.close(BiMatrix.zeros(alg, m, n))
+        assert diff_norm(empty, BiMatrix.zeros(alg, m, n)) == 0.0
+    assert not BiMatrix.zeros(alg, 0, 3).close(BiMatrix.zeros(alg, 3, 0))
+
+
+def _scaled_system(HH, s):
+    a = random_matrix(HH, 3, 3, np.random.default_rng(1))
+    b = [Element(HH, c) for c in np.random.default_rng(2).uniform(-1, 1, (3, 4))]
+    return a * s, [e * s for e in b]
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1e170, 1e200])
+def test_solve_rc_is_scale_free(HH, s):
+    """The backward-error test reads scaled norms, so none over- or underflows."""
+    want = np.stack([e.coeffs for e in solve_rc(*_scaled_system(HH, 1.0))])
+    got = np.stack([e.coeffs for e in solve_rc(*_scaled_system(HH, s))])
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1.0, 1e170, 1e200])
+def test_solve_rc_refuses_a_wrong_solution_at_every_scale(HH, s, monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda r, rhs: 1.5 * solve(r, rhs))
+    with pytest.raises(SingularMatrixError, match="residual"):
+        solve_rc(*_scaled_system(HH, s))

@@ -27,6 +27,7 @@ from ncalg.diffeq import (
     solution_residual,
     successive_powers,
 )
+from ncalg.report import worst
 from ncalg.series import SeriesBudgetError, cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
                           symmetric_part, tensor_scale)
@@ -806,6 +807,12 @@ class TestFormDuality:
 
 class TestNaNResiduals:
     """A NaN residual refutes a check and is its witness; it never passes as 0."""
+
+    def test_worst_ranks_the_first_nan_above_every_number(self):
+        first = float("nan")
+        assert worst([]) == 0.0
+        assert worst([1.0, 3.0, 2.0]) == 3.0
+        assert worst([1.0, first, 5.0, math.nan]) is first
 
     def test_nan_antiderivative_is_refuted(self, HH):
         pts = probe_elements(HH, 5, 4)
