@@ -18,7 +18,12 @@ noncommutative Gaussian elimination meets at (i, j).
 
 The checked inverse (_inverse) takes a stack of square matrices and makes
 the rank decision and the residual test for each member alone, so every
-member gets the bits it would get alone. rc_inv, left_dependency and
+member gets the bits it would get alone. It takes the LU inverse X of rho
+first and certifies the stack regular when ||rho(a)||_F ||rho(unrho X)||_F
+< 1 / (4 PIVOT_RTOL) and a rc unrho(X) is within 1 / (2 n d) of E in every
+coefficient: then rho(a) rho(unrho X) is within 1/2 of I, so cond_2(rho(a))
+< 1 / (2 PIVOT_RTOL), and the SVD rule could only say rank n. The SVD runs
+only when the certificate fails. rc_inv, left_dependency and
 quasidet_rc call it with a stack of one; quasidets_rc builds the n^2
 interiors of a matrix by fancy indexing and inverts them in one call,
 giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
@@ -83,6 +88,8 @@ class BiMatrix:
 
     @classmethod
     def from_elements(cls, rows: Sequence[Sequence[Element]]) -> "BiMatrix":
+        if not rows or not rows[0]:
+            raise AlgebraError("an empty list of rows names no algebra")
         algebra = rows[0][0].algebra
         m, n = len(rows), len(rows[0])
         arr = np.zeros((m, n, algebra.dim))
@@ -237,8 +244,8 @@ def submatrix(a: BiMatrix, rows: Iterable[int], cols: Iterable[int]) -> BiMatrix
 # inverses, quasideterminants, linear systems and rank, all through rho
 
 
-def _rc_ranks(table: np.ndarray, data: np.ndarray,
-              smax: float | None = None) -> tuple[np.ndarray, list[int], list[float]]:
+def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: float | None = None,
+              r: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[float]]:
     """rho of a (k, m, n, d) stack of arrays, each member's rc rank, and its largest singular value.
 
     Singular values at or below PIVOT_RTOL * smax count as zero, smax being
@@ -246,11 +253,13 @@ def _rc_ranks(table: np.ndarray, data: np.ndarray,
     scale; each occurs d times in rho. A square member is rc-nonsingular iff
     its rank is n > 0. An empty member has rank 0, and so does a non-finite
     one, which is replaced by the zero matrix before rho (whose table
-    product would turn inf into NaN).
+    product would turn inf into NaN). A caller that has built rho of a
+    finite stack passes it as r.
     """
-    if not np.isfinite(data).all():
-        data = np.where(np.isfinite(data).all(axis=(1, 2, 3), keepdims=True), data, 0.0)
-    r = _kernels.rho(table, data)
+    if r is None:
+        if not np.isfinite(data).all():
+            data = np.where(np.isfinite(data).all(axis=(1, 2, 3), keepdims=True), data, 0.0)
+        r = _kernels.rho(table, data)
     if r.size == 0:
         return r, [0] * len(r), [0.0] * len(r)
     s = np.linalg.svd(r, compute_uv=False).tolist()  # Python costs less than numpy on a short stack
@@ -258,38 +267,79 @@ def _rc_ranks(table: np.ndarray, data: np.ndarray,
     return r, [sum(v > b for v in row) // table.shape[0] for row, b in zip(s, bounds)], [row[0] for row in s]
 
 
-def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
-    """rc-inverses of a (k, n, n, d) stack of square arrays, and the members without one.
+# Largest magnitude of a stack, and of its LU inverse, that _inverse certifies: within it no square
+# of the certificate and no product of its residuals overflows.
+_CERT_RANGE = 2.0 ** 500
 
-    Each member's inverse is the LU inverse of its rho, projected by unrho
-    and residual-checked on both sides, and it has the bits it would have
-    alone. The second result lists, in ascending order, the members that
-    are rc-singular or fail their residual check; their entries in the
-    first result are meaningless. rho(data) @ vec(out) is
-    vec(data rc out), so that residual reuses rho(data).
+
+def _residuals(table: np.ndarray, data: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|data rc out - E| stacked over |out rc data - E|, (k, 2 n d, n), for r = rho(data).
+
+    vec(a rc b) = rho(a) @ vec(b), vec stacking coefficients down each
+    column; the identity's vec has its ones at flat index t (n d + 1), one
+    stride apart.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r, rank, _ = _rc_ranks(table, data)
-    flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
-    regular = all(flags)
-    if not regular:
-        if not any(flags):
-            return data, range(k)
-        ok = np.array(flags)
-        # the identity stands in for the failed members, so that LU and the
-        # residuals meet no singular or non-finite matrix
-        data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
-        r = np.where(ok[:, None, None], r, np.eye(n * d))
-    out = _kernels.unrho(table, np.linalg.inv(r))
-    # vec(a rc b) = rho(a) @ vec(b), vec stacking coefficients down each
-    # column; the identity's vec has its ones at flat index t (n d + 1),
-    # one stride apart
     left = r @ out.swapaxes(-1, -2).reshape(k, n * d, n)
     right = _kernels.rho(table, out) @ data.swapaxes(-1, -2).reshape(k, n * d, n)
     resid = np.concatenate((left, right), axis=1)
     resid.reshape(k, 2, n * d * n)[..., ::n * d + 1] -= 1.0
-    resid = np.abs(resid)
-    if regular and resid.max() <= 1e-9:  # a NaN anywhere fails this
+    return np.abs(resid)
+
+
+def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
+    """rc-inverses of a (k, n, n, d) stack of square arrays, and the members without one.
+
+    Each member's inverse is the LU inverse X of its rho, projected by
+    unrho and residual-checked on both sides, and it has the bits it would
+    have alone. The second result lists, in ascending order, the members
+    that are rc-singular or fail their residual check; their entries in the
+    first result are meaningless.
+
+    Rank is decided without an SVD when the stack is certified regular:
+    its largest coefficient times the largest entry of X, and for each
+    member d ||a||_F ||out||_F, are below 1 / (4 PIVOT_RTOL), and every
+    coefficient of a rc out - E is below 1 / (2 n d). Then
+    ||rho(a) rho(out) - I||_2 <= 1/2, so ||rho(a)^-1||_2 <= 2 ||rho(out)||_F
+    and cond_2(rho(a)) < 1 / (2 PIVOT_RTOL): the SVD rule would give rank n
+    with a margin far above its rounding. Otherwise (a LinAlgError, a
+    magnitude above _CERT_RANGE or a failed certificate) the SVD rule of
+    _rc_ranks decides for the whole stack, reusing rho, and the singular
+    members are inverted as the identity.
+    """
+    k, n, d = data.shape[0], data.shape[1], table.shape[0]
+    r = out = resid = flags = None
+    if n and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
+        r = _kernels.rho(table, data)
+        try:
+            x = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            x = None
+        # a singular member makes big * top of the order of 1 / u, so it stops here
+        if x is not None and (top := np.abs(x).max()) <= _CERT_RANGE and big * top < 0.25 / PIVOT_RTOL:
+            out = _kernels.unrho(table, x)
+            norms = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), out.reshape(k, -1)))
+            # Python floats: a product too large for the certificate overflows to inf without a warning
+            if all(d * d * p * q < 0.0625 / PIVOT_RTOL ** 2 for p, q in zip(*norms)):
+                resid = _residuals(table, data, r, out)
+                if resid[:, :n * d].max() < 0.5 / (n * d):
+                    flags = [True] * k
+    if flags is None:
+        r, rank, _ = _rc_ranks(table, data, r=r)
+        flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
+        if not any(flags):
+            return data, range(k)
+        if not all(flags):
+            ok = np.array(flags)
+            # the identity stands in for the failed members, so that LU and the
+            # residuals meet no singular or non-finite matrix
+            data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
+            r = np.where(ok[:, None, None], r, np.eye(n * d))
+            out = resid = None
+        if out is None:
+            out = _kernels.unrho(table, np.linalg.inv(r))
+        resid = _residuals(table, data, r, out) if resid is None else resid
+    if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this
         return out, ()
     # scale the acceptance with the conditioning actually encountered; the
     # bound is at least 1e-9, so the norms are needed only above that, and

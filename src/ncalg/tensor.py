@@ -340,7 +340,11 @@ def symmetric_part(s: SlotTensor) -> np.ndarray:
     an axis, and a variable gap merges its coordinate into that variable's
     monomial by the weighted sums of :func:`_merger`. That takes
     O(terms * order * dim^2 * size) time for an array of size floats.
+    An infinite coefficient raises AlgebraError, since the table product
+    would meet inf * 0; a NaN one gives NaN entries.
     """
+    if np.isinf([c.coeffs for coeffs, _ in s.terms for c in coeffs]).any():
+        raise AlgebraError("a symmetric part needs finite coefficients")
     d, k, t = s.algebra.dim, s.arg_slots, s.algebra.table
     total = np.zeros((d, len(_monomials(d, s.y_gaps)), len(_monomials(d, s.x_gaps))) + (d,) * k)
     for coeffs, labels in s.terms:

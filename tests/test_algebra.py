@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncalg import algebra
 from ncalg.algebra import (
     AlgebraDesc,
     AlgebraError,
@@ -440,3 +441,23 @@ def test_a_non_finite_element_is_close_to_nothing(HH, bad):
 @pytest.mark.parametrize("answer, predicate", _scale_cases())
 def test_predicates_answer_alike_at_every_scale(answer, predicate, s):
     assert predicate(s) == answer
+
+
+def test_frobenius_routes_agree_to_the_bit_at_every_magnitude():
+    """Largest magnitudes 2^-1074 to 2^1023, and just inside and outside [2^-500, 2^500]:
+    frobenius has the bits of the scaled route, and inside the range those
+    of the unscaled sqrt(c . c) it takes there."""
+    rng = np.random.default_rng(7)
+    edges = [2.0 ** -500, 2.0 ** 500]
+    bigs = [2.0 ** p for p in range(-1074, 1024)] + edges + [np.nextafter(x, d) for x in edges for d in (0, np.inf)]
+    for big in bigs:
+        # one entry at big and the rest a tenth to a fifth of it, so that the
+        # norm stays below 2^1024 and no square is subnormal within the range
+        c = rng.uniform(0.1, 0.2, (3, 4, 4)) * rng.choice([-1.0, 1.0], (3, 4, 4))
+        c[0, 0, 0] = 1.0
+        c = c * big
+        s, e = algebra._scaled(c)
+        scaled = float(np.ldexp(math.sqrt(s.ravel() @ s.ravel()), e.item()))
+        assert algebra.frobenius(c) == scaled > 0.0, big
+        if 2.0 ** -500 <= np.abs(c).max() <= 2.0 ** 500:
+            assert algebra.frobenius(c) == math.sqrt(c.ravel() @ c.ravel()), big

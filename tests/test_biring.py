@@ -611,6 +611,12 @@ def _unitary(alg, n, rng):
     return BiMatrix(alg, np.concatenate([c.data for c in cols], axis=1))
 
 
+def _diagonal(alg, values):
+    data = np.zeros((len(values), len(values), alg.dim))
+    data[np.arange(len(values)), np.arange(len(values)), 0] = values
+    return BiMatrix(alg, data)
+
+
 class TestIllConditioned:
     @pytest.mark.parametrize("n", [2, 4])
     def test_inverse_and_solve_at_cond_1e8(self, HH, n):
@@ -1013,6 +1019,19 @@ def test_stacked_inverse_decides_each_member_alone(HH):
     for k in (0, 2, 5):
         assert out[k].tobytes() == alone[k][0][0].tobytes()
         assert out[k].tobytes() == rc_inv(BiMatrix(HH, members[k])).data.tobytes()
+    # every member finite: the singular ones fail the certificate, and the
+    # SVD rule then decides the whole stack
+    u, v = _unitary(HH, 3, rng), _unitary(HH, 3, rng)
+    members = [random_matrix(HH, 3, 3, rng).data,
+               rc_mul(random_matrix(HH, 3, 1, rng), random_matrix(HH, 1, 3, rng)).data,
+               rc_mul(rc_mul(u, _diagonal(HH, [1.0, 1.0, 1e-12])), v).data,
+               random_matrix(HH, 3, 3, rng).data]
+    out, failed = biring._inverse(table, np.stack(members))
+    alone = [biring._inverse(table, m[None]) for m in members]
+    assert list(failed) == [k for k, (_, f) in enumerate(alone) if len(f)] == [1, 2]
+    for k in (0, 3):
+        assert out[k].tobytes() == alone[k][0][0].tobytes()
+        assert out[k].tobytes() == rc_inv(BiMatrix(HH, members[k])).data.tobytes()
 
 
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
@@ -1066,3 +1085,82 @@ def test_solve_rc_refuses_a_wrong_solution_at_every_scale(HH, s, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda r, rhs: 1.5 * solve(r, rhs))
     with pytest.raises(SingularMatrixError, match="residual"):
         solve_rc(*_scaled_system(HH, s))
+
+
+# ---------------------------------------------------------------------------
+# the regularity certificate: the SVD runs only when it fails
+
+
+def _outcome_or_warning(fn):
+    """_outcome of fn, with numpy's RuntimeWarning, an error under the suite's settings, as one more outcome."""
+    try:
+        return _outcome(fn)
+    except RuntimeWarning:
+        return RuntimeWarning
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """A list that gains one entry per biring._rc_ranks call, the SVD rank rule."""
+    calls = []
+    ranks = biring._rc_ranks
+    monkeypatch.setattr(biring, "_rc_ranks", lambda *args, **kw: calls.append(1) or ranks(*args, **kw))
+    return calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_certified_inverses_match_the_svd_rank_rule(tag, rank_calls, monkeypatch):
+    """rc_inv, cr_inv and quasidet_rc on U diag V, cond2 from 1e7 to 1e12 and scales
+    1e0, 1e+-150, 1e+-300: the same bytes or error type as the composed reference,
+    which decides through is_rc_singular, and as the library with the
+    certificate switched off.
+
+    At 1e-300 and cond2 above about 1e8 the LU inverse overflows, in the
+    library and the reference alike, so numpy's warning is an outcome the
+    two share; there the reference also accepts some NaN inverses (a NaN
+    residual is not above its bound), which the library refuses.
+    """
+    alg = make_algebra(tag)
+    certified = fallback = 0
+    for n in (1, 2, 3, 4, 8):
+        rng = np.random.default_rng(n)
+        u, v = _unitary(alg, n, rng), _unitary(alg, n, rng)
+        for cond in np.geomspace(1e7, 1e12, 41):
+            a = rc_mul(rc_mul(u, _diagonal(alg, np.geomspace(1.0, 1.0 / cond, n))), v)
+            for scale in (1.0, 1e150, 1e-150, 1e300, 1e-300):
+                b = a * scale
+                for public, reference in ((lambda: rc_inv(b), lambda: reference_rc_inv(b)),
+                                          (lambda: cr_inv(b), lambda: transpose(reference_rc_inv(transpose(b)))),
+                                          (lambda: quasidet_rc(b, 0, n - 1),
+                                           lambda: reference_quasidet_rc(b, 0, n - 1))):
+                    rank_calls.clear()
+                    got = _outcome_or_warning(public)
+                    certified += not rank_calls
+                    fallback += bool(rank_calls)
+                    with monkeypatch.context() as m:
+                        m.setattr(biring, "_CERT_RANGE", -1.0)
+                        assert _outcome_or_warning(public) == got, (n, cond, scale)
+                    want = _outcome_or_warning(reference)
+                    if isinstance(want, bytes) and not np.isfinite(np.frombuffer(want)).all():
+                        assert got in (SingularMatrixError, QuasideterminantUndefinedError), (n, cond, scale)
+                    else:
+                        assert got == want, (n, cond, scale)
+    assert certified and fallback
+
+
+def test_regular_inverses_take_no_svd(HH, rank_calls):
+    rng = np.random.default_rng(3)
+    u, v = _unitary(HH, 4, rng), _unitary(HH, 4, rng)
+    for a in (random_matrix(HH, 4, 4, rng), rc_mul(rc_mul(u, _diagonal(HH, np.geomspace(1.0, 1e-8, 4))), v)):
+        rc_inv(a)
+        assert rank_calls == []
+    with pytest.raises(SingularMatrixError):
+        rc_inv(rc_mul(random_matrix(HH, 4, 1, rng), random_matrix(HH, 1, 4, rng)))
+    assert rank_calls == [1]
+
+
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_from_elements_of_no_entries_raises(rows):
+    with pytest.raises(AlgebraError):
+        BiMatrix.from_elements(rows)

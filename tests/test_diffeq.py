@@ -851,3 +851,25 @@ class TestNaNResiduals:
             rep = solution_residual(ode, rk4_integrate(ode, 1000, 1000), (0.5, 100.0, 500.0))
         assert not rep.verdict and math.isnan(rep.residual)
         assert rep.witness["t"] == 100.0 and math.isnan(rep.witness["residual"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("check", ["integrability", "exactness", "implicit"])
+def test_a_non_finite_form_coefficient_is_a_typed_error_or_a_refutation(tag, bad, check):
+    """An infinite coefficient raises AlgebraError before any table product;
+    a NaN one stays a refutation with a NaN residual."""
+    alg = make_algebra(tag)
+    coeff = Element(alg, [bad] + [0.0] * (alg.dim - 1))
+    m = FormPoly([SlotTensor(alg, 1, 1, [((coeff, one(alg), one(alg)), (X, 0))])])  # h -> c x h
+    n = poly(alg, (0,))
+    run = {"integrability": lambda: integrability_check(m),
+           "exactness": lambda: exactness_check(m, n),
+           "implicit": lambda: implicit_solution_check(TensorPolynomial([monomial(alg, (X, X))]), m, n)}[check]
+    if math.isinf(bad):
+        with pytest.raises(AlgebraError):
+            run()
+    else:
+        rep = run()
+        assert not rep.verdict and math.isnan(rep.residual)
