@@ -255,16 +255,10 @@ def _scaled(c: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
 def frobenius(c: np.ndarray) -> float:
     """The Frobenius norm of an array at every magnitude; 0.0 for an empty one.
 
-    When the largest magnitude lies in [2^-500, 2^500], no square
-    overflows and the largest is normal, so the unscaled sqrt(c . c) is
-    taken. Outside that range the squares are summed after the scaling of
-    :func:`_scaled`, so none that matters over- or underflows. Scaling by a
-    power of two is exact, so the two agree to the bit wherever no square
-    is subnormal in either.
+    The squares are summed after the scaling of :func:`_scaled`, so none
+    that matters over- or underflows. Wherever the unscaled sqrt(c . c)
+    neither over- nor underflows, the two agree to the bit.
     """
-    if 2.0 ** -500 <= np.abs(c).max(initial=0.0) <= 2.0 ** 500:
-        v = c.ravel(order="K")
-        return math.sqrt(v.dot(v))
     s, e = _scaled(c)
     v = s.ravel(order="K")
     return float(np.ldexp(math.sqrt(v.dot(v)), e.item()))

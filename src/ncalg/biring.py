@@ -308,7 +308,7 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     members are inverted as the identity.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r = out = resid = flags = None
+    r = flags = None
     if n and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
         r = _kernels.rho(table, data)
         try:
@@ -335,10 +335,8 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
             # residuals meet no singular or non-finite matrix
             data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
             r = np.where(ok[:, None, None], r, np.eye(n * d))
-            out = resid = None
-        if out is None:
-            out = _kernels.unrho(table, np.linalg.inv(r))
-        resid = _residuals(table, data, r, out) if resid is None else resid
+        out = _kernels.unrho(table, np.linalg.inv(r))
+        resid = _residuals(table, data, r, out)
     if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this
         return out, ()
     # scale the acceptance with the conditioning actually encountered; the
