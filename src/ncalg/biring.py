@@ -23,11 +23,13 @@ first and certifies the stack regular when ||rho(a)||_F ||rho(unrho X)||_F
 < 1 / (4 PIVOT_RTOL) and a rc unrho(X) is within 1 / (2 n d) of E in every
 coefficient: then rho(a) rho(unrho X) is within 1/2 of I, so cond_2(rho(a))
 < 1 / (2 PIVOT_RTOL), and the SVD rule could only say rank n. The SVD runs
-only when the certificate fails. rc_inv, left_dependency and
-quasidet_rc call it with a stack of one; quasidets_rc builds the n^2
-interiors of a matrix by fancy indexing and inverts them in one call,
-giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
-Gelfand, Retakh and Wilson.
+only when the certificate fails. rc_inv and left_dependency call it with
+a stack of one. Quasideterminants are taken over a stack of matrices in
+one inverse call: _quasidets gathers the interior of each member at its
+own (i, j) by fancy indexing and inverts them all at once. quasidet_rc
+and bordered_quasidet pass one matrix and one pair; quasidets_rc passes
+one matrix with all n^2 pairs, giving the n x n matrix of all
+quasideterminants |A|_ij of Gelfand, Gelfand, Retakh and Wilson.
 """
 
 from __future__ import annotations
@@ -270,6 +272,8 @@ def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: float | None = None,
 # Largest magnitude of a stack, and of its LU inverse, that _inverse certifies: within it no square
 # of the certificate and no product of its residuals overflows.
 _CERT_RANGE = 2.0 ** 500
+# Largest finite float: unrho sums d entries of X, so an X above _X_RANGE / d is refused.
+_X_RANGE = float(np.finfo(np.float64).max)
 
 
 def _residuals(table: np.ndarray, data: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -305,11 +309,13 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     with a margin far above its rounding. Otherwise (a LinAlgError, a
     magnitude above _CERT_RANGE or a failed certificate) the SVD rule of
     _rc_ranks decides for the whole stack, reusing rho, and the singular
-    members are inverted as the identity.
+    members are inverted as the identity. A regular member whose X is not
+    finite or exceeds _X_RANGE / d, as at tiny scale, fails there too,
+    before unrho.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
     r = flags = None
-    if n and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
+    if data.size and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
         r = _kernels.rho(table, data)
         try:
             x = np.linalg.inv(r)
@@ -327,15 +333,22 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     if flags is None:
         r, rank, _ = _rc_ranks(table, data, r=r)
         flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
+        if any(flags):
+            # the identity stands in for the failed members, so that LU and the
+            # residuals meet no singular or non-finite matrix
+            x = np.linalg.inv(r if all(flags) else np.where(np.array(flags)[:, None, None], r, np.eye(n * d)))
+            # a regular member at tiny scale can have an X that is not finite, or
+            # so large that unrho's sums overflow; it leaves no answer to check
+            fits = np.abs(x).max(axis=(1, 2)) <= _X_RANGE / d  # NaN fails too
+            if not fits.all():
+                flags = [f and g for f, g in zip(flags, fits.tolist())]
         if not any(flags):
             return data, range(k)
         if not all(flags):
             ok = np.array(flags)
-            # the identity stands in for the failed members, so that LU and the
-            # residuals meet no singular or non-finite matrix
             data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
-            r = np.where(ok[:, None, None], r, np.eye(n * d))
-        out = _kernels.unrho(table, np.linalg.inv(r))
+            r, x = (np.where(ok[:, None, None], m, np.eye(n * d)) for m in (r, x))
+        out = _kernels.unrho(table, x)
         resid = _residuals(table, data, r, out)
     if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this
         return out, ()
@@ -357,25 +370,31 @@ def _complements(n: int) -> np.ndarray:
     return out
 
 
-def _quasidets(a: BiMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(k, d) array of the (rows[t], cols[t]) rc-quasideterminants of square a, n >= 2.
+def _quasidets(table: np.ndarray, data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(k, d) array whose row t is the (rows[t], cols[t]) rc-quasideterminant of member t of a (k, n, n, d) stack.
 
-    The k interiors are inverted in one stacked call; the first undefined
-    pair in the given order raises QuasideterminantUndefinedError.
+    A stack of one matrix serves every pair; a scalar index gathers from it
+    at the cost of the two-index gather of one matrix. The k interiors are
+    inverted in one stacked call, so every row has the bits of its member's
+    own call; the first undefined pair in the given order raises
+    QuasideterminantUndefinedError. At n = 1 the interior is empty and the
+    quasideterminant is the entry itself.
     """
-    table, data = a.algebra.table, a.data
-    others = _complements(a.rows)
+    t = 0 if len(data) == 1 else np.arange(len(rows))[:, None, None]
+    entries = data[t, rows[:, None, None], cols[:, None, None]][:, 0, 0]
+    if data.shape[1] == 1:
+        return entries
+    others = _complements(data.shape[1])
     keep_r, keep_c = others[rows], others[cols]
-    interior_inv, failed = _inverse(table, data[keep_r[:, :, None], keep_c[:, None, :]])
+    interior_inv, failed = _inverse(table, data[t, keep_r[:, :, None], keep_c[:, None, :]])
     if len(failed):
-        t = failed[0]
+        f = failed[0]
         raise QuasideterminantUndefinedError(
-            f"quasideterminant undefined at ({rows[t]}, {cols[t]}): interior submatrix is rc-singular"
+            f"quasideterminant undefined at ({rows[f]}, {cols[f]}): interior submatrix is rc-singular"
         )
-    row = data[rows[:, None, None], keep_c[:, None, :]]
-    col = data[keep_r[:, :, None], cols[:, None, None]]
-    acc = _kernels.rc_contract(table, _kernels.rc_contract(table, row, interior_inv), col)
-    return data[rows, cols] - acc[:, 0, 0]
+    row = data[t, rows[:, None, None], keep_c[:, None, :]]
+    col = data[t, keep_r[:, :, None], cols[:, None, None]]
+    return entries - _kernels.rc_contract(table, _kernels.rc_contract(table, row, interior_inv), col)[:, 0, 0]
 
 
 def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
@@ -387,9 +406,7 @@ def quasidet_rc(a: BiMatrix, i: int, j: int) -> Element:
     n = _require_square(a)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError("quasideterminant index out of range")
-    if n == 1:
-        return a.entry(0, 0)
-    return Element._trusted(a.algebra, _quasidets(a, np.array([i]), np.array([j]))[0])
+    return Element._trusted(a.algebra, _quasidets(a.algebra.table, a.data[None], np.array([i]), np.array([j]))[0])
 
 
 def quasidets_rc(a: BiMatrix) -> BiMatrix:
@@ -404,7 +421,7 @@ def quasidets_rc(a: BiMatrix) -> BiMatrix:
     if n <= 1:
         return a
     rows, cols = np.divmod(np.arange(n * n), n)
-    return BiMatrix(a.algebra, _quasidets(a, rows, cols).reshape(n, n, a.algebra.dim))
+    return BiMatrix(a.algebra, _quasidets(a.algebra.table, a.data[None], rows, cols).reshape(n, n, a.algebra.dim))
 
 
 def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
@@ -519,6 +536,13 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     return lam
 
 
+def _bordered_minor(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> tuple[np.ndarray, int, int]:
+    """The data of the minor bordered by row p and column r, and the position of (p, r) in it."""
+    rows = sorted(sel.rows + (p,))
+    cols = sorted(sel.cols + (r,))
+    return a.data[np.ix_(rows, cols)], rows.index(p), cols.index(r)
+
+
 def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Element:
     """Quasideterminant of the minor bordered by row p and column r, at (p, r).
 
@@ -529,10 +553,8 @@ def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Elemen
         raise IndexError("border index out of range")
     if p in sel.rows or r in sel.cols:
         raise ValueError("border row or column already in the minor")
-    rows = tuple(sorted(sel.rows + (p,)))
-    cols = tuple(sorted(sel.cols + (r,)))
-    sub = submatrix(a, rows, cols)
-    return quasidet_rc(sub, rows.index(p), cols.index(r))
+    sub, i, j = _bordered_minor(a, sel, p, r)
+    return Element._trusted(a.algebra, _quasidets(a.algebra.table, sub[None], np.array([i]), np.array([j]))[0])
 
 
 # ---------------------------------------------------------------------------

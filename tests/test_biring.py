@@ -676,15 +676,23 @@ def test_transpose_swaps_products(pair):
 
 
 def reference_rc_inv(a):
-    """rc-inverse as rc_inv composed it from BiMatrix products and an identity."""
+    """rc-inverse as rc_inv composed it from BiMatrix products and an identity.
+
+    An LU inverse that is not finite, or whose entries exceed the largest
+    float over d so that unrho's sums would overflow, is refused before
+    unrho; a residual passes only within its bound, so a NaN residual fails.
+    """
     n = a.rows
     if is_rc_singular(a):
         raise SingularMatrixError("rc-singular")
     table = a.algebra.table
-    out = BiMatrix(a.algebra, _kernels.unrho(table, np.linalg.inv(_kernels.rho(table, a.data))))
+    x = np.linalg.inv(_kernels.rho(table, a.data))
+    if not np.abs(x).max() <= np.finfo(np.float64).max / a.algebra.dim:
+        raise SingularMatrixError("LU inverse is not finite or too large for unrho")
+    out = BiMatrix(a.algebra, _kernels.unrho(table, x))
     delta = BiMatrix.identity(a.algebra, n)
     resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
-    if resid > 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
+    if not resid <= 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
         raise SingularMatrixError("inverse failed residual check")
     return out
 
@@ -1035,6 +1043,38 @@ def test_stacked_inverse_decides_each_member_alone(HH):
 
 
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_stacked_quasidets_give_each_member_its_bits_alone(tag):
+    """_quasidets over a stack of different matrices, n = 2-4, regular ones and
+    singular ones with regular or singular interiors, each at its own (i, j):
+    every row has the bytes of that member's own quasidet_rc call, and a stack
+    holding undefined members raises, naming the first undefined pair in
+    stack order."""
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(11)
+    named_apart = 0
+    for n in (2, 3, 4):
+        members = [_inverse_family(alg, family, n, rng) for family in INVERSE_FAMILIES * 3]
+        pairs = [(m % n, (2 * m + 1) % n) for m in range(len(members))]
+        singles = [_outcome(quasidet_rc, a, i, j) for a, (i, j) in zip(members, pairs)]
+        undefined = [m for m, got in enumerate(singles) if got is QuasideterminantUndefinedError]
+        defined = [m for m in range(len(members)) if m not in undefined]
+        assert defined and (n == 2 or undefined)
+        rows, cols = (np.array([pairs[m][x] for m in defined]) for x in (0, 1))
+        q = biring._quasidets(alg.table, np.stack([members[m].data for m in defined]), rows, cols)
+        assert q.shape == (len(defined), alg.dim)
+        assert [row.tobytes() for row in q] == [singles[m] for m in defined]
+        for order in (range(len(members)), range(len(members) - 1, -1, -1)):
+            if not undefined:
+                break
+            first = next(m for m in order if m in undefined)
+            rows, cols = (np.array([pairs[m][x] for m in order]) for x in (0, 1))
+            with pytest.raises(QuasideterminantUndefinedError, match=re.escape(f"at {pairs[first]}")):
+                biring._quasidets(alg.table, np.stack([members[m].data for m in order]), rows, cols)
+        named_apart += bool(undefined) and pairs[undefined[0]] != pairs[undefined[-1]]
+    assert named_apart
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
 def test_random_matrix_draws_its_entries_row_major(tag):
     """One draw of m n d coefficients: the bytes and the generator state of m n random_element calls."""
     alg = make_algebra(tag)
@@ -1091,14 +1131,6 @@ def test_solve_rc_refuses_a_wrong_solution_at_every_scale(HH, s, monkeypatch):
 # the regularity certificate: the SVD runs only when it fails
 
 
-def _outcome_or_warning(fn):
-    """_outcome of fn, with numpy's RuntimeWarning, an error under the suite's settings, as one more outcome."""
-    try:
-        return _outcome(fn)
-    except RuntimeWarning:
-        return RuntimeWarning
-
-
 @pytest.fixture
 def rank_calls(monkeypatch):
     """A list that gains one entry per biring._rc_ranks call, the SVD rank rule."""
@@ -1116,10 +1148,9 @@ def test_certified_inverses_match_the_svd_rank_rule(tag, rank_calls, monkeypatch
     which decides through is_rc_singular, and as the library with the
     certificate switched off.
 
-    At 1e-300 and cond2 above about 1e8 the LU inverse overflows, in the
-    library and the reference alike, so numpy's warning is an outcome the
-    two share; there the reference also accepts some NaN inverses (a NaN
-    residual is not above its bound), which the library refuses.
+    At 1e-300 and cond2 above about 1e8 the LU inverse overflows or comes
+    within a factor d of overflow; the library and the reference both refuse
+    it before unrho, so no call ends in numpy's warning, an error here.
     """
     alg = make_algebra(tag)
     certified = fallback = 0
@@ -1135,17 +1166,13 @@ def test_certified_inverses_match_the_svd_rank_rule(tag, rank_calls, monkeypatch
                                           (lambda: quasidet_rc(b, 0, n - 1),
                                            lambda: reference_quasidet_rc(b, 0, n - 1))):
                     rank_calls.clear()
-                    got = _outcome_or_warning(public)
+                    got = _outcome(public)
                     certified += not rank_calls
                     fallback += bool(rank_calls)
                     with monkeypatch.context() as m:
                         m.setattr(biring, "_CERT_RANGE", -1.0)
-                        assert _outcome_or_warning(public) == got, (n, cond, scale)
-                    want = _outcome_or_warning(reference)
-                    if isinstance(want, bytes) and not np.isfinite(np.frombuffer(want)).all():
-                        assert got in (SingularMatrixError, QuasideterminantUndefinedError), (n, cond, scale)
-                    else:
-                        assert got == want, (n, cond, scale)
+                        assert _outcome(public) == got, (n, cond, scale)
+                    assert got == _outcome(reference), (n, cond, scale)
     assert certified and fallback
 
 
@@ -1158,6 +1185,30 @@ def test_regular_inverses_take_no_svd(HH, rank_calls):
     with pytest.raises(SingularMatrixError):
         rc_inv(rc_mul(random_matrix(HH, 4, 1, rng), random_matrix(HH, 1, 4, rng)))
     assert rank_calls == [1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_scale_inverses_end_in_an_answer_or_a_typed_error(RR):
+    """200 real 4 x 4 U diag V scaled by 1e-300, cond2 log-uniform in [1e8, 3e9]:
+    the SVD rule calls them regular, and the LU inverse of many overflows or
+    comes within a factor d of overflow. Each rc_inv ends in a finite answer
+    or SingularMatrixError, never in numpy's warning, an error here; the
+    stack of all 200 fails the members that fail alone and gives the others
+    their bytes alone."""
+    rng = np.random.default_rng(0)
+    members = []
+    for _ in range(200):
+        u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+        cond = np.exp(rng.uniform(np.log(1e8), np.log(3e9)))
+        members.append((u * np.geomspace(1.0, 1.0 / cond, 4)) @ v * 1e-300)
+    stack = np.stack(members)[..., None]
+    alone = [_outcome(rc_inv, BiMatrix(RR, m)) for m in stack]
+    refused = [k for k, got in enumerate(alone) if got is SingularMatrixError]
+    assert 0 < len(refused) < len(alone)
+    assert all(np.isfinite(np.frombuffer(got)).all() for got in alone if got is not SingularMatrixError)
+    out, failed = biring._inverse(RR.table, stack)
+    assert list(failed) == refused
+    assert all(out[k].tobytes() == got for k, got in enumerate(alone) if k not in refused)
 
 
 @pytest.mark.parametrize("rows", [[], [[]]])

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from ncalg import cli, tensor
-from ncalg.algebra import AlgebraError, Element, NotInvertibleError
-from ncalg.biring import BiMatrix, QuasideterminantUndefinedError, SingularMatrixError
+from ncalg import _kernels, biring, cli, tensor
+from ncalg.algebra import AlgebraError, Element, NotInvertibleError, inv_stack, make_algebra, random_element
+from ncalg.biring import (BiMatrix, QuasideterminantUndefinedError, SingularMatrixError, bordered_quasidet,
+                          quasidets_rc, random_matrix, rc_inv, rc_rank)
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.diffeq import SolutionCurve
+from ncalg.report import Report, worst
 from ncalg.series import SeriesBudgetError
 
 from conftest import is_plain
@@ -261,9 +263,20 @@ class TestTypedErrors:
 class TestNaNResiduals:
     """A NaN from the library refutes a scenario; `max` would have dropped it."""
 
+    @staticmethod
+    def _nan_quasidets(monkeypatch):
+        # both scenarios take their quasideterminants from stacked _quasidets calls
+        monkeypatch.setattr(biring, "_quasidets",
+                            lambda table, data, rows, cols: np.full((len(rows), table.shape[0]), np.nan))
+
     def test_nan_quasideterminants_fail(self, monkeypatch):
-        monkeypatch.setattr(cli, "quasidets_rc", lambda a: BiMatrix(a.algebra, np.full(a.data.shape, np.nan)))
+        self._nan_quasidets(monkeypatch)
         report, _ = run_scenario("quasidet-2x2", Options(seed=0))
+        assert not report.verdict and math.isnan(report.residual)
+
+    def test_nan_bordered_quasideterminants_fail(self, monkeypatch):
+        self._nan_quasidets(monkeypatch)
+        report, _ = run_scenario("rank-demo", Options(seed=0))
         assert not report.verdict and math.isnan(report.residual)
 
     def test_nan_solution_fails(self, monkeypatch):
@@ -282,3 +295,70 @@ class TestNaNResiduals:
         monkeypatch.setattr(cli, "rk4_integrate", nan_curve)
         report, _ = run_scenario("ode-forms-cross-check", Options(seed=0))
         assert not report.verdict and math.isnan(report.residual)
+
+
+# ---------------------------------------------------------------------------
+# the stacked quasideterminant scenarios against the per-matrix loops they replaced
+
+
+def _per_matrix_quasidet_2x2(opt):
+    """quasidet-2x2 as one rc_inv and one quasidets_rc call per matrix."""
+    rng = np.random.default_rng(opt.seed)
+    gaps = []
+    checked = 0
+    for tag in ("real", "complex", "quaternion"):
+        alg = make_algebra(tag)
+        mats, quasi, invs = [], [], []
+        for _ in range(50):
+            a = random_matrix(alg, 2, 2, rng)
+            if np.sqrt((a.data ** 2).sum(axis=2)).min() < 1e-2:
+                continue
+            try:
+                inv = rc_inv(a)
+            except SingularMatrixError:
+                continue
+            mats.append(a.data)
+            quasi.append(quasidets_rc(a).data)
+            invs.append(inv.data)
+        checked += len(mats)
+        a, quasi, invs = (np.reshape(m, (-1, 2, 2, alg.dim)) for m in (mats, quasi, invs))
+
+        def mul(x, y):
+            return _kernels.rc_contract(alg.table, x[..., None, None, :], y[..., None, None, :])[..., 0, 0, :]
+
+        closed = a - mul(mul(a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
+        for got, want in ((quasi, closed), (invs.swapaxes(1, 2), inv_stack(alg, closed)[0])):
+            gaps += np.sqrt(((got - want) ** 2).sum(axis=-1)).ravel().tolist()
+    resid = worst(gaps)
+    return Report(verdict=resid <= 1e-9, residual=resid, metrics={"matrices": checked})
+
+
+def _per_matrix_rank_demo(opt):
+    """rank-demo as one bordered_quasidet call per bordered minor."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    gaps = []
+    ranks_ok = True
+    for _ in range(10):
+        u = [random_element(alg, rng) for _ in range(3)]
+        v = [random_element(alg, rng) for _ in range(3)]
+        a = BiMatrix.from_elements([[u[i] * v[j] for j in range(3)] for i in range(3)])
+        k, sel = rc_rank(a)
+        ranks_ok = ranks_ok and k == 1
+        for p in range(3):
+            for r in range(3):
+                if p not in sel.rows and r not in sel.cols:
+                    gaps.append(bordered_quasidet(a, sel, p, r).norm())
+    resid = worst(gaps)
+    return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid, metrics={"ranks_all_one": ranks_ok})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name, reference", [("quasidet-2x2", _per_matrix_quasidet_2x2),
+                                             ("rank-demo", _per_matrix_rank_demo)])
+def test_stacked_scenarios_match_their_per_matrix_loops(name, reference, seed):
+    """The reports are equal, residual bits included (json writes the shortest exact repr)."""
+    got, _ = run_scenario(name, Options(seed=seed))
+    want = reference(Options(seed=seed))
+    assert json.dumps(got.to_data()) == json.dumps(want.to_data())
+    assert got.verdict
