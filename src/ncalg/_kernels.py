@@ -8,10 +8,13 @@ nearest matrix of elements. The cr product follows by transpose duality:
 a cr b = (a^T rc b^T)^T.
 
 rho, unrho and the contractions also take leading stack axes,
-(..., m, n, d), and give each member of a stack the bits it would get alone.
+(..., m, n, d), and give each member of a stack the bits it would get alone;
+so does rk4_linear with arrays of times and step counts.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,23 +74,57 @@ def cr_contract(table, a, b):
     return rc_contract(table, a.swapaxes(-3, -2), b.swapaxes(-3, -2)).swapaxes(-3, -2)
 
 
+@lru_cache(maxsize=32)
+def identity(d):
+    """The d x d identity, made once per size and read-only, as every caller shares it."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def rk4_linear(m, x0, t, steps):
     """State of x' = m x after ``steps`` classical RK4 steps from x(0) = x0.
 
     For a linear autonomous system one RK4 step is exactly multiplication by
     the degree-4 Taylor polynomial of exp(h m), so the step matrix is
     accumulated by binary powering instead of looping over steps.
+
+    t and steps may also be equal-length 1-D arrays, for the states at t[i]
+    after steps[i] steps, as a (k, len(x0)) array. The k step matrices are
+    powered in one loop over the stack, and member i takes the product
+    with x only at its own bits of steps[i], selected with np.where, so it
+    gets the bits it gets alone. The squarings a member no longer needs are
+    never read, and the stack runs with overflow warnings off, so they warn
+    for no member; a state that overflows comes back non-finite.
     """
-    h = t / steps
-    hm = h * m
-    hm2 = hm @ hm
-    phi = np.eye(m.shape[0]) + hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
-    x = x0.copy()
-    n = steps
-    while n:
-        if n & 1:
-            x = phi @ x
-        n >>= 1
-        if n:
+    if not isinstance(t, np.ndarray):
+        phi = _rk4_step(t / steps * m)
+        x = x0.copy()
+        n = steps
+        while n:
+            if n & 1:
+                x = phi.dot(x)
+            n >>= 1
+            if n:
+                phi = phi.dot(phi)
+        return x
+    n = np.asarray(steps)
+    phi = _rk4_step((t / n)[:, None, None] * m)
+    x = np.broadcast_to(x0[:, None], (len(n), len(x0), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            x = np.where((n & 1).astype(bool)[:, None, None], phi @ x, x)
+            n = n >> 1
+            if not n.any():
+                return x[..., 0]
             phi = phi @ phi
-    return x
+
+
+def _rk4_step(hm):
+    """I + hm + hm^2/2 + hm^3/6 + hm^4/24 of one (p, p) matrix hm, or of each member of a stack.
+
+    ndarray.dot and matmul give one matrix the same bits; dot costs less.
+    """
+    dot = np.ndarray.dot if hm.ndim == 2 else np.matmul
+    hm2 = dot(hm, hm)
+    return identity(hm.shape[-1]) + hm + hm2 / 2.0 + dot(hm2, hm) / 6.0 + dot(hm2, hm2) / 24.0

@@ -55,7 +55,6 @@ from .algebra import (
     zero,
 )
 from .report import Report
-from .tensor import SlotTensor, Tensor, eval_power, pure, star_product
 
 # Singular values of rho(A) at or below this share of the largest count as zero.
 PIVOT_RTOL = 1e-10
@@ -582,67 +581,6 @@ def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = 
         residual=residual,
         metrics={"shifted_matrix_singular": singular},
     )
-
-
-def eigen_offdiag(f: Element) -> tuple[Element, Element]:
-    """Both eigenvalues of [[0, f], [f, 0]]: f and -f."""
-    if not f.coeffs.any():
-        raise ValueError("off-diagonal entry must be nonzero")
-    return f, -f
-
-
-def elliptic_eigen_sample(algebra: AlgebraDesc, seed: int) -> Element:
-    """A unit pure-imaginary quaternion b (so b*b = -1), seed-deterministic."""
-    if algebra.tag != "quaternion":
-        raise AlgebraError("pure-imaginary unit samples need the quaternions")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return Element(algebra, np.concatenate(([0.0], v)))
-
-
-# ---------------------------------------------------------------------------
-# matrices of tensors (entrywise star product under the rc pattern)
-
-
-def tmat_identity(algebra: AlgebraDesc, n: int) -> list[list[Tensor]]:
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(pure([one(algebra)]))
-            else:
-                row.append(SlotTensor(algebra, 0, 0, ()))
-        out.append(row)
-    return out
-
-
-def tmat_rc(a: Sequence[Sequence[Tensor]], b: Sequence[Sequence[Tensor]]) -> list[list[Tensor]]:
-    m, p, n = len(a), len(b), len(b[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(p):
-                term = star_product(a[i][k], b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def tmat_pow(a: Sequence[Sequence[Tensor]], n: int) -> list[list[Tensor]]:
-    algebra = a[0][0].algebra
-    acc = tmat_identity(algebra, len(a))
-    for _ in range(n):
-        acc = tmat_rc(acc, a)
-    return acc
-
-
-def tmat_eval(a: Sequence[Sequence[Tensor]], x: Element) -> BiMatrix:
-    return BiMatrix.from_elements([[eval_power(t, x) for t in row] for row in a])
 
 
 def random_matrix(algebra: AlgebraDesc, m: int, n: int, rng, scale: float = 1.0) -> BiMatrix:

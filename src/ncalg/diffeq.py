@@ -17,7 +17,12 @@ product forms (row-column / column-row product, coefficient matrix on
 either side), each one real system x' = M x on the stacked coefficients,
 with M built only by `LinearOde.real_matrix`. The right-hand side is M x
 and the closed form e^{tM} x(0); RK4 integrates M as an independent
-algorithm, and the tests check M x against Element products.
+algorithm, and the tests check M x against Element products. A solution
+curve is read at one time, ``curve(t)``, or on a whole time grid at once,
+``curve.values(ts)``: the closed form through one stacked exponential, RK4
+through one stacked power of its step matrices, and each time with the
+bits ``curve(t)`` gives it. ``solution_residual`` reads all its probe times
+in one such call.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report, severity, worst
-from .series import _expm, _require_finite_time, exp_at
+from .series import _expm, _exps_at, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -57,11 +62,10 @@ def _fd_step(scale: float) -> float:
     return FD_STEP * (1.0 + scale)
 
 
-def _central(f: Callable[[float], Element | np.ndarray], s: float) -> Element | np.ndarray:
+def _central(f: Callable[[float], Element], s: float) -> Element:
     """Central difference (f(s) - f(-s)) / (2s) of a function of the signed step.
 
     x + (-s) h equals x - s h exactly, so callers shift by the signed step.
-    f may return an Element or a coefficient array.
     """
     return (f(s) - f(-s)) * (1.0 / (2 * s))
 
@@ -291,21 +295,53 @@ def _unvec(alg: AlgebraDesc, v: np.ndarray) -> tuple[Element, ...]:
     return tuple(Element._trusted(alg, row) for row in v.reshape(-1, alg.dim))
 
 
+def _coeff_array(states: Iterable[Sequence[Element]]) -> np.ndarray:
+    """A (k, n, d) array of the coefficients of k states of n elements each."""
+    return np.array([[x.coeffs for x in state] for state in states], dtype=float)
+
+
 @dataclass(frozen=True)
 class SolutionCurve:
-    """Evaluable candidate solution with a provenance tag."""
+    """Evaluable candidate solution with a provenance tag.
+
+    curve(t) is the state at one time, a tuple of elements, from evaluator.
+    values(ts) is the state at every time of ts at once, a (k, n, d) array
+    of coefficients, from batch when the curve has one, else from
+    evaluator at each time.
+    """
 
     evaluator: Callable[[float], tuple[Element, ...]]
     provenance: str
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t: float) -> tuple[Element, ...]:
         return self.evaluator(float(t))
+
+    def values(self, ts: Sequence[float]) -> np.ndarray:
+        """The states at every time of ts, a (len(ts), n, d) array of coefficients."""
+        ts = np.asarray(ts, dtype=float)
+        if self.batch is not None:
+            return self.batch(ts)
+        return _coeff_array(self.evaluator(t) for t in ts.tolist())
+
+
+def _grid_states(x0: np.ndarray, ts: np.ndarray, alg: AlgebraDesc,
+                 states: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A (k, n, d) array of the state x0 at each t = 0 of ts and of states(the other times) elsewhere.
+
+    curve(t) returns the initial value itself at t = 0, so the grid does too.
+    """
+    out, moving = np.repeat(x0[None], len(ts), axis=0), ts != 0.0
+    if moving.any():
+        out[moving] = states(ts[moving])
+    return out.reshape(len(ts), -1, alg.dim)
 
 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
 
-    A non-finite t raises SeriesBudgetError before it meets M.
+    A non-finite t raises SeriesBudgetError before it meets M. values(ts)
+    takes the e^{tM} of every nonzero t in one stacked exponential.
     """
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
 
@@ -315,7 +351,12 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
         _require_finite_time(t)
         return _unvec(alg, _expm(t * m) @ x0)
 
-    return SolutionCurve(evaluate, "closed-form")
+    def batch(ts: np.ndarray) -> np.ndarray:
+        for t in ts.tolist():
+            _require_finite_time(t)
+        return _grid_states(x0, ts, alg, lambda moving: _expm(moving[:, None, None] * m) @ x0)
+
+    return SolutionCurve(evaluate, "closed-form", batch)
 
 
 def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
@@ -367,14 +408,31 @@ def eigen_conditions(ode: LinearOde, b: Element, c: Sequence[Element],
 
 def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
                       tol: float = FD_TOL) -> Report:
-    """Max over ts of |finite-difference d curve/dt - rhs(curve(t))|."""
+    """Max over ts of |finite-difference d curve/dt - rhs(curve(t))|.
+
+    The curve is read at t + h, t - h and t for every t of ts in one
+    curve.values call, and the right-hand side M x(t) takes M =
+    ode.real_matrix() once. A state that is not finite gives a residual that
+    is not finite, which refutes, and no numpy warning.
+    """
+    ts = [float(t) for t in ts]
+    if not ts:
+        return _judge(())  # raises: no probe
+    hs = [_fd_step(abs(t)) for t in ts]
+    n, d = ode.size, ode.algebra.dim
+    states = curve.values([u for t, h in zip(ts, hs) for u in (t + h, t - h, t)])
+    if states.shape[1:] != (n, d):
+        raise AlgebraError(f"a state of this system is {n} elements of the {ode.algebra.tag} algebra")
+    states = states.reshape(len(ts), 3, n, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = (states[:, 0] - states[:, 1]) * np.array([1.0 / (2 * h) for h in hs])[:, None, None]
+        rhs = (ode.real_matrix() @ states[:, 2].reshape(len(ts), n * d, 1)).reshape(len(ts), n, d)
+
     def gaps():
-        for t in ts:
-            fd = _central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), _fd_step(abs(t)))
-            rhs = ode.rhs(curve(t))
-            for i in range(ode.size):
-                r = frobenius(fd[i] - rhs[i].coeffs)
-                yield r, r <= tol, {"t": float(t), "component": i, "residual": r}
+        for t, f, r in zip(ts, fd, rhs):
+            for i in range(n):
+                res = frobenius(f[i] - r[i])
+                yield res, res <= tol, {"t": t, "component": i, "residual": res}
 
     return _judge(gaps(), provenance=curve.provenance)
 
@@ -399,7 +457,10 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
     step size at or below t_end/steps (so the stated global error bound holds
     at every requested time, including slightly outside [0, t_end] for
     finite-difference probes). A non-finite t_end, or evaluation time,
-    raises AlgebraError.
+    raises AlgebraError, and so does a state that overflows at curve(t).
+    values(ts) powers the step matrices of every nonzero t in one stacked
+    call and returns an overflowing state as it is, non-finite, for the
+    residual and cross checks to refute.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -414,9 +475,27 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
         if t == 0.0:
             return ode.init
         nsteps = max(1, math.ceil(abs(t) / h_target))
-        return _unvec(alg, _kernels.rk4_linear(m, x0, t, nsteps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _kernels.rk4_linear(m, x0, t, nsteps)
+        if not np.isfinite(x).all():
+            raise AlgebraError(f"the RK4 state at t = {t} overflows in {nsteps} steps")
+        return _unvec(alg, x)
 
-    return SolutionCurve(evaluate, "rk4")
+    def powered(ts: np.ndarray) -> np.ndarray:
+        steps = [max(1, math.ceil(abs(t) / h_target)) for t in ts.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if max(steps) < 2 ** 63:
+                return _kernels.rk4_linear(m, x0, ts, np.array(steps))
+            # more steps than int64 holds: one time at a time, in Python integers
+            return np.array([_kernels.rk4_linear(m, x0, t, k) for t, k in zip(ts.tolist(), steps)])
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        for t in ts.tolist():
+            if not math.isfinite(t):
+                raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
+        return _grid_states(x0, ts, alg, powered)
+
+    return SolutionCurve(evaluate, "rk4", batch)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +534,18 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
         b2 = basis(algebra, 2)
     c = el_inv(b1 - b2)
 
-    def evaluate(t: float) -> tuple[Element, Element]:
-        e1 = exp_at(b1, t)
-        e2 = exp_at(b2, t)
+    def state(e1: Element, e2: Element) -> tuple[Element, Element]:
         return (c * (e1 - e2), c * (b1 * e1 - b2 * e2))
 
-    return SolutionCurve(evaluate, "two-exponential")
+    def evaluate(t: float) -> tuple[Element, Element]:
+        return state(exp_at(b1, t), exp_at(b2, t))
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        e1s, e2s = _exps_at(b1, ts), _exps_at(b2, ts)
+        return _coeff_array(state(Element._trusted(algebra, e1), Element._trusted(algebra, e2))
+                            for e1, e2 in zip(e1s, e2s))
+
+    return SolutionCurve(evaluate, "two-exponential", batch)
 
 
 def elliptic_family(c_param: Element) -> SolutionCurve:
@@ -480,13 +565,19 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
     c3 = 0.5 * ((j - k) - c_param * (e0 + i + j + k))
     pairs = ((c1, i), (c2, j), (c3, k))
 
-    def evaluate(t: float) -> tuple[Element, Element]:
+    def state(exps: Iterable[Element]) -> tuple[Element, Element]:
         x1 = zero(algebra)
         x2 = zero(algebra)
-        for coeff, b in pairs:
-            e = exp_at(b, t)
+        for (coeff, b), e in zip(pairs, exps):
             x1 = x1 + coeff * e
             x2 = x2 + coeff * (b * e)
         return (x1, x2)
 
-    return SolutionCurve(evaluate, "three-exponential-family")
+    def evaluate(t: float) -> tuple[Element, Element]:
+        return state(exp_at(b, t) for _, b in pairs)
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        exps = [_exps_at(b, ts) for _, b in pairs]
+        return _coeff_array(state(Element._trusted(algebra, e) for e in row) for row in zip(*exps))
+
+    return SolutionCurve(evaluate, "three-exponential-family", batch)

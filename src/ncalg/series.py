@@ -9,7 +9,13 @@ so the degree, fixed from the norm before the sum and at most 14, is never
 below what a rule on the computed terms would stop at. There is no term
 budget to set. The degree-n polynomial is evaluated by Paterson-Stockmeyer
 (SIAM J. Comput. 2(1), 1973) in blocks of four: 3 + n // 4 matrix
-products, at most 6, instead of n, plus one per squaring.
+products, at most 6, instead of n, plus one per squaring. ``_expm`` also
+takes a (k, p, p) stack, for a curve on a whole time grid: each member
+keeps the squaring count and degree of its own norm, a lower degree is
+padded with zero coefficient rows, which add exactly nothing, and only
+the members of degree at most 3, whose one coefficient row takes another
+BLAS kernel, go through the sum as a group of their own. So every member
+gets the bits it gets alone.
 
 Each map is one exponential exp(rho(E)) of a small matrix E of elements
 (rho as in _kernels, so L(x) = rho([x]) and L(exp x) = exp(L(x))), and it
@@ -56,17 +62,17 @@ def _taylor_degree(norm: float) -> int:
 
 
 def _ps_coeffs(n: int) -> np.ndarray:
-    """1/k! for k <= n as a (n // 4 + 1) x 4 array, row j holding k = 4j .. 4j + 3."""
-    c = np.zeros(4 * (n // 4 + 1))
+    """1/k! for k <= n, and zeros after, as a 4 x 4 array, row j holding k = 4j .. 4j + 3."""
+    c = np.zeros(16)
     c[:n + 1] = [1.0 / math.factorial(k) for k in range(n + 1)]
-    return c.reshape(-1, 4)
+    return c.reshape(4, 4)
 
 
-# every degree _taylor_degree gives for a norm of at most 1/2
-_PS_COEFFS = {n: _ps_coeffs(n) for n in range(1, _taylor_degree(0.5) + 1)}
+# row n: the coefficients of every degree _taylor_degree gives for a norm of at most 1/2
+_PS_COEFFS = np.array([_ps_coeffs(n) for n in range(_taylor_degree(0.5) + 1)])
 
 
-def _taylor(a: np.ndarray, n: int) -> np.ndarray:
+def _taylor(a: np.ndarray, n) -> np.ndarray:
     """sum_{k<=n} a^k / k! by Paterson-Stockmeyer in blocks of four.
 
     With B_j = sum_{i<4} a^i / (4j + i)!, the sum is B_0 + a^4 (B_1 + a^4 (B_2
@@ -75,22 +81,45 @@ def _taylor(a: np.ndarray, n: int) -> np.ndarray:
     matrix products to the 3 that form a^2, a^3 and a^4. At n = 14 that is
     6 products and about 15 numpy calls, where the term-by-term sum takes
     14 products and 42 calls.
+
+    a is one (d, d) matrix of degree n, whose products are ndarray.dot, or
+    a (k, d, d) stack with an integer array n of degrees, one pass of
+    matmul for all members. A member of lower degree gets zero coefficient
+    rows up to the highest degree's rows: its B_j there are exactly zero,
+    and Horner's rule carries them as exact zeros up to its own last row,
+    so it gets the bits it gets alone. A one-row product takes another BLAS
+    kernel than a product of several rows, so the members of a stack must
+    all have degree at most 3 (one row) or all above 3.
     """
-    d = a.shape[0]
-    a2 = a.dot(a)
-    powers = np.concatenate((np.eye(d), a, a2, a2.dot(a))).reshape(4, d * d)
-    blocks = _PS_COEFFS[n].dot(powers).reshape(-1, d, d)
+    *stack, d, _ = a.shape
+    dot = np.matmul if stack else np.ndarray.dot
+    eye = _kernels.identity(d)
+    a2 = dot(a, a)
+    powers = np.concatenate((np.broadcast_to(eye, a.shape) if stack else eye, a, a2, dot(a2, a)), axis=-2)
+    rows = (n.max() if stack else n) // 4 + 1
+    blocks = dot(_PS_COEFFS[n, :rows], powers.reshape(*stack, 4, d * d))
+    blocks = (blocks.swapaxes(0, 1) if stack else blocks).reshape(rows, *stack, d, d)  # B_j first
     total = blocks[-1]
-    if len(blocks) > 1:
-        a4 = a2.dot(a2)
+    if rows > 1:
+        a4 = dot(a2, a2)
         for b in blocks[-2::-1]:
-            total = total.dot(a4)
+            total = dot(total, a4)
             total += b
     return total
 
 
+def _scaling(norm: float, m: np.ndarray) -> tuple[int, int]:
+    """The squaring count s and Taylor degree n of a matrix m of 1-norm norm; raises past 2^52."""
+    if not norm < 2.0 ** 52:  # NaN or inf when m is not finite
+        if not np.isfinite(m).all():
+            raise SeriesBudgetError("exponential of a non-finite argument")
+        raise SeriesBudgetError("argument too large for an accurate exponential")
+    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+    return s, _taylor_degree(math.ldexp(norm, -s))
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a real square matrix by scaling and squaring.
+    """exp(m) of a real square matrix, or of each member of a (k, p, p) stack, by scaling and squaring.
 
     The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term n, a^n / n!,
     is at most ||a||_1^n / n!, and the tail after a term is no larger than
@@ -103,25 +132,41 @@ def _expm(m: np.ndarray) -> np.ndarray:
     where summing term by term takes n. The s squarings then take s more,
     and multiply the sum's relative rounding error by up to 2^s, so past
     ||m||_1 = 2^52 no digit of the result is left and it raises instead.
+
+    Each member of a stack takes s and n from its own 1-norm and gets the
+    bits it gets alone. The members of degree at most 3 go through _taylor
+    as one group and the others as another, and member i is squared only
+    while r < s_i, selected with np.where; the squarings it skips are never
+    read and run with overflow warnings off. A member that raises alone
+    raises the same error in the stack, the first such member's.
     """
-    norm = _norm1(m)  # NaN or inf when m is not finite
-    if not norm < 2.0 ** 52:
-        if not np.isfinite(m).all():
-            raise SeriesBudgetError("exponential of a non-finite argument")
-        raise SeriesBudgetError("argument too large for an accurate exponential")
-    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
-    total = _taylor(np.ldexp(m, -s), _taylor_degree(math.ldexp(norm, -s)))
-    if s:
+    if m.ndim == 2:
+        s, n = _scaling(_norm1(m), m)
+        total = _taylor(np.ldexp(m, -s), n)
+    else:
+        norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
+        s, n = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=int).reshape(-1, 2).T
+        a = np.ldexp(m, -s[:, None, None])
+        total = np.empty_like(a)
+        low = n <= 3
+        for group in (low, ~low):
+            if group.any():
+                total[group] = _taylor(a[group], n[group])
+    top = s if m.ndim == 2 else s.max(initial=0)
+    if top:
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(s):
-                total = total.dot(total)
+            for r in range(top):
+                if m.ndim == 2:
+                    total = total.dot(total)
+                else:
+                    total = np.where((r < s)[:, None, None], total @ total, total)
         if not np.isfinite(total).all():
             raise SeriesBudgetError("exponential overflows")
     return total
 
 
 def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
-    """exp(rho(E)) for an (m, m, d) matrix E of elements.
+    """exp(rho(E)) for an (m, m, d) matrix E of elements, or for each member of a (k, m, m, d) stack.
 
     A non-finite E is refused before rho multiplies inf by the table's zeros.
     """
@@ -145,6 +190,16 @@ def exp_at(a: Element, t: float) -> Element:
     """exp(a t) for real t; (a t)^n = a^n t^n, so this is exp_el(a*t)."""
     _require_finite_time(t)
     return exp_el(el_scale(a, t))
+
+
+def _exps_at(a: Element, ts: np.ndarray) -> np.ndarray:
+    """The coefficients of exp_at(a, t) for each t of a 1-D array ts, as one (k, d) array.
+
+    One stacked exponential of the L(a t), so row i has the bits of exp_at(a, ts[i]).
+    """
+    for t in ts.tolist():
+        _require_finite_time(t)
+    return _exp_rho(a.algebra, ts[:, None, None, None] * a.coeffs)[:, :, 0]
 
 
 def _pair(x: Element, sign: float, block: int) -> Element:

@@ -20,8 +20,6 @@ from ncalg.biring import (
     cr_mul,
     cr_pow,
     diff_norm,
-    eigen_offdiag,
-    elliptic_eigen_sample,
     hadamard_inv,
     is_rc_singular,
     left_dependency,
@@ -35,19 +33,32 @@ from ncalg.biring import (
     rc_rank,
     solve_rc,
     submatrix,
-    tmat_eval,
-    tmat_pow,
-    tmat_rc,
     transpose,
     verify_eigen_rc,
 )
-from ncalg.tensor import pure
 
 from conftest import complex_matrix, quat_mul_oracle
 
 
 def real_mat(RR, rows):
     return BiMatrix.from_elements([[from_scalar(RR, v) for v in row] for row in rows])
+
+
+def eigen_offdiag(f):
+    """Both eigenvalues of [[0, f], [f, 0]]: f and -f."""
+    if not f.coeffs.any():
+        raise ValueError("off-diagonal entry must be nonzero")
+    return f, -f
+
+
+def elliptic_eigen_sample(algebra, seed):
+    """A unit pure-imaginary quaternion b (so b*b = -1), seed-deterministic."""
+    if algebra.tag != "quaternion":
+        raise AlgebraError("pure-imaginary unit samples need the quaternions")
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    return Element(algebra, np.concatenate(([0.0], v)))
 
 
 class TestProducts:
@@ -418,29 +429,6 @@ class TestEigen:
         assert (b * b).close(-one(HH), 1e-12)
         assert b.coeffs[0] == 0.0
         assert b.close(elliptic_eigen_sample(HH, seed=11), 0.0)
-
-
-class TestTensorMatrices:
-    def test_product_evaluation_bridge(self, HH, rng):
-        # (a rc b) o x^2 = (a o x) rc (b o x) for matrices of order-1 tensors
-        def tensor_entry():
-            return pure([random_element(HH, rng), random_element(HH, rng)])
-
-        a = [[tensor_entry() for _ in range(2)] for _ in range(2)]
-        b = [[tensor_entry() for _ in range(2)] for _ in range(2)]
-        x = random_element(HH, rng)
-        lhs = tmat_eval(tmat_rc(a, b), x)
-        rhs = rc_mul(tmat_eval(a, x), tmat_eval(b, x))
-        assert lhs.close(rhs, 1e-9)
-
-    def test_power_evaluation_bridge(self, HH, rng):
-        a = [[pure([random_element(HH, rng), random_element(HH, rng)]) for _ in range(2)]
-             for _ in range(2)]
-        x = random_element(HH, rng)
-        for n in (2, 3):
-            lhs = tmat_eval(tmat_pow(a, n), x)
-            rhs = rc_pow(tmat_eval(a, x), n)
-            assert lhs.close(rhs, 1e-8)
 
 
 class TestSubmatrix:

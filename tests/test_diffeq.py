@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncalg import diffeq
-from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import AlgebraError, Element, basis, frobenius, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
 from ncalg.diffeq import (
     FormPoly,
@@ -873,3 +873,103 @@ def test_a_non_finite_form_coefficient_is_a_typed_error_or_a_refutation(tag, bad
     else:
         rep = run()
         assert not rep.verdict and math.isnan(rep.residual)
+
+
+# ---------------------------------------------------------------------------
+# batched curve evaluation: values(ts) and solution_residual against curve(t)
+
+GRID = (0.0, 1e-5, -1e-5, 0.5, 1.0, 2.0, -0.75)
+
+
+def _per_time_residual(ode, curve, ts, tol=diffeq.FD_TOL):
+    """solution_residual as one curve(t) call per probe time and one ode.rhs per time."""
+    def gaps():
+        for t in ts:
+            fd = diffeq._central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), diffeq._fd_step(abs(t)))
+            rhs = ode.rhs(curve(t))
+            for i in range(ode.size):
+                r = frobenius(fd[i] - rhs[i].coeffs)
+                yield r, r <= tol, {"t": float(t), "component": i, "residual": r}
+
+    return diffeq._judge(gaps(), provenance=curve.provenance)
+
+
+def _every_kind_of_curve(alg):
+    """(ode, curve) pairs: batched and evaluator-only curves, some that solve their system, some refuted."""
+    rng = np.random.default_rng(2727)
+    out = []
+    for form in OdeForm:
+        ode = LinearOde(random_matrix(alg, 2, 2, rng, scale=0.5), form,
+                        tuple(random_element(alg, rng) for _ in range(2)))
+        out += [(ode, closed_form_solution(ode)), (ode, rk4_integrate(ode, 1.0, 10_000)),
+                (ode, rk4_integrate(ode, 1.0, 3))]  # too few steps: refuted
+    big = LinearOde(random_matrix(alg, 2, 2, np.random.default_rng(0), scale=10.0), OdeForm.RC_LEFT,
+                    tuple(random_element(alg, np.random.default_rng(1)) for _ in range(2)))
+    out.append((big, closed_form_solution(big)))  # refuted at scale by the absolute FD_TOL
+    f = random_element(alg, rng)
+    out.append((hyperbolic_ode(alg, f), eigen_solution(-f, [one(alg), -one(alg)])))
+    ell = elliptic_ode(alg)
+    out.append((ell, SolutionCurve(lambda t: (from_scalar(alg, math.sin(t)),) * 2, "user")))
+    if alg.tag == "quaternion":
+        out.append((ell, elliptic_two_exp_curve(alg)))
+        out += [(ell, elliptic_family(c)) for c in (zero(alg), one(alg), basis(alg, 1))]
+    return out
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_values_has_the_bytes_of_curve_t_at_every_time(tag):
+    for _, curve in _every_kind_of_curve(make_algebra(tag)):
+        got = curve.values(GRID)
+        assert got.shape[0] == len(GRID)
+        for t, state in zip(GRID, got):
+            want = np.array([x.coeffs for x in curve(t)])
+            assert state.tobytes() == want.tobytes(), (curve.provenance, t)
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_solution_residual_equals_the_per_time_loop(tag):
+    verdicts = set()
+    for ode, curve in _every_kind_of_curve(make_algebra(tag)):
+        for ts in ((0.0, 0.5, 1.0, 2.0), np.array([0.25, -1.0]), [3.0]):
+            rep = solution_residual(ode, curve, ts)
+            assert repr(rep) == repr(_per_time_residual(ode, curve, ts)), curve.provenance
+            verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+def test_values_at_a_non_finite_time_raises_the_typed_error_of_curve_t(HH):
+    ode = elliptic_ode(HH)
+    for curve in (closed_form_solution(ode), elliptic_two_exp_curve(HH), elliptic_family(one(HH))):
+        with pytest.raises(SeriesBudgetError, match="non-finite time"):
+            curve.values([0.5, math.nan])
+    with pytest.raises(AlgebraError, match="finite"):
+        rk4_integrate(ode, 1.0, 10).values([0.5, math.inf])
+
+
+def test_an_rk4_state_that_overflows_is_a_typed_error(HH):
+    ode = LinearOde(random_matrix(HH, 2, 2, np.random.default_rng(0), scale=200.0), OdeForm.RC_LEFT,
+                    (one(HH), one(HH)))
+    curve = rk4_integrate(ode, 1.0, 10)
+    with pytest.raises(AlgebraError, match="overflows"):
+        curve(50.0)
+    with pytest.raises(SeriesBudgetError, match="overflows"):
+        closed_form_solution(ode)(50.0)
+    # the batch keeps the state, for the residual check to refute
+    assert not np.isfinite(curve.values([50.0])).all()
+    rep = solution_residual(ode, curve, (0.5, 50.0))
+    assert not rep.verdict and math.isnan(rep.residual) and rep.witness["t"] == 50.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_state_refutes_without_a_warning(HH):
+    inf = Element(HH, [math.inf] * 4)
+    rep = solution_residual(elliptic_ode(HH), SolutionCurve(lambda t: (inf, inf), "user"), (0.5, 1.0))
+    assert not rep.verdict and math.isnan(rep.residual) and rep.witness["t"] == 0.5
+
+
+def test_rk4_values_past_int64_step_counts_match_curve_t(HH):
+    # 1e300 / (1 / 100) steps do not fit an int64: those times are powered one at a time
+    curve = rk4_integrate(LinearOde(BiMatrix.zeros(HH, 2, 2), OdeForm.RC_LEFT, (one(HH), basis(HH, 2))), 1.0, 100)
+    ts = (0.5, 1e300, -1e300)
+    for t, state in zip(ts, curve.values(ts)):
+        assert state.tobytes() == np.array([x.coeffs for x in curve(t)]).tobytes()

@@ -75,3 +75,36 @@ def test_rk4_linear_is_the_stepwise_rk4(steps):
             want = _rk4_steps(m, x0, t, steps)
             got = _kernels.rk4_linear(m, x0, t, steps)
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), (n, t)
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_rk4_linear_of_a_stack_of_times_matches_each_member(tag):
+    d = make_algebra(tag).dim
+    rng = np.random.default_rng(7)
+    ts = np.array([0.0, 1e-5, -0.7, 0.5, 2.0, 2.0, 3.5])
+    steps = np.array([1, 1, 7, 100, 1000, 10_000, 3])
+    for n in SIZES:
+        m = rng.normal(size=(n * d, n * d))
+        x0 = rng.normal(size=n * d)
+        got = _kernels.rk4_linear(m, x0, ts, steps)
+        assert got.shape == (len(ts), n * d)
+        for t, k, out in zip(ts, steps, got):
+            assert out.tobytes() == _kernels.rk4_linear(m, x0, float(t), int(k)).tobytes(), (n, t, k)
+
+
+def test_rk4_linear_squarings_a_member_skips_do_not_warn():
+    # one step of h = 1 on x' = 40 x gives about 1e5; the 10_000-step member
+    # squares that step matrix 13 times, far past overflow, and never reads it
+    m = np.array([[40.0]])
+    x0 = np.array([1.0])
+    got = _kernels.rk4_linear(m, x0, np.array([1.0, 1e-3]), np.array([1, 10_000]))
+    assert got[0].tobytes() == _kernels.rk4_linear(m, x0, 1.0, 1).tobytes()
+    assert got[1].tobytes() == _kernels.rk4_linear(m, x0, 1e-3, 10_000).tobytes()
+
+
+def test_rk4_linear_of_a_stack_returns_an_overflowing_member_non_finite():
+    m = np.array([[0.0, 50.0], [-50.0, 0.0]])
+    x0 = np.array([0.0, 1.0])
+    got = _kernels.rk4_linear(m, x0, np.array([0.5, 100.0]), np.array([1, 100]))
+    assert got[0].tobytes() == _kernels.rk4_linear(m, x0, 0.5, 1).tobytes()
+    assert not np.isfinite(got[1]).all()

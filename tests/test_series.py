@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncalg import _kernels
 from ncalg.algebra import (
     Element,
     basis,
@@ -572,3 +573,78 @@ class TestPatersonStockmeyer:
                 m *= norm / _norm1(m)
                 ref = self.term_by_term(m, n)
                 assert _norm1(_taylor(m, n) - ref) <= 16 * u * (1.0 + _norm1(ref)), (n, norm)
+
+
+# ---------------------------------------------------------------------------
+# stacked exponentials: each member gets the bytes it gets alone
+
+# t = 0, the finite-difference probes around it (degree at most 3, one
+# coefficient row), and times up to squaring counts near 10
+STACK_TIMES = (0.0, 1e-5, -1e-5, 1e-3, 0.05, 0.5, -1.0, 3.0, 40.0, -300.0)
+
+
+def _stack_counts(stack):
+    """The (squaring count, Taylor degree) pair _expm takes for each member."""
+    out = []
+    for m in stack:
+        norm = _norm1(m)
+        s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+        out.append((s, _taylor_degree(math.ldexp(norm, -s))))
+    return out
+
+
+@pytest.mark.parametrize("tag", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_stacked_exponential_gives_each_member_its_bytes_alone(tag, n):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(2700 + n)
+    m = _kernels.rho(alg.table, random_matrix(alg, n, n, rng).data)
+    m /= _norm1(m)  # so ||exp(t m)|| <= e^|t|, finite at every time here
+    stack = np.array(STACK_TIMES)[:, None, None] * m
+    counts = _stack_counts(stack)
+    assert min(d for _, d in counts) <= 3 < max(d for _, d in counts)
+    assert len({s for s, _ in counts}) >= 4
+    got = _expm(stack)
+    assert got.shape == stack.shape
+    for member, out in zip(stack, got):
+        assert out.tobytes() == _expm(member).tobytes()
+    # any order, and any sub-stack, gives the same bytes
+    order = rng.permutation(len(stack))
+    assert _expm(stack[order]).tobytes() == got[order].tobytes()
+    assert _expm(stack[:1]).tobytes() == got[:1].tobytes()
+
+
+def test_a_stack_of_one_degree_group_matches_too():
+    rng = np.random.default_rng(2711)
+    m = rng.standard_normal((6, 6))
+    for times in ((1e-7, 2e-6, -3e-5), (0.3, 0.4, 2.0, 9.0)):
+        stack = np.array(times)[:, None, None] * m
+        for member, out in zip(stack, _expm(stack)):
+            assert out.tobytes() == _expm(member).tobytes()
+
+
+def test_squarings_a_member_skips_neither_warn_nor_raise():
+    # exp(700) is finite, and squaring it once more overflows: the stack
+    # squares the rotation 13 times and the scaled identity only 11
+    big = 700.0 * np.eye(2)
+    rotation = np.array([[0.0, 4000.0], [-4000.0, 0.0]])
+    stack = np.array([big, rotation])
+    assert [s for s, _ in _stack_counts(stack)] == [11, 13]
+    got = _expm(stack)
+    assert got[0].tobytes() == _expm(big).tobytes()
+    assert got[1].tobytes() == _expm(rotation).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.full((2, 2), np.nan), "non-finite argument"),
+    (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite argument"),
+    (np.full((2, 2), 2.0 ** 52), "too large"),
+    (np.full((2, 2), 400.0), "overflows"),
+])
+def test_a_member_that_raises_alone_raises_the_same_error_in_a_stack(bad, message):
+    with pytest.raises(SeriesBudgetError, match=message):
+        _expm(bad)
+    fine = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for stack in ([fine, bad], [bad, fine], [bad]):
+        with pytest.raises(SeriesBudgetError, match=message):
+            _expm(np.array(stack))
