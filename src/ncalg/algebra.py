@@ -290,6 +290,18 @@ def mul(a: Element, b: Element) -> Element:
     return a * b
 
 
+def _mul_rows(a: Element, xs: np.ndarray) -> np.ndarray:
+    """The coefficients of a * x for each row x of a (k, dim) array xs, as one (k, dim) array.
+
+    Each row is one vector-matrix product with a . _flat, the contraction of
+    Element.__mul__: numpy's matmul of a stack of (1, dim) rows takes the
+    BLAS call that x.dot takes alone, so row i has the bits of a * x_i. A
+    (k, dim) @ (dim, dim) product would take another BLAS kernel.
+    """
+    d = a.algebra.dim
+    return np.matmul(xs[:, None, :], a.coeffs.dot(a.algebra._flat).reshape(d, d))[:, 0]
+
+
 def scale(a: Element, s: float) -> Element:
     return _trusted(a.algebra, a.coeffs * float(s))
 

@@ -20,8 +20,10 @@ and the closed form e^{tM} x(0); RK4 integrates M as an independent
 algorithm, and the tests check M x against Element products. A solution
 curve is read at one time, ``curve(t)``, or on a whole time grid at once,
 ``curve.values(ts)``: the closed form through one stacked exponential, RK4
-through one stacked power of its step matrices, and each time with the
-bits ``curve(t)`` gives it. ``solution_residual`` reads all its probe times
+through one stacked power of its step matrices, the elliptic curves
+through one stacked exponential of all their b t and row-wise array
+products for their states, and each time with the bits ``curve(t)`` gives
+it. ``solution_residual`` reads all its probe times
 in one such call.
 """
 
@@ -41,6 +43,7 @@ from .algebra import (
     AlgebraDesc,
     AlgebraError,
     Element,
+    _mul_rows,
     basis,
     frobenius,
     in_centralizer,
@@ -50,7 +53,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report, severity, worst
-from .series import _expm, _exps_at, _require_finite_time, exp_at
+from .series import _exp_els, _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -295,11 +298,6 @@ def _unvec(alg: AlgebraDesc, v: np.ndarray) -> tuple[Element, ...]:
     return tuple(Element._trusted(alg, row) for row in v.reshape(-1, alg.dim))
 
 
-def _coeff_array(states: Iterable[Sequence[Element]]) -> np.ndarray:
-    """A (k, n, d) array of the coefficients of k states of n elements each."""
-    return np.array([[x.coeffs for x in state] for state in states], dtype=float)
-
-
 @dataclass(frozen=True)
 class SolutionCurve:
     """Evaluable candidate solution with a provenance tag.
@@ -322,7 +320,7 @@ class SolutionCurve:
         ts = np.asarray(ts, dtype=float)
         if self.batch is not None:
             return self.batch(ts)
-        return _coeff_array(self.evaluator(t) for t in ts.tolist())
+        return np.array([[x.coeffs for x in self.evaluator(t)] for t in ts.tolist()], dtype=float)
 
 
 def _grid_states(x0: np.ndarray, ts: np.ndarray, alg: AlgebraDesc,
@@ -518,6 +516,19 @@ def hyperbolic_ode(algebra: AlgebraDesc, f: Element | None = None) -> LinearOde:
     return LinearOde(a, OdeForm.RC_LEFT, (z, one(algebra)))
 
 
+def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
+    """The coefficients of exp_at(b, t) for each b of bs and t of ts, a (len(bs), len(ts), d) array.
+
+    One stacked exponential of every b t; t b is el_scale's product, so each
+    row has the bits of its exp_at call. A non-finite time raises first.
+    """
+    for t in ts.tolist():
+        _require_finite_time(t)
+    args = np.concatenate([ts[:, None] * b.coeffs for b in bs])
+    alg = bs[0].algebra
+    return _exp_els(alg, args).reshape(len(bs), len(ts), alg.dim)
+
+
 def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
                            b2: Element | None = None) -> SolutionCurve:
     """Left-combination of two imaginary-axis exponentials matching x(0) = (0, 1).
@@ -541,9 +552,9 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
         return state(exp_at(b1, t), exp_at(b2, t))
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        e1s, e2s = _exps_at(b1, ts), _exps_at(b2, ts)
-        return _coeff_array(state(Element._trusted(algebra, e1), Element._trusted(algebra, e2))
-                            for e1, e2 in zip(e1s, e2s))
+        e1, e2 = _exps_at((b1, b2), ts)
+        x2 = _mul_rows(c, _mul_rows(b1, e1) - _mul_rows(b2, e2))
+        return np.stack((_mul_rows(c, e1 - e2), x2), axis=1)
 
     return SolutionCurve(evaluate, "two-exponential", batch)
 
@@ -577,7 +588,10 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
         return state(exp_at(b, t) for _, b in pairs)
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        exps = [_exps_at(b, ts) for _, b in pairs]
-        return _coeff_array(state(Element._trusted(algebra, e) for e in row) for row in zip(*exps))
+        x1 = x2 = np.zeros((len(ts), algebra.dim))
+        for (coeff, b), e in zip(pairs, _exps_at([b for _, b in pairs], ts)):
+            x1 = x1 + _mul_rows(coeff, e)
+            x2 = x2 + _mul_rows(coeff, _mul_rows(b, e))
+        return np.stack((x1, x2), axis=1)
 
     return SolutionCurve(evaluate, "three-exponential-family", batch)

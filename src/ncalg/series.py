@@ -17,6 +17,13 @@ the members of degree at most 3, whose one coefficient row takes another
 BLAS kernel, go through the sum as a group of their own. So every member
 gets the bits it gets alone.
 
+The private _exp_els and _pairs take exp_el, and the (cosh, sinh) or
+(cos, sin) pair, of every row of a (k, d) array of coefficients in one
+stacked exponential, for callers that need many at once: the elliptic
+curves on a time grid and the exponent-law and Euler scenarios. Row i has
+the bits of the public map of that row alone; the public maps keep their
+single calls.
+
 Each map is one exponential exp(rho(E)) of a small matrix E of elements
 (rho as in _kernels, so L(x) = rho([x]) and L(exp x) = exp(L(x))), and it
 reads column 0 of a d-row block, since L(a) e_0 = a: exp_el takes E = [x],
@@ -192,14 +199,13 @@ def exp_at(a: Element, t: float) -> Element:
     return exp_el(el_scale(a, t))
 
 
-def _exps_at(a: Element, ts: np.ndarray) -> np.ndarray:
-    """The coefficients of exp_at(a, t) for each t of a 1-D array ts, as one (k, d) array.
+def _exp_els(alg, c: np.ndarray) -> np.ndarray:
+    """The coefficients of exp_el of each row of a (k, d) array c, as one (k, d) array.
 
-    One stacked exponential of the L(a t), so row i has the bits of exp_at(a, ts[i]).
+    One stacked exponential of the L(c_i), so row i has the bits of exp_el
+    of that row alone. An empty stack gives an empty (0, d) array.
     """
-    for t in ts.tolist():
-        _require_finite_time(t)
-    return _exp_rho(a.algebra, ts[:, None, None, None] * a.coeffs)[:, :, 0]
+    return _exp_rho(alg, c[:, None, None])[:, :, 0]
 
 
 def _pair(x: Element, sign: float, block: int) -> Element:
@@ -229,6 +235,21 @@ def sin_el(x: Element) -> Element:
 
 def cos_el(x: Element) -> Element:
     return _pair(x, -1.0, 0)
+
+
+def _pairs(alg, c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh, sinh) of each row of a (k, d) array c for sign = 1, (cos, sin) for sign = -1.
+
+    Blocks (0, 0) and (0, 1), column 0, of one stacked exponential of the
+    [[0, c_i], [sign c_i, 0]], so row i has the bits of cosh_el and sinh_el
+    (or cos_el and sin_el) of that row alone.
+    """
+    k, d = c.shape
+    e = np.zeros((k, 2, 2, d))
+    e[:, 0, 1] = c
+    e[:, 1, 0] = sign * c
+    out = _exp_rho(alg, e)
+    return out[:, :d, 0], out[:, :d, d]
 
 
 # ---------------------------------------------------------------------------

@@ -460,3 +460,14 @@ def test_frobenius_is_the_unscaled_norm_wherever_that_is_exact():
         assert 0.0 < norm < math.inf and abs(norm - math.hypot(*c.ravel())) <= 4 * 2.0 ** -53 * norm, big
         if 2.0 ** -500 <= np.abs(c).max() <= 2.0 ** 500:
             assert norm == math.sqrt(c.ravel() @ c.ravel()), big
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_mul_rows_has_the_bytes_of_each_element_product(tag):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(28)
+    for k in (0, 1, 2, 7, 40):
+        a = Element(alg, rng.standard_normal(alg.dim) * 10.0 ** rng.integers(-3, 3))
+        xs = rng.standard_normal((k, alg.dim)) * 10.0 ** rng.integers(-3, 3, size=(k, 1))
+        want = np.array([(a * Element(alg, x)).coeffs for x in xs]).reshape(k, alg.dim)
+        assert algebra._mul_rows(a, xs).tobytes() == want.tobytes()

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from ncalg import _kernels, biring, cli, tensor
-from ncalg.algebra import AlgebraError, Element, NotInvertibleError, inv_stack, make_algebra, random_element
+from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, commutator, inv_stack, make_algebra, one,
+                           random_element)
 from ncalg.biring import (BiMatrix, QuasideterminantUndefinedError, SingularMatrixError, bordered_quasidet,
                           quasidets_rc, random_matrix, rc_inv, rc_rank)
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.diffeq import SolutionCurve
 from ncalg.report import Report, worst
-from ncalg.series import SeriesBudgetError
+from ncalg.series import SeriesBudgetError, cosh_el, exp_el, sinh_el
 
 from conftest import is_plain
 
@@ -362,3 +363,90 @@ def test_stacked_scenarios_match_their_per_matrix_loops(name, reference, seed):
     want = reference(Options(seed=seed))
     assert json.dumps(got.to_data()) == json.dumps(want.to_data())
     assert got.verdict
+
+
+# ---------------------------------------------------------------------------
+# the stacked exponent scenarios against the per-call loops they replaced
+
+
+def _per_call_exp_properties(opt):
+    """exp-properties as one exp_el call per exponential."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    gaps = []
+    for _ in range(10):
+        a = random_element(alg, rng)
+        f = float(rng.uniform(-2, 2))
+        b = Element(alg, a.coeffs * f)
+        gaps.append((exp_el(a + b) - exp_el(a) * exp_el(b)).norm())
+    for _ in range(10):
+        a = random_element(alg, rng)
+        x = random_element(alg, rng)
+        gaps.append((a * exp_el(x * a) - exp_el(a * x) * a).norm())
+    resid = worst(gaps)
+    i, j = basis(alg, 1), basis(alg, 2)
+    gap = (exp_el(i + j) - exp_el(i) * exp_el(j)).norm()
+    return Report(verdict=resid <= 1e-10 and gap > 1e-3, residual=resid,
+                  metrics={"noncommuting_gap": gap, "pairs_checked": 20})
+
+
+def _per_call_euler_gap(f):
+    """The worst Euler-split gap with one exp_el, sinh_el and cosh_el call per use."""
+    gaps = []
+    for t in (0.1, 0.5, 1.0, 2.0):
+        tf = f * t
+        esh = 0.5 * (exp_el(tf) - exp_el(-tf))
+        ech = 0.5 * (exp_el(tf) + exp_el(-tf))
+        gaps += [(sinh_el(tf) - esh).norm(), (cosh_el(tf) - ech).norm(),
+                 commutator(sinh_el(tf), f).norm(), commutator(cosh_el(tf), f).norm()]
+    return worst(gaps)
+
+
+def _euler_fs():
+    real, quat = make_algebra("real"), make_algebra("quaternion")
+    i, j, k = basis(quat, 1), basis(quat, 2), basis(quat, 3)
+    return [one(real), i, (i + j) * (1 / np.sqrt(2)), 2 * k]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_exp_properties_matches_the_per_call_loop(seed):
+    got, _ = run_scenario("exp-properties", Options(seed=seed))
+    assert repr(got) == repr(_per_call_exp_properties(Options(seed=seed)))
+    assert got.verdict
+
+
+def test_stacked_euler_gaps_match_the_per_call_loop():
+    fs = _euler_fs()
+    for f in fs:
+        resid, holds = cli._euler_gap(f.algebra, f)
+        assert repr(resid) == repr(_per_call_euler_gap(f)) and holds
+    for name, group in (("euler-hyperbolic", fs[:1]), ("euler-quaternion", fs[1:])):
+        resid = worst(_per_call_euler_gap(f) for f in group)
+        got, _ = run_scenario(name, Options())
+        assert repr(got) == repr(Report(verdict=resid <= 1e-10, residual=resid))
+
+
+def test_exponent_identities_are_judged_relative_to_their_sides():
+    # at |f t| up to 40 the exponentials reach e^40 ~ 2e17: the rounding of
+    # exact identities is far above an absolute 1e-10, but not relative to
+    # the sides
+    quat = make_algebra("quaternion")
+    resid, holds = cli._euler_gap(quat, 20.0 * basis(quat, 3) + 20.0 * one(quat))
+    assert resid > 1e-10 and holds
+    a = 30.0 * random_element(quat, np.random.default_rng(5)) + 20.0 * one(quat)
+    b = 0.5 * a
+    resid, holds = cli._identities([(exp_el(a + b), exp_el(a) * exp_el(b))])
+    assert resid > 1e-10 and holds
+    # a false identity is refuted at every scale
+    i, j = basis(quat, 1), basis(quat, 2)
+    for s in (1e-3, 1.0, 30.0):
+        resid, holds = cli._identities([(exp_el(s * (i + j)), exp_el(s * i) * exp_el(s * j))])
+        assert not holds
+    assert not cli._identities([(one(quat), Element(quat, [math.nan] * 4))])[1]
+    # the rule is algebra.close's, at every scale short of overflow
+    rng = np.random.default_rng(6)
+    for scale in (1e-200, 1e-5, 1.0, 1e5, 1e200):
+        for rel in np.logspace(-12, -8, 9):
+            lhs = scale * random_element(quat, rng)
+            rhs = lhs + rel * scale * random_element(quat, rng)
+            assert cli._identities([(lhs, rhs)])[1] == lhs.close(rhs, cli.IDENTITY_RTOL)

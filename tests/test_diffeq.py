@@ -912,6 +912,9 @@ def _every_kind_of_curve(alg):
     out.append((ell, SolutionCurve(lambda t: (from_scalar(alg, math.sin(t)),) * 2, "user")))
     if alg.tag == "quaternion":
         out.append((ell, elliptic_two_exp_curve(alg)))
+        # unit imaginary b's whose coefficients are not 0 or +-1 (Element products round)
+        b1, b2 = (Element(alg, [0.0, *v / np.linalg.norm(v)]) for v in rng.standard_normal((2, 3)))
+        out.append((ell, elliptic_two_exp_curve(alg, b1, b2)))
         out += [(ell, elliptic_family(c)) for c in (zero(alg), one(alg), basis(alg, 1))]
     return out
 

@@ -22,7 +22,9 @@ from ncalg.biring import BiMatrix, cr_mul, diff_norm, random_matrix, rc_mul, tra
 from ncalg.series import (
     TAYLOR_RTOL,
     SeriesBudgetError,
+    _exp_els,
     _expm,
+    _pairs,
     _taylor,
     _taylor_degree,
     cos_el,
@@ -648,3 +650,70 @@ def test_a_member_that_raises_alone_raises_the_same_error_in_a_stack(bad, messag
     for stack in ([fine, bad], [bad, fine], [bad]):
         with pytest.raises(SeriesBudgetError, match=message):
             _expm(np.array(stack))
+
+
+# ---------------------------------------------------------------------------
+# stacked element exponentials: each row gets the bytes of its single call
+
+# the Taylor group of degree at most 3 through several squarings
+ROW_NORMS = (1e-6, 1e-4, 0.01, 0.3, 0.5, 1.0, 2.0, 5.0, 12.0, 30.0)
+
+
+def _rows(alg, rng):
+    """One row of each norm of ROW_NORMS, in random directions, as a (k, d) array."""
+    c = rng.standard_normal((len(ROW_NORMS), alg.dim))
+    return c * (np.array(ROW_NORMS) / np.sqrt((c * c).sum(axis=1)))[:, None]
+
+
+def _singles(alg, c):
+    """exp_el, cosh_el, sinh_el, cos_el and sin_el of each row of c, one call per row."""
+    els = [Element(alg, row) for row in c]
+    return [np.array([f(x).coeffs for x in els]) for f in (exp_el, cosh_el, sinh_el, cos_el, sin_el)]
+
+
+def _stacked(alg, c):
+    return [_exp_els(alg, c), *_pairs(alg, c, 1.0), *_pairs(alg, c, -1.0)]
+
+
+@pytest.mark.parametrize("tag", ALGEBRAS)
+def test_stacked_element_exponentials_give_each_row_its_bytes_alone(tag):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(2800 + alg.dim)
+    c = _rows(alg, rng)
+    counts = _stack_counts(_kernels.rho(alg.table, c[:, None, None]))
+    assert min(d for _, d in counts) <= 3 < max(d for _, d in counts) and max(s for s, _ in counts) >= 5
+    want = _singles(alg, c)
+    got = _stacked(alg, c)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # any order gives the same rows
+    order = rng.permutation(len(c))
+    for g, w in zip(_stacked(alg, c[order]), want):
+        assert g.tobytes() == w[order].tobytes()
+
+
+def _error(call) -> str:
+    with pytest.raises(SeriesBudgetError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0 ** 53, 800.0])
+def test_a_row_that_raises_alone_raises_the_same_error_in_a_stack(bad):
+    alg = make_algebra("quaternion")
+    x = Element(alg, [bad, 0.0, 0.0, 0.0])
+    fine = _rows(alg, np.random.default_rng(2810))
+    for single, stacked in ((exp_el, lambda c: _exp_els(alg, c)), (sinh_el, lambda c: _pairs(alg, c, 1.0)),
+                            (sin_el, lambda c: _pairs(alg, c, -1.0))):
+        if bad == 800.0 and single is sin_el:
+            continue  # sin and cos of a real 800 are finite
+        alone = _error(lambda: single(x))
+        for stack in ([x.coeffs], [fine[0], x.coeffs], [x.coeffs, *fine]):
+            assert _error(lambda: stacked(np.array(stack))) == alone
+
+
+@pytest.mark.parametrize("tag", ALGEBRAS)
+def test_an_empty_stack_of_element_exponentials_is_empty(tag):
+    alg = make_algebra(tag)
+    for out in _stacked(alg, np.empty((0, alg.dim))):
+        assert out.shape == (0, alg.dim)

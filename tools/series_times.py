@@ -6,8 +6,13 @@ series-scale workload makes (exp_el, sinh_el, mexp_rc on a 4 x 4
 quaternion matrix, quasiexp of order 2, and one curve(t) of a closed-form
 and of an RK4 curve of a quaternion system of size n = 2 and 4), then one
 values call on 11 times of each curve at n = 2, as the
-ode-forms-cross-check scenario makes them. A checkout without
-SolutionCurve.values prints "n/a" there. The inputs are fixed by seed.
+ode-forms-cross-check scenario makes them. The last rows time the
+stacked element exponentials against the same rows as single calls, as
+the exponent-law and Euler scenarios make them: exp_el of 24 quaternions,
+one by one and in one _exp_els call, and cosh_el and sinh_el of 12, one by
+one and in one _pairs call. A checkout without SolutionCurve.values, or
+without _exp_els and _pairs, prints "n/a" there. The inputs are fixed by
+seed.
 BLAS is pinned to one thread, and ncalg is imported from PYTHONPATH when it
 is there, else from this checkout's src. Run from the repository root:
 
@@ -33,7 +38,7 @@ import numpy as np  # noqa: E402
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from ncalg import series  # noqa: E402
-from ncalg.algebra import make_algebra, random_element  # noqa: E402
+from ncalg.algebra import Element, make_algebra, random_element  # noqa: E402
 from ncalg.biring import random_matrix  # noqa: E402
 from ncalg.diffeq import LinearOde, OdeForm, closed_form_solution, rk4_integrate  # noqa: E402
 
@@ -70,6 +75,14 @@ def cases():
     for curve in curves[2]:
         values = getattr(curve, "values", None)
         yield f"{curve.provenance} values(11 times), n = 2", None if values is None else (lambda f=values: f(ts))
+    row_rng = np.random.default_rng(1)
+    rows = np.array([random_element(alg, row_rng).coeffs for _ in range(24)])
+    els = [Element(alg, row) for row in rows]
+    exp_els, pairs = getattr(series, "_exp_els", None), getattr(series, "_pairs", None)
+    yield "exp_el x 24", lambda: [series.exp_el(x) for x in els]
+    yield "_exp_els(24 rows)", None if exp_els is None else (lambda: exp_els(alg, rows))
+    yield "cosh_el + sinh_el x 12", lambda: [(series.cosh_el(x), series.sinh_el(x)) for x in els[:12]]
+    yield "_pairs(12 rows)", None if pairs is None else (lambda: pairs(alg, rows[:12], 1.0))
 
 
 def main() -> None:
