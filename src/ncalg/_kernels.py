@@ -9,7 +9,7 @@ a cr b = (a^T rc b^T)^T.
 
 rho, unrho and the contractions also take leading stack axes,
 (..., m, n, d), and give each member of a stack the bits it would get alone;
-so does rk4_linear with arrays of times and step counts.
+so does rk4_linear with arrays of times and step counts, and of systems.
 """
 
 from __future__ import annotations
@@ -90,12 +90,14 @@ def rk4_linear(m, x0, t, steps):
     accumulated by binary powering instead of looping over steps.
 
     t and steps may also be equal-length 1-D arrays, for the states at t[i]
-    after steps[i] steps, as a (k, len(x0)) array. The k step matrices are
-    powered in one loop over the stack, and member i takes the product
-    with x only at its own bits of steps[i], selected with np.where, so it
-    gets the bits it gets alone. The squarings a member no longer needs are
-    never read, and the stack runs with overflow warnings off, so they warn
-    for no member; a state that overflows comes back non-finite.
+    after steps[i] steps, as a (k, p) array; m may then be one (p, p) matrix
+    or a (k, p, p) stack, one per member, and x0 one (p,) vector or a (k, p)
+    stack. The k step matrices are powered in one loop over the stack, and
+    member i takes the product with x only at its own bits of steps[i],
+    selected with np.where, so it gets the bits it gets alone. The squarings
+    a member no longer needs are never read, and the stack runs with
+    overflow warnings off, so they warn for no member; a state that
+    overflows comes back non-finite.
     """
     if not isinstance(t, np.ndarray):
         phi = _rk4_step(t / steps * m)
@@ -110,7 +112,7 @@ def rk4_linear(m, x0, t, steps):
         return x
     n = np.asarray(steps)
     phi = _rk4_step((t / n)[:, None, None] * m)
-    x = np.broadcast_to(x0[:, None], (len(n), len(x0), 1))
+    x = np.broadcast_to(x0[..., None], (len(n), x0.shape[-1], 1))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             x = np.where((n & 1).astype(bool)[:, None, None], phi @ x, x)

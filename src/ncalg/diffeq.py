@@ -23,8 +23,13 @@ curve is read at one time, ``curve(t)``, or on a whole time grid at once,
 through one stacked power of its step matrices, the elliptic curves
 through one stacked exponential of all their b t and row-wise array
 products for their states, and each time with the bits ``curve(t)`` gives
-it. ``solution_residual`` reads all its probe times
-in one such call.
+it. The closed-form and RK4 grids are the one-system case of the private
+_closed_form_states and _rk4_states, which read many systems of one size
+at once, every system and time one member of the same stacked call, from
+a stack of real_matrix() values and one of initial vectors.
+``solution_residual`` reads all its probe times (_probe_times) in one
+such call and judges the states it read (_judge_states); a caller that
+has read them with other states judges them directly.
 """
 
 from __future__ import annotations
@@ -316,30 +321,92 @@ class SolutionCurve:
         return self.evaluator(float(t))
 
     def values(self, ts: Sequence[float]) -> np.ndarray:
-        """The states at every time of ts, a (len(ts), n, d) array of coefficients."""
+        """The states at every time of ts, a (len(ts), n, d) array of coefficients.
+
+        Without a batch, an empty ts reads n and d from the initial value, curve(0).
+        """
         ts = np.asarray(ts, dtype=float)
         if self.batch is not None:
             return self.batch(ts)
-        return np.array([[x.coeffs for x in self.evaluator(t)] for t in ts.tolist()], dtype=float)
+        states = [[x.coeffs for x in self.evaluator(t)] for t in ts.tolist()]
+        if not states:
+            return np.empty((0,) + np.shape([x.coeffs for x in self.evaluator(0.0)]))
+        return np.array(states, dtype=float)
 
 
-def _grid_states(x0: np.ndarray, ts: np.ndarray, alg: AlgebraDesc,
-                 states: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """A (k, n, d) array of the state x0 at each t = 0 of ts and of states(the other times) elsewhere.
+def _grid_states(x0: np.ndarray, ts: np.ndarray, states: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A (k, len(ts), p) array: x0[i] at each t = 0 of ts, and states(the other times)[i] elsewhere.
 
-    curve(t) returns the initial value itself at t = 0, so the grid does too.
+    x0 is a (k, p) stack of initial vectors, one per system. curve(t) returns
+    the initial value itself at t = 0, so the grid does too.
     """
-    out, moving = np.repeat(x0[None], len(ts), axis=0), ts != 0.0
+    out, moving = np.repeat(x0[:, None], len(ts), axis=1), ts != 0.0
     if moving.any():
-        out[moving] = states(ts[moving])
-    return out.reshape(len(ts), -1, alg.dim)
+        out[:, moving] = states(ts[moving])
+    return out
+
+
+def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """e^{tM_i} x0_i for each system i and t of ts, a (k, len(ts), p) array.
+
+    m is a (k, p, p) stack of real_matrix() values and x0 a (k, p) stack of
+    initial vectors. Every system's e^{tM} at every nonzero t is one member
+    of one stacked exponential, so each state has the bits of
+    closed_form_solution(ode)(t). A non-finite t raises SeriesBudgetError
+    before it meets M.
+    """
+    for t in ts.tolist():
+        _require_finite_time(t)
+    k, p = x0.shape
+
+    def states(moving: np.ndarray) -> np.ndarray:
+        e = _expm((moving[:, None, None] * m[:, None]).reshape(-1, p, p)).reshape(k, len(moving), p, p)
+        return (e @ x0[:, None, :, None])[..., 0]
+
+    return _grid_states(x0, ts, states)
+
+
+def _rk4_step_target(t_end: float, steps: int) -> float:
+    """The largest RK4 step of a curve integrated to t_end in steps steps; refuses bad arguments."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not math.isfinite(t_end):
+        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
+    return abs(t_end) / steps if t_end else 1.0 / steps
+
+
+def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.ndarray:
+    """RK4 states of x' = M_i x from x0_i for each system i and t of ts, a (k, len(ts), p) array.
+
+    m and x0 are stacks as in _closed_form_states; each t takes the fewest
+    steps of at most h. Every system's step matrix at every nonzero t is
+    one member of one stacked rk4_linear power, so each state has the bits
+    of rk4_integrate(ode, ...)(t), and one that overflows comes back as it
+    is, non-finite. A non-finite t raises AlgebraError.
+    """
+    for t in ts.tolist():
+        if not math.isfinite(t):
+            raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
+    k, p = x0.shape
+
+    def states(moving: np.ndarray) -> np.ndarray:
+        steps = [max(1, math.ceil(abs(t) / h)) for t in moving.tolist()] * k
+        ms, xs, times = np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if max(steps) < 2 ** 63:
+                out = _kernels.rk4_linear(ms, xs, times, np.array(steps))
+            else:  # more steps than int64 holds: one member at a time, in Python integers
+                out = np.array([_kernels.rk4_linear(*member) for member in zip(ms, xs, times.tolist(), steps)])
+        return out.reshape(k, len(moving), p)
+
+    return _grid_states(x0, ts, states)
 
 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
 
     A non-finite t raises SeriesBudgetError before it meets M. values(ts)
-    takes the e^{tM} of every nonzero t in one stacked exponential.
+    is _closed_form_states of this one system.
     """
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
 
@@ -350,9 +417,7 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
         return _unvec(alg, _expm(t * m) @ x0)
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        for t in ts.tolist():
-            _require_finite_time(t)
-        return _grid_states(x0, ts, alg, lambda moving: _expm(moving[:, None, None] * m) @ x0)
+        return _closed_form_states(m[None], x0[None], ts)[0].reshape(len(ts), ode.size, alg.dim)
 
     return SolutionCurve(evaluate, "closed-form", batch)
 
@@ -404,21 +469,24 @@ def eigen_conditions(ode: LinearOde, b: Element, c: Sequence[Element],
     )
 
 
-def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
-                      tol: float = FD_TOL) -> Report:
-    """Max over ts of |finite-difference d curve/dt - rhs(curve(t))|.
+def _probe_times(ts: Sequence[float]) -> list[float]:
+    """t + h, t - h and t, with h = _fd_step(|t|), for every t of ts: the states a residual judges.
 
-    The curve is read at t + h, t - h and t for every t of ts in one
-    curve.values call, and the right-hand side M x(t) takes M =
-    ode.real_matrix() once. A state that is not finite gives a residual that
-    is not finite, which refutes, and no numpy warning.
+    The state at ts[i] is read at index 3 i + 2.
+    """
+    hs = [_fd_step(abs(t)) for t in ts]
+    return [u for t, h in zip(ts, hs) for u in (t + h, t - h, t)]
+
+
+def _judge_states(ode: LinearOde, states: np.ndarray, ts: Sequence[float], provenance: str,
+                  tol: float = FD_TOL) -> Report:
+    """solution_residual of a curve whose states at _probe_times(ts), a (3 len(ts), n, d) array, are read.
+
+    An empty ts proves nothing and raises ValueError, as _judge does.
     """
     ts = [float(t) for t in ts]
-    if not ts:
-        return _judge(())  # raises: no probe
     hs = [_fd_step(abs(t)) for t in ts]
     n, d = ode.size, ode.algebra.dim
-    states = curve.values([u for t, h in zip(ts, hs) for u in (t + h, t - h, t)])
     if states.shape[1:] != (n, d):
         raise AlgebraError(f"a state of this system is {n} elements of the {ode.algebra.tag} algebra")
     states = states.reshape(len(ts), 3, n, d)
@@ -432,7 +500,22 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
                 res = frobenius(f[i] - r[i])
                 yield res, res <= tol, {"t": t, "component": i, "residual": res}
 
-    return _judge(gaps(), provenance=curve.provenance)
+    return _judge(gaps(), provenance=provenance)
+
+
+def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
+                      tol: float = FD_TOL) -> Report:
+    """Max over ts of |finite-difference d curve/dt - rhs(curve(t))|.
+
+    The curve is read at t + h, t - h and t for every t of ts in one
+    curve.values call, and the right-hand side M x(t) takes M =
+    ode.real_matrix() once. A state that is not finite gives a residual that
+    is not finite, which refutes, and no numpy warning.
+    """
+    ts = [float(t) for t in ts]
+    if not ts:
+        return _judge(())  # raises: no probe
+    return _judge_states(ode, curve.values(_probe_times(ts)), ts, curve.provenance, tol)
 
 
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
@@ -456,16 +539,12 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
     at every requested time, including slightly outside [0, t_end] for
     finite-difference probes). A non-finite t_end, or evaluation time,
     raises AlgebraError, and so does a state that overflows at curve(t).
-    values(ts) powers the step matrices of every nonzero t in one stacked
-    call and returns an overflowing state as it is, non-finite, for the
-    residual and cross checks to refute.
+    values(ts) is _rk4_states of this one system, and returns an
+    overflowing state as it is, non-finite, for the residual and cross
+    checks to refute.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not math.isfinite(t_end):
-        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
+    h_target = _rk4_step_target(t_end, steps)
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
-    h_target = abs(t_end) / steps if t_end else 1.0 / steps
 
     def evaluate(t: float) -> tuple[Element, ...]:
         if not math.isfinite(t):
@@ -479,19 +558,8 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
             raise AlgebraError(f"the RK4 state at t = {t} overflows in {nsteps} steps")
         return _unvec(alg, x)
 
-    def powered(ts: np.ndarray) -> np.ndarray:
-        steps = [max(1, math.ceil(abs(t) / h_target)) for t in ts.tolist()]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if max(steps) < 2 ** 63:
-                return _kernels.rk4_linear(m, x0, ts, np.array(steps))
-            # more steps than int64 holds: one time at a time, in Python integers
-            return np.array([_kernels.rk4_linear(m, x0, t, k) for t, k in zip(ts.tolist(), steps)])
-
     def batch(ts: np.ndarray) -> np.ndarray:
-        for t in ts.tolist():
-            if not math.isfinite(t):
-                raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
-        return _grid_states(x0, ts, alg, powered)
+        return _rk4_states(m[None], x0[None], ts, h_target)[0].reshape(len(ts), ode.size, alg.dim)
 
     return SolutionCurve(evaluate, "rk4", batch)
 

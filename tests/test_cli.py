@@ -6,11 +6,12 @@ import pytest
 
 from ncalg import _kernels, biring, cli, tensor
 from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, commutator, inv_stack, make_algebra, one,
-                           random_element)
+                           random_element, zero)
 from ncalg.biring import (BiMatrix, QuasideterminantUndefinedError, SingularMatrixError, bordered_quasidet,
                           quasidets_rc, random_matrix, rc_inv, rc_rank)
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
-from ncalg.diffeq import SolutionCurve
+from ncalg.diffeq import (LinearOde, OdeForm, closed_form_solution, elliptic_family, elliptic_ode,
+                          elliptic_two_exp_curve, rk4_integrate, solution_residual)
 from ncalg.report import Report, worst
 from ncalg.series import SeriesBudgetError, cosh_el, exp_el, sinh_el
 
@@ -288,12 +289,12 @@ class TestNaNResiduals:
 
     def test_nan_rk4_curve_fails_the_cross_check(self, monkeypatch):
         # an unstable RK4 starts at x(0) and overflows to NaN after it, so the
-        # first gap is 0 and every later one NaN
-        def nan_curve(ode, t_end, steps):
-            nan = Element(ode.algebra, [np.nan] * ode.algebra.dim)
-            return SolutionCurve(lambda t: ode.init if t == 0.0 else (nan,) * ode.size, "rk4")
+        # first gap is 0 and every later one NaN; the scenario reads every
+        # system's RK4 states from one _rk4_states call
+        def nan_states(m, x0, ts, h):
+            return np.where((np.asarray(ts) == 0.0)[None, :, None], x0[:, None], np.nan)
 
-        monkeypatch.setattr(cli, "rk4_integrate", nan_curve)
+        monkeypatch.setattr(cli, "_rk4_states", nan_states)
         report, _ = run_scenario("ode-forms-cross-check", Options(seed=0))
         assert not report.verdict and math.isnan(report.residual)
 
@@ -424,6 +425,78 @@ def test_stacked_euler_gaps_match_the_per_call_loop():
         resid = worst(_per_call_euler_gap(f) for f in group)
         got, _ = run_scenario(name, Options())
         assert repr(got) == repr(Report(verdict=resid <= 1e-10, residual=resid))
+
+
+# ---------------------------------------------------------------------------
+# the curve scenarios that read their states in stacks, against the per-curve loops they replaced
+
+
+def _per_system_ode_forms(opt):
+    """ode-forms-cross-check with one closed-form and one RK4 curve per system."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    ts = np.linspace(0.0, 1.0, 11)
+    gaps, resids = [], []
+    for form in OdeForm:
+        for _ in range(3):
+            a = random_matrix(alg, 2, 2, rng, scale=0.5)
+            init = tuple(random_element(alg, rng) for _ in range(2))
+            ode = LinearOde(a, form, init)
+            closed = closed_form_solution(ode)
+            rk = rk4_integrate(ode, 1.0, 10_000)
+            gaps += [Element._trusted(alg, g).norm() for g in (closed.values(ts) - rk.values(ts)).reshape(-1, alg.dim)]
+            resids.append(solution_residual(ode, closed, (0.0, 0.5, 1.0)).residual)
+    worst_gap, worst_resid = worst(gaps), worst(resids)
+    verdict = worst_gap <= 1e-6 and worst_resid <= 1e-6
+    return Report(verdict=verdict, residual=worst_gap, metrics={"closed_form_residual": worst_resid})
+
+
+def _per_call_elliptic_nonunique(opt):
+    """elliptic-nonunique with single curve(t) reads for its initial value and its t = 1 states."""
+    alg = make_algebra("quaternion")
+    ode = elliptic_ode(alg)
+    ts = (0.0, 0.5, 1.0, 2.0)
+    rk = rk4_integrate(ode, 2.0, 20000)
+    two = elliptic_two_exp_curve(alg)
+    r_rk = solution_residual(ode, rk, ts)
+    r_two = solution_residual(ode, two, ts)
+    init_gap = worst((a - b).norm() for a, b in zip(two(0.0), ode.init))
+    diff_at_1 = worst((a - b).norm() for a, b in zip(rk(1.0), two(1.0)))
+    verdict = r_rk.verdict and r_two.verdict and init_gap == 0.0 and diff_at_1 > 0.1
+    return Report(verdict=verdict, residual=worst((r_rk.residual, r_two.residual)),
+                  metrics={"rk4_residual": r_rk.residual, "two_exp_residual": r_two.residual,
+                           "init_gap": init_gap, "difference_at_t1": diff_at_1,
+                           "note": "curves coincide: e^{bt} = cos t + b sin t collapses the combination"})
+
+
+def _per_call_elliptic_family(opt):
+    """elliptic-family with a single curve(0) read for each initial value."""
+    alg = make_algebra("quaternion")
+    ode = elliptic_ode(alg)
+    ts = (0.0, 0.5, 1.0, 2.0)
+    gaps, init_gaps = [], []
+    for c in (zero(alg), one(alg), basis(alg, 1)):
+        curve = elliptic_family(c)
+        gaps.append(solution_residual(ode, curve, ts).residual)
+        init_gaps += [(a - b).norm() for a, b in zip(curve(0.0), ode.init)]
+    resid, init_gap = worst(gaps), worst(init_gaps)
+    return Report(verdict=resid <= 1e-6 and init_gap <= 1e-12, residual=resid, metrics={"init_gap": init_gap})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_ode_forms_matches_the_per_system_loop(seed):
+    """The reports are equal, residual bits included (json writes the shortest exact repr)."""
+    got, _ = run_scenario("ode-forms-cross-check", Options(seed=seed))
+    want = _per_system_ode_forms(Options(seed=seed))
+    assert json.dumps(got.to_data()) == json.dumps(want.to_data())
+    assert got.verdict
+
+
+@pytest.mark.parametrize("name, reference", [("elliptic-nonunique", _per_call_elliptic_nonunique),
+                                             ("elliptic-family", _per_call_elliptic_family)])
+def test_elliptic_scenarios_match_their_per_call_reads(name, reference):
+    got, _ = run_scenario(name, Options())
+    assert json.dumps(got.to_data()) == json.dumps(reference(Options()).to_data())
 
 
 def test_exponent_identities_are_judged_relative_to_their_sides():

@@ -976,3 +976,63 @@ def test_rk4_values_past_int64_step_counts_match_curve_t(HH):
     ts = (0.5, 1e300, -1e300)
     for t, state in zip(ts, curve.values(ts)):
         assert state.tobytes() == np.array([x.coeffs for x in curve(t)]).tobytes()
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_values_on_an_empty_grid_is_an_empty_stack_of_states(tag):
+    alg = make_algebra(tag)
+    kinds = set()
+    for ode, curve in _every_kind_of_curve(alg):
+        got = curve.values([])
+        assert got.shape == (0, ode.size, alg.dim) and got.dtype == float, curve.provenance
+        kinds.add(curve.provenance)
+    if tag == "quaternion":
+        assert {"closed-form", "rk4", "eigen", "two-exponential", "three-exponential-family"} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# the states of many systems at once against each system's own curve
+
+STATE_TIMES = (0.0, 1e-5, -1e-5, 0.5, 1.0, 2.0, -0.75, 0.0)
+
+
+def _systems(alg, n, rng):
+    """Two random systems of size n in each product form."""
+    return [LinearOde(random_matrix(alg, n, n, rng, scale=0.5), form, tuple(random_element(alg, rng) for _ in range(n)))
+            for form in OdeForm for _ in range(2)]
+
+
+def _stacks(odes):
+    """The (k, p, p) stack of real matrices and the (k, p) stack of initial vectors of the systems."""
+    return np.stack([ode.real_matrix() for ode in odes]), np.stack([diffeq._vec(ode.init) for ode in odes])
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multi_system_states_have_the_bytes_of_each_curve(tag, n):
+    alg = make_algebra(tag)
+    odes = _systems(alg, n, np.random.default_rng(n))
+    m, x0 = _stacks(odes)
+    ts = np.array(STATE_TIMES)
+    closed = diffeq._closed_form_states(m, x0, ts)
+    rk = diffeq._rk4_states(m, x0, ts, diffeq._rk4_step_target(1.0, 1000))
+    assert closed.shape == rk.shape == (len(odes), len(ts), n * alg.dim)
+    for i, ode in enumerate(odes):
+        assert closed[i].tobytes() == closed_form_solution(ode).values(ts).tobytes(), (ode.form, i)
+        assert rk[i].tobytes() == rk4_integrate(ode, 1.0, 1000).values(ts).tobytes(), (ode.form, i)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_system_leaves_the_other_rk4_states_of_the_stack_alone(HH):
+    odes = _systems(HH, 2, np.random.default_rng(5))
+    bad = 3
+    odes.insert(bad, LinearOde(random_matrix(HH, 2, 2, np.random.default_rng(0), scale=200.0), OdeForm.RC_LEFT,
+                               (one(HH), one(HH))))
+    m, x0 = _stacks(odes)
+    ts = np.array([0.0, 0.5, 50.0, -1.0])
+    got = diffeq._rk4_states(m, x0, ts, diffeq._rk4_step_target(1.0, 10))
+    assert not np.isfinite(got[bad, 2]).all()
+    for i, ode in enumerate(odes):
+        want = rk4_integrate(ode, 1.0, 10).values(ts)
+        assert np.isfinite(want).all() == (i != bad)
+        assert got[i].tobytes() == want.tobytes(), i

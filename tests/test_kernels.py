@@ -108,3 +108,21 @@ def test_rk4_linear_of_a_stack_returns_an_overflowing_member_non_finite():
     got = _kernels.rk4_linear(m, x0, np.array([0.5, 100.0]), np.array([1, 100]))
     assert got[0].tobytes() == _kernels.rk4_linear(m, x0, 0.5, 1).tobytes()
     assert not np.isfinite(got[1]).all()
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_rk4_linear_of_a_stack_of_systems_matches_each_member(tag):
+    d = make_algebra(tag).dim
+    rng = np.random.default_rng(11)
+    ts = np.array([1e-5, -0.7, 0.5, 2.0, 2.0, 3.5])
+    steps = np.array([1, 7, 100, 1000, 10_000, 3])
+    for n in SIZES:
+        ms = rng.normal(size=(len(ts), n * d, n * d))
+        x0s = rng.normal(size=(len(ts), n * d))
+        # per-member systems and initial vectors, and each one shared by the stack
+        for m, x0 in ((ms, x0s), (ms, x0s[0]), (ms[0], x0s)):
+            got = _kernels.rk4_linear(m, x0, ts, steps)
+            assert got.shape == (len(ts), n * d)
+            for i, (t, k) in enumerate(zip(ts, steps)):
+                want = _kernels.rk4_linear(m if m.ndim == 2 else m[i], x0 if x0.ndim == 1 else x0[i], float(t), int(k))
+                assert got[i].tobytes() == want.tobytes(), (n, t, k)
