@@ -217,15 +217,8 @@ class Element:
         return _trusted(self.algebra, self.coeffs * self.algebra._conj)
 
     def norm(self) -> float:
-        """frobenius of the coefficients, in a scalar form that costs about one dot product.
-
-        math.hypot never over- or underflows, so it tells cheaply whether
-        the unscaled sqrt(c . c) can: within 2^+-500 that formula is taken,
-        and frobenius outside.
-        """
-        c = self.coeffs
-        h = math.hypot(*c.tolist())
-        return math.sqrt(c.dot(c)) if h == 0.0 or 2.0 ** -500 <= h <= 2.0 ** 500 else frobenius(c)
+        """frobenius of the coefficients, in a scalar form that costs about one dot product: see _norm."""
+        return _norm(self.coeffs)
 
     def inv(self) -> "Element":
         return inv(self)
@@ -262,6 +255,28 @@ def frobenius(c: np.ndarray) -> float:
     s, e = _scaled(c)
     v = s.ravel(order="K")
     return float(np.ldexp(math.sqrt(v.dot(v)), e.item()))
+
+
+def _frobenius_rows(c: np.ndarray) -> np.ndarray:
+    """frobenius of each row of a (..., N) array, every one with the bits of its own frobenius call.
+
+    Each row is scaled alone, and its squares are summed by the matmul of
+    a (1, N) row with its (N, 1) transpose, which takes the BLAS call that
+    v.dot(v) takes alone.
+    """
+    s, e = _scaled(c, -1)
+    return np.ldexp(np.sqrt((s[..., None, :] @ s[..., :, None])[..., 0, 0]), e[..., 0])
+
+
+def _norm(c: np.ndarray) -> float:
+    """frobenius of a coefficient vector, the norm of its element, at about the cost of one dot product.
+
+    math.hypot never over- or underflows, so it tells cheaply whether
+    the unscaled sqrt(c . c) can: within 2^+-500 that formula is taken,
+    and frobenius outside.
+    """
+    h = math.hypot(*c.tolist())
+    return math.sqrt(c.dot(c)) if h == 0.0 or 2.0 ** -500 <= h <= 2.0 ** 500 else frobenius(c)
 
 
 def close(a: np.ndarray, b: np.ndarray, rtol: float = CLOSE_RTOL) -> bool:

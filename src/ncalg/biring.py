@@ -30,6 +30,16 @@ own (i, j) by fancy indexing and inverts them all at once. quasidet_rc
 and bordered_quasidet pass one matrix and one pair; quasidets_rc passes
 one matrix with all n^2 pairs, giving the n x n matrix of all
 quasideterminants |A|_ij of Gelfand, Gelfand, Retakh and Wilson.
+
+Linear systems and rank are stacked the same way. _solve takes a stack of
+square systems and makes one SVD rank call and one LU solve for all of
+them, then the backward-error test of each member with its own norms;
+_rank_search runs rc_rank's greedy minor search of every member in
+lockstep, with one SVD call per step and submatrix shape, each member
+judged against its own largest singular value. solve_rc and rc_rank are
+their calls with a stack of one, and every member gets the bits, rank,
+selector and error of its own call. The solve-quaternion-system and
+rank-demo scenarios solve and rank all their matrices in one call each.
 """
 
 from __future__ import annotations
@@ -47,9 +57,9 @@ from .algebra import (
     AlgebraError,
     Element,
     NotInvertibleError,
+    _frobenius_rows,
     _scaled,
     close,
-    frobenius,
     inv_stack,
     one,
     zero,
@@ -245,17 +255,17 @@ def submatrix(a: BiMatrix, rows: Iterable[int], cols: Iterable[int]) -> BiMatrix
 # inverses, quasideterminants, linear systems and rank, all through rho
 
 
-def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: float | None = None,
+def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: Sequence[float] | None = None,
               r: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list[float]]:
     """rho of a (k, m, n, d) stack of arrays, each member's rc rank, and its largest singular value.
 
     Singular values at or below PIVOT_RTOL * smax count as zero, smax being
-    each member's largest unless given, so the rule does not depend on
-    scale; each occurs d times in rho. A square member is rc-nonsingular iff
-    its rank is n > 0. An empty member has rank 0, and so does a non-finite
-    one, which is replaced by the zero matrix before rho (whose table
-    product would turn inf into NaN). A caller that has built rho of a
-    finite stack passes it as r.
+    each member's largest unless given, one value per member, so the rule
+    does not depend on scale; each occurs d times in rho. A square member
+    is rc-nonsingular iff its rank is n > 0. An empty member has rank 0,
+    and so does a non-finite one, which is replaced by the zero matrix
+    before rho (whose table product would turn inf into NaN). A caller that
+    has built rho of a finite stack passes it as r.
     """
     if r is None:
         if not np.isfinite(data).all():
@@ -264,8 +274,9 @@ def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: float | None = None,
     if r.size == 0:
         return r, [0] * len(r), [0.0] * len(r)
     s = np.linalg.svd(r, compute_uv=False).tolist()  # Python costs less than numpy on a short stack
-    bounds = [PIVOT_RTOL * (row[0] if smax is None else smax) for row in s]
-    return r, [sum(v > b for v in row) // table.shape[0] for row, b in zip(s, bounds)], [row[0] for row in s]
+    tops = [row[0] for row in s]
+    bounds = [PIVOT_RTOL * top for top in (tops if smax is None else smax)]
+    return r, [sum(v > b for v in row) // table.shape[0] for row, b in zip(s, bounds)], tops
 
 
 # Largest magnitude of a stack, and of its LU inverse, that _inverse certifies: within it no square
@@ -447,12 +458,50 @@ def is_rc_singular(a: BiMatrix) -> bool:
     return not 0 < n == _rc_ranks(a.algebra.table, a.data[None])[1][0]
 
 
+def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Solutions x of a rc x = b for a (k, n, n, d) stack of square arrays a and a (k, n, d) stack of b.
+
+    Each member is decided alone and has the bits of its own solve_rc call:
+    it fails when a is rc-singular by the SVD rule of _rc_ranks, when b is
+    not finite, or when x fails the backward-error test
+    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||) with its own norms. One
+    SVD call and one LU solve serve the stack; the identity and a zero b
+    stand in for the members already failed, so that LU meets no singular or
+    non-finite matrix. The second result maps each failed member, in
+    ascending order, to its error; its rows in the first are meaningless.
+    """
+    k, n, d = data.shape[0], data.shape[1], table.shape[0]
+    r, ranks, smax = _rc_ranks(table, data)
+    vec = rhs.reshape(k, n * d)
+    failed: dict[int, Exception] = {}
+    for t, (rank, finite) in enumerate(zip(ranks, np.isfinite(vec).all(axis=1).tolist())):
+        if not 0 < n == rank:
+            failed[t] = SingularMatrixError("rc-singular")
+        elif not finite:
+            failed[t] = AlgebraError("right-hand side is not finite")
+    if len(failed) == k:
+        return np.zeros((k, n, d)), failed
+    if failed:
+        ok = np.ones(k, dtype=bool)
+        ok[list(failed)] = False
+        r, vec = np.where(ok[:, None, None], r, np.eye(n * d)), np.where(ok[:, None], vec, 0.0)
+    x = np.linalg.solve(r, vec[..., None])
+    # the norms of the residual, of b and of x, each with the bits of its frobenius call
+    norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0]))).reshape(3, k).tolist()
+    for t, (res, nb, nx, top) in enumerate(zip(*norms, smax)):
+        # NaN fails too; a stand-in's residual is 0, and it keeps its error
+        if not res <= 1e-8 * (nb + top * nx):
+            failed.setdefault(t, SingularMatrixError("solution residual above tolerance"))
+    return x.reshape(k, n, d), dict(sorted(failed.items()))
+
+
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
-    """Unique solution x of a rc x = b for rc-nonsingular square a.
+    """Unique solution x of a rc x = b for rc-nonsingular square a: _solve of the one system.
 
     x comes from one LU solve on rho(a) and is accepted by its backward
     error: ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||), each vector
-    norm algebra.frobenius, so the test holds at every scale.
+    norm algebra.frobenius, so the test holds at every scale. A b that is
+    not finite raises AlgebraError.
     """
     n = _require_square(a)
     b = list(b)
@@ -460,18 +509,79 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
         raise AlgebraError("right-hand side height mismatch")
     if any(e.algebra != a.algebra for e in b):
         raise AlgebraError("algebra mismatch")
-    (r,), (rank,), (smax,) = _rc_ranks(a.algebra.table, a.data[None])
-    if not 0 < n == rank:
-        raise SingularMatrixError("rc-singular")
-    rhs = np.concatenate([e.coeffs for e in b])
-    x = np.linalg.solve(r, rhs)
-    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + smax * frobenius(x)):  # NaN fails too
-        raise SingularMatrixError("solution residual above tolerance")
-    return [Element._trusted(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
+    d = a.algebra.dim
+    x, failed = _solve(a.algebra.table, a.data[None], np.array([e.coeffs for e in b]).reshape(1, n, d))
+    if failed:
+        raise failed[0]
+    return [Element._trusted(a.algebra, c) for c in x[0]]
+
+
+def _greedy_minor(k: int, m: int, n: int):
+    """rc_rank's search of an m x n matrix whose whole rank is k, as a generator.
+
+    It yields the (rows, cols) index tuples of each submatrix whose rank it
+    needs, is sent that rank, and returns the rank and the selector.
+    """
+    def greedy(candidates, part):
+        picked = ()
+        for idx in candidates:
+            if len(picked) == k:
+                break
+            if (yield part(picked + (idx,))) > len(picked):
+                picked += (idx,)
+        return picked
+
+    rows, cols = range(m), range(n)
+    while True:
+        rows = yield from greedy(rows, lambda rows: (rows, cols))
+        cols = yield from greedy(cols, lambda cols: (rows, cols))
+        if len(rows) == len(cols):
+            return len(rows), MinorSelector(rows, cols)
+        k = len(cols)
+
+
+def _rank_search(table: np.ndarray, data: np.ndarray) -> list[tuple[int, MinorSelector]]:
+    """rc_rank of each member of a (k, m, n, d) stack: its rank and selector, with those of its own call.
+
+    One SVD call ranks every whole member. The greedy searches of the
+    others then run in lockstep: each round ranks the next submatrix of
+    every unfinished member, in one _rc_ranks call per submatrix shape,
+    against that member's own largest singular value.
+    """
+    m, n = data.shape[1:3]
+    _, ranks, smax = _rc_ranks(table, data)
+    out: list = [None] * len(data)
+    asks = []  # (member, its search, the (rows, cols) it asks to rank)
+
+    def advance(t, search, rank):
+        try:
+            asks.append((t, search, search.send(rank)))
+        except StopIteration as done:
+            out[t] = done.value
+
+    for t, k in enumerate(ranks):
+        if k == m == n:
+            out[t] = k, MinorSelector(tuple(range(k)), tuple(range(k)))
+        else:
+            advance(t, _greedy_minor(k, m, n), None)
+    while asks:
+        shapes: dict[tuple[int, int], list] = {}
+        for ask in asks:
+            shapes.setdefault((len(ask[2][0]), len(ask[2][1])), []).append(ask)
+        asks = []
+        for group in shapes.values():
+            members, _, sels = zip(*group)
+            rows, cols = (np.array(idx) for idx in zip(*sels))
+            sub = data[np.array(members)[:, None, None], rows[:, :, None], cols[:, None, :]]
+            # a member with a search is finite, so rho needs no check
+            got = _rc_ranks(table, sub, [smax[t] for t in members], _kernels.rho(table, sub))[1]
+            for (t, search, _), rank in zip(group, got):
+                advance(t, search, rank)
+    return out
 
 
 def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
-    """Largest k with an rc-nonsingular k x k minor, plus one such selector.
+    """Largest k with an rc-nonsingular k x k minor, plus one such selector: _rank_search of the one matrix.
 
     k is the rank of rho(a) over d, and every submatrix is measured against
     the whole matrix's threshold. The rows are picked greedily, each joining when it
@@ -485,27 +595,7 @@ def rc_rank(a: BiMatrix) -> tuple[int, MinorSelector]:
     the rows within the picked columns and the columns within those rows
     until the selector is square, and k is its size.
     """
-    table = a.algebra.table
-    _, (k,), (smax,) = _rc_ranks(table, a.data[None])
-    if k == a.rows == a.cols:
-        return k, MinorSelector(tuple(range(k)), tuple(range(k)))
-
-    def greedy(candidates, part):
-        picked = ()
-        for idx in candidates:
-            if len(picked) == k:
-                break
-            if _rc_ranks(table, part(picked + (idx,))[None], smax)[1][0] > len(picked):
-                picked += (idx,)
-        return picked
-
-    rows, cols = range(a.rows), range(a.cols)
-    while True:
-        rows = greedy(rows, lambda rows: a.data[np.ix_(rows, cols)])
-        cols = greedy(cols, lambda cols: a.data[np.ix_(rows, cols)])
-        if len(rows) == len(cols):
-            return len(rows), MinorSelector(rows, cols)
-        k = len(cols)
+    return _rank_search(a.algebra.table, a.data[None])[0]
 
 
 def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element] | None:
@@ -535,11 +625,11 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     return lam
 
 
-def _bordered_minor(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> tuple[np.ndarray, int, int]:
-    """The data of the minor bordered by row p and column r, and the position of (p, r) in it."""
+def _bordered_minor(data: np.ndarray, sel: MinorSelector, p: int, r: int) -> tuple[np.ndarray, int, int]:
+    """The minor of an (m, n, d) array bordered by row p and column r, and the position of (p, r) in it."""
     rows = sorted(sel.rows + (p,))
     cols = sorted(sel.cols + (r,))
-    return a.data[np.ix_(rows, cols)], rows.index(p), cols.index(r)
+    return data[np.ix_(rows, cols)], rows.index(p), cols.index(r)
 
 
 def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Element:
@@ -552,7 +642,7 @@ def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Elemen
         raise IndexError("border index out of range")
     if p in sel.rows or r in sel.cols:
         raise ValueError("border row or column already in the minor")
-    sub, i, j = _bordered_minor(a, sel, p, r)
+    sub, i, j = _bordered_minor(a.data, sel, p, r)
     return Element._trusted(a.algebra, _quasidets(a.algebra.table, sub[None], np.array([i]), np.array([j]))[0])
 
 

@@ -31,6 +31,7 @@ from .algebra import (
     AlgebraError,
     Element,
     NotInvertibleError,
+    _norm,
     basis,
     inv_stack,
     make_algebra,
@@ -38,7 +39,7 @@ from .algebra import (
     random_element,
     zero,
 )
-from .biring import BiMatrix, random_matrix, rc_mul, rc_rank, solve_rc
+from .biring import random_matrix
 from .diffeq import (
     FormPoly,
     LinearOde,
@@ -115,36 +116,35 @@ def _scn_quasidet_2x2(opt: Options) -> Report:
 def _scn_solve_system(opt: Options) -> Report:
     alg = make_algebra("quaternion")
     rng = np.random.default_rng(opt.seed)
-    gaps = []
-    for _ in range(20):
-        a = random_matrix(alg, 3, 3, rng)
-        b = [random_element(alg, rng) for _ in range(3)]
-        x = solve_rc(a, b)
-        col = BiMatrix.from_elements([[e] for e in x])
-        diff = rc_mul(a, col) - BiMatrix.from_elements([[e] for e in b])
-        gaps.append(float(np.abs(diff.data).max()))
-    resid = worst(gaps)
+    # the draws of 20 rounds of one random_matrix(alg, 3, 3) and three random_element calls
+    draws = rng.uniform(-1.0, 1.0, (20, 12, alg.dim))
+    a, b = draws[:, :9].reshape(20, 3, 3, alg.dim), draws[:, 9:]
+    # one stacked solve; each system has the bits, and the error, of its own solve_rc call
+    x, failed = biring._solve(alg.table, a, b)
+    if failed:
+        raise next(iter(failed.values()))
+    diff = _kernels.rc_contract(alg.table, a, x[:, :, None]) - b[:, :, None]
+    resid = worst(np.abs(diff).max(axis=(1, 2, 3)).tolist())
     return Report(verdict=resid <= 1e-8, residual=resid)
 
 
 def _scn_rank_demo(opt: Options) -> Report:
     alg = make_algebra("quaternion")
     rng = np.random.default_rng(opt.seed)
-    gaps = []
-    ranks_ok = True
-    for _ in range(10):
-        u = [random_element(alg, rng) for _ in range(3)]
-        v = [random_element(alg, rng) for _ in range(3)]
-        a = BiMatrix.from_elements([[u[i] * v[j] for j in range(3)] for i in range(3)])
-        k, sel = rc_rank(a)
-        ranks_ok = ranks_ok and k == 1
-        # every bordered minor of the matrix in one stacked call
-        border = [biring._bordered_minor(a, sel, p, r) for p in range(3) if p not in sel.rows
-                  for r in range(3) if r not in sel.cols]
-        minors, rows, cols = zip(*border)
-        quasi = biring._quasidets(alg.table, np.stack(minors), np.array(rows), np.array(cols))
-        gaps += [Element._trusted(alg, q).norm() for q in quasi]
-    resid = worst(gaps)
+    # the draws of 10 rounds of three u and three v elements; entry (i, j) of
+    # matrix t is u_i * v_j, each product the vector-matrix matmul of
+    # Element.__mul__ (see algebra._mul_rows), so it has that product's bits
+    u, v = rng.uniform(-1.0, 1.0, (10, 2, 3, alg.dim)).swapaxes(0, 1)
+    left = (u[:, :, None] @ alg._flat).reshape(10, 3, alg.dim, alg.dim)
+    a = (v[:, None, :, None] @ left[:, :, None])[..., 0, :]
+    # one stacked rank search, and every bordered minor of every matrix in one stacked call
+    ranked = biring._rank_search(alg.table, a)
+    ranks_ok = all(k == 1 for k, _ in ranked)
+    border = [biring._bordered_minor(m, sel, p, r) for m, (_, sel) in zip(a, ranked)
+              for p in range(3) if p not in sel.rows for r in range(3) if r not in sel.cols]
+    minors, rows, cols = zip(*border)
+    quasi = biring._quasidets(alg.table, np.stack(minors), np.array(rows), np.array(cols))
+    resid = worst([_norm(q) for q in quasi])
     return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid,
                   metrics={"ranks_all_one": ranks_ok})
 
@@ -301,7 +301,7 @@ def _scn_euler_quaternion(opt: Options) -> Report:
 
 def _row_gaps(alg, a: np.ndarray, b: np.ndarray) -> list[float]:
     """The Element norm of each coefficient row of a - b."""
-    return [Element._trusted(alg, g).norm() for g in (a - b).reshape(-1, alg.dim)]
+    return [_norm(g) for g in (a - b).reshape(-1, alg.dim)]
 
 
 def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float]) -> tuple[Report, np.ndarray]:

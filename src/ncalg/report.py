@@ -12,8 +12,16 @@ def severity(residual: float) -> tuple[bool, float]:
 
 
 def worst(residuals: Iterable[float]) -> float:
-    """The largest residual by severity, the first of equals (so the first NaN); 0.0 for none."""
-    return max(residuals, key=severity, default=0.0)
+    """The largest residual by severity, the first of equals (so the first NaN); 0.0 for none.
+
+    Without a NaN the builtin max is that order, and it keeps the first of
+    equals, so 0.0 and -0.0 come back in the order given.
+    """
+    residuals = list(residuals)
+    for r in residuals:
+        if r != r:
+            return r
+    return max(residuals, default=0.0)
 
 
 @dataclass

@@ -471,3 +471,33 @@ def test_mul_rows_has_the_bytes_of_each_element_product(tag):
         xs = rng.standard_normal((k, alg.dim)) * 10.0 ** rng.integers(-3, 3, size=(k, 1))
         want = np.array([(a * Element(alg, x)).coeffs for x in xs]).reshape(k, alg.dim)
         assert algebra._mul_rows(a, xs).tobytes() == want.tobytes()
+
+
+def _element_norm(c):
+    """Element.norm's rule as it was written in the method: sqrt(c . c) within 2^+-500, else frobenius."""
+    h = math.hypot(*c.tolist())
+    return math.sqrt(c.dot(c)) if h == 0.0 or 2.0 ** -500 <= h <= 2.0 ** 500 else algebra.frobenius(c)
+
+
+def _coefficient_rows(dim, rng):
+    """Rows at largest magnitudes 2^-1074 to 2^1023, with zero, NaN and infinite rows."""
+    bigs = [2.0 ** p for p in range(-1074, 1024, 7)] + [2.0 ** -500, 2.0 ** 500, 0.0]
+    rows = rng.uniform(-1.0, 1.0, (len(bigs), dim)) * np.array(bigs)[:, None]
+    special = np.array([[np.nan] + [0.0] * (dim - 1), [np.inf] * dim, [-np.inf] + [1.0] * (dim - 1)])
+    return np.concatenate((rows, special))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_norm_of_coefficients_is_element_norm(tag):
+    alg = make_algebra(tag)
+    for c in _coefficient_rows(alg.dim, np.random.default_rng(29)):
+        want = np.float64(_element_norm(c)).tobytes()
+        assert np.float64(algebra._norm(c)).tobytes() == want == np.float64(Element(alg, c).norm()).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 36])
+def test_frobenius_rows_has_the_bits_of_each_frobenius_call(n):
+    rows = _coefficient_rows(n, np.random.default_rng(n))
+    stack = np.stack((rows, rows[::-1] * 3.0))
+    want = np.array([[algebra.frobenius(r) for r in member] for member in stack])
+    assert algebra._frobenius_rows(stack).tobytes() == want.tobytes()

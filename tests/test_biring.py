@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncalg import _kernels, biring
-from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import AlgebraError, Element, basis, frobenius, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import (
     PIVOT_RTOL,
     BiMatrix,
@@ -1203,3 +1203,205 @@ def test_tiny_scale_inverses_end_in_an_answer_or_a_typed_error(RR):
 def test_from_elements_of_no_entries_raises(rows):
     with pytest.raises(AlgebraError):
         BiMatrix.from_elements(rows)
+
+
+# ---------------------------------------------------------------------------
+# the stacked solve and rank search against the one-matrix routines they replaced
+
+
+def reference_solve_rc(a, b):
+    """solve_rc as one SVD rank test, one LU solve and one backward-error test of one system."""
+    n, table = a.rows, a.algebra.table
+    (r,), (rank,), (smax,) = biring._rc_ranks(table, a.data[None])
+    if not 0 < n == rank:
+        raise SingularMatrixError("rc-singular")
+    rhs = np.concatenate([e.coeffs for e in b]) if b else np.zeros(0)
+    if not np.isfinite(rhs).all():
+        raise AlgebraError("right-hand side is not finite")
+    x = np.linalg.solve(r, rhs)
+    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + smax * frobenius(x)):
+        raise SingularMatrixError("solution residual above tolerance")
+    return [Element(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
+
+
+def reference_rc_rank(a):
+    """rc_rank as a greedy search of one matrix, one SVD per candidate."""
+    table = a.algebra.table
+    _, (k,), (smax,) = biring._rc_ranks(table, a.data[None])
+    if k == a.rows == a.cols:
+        return k, MinorSelector(tuple(range(k)), tuple(range(k)))
+
+    def greedy(candidates, part):
+        picked = ()
+        for idx in candidates:
+            if len(picked) == k:
+                break
+            if biring._rc_ranks(table, part(picked + (idx,))[None], [smax])[1][0] > len(picked):
+                picked += (idx,)
+        return picked
+
+    rows, cols = range(a.rows), range(a.cols)
+    while True:
+        rows = greedy(rows, lambda rows: a.data[np.ix_(rows, cols)])
+        cols = greedy(cols, lambda cols: a.data[np.ix_(rows, cols)])
+        if len(rows) == len(cols):
+            return len(rows), MinorSelector(rows, cols)
+        k = len(cols)
+
+
+def _typed(fn, *args):
+    """Raw coefficients of fn's answer, or the type and message of the error it raised."""
+    try:
+        value = fn(*args)
+    except (SingularMatrixError, AlgebraError) as err:
+        return type(err), str(err)
+    return b"".join(e.coeffs.tobytes() for e in value)
+
+
+def _threshold(alg, m, n, rng):
+    """A real m x n matrix U diag(1, s, s) V, s within a factor 3 of PIVOT_RTOL.
+
+    Its whole rank is often 3 while the minors the greedy search meets fall
+    below the whole matrix's threshold, so the search narrows its rows and
+    columns more than once."""
+    u, v = np.linalg.qr(rng.normal(size=(m, 3)))[0], np.linalg.qr(rng.normal(size=(3, n)).T)[0].T
+    s = PIVOT_RTOL * np.exp(rng.uniform(-np.log(3), np.log(3)))
+    data = np.zeros((m, n, alg.dim))
+    data[..., 0] = (u * np.array([1.0, s, s])) @ v
+    return data
+
+
+def _rank_members(alg, m, n, rng):
+    """Matrices of every kind the greedy search meets, at several scales, as (m, n, d) arrays."""
+    members = [_family(alg, name, m, n, rng).data for name in FAMILIES]
+    members += [np.zeros((m, n, alg.dim)), np.full((m, n, alg.dim), np.nan)]
+    members += [_family(alg, name, m, n, rng).data * s for name in ("full", "outer") for s in (1e-150, 1e150)]
+    if m >= 3 and n >= 3:
+        members += [_threshold(alg, m, n, rng) for _ in range(4)]
+    return members
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_stacked_rank_search_is_every_rc_rank(tag):
+    """Every member of a mixed stack, and of the stack reversed and shuffled,
+    gets the rank and selector of its own rc_rank call and of the reference."""
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(41)
+    narrowed = 0
+    for m in range(1, 6):
+        for n in range(1, 6):
+            members = _rank_members(alg, m, n, rng)
+            want = [reference_rc_rank(BiMatrix(alg, a)) for a in members]
+            assert [rc_rank(BiMatrix(alg, a)) for a in members] == want
+            narrowed += sum(k < biring._rc_ranks(alg.table, a[None])[1][0] for a, (k, _) in zip(members, want))
+            for order in (np.arange(len(members)), np.arange(len(members))[::-1], rng.permutation(len(members))):
+                got = biring._rank_search(alg.table, np.stack(members)[order])
+                assert got == [want[t] for t in order], (m, n)
+    assert narrowed  # some searches narrowed their rows and columns below the whole rank
+
+
+@pytest.mark.parametrize("tag", ["real", "quaternion"])
+def test_stacked_rank_search_of_empty_stacks_and_shapes(tag):
+    alg = make_algebra(tag)
+    table, none = alg.table, MinorSelector((), ())
+    assert biring._rank_search(table, np.zeros((0, 2, 3, alg.dim))) == []
+    for m, n in ((0, 0), (0, 3), (3, 0)):
+        assert biring._rank_search(table, np.zeros((2, m, n, alg.dim))) == [(0, none)] * 2
+        assert rc_rank(BiMatrix.zeros(alg, m, n)) == (0, none)
+
+
+def test_stacked_rank_search_takes_one_svd_per_step_and_shape(HH, rank_calls):
+    """Ten rank-1 outer products: one SVD for the whole matrices, then one for
+    the first row of each and one for its first entry, as rc_rank takes for one."""
+    rng = np.random.default_rng(5)
+    stack = np.stack([rc_mul(random_matrix(HH, 3, 1, rng), random_matrix(HH, 1, 3, rng)).data for _ in range(10)])
+    assert biring._rank_search(HH.table, stack) == [(1, MinorSelector((0,), (0,)))] * 10
+    assert len(rank_calls) == 3
+
+
+def _solve_members(alg, n, rng):
+    """(a, b) systems: regular at several scales and conditions, singular,
+    non-finite, and regular with a non-finite right-hand side."""
+    def rhs():
+        return [random_element(alg, rng) for _ in range(n)]
+
+    u, v = _unitary(alg, n, rng), _unitary(alg, n, rng)
+    def family(name):
+        return _inverse_family(alg, name, n, rng)
+
+    members = [(family(name), rhs()) for name in INVERSE_FAMILIES]
+    members += [(rc_mul(rc_mul(u, _diagonal(alg, np.geomspace(1.0, 1e-8, n))), v), rhs())]
+    members += [(family("full") * s, [e * s for e in rhs()]) for s in (1e-150, 1e150)]
+    members += [(BiMatrix.zeros(alg, n, n), rhs()), (BiMatrix(alg, np.full((n, n, alg.dim), np.nan)), rhs())]
+    for bad in (np.nan, np.inf):
+        b = rhs()
+        b[-1] = Element(alg, np.where(np.arange(alg.dim) == 0, bad, 1.0))
+        members += [(family("full"), b), (family("outer"), b)]
+    return members
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_solve_is_every_solve_rc(tag, n):
+    """Every member of a mixed stack, and of the stack reversed and shuffled,
+    gets the bits or the typed error of its own solve_rc call and of the
+    reference; no failed member makes the stacked LU raise or warn."""
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(10 * n + alg.dim)
+    members = _solve_members(alg, n, rng)
+    want = [_typed(reference_solve_rc, a, b) for a, b in members]
+    assert [_typed(solve_rc, a, b) for a, b in members] == want
+    assert {type(w) for w in want} == {bytes, tuple}  # some members are solved and some fail
+    data = np.stack([a.data for a, _ in members])
+    rhs = np.array([[e.coeffs for e in b] for _, b in members])
+    for order in (np.arange(len(members)), np.arange(len(members))[::-1], rng.permutation(len(members))):
+        x, failed = biring._solve(alg.table, data[order], rhs[order])
+        assert list(failed) == sorted(failed)
+        got = [(type(failed[t]), str(failed[t])) if t in failed else x[t].tobytes() for t in range(len(order))]
+        assert got == [want[t] for t in order], n
+
+
+def test_stacked_solve_of_empty_stacks_and_systems(HH):
+    x, failed = biring._solve(HH.table, np.zeros((0, 2, 2, 4)), np.zeros((0, 2, 4)))
+    assert x.shape == (0, 2, 4) and failed == {}
+    x, failed = biring._solve(HH.table, np.zeros((2, 0, 0, 4)), np.zeros((2, 0, 4)))
+    assert x.shape == (2, 0, 4) and [(t, type(e)) for t, e in failed.items()] == [(0, SingularMatrixError),
+                                                                                  (1, SingularMatrixError)]
+    with pytest.raises(SingularMatrixError, match="rc-singular"):
+        solve_rc(BiMatrix.zeros(HH, 0, 0), [])
+
+
+def test_stacked_solve_takes_one_svd(HH, rank_calls):
+    rng = np.random.default_rng(6)
+    biring._solve(HH.table, rng.uniform(-1, 1, (20, 3, 3, 4)), rng.uniform(-1, 1, (20, 3, 4)))
+    assert len(rank_calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rc_names_a_non_finite_right_hand_side(HH, bad):
+    """A regular matrix with a non-finite b is an input error, not a singular
+    matrix; a singular matrix keeps its error whatever b is."""
+    a = random_matrix(HH, 2, 2, np.random.default_rng(0))
+    b = [Element(HH, [bad, 0.0, 0.0, 0.0]), one(HH)]
+    with pytest.raises(AlgebraError, match="right-hand side"):
+        solve_rc(a, b)
+    with pytest.raises(SingularMatrixError, match="rc-singular"):
+        solve_rc(BiMatrix.zeros(HH, 2, 2), b)
+
+
+def test_stacked_solve_refuses_each_wrong_solution_at_its_own_scale(HH, monkeypatch):
+    """Systems at 1e-150, 1 and 1e150, every second one given an LU answer
+    half again too large: each wrong one fails by its own norms, whatever
+    the scale of the others, and the right ones keep their bits."""
+    rng = np.random.default_rng(8)
+    scales = np.repeat([1e-150, 1.0, 1e150], 2)
+    data = rng.uniform(-1, 1, (6, 3, 3, 4)) * scales[:, None, None, None]
+    rhs = rng.uniform(-1, 1, (6, 3, 4)) * scales[:, None, None]
+    want, failed = biring._solve(HH.table, data, rhs)
+    assert failed == {}
+    solve, wrong = np.linalg.solve, np.array([1.0, 1.5] * 3)
+    monkeypatch.setattr(np.linalg, "solve", lambda r, b: solve(r, b) * wrong[:, None, None])
+    x, failed = biring._solve(HH.table, data, rhs)
+    assert {t: str(e) for t, e in failed.items()} == {t: "solution residual above tolerance" for t in (1, 3, 5)}
+    assert all(x[t].tobytes() == want[t].tobytes() for t in (0, 2, 4))

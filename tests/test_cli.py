@@ -8,7 +8,7 @@ from ncalg import _kernels, biring, cli, tensor
 from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, commutator, inv_stack, make_algebra, one,
                            random_element, zero)
 from ncalg.biring import (BiMatrix, QuasideterminantUndefinedError, SingularMatrixError, bordered_quasidet,
-                          quasidets_rc, random_matrix, rc_inv, rc_rank)
+                          quasidets_rc, random_matrix, rc_inv, rc_mul, rc_rank, solve_rc)
 from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_scenario
 from ncalg.diffeq import (LinearOde, OdeForm, closed_form_solution, elliptic_family, elliptic_ode,
                           elliptic_two_exp_curve, rk4_integrate, solution_residual)
@@ -282,8 +282,8 @@ class TestNaNResiduals:
         assert not report.verdict and math.isnan(report.residual)
 
     def test_nan_solution_fails(self, monkeypatch):
-        nan = lambda a: Element(a.algebra, [np.nan] * a.algebra.dim)
-        monkeypatch.setattr(cli, "solve_rc", lambda a, b: [nan(a)] * len(b))
+        # the scenario solves its 20 systems in one stacked call
+        monkeypatch.setattr(biring, "_solve", lambda table, data, rhs: (np.full(rhs.shape, np.nan), {}))
         report, _ = run_scenario("solve-quaternion-system", Options(seed=0))
         assert not report.verdict and math.isnan(report.residual)
 
@@ -353,6 +353,63 @@ def _per_matrix_rank_demo(opt):
                     gaps.append(bordered_quasidet(a, sel, p, r).norm())
     resid = worst(gaps)
     return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid, metrics={"ranks_all_one": ranks_ok})
+
+
+def _per_call_solve_system(opt):
+    """solve-quaternion-system as one solve_rc and one rc_mul call per system."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    gaps = []
+    for _ in range(20):
+        a = random_matrix(alg, 3, 3, rng)
+        b = [random_element(alg, rng) for _ in range(3)]
+        x = solve_rc(a, b)
+        col = BiMatrix.from_elements([[e] for e in x])
+        diff = rc_mul(a, col) - BiMatrix.from_elements([[e] for e in b])
+        gaps.append(float(np.abs(diff.data).max()))
+    resid = worst(gaps)
+    return Report(verdict=resid <= 1e-8, residual=resid)
+
+
+def _per_call_rank_demo(opt):
+    """rank-demo as one rc_rank and one stacked bordered-minor call per matrix of Element products."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    gaps = []
+    ranks_ok = True
+    for _ in range(10):
+        u = [random_element(alg, rng) for _ in range(3)]
+        v = [random_element(alg, rng) for _ in range(3)]
+        a = BiMatrix.from_elements([[u[i] * v[j] for j in range(3)] for i in range(3)])
+        k, sel = rc_rank(a)
+        ranks_ok = ranks_ok and k == 1
+        border = [biring._bordered_minor(a.data, sel, p, r) for p in range(3) if p not in sel.rows
+                  for r in range(3) if r not in sel.cols]
+        minors, rows, cols = zip(*border)
+        quasi = biring._quasidets(alg.table, np.stack(minors), np.array(rows), np.array(cols))
+        gaps += [Element._trusted(alg, q).norm() for q in quasi]
+    resid = worst(gaps)
+    return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid, metrics={"ranks_all_one": ranks_ok})
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name, reference", [("solve-quaternion-system", _per_call_solve_system),
+                                             ("rank-demo", _per_call_rank_demo)])
+def test_stacked_solve_and_rank_scenarios_match_their_per_call_loops(name, reference, seed):
+    got, _ = run_scenario(name, Options(seed=seed))
+    assert repr(got) == repr(reference(Options(seed=seed)))
+    assert got.verdict
+
+
+def test_solve_scenario_raises_the_first_failed_system(monkeypatch):
+    """A failed system ends the scenario in its own typed error, the first in draw order."""
+    def solve(table, data, rhs):
+        return np.zeros(rhs.shape), {3: AlgebraError("right-hand side is not finite"),
+                                      7: SingularMatrixError("rc-singular")}
+
+    monkeypatch.setattr(biring, "_solve", solve)
+    with pytest.raises(AlgebraError, match="right-hand side"):
+        run_scenario("solve-quaternion-system", Options(seed=0))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,15 +1,20 @@
-"""Print the best per-call time of ``rc_inv`` over H for three kinds of matrix at n = 1, 2, 4, 8 and 16.
+"""Print the best per-call time of ``rc_inv``, ``solve_rc`` and ``rc_rank`` over H for several kinds of matrix.
 
-One line per n: the least of REPEATS timed loops of CALLS calls, divided
-by CALLS, in microseconds, for a random matrix (coefficients uniform on
-[-1, 1]), a matrix U diag(sigma) V with unitary U and V and sigma from 1
-down to 1e-8, so that cond2(rho) = 1e8, and an outer product u v, whose
-rank is 1, so the call raises SingularMatrixError, which is timed too. At
-n = 1 the conditioned matrix is a unit element and the outer product a
-product of two elements, so both are regular. Every call runs once
-untimed first. BLAS is pinned to one thread, and ncalg is imported from
-PYTHONPATH when it is there, else from this checkout's src. Run from the
-repository root:
+One table per routine, one line per n: the least of REPEATS timed loops of
+CALLS calls, divided by CALLS, in microseconds. ``rc_inv`` runs at n = 1,
+2, 4, 8 and 16 on a random matrix (coefficients uniform on [-1, 1]), a
+matrix U diag(sigma) V with unitary U and V and sigma from 1 down to 1e-8,
+so that cond2(rho) = 1e8, and an outer product u v, whose rank is 1, so
+the call raises SingularMatrixError, which is timed too. At n = 1 the
+conditioned matrix is a unit element and the outer product a product of
+two elements, so both are regular. ``solve_rc`` runs at the same n on the
+random and the conditioned matrix with a random right-hand side.
+``rc_rank`` runs at n = 2, 3 and 4 on three rank-deficient kinds, whose
+greedy minor searches take different paths: the outer product, a random
+matrix whose last column repeats its first, and one whose last row is
+zero. Every call runs once untimed first. BLAS is pinned to one thread,
+and ncalg is imported from PYTHONPATH when it is there, else from this
+checkout's src. Run from the repository root:
 
     python tools/inverse_times.py
     PYTHONPATH=../other/src python tools/inverse_times.py
@@ -33,9 +38,12 @@ import numpy as np  # noqa: E402
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from ncalg import make_algebra  # noqa: E402
-from ncalg.biring import BiMatrix, SingularMatrixError, random_matrix, rc_inv, rc_mul  # noqa: E402
+from ncalg.algebra import random_element  # noqa: E402
+from ncalg.biring import (BiMatrix, SingularMatrixError, random_matrix, rc_inv, rc_mul, rc_rank,  # noqa: E402
+                          solve_rc)
 
 SIZES = (1, 2, 4, 8, 16)
+RANK_SIZES = (2, 3, 4)
 REPEATS = 7
 CALLS = 50
 H = make_algebra("quaternion")
@@ -69,25 +77,46 @@ def matrices(n: int, rng) -> dict[str, BiMatrix]:
     }
 
 
-def call(a: BiMatrix) -> None:
+def rank_deficient(n: int, rng) -> dict[str, BiMatrix]:
+    dup, zero_row = (random_matrix(H, n, n, rng).data.copy() for _ in range(2))
+    dup[:, n - 1] = dup[:, 0]
+    zero_row[n - 1] = 0.0
+    return {
+        "outer": rc_mul(random_matrix(H, n, 1, rng), random_matrix(H, 1, n, rng)),
+        "dup-column": BiMatrix(H, dup),
+        "zero-row": BiMatrix(H, zero_row),
+    }
+
+
+def inverse(a: BiMatrix) -> None:
     try:
         rc_inv(a)
     except SingularMatrixError:  # the outer product's answer
         pass
 
 
-def best_us(a: BiMatrix) -> float:
-    call(a)
-    return min(timeit.repeat(lambda: call(a), number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+def best_us(call) -> float:
+    call()
+    return min(timeit.repeat(call, number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+
+
+def table(title: str, sizes, kinds: list[str], calls) -> None:
+    """One line per n of the best times of calls(n), a list of one call per kind."""
+    print(title)
+    print(f"{'n':>3} " + " ".join(f"{k + ' us':>13}" for k in kinds))
+    for n in sizes:
+        print(f"{n:>3} " + " ".join(f"{best_us(c):13.1f}" for c in calls(n)))
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    kinds = list(matrices(1, rng))
-    print(f"{'n':>3} " + " ".join(f"{k + ' us':>13}" for k in kinds))
-    for n in SIZES:
-        times = [best_us(a) for a in matrices(n, rng).values()]
-        print(f"{n:>3} " + " ".join(f"{t:13.1f}" for t in times))
+    table("rc_inv", SIZES, ["random", "cond-1e8", "outer"],
+          lambda n: [lambda a=a: inverse(a) for a in matrices(n, rng).values()])
+    table("solve_rc", SIZES, ["random", "cond-1e8"],
+          lambda n: [lambda a=a, b=[random_element(H, rng) for _ in range(n)]: solve_rc(a, b)
+                     for a in list(matrices(n, rng).values())[:2]])
+    table("rc_rank", RANK_SIZES, ["outer", "dup-column", "zero-row"],
+          lambda n: [lambda a=a: rc_rank(a) for a in rank_deficient(n, rng).values()])
 
 
 if __name__ == "__main__":
