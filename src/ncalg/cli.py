@@ -31,7 +31,7 @@ from .algebra import (
     AlgebraError,
     Element,
     NotInvertibleError,
-    _norm,
+    _frobenius_rows,
     basis,
     inv_stack,
     make_algebra,
@@ -137,14 +137,19 @@ def _scn_rank_demo(opt: Options) -> Report:
     u, v = rng.uniform(-1.0, 1.0, (10, 2, 3, alg.dim)).swapaxes(0, 1)
     left = (u[:, :, None] @ alg._flat).reshape(10, 3, alg.dim, alg.dim)
     a = (v[:, None, :, None] @ left[:, :, None])[..., 0, :]
-    # one stacked rank search, and every bordered minor of every matrix in one stacked call
+    # one stacked rank search, one gather of every bordered minor of every
+    # matrix (rows and columns sorted, as biring._bordered_minor takes them),
+    # and all their quasideterminants in one stacked call
     ranked = biring._rank_search(alg.table, a)
     ranks_ok = all(k == 1 for k, _ in ranked)
-    border = [biring._bordered_minor(m, sel, p, r) for m, (_, sel) in zip(a, ranked)
-              for p in range(3) if p not in sel.rows for r in range(3) if r not in sel.cols]
-    minors, rows, cols = zip(*border)
-    quasi = biring._quasidets(alg.table, np.stack(minors), np.array(rows), np.array(cols))
-    resid = worst([_norm(q) for q in quasi])
+    sels = [sel for _, sel in ranked]
+    t, p, r = np.array([(t, p, r) for t, sel in enumerate(sels) for p in range(3) if p not in sel.rows
+                        for r in range(3) if r not in sel.cols]).T
+    rows = np.sort(np.column_stack((np.array([sel.rows for sel in sels])[t], p)))
+    cols = np.sort(np.column_stack((np.array([sel.cols for sel in sels])[t], r)))
+    minors = a[t[:, None, None], rows[:, :, None], cols[:, None, :]]
+    quasi = biring._quasidets(alg.table, minors, (rows < p[:, None]).sum(1), (cols < r[:, None]).sum(1))
+    resid = worst(_frobenius_rows(quasi).tolist())
     return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid,
                   metrics={"ranks_all_one": ranks_ok})
 
@@ -299,11 +304,6 @@ def _scn_euler_quaternion(opt: Options) -> Report:
     return Report(verdict=all(holds for _, holds in gaps), residual=worst(resid for resid, _ in gaps))
 
 
-def _row_gaps(alg, a: np.ndarray, b: np.ndarray) -> list[float]:
-    """The Element norm of each coefficient row of a - b."""
-    return [_norm(g) for g in (a - b).reshape(-1, alg.dim)]
-
-
 def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float]) -> tuple[Report, np.ndarray]:
     """solution_residual of curve over ts, and the states it read at ts, from one curve.values call."""
     states = curve.values(_probe_times(ts))
@@ -317,8 +317,8 @@ def _scn_elliptic_nonunique(opt: Options) -> Report:
     init = np.array([x.coeffs for x in ode.init])
     r_rk, at_rk = _read_residual(ode, rk4_integrate(ode, 2.0, 20000), ts)
     r_two, at_two = _read_residual(ode, elliptic_two_exp_curve(alg), ts)
-    init_gap = worst(_row_gaps(alg, at_two[0], init))
-    diff_at_1 = worst(_row_gaps(alg, at_rk[2], at_two[2]))
+    init_gap = worst(_frobenius_rows(at_two[0] - init).tolist())
+    diff_at_1 = worst(_frobenius_rows(at_rk[2] - at_two[2]).tolist())
     # both curves solve the system and share the initial value; they are in
     # fact the same function, so the advertised difference never materializes
     verdict = r_rk.verdict and r_two.verdict and init_gap == 0.0 and diff_at_1 > 0.1
@@ -344,7 +344,7 @@ def _scn_elliptic_family(opt: Options) -> Report:
     for c in (zero(alg), one(alg), basis(alg, 1)):
         report, at = _read_residual(ode, elliptic_family(c), ts)
         gaps.append(report.residual)
-        init_gaps += _row_gaps(alg, at[0], init)
+        init_gaps += _frobenius_rows(at[0] - init).tolist()
     resid, init_gap = worst(gaps), worst(init_gaps)
     return Report(verdict=resid <= 1e-6 and init_gap <= 1e-12, residual=resid,
                   metrics={"init_gap": init_gap})
@@ -366,7 +366,7 @@ def _scn_ode_forms(opt: Options) -> Report:
     closed = _closed_form_states(m, x0, np.concatenate([ts, _probe_times(checks)]))
     closed = closed.reshape(len(odes), -1, 2, alg.dim)
     rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(odes), len(ts), 2, alg.dim)
-    gaps = _row_gaps(alg, closed[:, :len(ts)], rk)
+    gaps = _frobenius_rows(closed[:, :len(ts)] - rk).ravel().tolist()
     resids = [_judge_states(ode, probes, checks, "closed-form").residual
               for ode, probes in zip(odes, closed[:, len(ts):])]
     worst_gap, worst_resid = worst(gaps), worst(resids)

@@ -22,11 +22,12 @@ curve is read at one time, ``curve(t)``, or on a whole time grid at once,
 ``curve.values(ts)``: the closed form through one stacked exponential, RK4
 through one stacked power of its step matrices, the elliptic curves
 through one stacked exponential of all their b t and row-wise array
-products for their states, and each time with the bits ``curve(t)`` gives
-it. The closed-form and RK4 grids are the one-system case of the private
-_closed_form_states and _rk4_states, which read many systems of one size
-at once, every system and time one member of the same stacked call, from
-a stack of real_matrix() values and one of initial vectors.
+products for their states (their ``curve(t)`` reads the one-time grid),
+and each time with the bits ``curve(t)`` gives it. The closed-form and
+RK4 grids are the one-system case of the private _closed_form_states and
+_rk4_states, which read many systems of one size at once, every system
+and time one member of the same stacked call, from a stack of
+real_matrix() values and one of initial vectors.
 ``solution_residual`` reads all its probe times (_probe_times) in one
 such call and judges the states it read (_judge_states); a caller that
 has read them with other states judges them directly.
@@ -58,7 +59,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report, severity, worst
-from .series import _exp_els, _expm, _require_finite_time, exp_at
+from .series import SeriesBudgetError, _exp_els, _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -353,7 +354,8 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
     initial vectors. Every system's e^{tM} at every nonzero t is one member
     of one stacked exponential, so each state has the bits of
     closed_form_solution(ode)(t). A non-finite t raises SeriesBudgetError
-    before it meets M.
+    before it meets M; a state that overflows comes back as it is,
+    non-finite, with no numpy warning.
     """
     for t in ts.tolist():
         _require_finite_time(t)
@@ -361,7 +363,8 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
 
     def states(moving: np.ndarray) -> np.ndarray:
         e = _expm((moving[:, None, None] * m[:, None]).reshape(-1, p, p)).reshape(k, len(moving), p, p)
-        return (e @ x0[:, None, :, None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (e @ x0[:, None, :, None])[..., 0]
 
     return _grid_states(x0, ts, states)
 
@@ -405,8 +408,10 @@ def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.n
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
 
-    A non-finite t raises SeriesBudgetError before it meets M. values(ts)
-    is _closed_form_states of this one system.
+    A non-finite t raises SeriesBudgetError before it meets M, and so does
+    a state that overflows at curve(t). values(ts) is _closed_form_states of
+    this one system, and returns an overflowing state as it is, non-finite,
+    for the residual and cross checks to refute.
     """
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
 
@@ -414,7 +419,11 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
         if t == 0.0:
             return ode.init
         _require_finite_time(t)
-        return _unvec(alg, _expm(t * m) @ x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _expm(t * m) @ x0
+        if not np.isfinite(x).all():
+            raise SeriesBudgetError(f"the closed-form state at t = {t} overflows")
+        return _unvec(alg, x)
 
     def batch(ts: np.ndarray) -> np.ndarray:
         return _closed_form_states(m[None], x0[None], ts)[0].reshape(len(ts), ode.size, alg.dim)
@@ -597,6 +606,11 @@ def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
     return _exp_els(alg, args).reshape(len(bs), len(ts), alg.dim)
 
 
+def _batch_curve(alg: AlgebraDesc, batch: Callable[[np.ndarray], np.ndarray], provenance: str) -> SolutionCurve:
+    """A curve read only through batch: curve(t) is the one-time grid [t]."""
+    return SolutionCurve(lambda t: _unvec(alg, batch(np.array([t]))[0]), provenance, batch)
+
+
 def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
                            b2: Element | None = None) -> SolutionCurve:
     """Left-combination of two imaginary-axis exponentials matching x(0) = (0, 1).
@@ -613,18 +627,12 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
         b2 = basis(algebra, 2)
     c = el_inv(b1 - b2)
 
-    def state(e1: Element, e2: Element) -> tuple[Element, Element]:
-        return (c * (e1 - e2), c * (b1 * e1 - b2 * e2))
-
-    def evaluate(t: float) -> tuple[Element, Element]:
-        return state(exp_at(b1, t), exp_at(b2, t))
-
     def batch(ts: np.ndarray) -> np.ndarray:
         e1, e2 = _exps_at((b1, b2), ts)
         x2 = _mul_rows(c, _mul_rows(b1, e1) - _mul_rows(b2, e2))
         return np.stack((_mul_rows(c, e1 - e2), x2), axis=1)
 
-    return SolutionCurve(evaluate, "two-exponential", batch)
+    return _batch_curve(algebra, batch, "two-exponential")
 
 
 def elliptic_family(c_param: Element) -> SolutionCurve:
@@ -644,17 +652,6 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
     c3 = 0.5 * ((j - k) - c_param * (e0 + i + j + k))
     pairs = ((c1, i), (c2, j), (c3, k))
 
-    def state(exps: Iterable[Element]) -> tuple[Element, Element]:
-        x1 = zero(algebra)
-        x2 = zero(algebra)
-        for (coeff, b), e in zip(pairs, exps):
-            x1 = x1 + coeff * e
-            x2 = x2 + coeff * (b * e)
-        return (x1, x2)
-
-    def evaluate(t: float) -> tuple[Element, Element]:
-        return state(exp_at(b, t) for _, b in pairs)
-
     def batch(ts: np.ndarray) -> np.ndarray:
         x1 = x2 = np.zeros((len(ts), algebra.dim))
         for (coeff, b), e in zip(pairs, _exps_at([b for _, b in pairs], ts)):
@@ -662,4 +659,4 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
             x2 = x2 + _mul_rows(coeff, _mul_rows(b, e))
         return np.stack((x1, x2), axis=1)
 
-    return SolutionCurve(evaluate, "three-exponential-family", batch)
+    return _batch_curve(algebra, batch, "three-exponential-family")

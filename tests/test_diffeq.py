@@ -929,6 +929,24 @@ def test_values_has_the_bytes_of_curve_t_at_every_time(tag):
             assert state.tobytes() == want.tobytes(), (curve.provenance, t)
 
 
+def test_elliptic_curves_are_their_element_product_formulas(HH):
+    # x1 = sum C e^{bt}, x2 = sum C b e^{bt}, with each product an Element product
+    e0, i, j, k = (basis(HH, m) for m in range(4))
+    b1, b2 = (Element(HH, [0.0, *v / np.linalg.norm(v)]) for v in np.random.default_rng(3).standard_normal((2, 3)))
+    c = (b1 - b2).inv()
+    cases = [(elliptic_two_exp_curve(HH, b1, b2), ((c, b1), (-c, b2)))]
+    for p in (zero(HH), one(HH), i, Element(HH, [0.3, -1.2, 0.5, 2.0])):
+        c2, c3 = 0.5 * (-(j - k) + p * (-e0 + i + j + k)), 0.5 * ((j - k) - p * (e0 + i + j + k))
+        cases.append((elliptic_family(p), ((p, i), (c2, j), (c3, k))))
+    for curve, terms in cases:
+        for t in (0.0, 0.5, -1.3, 2.0):
+            exps = [exp_el(b * t) for _, b in terms]
+            x1 = sum((coeff * e for (coeff, _), e in zip(terms, exps)), zero(HH))
+            x2 = sum((coeff * (b * e) for (coeff, b), e in zip(terms, exps)), zero(HH))
+            got = np.array([x.coeffs for x in curve(t)])
+            assert np.abs(got - np.array([x1.coeffs, x2.coeffs])).max() <= 1e-14, (curve.provenance, t)
+
+
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
 def test_solution_residual_equals_the_per_time_loop(tag):
     verdicts = set()
@@ -961,6 +979,25 @@ def test_an_rk4_state_that_overflows_is_a_typed_error(HH):
     assert not np.isfinite(curve.values([50.0])).all()
     rep = solution_residual(ode, curve, (0.5, 50.0))
     assert not rep.verdict and math.isnan(rep.residual) and rep.witness["t"] == 50.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_closed_form_state_that_overflows_past_a_finite_exponential_is_a_typed_error(RR):
+    # e^700 ~ 1e304 is finite; the state 1e10 e^700 is not
+    ode = LinearOde(BiMatrix(RR, np.ones((1, 1, 1))), OdeForm.RC_LEFT, (Element(RR, [1e10]),))
+    curve = closed_form_solution(ode)
+    with pytest.raises(SeriesBudgetError, match="t = 700.0"):
+        curve(700.0)
+    # the batch keeps the state, for the residual check to refute
+    assert np.isinf(curve.values([0.5, 700.0])[1]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_closed_form_residual_that_overflows_refutes_without_a_warning(HH):
+    ode = LinearOde(BiMatrix(HH, np.array([[[1.0, 0.0, 0.0, 0.0]]])), OdeForm.CR_RIGHT,
+                    (Element(HH, [1e10, 1e10, 0.0, 0.0]),))
+    rep = solution_residual(ode, closed_form_solution(ode), (0.5, 700.0))
+    assert not rep.verdict and math.isnan(rep.residual) and rep.witness["t"] == 700.0
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,0 +1,38 @@
+"""Every row of every table of tools/times.py builds and runs.
+
+The timing tool reaches into private names (series._exp_els,
+diffeq._closed_form_states, biring's stacked routes through the scenarios)
+and prints a failing row as the name of its exception, so a rename would
+show only as a table of type names in a later measurement. This loads the
+tool by path, as tests/test_bench_names.py loads the benchmark tracer,
+and makes each row's one untimed call.
+"""
+
+import importlib.util
+import os
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+TIMES = Path(__file__).resolve().parents[1] / "tools" / "times.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("ncalg_times", TIMES)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the tool pins BLAS threads for its own process
+        spec.loader.exec_module(module)
+    return module
+
+
+TOOL = _tool()
+
+
+@pytest.mark.parametrize("table", sorted(TOOL.TABLES))
+def test_every_row_runs(table):
+    labels = []
+    for label, setup in TOOL.TABLES[table]():
+        setup()()
+        labels.append(label)
+    assert labels and len(set(labels)) == len(labels)
