@@ -625,11 +625,21 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     return lam
 
 
-def _bordered_minor(data: np.ndarray, sel: MinorSelector, p: int, r: int) -> tuple[np.ndarray, int, int]:
-    """The minor of an (m, n, d) array bordered by row p and column r, and the position of (p, r) in it."""
-    rows = sorted(sel.rows + (p,))
-    cols = sorted(sel.cols + (r,))
-    return data[np.ix_(rows, cols)], rows.index(p), cols.index(r)
+def _bordered_minors(data: np.ndarray, members: Sequence[int], sels: Sequence[MinorSelector],
+                     ps: Sequence[int], rs: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minors of an (s, m, n, d) stack bordered by a row p and a column r, and the position of (p, r) in each.
+
+    Minor t is member members[t]'s minor of sels[t] bordered by row ps[t]
+    and column rs[t], all gathered by one fancy index. Its rows are the
+    selector's rows and p, sorted, and its columns likewise, so (p, r) sits
+    at the number of its rows below p and of its columns below r. The
+    selectors have one size.
+    """
+    ps, rs = np.array(ps, dtype=int), np.array(rs, dtype=int)
+    rows = np.sort(np.column_stack((np.array([sel.rows for sel in sels], dtype=int), ps)))
+    cols = np.sort(np.column_stack((np.array([sel.cols for sel in sels], dtype=int), rs)))
+    minors = data[np.array(members, dtype=int)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    return minors, (rows < ps[:, None]).sum(axis=1), (cols < rs[:, None]).sum(axis=1)
 
 
 def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Element:
@@ -642,8 +652,8 @@ def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Elemen
         raise IndexError("border index out of range")
     if p in sel.rows or r in sel.cols:
         raise ValueError("border row or column already in the minor")
-    sub, i, j = _bordered_minor(a.data, sel, p, r)
-    return Element._trusted(a.algebra, _quasidets(a.algebra.table, sub[None], np.array([i]), np.array([j]))[0])
+    sub, i, j = _bordered_minors(a.data[None], [0], [sel], [p], [r])
+    return Element._trusted(a.algebra, _quasidets(a.algebra.table, sub, i, j)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -138,17 +138,13 @@ def _scn_rank_demo(opt: Options) -> Report:
     left = (u[:, :, None] @ alg._flat).reshape(10, 3, alg.dim, alg.dim)
     a = (v[:, None, :, None] @ left[:, :, None])[..., 0, :]
     # one stacked rank search, one gather of every bordered minor of every
-    # matrix (rows and columns sorted, as biring._bordered_minor takes them),
-    # and all their quasideterminants in one stacked call
+    # matrix, and all their quasideterminants in one stacked call
     ranked = biring._rank_search(alg.table, a)
     ranks_ok = all(k == 1 for k, _ in ranked)
-    sels = [sel for _, sel in ranked]
-    t, p, r = np.array([(t, p, r) for t, sel in enumerate(sels) for p in range(3) if p not in sel.rows
-                        for r in range(3) if r not in sel.cols]).T
-    rows = np.sort(np.column_stack((np.array([sel.rows for sel in sels])[t], p)))
-    cols = np.sort(np.column_stack((np.array([sel.cols for sel in sels])[t], r)))
-    minors = a[t[:, None, None], rows[:, :, None], cols[:, None, :]]
-    quasi = biring._quasidets(alg.table, minors, (rows < p[:, None]).sum(1), (cols < r[:, None]).sum(1))
+    border = [(t, sel, p, r) for t, (_, sel) in enumerate(ranked) for p in range(3) if p not in sel.rows
+              for r in range(3) if r not in sel.cols]
+    minors, rows, cols = biring._bordered_minors(a, *zip(*border))
+    quasi = biring._quasidets(alg.table, minors, rows, cols)
     resid = worst(_frobenius_rows(quasi).tolist())
     return Report(verdict=ranks_ok and resid <= 1e-8, residual=resid,
                   metrics={"ranks_all_one": ranks_ok})

@@ -419,9 +419,10 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
         if t == 0.0:
             return ode.init
         _require_finite_time(t)
+        e = _expm(t * m)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _expm(t * m) @ x0
-        if not np.isfinite(x).all():
+            x = e @ x0
+        if not all(map(math.isfinite, x.tolist())):
             raise SeriesBudgetError(f"the closed-form state at t = {t} overflows")
         return _unvec(alg, x)
 

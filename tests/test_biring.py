@@ -355,6 +355,21 @@ class TestRank:
                     continue
                 assert bordered_quasidet(a, sel, p, r).norm() <= 1e-8
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_bordered_minors_gather_each_minor_as_one_matrix_does(self, HH, rng, k):
+        # every member, selector and border of a 3 x 4 stack, each minor
+        # against np.ix_ of its sorted rows and columns on that one matrix
+        data = rng.standard_normal((3, 3, 4, HH.dim))
+        asks = [(t, MinorSelector(rows, cols), p, r) for t in (2, 0, 1)
+                for rows in combinations(range(3), k) for cols in combinations(range(4), k)
+                for p in range(3) if p not in rows for r in range(4) if r not in cols]
+        minors, i, j = biring._bordered_minors(data, *zip(*asks))
+        assert minors.shape == (len(asks), k + 1, k + 1, HH.dim)
+        for (t, sel, p, r), minor, at_p, at_r in zip(asks, minors, i, j):
+            rows, cols = sorted(sel.rows + (p,)), sorted(sel.cols + (r,))
+            assert minor.tobytes() == data[t][np.ix_(rows, cols)].tobytes()
+            assert (at_p, at_r) == (rows.index(p), cols.index(r))
+
     def test_bordered_quasidet_refuses_a_border_inside_the_minor_or_out_of_range(self, HH, rng):
         u = [random_element(HH, rng) for _ in range(3)]
         v = [random_element(HH, rng) for _ in range(3)]

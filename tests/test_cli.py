@@ -371,6 +371,13 @@ def _per_call_solve_system(opt):
     return Report(verdict=resid <= 1e-8, residual=resid)
 
 
+def _bordered_minor(data, sel, p, r):
+    """The minor of one (m, n, d) matrix bordered by row p and column r, and the position of (p, r) in it."""
+    rows = sorted(sel.rows + (p,))
+    cols = sorted(sel.cols + (r,))
+    return data[np.ix_(rows, cols)], rows.index(p), cols.index(r)
+
+
 def _per_call_rank_demo(opt):
     """rank-demo as one rc_rank and one stacked bordered-minor call per matrix of Element products."""
     alg = make_algebra("quaternion")
@@ -383,7 +390,7 @@ def _per_call_rank_demo(opt):
         a = BiMatrix.from_elements([[u[i] * v[j] for j in range(3)] for i in range(3)])
         k, sel = rc_rank(a)
         ranks_ok = ranks_ok and k == 1
-        border = [biring._bordered_minor(a.data, sel, p, r) for p in range(3) if p not in sel.rows
+        border = [_bordered_minor(a.data, sel, p, r) for p in range(3) if p not in sel.rows
                   for r in range(3) if r not in sel.cols]
         minors, rows, cols = zip(*border)
         quasi = biring._quasidets(alg.table, np.stack(minors), np.array(rows), np.array(cols))

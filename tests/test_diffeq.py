@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ncalg.diffeq import (
     successive_powers,
 )
 from ncalg.report import worst
-from ncalg.series import SeriesBudgetError, cosh_el, exp_el, mexp_cr, mexp_rc, sinh_el
+from ncalg.series import SeriesBudgetError, cosh_el, exp_at, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
                           symmetric_part, tensor_scale)
 
@@ -929,22 +930,34 @@ def test_values_has_the_bytes_of_curve_t_at_every_time(tag):
             assert state.tobytes() == want.tobytes(), (curve.provenance, t)
 
 
-def test_elliptic_curves_are_their_element_product_formulas(HH):
-    # x1 = sum C e^{bt}, x2 = sum C b e^{bt}, with each product an Element product
+def _two_exp_states(b1, b2, t):
+    """(C (e^{b1 t} - e^{b2 t}), C (b1 e^{b1 t} - b2 e^{b2 t})), C = (b1 - b2)^-1, in Element products."""
+    c, e1, e2 = (b1 - b2).inv(), exp_at(b1, t), exp_at(b2, t)
+    return c * (e1 - e2), c * (b1 * e1 - b2 * e2)
+
+
+def _family_states(pairs, t):
+    """(sum C e^{bt}, sum C (b e^{bt})) over the (C, b) pairs, summed from zero in Element products."""
+    x1 = x2 = zero(pairs[0][0].algebra)
+    for coeff, b in pairs:
+        e = exp_at(b, t)
+        x1 = x1 + coeff * e
+        x2 = x2 + coeff * (b * e)
+    return x1, x2
+
+
+def test_elliptic_curves_have_the_bytes_of_their_element_product_formulas(HH):
     e0, i, j, k = (basis(HH, m) for m in range(4))
     b1, b2 = (Element(HH, [0.0, *v / np.linalg.norm(v)]) for v in np.random.default_rng(3).standard_normal((2, 3)))
-    c = (b1 - b2).inv()
-    cases = [(elliptic_two_exp_curve(HH, b1, b2), ((c, b1), (-c, b2)))]
+    cases = [(elliptic_two_exp_curve(HH, b1, b2), partial(_two_exp_states, b1, b2))
+             for b1, b2 in ((i, j), (b1, b2))]
     for p in (zero(HH), one(HH), i, Element(HH, [0.3, -1.2, 0.5, 2.0])):
         c2, c3 = 0.5 * (-(j - k) + p * (-e0 + i + j + k)), 0.5 * ((j - k) - p * (e0 + i + j + k))
-        cases.append((elliptic_family(p), ((p, i), (c2, j), (c3, k))))
-    for curve, terms in cases:
-        for t in (0.0, 0.5, -1.3, 2.0):
-            exps = [exp_el(b * t) for _, b in terms]
-            x1 = sum((coeff * e for (coeff, _), e in zip(terms, exps)), zero(HH))
-            x2 = sum((coeff * (b * e) for (coeff, b), e in zip(terms, exps)), zero(HH))
-            got = np.array([x.coeffs for x in curve(t)])
-            assert np.abs(got - np.array([x1.coeffs, x2.coeffs])).max() <= 1e-14, (curve.provenance, t)
+        cases.append((elliptic_family(p), partial(_family_states, ((p, i), (c2, j), (c3, k)))))
+    for curve, states in cases:
+        for t in (*GRID, -1.3, 3.7):
+            want = np.array([x.coeffs for x in states(t)])
+            assert np.array([x.coeffs for x in curve(t)]).tobytes() == want.tobytes(), (curve.provenance, t)
 
 
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])

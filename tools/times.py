@@ -44,8 +44,10 @@ forms
 Every row prints the least over REPEATS rounds of the mean of as many calls
 as fit in BUDGET_S seconds, at most NUMBER, in microseconds; one untimed
 call first warms caches and sizes the rounds. A row whose setup or call
-raises prints the exception's type name instead. The inputs are fixed by
-seed and drawn in row order. BLAS is pinned to one thread, and ncalg is
+raises prints the exception's type name instead, as does one whose name
+the checkout lacks, since the tool imports only ncalg's modules and looks
+each timed name up in its row's setup. The inputs are fixed by seed and
+drawn in row order; a checkout that cannot build them fails the table. BLAS is pinned to one thread, and ncalg is
 imported from PYTHONPATH when it is set, else from this checkout's src.
 
 Given the src directory of a second checkout, the tool runs ROUNDS rounds,
@@ -76,19 +78,15 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.append(str(SRC))
 
-from ncalg import cli, diffeq, series  # noqa: E402
-from ncalg.algebra import Element, make_algebra, random_element  # noqa: E402
-from ncalg.biring import (BiMatrix, SingularMatrixError, random_matrix, rc_inv, rc_mul, rc_rank,  # noqa: E402
-                          solve_rc)
-from ncalg.diffeq import (FormPoly, LinearOde, OdeForm, closed_form_solution, integrability_check,  # noqa: E402
-                          rk4_integrate)
-from ncalg.tensor import ones_tensor, poly_derivative  # noqa: E402
+# modules only: the names a row times are looked up when its setup runs, so
+# a checkout that lacks one fails that row, not the table
+from ncalg import algebra, biring, cli, diffeq, series, tensor  # noqa: E402
 
 REPEATS = 7
 NUMBER = 200
 BUDGET_S = 0.05
 ROUNDS = 7
-H = make_algebra("quaternion")
+H = algebra.make_algebra("quaternion")
 
 
 def scenarios():
@@ -100,83 +98,85 @@ def scenarios():
 
 def series_rows():
     rng = np.random.default_rng(0)
-    x = random_element(H, rng)
+    x = algebra.random_element(H, rng)
     x = x * (2.0 / x.norm())
-    cs = [random_element(H, rng) for _ in range(2)]
-    mat = random_matrix(H, 4, 4, rng, scale=0.5)
+    cs = [algebra.random_element(H, rng) for _ in range(2)]
+    mat = biring.random_matrix(H, 4, 4, rng, scale=0.5)
     yield "exp_el", lambda: partial(series.exp_el, x)
     yield "sinh_el", lambda: partial(series.sinh_el, x)
     yield "mexp_rc (4x4)", lambda: partial(series.mexp_rc, mat)
     yield "quasiexp order 2", lambda: partial(series.quasiexp, cs, x * 0.25)
-    curves = {}
-    for n in (2, 4):
-        ode = LinearOde(random_matrix(H, n, n, rng, scale=0.5), OdeForm.RC_LEFT,
-                        tuple(random_element(H, rng) for _ in range(n)))
-        curves[n] = closed_form_solution(ode), rk4_integrate(ode, 1.0, 1000)
-        for curve in curves[n]:
-            yield f"{curve.provenance} curve(t), n = {n}", lambda curve=curve: partial(curve, 0.5)
+    curves = {"closed-form": lambda ode: diffeq.closed_form_solution(ode),
+              "rk4": lambda ode: diffeq.rk4_integrate(ode, 1.0, 1000)}
+    odes = {n: diffeq.LinearOde(biring.random_matrix(H, n, n, rng, scale=0.5), diffeq.OdeForm.RC_LEFT,
+                                tuple(algebra.random_element(H, rng) for _ in range(n))) for n in (2, 4)}
+    for n, ode in odes.items():
+        for kind, curve in curves.items():
+            yield f"{kind} curve(t), n = {n}", lambda curve=curve, ode=ode: partial(curve(ode), 0.5)
     ts = np.linspace(0.0, 1.0, 11)
-    for curve in curves[2]:
-        yield f"{curve.provenance} values(11 times), n = 2", lambda curve=curve: partial(curve.values, ts)
+    for kind, curve in curves.items():
+        yield f"{kind} values(11 times), n = 2", lambda curve=curve: partial(curve(odes[2]).values, ts)
     row_rng = np.random.default_rng(1)
-    rows = np.array([random_element(H, row_rng).coeffs for _ in range(24)])
-    els = [Element(H, row) for row in rows]
+    rows = np.array([algebra.random_element(H, row_rng).coeffs for _ in range(24)])
+    els = [algebra.Element(H, row) for row in rows]
     yield "exp_el x 24", lambda: lambda: [series.exp_el(x) for x in els]
     yield "_exp_els(24 rows)", lambda: partial(series._exp_els, H, rows)
     yield "cosh_el + sinh_el x 12", lambda: lambda: [(series.cosh_el(x), series.sinh_el(x)) for x in els[:12]]
     yield "_pairs(12 rows)", lambda: partial(series._pairs, H, rows[:12], 1.0)
     ode_rng = np.random.default_rng(2)
-    odes = [LinearOde(random_matrix(H, 2, 2, ode_rng, scale=0.5), form,
-                      tuple(random_element(H, ode_rng) for _ in range(2))) for form in OdeForm for _ in range(3)]
+    systems = [diffeq.LinearOde(biring.random_matrix(H, 2, 2, ode_rng, scale=0.5), form,
+                                tuple(algebra.random_element(H, ode_rng) for _ in range(2)))
+               for form in diffeq.OdeForm for _ in range(3)]
 
     def probe_times():
         return np.concatenate([ts, diffeq._probe_times((0.0, 0.5, 1.0))])
 
     def per_system(times):
-        return [(closed_form_solution(o).values(times), rk4_integrate(o, 1.0, 10_000).values(ts)) for o in odes]
+        return [(diffeq.closed_form_solution(o).values(times), diffeq.rk4_integrate(o, 1.0, 10_000).values(ts))
+                for o in systems]
 
     def stacked(times):
-        m = np.stack([o.real_matrix() for o in odes])
-        x0 = np.array([[x.coeffs for x in o.init] for o in odes]).reshape(len(odes), -1)
+        m = np.stack([o.real_matrix() for o in systems])
+        x0 = np.array([[x.coeffs for x in o.init] for o in systems]).reshape(len(systems), -1)
         return diffeq._closed_form_states(m, x0, times), diffeq._rk4_states(m, x0, ts, 1.0 / 10_000)
 
     yield "12 systems' states, per system", lambda: partial(per_system, probe_times())
     yield "12 systems' states, stacked", lambda: partial(stacked, probe_times())
 
 
-def unitary(n: int, rng) -> BiMatrix:
+def unitary(n: int, rng) -> biring.BiMatrix:
     """n x n matrix U with u* rc u = I, by Gram-Schmidt of random columns, run twice."""
     cols = []
     for _ in range(n):
-        v = random_matrix(H, n, 1, rng)
+        v = biring.random_matrix(H, n, 1, rng)
         for _ in range(2):
             for u in cols:
                 star = u.data.transpose(1, 0, 2) * np.array([1.0, -1.0, -1.0, -1.0])
-                v = v - rc_mul(u, rc_mul(BiMatrix(H, star), v))
+                v = v - biring.rc_mul(u, biring.rc_mul(biring.BiMatrix(H, star), v))
         cols.append(v * (1.0 / np.linalg.norm(v.data)))
-    return BiMatrix(H, np.concatenate([c.data for c in cols], axis=1))
+    return biring.BiMatrix(H, np.concatenate([c.data for c in cols], axis=1))
 
 
-def matrices(n: int, rng) -> dict[str, BiMatrix]:
+def matrices(n: int, rng) -> dict[str, biring.BiMatrix]:
     diag = np.zeros((n, n, H.dim))
     diag[np.arange(n), np.arange(n), 0] = np.geomspace(1.0, 1e-8, n)
-    return {"random": random_matrix(H, n, n, rng),
-            "cond-1e8": rc_mul(rc_mul(unitary(n, rng), BiMatrix(H, diag)), unitary(n, rng)),
-            "outer": rc_mul(random_matrix(H, n, 1, rng), random_matrix(H, 1, n, rng))}
+    return {"random": biring.random_matrix(H, n, n, rng),
+            "cond-1e8": biring.rc_mul(biring.rc_mul(unitary(n, rng), biring.BiMatrix(H, diag)), unitary(n, rng)),
+            "outer": biring.rc_mul(biring.random_matrix(H, n, 1, rng), biring.random_matrix(H, 1, n, rng))}
 
 
-def rank_deficient(n: int, rng) -> dict[str, BiMatrix]:
-    dup, zero_row = (random_matrix(H, n, n, rng).data.copy() for _ in range(2))
+def rank_deficient(n: int, rng) -> dict[str, biring.BiMatrix]:
+    dup, zero_row = (biring.random_matrix(H, n, n, rng).data.copy() for _ in range(2))
     dup[:, n - 1] = dup[:, 0]
     zero_row[n - 1] = 0.0
-    return {"outer": rc_mul(random_matrix(H, n, 1, rng), random_matrix(H, 1, n, rng)),
-            "dup-column": BiMatrix(H, dup), "zero-row": BiMatrix(H, zero_row)}
+    return {"outer": biring.rc_mul(biring.random_matrix(H, n, 1, rng), biring.random_matrix(H, 1, n, rng)),
+            "dup-column": biring.BiMatrix(H, dup), "zero-row": biring.BiMatrix(H, zero_row)}
 
 
-def inverse(a: BiMatrix) -> None:
+def inverse(a: biring.BiMatrix) -> None:
     try:
-        rc_inv(a)
-    except SingularMatrixError:  # the outer product's answer
+        biring.rc_inv(a)
+    except biring.SingularMatrixError:  # the outer product's answer
         pass
 
 
@@ -187,9 +187,9 @@ def inverse_rows():
             ("rc_inv", (1, 2, 4, 8, 16), ("random", "cond-1e8", "outer"), matrices,
              lambda a, n: partial(inverse, a)),
             ("solve_rc", (1, 2, 4, 8, 16), ("random", "cond-1e8"), matrices,
-             lambda a, n: partial(solve_rc, a, [random_element(H, rng) for _ in range(n)])),
+             lambda a, n: partial(biring.solve_rc, a, [algebra.random_element(H, rng) for _ in range(n)])),
             ("rc_rank", (2, 3, 4), ("outer", "dup-column", "zero-row"), rank_deficient,
-             lambda a, n: partial(rc_rank, a))):
+             lambda a, n: partial(biring.rc_rank, a))):
         for n in sizes:
             drawn = cache(partial(draw, n, rng))
             for kind in kinds:
@@ -198,7 +198,8 @@ def inverse_rows():
 
 def forms():
     for k in (4, 6, 8, 9, 10, 12):
-        yield f"k = {k}", lambda k=k: partial(integrability_check, poly_derivative(FormPoly([ones_tensor(H, k)])))
+        yield f"k = {k}", lambda k=k: partial(diffeq.integrability_check,
+                                              tensor.poly_derivative(diffeq.FormPoly([tensor.ones_tensor(H, k)])))
 
 
 TABLES = {"scenarios": scenarios, "series": series_rows, "inverse": inverse_rows, "forms": forms}
@@ -218,9 +219,9 @@ def times(table: str) -> dict[str, float | str]:
 
 
 def times_of(table: str, src: Path) -> dict[str, float | str]:
-    """times(table) in a fresh interpreter that imports ncalg from src."""
+    """times(table) in a fresh interpreter that imports ncalg from src; its stderr passes through."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, __file__, table, "--json"], env=env, capture_output=True, check=True)
+    run = subprocess.run([sys.executable, __file__, table, "--json"], env=env, stdout=subprocess.PIPE, check=True)
     return json.loads(run.stdout)
 
 
@@ -236,6 +237,8 @@ def summary(side: list) -> float | str:
 
 
 def compare(table: str, other: Path) -> None:
+    if not (other / "ncalg").is_dir():  # else the fallback import would time this checkout twice
+        raise SystemExit(f"no ncalg package in {other}")
     runs = {SRC: [], other: []}
     for r in range(ROUNDS):
         for src in ((SRC, other) if r % 2 == 0 else (other, SRC)):
