@@ -630,16 +630,15 @@ def _bordered_minors(data: np.ndarray, members: Sequence[int], sels: Sequence[Mi
     """Minors of an (s, m, n, d) stack bordered by a row p and a column r, and the position of (p, r) in each.
 
     Minor t is member members[t]'s minor of sels[t] bordered by row ps[t]
-    and column rs[t], all gathered by one fancy index. Its rows are the
-    selector's rows and p, sorted, and its columns likewise, so (p, r) sits
-    at the number of its rows below p and of its columns below r. The
+    and column rs[t]: its rows are the selector's rows and p, sorted, and
+    its columns likewise. One fancy index gathers them all, so the
     selectors have one size.
     """
-    ps, rs = np.array(ps, dtype=int), np.array(rs, dtype=int)
-    rows = np.sort(np.column_stack((np.array([sel.rows for sel in sels], dtype=int), ps)))
-    cols = np.sort(np.column_stack((np.array([sel.cols for sel in sels], dtype=int), rs)))
-    minors = data[np.array(members, dtype=int)[:, None, None], rows[:, :, None], cols[:, None, :]]
-    return minors, (rows < ps[:, None]).sum(axis=1), (cols < rs[:, None]).sum(axis=1)
+    rows = [sorted(sel.rows + (p,)) for sel, p in zip(sels, ps)]
+    cols = [sorted(sel.cols + (r,)) for sel, r in zip(sels, rs)]
+    minors = data[np.array(members)[:, None, None], np.array(rows)[:, :, None], np.array(cols)[:, None, :]]
+    return (minors, np.array([row.index(p) for row, p in zip(rows, ps)]),
+            np.array([col.index(r) for col, r in zip(cols, rs)]))
 
 
 def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Element:
