@@ -94,9 +94,13 @@ def rk4_linear(m, x0, t, steps):
     or a (k, p, p) stack, one per member, and x0 one (p,) vector or a (k, p)
     stack. The k step matrices are powered in one loop over the stack, and
     member i takes the product with x only at its own bits of steps[i],
-    selected with np.where, so it gets the bits it gets alone. The squarings
-    a member no longer needs are never read, and the stack runs with
-    overflow warnings off, so they warn for no member; a state that
+    selected with np.where, so it gets the bits it gets alone. The counts
+    are read in float64, so a count past int64 is a float (every ceil of a
+    float is one) and a count an integer array holds must be a float64
+    value; halving an integral float is exact, so its floor drops the low
+    bit and the floor differs from the half iff that bit is set. The
+    squarings a member no longer needs are never read, and the stack runs
+    with overflow warnings off, so they warn for no member; a state that
     overflows comes back non-finite.
     """
     if not isinstance(t, np.ndarray):
@@ -110,13 +114,14 @@ def rk4_linear(m, x0, t, steps):
             if n:
                 phi = phi.dot(phi)
         return x
-    n = np.asarray(steps)
-    phi = _rk4_step((t / n)[:, None, None] * m)
+    n = np.asarray(steps, dtype=float)
     x = np.broadcast_to(x0[..., None], (len(n), x0.shape[-1], 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        phi = _rk4_step((t / n)[:, None, None] * m)
         while True:
-            x = np.where((n & 1).astype(bool)[:, None, None], phi @ x, x)
-            n = n >> 1
+            half = n * 0.5
+            n = np.floor(half)
+            x = np.where((n != half)[:, None, None], phi @ x, x)
             if not n.any():
                 return x[..., 0]
             phi = phi @ phi

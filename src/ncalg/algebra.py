@@ -285,10 +285,12 @@ def close(a: np.ndarray, b: np.ndarray, rtol: float = CLOSE_RTOL) -> bool:
     The bound scales with a and b, so the answer is the same at every
     magnitude short of overflow: only an exactly zero array is close to
     zero, two empty arrays are close, and an array holding a NaN or an
-    infinity is close to nothing, whatever rtol.
+    infinity is close to nothing, whatever rtol. A vector's norms are
+    taken by _norm, which has frobenius's bits at a fraction of its cost.
     """
-    d = frobenius(a - b)
-    return d < math.inf and d <= rtol * (frobenius(a) + frobenius(b))
+    norm = _norm if a.ndim == 1 else frobenius
+    d = norm(a - b)
+    return d < math.inf and d <= rtol * (norm(a) + norm(b))
 
 
 def _same(a: Element, b: Element) -> None:
@@ -305,16 +307,21 @@ def mul(a: Element, b: Element) -> Element:
     return a * b
 
 
-def _mul_rows(a: Element, xs: np.ndarray) -> np.ndarray:
-    """The coefficients of a * x for each row x of a (k, dim) array xs, as one (k, dim) array.
+def _mul_rows(algebra: AlgebraDesc, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The coefficients of a * x for a (..., dim) stack a of left factors and xs of right ones.
 
-    Each row is one vector-matrix product with a . _flat, the contraction of
-    Element.__mul__: numpy's matmul of a stack of (1, dim) rows takes the
-    BLAS call that x.dot takes alone, so row i has the bits of a * x_i. A
-    (k, dim) @ (dim, dim) product would take another BLAS kernel.
+    a and xs broadcast against each other. Each product is two
+    vector-matrix products, a . _flat and then x with that, the
+    contractions of Element.__mul__: numpy's matmul of a stack of
+    (1, dim) rows takes the BLAS call that .dot takes alone, so every
+    member has the bits of its Element product, but for one case: matmul
+    sums from +0.0, so where a real factor is zero the product is +0.0,
+    never -0.0. A (k, dim) @ (dim, dim) product would take another BLAS
+    kernel.
     """
-    d = a.algebra.dim
-    return np.matmul(xs[:, None, :], a.coeffs.dot(a.algebra._flat).reshape(d, d))[:, 0]
+    d = algebra.dim
+    left = (a[..., None, :] @ algebra._flat).reshape(*a.shape[:-1], d, d)
+    return (xs[..., None, :] @ left)[..., 0, :]
 
 
 def scale(a: Element, s: float) -> Element:

@@ -22,16 +22,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels, biring
 from .algebra import (
+    CLOSE_RTOL,
     AlgebraError,
     Element,
     NotInvertibleError,
     _frobenius_rows,
+    _mul_rows,
     basis,
     inv_stack,
     make_algebra,
@@ -44,10 +46,10 @@ from .diffeq import (
     FormPoly,
     LinearOde,
     OdeForm,
-    SolutionCurve,
     _closed_form_states,
     _judge_states,
     _probe_times,
+    _read_residual,
     _rk4_states,
     _rk4_step_target,
     antiderivative_residual,
@@ -87,13 +89,17 @@ class Scenario:
 
 def _scn_quasidet_2x2(opt: Options) -> Report:
     rng = np.random.default_rng(opt.seed)
-    gaps = []
+    gaps, holds = [], True
     checked = 0
+
+    def norms(c):  # of each coefficient vector, the rule the printed gaps keep
+        return np.sqrt((c ** 2).sum(axis=-1))
+
     for tag in ("real", "complex", "quaternion"):
         alg = make_algebra(tag)
         a = rng.uniform(-1.0, 1.0, (50, 2, 2, alg.dim))  # the draws of 50 random_matrix calls
         # keep every closed-form pivot well away from zero
-        a = a[np.sqrt((a ** 2).sum(axis=3)).min(axis=(1, 2)) >= 1e-2]
+        a = a[norms(a).min(axis=(1, 2)) >= 1e-2]
         # one stacked inverse and one stacked quasideterminant call; each
         # member has the bits, and the failure, of its own rc_inv call
         invs, failed = biring._inverse(alg.table, a)
@@ -106,11 +112,18 @@ def _scn_quasidet_2x2(opt: Options) -> Report:
             return _kernels.rc_contract(alg.table, x[..., None, None, :], y[..., None, None, :])[..., 0, 0, :]
 
         # a_ij - a_{i,1-j} a_{1-i,1-j}^-1 a_{1-i,j} for all four (i, j) of every matrix at once
-        closed = a - mul(mul(a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
-        for got, want in ((quasi, closed), (invs.swapaxes(1, 2), inv_stack(alg, closed)[0])):
-            gaps += np.sqrt(((got - want) ** 2).sum(axis=-1)).ravel().tolist()
+        term = mul(mul(a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
+        closed, invs = a - term, invs.swapaxes(1, 2)
+        inverse = inv_stack(alg, closed)[0]
+        # each gap is judged relative to the terms its closed form sums, or to the
+        # two inverse entries it compares, the rule of algebra.close
+        sizes = (norms(a) + norms(term), norms(invs) + norms(inverse))
+        for got, want, size in zip((quasi, invs), (closed, inverse), sizes):
+            gap = norms(got - want)
+            gaps += gap.ravel().tolist()
+            holds = holds and bool((gap <= CLOSE_RTOL * size).all())
     resid = worst(gaps)
-    return Report(verdict=resid <= 1e-9, residual=resid, metrics={"matrices": checked})
+    return Report(verdict=holds and resid < math.inf, residual=resid, metrics={"matrices": checked})
 
 
 def _scn_solve_system(opt: Options) -> Report:
@@ -132,11 +145,9 @@ def _scn_rank_demo(opt: Options) -> Report:
     alg = make_algebra("quaternion")
     rng = np.random.default_rng(opt.seed)
     # the draws of 10 rounds of three u and three v elements; entry (i, j) of
-    # matrix t is u_i * v_j, each product the vector-matrix matmul of
-    # Element.__mul__ (see algebra._mul_rows), so it has that product's bits
+    # matrix t is u_i * v_j, with the bits of that Element product
     u, v = rng.uniform(-1.0, 1.0, (10, 2, 3, alg.dim)).swapaxes(0, 1)
-    left = (u[:, :, None] @ alg._flat).reshape(10, 3, alg.dim, alg.dim)
-    a = (v[:, None, :, None] @ left[:, :, None])[..., 0, :]
+    a = _mul_rows(alg, u[:, :, None], v[:, None])
     # one stacked rank search, one gather of every bordered minor of every
     # matrix, and all their quasideterminants in one stacked call
     ranked = biring._rank_search(alg.table, a)
@@ -214,20 +225,15 @@ def _scn_separable_712(opt: Options) -> Report:
     return implicit_solution_check(u, m, n)
 
 
-def _identities(sides: Iterable[tuple[Element, Element]]) -> tuple[float, bool]:
+def _identities(sides: Sequence[tuple[Element, Element]]) -> tuple[float, bool]:
     """The worst gap |lhs - rhs| over the sides of some identities, and whether they all hold.
 
-    An identity holds when its gap is finite and within IDENTITY_RTOL
-    (|lhs| + |rhs|), the rule of algebra.close in Element norms, so the
-    verdict does not change with the scale of its sides; the gap itself is
-    what the report prints.
+    An identity holds when its sides are close under algebra.close with
+    IDENTITY_RTOL, so the verdict does not change with the scale of its
+    sides; the gap itself is what the report prints.
     """
-    gaps, holds = [], True
-    for lhs, rhs in sides:
-        gap = (lhs - rhs).norm()
-        gaps.append(gap)
-        holds = holds and gap < math.inf and gap <= IDENTITY_RTOL * (lhs.norm() + rhs.norm())
-    return worst(gaps), holds
+    holds = all(lhs.close(rhs, IDENTITY_RTOL) for lhs, rhs in sides)
+    return worst((lhs - rhs).norm() for lhs, rhs in sides), holds
 
 
 def _scn_exp_properties(opt: Options) -> Report:
@@ -298,12 +304,6 @@ def _scn_euler_quaternion(opt: Options) -> Report:
     i, j, k = basis(alg, 1), basis(alg, 2), basis(alg, 3)
     gaps = [_euler_gap(alg, f) for f in (i, (i + j) * (1 / np.sqrt(2)), 2 * k)]
     return Report(verdict=all(holds for _, holds in gaps), residual=worst(resid for resid, _ in gaps))
-
-
-def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float]) -> tuple[Report, np.ndarray]:
-    """solution_residual of curve over ts, and the states it read at ts, from one curve.values call."""
-    states = curve.values(_probe_times(ts))
-    return _judge_states(ode, states, ts, curve.provenance), states[2::3]
 
 
 def _scn_elliptic_nonunique(opt: Options) -> Report:

@@ -28,9 +28,11 @@ RK4 grids are the one-system case of the private _closed_form_states and
 _rk4_states, which read many systems of one size at once, every system
 and time one member of the same stacked call, from a stack of
 real_matrix() values and one of initial vectors.
-``solution_residual`` reads all its probe times (_probe_times) in one
-such call and judges the states it read (_judge_states); a caller that
-has read them with other states judges them directly.
+``solution_residual`` is the report of _read_residual, the one
+read-and-judge step: it reads all its probe times (_probe_times) in one
+such call, takes every residual's norm in one stacked call as it judges
+the states it read (_judge_states), and returns the states at ts too; a
+caller that has read them with other states judges them directly.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .algebra import (
     AlgebraDesc,
     AlgebraError,
     Element,
+    _frobenius_rows,
     _mul_rows,
     basis,
     frobenius,
@@ -393,14 +396,10 @@ def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.n
     k, p = x0.shape
 
     def states(moving: np.ndarray) -> np.ndarray:
-        steps = [max(1, math.ceil(abs(t) / h)) for t in moving.tolist()] * k
+        # the ceil of a float is a float64 value, so every count, past int64 too, is exact in float64
+        steps = np.tile([float(max(1, math.ceil(abs(t) / h))) for t in moving.tolist()], k)
         ms, xs, times = np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if max(steps) < 2 ** 63:
-                out = _kernels.rk4_linear(ms, xs, times, np.array(steps))
-            else:  # more steps than int64 holds: one member at a time, in Python integers
-                out = np.array([_kernels.rk4_linear(*member) for member in zip(ms, xs, times.tolist(), steps)])
-        return out.reshape(k, len(moving), p)
+        return _kernels.rk4_linear(ms, xs, times, steps).reshape(k, len(moving), p)
 
     return _grid_states(x0, ts, states)
 
@@ -503,14 +502,23 @@ def _judge_states(ode: LinearOde, states: np.ndarray, ts: Sequence[float], prove
     with np.errstate(over="ignore", invalid="ignore"):
         fd = (states[:, 0] - states[:, 1]) * np.array([1.0 / (2 * h) for h in hs])[:, None, None]
         rhs = (ode.real_matrix() @ states[:, 2].reshape(len(ts), n * d, 1)).reshape(len(ts), n, d)
+        res = _frobenius_rows(fd - rhs).tolist()  # res[j][i]: the residual of component i at ts[j]
+    return _judge(((r, r <= tol, {"t": t, "component": i, "residual": r})
+                   for t, row in zip(ts, res) for i, r in enumerate(row)), provenance=provenance)
 
-    def gaps():
-        for t, f, r in zip(ts, fd, rhs):
-            for i in range(n):
-                res = frobenius(f[i] - r[i])
-                yield res, res <= tol, {"t": t, "component": i, "residual": res}
 
-    return _judge(gaps(), provenance=provenance)
+def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
+                   tol: float = FD_TOL) -> tuple[Report, np.ndarray]:
+    """solution_residual of curve over ts, and the (len(ts), n, d) states it read at ts.
+
+    All the probe times are read in one curve.values call and judged by
+    _judge_states; an empty ts raises ValueError before the curve is read.
+    """
+    ts = [float(t) for t in ts]
+    if not ts:
+        _judge(())  # raises: no probe
+    states = curve.values(_probe_times(ts))
+    return _judge_states(ode, states, ts, curve.provenance, tol), states[2::3]
 
 
 def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
@@ -522,10 +530,7 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
     ode.real_matrix() once. A state that is not finite gives a residual that
     is not finite, which refutes, and no numpy warning.
     """
-    ts = [float(t) for t in ts]
-    if not ts:
-        return _judge(())  # raises: no probe
-    return _judge_states(ode, curve.values(_probe_times(ts)), ts, curve.provenance, tol)
+    return _read_residual(ode, curve, ts, tol)[0]
 
 
 def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
@@ -626,12 +631,12 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
         b1 = basis(algebra, 1)
     if b2 is None:
         b2 = basis(algebra, 2)
-    c = el_inv(b1 - b2)
+    c, bs = el_inv(b1 - b2).coeffs, np.array([b1.coeffs, b2.coeffs])
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        e1, e2 = _exps_at((b1, b2), ts)
-        x2 = _mul_rows(c, _mul_rows(b1, e1) - _mul_rows(b2, e2))
-        return np.stack((_mul_rows(c, e1 - e2), x2), axis=1)
+        e = _exps_at((b1, b2), ts)
+        be = _mul_rows(algebra, bs[:, None], e)  # b1 e1 and b2 e2
+        return _mul_rows(algebra, c, np.stack((e[0] - e[1], be[0] - be[1]), axis=1))
 
     return _batch_curve(algebra, batch, "two-exponential")
 
@@ -651,13 +656,11 @@ def elliptic_family(c_param: Element) -> SolutionCurve:
     c1 = c_param
     c2 = 0.5 * (-(j - k) + c_param * (-e0 + i + j + k))
     c3 = 0.5 * ((j - k) - c_param * (e0 + i + j + k))
-    pairs = ((c1, i), (c2, j), (c3, k))
+    cs, bs = (np.array([x.coeffs for x in xs])[:, None] for xs in ((c1, c2, c3), (i, j, k)))
 
     def batch(ts: np.ndarray) -> np.ndarray:
-        x1 = x2 = np.zeros((len(ts), algebra.dim))
-        for (coeff, b), e in zip(pairs, _exps_at([b for _, b in pairs], ts)):
-            x1 = x1 + _mul_rows(coeff, e)
-            x2 = x2 + _mul_rows(coeff, _mul_rows(b, e))
-        return np.stack((x1, x2), axis=1)
+        e = _exps_at((i, j, k), ts)
+        terms = _mul_rows(algebra, cs[:, None], np.stack((e, _mul_rows(algebra, bs, e)), axis=2))
+        return sum(terms, np.zeros(terms.shape[1:]))  # 0 + C1 (...) + C2 (...) + C3 (...), in that order
 
     return _batch_curve(algebra, batch, "three-exponential-family")

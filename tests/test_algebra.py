@@ -470,7 +470,12 @@ def test_mul_rows_has_the_bytes_of_each_element_product(tag):
         a = Element(alg, rng.standard_normal(alg.dim) * 10.0 ** rng.integers(-3, 3))
         xs = rng.standard_normal((k, alg.dim)) * 10.0 ** rng.integers(-3, 3, size=(k, 1))
         want = np.array([(a * Element(alg, x)).coeffs for x in xs]).reshape(k, alg.dim)
-        assert algebra._mul_rows(a, xs).tobytes() == want.tobytes()
+        assert algebra._mul_rows(alg, a.coeffs, xs).tobytes() == want.tobytes()
+    # a stack of left factors, broadcast against the right ones, signed basis elements among them
+    lefts = np.concatenate((np.eye(alg.dim), -np.eye(alg.dim), rng.standard_normal((5, alg.dim))))
+    rights = np.concatenate((rng.standard_normal((6, alg.dim)), np.eye(alg.dim), -np.eye(alg.dim)))
+    want = np.array([[(Element(alg, a) * Element(alg, x)).coeffs for x in rights] for a in lefts])
+    assert algebra._mul_rows(alg, lefts[:, None], rights[None]).tobytes() == want.tobytes()
 
 
 def _element_norm(c):

@@ -430,6 +430,39 @@ def test_stacked_scenarios_match_their_per_matrix_loops(name, reference, seed):
     assert got.verdict
 
 
+@pytest.mark.parametrize("seed", [1171915987, 2070104270])
+def test_quasidet_2x2_judges_its_gaps_relative_to_their_sizes(capsys, seed):
+    # 1171915987 draws a real member with cond_2 1.4e4, whose inverse entries
+    # differ by 1.98e-9; 2070104270 one with cond_2 9.5e5, whose entries of
+    # 6.3e5 differ by 9.2e-6: rounding, above an absolute 1e-9
+    report, _ = run_scenario("quasidet-2x2", Options(seed=seed))
+    assert report.verdict and report.residual > 1e-9
+    assert main(["run", "quasidet-2x2", "--seed", str(seed)]) == 0
+
+
+@pytest.mark.parametrize("routine", ["_inverse", "_quasidets"])
+def test_quasidet_2x2_refutes_one_entry_a_millionth_off(monkeypatch, routine):
+    """One entry of the best-conditioned member of each algebra, 1e-6 relative off, fails."""
+    inverse, real = biring._inverse, getattr(biring, routine)
+
+    def perturbed(table, data, *pairs):
+        out = real(table, data, *pairs)
+        members = data if routine == "_inverse" else data[::4]  # four (i, j) pairs per member
+        invs, failed = inverse(table, members)
+        largest = np.sqrt((invs ** 2).sum(axis=-1)).max(axis=(1, 2))
+        largest[list(failed)] = np.inf
+        best = int(np.argmin(largest))
+        if routine == "_inverse":
+            out[0][best, 0, 0] *= 1.0 + 1e-6
+        else:
+            out[4 * best] *= 1.0 + 1e-6  # its (0, 0) quasideterminant
+        return out
+
+    monkeypatch.setattr(biring, routine, perturbed)
+    report, _ = run_scenario("quasidet-2x2", Options(seed=0))
+    assert not report.verdict and 1e-9 < report.residual < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # the stacked exponent scenarios against the per-call loops they replaced
 

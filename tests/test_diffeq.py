@@ -1021,7 +1021,7 @@ def test_an_infinite_state_refutes_without_a_warning(HH):
 
 
 def test_rk4_values_past_int64_step_counts_match_curve_t(HH):
-    # 1e300 / (1 / 100) steps do not fit an int64: those times are powered one at a time
+    # 1e300 / (1 / 100) steps do not fit an int64: those counts are powered in float64
     curve = rk4_integrate(LinearOde(BiMatrix.zeros(HH, 2, 2), OdeForm.RC_LEFT, (one(HH), basis(HH, 2))), 1.0, 100)
     ts = (0.5, 1e300, -1e300)
     for t, state in zip(ts, curve.values(ts)):
@@ -1086,3 +1086,89 @@ def test_an_overflowing_system_leaves_the_other_rk4_states_of_the_stack_alone(HH
         want = rk4_integrate(ode, 1.0, 10).values(ts)
         assert np.isfinite(want).all() == (i != bad)
         assert got[i].tobytes() == want.tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# one stacked route: the residual's norms, the read-and-judge step, the RK4 power
+
+
+def test_the_residual_judge_takes_every_norm_in_one_call(monkeypatch, HH):
+    rows = []
+    stacked = diffeq._frobenius_rows
+    monkeypatch.setattr(diffeq, "frobenius", lambda c: pytest.fail("a per-component norm"))
+    monkeypatch.setattr(diffeq, "_frobenius_rows", lambda c: rows.append(c.shape) or stacked(c))
+    ode = LinearOde(random_matrix(HH, 2, 2, np.random.default_rng(3)), OdeForm.CR_LEFT, (one(HH), basis(HH, 2)))
+    rep = solution_residual(ode, closed_form_solution(ode), (0.0, 0.5, 1.0))
+    assert rep.verdict and rows == [(3, 2, 4)]
+
+
+def test_an_overflowing_user_curve_is_refuted_with_no_warning():
+    # the finite difference of the states +-1.5e308 at t +- h and M x at
+    # 1.7e308, with M = 2, both overflow to inf, so their gap is inf - inf;
+    # the suite turns a RuntimeWarning into an error
+    real = make_algebra("real")
+    ode = LinearOde(BiMatrix.from_elements([[from_scalar(real, 2.0)]]), OdeForm.RC_LEFT, (one(real),))
+
+    def state(t):
+        return (from_scalar(real, 1.7e308 if t == 1.0 else math.copysign(1.5e308, t - 1.0)),)
+
+    rep = solution_residual(ode, SolutionCurve(state, "user"), [1.0])
+    assert not rep.verdict and math.isnan(rep.residual) and rep.witness["t"] == 1.0
+
+
+def test_read_residual_is_solution_residual_and_the_states_at_ts(HH):
+    ode = elliptic_ode(HH)
+    ts = (0.0, 0.5, 2.0)
+    for curve in (rk4_integrate(ode, 2.0, 2000), elliptic_two_exp_curve(HH), elliptic_family(basis(HH, 1))):
+        rep, states = diffeq._read_residual(ode, curve, ts)
+        assert rep.to_data() == solution_residual(ode, curve, ts).to_data()
+        assert states.tobytes() == curve.values(ts).tobytes()
+    with pytest.raises(ValueError, match="at least one probe"):
+        diffeq._read_residual(ode, elliptic_two_exp_curve(HH), ())
+
+
+def test_rk4_states_past_int64_make_one_kernel_call(monkeypatch, HH):
+    calls = []
+    kernel = diffeq._kernels.rk4_linear
+    monkeypatch.setattr(diffeq._kernels, "rk4_linear", lambda *args: calls.append(args) or kernel(*args))
+    odes = [LinearOde(BiMatrix.zeros(HH, 2, 2), OdeForm.RC_LEFT, (one(HH), basis(HH, 2))),
+            LinearOde(random_matrix(HH, 2, 2, np.random.default_rng(4), scale=1e-3), OdeForm.RC_RIGHT,
+                      (basis(HH, 1), one(HH)))]
+    m, x0 = np.stack([ode.real_matrix() for ode in odes]), np.stack([diffeq._vec(ode.init) for ode in odes])
+    ts, h = np.array([0.5, 1e300, -1e300, 2.0]), diffeq._rk4_step_target(1.0, 100)
+    got = diffeq._rk4_states(m, x0, ts, h)
+    assert len(calls) == 1
+    # each state has the bits of its own scalar power, in Python integer steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(odes)):
+            for t, state in zip(ts.tolist(), got[i]):
+                assert state.tobytes() == kernel(m[i], x0[i], t, max(1, math.ceil(abs(t) / h))).tobytes(), (i, t)
+
+
+# ---------------------------------------------------------------------------
+# typed refusals
+
+
+def test_rk4_integrate_refuses_fewer_than_one_step(HH):
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        rk4_integrate(elliptic_ode(HH), 1.0, 0)
+
+
+def test_eigen_solution_refuses_an_unknown_side(HH):
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        eigen_solution(basis(HH, 1), (one(HH),), side="middle")
+
+
+def test_judge_states_refuses_states_of_another_shape(HH):
+    ode = elliptic_ode(HH)
+    with pytest.raises(AlgebraError, match="a state of this system is 2 elements of the quaternion algebra"):
+        diffeq._judge_states(ode, np.zeros((3, 2, 2)), [0.5], "user")
+
+
+@pytest.mark.parametrize("tag", ["real", "complex"])
+def test_elliptic_curves_refuse_an_algebra_other_than_the_quaternions(tag):
+    alg = make_algebra(tag)
+    with pytest.raises(ValueError, match="the constructed elliptic curves live in the quaternions"):
+        elliptic_two_exp_curve(alg)
+    with pytest.raises(ValueError, match="the three-exponential family lives in the quaternions"):
+        elliptic_family(one(alg))

@@ -114,8 +114,9 @@ def test_rk4_linear_of_a_stack_returns_an_overflowing_member_non_finite():
 def test_rk4_linear_of_a_stack_of_systems_matches_each_member(tag):
     d = make_algebra(tag).dim
     rng = np.random.default_rng(11)
-    ts = np.array([1e-5, -0.7, 0.5, 2.0, 2.0, 3.5])
-    steps = np.array([1, 7, 100, 1000, 10_000, 3])
+    ts = np.array([1e-5, -0.7, 0.5, 2.0, 2.0, 3.5, 1.0, -0.25])
+    # counts are read in float64: 2**70 and 2**64 + 2**12 are float64 values past int64
+    steps = np.array([1, 7, 100, 1000, 10_000, 3, 2.0 ** 70, 2.0 ** 64 + 2.0 ** 12])
     for n in SIZES:
         ms = rng.normal(size=(len(ts), n * d, n * d))
         x0s = rng.normal(size=(len(ts), n * d))
@@ -126,3 +127,4 @@ def test_rk4_linear_of_a_stack_of_systems_matches_each_member(tag):
             for i, (t, k) in enumerate(zip(ts, steps)):
                 want = _kernels.rk4_linear(m if m.ndim == 2 else m[i], x0 if x0.ndim == 1 else x0[i], float(t), int(k))
                 assert got[i].tobytes() == want.tobytes(), (n, t, k)
+

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ncalg import _kernels
 from ncalg.algebra import (
+    AlgebraError,
     Element,
     basis,
     from_scalar,
@@ -717,3 +718,13 @@ def test_an_empty_stack_of_element_exponentials_is_empty(tag):
     alg = make_algebra(tag)
     for out in _stacked(alg, np.empty((0, alg.dim))):
         assert out.shape == (0, alg.dim)
+
+
+def test_quasiexp_refuses_directions_of_another_algebra(HH):
+    with pytest.raises(AlgebraError, match="algebra mismatch in quasiexp"):
+        quasiexp([one(HH), one(make_algebra("complex"))], one(HH))
+
+
+def test_mexp_rc_refuses_a_non_square_matrix(HH):
+    with pytest.raises(ValueError, match="square matrix required"):
+        mexp_rc(random_matrix(HH, 2, 3, np.random.default_rng(0)))
