@@ -250,11 +250,15 @@ def frobenius(c: np.ndarray) -> float:
 
     The squares are summed after the scaling of :func:`_scaled`, so none
     that matters over- or underflows. Wherever the unscaled sqrt(c . c)
-    neither over- nor underflows, the two agree to the bit.
+    neither over- nor underflows, the two agree to the bit; a norm past the
+    largest float is inf.
     """
     s, e = _scaled(c)
     v = s.ravel(order="K")
-    return float(np.ldexp(math.sqrt(v.dot(v)), e.item()))
+    try:
+        return math.ldexp(math.sqrt(v.dot(v)), e.item())
+    except OverflowError:
+        return math.inf
 
 
 def _frobenius_rows(c: np.ndarray) -> np.ndarray:
@@ -262,10 +266,11 @@ def _frobenius_rows(c: np.ndarray) -> np.ndarray:
 
     Each row is scaled alone, and its squares are summed by the matmul of
     a (1, N) row with its (N, 1) transpose, which takes the BLAS call that
-    v.dot(v) takes alone.
+    v.dot(v) takes alone. A norm past the largest float is inf.
     """
     s, e = _scaled(c, -1)
-    return np.ldexp(np.sqrt((s[..., None, :] @ s[..., :, None])[..., 0, 0]), e[..., 0])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt((s[..., None, :] @ s[..., :, None])[..., 0, 0]), e[..., 0])
 
 
 def _norm(c: np.ndarray) -> float:

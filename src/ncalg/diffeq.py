@@ -21,7 +21,7 @@ algorithm, and the tests check M x against Element products. A solution
 curve is read at one time, ``curve(t)``, or on a whole time grid at once,
 ``curve.values(ts)``: the closed form through one stacked exponential, RK4
 through one stacked power of its step matrices, the elliptic curves
-through one stacked exponential of all their b t and row-wise array
+through one series._exp_els call on all their b t and row-wise array
 products for their states (their ``curve(t)`` reads the one-time grid),
 and each time with the bits ``curve(t)`` gives it. The closed-form and
 RK4 grids are the one-system case of the private _closed_form_states and
@@ -602,8 +602,8 @@ def hyperbolic_ode(algebra: AlgebraDesc, f: Element | None = None) -> LinearOde:
 def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
     """The coefficients of exp_at(b, t) for each b of bs and t of ts, a (len(bs), len(ts), d) array.
 
-    One stacked exponential of every b t; t b is el_scale's product, so each
-    row has the bits of its exp_at call. A non-finite time raises first.
+    One _exp_els call on every b t; t b is el_scale's product, so each row
+    has the bits of its exp_at call. A non-finite time raises first.
     """
     for t in ts.tolist():
         _require_finite_time(t)

@@ -1,35 +1,37 @@
 """Series-defined maps on algebra elements and matrices.
 
-Every map here is the exponential of a real matrix, computed by one routine,
-``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-26(4), 2005): the argument a is halved until its 1-norm is at most 1/2, its
-Taylor series is summed to the first degree n with ||a||_1^n / n! at most
-TAYLOR_RTOL, and the sum is squared back. That bound caps term n itself,
-so the degree, fixed from the norm before the sum and at most 14, is never
-below what a rule on the computed terms would stop at. There is no term
-budget to set. The degree-n polynomial is evaluated by Paterson-Stockmeyer
-(SIAM J. Comput. 2(1), 1973) in blocks of four: 3 + n // 4 matrix
-products, at most 6, instead of n, plus one per squaring. ``_expm`` also
-takes a (k, p, p) stack, for a curve on a whole time grid: each member
-keeps the squaring count and degree of its own norm, a lower degree is
-padded with zero coefficient rows, which add exactly nothing, and only
-the members of degree at most 3, whose one coefficient row takes another
-BLAS kernel, go through the sum as a group of their own. So every member
-gets the bits it gets alone.
+The element maps exp_el, sinh_el, cosh_el, sin_el and cos_el take the
+complex slice. In the reals, the complex numbers and the quaternions, an
+element x = a + v with real part a and imaginary part v has v^2 = -|v|^2,
+so 1 and v/|v| span a copy of C that holds every power of x, and any real
+power series f has f(x) = Re f(z) + (v/|v|) Im f(z) with z = a + i|v|. One
+scalar cmath call gives f(z) (_slice). The private _exp_els and _pairs take
+exp_el, and the (cosh, sinh) or (cos, sin) pair, of every row of a (k, d)
+array of coefficients, for callers that need many at once: the elliptic
+curves on a time grid and the exponent-law and Euler scenarios. Row i goes
+through the arithmetic of the single call of that row, so it has its bits.
 
-The private _exp_els and _pairs take exp_el, and the (cosh, sinh) or
-(cos, sin) pair, of every row of a (k, d) array of coefficients in one
-stacked exponential, for callers that need many at once: the elliptic
-curves on a time grid and the exponent-law and Euler scenarios. Row i has
-the bits of the public map of that row alone; the public maps keep their
-single calls.
+The matrix maps are the exponential of a real matrix, computed by one
+routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
+Appl. 26(4), 2005): the argument a is halved until its 1-norm is at most
+1/2, its Taylor series is summed to the first degree n with ||a||_1^n / n!
+at most TAYLOR_RTOL, and the sum is squared back. That bound caps term n
+itself, so the degree, fixed from the norm before the sum and at most 14,
+is never below what a rule on the computed terms would stop at. There is
+no term budget to set. The degree-n polynomial is evaluated by
+Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in blocks of four:
+3 + n // 4 matrix products, at most 6, instead of n, plus one per
+squaring. ``_expm`` also takes a (k, p, p) stack, for a curve on a whole
+time grid: each member keeps the squaring count and degree of its own
+norm, a lower degree is padded with zero coefficient rows, which add
+exactly nothing, and only the members of degree at most 3, whose one
+coefficient row takes another BLAS kernel, go through the sum as a group
+of their own. So every member gets the bits it gets alone.
 
-Each map is one exponential exp(rho(E)) of a small matrix E of elements
-(rho as in _kernels, so L(x) = rho([x]) and L(exp x) = exp(L(x))), and it
-reads column 0 of a d-row block, since L(a) e_0 = a: exp_el takes E = [x],
-sinh, cosh, sin and cos take E = [[0, x], [+-x, 0]], mexp_rc takes its
-own argument and maps the whole result back with unrho, and quasiexp takes
-a 2^n x 2^n subset lattice. Arguments or results that are not finite, and
+mexp_rc exponentiates rho of its argument (rho as in _kernels, so
+L(x) = rho([x])) and maps the result back with unrho; quasiexp takes
+exp(rho(E)) of a 2^n x 2^n subset lattice E and reads column 0 of a d-row
+block, since L(a) e_0 = a. Arguments or results that are not finite, and
 arguments too large for any digit of the result to be accurate, raise
 SeriesBudgetError. The quasiexponent generalizes the exponent: it is the
 order-n derivative of exp evaluated at fixed directions, and like exp it
@@ -38,6 +40,7 @@ satisfies dy/dx o 1 = y.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
@@ -173,7 +176,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
 
 def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
-    """exp(rho(E)) for an (m, m, d) matrix E of elements, or for each member of a (k, m, m, d) stack.
+    """exp(rho(E)) for an (m, m, d) matrix E of elements.
 
     A non-finite E is refused before rho multiplies inf by the table's zeros.
     """
@@ -182,9 +185,48 @@ def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
     return _expm(_kernels.rho(alg.table, e))
 
 
+def _slice(fs, c: np.ndarray) -> list[np.ndarray]:
+    """f(x) of each row x of a (k, d) coefficient array c for each cmath function f of fs, one (k, d) array per f.
+
+    With x = a + v, z = a + i|v| and w = f(z), f(x) has real part Re w and
+    imaginary part (Im w / |v|) v, with 0 for the quotient when v = 0;
+    math.hypot takes |v| with no over- or underflow. A row is refused
+    before its values when it is not finite, or when its coefficients'
+    absolute sum, the 1-norm of L(x) and of [[0, x], [+-x, 0]], is 2^52 or
+    more, where no digit of the phase is left; then a value that overflows
+    raises. The rows go one at a time in plain Python floats, so each has
+    the bits it has alone, and the first row that fails raises its error.
+    """
+    k, d = c.shape
+    outs = [[] for _ in fs]
+    for row in c.tolist():
+        if not sum(map(abs, row)) < 2.0 ** 52:  # NaN or inf when the row is not finite
+            if not all(map(math.isfinite, row)):
+                raise SeriesBudgetError("exponential of a non-finite argument")
+            raise SeriesBudgetError("argument too large for an accurate exponential")
+        v = row[1:]
+        norm = math.hypot(*v)
+        z = complex(row[0], norm)
+        for f, out in zip(fs, outs):
+            try:
+                w = f(z)
+                if not cmath.isfinite(w):
+                    raise OverflowError
+            except OverflowError:
+                raise SeriesBudgetError("exponential overflows") from None
+            q = w.imag / norm if norm else 0.0
+            out.append(w.real)
+            out += [q * x for x in v]
+    return [np.array(out).reshape(k, d) for out in outs]
+
+
+def _el(f, x: Element) -> Element:
+    return Element._trusted(x.algebra, _slice((f,), x.coeffs[None])[0][0])
+
+
 def exp_el(x: Element) -> Element:
-    """exp(x) = sum x^n / n!: column 0 of exp(L(x)), E = [x]."""
-    return Element._trusted(x.algebra, _exp_rho(x.algebra, x.coeffs[None, None])[:, 0])
+    """exp(x) = sum x^n / n!, through the complex slice (_slice)."""
+    return _el(cmath.exp, x)
 
 
 def _require_finite_time(t: float) -> None:
@@ -200,56 +242,38 @@ def exp_at(a: Element, t: float) -> Element:
 
 
 def _exp_els(alg, c: np.ndarray) -> np.ndarray:
-    """The coefficients of exp_el of each row of a (k, d) array c, as one (k, d) array.
+    """The coefficients of exp_el of each row of a (k, d) array c of alg's elements, as one (k, d) array.
 
-    One stacked exponential of the L(c_i), so row i has the bits of exp_el
-    of that row alone. An empty stack gives an empty (0, d) array.
+    Row i has the bits of exp_el of that row alone, and the first row whose
+    exp_el raises raises its error. An empty stack gives an empty (0, d)
+    array.
     """
-    return _exp_rho(alg, c[:, None, None])[:, :, 0]
-
-
-def _pair(x: Element, sign: float, block: int) -> Element:
-    """Block (0, block), column 0, of exp(rho(E)) for E = [[0, x], [sign x, 0]].
-
-    With L = L(x), that exponential is [[cosh L, sinh L], [sinh L, cosh L]]
-    for sign = 1 and [[cos L, sin L], [-sin L, cos L]] for sign = -1.
-    """
-    d = x.algebra.dim
-    e = np.zeros((2, 2, d))
-    e[0, 1] = x.coeffs
-    e[1, 0] = sign * x.coeffs
-    return Element._trusted(x.algebra, _exp_rho(x.algebra, e)[:d, block * d])
+    return _slice((cmath.exp,), c)[0]
 
 
 def sinh_el(x: Element) -> Element:
-    return _pair(x, 1.0, 1)
+    return _el(cmath.sinh, x)
 
 
 def cosh_el(x: Element) -> Element:
-    return _pair(x, 1.0, 0)
+    return _el(cmath.cosh, x)
 
 
 def sin_el(x: Element) -> Element:
-    return _pair(x, -1.0, 1)
+    return _el(cmath.sin, x)
 
 
 def cos_el(x: Element) -> Element:
-    return _pair(x, -1.0, 0)
+    return _el(cmath.cos, x)
 
 
 def _pairs(alg, c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh, sinh) of each row of a (k, d) array c for sign = 1, (cos, sin) for sign = -1.
+    """(cosh, sinh) of each row of a (k, d) array c of alg's elements for sign = 1, (cos, sin) for sign = -1.
 
-    Blocks (0, 0) and (0, 1), column 0, of one stacked exponential of the
-    [[0, c_i], [sign c_i, 0]], so row i has the bits of cosh_el and sinh_el
-    (or cos_el and sin_el) of that row alone.
+    Row i has the bits of cosh_el and sinh_el (or cos_el and sin_el) of
+    that row alone, and the first row where either raises raises its error.
     """
-    k, d = c.shape
-    e = np.zeros((k, 2, 2, d))
-    e[:, 0, 1] = c
-    e[:, 1, 0] = sign * c
-    out = _exp_rho(alg, e)
-    return out[:, :d, 0], out[:, :d, d]
+    return tuple(_slice((cmath.cosh, cmath.sinh) if sign > 0 else (cmath.cos, cmath.sin), c))
 
 
 # ---------------------------------------------------------------------------

@@ -506,3 +506,11 @@ def test_frobenius_rows_has_the_bits_of_each_frobenius_call(n):
     stack = np.stack((rows, rows[::-1] * 3.0))
     want = np.array([[algebra.frobenius(r) for r in member] for member in stack])
     assert algebra._frobenius_rows(stack).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_norm_past_the_largest_float_is_inf_with_no_warning(HH):
+    c = np.full(4, 1.7e308)
+    assert algebra.frobenius(c) == algebra.frobenius(np.stack((c, c))) == Element(HH, c).norm() == math.inf
+    assert algebra._frobenius_rows(np.stack((c, c * 1e-300))).tolist() == [math.inf, algebra.frobenius(c * 1e-300)]
+    assert algebra.close(c, c) and Element(HH, c).close(Element(HH, c))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncalg import _kernels
+from ncalg import _kernels, series
 from ncalg.algebra import (
     AlgebraError,
     Element,
@@ -403,7 +403,35 @@ def closed_form(f, x):
     return out
 
 
+# the element maps as matrix exponentials, which share no code with the
+# closed form: column 0 of exp(L(x)) for exp, and column 0 of block
+# (0, block) of exp(rho([[0, x], [sign x, 0]])) for the others, L(x) = rho([x])
+MATRIX_BLOCKS = {sinh_el: (1.0, 1), cosh_el: (1.0, 0), sin_el: (-1.0, 1), cos_el: (-1.0, 0)}
+
+
+def matrix_route(fn, x):
+    if fn is exp_el:
+        return _expm(left_matrix(x))[:, 0]
+    sign, block = MATRIX_BLOCKS[fn]
+    d = x.algebra.dim
+    e = np.zeros((2, 2, d))
+    e[0, 1] = x.coeffs
+    e[1, 0] = sign * x.coeffs
+    return _expm(_kernels.rho(x.algebra.table, e))[:d, block * d]
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_element_functions_match_the_matrix_exponential(self, tag, rng):
+        alg = make_algebra(tag)
+        for _ in range(5):
+            for row, norm in zip(_rows(alg, rng), ROW_NORMS):
+                x = Element(alg, row)
+                a, v = row[0], float(np.linalg.norm(row[1:]))
+                for fn, (_, size) in CLOSED.items():
+                    err = float(np.linalg.norm(fn(x).coeffs - matrix_route(fn, x)))
+                    assert err <= 1e-13 * (1.0 + norm) * size(a, v), (fn.__name__, x)
+
     @pytest.mark.parametrize("tag", ALGEBRAS)
     def test_element_functions_up_to_norm_30(self, tag, rng):
         # tolerance: rounding times the size of the exponentials involved
@@ -425,6 +453,17 @@ class TestClosedForm:
     def test_quarter_turns_at_t_20(self, HH):
         e = exp_at(basis(HH, 1), 20.0)
         assert e.close(Element(HH, [math.cos(20.0), math.sin(20.0), 0.0, 0.0]), 1e-13)
+
+    def test_edges_of_the_slice(self, RR, HH):
+        # over the reals v is empty; a subnormal v keeps its bits; exp of a
+        # large negative real underflows to zero; cosh and sinh of 710 are finite
+        got = exp_el(from_scalar(RR, 1.5)).coeffs[0]
+        assert abs(got - math.exp(1.5)) <= 2.0 ** -52 * math.exp(1.5)
+        assert exp_el(Element(HH, [0.0, 1e-310, 0.0, 0.0])).coeffs.tolist() == [1.0, 1e-310, 0.0, 0.0]
+        assert exp_el(from_scalar(HH, -800.0)).coeffs.tolist() == [0.0] * 4
+        for fn in (cosh_el, sinh_el):
+            got = fn(from_scalar(RR, 710.0)).coeffs[0]
+            assert abs(got / math.cosh(710.0) - 1.0) <= 1e-12, fn.__name__
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -709,8 +748,22 @@ def test_a_row_that_raises_alone_raises_the_same_error_in_a_stack(bad):
         if bad == 800.0 and single is sin_el:
             continue  # sin and cos of a real 800 are finite
         alone = _error(lambda: single(x))
-        for stack in ([x.coeffs], [fine[0], x.coeffs], [x.coeffs, *fine]):
+        # a later row that fails otherwise does not change the error
+        later = [[v, 0.0, 0.0, 0.0] for v in (math.nan, 2.0 ** 53)]
+        for stack in ([x.coeffs], [fine[0], x.coeffs], [x.coeffs, *fine], [x.coeffs, *later], [x.coeffs, *later[::-1]]):
             assert _error(lambda: stacked(np.array(stack))) == alone
+
+
+def test_element_maps_take_no_matrix_exponential(monkeypatch):
+    def refuse(m):
+        raise AssertionError("an element map reached _expm")
+
+    monkeypatch.setattr(series, "_expm", refuse)
+    for tag in ALGEBRAS:
+        alg = make_algebra(tag)
+        c = _rows(alg, np.random.default_rng(2820))
+        _singles(alg, c)
+        _stacked(alg, c)
 
 
 @pytest.mark.parametrize("tag", ALGEBRAS)

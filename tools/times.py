@@ -15,17 +15,19 @@ scenarios
     all in turn.
 series
     The single calls of the benchmark's series-scale workload: exp_el,
-    sinh_el, mexp_rc on a 4 x 4 H matrix, quasiexp of order 2, and
-    curve(t) of a closed-form and of an RK4 curve (1000 steps to t = 1) of
-    an H system of size n = 2 and 4. Then one values call on 11 times of
-    each curve at n = 2; exp_el of 24 H elements, one call each and in one
-    series._exp_els call; cosh_el and sinh_el of 12, one call each and in
-    one series._pairs call. Last, the states of 12 H systems of size 2,
-    three per product form, as ode-forms-cross-check reads them: closed
-    form at 11 grid times on [0, 1] and at diffeq._probe_times of 0, 0.5
-    and 1, RK4 (10 000 steps to t = 1) at the grid times; first with one
-    values call per curve, then with one diffeq._closed_form_states and one
-    diffeq._rk4_states call for all 12.
+    sinh_el, cosh_el, sin_el and cos_el of an H element of norm 2, exp_el
+    of it times 15, at the workload's largest norm, 30, mexp_rc on a 4 x 4
+    H matrix, quasiexp of order 2, and curve(t) of a closed-form and of an
+    RK4 curve (1000 steps to t = 1) of an H system of size n = 2 and 4.
+    Then one values call on 11 times of each curve at n = 2; exp_el of 24
+    H elements, one call each and in one series._exp_els call; cosh_el and
+    sinh_el of 12, one call each and in one series._pairs call. Last, the
+    states of 12 H systems of size 2, three per product form, as
+    ode-forms-cross-check reads them: closed form at 11 grid times on
+    [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
+    to t = 1) at the grid times; first with one values call per curve, then
+    with one diffeq._closed_form_states and one diffeq._rk4_states call for
+    all 12.
 inverse
     rc_inv over H at n = 1, 2, 4, 8 and 16 of a random matrix (coefficients
     uniform on [-1, 1]), of U diag(sigma) V with unitary U and V and sigma
@@ -102,8 +104,9 @@ def series_rows():
     x = x * (2.0 / x.norm())
     cs = [algebra.random_element(H, rng) for _ in range(2)]
     mat = biring.random_matrix(H, 4, 4, rng, scale=0.5)
-    yield "exp_el", lambda: partial(series.exp_el, x)
-    yield "sinh_el", lambda: partial(series.sinh_el, x)
+    for name in ("exp_el", "sinh_el", "cosh_el", "sin_el", "cos_el"):
+        yield name, lambda name=name: partial(getattr(series, name), x)
+    yield "exp_el, norm 30", lambda: partial(series.exp_el, x * 15.0)
     yield "mexp_rc (4x4)", lambda: partial(series.mexp_rc, mat)
     yield "quasiexp order 2", lambda: partial(series.quasiexp, cs, x * 0.25)
     curves = {"closed-form": lambda ode: diffeq.closed_form_solution(ode),
