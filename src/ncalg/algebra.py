@@ -288,14 +288,23 @@ def close(a: np.ndarray, b: np.ndarray, rtol: float = CLOSE_RTOL) -> bool:
     """The one closeness rule: ||a - b|| <= rtol (||a|| + ||b||), in the Frobenius norm.
 
     The bound scales with a and b, so the answer is the same at every
-    magnitude short of overflow: only an exactly zero array is close to
-    zero, two empty arrays are close, and an array holding a NaN or an
-    infinity is close to nothing, whatever rtol. A vector's norms are
-    taken by _norm, which has frobenius's bits at a fraction of its cost.
+    magnitude: only an exactly zero array is close to zero, two empty
+    arrays are close, and an array holding a NaN or an infinity is close to
+    nothing, whatever rtol. Where ||a|| + ||b|| reaches 2^1000, so that a
+    norm or a - b could overflow, a and b are first scaled by one common
+    power of two. A vector's norms are taken by _norm, which has
+    frobenius's bits at a fraction of its cost.
     """
     norm = _norm if a.ndim == 1 else frobenius
+    na, nb = norm(a), norm(b)
+    if not na + nb < 2.0 ** 1000:  # NaN or inf when a or b is not finite
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return False
+        e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+        na, nb = norm(a), norm(b)
     d = norm(a - b)
-    return d < math.inf and d <= rtol * (norm(a) + norm(b))
+    return d < math.inf and d <= rtol * (na + nb)
 
 
 def _same(a: Element, b: Element) -> None:

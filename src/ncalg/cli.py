@@ -249,7 +249,7 @@ def _scn_exp_properties(opt: Options) -> Report:
     # all 53 exponentials in one stacked call, each with the bits of its exp_el
     args = [y for a, b in commuting for y in (a + b, a, b)]
     args += [y for a, x in swaps for y in (x * a, a * x)] + [i + j, i, j]
-    exps = iter([Element._trusted(alg, e) for e in _exp_els(alg, np.array([y.coeffs for y in args]))])
+    exps = iter([Element._trusted(alg, e) for e in _exp_els(np.array([y.coeffs for y in args]))])
     # read back in the order of args: commuting pairs multiply, and the
     # side-swap identity a e^{xa} = e^{ax} a holds
     sides = [(next(exps), next(exps) * next(exps)) for _ in commuting]
@@ -284,8 +284,8 @@ def _euler_gap(alg, f: Element) -> tuple[float, bool]:
     another. Returns the worst gap and whether every identity holds.
     """
     tf = np.array((0.1, 0.5, 1.0, 2.0))[:, None] * f.coeffs
-    exps = _exp_els(alg, np.concatenate((tf, -tf))).reshape(2, len(tf), alg.dim)
-    cosh, sinh = _pairs(alg, tf, 1.0)
+    exps = _exp_els(np.concatenate((tf, -tf))).reshape(2, len(tf), alg.dim)
+    cosh, sinh = _pairs(tf, 1.0)
     sides = []
     for row in zip(exps[0], exps[1], cosh, sinh):
         ep, em, ch, sh = (Element._trusted(alg, e) for e in row)

@@ -608,8 +608,7 @@ def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
     for t in ts.tolist():
         _require_finite_time(t)
     args = np.concatenate([ts[:, None] * b.coeffs for b in bs])
-    alg = bs[0].algebra
-    return _exp_els(alg, args).reshape(len(bs), len(ts), alg.dim)
+    return _exp_els(args).reshape(len(bs), len(ts), bs[0].algebra.dim)
 
 
 def _batch_curve(alg: AlgebraDesc, batch: Callable[[np.ndarray], np.ndarray], provenance: str) -> SolutionCurve:

@@ -14,19 +14,15 @@ through the arithmetic of the single call of that row, so it has its bits.
 The matrix maps are the exponential of a real matrix, computed by one
 routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
 Appl. 26(4), 2005): the argument a is halved until its 1-norm is at most
-1/2, its Taylor series is summed to the first degree n with ||a||_1^n / n!
-at most TAYLOR_RTOL, and the sum is squared back. That bound caps term n
-itself, so the degree, fixed from the norm before the sum and at most 14,
-is never below what a rule on the computed terms would stop at. There is
-no term budget to set. The degree-n polynomial is evaluated by
-Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in blocks of four:
-3 + n // 4 matrix products, at most 6, instead of n, plus one per
-squaring. ``_expm`` also takes a (k, p, p) stack, for a curve on a whole
-time grid: each member keeps the squaring count and degree of its own
-norm, a lower degree is padded with zero coefficient rows, which add
-exactly nothing, and only the members of degree at most 3, whose one
-coefficient row takes another BLAS kernel, go through the sum as a group
-of their own. So every member gets the bits it gets alone.
+1/2, its Taylor series is summed to degree 15, and the sum is squared
+back. At that norm the terms after degree 15 sum to less than 1.5e-18,
+far within TAYLOR_RTOL, so one fixed degree serves every argument and
+there is no term budget to set. The polynomial is evaluated by
+Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of four:
+6 matrix products instead of 15, plus one per squaring. ``_expm`` also
+takes a (k, p, p) stack, for a curve on a whole time grid: one pass of the
+polynomial sums every member, each member keeps the squaring count of its
+own norm, and every member gets the bits it gets alone.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
 L(x) = rho([x])) and maps the result back with unrho; quasiexp takes
@@ -48,7 +44,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import AlgebraError, Element, scale as el_scale
-from .biring import BiMatrix, transpose
+from .biring import BiMatrix, _require_square, transpose
 
 
 TAYLOR_RTOL = 1e-14
@@ -62,106 +58,73 @@ def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max(initial=0.0))
 
 
-def _taylor_degree(norm: float) -> int:
-    """Fewest Taylor terms n with norm^n / n! <= TAYLOR_RTOL; 14 at most for norm <= 1/2."""
-    n, bound = 1, norm
-    while bound > TAYLOR_RTOL:
-        n += 1
-        bound *= norm / n
-    return n
+# 1/k! for k = 0 .. 15 as a 4 x 4 array, row j holding k = 4j .. 4j + 3
+_PS_COEFFS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
+_PS_COEFFS.flags.writeable = False
 
 
-def _ps_coeffs(n: int) -> np.ndarray:
-    """1/k! for k <= n, and zeros after, as a 4 x 4 array, row j holding k = 4j .. 4j + 3."""
-    c = np.zeros(16)
-    c[:n + 1] = [1.0 / math.factorial(k) for k in range(n + 1)]
-    return c.reshape(4, 4)
-
-
-# row n: the coefficients of every degree _taylor_degree gives for a norm of at most 1/2
-_PS_COEFFS = np.array([_ps_coeffs(n) for n in range(_taylor_degree(0.5) + 1)])
-
-
-def _taylor(a: np.ndarray, n) -> np.ndarray:
-    """sum_{k<=n} a^k / k! by Paterson-Stockmeyer in blocks of four.
+def _taylor(a: np.ndarray) -> np.ndarray:
+    """sum_{k<=15} a^k / k! by Paterson-Stockmeyer in blocks of four.
 
     With B_j = sum_{i<4} a^i / (4j + i)!, the sum is B_0 + a^4 (B_1 + a^4 (B_2
-    + ...)). One product of the coefficient rows with the stacked I, a, a^2,
-    a^3 builds every B_j at once, and Horner's rule in a^4 adds n // 4
-    matrix products to the 3 that form a^2, a^3 and a^4. At n = 14 that is
-    6 products and about 15 numpy calls, where the term-by-term sum takes
-    14 products and 42 calls.
+    + a^4 B_3)). One product of the coefficient rows with the stacked I, a,
+    a^2, a^3 builds the four B_j at once, and Horner's rule in a^4 adds 3
+    matrix products to the 3 that form a^2, a^3 and a^4: 6 products and
+    about 15 numpy calls, where the term-by-term sum takes 15 products and
+    45 calls.
 
-    a is one (d, d) matrix of degree n, whose products are ndarray.dot, or
-    a (k, d, d) stack with an integer array n of degrees, one pass of
-    matmul for all members. A member of lower degree gets zero coefficient
-    rows up to the highest degree's rows: its B_j there are exactly zero,
-    and Horner's rule carries them as exact zeros up to its own last row,
-    so it gets the bits it gets alone. A one-row product takes another BLAS
-    kernel than a product of several rows, so the members of a stack must
-    all have degree at most 3 (one row) or all above 3.
+    a is one (d, d) matrix, whose products are ndarray.dot, or a (k, d, d)
+    stack, one pass of matmul for all members, each of which goes through
+    the arithmetic of its single call.
     """
     *stack, d, _ = a.shape
     dot = np.matmul if stack else np.ndarray.dot
     eye = _kernels.identity(d)
     a2 = dot(a, a)
     powers = np.concatenate((np.broadcast_to(eye, a.shape) if stack else eye, a, a2, dot(a2, a)), axis=-2)
-    rows = (n.max() if stack else n) // 4 + 1
-    blocks = dot(_PS_COEFFS[n, :rows], powers.reshape(*stack, 4, d * d))
-    blocks = (blocks.swapaxes(0, 1) if stack else blocks).reshape(rows, *stack, d, d)  # B_j first
-    total = blocks[-1]
-    if rows > 1:
-        a4 = dot(a2, a2)
-        for b in blocks[-2::-1]:
-            total = dot(total, a4)
-            total += b
+    blocks = dot(_PS_COEFFS, powers.reshape(*stack, 4, d * d)).reshape(*stack, 4, d, d)
+    a4 = dot(a2, a2)
+    total = blocks[..., 3, :, :]
+    for j in (2, 1, 0):
+        total = dot(total, a4)
+        total += blocks[..., j, :, :]
     return total
 
 
-def _scaling(norm: float, m: np.ndarray) -> tuple[int, int]:
-    """The squaring count s and Taylor degree n of a matrix m of 1-norm norm; raises past 2^52."""
+def _scaling(norm: float, m: np.ndarray) -> int:
+    """The squaring count s that takes a matrix m of 1-norm norm to at most 1/2; raises past 2^52."""
     if not norm < 2.0 ** 52:  # NaN or inf when m is not finite
         if not np.isfinite(m).all():
             raise SeriesBudgetError("exponential of a non-finite argument")
         raise SeriesBudgetError("argument too large for an accurate exponential")
-    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
-    return s, _taylor_degree(math.ldexp(norm, -s))
+    return math.frexp(norm)[1] + 1 if norm > 0.5 else 0
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp(m) of a real square matrix, or of each member of a (k, p, p) stack, by scaling and squaring.
 
-    The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term n, a^n / n!,
-    is at most ||a||_1^n / n!, and the tail after a term is no larger than
-    that term. The sum stops at the first n where this bound is within
-    TAYLOR_RTOL, which needs no norm of the terms and holds by n = 14. It
-    never stops earlier than a rule on the computed terms, since the bound
-    caps term n itself by TAYLOR_RTOL, where such a rule would allow
-    TAYLOR_RTOL (1 + ||sum||_1). The degree-n polynomial is evaluated by
-    Paterson-Stockmeyer (_taylor): 3 + n // 4 matrix products, at most 6,
-    where summing term by term takes n. The s squarings then take s more,
-    and multiply the sum's relative rounding error by up to 2^s, so past
+    The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term k, a^k / k!,
+    is at most 2^-k / k!, and the terms after degree 15 sum to less than
+    twice 2^-16 / 16!, below 1.5e-18: far within TAYLOR_RTOL, for every
+    argument, so every argument takes degree 15. It fills exactly four
+    blocks of _taylor's Paterson-Stockmeyer sum: 6 matrix products, where
+    summing term by term takes 15. The s squarings then take s more, and
+    multiply the sum's relative rounding error by up to 2^s, so past
     ||m||_1 = 2^52 no digit of the result is left and it raises instead.
 
-    Each member of a stack takes s and n from its own 1-norm and gets the
-    bits it gets alone. The members of degree at most 3 go through _taylor
-    as one group and the others as another, and member i is squared only
-    while r < s_i, selected with np.where; the squarings it skips are never
-    read and run with overflow warnings off. A member that raises alone
-    raises the same error in the stack, the first such member's.
+    Each member of a stack takes s from its own 1-norm and gets the bits it
+    gets alone: one _taylor pass sums every member, and member i is squared
+    only while r < s_i, selected with np.where; the squarings it skips are
+    never read and run with overflow warnings off. A member that raises
+    alone raises the same error in the stack, the first such member's.
     """
     if m.ndim == 2:
-        s, n = _scaling(_norm1(m), m)
-        total = _taylor(np.ldexp(m, -s), n)
+        s = _scaling(_norm1(m), m)
+        total = _taylor(np.ldexp(m, -s))
     else:
         norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
-        s, n = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=int).reshape(-1, 2).T
-        a = np.ldexp(m, -s[:, None, None])
-        total = np.empty_like(a)
-        low = n <= 3
-        for group in (low, ~low):
-            if group.any():
-                total[group] = _taylor(a[group], n[group])
+        s = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=int)
+        total = _taylor(np.ldexp(m, -s[:, None, None]))
     top = s if m.ndim == 2 else s.max(initial=0)
     if top:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,8 +204,8 @@ def exp_at(a: Element, t: float) -> Element:
     return exp_el(el_scale(a, t))
 
 
-def _exp_els(alg, c: np.ndarray) -> np.ndarray:
-    """The coefficients of exp_el of each row of a (k, d) array c of alg's elements, as one (k, d) array.
+def _exp_els(c: np.ndarray) -> np.ndarray:
+    """The coefficients of exp_el of each row of a (k, d) array c of element coefficients, as one (k, d) array.
 
     Row i has the bits of exp_el of that row alone, and the first row whose
     exp_el raises raises its error. An empty stack gives an empty (0, d)
@@ -267,8 +230,8 @@ def cos_el(x: Element) -> Element:
     return _el(cmath.cos, x)
 
 
-def _pairs(alg, c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh, sinh) of each row of a (k, d) array c of alg's elements for sign = 1, (cos, sin) for sign = -1.
+def _pairs(c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh, sinh) of each row of a (k, d) array c of element coefficients for sign = 1, (cos, sin) for sign = -1.
 
     Row i has the bits of cosh_el and sinh_el (or cos_el and sin_el) of
     that row alone, and the first row where either raises raises its error.
@@ -322,8 +285,7 @@ def mexp_rc(x: BiMatrix) -> BiMatrix:
 
     rho turns rc into the real matrix product, so this is unrho(exp(rho(x))).
     """
-    if x.rows != x.cols:
-        raise ValueError("square matrix required")
+    _require_square(x)
     return BiMatrix(x.algebra, _kernels.unrho(x.algebra.table, _exp_rho(x.algebra, x.data)))
 
 

@@ -437,6 +437,18 @@ def test_a_non_finite_element_is_close_to_nothing(HH, bad):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(4,), (3, 3, 4)])
+def test_closeness_holds_at_the_top_of_the_float_range(HH, shape):
+    # the norms of c overflow, though c is finite: the bound must not become inf
+    c = np.full(shape, 1.7e308)
+    assert not algebra.close(c, 0.5 * c)
+    assert algebra.close(c, c) and algebra.close(c, c * (1 + 1e-12))
+    if len(shape) == 1:
+        assert not Element(HH, c).close(Element(HH, 0.5 * c))
+        assert Element(HH, c).close(Element(HH, c)) and Element(HH, c).close(Element(HH, c * (1 + 1e-12)))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("s", [1.0, 1e-200, 1e-9, 1e4, 1e200])
 @pytest.mark.parametrize("answer, predicate", _scale_cases())
 def test_predicates_answer_alike_at_every_scale(answer, predicate, s):

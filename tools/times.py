@@ -27,7 +27,10 @@ series
     [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
     to t = 1) at the grid times; first with one values call per curve, then
     with one diffeq._closed_form_states and one diffeq._rk4_states call for
-    all 12.
+    all 12. Then series._expm itself: one 8 x 8 matrix at 1-norm 1e-5, 0.3
+    and 3, and the 216-member stack of those 12 systems' real matrices
+    times each nonzero one of those closed-form times, the stack that
+    diffeq._closed_form_states exponentiates in one call.
 inverse
     rc_inv over H at n = 1, 2, 4, 8 and 16 of a random matrix (coefficients
     uniform on [-1, 1]), of U diag(sigma) V with unitary U and V and sigma
@@ -123,9 +126,9 @@ def series_rows():
     rows = np.array([algebra.random_element(H, row_rng).coeffs for _ in range(24)])
     els = [algebra.Element(H, row) for row in rows]
     yield "exp_el x 24", lambda: lambda: [series.exp_el(x) for x in els]
-    yield "_exp_els(24 rows)", lambda: partial(series._exp_els, H, rows)
+    yield "_exp_els(24 rows)", lambda: partial(series._exp_els, rows)
     yield "cosh_el + sinh_el x 12", lambda: lambda: [(series.cosh_el(x), series.sinh_el(x)) for x in els[:12]]
-    yield "_pairs(12 rows)", lambda: partial(series._pairs, H, rows[:12], 1.0)
+    yield "_pairs(12 rows)", lambda: partial(series._pairs, rows[:12], 1.0)
     ode_rng = np.random.default_rng(2)
     systems = [diffeq.LinearOde(biring.random_matrix(H, 2, 2, ode_rng, scale=0.5), form,
                                 tuple(algebra.random_element(H, ode_rng) for _ in range(2)))
@@ -145,6 +148,17 @@ def series_rows():
 
     yield "12 systems' states, per system", lambda: partial(per_system, probe_times())
     yield "12 systems' states, stacked", lambda: partial(stacked, probe_times())
+    unit = np.random.default_rng(3).standard_normal((8, 8))
+    unit /= np.abs(unit).sum(axis=0).max()
+    for norm in (1e-5, 0.3, 3.0):
+        yield f"_expm (8x8), 1-norm {norm:g}", lambda norm=norm: partial(series._expm, unit * norm)
+
+    def exponential_stack():
+        times = probe_times()
+        m = np.stack([o.real_matrix() for o in systems])
+        return (times[times != 0.0][:, None, None] * m[:, None]).reshape(-1, *m.shape[1:])
+
+    yield "_expm (216-member stack)", lambda: partial(series._expm, exponential_stack())
 
 
 def unitary(n: int, rng) -> biring.BiMatrix:
