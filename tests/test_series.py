@@ -26,6 +26,7 @@ from ncalg.series import (
     _exp_els,
     _expm,
     _pairs,
+    _scaling,
     _taylor,
     cos_el,
     cosh_el,
@@ -581,6 +582,15 @@ class TestAprioriDegree:
     def test_degree_15_is_within_tolerance_at_norm_one_half(self):
         # the terms after degree 15 sum to less than twice the bound on term 16
         assert 2 * 0.5 ** 16 / math.factorial(16) <= TAYLOR_RTOL
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 0.5, 0.5000001, 1.0, 3.0, 1e15])
+    def test_scaling_brings_each_norm_within_one_half(self, norm):
+        # no more squarings than that: each one doubles the sum's rounding error
+        s = _scaling(norm, np.full((1, 1), norm))
+        scaled = math.ldexp(norm, -s)
+        assert scaled <= 0.5
+        assert s == 0 or scaled >= 0.25
+        assert 2 * scaled ** 16 / math.factorial(16) <= TAYLOR_RTOL
 
 
 class TestPatersonStockmeyer:
