@@ -234,14 +234,20 @@ _trusted = Element._trusted
 
 
 def _scaled(c: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
-    """c * 2^-e and e, e the binary exponent of the largest magnitude of c over axis (all axes by default).
+    """c * 2^-e and e, e the binary exponent of the largest finite magnitude of c over axis (all axes by default).
 
     e keeps the reduced axes with length 1, so it broadcasts against c, and
-    is 0 where that magnitude is 0, NaN or infinite. Elsewhere the largest
-    magnitude of the result lies in [1/2, 1), so no square that matters
-    over- or underflows, and scaling by a power of two is exact.
+    is 0 where c holds no finite nonzero entry. The largest finite
+    magnitude of the result lies in [1/2, 1), so no square of a finite
+    entry over- or underflows, even beside a NaN or an infinity, and
+    scaling by a power of two is exact. The finite entries are searched
+    apart only when a largest magnitude is not finite.
     """
-    e = np.frexp(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))[1]
+    f, e = np.frexp(np.abs(c).max(axis=axis, keepdims=True, initial=0.0))
+    # a mantissa lies in [0, 1) unless its magnitude is inf or NaN, so the sum of their
+    # squares never overflows, and it is finite exactly when every largest magnitude is
+    if not (f.item() if f.size == 1 else f.ravel().dot(f.ravel())) < math.inf:
+        e = np.frexp(np.where(np.isfinite(c), np.abs(c), 0.0).max(axis=axis, keepdims=True, initial=0.0))[1]
     return np.ldexp(c, -e), e
 
 
@@ -330,8 +336,9 @@ def _mul_rows(algebra: AlgebraDesc, a: np.ndarray, xs: np.ndarray) -> np.ndarray
     (1, dim) rows takes the BLAS call that .dot takes alone, so every
     member has the bits of its Element product, but for one case: matmul
     sums from +0.0, so where a real factor is zero the product is +0.0,
-    never -0.0. A (k, dim) @ (dim, dim) product would take another BLAS
-    kernel.
+    never -0.0. That case reaches tensor.eval_args, which multiplies real
+    tensors through here too. A (k, dim) @ (dim, dim) product would take
+    another BLAS kernel.
     """
     d = algebra.dim
     left = (a[..., None, :] @ algebra._flat).reshape(*a.shape[:-1], d, d)

@@ -318,10 +318,10 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     and cond_2(rho(a)) < 1 / (2 PIVOT_RTOL): the SVD rule would give rank n
     with a margin far above its rounding. Otherwise (a LinAlgError, a
     magnitude above _CERT_RANGE or a failed certificate) the SVD rule of
-    _rc_ranks decides for the whole stack, reusing rho, and the singular
-    members are inverted as the identity. A regular member whose X is not
-    finite or exceeds _X_RANGE / d, as at tiny scale, fails there too,
-    before unrho.
+    _rc_ranks decides for the whole stack, reusing rho, and LU inverts its
+    regular members alone. A regular member whose X is not finite or
+    exceeds _X_RANGE / d, as at tiny scale, fails there too, before unrho,
+    and the identity stands in for every failed member in a, rho and X.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
     r = flags = None
@@ -343,21 +343,20 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     if flags is None:
         r, rank, _ = _rc_ranks(table, data, r=r)
         flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
-        if any(flags):
-            # the identity stands in for the failed members, so that LU and the
-            # residuals meet no singular or non-finite matrix
-            x = np.linalg.inv(r if all(flags) else np.where(np.array(flags)[:, None, None], r, np.eye(n * d)))
-            # a regular member at tiny scale can have an X that is not finite, or
-            # so large that unrho's sums overflow; it leaves no answer to check
-            fits = np.abs(x).max(axis=(1, 2)) <= _X_RANGE / d  # NaN fails too
-            if not fits.all():
-                flags = [f and g for f, g in zip(flags, fits.tolist())]
         if not any(flags):
             return data, range(k)
-        if not all(flags):
-            ok = np.array(flags)
+        # the LU meets the regular members only; a regular member at tiny scale
+        # can have an X that is not finite, or so large that unrho's sums
+        # overflow, and it leaves no answer to check
+        ok, x = np.array(flags), np.zeros_like(r)
+        x[ok] = np.linalg.inv(r[ok])
+        ok &= np.abs(x).max(axis=(1, 2)) <= _X_RANGE / d  # NaN fails too
+        if not ok.all():
+            # the identity stands in for the failed members, so that unrho and
+            # the residuals meet no singular or non-finite matrix
             data = np.where(ok[:, None, None, None], data, np.eye(n)[:, :, None] * np.eye(d)[0])
             r, x = (np.where(ok[:, None, None], m, np.eye(n * d)) for m in (r, x))
+            flags = ok.tolist()
         out = _kernels.unrho(table, x)
         resid = _residuals(table, data, r, out)
     if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this

@@ -107,12 +107,8 @@ def _scn_quasidet_2x2(opt: Options) -> Report:
         rows, cols = np.divmod(np.arange(4 * len(a)) % 4, 2)
         quasi = biring._quasidets(alg.table, a.repeat(4, axis=0), rows, cols).reshape(a.shape)
         checked += len(a)
-
-        def mul(x, y):  # entrywise products, as rc products of 1 x 1 blocks
-            return _kernels.rc_contract(alg.table, x[..., None, None, :], y[..., None, None, :])[..., 0, 0, :]
-
         # a_ij - a_{i,1-j} a_{1-i,1-j}^-1 a_{1-i,j} for all four (i, j) of every matrix at once
-        term = mul(mul(a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
+        term = _mul_rows(alg, _mul_rows(alg, a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
         closed, invs = a - term, invs.swapaxes(1, 2)
         inverse = inv_stack(alg, closed)[0]
         # each gap is judged relative to the terms its closed form sums, or to the
@@ -285,7 +281,7 @@ def _euler_gap(alg, f: Element) -> tuple[float, bool]:
     """
     tf = np.array((0.1, 0.5, 1.0, 2.0))[:, None] * f.coeffs
     exps = _exp_els(np.concatenate((tf, -tf))).reshape(2, len(tf), alg.dim)
-    cosh, sinh = _pairs(tf, 1.0)
+    cosh, sinh = _pairs(tf)
     sides = []
     for row in zip(exps[0], exps[1], cosh, sinh):
         ep, em, ch, sh = (Element._trusted(alg, e) for e in row)

@@ -372,12 +372,22 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
     return _grid_states(x0, ts, states)
 
 
+def _rk4_steps(t: float, h: float) -> float:
+    """The fewest RK4 steps of at most h from 0 to t, as a float; a non-finite t raises AlgebraError.
+
+    The ceil of a float is a float64 value, so every count, past int64
+    too, is exact in float64.
+    """
+    if not math.isfinite(t):
+        raise AlgebraError(f"an RK4 time must be finite, got {t}")
+    return float(max(1, math.ceil(abs(t) / h)))
+
+
 def _rk4_step_target(t_end: float, steps: int) -> float:
     """The largest RK4 step of a curve integrated to t_end in steps steps; refuses bad arguments."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not math.isfinite(t_end):
-        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
+    _rk4_steps(t_end, 1.0)  # refuses a non-finite t_end
     return abs(t_end) / steps if t_end else 1.0 / steps
 
 
@@ -390,45 +400,56 @@ def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.n
     of rk4_integrate(ode, ...)(t), and one that overflows comes back as it
     is, non-finite. A non-finite t raises AlgebraError.
     """
-    for t in ts.tolist():
-        if not math.isfinite(t):
-            raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
     k, p = x0.shape
 
     def states(moving: np.ndarray) -> np.ndarray:
-        # the ceil of a float is a float64 value, so every count, past int64 too, is exact in float64
-        steps = np.tile([float(max(1, math.ceil(abs(t) / h))) for t in moving.tolist()], k)
+        steps = np.tile([_rk4_steps(t, h) for t in moving.tolist()], k)
         ms, xs, times = np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, k)
         return _kernels.rk4_linear(ms, xs, times, steps).reshape(k, len(moving), p)
 
     return _grid_states(x0, ts, states)
 
 
-def closed_form_solution(ode: LinearOde) -> SolutionCurve:
-    """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
+def _linear_curve(ode: LinearOde, provenance: str, state: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+                  states: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> SolutionCurve:
+    """The curve of a linear system from its one-time kernel step and its grid function.
 
-    A non-finite t raises SeriesBudgetError before it meets M, and so does
-    a state that overflows at curve(t). values(ts) is _closed_form_states of
-    this one system, and returns an overflowing state as it is, non-finite,
-    for the residual and cross checks to refute.
+    M = ode.real_matrix() and x0 = vec(x(0)) are built once. curve(t) is
+    x(0) itself at t = 0 and state(M, x0, t) elsewhere, which raises its
+    curve's typed error; values(ts) is states of this one system, a stack
+    of one M and one x0.
     """
     m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
 
     def evaluate(t: float) -> tuple[Element, ...]:
-        if t == 0.0:
-            return ode.init
+        return ode.init if t == 0.0 else _unvec(alg, state(m, x0, t))
+
+    def batch(ts: np.ndarray) -> np.ndarray:
+        return states(m[None], x0[None], ts)[0].reshape(len(ts), ode.size, alg.dim)
+
+    return SolutionCurve(evaluate, provenance, batch)
+
+
+def closed_form_solution(ode: LinearOde) -> SolutionCurve:
+    """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
+
+    Built by _linear_curve, as rk4_integrate is. A non-finite t raises
+    SeriesBudgetError before it meets M, and so does a state that
+    overflows at curve(t). values(ts) is _closed_form_states of this one
+    system, and returns an overflowing state as it is, non-finite, for the
+    residual and cross checks to refute.
+    """
+
+    def state(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
         _require_finite_time(t)
         e = _expm(t * m)
         with np.errstate(over="ignore", invalid="ignore"):
             x = e @ x0
         if not all(map(math.isfinite, x.tolist())):
             raise SeriesBudgetError(f"the closed-form state at t = {t} overflows")
-        return _unvec(alg, x)
+        return x
 
-    def batch(ts: np.ndarray) -> np.ndarray:
-        return _closed_form_states(m[None], x0[None], ts)[0].reshape(len(ts), ode.size, alg.dim)
-
-    return SolutionCurve(evaluate, "closed-form", batch)
+    return _linear_curve(ode, "closed-form", state, _closed_form_states)
 
 
 def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
@@ -541,9 +562,7 @@ def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not math.isfinite(t_end):
-        raise AlgebraError(f"an RK4 end time must be finite, got {t_end}")
-    return max(1, math.ceil(abs(t_end) / (0.1 * tol) ** 0.25))
+    return int(_rk4_steps(t_end, (0.1 * tol) ** 0.25))
 
 
 def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
@@ -552,31 +571,24 @@ def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
     The returned curve re-integrates from 0 on every evaluation, keeping the
     step size at or below t_end/steps (so the stated global error bound holds
     at every requested time, including slightly outside [0, t_end] for
-    finite-difference probes). A non-finite t_end, or evaluation time,
-    raises AlgebraError, and so does a state that overflows at curve(t).
-    values(ts) is _rk4_states of this one system, and returns an
-    overflowing state as it is, non-finite, for the residual and cross
-    checks to refute.
+    finite-difference probes); each time takes the _rk4_steps count.
+    Built by _linear_curve, as closed_form_solution is. A non-finite
+    t_end, or evaluation time, raises AlgebraError, and so does a state
+    that overflows at curve(t). values(ts) is _rk4_states of this one
+    system, and returns an overflowing state as it is, non-finite, for the
+    residual and cross checks to refute.
     """
-    h_target = _rk4_step_target(t_end, steps)
-    m, x0, alg = ode.real_matrix(), _vec(ode.init), ode.algebra
+    h = _rk4_step_target(t_end, steps)
 
-    def evaluate(t: float) -> tuple[Element, ...]:
-        if not math.isfinite(t):
-            raise AlgebraError(f"an RK4 curve is evaluated at finite times, got {t}")
-        if t == 0.0:
-            return ode.init
-        nsteps = max(1, math.ceil(abs(t) / h_target))
+    def state(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
+        n = int(_rk4_steps(t, h))
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _kernels.rk4_linear(m, x0, t, nsteps)
+            x = _kernels.rk4_linear(m, x0, t, n)
         if not np.isfinite(x).all():
-            raise AlgebraError(f"the RK4 state at t = {t} overflows in {nsteps} steps")
-        return _unvec(alg, x)
+            raise AlgebraError(f"the RK4 state at t = {t} overflows in {n} steps")
+        return x
 
-    def batch(ts: np.ndarray) -> np.ndarray:
-        return _rk4_states(m[None], x0[None], ts, h_target)[0].reshape(len(ts), ode.size, alg.dim)
-
-    return SolutionCurve(evaluate, "rk4", batch)
+    return _linear_curve(ode, "rk4", state, lambda m, x0, ts: _rk4_states(m, x0, ts, h))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ element x = a + v with real part a and imaginary part v has v^2 = -|v|^2,
 so 1 and v/|v| span a copy of C that holds every power of x, and any real
 power series f has f(x) = Re f(z) + (v/|v|) Im f(z) with z = a + i|v|. One
 scalar cmath call gives f(z) (_slice). The private _exp_els and _pairs take
-exp_el, and the (cosh, sinh) or (cos, sin) pair, of every row of a (k, d)
-array of coefficients, for callers that need many at once: the elliptic
-curves on a time grid and the exponent-law and Euler scenarios. Row i goes
-through the arithmetic of the single call of that row, so it has its bits.
+exp_el, and the (cosh, sinh) pair, of every row of a (k, d) array of
+coefficients, for callers that need many at once: the elliptic curves on a
+time grid and the exponent-law and Euler scenarios. Row i goes through the
+arithmetic of the single call of that row, so it has its bits; _slice
+itself takes any tuple of cmath maps, such as (cos, sin).
 
 The matrix maps are the exponential of a real matrix, computed by one
 routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
@@ -230,13 +231,13 @@ def cos_el(x: Element) -> Element:
     return _el(cmath.cos, x)
 
 
-def _pairs(c: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh, sinh) of each row of a (k, d) array c of element coefficients for sign = 1, (cos, sin) for sign = -1.
+def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh, sinh) of each row of a (k, d) array c of element coefficients.
 
-    Row i has the bits of cosh_el and sinh_el (or cos_el and sin_el) of
-    that row alone, and the first row where either raises raises its error.
+    Row i has the bits of cosh_el and sinh_el of that row alone, and the
+    first row where either raises raises its error.
     """
-    return tuple(_slice((cmath.cosh, cmath.sinh) if sign > 0 else (cmath.cos, cmath.sin), c))
+    return tuple(_slice((cmath.cosh, cmath.sinh), c))
 
 
 # ---------------------------------------------------------------------------

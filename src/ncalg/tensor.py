@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import CLOSE_RTOL, AlgebraDesc, AlgebraError, Element, close, one
+from .algebra import CLOSE_RTOL, AlgebraDesc, AlgebraError, Element, _mul_rows, close, one
 
 X = -1  # gap labels: the polynomial variables
 Y = -2
@@ -156,10 +156,12 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | N
 
     y may be omitted when s has no y gaps. All terms advance together, one
     gap at a time: the running products, one row per term, times the value
-    in the gap and then the next coefficient. That costs
-    O(terms * order * dim^3) per call and stores nothing, where the
-    multilinear map would hold dim^(order + 1) floats (537 MB at order 12
-    over H).
+    in the gap and then the next coefficient, each step one
+    algebra._mul_rows call, so a one-term tensor has the bits of its
+    Element product chain a_0 * v_1 * a_1 * ... (a real zero factor gives
+    +0.0). That costs O(terms * order * dim^3) per call and stores nothing,
+    where the multilinear map would hold dim^(order + 1) floats (537 MB at
+    order 12 over H).
     """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")
@@ -175,8 +177,7 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | N
     acc = coeffs[:, 0]
     for g in range(n):
         for right in (gaps[labels[:, g]], coeffs[:, g + 1]):
-            # row by row, (a b)_k = sum_q b_q sum_p a_p table[p, q, k], as in Element.__mul__
-            acc = np.einsum("tq,tqk->tk", right, (acc @ s.algebra.table.reshape(d, -1)).reshape(-1, d, d))
+            acc = _mul_rows(s.algebra, acc, right)
     return Element._trusted(s.algebra, acc.sum(axis=0))
 
 

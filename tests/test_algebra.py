@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncalg import algebra
+from ncalg import algebra, biring
 from ncalg.algebra import (
     AlgebraDesc,
     AlgebraError,
@@ -526,3 +526,20 @@ def test_a_norm_past_the_largest_float_is_inf_with_no_warning(HH):
     assert algebra.frobenius(c) == algebra.frobenius(np.stack((c, c))) == Element(HH, c).norm() == math.inf
     assert algebra._frobenius_rows(np.stack((c, c * 1e-300))).tolist() == [math.inf, algebra.frobenius(c * 1e-300)]
     assert algebra.close(c, c) and Element(HH, c).close(Element(HH, c))
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_and_inverses_of_non_finite_input_give_no_warning(HH):
+    # a finite entry whose square overflows, beside an infinity or a NaN
+    c = np.array([1.7e308, 1.0, 1.0, np.inf])
+    assert algebra.frobenius(c) == Element(HH, c).norm() == math.inf
+    assert not algebra.close(np.full(4, 1.7e308), c)
+    out, ok = inv_stack(HH, c[None])
+    assert not ok[0] and np.isnan(out).all()
+    with pytest.raises(NotInvertibleError):
+        inv(Element(HH, c))
+    assert biring._max_entry_norm(c.reshape(1, 1, 1, 4)).tolist() == [math.inf]
+    assert math.isnan(algebra.frobenius(np.array([2e154, np.nan, 0.0, 0.0])))
+    rows = np.array([[2e154, np.nan, 0.0, 0.0], [1.7e308, 1.0, 1.0, np.inf], [3.0, 4.0, 0.0, 0.0]])
+    got = algebra._frobenius_rows(rows).tolist()
+    assert math.isnan(got[0]) and got[1:] == [math.inf, 5.0]

@@ -27,6 +27,7 @@ from ncalg.series import (
     _expm,
     _pairs,
     _scaling,
+    _slice,
     _taylor,
     cos_el,
     cosh_el,
@@ -705,7 +706,7 @@ def _singles(alg, c):
 
 
 def _stacked(c):
-    return [_exp_els(c), *_pairs(c, 1.0), *_pairs(c, -1.0)]
+    return [_exp_els(c), *_pairs(c), *_slice((cmath.cos, cmath.sin), c)]
 
 
 @pytest.mark.parametrize("tag", ALGEBRAS)
@@ -734,8 +735,8 @@ def test_a_row_that_raises_alone_raises_the_same_error_in_a_stack(bad):
     alg = make_algebra("quaternion")
     x = Element(alg, [bad, 0.0, 0.0, 0.0])
     fine = _rows(alg, np.random.default_rng(2810))
-    for single, stacked in ((exp_el, _exp_els), (sinh_el, lambda c: _pairs(c, 1.0)),
-                            (sin_el, lambda c: _pairs(c, -1.0))):
+    for single, stacked in ((exp_el, _exp_els), (sinh_el, _pairs),
+                            (sin_el, lambda c: _slice((cmath.cos, cmath.sin), c))):
         if bad == 800.0 and single is sin_el:
             continue  # sin and cos of a real 800 are finite
         alone = _error(lambda: single(x))

@@ -579,3 +579,21 @@ class TestTwoVariables:
         assert (ab.x_gaps, ab.y_gaps, ab.arg_slots) == (1, 2, 2)
         x, y, h, k = (random_element(HH, rng) for _ in range(4))
         assert eval_args(ab, [h, k], x, y).close(y * h * x * k * y, 1e-12)
+
+
+@pytest.mark.parametrize("tag", ["complex", "quaternion"])
+def test_a_one_term_tensor_evaluates_to_the_bytes_of_its_element_chain(rng, tag):
+    """eval_power and eval_args multiply through algebra._mul_rows, with the bits of Element.__mul__."""
+    alg = make_algebra(tag)
+    for order in range(1, 6):
+        for k in range(order + 1):
+            for _ in range(20):
+                s = random_slot_tensor(alg, rng, order - k, k, terms=1)
+                args = [random_element(alg, rng) for _ in range(k)]
+                x = random_element(alg, rng)
+                ((coeffs, labels),) = s.terms
+                chain = coeffs[0]
+                for c, lab in zip(coeffs[1:], labels):
+                    chain = chain * (x if lab == X else args[lab]) * c
+                got = eval_power(s, x) if k == 0 else eval_args(s, args, x)
+                assert got.coeffs.tobytes() == chain.coeffs.tobytes(), (order, k)

@@ -21,7 +21,8 @@ series
     RK4 curve (1000 steps to t = 1) of an H system of size n = 2 and 4.
     Then one values call on 11 times of each curve at n = 2; exp_el of 24
     H elements, one call each and in one series._exp_els call; cosh_el and
-    sinh_el of 12, one call each and in one series._pairs call. Last, the
+    sinh_el of 12, one call each and in one series._slice call of the
+    pair, which is what series._pairs makes (the row keeps its name). Last, the
     states of 12 H systems of size 2, three per product form, as
     ode-forms-cross-check reads them: closed form at 11 grid times on
     [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
@@ -70,6 +71,7 @@ import os
 
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import cmath  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -128,7 +130,7 @@ def series_rows():
     yield "exp_el x 24", lambda: lambda: [series.exp_el(x) for x in els]
     yield "_exp_els(24 rows)", lambda: partial(series._exp_els, rows)
     yield "cosh_el + sinh_el x 12", lambda: lambda: [(series.cosh_el(x), series.sinh_el(x)) for x in els[:12]]
-    yield "_pairs(12 rows)", lambda: partial(series._pairs, rows[:12], 1.0)
+    yield "_pairs(12 rows)", lambda: partial(series._slice, (cmath.cosh, cmath.sinh), rows[:12])
     ode_rng = np.random.default_rng(2)
     systems = [diffeq.LinearOde(biring.random_matrix(H, 2, 2, ode_rng, scale=0.5), form,
                                 tuple(algebra.random_element(H, ode_rng) for _ in range(2)))
