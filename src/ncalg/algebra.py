@@ -451,7 +451,7 @@ def format_element(a: Element, digits: int = 12) -> str:
         mag = format(abs(c), f".{digits}g")
         term = mag if name == "1" else f"{mag}{name}"
         if not parts:
-            parts.append(term if c >= 0 else f"-{term}")
+            parts.append(f"-{term}" if c < 0 else term)
         else:
-            parts.append(f"+ {term}" if c >= 0 else f"- {term}")
+            parts.append(f"- {term}" if c < 0 else f"+ {term}")
     return " ".join(parts)

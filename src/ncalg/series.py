@@ -26,13 +26,19 @@ polynomial sums every member, each member keeps the squaring count of its
 own norm, and every member gets the bits it gets alone.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
-L(x) = rho([x])) and maps the result back with unrho; quasiexp takes
-exp(rho(E)) of a 2^n x 2^n subset lattice E and reads column 0 of a d-row
-block, since L(a) e_0 = a. Arguments or results that are not finite, and
-arguments too large for any digit of the result to be accurate, raise
-SeriesBudgetError. The quasiexponent generalizes the exponent: it is the
-order-n derivative of exp evaluated at fixed directions, and like exp it
-satisfies dy/dx o 1 = y.
+L(x) = rho([x])) and maps the result back with unrho; quasiexp of n >= 2
+directions takes exp(rho(E)) of a 2^n x 2^n subset lattice E and reads
+column 0 of a d-row block, since L(a) e_0 = a. quasiexp of one
+direction, and so quasiexp_at, takes the complex slice instead
+(_directional): with theta = |v|, u = v / theta and w = exp(a + i theta),
+D exp(x)[c] = e^x c_par + (Im w / theta) c_perp, where c_par = c_0 +
+(c_v . u) u commutes with x, c_perp = c_v - (c_v . u) u anticommutes with
+v, and e^x c_par is w (c_0 + i c_v . u) read back on 1 and u. Arguments or
+results that are not finite, and arguments too large for any digit of the
+result to be accurate, raise SeriesBudgetError; for an element argument
+that rule is _slice_values. The quasiexponent generalizes the exponent: it
+is the order-n derivative of exp evaluated at fixed directions, and like
+exp it satisfies dy/dx o 1 = y.
 """
 
 from __future__ import annotations
@@ -149,35 +155,47 @@ def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
     return _expm(_kernels.rho(alg.table, e))
 
 
+def _slice_values(fs, row: list[float]) -> tuple[list[float], float, list[complex]]:
+    """The imaginary part v and its norm |v| of x = a + v, given as its coefficient list, and f(a + i|v|) for each cmath function f of fs.
+
+    x is refused first when it is not finite, or when its coefficients'
+    absolute sum, the 1-norm of L(x) and of [[0, x], [+-x, 0]], is 2^52 or
+    more, where no digit of the phase is left; then a value that overflows
+    raises. math.hypot takes |v| with no over- or underflow.
+    """
+    if not sum(map(abs, row)) < 2.0 ** 52:  # NaN or inf when the row is not finite
+        if not all(map(math.isfinite, row)):
+            raise SeriesBudgetError("exponential of a non-finite argument")
+        raise SeriesBudgetError("argument too large for an accurate exponential")
+    v = row[1:]
+    norm = math.hypot(*v)
+    z = complex(row[0], norm)
+    ws = []
+    for f in fs:
+        try:
+            w = f(z)
+            if not cmath.isfinite(w):
+                raise OverflowError
+        except OverflowError:
+            raise SeriesBudgetError("exponential overflows") from None
+        ws.append(w)
+    return v, norm, ws
+
+
 def _slice(fs, c: np.ndarray) -> list[np.ndarray]:
     """f(x) of each row x of a (k, d) coefficient array c for each cmath function f of fs, one (k, d) array per f.
 
     With x = a + v, z = a + i|v| and w = f(z), f(x) has real part Re w and
-    imaginary part (Im w / |v|) v, with 0 for the quotient when v = 0;
-    math.hypot takes |v| with no over- or underflow. A row is refused
-    before its values when it is not finite, or when its coefficients'
-    absolute sum, the 1-norm of L(x) and of [[0, x], [+-x, 0]], is 2^52 or
-    more, where no digit of the phase is left; then a value that overflows
-    raises. The rows go one at a time in plain Python floats, so each has
-    the bits it has alone, and the first row that fails raises its error.
+    imaginary part (Im w / |v|) v, with 0 for the quotient when v = 0. A row
+    is refused, and a value that overflows raises, as in _slice_values. The
+    rows go one at a time in plain Python floats, so each has the bits it
+    has alone, and the first row that fails raises its error.
     """
     k, d = c.shape
     outs = [[] for _ in fs]
     for row in c.tolist():
-        if not sum(map(abs, row)) < 2.0 ** 52:  # NaN or inf when the row is not finite
-            if not all(map(math.isfinite, row)):
-                raise SeriesBudgetError("exponential of a non-finite argument")
-            raise SeriesBudgetError("argument too large for an accurate exponential")
-        v = row[1:]
-        norm = math.hypot(*v)
-        z = complex(row[0], norm)
-        for f, out in zip(fs, outs):
-            try:
-                w = f(z)
-                if not cmath.isfinite(w):
-                    raise OverflowError
-            except OverflowError:
-                raise SeriesBudgetError("exponential overflows") from None
+        v, norm, ws = _slice_values(fs, row)
+        for w, out in zip(ws, outs):
             q = w.imag / norm if norm else 0.0
             out.append(w.real)
             out += [q * x for x in v]
@@ -199,10 +217,17 @@ def _require_finite_time(t: float) -> None:
         raise SeriesBudgetError(f"exponential at the non-finite time {t}")
 
 
+def _argument_at(a: Element, t: float) -> Element:
+    """a t for real t, refusing a non-finite t or a before the product turns 0 * inf into NaN."""
+    _require_finite_time(t)
+    if not all(map(math.isfinite, a.coeffs.tolist())):
+        raise SeriesBudgetError("exponential of a non-finite argument")
+    return el_scale(a, t)
+
+
 def exp_at(a: Element, t: float) -> Element:
     """exp(a t) for real t; (a t)^n = a^n t^n, so this is exp_el(a*t)."""
-    _require_finite_time(t)
-    return exp_el(el_scale(a, t))
+    return exp_el(_argument_at(a, t))
 
 
 def _exp_els(c: np.ndarray) -> np.ndarray:
@@ -244,17 +269,50 @@ def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # quasiexponent
 
 
+def _directional(c: list[float], x: list[float]) -> list[float]:
+    """quasiexp([c], x) = D exp(x)[c] = int_0^1 e^{sx} c e^{(1-s)x} ds on the complex slice, as coefficient lists.
+
+    With x = a + v, theta = |v|, u = v / theta and w = exp(a + i theta), c
+    splits into c_par = c_0 + (c_v . u) u, which commutes with x, and
+    c_perp = c_v - (c_v . u) u, which anticommutes with v, so e^{sx} c_perp
+    = c_perp e^{s(a - v)} and, as int_0^1 e^{(1-2s)v} ds = sin(theta) /
+    theta, the integral is e^x c_par + (Im w / theta) c_perp (Higham,
+    Functions of Matrices, SIAM 2008, ch. 10). e^x c_par is the complex
+    product w (c_0 + i c_v . u) read back on 1 and u. At theta = 0 it is
+    e^a c; over R and C, u = v / |v| is exactly +-1, so c_perp is exactly 0.
+    A non-finite c is refused, then x and an overflowing w as in
+    _slice_values, and a result that overflows raises. Being linear in c, a
+    huge finite c is answered.
+    """
+    if not all(map(math.isfinite, c)):
+        raise SeriesBudgetError("exponential of a non-finite argument")
+    v, theta, (w,) = _slice_values((cmath.exp,), x)
+    if theta:
+        u = [vi / theta for vi in v]
+        p = sum(ci * ui for ci, ui in zip(c[1:], u))
+        par = w * complex(c[0], p)
+        q = w.imag / theta
+        out = [par.real, *(par.imag * ui + q * (ci - p * ui) for ci, ui in zip(c[1:], u))]
+    else:
+        out = [w.real * ci for ci in c]
+    if not all(map(math.isfinite, out)):
+        raise SeriesBudgetError("exponential overflows")
+    return out
+
+
 def quasiexp(cs: Sequence[Element], x: Element) -> Element:
     """e[c_1..c_n]^x: the order-n derivative of exp at directions c_1..c_n.
 
     Degree N of x^N contributes (1/N!) times the sum over all placements of
     the n directions, in every order, among the N gaps (x fills the rest).
-    E is the 2^n x 2^n subset lattice: x on the diagonal and c_i at
-    (S, S + {i}) for each i not in S. A walk of N steps from the empty set
-    to the full set adds the directions in one order and stays put at the
-    other steps, so block (0, 2^n - 1) of exp(rho(E)) sums all n! orders at
-    once (Van Loan, IEEE TAC 23(3), 1978; Higham and Relton, SIAM J. Matrix
-    Anal. Appl. 35(3), 2014), in O(8^n d^3) time and O(4^n d^2) memory.
+    One direction takes the complex slice in closed form (_directional).
+    Two or more take the 2^n x 2^n subset lattice E: x on the diagonal and
+    c_i at (S, S + {i}) for each i not in S. A walk of N steps from the
+    empty set to the full set adds the directions in one order and stays
+    put at the other steps, so block (0, 2^n - 1) of exp(rho(E)) sums all
+    n! orders at once (Van Loan, IEEE TAC 23(3), 1978; Higham and Relton,
+    SIAM J. Matrix Anal. Appl. 35(3), 2014), in O(8^n d^3) time and
+    O(4^n d^2) memory.
     """
     cs = list(cs)
     if not cs:
@@ -262,6 +320,8 @@ def quasiexp(cs: Sequence[Element], x: Element) -> Element:
     if any(c.algebra != x.algebra for c in cs):
         raise AlgebraError("algebra mismatch in quasiexp")
     n, d = len(cs), x.algebra.dim
+    if n == 1:
+        return Element._trusted(x.algebra, np.array(_directional(cs[0].coeffs.tolist(), x.coeffs.tolist())))
     subsets = np.arange(2 ** n)
     e = np.zeros((2 ** n, 2 ** n, d))
     e[subsets, subsets] = x.coeffs
@@ -272,9 +332,8 @@ def quasiexp(cs: Sequence[Element], x: Element) -> Element:
 
 
 def quasiexp_at(c: Element, a: Element, t: float) -> Element:
-    """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t)."""
-    _require_finite_time(t)
-    return quasiexp([c], el_scale(a, t))
+    """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t), on the complex slice."""
+    return quasiexp([c], _argument_at(a, t))
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,8 @@ class TestForms:
     def test_text_form(self, HH):
         e = Element(HH, [1.0, 2.0, -0.5, 0.0])
         assert format_element(e) == "1 + 2i - 0.5j + 0k"
+        # NaN takes no minus sign, and -0.0 prints as 0
+        assert format_element(Element(HH, [np.nan, -0.0, 0.0, -np.nan])) == "nan + 0i + 0j + nank"
 
     def test_text_digits(self, RR):
         assert format_element(Element(RR, [1 / 3])) == "0.333333333333"

@@ -120,8 +120,9 @@ class TestQuasiexp:
             quasiexp([], one(HH))
 
     @pytest.mark.parametrize("tag", ALGEBRAS)
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_subset_lattice_is_the_sum_over_orders(self, tag, n, rng):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_quasiexp_is_the_sum_over_orders(self, tag, n, rng):
+        """Order 1 takes the complex slice, orders 2 and up the subset lattice."""
         alg = make_algebra(tag)
         for scale in (0.5, 1.0, 3.0):
             for _ in range(3):
@@ -130,6 +131,30 @@ class TestQuasiexp:
                 ref = permutation_quasiexp(cs, x)
                 err = float(np.linalg.norm(quasiexp(cs, x).coeffs - ref))
                 assert err <= 1e-12 * max(1.0, float(np.linalg.norm(ref))), (scale, err)
+
+    @pytest.mark.parametrize("norm", [0.5, 2.0, 10.0, 30.0])
+    def test_the_slice_matches_the_lattice(self, HH, rng, norm):
+        """The unit is a fixed point: quasiexp([c, 1], x) on the lattice equals quasiexp([c], x) on the slice."""
+        for _ in range(20):
+            c, x = random_element(HH, rng), scaled_element(HH, rng, norm)
+            alone = quasiexp([c], x)
+            assert quasiexp([c, one(HH)], x).close(alone, 1e-12), (norm, alone)
+
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_order_one_takes_no_matrix_exponential(self, tag, rng, monkeypatch):
+        def refuse(m):
+            raise AssertionError("an order-one quasiexponent reached _expm")
+
+        monkeypatch.setattr(series, "_expm", refuse)
+        alg = make_algebra(tag)
+        quasiexp([random_element(alg, rng)], random_element(alg, rng, 3.0))
+        quasiexp_at(random_element(alg, rng), random_element(alg, rng), 2.0)
+
+    def test_a_huge_finite_direction_is_answered(self, HH, rng):
+        """The quasiexponent is linear in its direction, so only x bounds the answer."""
+        c, x = random_element(HH, rng), scaled_element(HH, rng, 2.0)
+        assert quasiexp([1e300 * c], x).close(1e300 * quasiexp([c], x), 1e-14)
+        assert quasiexp_at(1e300 * c, x, 0.5).close(1e300 * quasiexp_at(c, x, 0.5), 1e-14)
 
 
 class TestQuasiexpAt:
@@ -499,11 +524,17 @@ class TestNonFinite:
             sin_el(Element(HH, [0.0, v, 0.0, 0.0]))  # sin(v i) = i sinh(v)
         with pytest.raises(SeriesBudgetError):
             cosh_el(from_scalar(HH, v))
+        for cs in ([one(HH), basis(HH, 1)], [basis(HH, 1)]):
+            with pytest.raises(SeriesBudgetError):
+                quasiexp(cs, Element(HH, [v, 0.0, 0.5, 0.0]))
         with pytest.raises(SeriesBudgetError):
-            quasiexp([one(HH), basis(HH, 1)], Element(HH, [v, 0.0, 0.5, 0.0]))
+            quasiexp_at(basis(HH, 2), Element(HH, [v, 0.0, 0.5, 0.0]), 1.0)
         if not v < 2.0 ** 52:  # linear in each direction: only a non-finite or huge one is refused
             with pytest.raises(SeriesBudgetError):
                 quasiexp([one(HH), Element(HH, [0.0, 0.0, 0.0, v])], one(HH))
+        if not math.isfinite(v):  # order one answers every finite direction
+            with pytest.raises(SeriesBudgetError, match="non-finite argument"):
+                quasiexp([Element(HH, [0.0, 0.0, 0.0, v])], one(HH))
         data = np.zeros((2, 2, 4))
         data[0, 0, 0] = data[1, 1, 0] = v
         with pytest.raises(SeriesBudgetError):
@@ -512,11 +543,16 @@ class TestNonFinite:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_time_is_refused_before_any_arithmetic(self, HH, t):
-        """0 * inf would warn and make a NaN; the time is refused first."""
+        """0 * inf would warn and make a NaN; the time is refused first, and so is a non-finite a at t = 0."""
         with pytest.raises(SeriesBudgetError, match="non-finite time"):
             exp_at(basis(HH, 1), t)
         with pytest.raises(SeriesBudgetError, match="non-finite time"):
             quasiexp_at(one(HH), basis(HH, 1), t)
+        for a in (Element(HH, [t, 0.0, 0.0, 0.0]), Element(HH, [0.0, t, 0.0, 0.0])):
+            with pytest.raises(SeriesBudgetError, match="non-finite argument"):
+                exp_at(a, 0.0)
+            with pytest.raises(SeriesBudgetError, match="non-finite argument"):
+                quasiexp_at(one(HH), a, 0.0)
 
     def test_real_sine_stays_bounded(self, HH):
         assert sin_el(from_scalar(HH, 1000.0)).close(from_scalar(HH, math.sin(1000.0)), 1e-11)

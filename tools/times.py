@@ -17,7 +17,9 @@ series
     The single calls of the benchmark's series-scale workload: exp_el,
     sinh_el, cosh_el, sin_el and cos_el of an H element of norm 2, exp_el
     of it times 15, at the workload's largest norm, 30, mexp_rc on a 4 x 4
-    H matrix, quasiexp of order 2, and curve(t) of a closed-form and of an
+    H matrix, quasiexp of order 1 at that norm 2, the complex slice, and of
+    order 2 at norm 1/2, the subset lattice, quasiexp_at at t = 2, the call
+    the workload repeats, and curve(t) of a closed-form and of an
     RK4 curve (1000 steps to t = 1) of an H system of size n = 2 and 4.
     Then one values call on 11 times of each curve at n = 2; exp_el of 24
     H elements, one call each and in one series._exp_els call; cosh_el and
@@ -113,7 +115,9 @@ def series_rows():
         yield name, lambda name=name: partial(getattr(series, name), x)
     yield "exp_el, norm 30", lambda: partial(series.exp_el, x * 15.0)
     yield "mexp_rc (4x4)", lambda: partial(series.mexp_rc, mat)
+    yield "quasiexp order 1", lambda: partial(series.quasiexp, cs[:1], x)
     yield "quasiexp order 2", lambda: partial(series.quasiexp, cs, x * 0.25)
+    yield "quasiexp_at, t = 2", lambda: partial(series.quasiexp_at, cs[0], cs[1], 2.0)
     curves = {"closed-form": lambda ode: diffeq.closed_form_solution(ode),
               "rk4": lambda ode: diffeq.rk4_integrate(ode, 1.0, 1000)}
     odes = {n: diffeq.LinearOde(biring.random_matrix(H, n, n, rng, scale=0.5), diffeq.OdeForm.RC_LEFT,
