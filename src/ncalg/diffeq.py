@@ -62,7 +62,7 @@ from .algebra import (
 )
 from .biring import BiMatrix, cr_pow, rc_pow
 from .report import Report, severity, worst
-from .series import SeriesBudgetError, _exp_els, _expm, _require_finite_time, exp_at
+from .series import SeriesBudgetError, _argument_at, _exp_els, _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -614,12 +614,18 @@ def hyperbolic_ode(algebra: AlgebraDesc, f: Element | None = None) -> LinearOde:
 def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
     """The coefficients of exp_at(b, t) for each b of bs and t of ts, a (len(bs), len(ts), d) array.
 
-    One _exp_els call on every b t; t b is el_scale's product, so each row
-    has the bits of its exp_at call. A non-finite time raises first.
+    One _exp_els call on every b t; numpy's product t b has the IEEE bits
+    of exp_at's float product, so each row has the bits of its exp_at call.
+    A non-finite time raises first, then the first row whose argument
+    exp_at refuses: a non-finite b, or a b t that overflows.
     """
     for t in ts.tolist():
         _require_finite_time(t)
-    args = np.concatenate([ts[:, None] * b.coeffs for b in bs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = np.concatenate([ts[:, None] * b.coeffs for b in bs])
+    if not np.isfinite(args).all():
+        row = int(np.isfinite(args).all(axis=1).argmin())
+        _argument_at(bs[row // len(ts)].coeffs.tolist(), ts[row % len(ts)])  # raises that row's refusal
     return _exp_els(args).reshape(len(bs), len(ts), bs[0].algebra.dim)
 
 

@@ -9,8 +9,10 @@ scalar cmath call gives f(z) (_slice). The private _exp_els and _pairs take
 exp_el, and the (cosh, sinh) pair, of every row of a (k, d) array of
 coefficients, for callers that need many at once: the elliptic curves on a
 time grid and the exponent-law and Euler scenarios. Row i goes through the
-arithmetic of the single call of that row, so it has its bits; _slice
-itself takes any tuple of cmath maps, such as (cos, sin).
+arithmetic of the single call of that row, so it has its bits. _slice
+itself takes coefficient lists and any tuple of cmath maps, such as
+(cos, sin), and gives one flat coefficient list per map, so a single
+element costs the floats of its row and one array at the end.
 
 The matrix maps are the exponential of a real matrix, computed by one
 routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
@@ -26,19 +28,22 @@ polynomial sums every member, each member keeps the squaring count of its
 own norm, and every member gets the bits it gets alone.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
-L(x) = rho([x])) and maps the result back with unrho; quasiexp of n >= 2
-directions takes exp(rho(E)) of a 2^n x 2^n subset lattice E and reads
-column 0 of a d-row block, since L(a) e_0 = a. quasiexp of one
-direction, and so quasiexp_at, takes the complex slice instead
-(_directional): with theta = |v|, u = v / theta and w = exp(a + i theta),
-D exp(x)[c] = e^x c_par + (Im w / theta) c_perp, where c_par = c_0 +
-(c_v . u) u commutes with x, c_perp = c_v - (c_v . u) u anticommutes with
-v, and e^x c_par is w (c_0 + i c_v . u) read back on 1 and u. Arguments or
-results that are not finite, and arguments too large for any digit of the
-result to be accurate, raise SeriesBudgetError; for an element argument
-that rule is _slice_values. The quasiexponent generalizes the exponent: it
-is the order-n derivative of exp evaluated at fixed directions, and like
-exp it satisfies dy/dx o 1 = y.
+L(x) = rho([x])) and maps the result back with unrho. quasiexp of one or
+two directions, and so quasiexp_at, takes the complex slice in closed
+form. With theta = |v|, u = v / theta and E = exp(a + i theta), each
+direction c splits into p = c_0 + i (c_v . u), a slice number that
+commutes with x, and q = c_v - (c_v . u) u, which anticommutes with v.
+One direction gives D exp(x)[c] = p E + (Im E / theta) q (_directional),
+and two give slice(p_1 p_2 E - (q_1 . q_2) B) + Re(p_2 B) q_1 + Re(p_1 B)
+q_2 with B = Im E / theta + i |E| j1(theta) (_second), where a slice
+number is read back on 1 and u. Three or more directions take exp(rho(E))
+of a 2^n x 2^n subset lattice E and read column 0 of a d-row block, since
+L(a) e_0 = a (_lattice). Arguments or results that are not finite, and
+arguments too large for any digit of the result to be accurate, raise
+SeriesBudgetError; for an element argument that rule is _slice_values.
+The quasiexponent generalizes the exponent: it is the order-n derivative
+of exp evaluated at fixed directions, and like exp it satisfies
+dy/dx o 1 = y.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraError, Element, scale as el_scale
+from .algebra import AlgebraError, Element
 from .biring import BiMatrix, _require_square, transpose
 
 
@@ -130,7 +135,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
         total = _taylor(np.ldexp(m, -s))
     else:
         norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
-        s = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=int)
+        s = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=np.intc)
         total = _taylor(np.ldexp(m, -s[:, None, None]))
     top = s if m.ndim == 2 else s.max(initial=0)
     if top:
@@ -145,13 +150,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return total
 
 
+def _require_finite(*rows: list[float]) -> None:
+    for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise SeriesBudgetError("exponential of a non-finite argument")
+
+
 def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
     """exp(rho(E)) for an (m, m, d) matrix E of elements.
 
     A non-finite E is refused before rho multiplies inf by the table's zeros.
     """
-    if not all(map(math.isfinite, e.ravel().tolist())):
-        raise SeriesBudgetError("exponential of a non-finite argument")
+    _require_finite(e.ravel().tolist())
     return _expm(_kernels.rho(alg.table, e))
 
 
@@ -164,8 +174,7 @@ def _slice_values(fs, row: list[float]) -> tuple[list[float], float, list[comple
     raises. math.hypot takes |v| with no over- or underflow.
     """
     if not sum(map(abs, row)) < 2.0 ** 52:  # NaN or inf when the row is not finite
-        if not all(map(math.isfinite, row)):
-            raise SeriesBudgetError("exponential of a non-finite argument")
+        _require_finite(row)
         raise SeriesBudgetError("argument too large for an accurate exponential")
     v = row[1:]
     norm = math.hypot(*v)
@@ -182,33 +191,34 @@ def _slice_values(fs, row: list[float]) -> tuple[list[float], float, list[comple
     return v, norm, ws
 
 
-def _slice(fs, c: np.ndarray) -> list[np.ndarray]:
-    """f(x) of each row x of a (k, d) coefficient array c for each cmath function f of fs, one (k, d) array per f.
+def _slice(fs, rows) -> list[list[float]]:
+    """f(x) of each coefficient list x of rows for each cmath function f of fs, as one flat list of coefficients per f.
 
     With x = a + v, z = a + i|v| and w = f(z), f(x) has real part Re w and
     imaginary part (Im w / |v|) v, with 0 for the quotient when v = 0. A row
     is refused, and a value that overflows raises, as in _slice_values. The
     rows go one at a time in plain Python floats, so each has the bits it
-    has alone, and the first row that fails raises its error.
+    has alone, and the first row that fails raises its error. The caller
+    makes the one array it needs from each list.
     """
-    k, d = c.shape
     outs = [[] for _ in fs]
-    for row in c.tolist():
+    for row in rows:
         v, norm, ws = _slice_values(fs, row)
         for w, out in zip(ws, outs):
             q = w.imag / norm if norm else 0.0
             out.append(w.real)
             out += [q * x for x in v]
-    return [np.array(out).reshape(k, d) for out in outs]
+    return outs
 
 
-def _el(f, x: Element) -> Element:
-    return Element._trusted(x.algebra, _slice((f,), x.coeffs[None])[0][0])
+def _el(f, alg, row: list[float]) -> Element:
+    """f of the element of alg with coefficient list row, through the complex slice (_slice)."""
+    return Element._trusted(alg, np.array(_slice((f,), (row,))[0]))
 
 
 def exp_el(x: Element) -> Element:
     """exp(x) = sum x^n / n!, through the complex slice (_slice)."""
-    return _el(cmath.exp, x)
+    return _el(cmath.exp, x.algebra, x.coeffs.tolist())
 
 
 def _require_finite_time(t: float) -> None:
@@ -217,17 +227,25 @@ def _require_finite_time(t: float) -> None:
         raise SeriesBudgetError(f"exponential at the non-finite time {t}")
 
 
-def _argument_at(a: Element, t: float) -> Element:
-    """a t for real t, refusing a non-finite t or a before the product turns 0 * inf into NaN."""
+def _argument_at(a: list[float], t: float) -> list[float]:
+    """The coefficient list of a t for real t, given a's coefficient list, in plain floats.
+
+    A non-finite t or a is refused before the product turns 0 * inf into
+    NaN, and a product that overflows is refused as too large. Each
+    coefficient has the IEEE bits of numpy's product.
+    """
     _require_finite_time(t)
-    if not all(map(math.isfinite, a.coeffs.tolist())):
-        raise SeriesBudgetError("exponential of a non-finite argument")
-    return el_scale(a, t)
+    _require_finite(a)
+    t = float(t)
+    row = [x * t for x in a]
+    if not all(map(math.isfinite, row)):
+        raise SeriesBudgetError("argument too large for an accurate exponential")
+    return row
 
 
 def exp_at(a: Element, t: float) -> Element:
     """exp(a t) for real t; (a t)^n = a^n t^n, so this is exp_el(a*t)."""
-    return exp_el(_argument_at(a, t))
+    return _el(cmath.exp, a.algebra, _argument_at(a.coeffs.tolist(), t))
 
 
 def _exp_els(c: np.ndarray) -> np.ndarray:
@@ -237,23 +255,23 @@ def _exp_els(c: np.ndarray) -> np.ndarray:
     exp_el raises raises its error. An empty stack gives an empty (0, d)
     array.
     """
-    return _slice((cmath.exp,), c)[0]
+    return np.array(_slice((cmath.exp,), c.tolist())[0]).reshape(c.shape)
 
 
 def sinh_el(x: Element) -> Element:
-    return _el(cmath.sinh, x)
+    return _el(cmath.sinh, x.algebra, x.coeffs.tolist())
 
 
 def cosh_el(x: Element) -> Element:
-    return _el(cmath.cosh, x)
+    return _el(cmath.cosh, x.algebra, x.coeffs.tolist())
 
 
 def sin_el(x: Element) -> Element:
-    return _el(cmath.sin, x)
+    return _el(cmath.sin, x.algebra, x.coeffs.tolist())
 
 
 def cos_el(x: Element) -> Element:
-    return _el(cmath.cos, x)
+    return _el(cmath.cos, x.algebra, x.coeffs.tolist())
 
 
 def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +280,17 @@ def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row i has the bits of cosh_el and sinh_el of that row alone, and the
     first row where either raises raises its error.
     """
-    return tuple(_slice((cmath.cosh, cmath.sinh), c))
+    return tuple(np.array(out).reshape(c.shape) for out in _slice((cmath.cosh, cmath.sinh), c.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # quasiexponent
+
+
+def _finite_result(out: list[float]) -> list[float]:
+    if not all(map(math.isfinite, out)):
+        raise SeriesBudgetError("exponential overflows")
+    return out
 
 
 def _directional(c: list[float], x: list[float]) -> list[float]:
@@ -284,8 +308,7 @@ def _directional(c: list[float], x: list[float]) -> list[float]:
     _slice_values, and a result that overflows raises. Being linear in c, a
     huge finite c is answered.
     """
-    if not all(map(math.isfinite, c)):
-        raise SeriesBudgetError("exponential of a non-finite argument")
+    _require_finite(c)
     v, theta, (w,) = _slice_values((cmath.exp,), x)
     if theta:
         u = [vi / theta for vi in v]
@@ -295,9 +318,116 @@ def _directional(c: list[float], x: list[float]) -> list[float]:
         out = [par.real, *(par.imag * ui + q * (ci - p * ui) for ci, ui in zip(c[1:], u))]
     else:
         out = [w.real * ci for ci in c]
-    if not all(map(math.isfinite, out)):
-        raise SeriesBudgetError("exponential overflows")
-    return out
+    return _finite_result(out)
+
+
+# j1(theta) = (sin theta - theta cos theta) / theta^2 = theta sum_{k>=1} (-1)^(k+1) 2k theta^(2k-2) / (2k+1)!:
+# below theta = 1 the direct form loses digits to cancellation, and these
+# eight terms, highest first for Horner's rule in theta^2, leave out less
+# than 5e-16 of it
+_J1_TERMS = tuple((-1) ** (k + 1) * 2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
+
+
+def _j1(theta: float) -> float:
+    if theta >= 1.0:
+        return (math.sin(theta) - theta * math.cos(theta)) / (theta * theta)
+    t2, total = theta * theta, 0.0
+    for term in _J1_TERMS:
+        total = total * t2 + term
+    return total * theta
+
+
+def _second(c1: list[float], c2: list[float], x: list[float]) -> list[float]:
+    """quasiexp([c1, c2], x) = D^2 exp(x)[c1, c2] on the complex slice, as coefficient lists.
+
+    With x = a + theta u, E = exp(a + i theta), p_k = c_k0 + i (c_kv . u)
+    and q_k = c_kv - (c_kv . u) u as in _directional, the p_k commute with
+    x and the q_k anticommute with u, so the integral over s1 + s2 + s3 = 1
+    of e^{s1 x} c1 e^{s2 x} c2 e^{s3 x}, plus the same with c1 and c2
+    swapped, is
+
+        slice(p1 p2 E - (q1 . q2) B) + Re(p2 B) q1 + Re(p1 B) q2,
+
+    B = Im E / theta + i |E| j1(theta), a slice number read back on 1 and
+    u. At theta = 0, u is taken as 0, so p_k = c_k0, q_k = c_kv and B = e^a;
+    over R and C, q_k is exactly 0 where theta > 0, which leaves c1 c2 e^x.
+    The refusals are _directional's: a non-finite c1 or c2, then x and an
+    overflowing E as in _slice_values, then a result that overflows. Being
+    linear in each direction, huge finite directions are answered when the
+    result is finite.
+    """
+    _require_finite(c1, c2)
+    v, theta, (e,) = _slice_values((cmath.exp,), x)
+    if theta:
+        u = [vi / theta for vi in v]
+        try:
+            b = complex(e.imag / theta, abs(e) * _j1(theta))
+        except OverflowError:  # |E| past the float range, though both its parts are finite
+            raise SeriesBudgetError("exponential overflows") from None
+    else:
+        u, b = [0.0] * len(v), complex(e.real)
+    (p1, q1), (p2, q2) = (_split(c, u) for c in (c1, c2))
+    s = p1 * p2 * e - sum(g * h for g, h in zip(q1, q2)) * b
+    r1, r2 = (p2 * b).real, (p1 * b).real
+    return _finite_result([s.real, *(s.imag * ui + r1 * a1 + r2 * a2 for ui, a1, a2 in zip(u, q1, q2))])
+
+
+def _split(c: list[float], u: list[float]) -> tuple[complex, list[float]]:
+    """(p, q) = (c_0 + i (c_v . u), c_v - (c_v . u) u) for a direction c and a unit, or zero, imaginary u."""
+    p = sum(ci * ui for ci, ui in zip(c[1:], u))
+    return complex(c[0], p), [ci - p * ui for ci, ui in zip(c[1:], u)]
+
+
+def _lattice(alg, cs: list[list[float]], x: list[float]) -> list[float]:
+    """quasiexp(cs, x) on the 2^n x 2^n subset lattice, for n >= 1 directions given as coefficient lists.
+
+    E has x on the diagonal and c_i at (S, S + {i}) for each i not in S. A
+    walk of N steps from the empty set to the full set adds the directions
+    in one order and stays put at the other steps, so block (0, 2^n - 1) of
+    exp(rho(E)) sums all n! orders at once (Van Loan, IEEE TAC 23(3), 1978;
+    Higham and Relton, SIAM J. Matrix Anal. Appl. 35(3), 2014), in O(8^n
+    d^3) time and O(4^n d^2) memory. The quasiexponent is linear in each
+    direction, so each is first scaled by a power of two to a largest
+    coefficient in [1/2, 1), and the result is scaled back exactly; a
+    result past the float range raises. A zero direction gives zero. A
+    non-finite direction is refused, then x: by the lattice's 1-norm, or
+    as in _slice_values when a direction is zero.
+    """
+    _require_finite(*cs)
+    n, d = len(cs), alg.dim
+    tops = [max(map(abs, c)) for c in cs]
+    if not all(tops):
+        _slice_values((), x)  # x is refused as at orders 1 and 2
+        return [0.0] * d
+    shifts = [math.frexp(top)[1] for top in tops]
+    scaled = np.array([[math.ldexp(ci, -shift) for ci in c] for c, shift in zip(cs, shifts)])
+    subsets = np.arange(2 ** n)
+    e = np.zeros((2 ** n, 2 ** n, d))
+    e[subsets, subsets] = np.array(x)
+    for i, row in enumerate(scaled):
+        without = subsets[(subsets & (1 << i)) == 0]
+        e[without, without | (1 << i)] = row
+    column = _exp_rho(alg, e)[:d, (2 ** n - 1) * d].tolist()
+    try:
+        return [math.ldexp(r, sum(shifts)) for r in column]
+    except OverflowError:
+        raise SeriesBudgetError("exponential overflows") from None
+
+
+def _quasiexp(cs: list[Element], alg, x: list[float]) -> Element:
+    """quasiexp(cs, x) for the element of alg with coefficient list x."""
+    if not cs:
+        raise ValueError("need at least one direction")
+    if any(c.algebra != alg for c in cs):
+        raise AlgebraError("algebra mismatch in quasiexp")
+    rows = [c.coeffs.tolist() for c in cs]
+    if len(rows) == 1:
+        out = _directional(rows[0], x)
+    elif len(rows) == 2:
+        out = _second(*rows, x)
+    else:
+        out = _lattice(alg, rows, x)
+    return Element._trusted(alg, np.array(out))
 
 
 def quasiexp(cs: Sequence[Element], x: Element) -> Element:
@@ -305,35 +435,16 @@ def quasiexp(cs: Sequence[Element], x: Element) -> Element:
 
     Degree N of x^N contributes (1/N!) times the sum over all placements of
     the n directions, in every order, among the N gaps (x fills the rest).
-    One direction takes the complex slice in closed form (_directional).
-    Two or more take the 2^n x 2^n subset lattice E: x on the diagonal and
-    c_i at (S, S + {i}) for each i not in S. A walk of N steps from the
-    empty set to the full set adds the directions in one order and stays
-    put at the other steps, so block (0, 2^n - 1) of exp(rho(E)) sums all
-    n! orders at once (Van Loan, IEEE TAC 23(3), 1978; Higham and Relton,
-    SIAM J. Matrix Anal. Appl. 35(3), 2014), in O(8^n d^3) time and
-    O(4^n d^2) memory.
+    One and two directions take the complex slice in closed form
+    (_directional, _second); three or more take the subset lattice
+    (_lattice), in O(8^n d^3) time.
     """
-    cs = list(cs)
-    if not cs:
-        raise ValueError("need at least one direction")
-    if any(c.algebra != x.algebra for c in cs):
-        raise AlgebraError("algebra mismatch in quasiexp")
-    n, d = len(cs), x.algebra.dim
-    if n == 1:
-        return Element._trusted(x.algebra, np.array(_directional(cs[0].coeffs.tolist(), x.coeffs.tolist())))
-    subsets = np.arange(2 ** n)
-    e = np.zeros((2 ** n, 2 ** n, d))
-    e[subsets, subsets] = x.coeffs
-    for i, c in enumerate(cs):
-        without = subsets[(subsets & (1 << i)) == 0]
-        e[without, without | (1 << i)] = c.coeffs
-    return Element._trusted(x.algebra, _exp_rho(x.algebra, e)[:d, (2 ** n - 1) * d])
+    return _quasiexp(list(cs), x.algebra, x.coeffs.tolist())
 
 
 def quasiexp_at(c: Element, a: Element, t: float) -> Element:
     """e[c]^{at} = sum_n t^n/(n+1)! sum_{m<=n} a^m c a^{n-m}, i.e. quasiexp([c], a t), on the complex slice."""
-    return quasiexp([c], _argument_at(a, t))
+    return _quasiexp([c], a.algebra, _argument_at(a.coeffs.tolist(), t))
 
 
 # ---------------------------------------------------------------------------

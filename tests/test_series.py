@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 from itertools import count, permutations
 
 import numpy as np
@@ -20,6 +21,7 @@ from ncalg.algebra import (
     zero,
 )
 from ncalg.biring import BiMatrix, cr_mul, diff_norm, random_matrix, rc_mul, transpose
+from ncalg.diffeq import _exps_at
 from ncalg.series import (
     TAYLOR_RTOL,
     SeriesBudgetError,
@@ -134,21 +136,26 @@ class TestQuasiexp:
 
     @pytest.mark.parametrize("norm", [0.5, 2.0, 10.0, 30.0])
     def test_the_slice_matches_the_lattice(self, HH, rng, norm):
-        """The unit is a fixed point: quasiexp([c, 1], x) on the lattice equals quasiexp([c], x) on the slice."""
+        """The unit is a fixed point: quasiexp([c, 1, 1], x) on the lattice, and quasiexp([c, 1], x) on the
+        slice's order-two form, equal quasiexp([c], x) on the slice's order-one form."""
         for _ in range(20):
             c, x = random_element(HH, rng), scaled_element(HH, rng, norm)
             alone = quasiexp([c], x)
+            assert quasiexp([c, one(HH), one(HH)], x).close(alone, 1e-12), (norm, alone)
             assert quasiexp([c, one(HH)], x).close(alone, 1e-12), (norm, alone)
 
     @pytest.mark.parametrize("tag", ALGEBRAS)
-    def test_order_one_takes_no_matrix_exponential(self, tag, rng, monkeypatch):
+    def test_orders_one_and_two_take_no_matrix_exponential(self, tag, rng, monkeypatch):
         def refuse(m):
-            raise AssertionError("an order-one quasiexponent reached _expm")
+            raise AssertionError("an order-one or order-two quasiexponent reached _expm")
 
         monkeypatch.setattr(series, "_expm", refuse)
         alg = make_algebra(tag)
         quasiexp([random_element(alg, rng)], random_element(alg, rng, 3.0))
+        quasiexp([random_element(alg, rng) for _ in range(2)], random_element(alg, rng, 3.0))
         quasiexp_at(random_element(alg, rng), random_element(alg, rng), 2.0)
+        with pytest.raises(AssertionError, match="reached _expm"):  # the lattice, from order three
+            quasiexp([random_element(alg, rng) for _ in range(3)], random_element(alg, rng, 3.0))
 
     def test_a_huge_finite_direction_is_answered(self, HH, rng):
         """The quasiexponent is linear in its direction, so only x bounds the answer."""
@@ -194,6 +201,75 @@ class TestQuasiexpAt:
         s = 1e-6
         fd = (quasiexp_at(c, a, t + s) - quasiexp_at(c, a, t - s)) * (1 / (2 * s))
         assert (fd - derivative_series()).norm() <= 1e-6
+
+
+class TestOrderTwo:
+    """quasiexp of two directions in closed form on the complex slice (series._second)."""
+
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-3, 0.5, 2.0, 10.0, 30.0])
+    def test_matches_the_permutation_sum_and_the_lattice(self, tag, norm, rng):
+        alg = make_algebra(tag)
+        for _ in range(10):
+            x, cs = scaled_element(alg, rng, norm), [random_element(alg, rng) for _ in range(2)]
+            got = quasiexp(cs, x).coeffs
+            ref = permutation_quasiexp(cs, x)
+            lattice = np.array(series._lattice(alg, [c.coeffs.tolist() for c in cs], x.coeffs.tolist()))
+            for want in (ref, lattice):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (norm, x)
+
+    @pytest.mark.parametrize("tag", ["complex", "quaternion"])
+    def test_theta_exactly_zero(self, tag, rng):
+        """A real x commutes with everything: e[c1, c2]^a = e^a (c1 c2 + c2 c1) / 2."""
+        alg = make_algebra(tag)
+        for a in (0.0, 1.5, -2.0):
+            c1, c2 = random_element(alg, rng), random_element(alg, rng)
+            x = from_scalar(alg, a)
+            got = quasiexp([c1, c2], x)
+            assert got.close(math.exp(a) * 0.5 * (c1 * c2 + c2 * c1), 1e-15), a
+            assert np.linalg.norm(got.coeffs - permutation_quasiexp([c1, c2], x)) <= 1e-13 * got.norm()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0 - 2.0 ** -30, 1.0, 1.0 + 2.0 ** -30, 1.5])
+    def test_both_sides_of_the_j1_series_switch(self, HH, rng, theta):
+        for _ in range(10):
+            v = rng.standard_normal(3)
+            x = Element(HH, [0.3, *(v * (theta / np.linalg.norm(v)))])
+            cs = [random_element(HH, rng) for _ in range(2)]
+            ref = permutation_quasiexp(cs, x)
+            assert np.linalg.norm(quasiexp(cs, x).coeffs - ref) <= 1e-13 * np.linalg.norm(ref), theta
+
+    @pytest.mark.parametrize("theta", [1e-8, 1e-3, 0.5, 1.0 - 2.0 ** -40, 1.0, 1.0 + 2.0 ** -40, 2.0, 10.0])
+    def test_j1_against_its_exact_series(self, theta):
+        exact, t2 = Fraction(0), Fraction(theta) ** 2
+        for k in range(1, 80):
+            exact += Fraction((-1) ** (k + 1) * 2 * k, math.factorial(2 * k + 1)) * t2 ** (k - 1)
+        exact *= Fraction(theta)
+        assert abs(series._j1(theta) - float(exact)) <= 2e-15 * abs(float(exact))
+
+    @pytest.mark.parametrize("tag", ["real", "complex"])
+    def test_commutative_algebras_give_the_product(self, tag, rng):
+        alg = make_algebra(tag)
+        for norm in (0.0, 0.5, 2.0, 10.0):
+            x, c1, c2 = scaled_element(alg, rng, norm), random_element(alg, rng), random_element(alg, rng)
+            assert quasiexp([c1, c2], x).close(c1 * c2 * exp_el(x), 1e-13), norm
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_what_order_one_refuses(self, HH, rng):
+        c, x = random_element(HH, rng), random_element(HH, rng)
+        cases = [(Element(HH, [0.0, bad, 0.0, 0.0]), x) for bad in (math.nan, math.inf)]
+        cases += [(c, Element(HH, [bad, 0.0, 0.5, 0.0])) for bad in (math.nan, -math.inf, 2.0 ** 53, 800.0)]
+        for d, y in cases:
+            alone = _error(lambda: quasiexp([d], y))
+            assert _error(lambda: quasiexp([d, c], y)) == alone
+            assert _error(lambda: quasiexp([c, d], y)) == alone
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_directions_are_answered_until_the_result_overflows(self, HH, rng):
+        c1, c2, x = random_element(HH, rng), random_element(HH, rng), random_element(HH, rng)
+        want = quasiexp([c1, c2], x)
+        assert quasiexp([1e150 * c1, 1e150 * c2], x).close(1e300 * want, 1e-14)
+        with pytest.raises(SeriesBudgetError, match="exponential overflows"):
+            quasiexp([1e200 * c1, 1e200 * c2], x)
 
 
 class TestTrig:
@@ -529,12 +605,13 @@ class TestNonFinite:
                 quasiexp(cs, Element(HH, [v, 0.0, 0.5, 0.0]))
         with pytest.raises(SeriesBudgetError):
             quasiexp_at(basis(HH, 2), Element(HH, [v, 0.0, 0.5, 0.0]), 1.0)
-        if not v < 2.0 ** 52:  # linear in each direction: only a non-finite or huge one is refused
-            with pytest.raises(SeriesBudgetError):
-                quasiexp([one(HH), Element(HH, [0.0, 0.0, 0.0, v])], one(HH))
-        if not math.isfinite(v):  # order one answers every finite direction
-            with pytest.raises(SeriesBudgetError, match="non-finite argument"):
-                quasiexp([Element(HH, [0.0, 0.0, 0.0, v])], one(HH))
+        k = Element(HH, [0.0, 0.0, 0.0, v])
+        for cs in ([k], [one(HH), k], [one(HH), one(HH), k]):
+            if math.isfinite(v):  # linear in each direction: every order answers a huge finite one
+                assert quasiexp(cs, one(HH)).close(v * quasiexp(cs[:-1] + [basis(HH, 3)], one(HH)), 1e-14)
+            else:
+                with pytest.raises(SeriesBudgetError, match="non-finite argument"):
+                    quasiexp(cs, one(HH))
         data = np.zeros((2, 2, 4))
         data[0, 0, 0] = data[1, 1, 0] = v
         with pytest.raises(SeriesBudgetError):
@@ -741,12 +818,18 @@ def _singles(alg, c):
     return [np.array([f(x).coeffs for x in els]) for f in (exp_el, cosh_el, sinh_el, cos_el, sin_el)]
 
 
+def _trig(c):
+    """(cos, sin) of each row of c, from one two-map _slice call on its rows."""
+    return [np.array(out).reshape(c.shape) for out in _slice((cmath.cos, cmath.sin), c.tolist())]
+
+
 def _stacked(c):
-    return [_exp_els(c), *_pairs(c), *_slice((cmath.cos, cmath.sin), c)]
+    return [_exp_els(c), *_pairs(c), *_trig(c)]
 
 
 @pytest.mark.parametrize("tag", ALGEBRAS)
 def test_stacked_element_exponentials_give_each_row_its_bytes_alone(tag):
+    """Each map of one element (series._el) has the bytes of its row of _exp_els, _pairs and the two-map _slice."""
     alg = make_algebra(tag)
     rng = np.random.default_rng(2800 + alg.dim)
     c = _rows(alg, rng)
@@ -771,8 +854,7 @@ def test_a_row_that_raises_alone_raises_the_same_error_in_a_stack(bad):
     alg = make_algebra("quaternion")
     x = Element(alg, [bad, 0.0, 0.0, 0.0])
     fine = _rows(alg, np.random.default_rng(2810))
-    for single, stacked in ((exp_el, _exp_els), (sinh_el, _pairs),
-                            (sin_el, lambda c: _slice((cmath.cos, cmath.sin), c))):
+    for single, stacked in ((exp_el, _exp_els), (sinh_el, _pairs), (sin_el, _trig)):
         if bad == 800.0 and single is sin_el:
             continue  # sin and cos of a real 800 are finite
         alone = _error(lambda: single(x))
@@ -799,6 +881,47 @@ def test_an_empty_stack_of_element_exponentials_is_empty(tag):
     alg = make_algebra(tag)
     for out in _stacked(np.empty((0, alg.dim))):
         assert out.shape == (0, alg.dim)
+
+
+def test_exps_at_gives_each_row_the_bytes_of_exp_at(HH):
+    bs = (basis(HH, 1), random_element(HH, np.random.default_rng(2840), 3.0))
+    ts = np.array([0.0, -1e-5, 0.5, 2.0, -7.0])
+    got = _exps_at(bs, ts)
+    for b, rows in zip(bs, got):
+        for t, row in zip(ts.tolist(), rows):
+            assert row.tobytes() == exp_at(b, t).coeffs.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_argument_at_t_that_overflows_is_refused_without_a_warning(HH):
+    """Finite a and t whose product a t overflows: refused as too large, as a finite huge a t is."""
+    a = Element(HH, [1e200, 0.0, 0.0, 0.0])
+    for call in (lambda: exp_at(a, 1e200), lambda: quasiexp_at(one(HH), a, -1e200),
+                 lambda: _exps_at((basis(HH, 1), a), np.array([0.5, 1e200]))):
+        with pytest.raises(SeriesBudgetError, match="argument too large for an accurate exponential"):
+            call()
+
+
+class TestLatticeDirections:
+    """From order three the lattice scales each direction by a power of two, and the result back."""
+
+    def test_a_power_of_two_passes_through_exactly(self, HH, rng):
+        cs, x = [random_element(HH, rng) for _ in range(3)], random_element(HH, rng)
+        want = quasiexp(cs, x).coeffs.tolist()
+        for shift in (60, 600, -600):
+            got = quasiexp([cs[0], math.ldexp(1.0, shift) * cs[1], cs[2]], x).coeffs.tolist()
+            assert got == [math.ldexp(w, shift) for w in want], shift
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_zero_direction_gives_zero(self, HH, rng, n):
+        cs = [random_element(HH, rng) for _ in range(n - 1)] + [zero(HH)]
+        assert quasiexp(cs, random_element(HH, rng, 3.0)).coeffs.tolist() == [0.0] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_result_past_the_float_range_raises(self, HH, rng):
+        cs, x = [random_element(HH, rng) for _ in range(3)], random_element(HH, rng)
+        with pytest.raises(SeriesBudgetError, match="exponential overflows"):
+            quasiexp([1e300 * cs[0], 1e300 * cs[1], cs[2]], x)
 
 
 def test_quasiexp_refuses_directions_of_another_algebra(HH):

@@ -17,14 +17,17 @@ series
     The single calls of the benchmark's series-scale workload: exp_el,
     sinh_el, cosh_el, sin_el and cos_el of an H element of norm 2, exp_el
     of it times 15, at the workload's largest norm, 30, mexp_rc on a 4 x 4
-    H matrix, quasiexp of order 1 at that norm 2, the complex slice, and of
-    order 2 at norm 1/2, the subset lattice, quasiexp_at at t = 2, the call
-    the workload repeats, and curve(t) of a closed-form and of an
-    RK4 curve (1000 steps to t = 1) of an H system of size n = 2 and 4.
+    H matrix, quasiexp of order 1 at that norm 2 and of order 2 at norm 1/2,
+    both on the complex slice, and of order 3 at norm 1/2, the subset
+    lattice, quasiexp_at at t = 2, the call the workload repeats, and
+    curve(t) of a closed-form and of an RK4 curve (1000 steps to t = 1) of
+    an H system of size n = 2 and 4.
     Then one values call on 11 times of each curve at n = 2; exp_el of 24
     H elements, one call each and in one series._exp_els call; cosh_el and
     sinh_el of 12, one call each and in one series._slice call of the
-    pair, which is what series._pairs makes (the row keeps its name). Last, the
+    pair on their coefficient lists, which is what series._pairs makes (the
+    row keeps its name; a checkout whose _slice takes an array prints
+    AttributeError there). Last, the
     states of 12 H systems of size 2, three per product form, as
     ode-forms-cross-check reads them: closed form at 11 grid times on
     [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
@@ -110,6 +113,7 @@ def series_rows():
     x = algebra.random_element(H, rng)
     x = x * (2.0 / x.norm())
     cs = [algebra.random_element(H, rng) for _ in range(2)]
+    c3 = algebra.random_element(H, np.random.default_rng(4))  # its own seed, so later rows keep their inputs
     mat = biring.random_matrix(H, 4, 4, rng, scale=0.5)
     for name in ("exp_el", "sinh_el", "cosh_el", "sin_el", "cos_el"):
         yield name, lambda name=name: partial(getattr(series, name), x)
@@ -117,6 +121,7 @@ def series_rows():
     yield "mexp_rc (4x4)", lambda: partial(series.mexp_rc, mat)
     yield "quasiexp order 1", lambda: partial(series.quasiexp, cs[:1], x)
     yield "quasiexp order 2", lambda: partial(series.quasiexp, cs, x * 0.25)
+    yield "quasiexp order 3", lambda: partial(series.quasiexp, [*cs, c3], x * 0.25)
     yield "quasiexp_at, t = 2", lambda: partial(series.quasiexp_at, cs[0], cs[1], 2.0)
     curves = {"closed-form": lambda ode: diffeq.closed_form_solution(ode),
               "rk4": lambda ode: diffeq.rk4_integrate(ode, 1.0, 1000)}
@@ -134,7 +139,7 @@ def series_rows():
     yield "exp_el x 24", lambda: lambda: [series.exp_el(x) for x in els]
     yield "_exp_els(24 rows)", lambda: partial(series._exp_els, rows)
     yield "cosh_el + sinh_el x 12", lambda: lambda: [(series.cosh_el(x), series.sinh_el(x)) for x in els[:12]]
-    yield "_pairs(12 rows)", lambda: partial(series._slice, (cmath.cosh, cmath.sinh), rows[:12])
+    yield "_pairs(12 rows)", lambda: partial(series._slice, (cmath.cosh, cmath.sinh), rows[:12].tolist())
     ode_rng = np.random.default_rng(2)
     systems = [diffeq.LinearOde(biring.random_matrix(H, 2, 2, ode_rng, scale=0.5), form,
                                 tuple(algebra.random_element(H, ode_rng) for _ in range(2)))
