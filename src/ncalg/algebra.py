@@ -323,10 +323,6 @@ def _same(a: Element, b: Element) -> None:
 # functional surface
 
 
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def _mul_rows(algebra: AlgebraDesc, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The coefficients of a * x for a (..., dim) stack a of left factors and xs of right ones.
 

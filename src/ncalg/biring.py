@@ -44,6 +44,7 @@ rank-demo scenarios solve and rank all their matrices in one call each.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -334,9 +335,11 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
         # a singular member makes big * top of the order of 1 / u, so it stops here
         if x is not None and (top := np.abs(x).max()) <= _CERT_RANGE and big * top < 0.25 / PIVOT_RTOL:
             out = _kernels.unrho(table, x)
-            norms = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), out.reshape(k, -1)))
-            # Python floats: a product too large for the certificate overflows to inf without a warning
-            if all(d * d * p * q < 0.0625 / PIVOT_RTOL ** 2 for p, q in zip(*norms)):
+            ps, qs = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), out.reshape(k, -1)))
+            # Python floats: a product too large for the certificate overflows to inf without a warning;
+            # d^2 is a power of two and every p and q is finite, so scaling the largest product by it
+            # decides as each member's own product would
+            if d * d * max(map(operator.mul, ps, qs)) < 0.0625 / PIVOT_RTOL ** 2:
                 resid = _residuals(table, data, r, out)
                 if resid[:, :n * d].max() < 0.5 / (n * d):
                     flags = [True] * k

@@ -352,15 +352,14 @@ def _scn_ode_forms(opt: Options) -> Report:
             odes.append(LinearOde(a, form, tuple(random_element(alg, rng) for _ in range(2))))
     ts, checks = np.linspace(0.0, 1.0, 11), (0.0, 0.5, 1.0)
     # every system's states at the grid and at the residual's probes, from one
-    # stacked exponential and one stacked RK4 power
+    # stacked exponential and one stacked RK4 power, and every residual from one judge
     m = np.stack([ode.real_matrix() for ode in odes])
     x0 = np.array([[x.coeffs for x in ode.init] for ode in odes]).reshape(len(odes), -1)
     closed = _closed_form_states(m, x0, np.concatenate([ts, _probe_times(checks)]))
     closed = closed.reshape(len(odes), -1, 2, alg.dim)
     rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(odes), len(ts), 2, alg.dim)
     gaps = _frobenius_rows(closed[:, :len(ts)] - rk).ravel().tolist()
-    resids = [_judge_states(ode, probes, checks, "closed-form").residual
-              for ode, probes in zip(odes, closed[:, len(ts):])]
+    resids = [rep.residual for rep in _judge_states(alg, m, closed[:, len(ts):], checks, "closed-form")]
     worst_gap, worst_resid = worst(gaps), worst(resids)
     verdict = worst_gap <= 1e-6 and worst_resid <= 1e-6
     return Report(verdict=verdict, residual=worst_gap,

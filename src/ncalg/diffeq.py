@@ -30,9 +30,15 @@ and time one member of the same stacked call, from a stack of
 real_matrix() values and one of initial vectors.
 ``solution_residual`` is the report of _read_residual, the one
 read-and-judge step: it reads all its probe times (_probe_times) in one
-such call, takes every residual's norm in one stacked call as it judges
-the states it read (_judge_states), and returns the states at ts too; a
-caller that has read them with other states judges them directly.
+such call, judges the states it read (_judge_states), and returns the
+states at ts too. _judge_states judges a stack of systems of one size at
+once, from their real_matrix() values and states, with one stacked
+right-hand side and every residual's norm in one call; a caller that has
+read many systems' states with other states, as ode-forms-cross-check
+does, judges them all in one call, and _read_residual passes a stack of
+one. The stacked exponential behind the closed-form grids runs in
+bounded slices (series._expm), so its working set stays with the
+process from call to call.
 """
 
 from __future__ import annotations
@@ -508,24 +514,30 @@ def _probe_times(ts: Sequence[float]) -> list[float]:
     return [u for t, h in zip(ts, hs) for u in (t + h, t - h, t)]
 
 
-def _judge_states(ode: LinearOde, states: np.ndarray, ts: Sequence[float], provenance: str,
-                  tol: float = FD_TOL) -> Report:
-    """solution_residual of a curve whose states at _probe_times(ts), a (3 len(ts), n, d) array, are read.
+def _judge_states(alg: AlgebraDesc, m: np.ndarray, states: np.ndarray, ts: Sequence[float], provenance: str,
+                  tol: float = FD_TOL) -> list[Report]:
+    """solution_residual of k curves of systems over alg whose states at _probe_times(ts) are read, one report each.
 
-    An empty ts proves nothing and raises ValueError, as _judge does.
+    m is the (k, p, p) stack of the systems' real_matrix() values and
+    states their (k, 3 len(ts), n, d) states, n d = p. The right-hand sides
+    are one stacked matmul and every norm is one _frobenius_rows call, so
+    each system's report has the bits of a stack of that system alone.
+    Over an empty ts a system proves nothing and raises ValueError, as
+    _judge does.
     """
     ts = [float(t) for t in ts]
     hs = [_fd_step(abs(t)) for t in ts]
-    n, d = ode.size, ode.algebra.dim
-    if states.shape[1:] != (n, d):
-        raise AlgebraError(f"a state of this system is {n} elements of the {ode.algebra.tag} algebra")
-    states = states.reshape(len(ts), 3, n, d)
+    k, n, d = len(m), m.shape[-1] // alg.dim, alg.dim
+    if states.shape[:1] + states.shape[2:] != (k, n, d):
+        raise AlgebraError(f"a state of this system is {n} elements of the {alg.tag} algebra")
+    states = states.reshape(k, len(ts), 3, n, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        fd = (states[:, 0] - states[:, 1]) * np.array([1.0 / (2 * h) for h in hs])[:, None, None]
-        rhs = (ode.real_matrix() @ states[:, 2].reshape(len(ts), n * d, 1)).reshape(len(ts), n, d)
-        res = _frobenius_rows(fd - rhs).tolist()  # res[j][i]: the residual of component i at ts[j]
-    return _judge(((r, r <= tol, {"t": t, "component": i, "residual": r})
-                   for t, row in zip(ts, res) for i, r in enumerate(row)), provenance=provenance)
+        fd = (states[:, :, 0] - states[:, :, 1]) * np.array([1.0 / (2 * h) for h in hs])[:, None, None]
+        rhs = (m[:, None] @ states[:, :, 2].reshape(k, len(ts), n * d, 1)).reshape(k, len(ts), n, d)
+        res = _frobenius_rows(fd - rhs).tolist()  # res[s][j][i]: system s's residual of component i at ts[j]
+    return [_judge(((r, True, None) if r <= tol else (r, False, {"t": t, "component": i, "residual": r})
+                    for t, row in zip(ts, rows) for i, r in enumerate(row)), provenance=provenance)
+            for rows in res]
 
 
 def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
@@ -533,13 +545,14 @@ def _read_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
     """solution_residual of curve over ts, and the (len(ts), n, d) states it read at ts.
 
     All the probe times are read in one curve.values call and judged by
-    _judge_states; an empty ts raises ValueError before the curve is read.
+    _judge_states, as a stack of one system; an empty ts raises ValueError
+    before the curve is read.
     """
     ts = [float(t) for t in ts]
     if not ts:
         _judge(())  # raises: no probe
     states = curve.values(_probe_times(ts))
-    return _judge_states(ode, states, ts, curve.provenance, tol), states[2::3]
+    return _judge_states(ode.algebra, ode.real_matrix()[None], states[None], ts, curve.provenance, tol)[0], states[2::3]
 
 
 def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],

@@ -23,9 +23,13 @@ far within TAYLOR_RTOL, so one fixed degree serves every argument and
 there is no term budget to set. The polynomial is evaluated by
 Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of four:
 6 matrix products instead of 15, plus one per squaring. ``_expm`` also
-takes a (k, p, p) stack, for a curve on a whole time grid: one pass of the
-polynomial sums every member, each member keeps the squaring count of its
-own norm, and every member gets the bits it gets alone.
+takes a (k, p, p) stack, for a curve on a whole time grid: each member
+keeps the squaring count of its own norm, all taken in one numpy pass,
+and every member gets the bits it gets alone. The polynomial and the
+squarings run over slices of the stack whose working set stays within
+128 KiB: glibc serves a larger block by mmap, or gives a larger free heap
+top back to the OS, and the pages then fault in again on every call.
+A stack that fits in one slice takes one pass.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
 L(x) = rho([x])) and maps the result back with unrho. quasiexp of one or
@@ -41,6 +45,10 @@ of a 2^n x 2^n subset lattice E and read column 0 of a d-row block, since
 L(a) e_0 = a (_lattice). Arguments or results that are not finite, and
 arguments too large for any digit of the result to be accurate, raise
 SeriesBudgetError; for an element argument that rule is _slice_values.
+The closed forms of one and two directions are linear in exp(a + i
+theta), so near the top of the float range, where its parts are finite
+but its modulus or Im / theta may not be, it is scaled down by a power of
+two first and the result scaled back (_headroom).
 The quasiexponent generalizes the exponent: it is the order-n derivative
 of exp evaluated at fixed directions, and like exp it satisfies
 dy/dx o 1 = y.
@@ -112,6 +120,12 @@ def _scaling(norm: float, m: np.ndarray) -> int:
     return math.frexp(norm)[1] + 1 if norm > 0.5 else 0
 
 
+# Bytes that one slice of a stack holds at once in _taylor, the four powers of its members and their
+# block sums: glibc serves a block of 128 KiB or more by mmap and gives a free heap top past 128 KiB
+# back to the OS, so a larger working set is faulted in again on every call
+_SLICE_BYTES = 2 ** 17
+
+
 def _expm(m: np.ndarray) -> np.ndarray:
     """exp(m) of a real square matrix, or of each member of a (k, p, p) stack, by scaling and squaring.
 
@@ -124,29 +138,42 @@ def _expm(m: np.ndarray) -> np.ndarray:
     multiply the sum's relative rounding error by up to 2^s, so past
     ||m||_1 = 2^52 no digit of the result is left and it raises instead.
 
-    Each member of a stack takes s from its own 1-norm and gets the bits it
-    gets alone: one _taylor pass sums every member, and member i is squared
-    only while r < s_i, selected with np.where; the squarings it skips are
-    never read and run with overflow warnings off. A member that raises
-    alone raises the same error in the stack, the first such member's.
+    Each member of a stack takes s from its own 1-norm, all in one numpy
+    pass, and gets the bits it gets alone: _taylor sums a slice of members
+    in one pass, and member i is squared only while r < s_i, selected with
+    np.where; the squarings it skips are never read and run with overflow
+    warnings off. The slices hold as many members as keep _taylor's
+    working set within _SLICE_BYTES (32 at p = 8), so the allocator keeps
+    its pages from call to call; a stack that fits takes one pass, and each
+    member is still its own matrix product. A stack raises what its members
+    raise alone, in this order: first the argument refusals, as the first
+    refused member's error, then "exponential overflows" if any member
+    overflows, whatever its place.
     """
     if m.ndim == 2:
-        s = _scaling(_norm1(m), m)
+        top = s = _scaling(_norm1(m), m)
         total = _taylor(np.ldexp(m, -s))
-    else:
-        norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0).tolist()
-        s = np.array([_scaling(norm, member) for norm, member in zip(norms, m)], dtype=np.intc)
-        total = _taylor(np.ldexp(m, -s[:, None, None]))
-    top = s if m.ndim == 2 else s.max(initial=0)
-    if top:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(top):
-                if m.ndim == 2:
+        if s:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(s):
                     total = total.dot(total)
-                else:
-                    total = np.where((r < s)[:, None, None], total @ total, total)
-        if not np.isfinite(total).all():
-            raise SeriesBudgetError("exponential overflows")
+    else:
+        norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+        for first in np.flatnonzero(~(norms < 2.0 ** 52))[:1]:  # NaN or inf where a member is not finite
+            _scaling(float(norms[first]), m[first])  # raises the first refused member's error
+        s = np.where(norms > 0.5, np.frexp(norms)[1] + 1, 0)
+        total = np.empty(m.shape)
+        step = max(1, _SLICE_BYTES // (64 * m.shape[-1] ** 2))  # 2 x 4 p x p floats of 8 bytes per member
+        for lo in range(0, len(m), step):
+            part = s[lo:lo + step]
+            block = _taylor(np.ldexp(m[lo:lo + step], -part[:, None, None]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r in range(part.max()):
+                    block = np.where((r < part)[:, None, None], block @ block, block)
+            total[lo:lo + step] = block
+        top = s.max(initial=0)
+    if top and not np.isfinite(total).all():
+        raise SeriesBudgetError("exponential overflows")
     return total
 
 
@@ -287,10 +314,27 @@ def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # quasiexponent
 
 
-def _finite_result(out: list[float]) -> list[float]:
-    if not all(map(math.isfinite, out)):
-        raise SeriesBudgetError("exponential overflows")
+def _finite_result(out: list[float], shift: int = 0) -> list[float]:
+    """out times 2^shift, exactly; a result past the float range raises."""
+    try:
+        out = [math.ldexp(r, shift) for r in out] if shift else out
+        if not all(map(math.isfinite, out)):
+            raise OverflowError
+    except OverflowError:
+        raise SeriesBudgetError("exponential overflows") from None
     return out
+
+
+def _headroom(e: complex) -> tuple[complex, int]:
+    """e / 2^k and k, the least k >= 0 that leaves both parts of e below 2^1021.
+
+    The closed forms of _directional and _second are linear in E = exp(x),
+    but |E| and Im E / theta, which is at most about |E|, can overflow where
+    both parts of E are finite. Below 2^1021 neither does, and a scaling
+    by a power of two is exact, so an E that needs none keeps every bit.
+    """
+    k = max(0, math.frexp(max(abs(e.real), abs(e.imag)))[1] - 1021)
+    return (complex(math.ldexp(e.real, -k), math.ldexp(e.imag, -k)) if k else e), k
 
 
 def _directional(c: list[float], x: list[float]) -> list[float]:
@@ -310,6 +354,7 @@ def _directional(c: list[float], x: list[float]) -> list[float]:
     """
     _require_finite(c)
     v, theta, (w,) = _slice_values((cmath.exp,), x)
+    w, shift = _headroom(w)
     if theta:
         u = [vi / theta for vi in v]
         p = sum(ci * ui for ci, ui in zip(c[1:], u))
@@ -318,7 +363,7 @@ def _directional(c: list[float], x: list[float]) -> list[float]:
         out = [par.real, *(par.imag * ui + q * (ci - p * ui) for ci, ui in zip(c[1:], u))]
     else:
         out = [w.real * ci for ci in c]
-    return _finite_result(out)
+    return _finite_result(out, shift)
 
 
 # j1(theta) = (sin theta - theta cos theta) / theta^2 = theta sum_{k>=1} (-1)^(k+1) 2k theta^(2k-2) / (2k+1)!:
@@ -358,18 +403,16 @@ def _second(c1: list[float], c2: list[float], x: list[float]) -> list[float]:
     """
     _require_finite(c1, c2)
     v, theta, (e,) = _slice_values((cmath.exp,), x)
+    e, shift = _headroom(e)
     if theta:
         u = [vi / theta for vi in v]
-        try:
-            b = complex(e.imag / theta, abs(e) * _j1(theta))
-        except OverflowError:  # |E| past the float range, though both its parts are finite
-            raise SeriesBudgetError("exponential overflows") from None
+        b = complex(e.imag / theta, abs(e) * _j1(theta))
     else:
         u, b = [0.0] * len(v), complex(e.real)
     (p1, q1), (p2, q2) = (_split(c, u) for c in (c1, c2))
     s = p1 * p2 * e - sum(g * h for g, h in zip(q1, q2)) * b
     r1, r2 = (p2 * b).real, (p1 * b).real
-    return _finite_result([s.real, *(s.imag * ui + r1 * a1 + r2 * a2 for ui, a1, a2 in zip(u, q1, q2))])
+    return _finite_result([s.real, *(s.imag * ui + r1 * a1 + r2 * a2 for ui, a1, a2 in zip(u, q1, q2))], shift)
 
 
 def _split(c: list[float], u: list[float]) -> tuple[complex, list[float]]:
@@ -407,11 +450,7 @@ def _lattice(alg, cs: list[list[float]], x: list[float]) -> list[float]:
     for i, row in enumerate(scaled):
         without = subsets[(subsets & (1 << i)) == 0]
         e[without, without | (1 << i)] = row
-    column = _exp_rho(alg, e)[:d, (2 ** n - 1) * d].tolist()
-    try:
-        return [math.ldexp(r, sum(shifts)) for r in column]
-    except OverflowError:
-        raise SeriesBudgetError("exponential overflows") from None
+    return _finite_result(_exp_rho(alg, e)[:d, (2 ** n - 1) * d].tolist(), sum(shifts))
 
 
 def _quasiexp(cs: list[Element], alg, x: list[float]) -> Element:

@@ -22,7 +22,6 @@ from ncalg.algebra import (
     inv_stack,
     left_matrix,
     make_algebra,
-    mul,
     norm,
     one,
     random_element,
@@ -104,12 +103,12 @@ class TestMul:
     def test_against_oracle(self, HH, rng):
         for _ in range(50):
             a, b = rng.uniform(-3, 3, (2, 4))
-            got = mul(Element(HH, a), Element(HH, b)).coeffs
+            got = (Element(HH, a) * Element(HH, b)).coeffs
             assert np.allclose(got, quat_mul_oracle(a, b), atol=1e-12)
 
     def test_algebra_mismatch(self, HH, CC):
         with pytest.raises(AlgebraError):
-            mul(one(HH), one(CC))
+            one(HH) * one(CC)
 
 
 class TestInv:

@@ -1099,7 +1099,40 @@ def test_the_residual_judge_takes_every_norm_in_one_call(monkeypatch, HH):
     monkeypatch.setattr(diffeq, "_frobenius_rows", lambda c: rows.append(c.shape) or stacked(c))
     ode = LinearOde(random_matrix(HH, 2, 2, np.random.default_rng(3)), OdeForm.CR_LEFT, (one(HH), basis(HH, 2)))
     rep = solution_residual(ode, closed_form_solution(ode), (0.0, 0.5, 1.0))
-    assert rep.verdict and rows == [(3, 2, 4)]
+    assert rep.verdict and rows == [(1, 3, 2, 4)]
+    # a stack of systems takes one call for all its norms too
+    rows.clear()
+    odes = _systems(HH, 2, np.random.default_rng(5))
+    m, x0 = _stacks(odes)
+    states = diffeq._closed_form_states(m, x0, np.array(diffeq._probe_times((0.0, 0.5, 1.0))))
+    reps = diffeq._judge_states(HH, m, states.reshape(len(odes), 9, 2, 4), (0.0, 0.5, 1.0), "closed-form")
+    assert len(reps) == len(odes) and all(r.verdict for r in reps) and rows == [(len(odes), 3, 2, 4)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_the_stacked_judge_gives_each_system_the_report_of_its_own_call(tag):
+    alg = make_algebra(tag)
+    odes = _systems(alg, 2, np.random.default_rng(6))
+    m, _ = _stacks(odes)
+    ts = (0.0, 0.5, -1.0, 2.0)
+    probes = diffeq._probe_times(ts)
+    states = np.stack([closed_form_solution(ode).values(probes) for ode in odes])
+    states[1, 3] = 1.7e308  # its finite difference at t = 0.5 overflows: refuted, with no warning
+    states[2, 8] += 1e-3  # off the curve at t = -1: refuted with a finite residual
+    reps = diffeq._judge_states(alg, m, states, ts, "user")
+    assert len(reps) == len(odes)
+    assert reps[1].residual == math.inf and reps[1].witness["t"] == 0.5
+    assert reps[2].witness["t"] == -1.0 and math.isfinite(reps[2].residual) and reps[0].verdict
+    for i, (ode, rep) in enumerate(zip(odes, reps)):
+        alone, = diffeq._judge_states(alg, m[i:i + 1], states[i:i + 1], ts, "user")
+        curve = SolutionCurve(None, "user", lambda times, s=states[i]: s)
+        assert repr(rep.to_data()) == repr(alone.to_data()) == repr(solution_residual(ode, curve, ts).to_data()), i
+    with pytest.raises(ValueError, match="at least one probe"):
+        diffeq._judge_states(alg, m, states[:, :0], (), "user")
+    for bad in (states[:-1], states[:, :, :1], np.zeros(states.shape[:-1] + (alg.dim + 1,))):
+        with pytest.raises(AlgebraError, match=f"a state of this system is 2 elements of the {tag} algebra"):
+            diffeq._judge_states(alg, m, bad, ts, "user")
 
 
 def test_an_overflowing_user_curve_is_refuted_with_no_warning():
@@ -1162,7 +1195,7 @@ def test_eigen_solution_refuses_an_unknown_side(HH):
 def test_judge_states_refuses_states_of_another_shape(HH):
     ode = elliptic_ode(HH)
     with pytest.raises(AlgebraError, match="a state of this system is 2 elements of the quaternion algebra"):
-        diffeq._judge_states(ode, np.zeros((3, 2, 2)), [0.5], "user")
+        diffeq._judge_states(HH, ode.real_matrix()[None], np.zeros((1, 3, 2, 2)), [0.5], "user")
 
 
 @pytest.mark.parametrize("tag", ["real", "complex"])

@@ -13,6 +13,7 @@ from ncalg.algebra import (
     AlgebraError,
     Element,
     basis,
+    frobenius,
     from_scalar,
     left_matrix,
     make_algebra,
@@ -270,6 +271,20 @@ class TestOrderTwo:
         assert quasiexp([1e150 * c1, 1e150 * c2], x).close(1e300 * want, 1e-14)
         with pytest.raises(SeriesBudgetError, match="exponential overflows"):
             quasiexp([1e200 * c1, 1e200 * c2], x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_orders_one_and_two_answer_near_the_top_of_the_float_range(HH):
+    # both parts of E = exp(x) are finite, but |E| and Im E / |v| are not;
+    # the quasiexponent is linear in E, so e times its value at x - 1 is the answer
+    x = Element(HH, [709.9, math.pi / 4, 0.0, 0.0])
+    directions = [Element(HH, [1e-3, 0.0, 1e-3, 0.0]), Element(HH, [1e-3, 0.0, 0.0, 1e-3])]
+    for order in (1, 2):
+        cs = directions[:order]
+        got = quasiexp(cs, x).coeffs
+        want = math.e * quasiexp(cs, x - one(HH)).coeffs
+        assert np.isfinite(got).all(), order
+        assert frobenius(got - want) <= 1e-13 * frobenius(want), order
 
 
 class TestTrig:
@@ -797,6 +812,45 @@ def test_a_member_that_raises_alone_raises_the_same_error_in_a_stack(bad, messag
     for stack in ([fine, bad], [bad, fine], [bad]):
         with pytest.raises(SeriesBudgetError, match=message):
             _expm(np.array(stack))
+
+
+def test_a_stack_raises_its_argument_refusals_before_any_overflow():
+    # [400 J, 2^52 J], J the all-ones matrix: member 0 alone overflows and
+    # member 1 alone is too large, and the stack raises member 1's error
+    ones = np.ones((8, 8))
+    with pytest.raises(SeriesBudgetError, match="too large"):
+        _expm(np.array([400.0 * ones, 2.0 ** 52 * ones]))
+    # so does a stack of 8 x 8 members whose refused members lie past its first slice
+    stack = np.random.default_rng(2750).standard_normal((100, 8, 8)) * 0.1
+    stack[0] = 400.0 * ones
+    assert 70 * 64 * 8 * 8 > series._SLICE_BYTES  # two 4-power arrays per member: member 70 is past slice 0
+    with pytest.raises(SeriesBudgetError, match="exponential overflows"):
+        _expm(stack)
+    for refused, message in (({70: 2.0 ** 52 * ones}, "too large"),
+                             ({70: np.full((8, 8), np.nan)}, "non-finite argument"),
+                             ({70: 2.0 ** 52 * ones, 90: np.full((8, 8), np.inf)}, "too large"),
+                             ({70: np.full((8, 8), np.inf), 90: 2.0 ** 52 * ones}, "non-finite argument")):
+        bad = stack.copy()
+        for i, member in refused.items():
+            bad[i] = member
+        with pytest.raises(SeriesBudgetError, match=message):
+            _expm(bad)
+
+
+def test_a_stack_of_many_slices_gives_each_member_its_bytes_alone():
+    # 300 members of 8 x 8, skew or nilpotent so that every exponential is
+    # finite, with 1-norms from 0 to 2^51 and so every squaring count 0..53
+    rng = np.random.default_rng(2760)
+    m = rng.standard_normal((300, 8, 8))
+    m[::2] -= m[::2].swapaxes(-1, -2)
+    m[1::2] = np.triu(m[1::2], 1)
+    norms = np.concatenate([[0.0], np.geomspace(1e-8, 2.0 ** 51, 299)])
+    m *= (norms / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+    assert len(set(_stack_counts(m))) == 54
+    got = _expm(m)
+    assert got.shape == m.shape and np.isfinite(got).all()
+    for member, out in zip(m, got):
+        assert out.tobytes() == _expm(member).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -54,20 +54,24 @@ forms
 
 Every row prints the least over REPEATS rounds of the mean of as many calls
 as fit in BUDGET_S seconds, at most NUMBER, in microseconds; one untimed
-call first warms caches and sizes the rounds. A row whose setup or call
-raises prints the exception's type name instead, as does one whose name
-the checkout lacks, since the tool imports only ncalg's modules and looks
-each timed name up in its row's setup. The inputs are fixed by seed and
+call first warms caches and sizes the rounds. Beside it the row prints the
+minor page faults per call over all the timed calls, read from
+getrusage(RUSAGE_SELF), which counts this process alone: a call whose
+working set the allocator hands back to the OS faults it in again each
+time. A row whose setup or call raises prints the exception's type name
+instead, as does one whose name the checkout lacks, since the tool
+imports only ncalg's modules and looks each timed name up in its row's
+setup. The inputs are fixed by seed and
 drawn in row order; a checkout that cannot build them fails the table. BLAS is pinned to one thread, and ncalg is
 imported from PYTHONPATH when it is set, else from this checkout's src.
 
 Given the src directory of a second checkout, the tool runs ROUNDS rounds,
 each timing the table in both checkouts, each in a fresh interpreter, in an
 order that alternates from round to round. Per row it prints the median
-time of each checkout and the median over the rounds of the ratio this /
-other. Timings on a shared host drift, so separate whole runs of two
-checkouts cannot be compared; the two times of one round are taken seconds
-apart.
+time of each checkout, the median over the rounds of the ratio this /
+other, and the median faults per call of each checkout. Timings on a
+shared host drift, so separate whole runs of two checkouts cannot be
+compared; the two times of one round are taken seconds apart.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import cmath  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -233,35 +238,38 @@ def forms():
 TABLES = {"scenarios": scenarios, "series": series_rows, "inverse": inverse_rows, "forms": forms}
 
 
-def best_us(setup) -> float | str:
+def best(setup) -> list[float] | str:
+    """[best per-call time in microseconds, minor page faults per timed call], or the name of what the row raised."""
     try:
         call = setup()
         number = max(1, min(NUMBER, int(BUDGET_S / timeit.timeit(call, number=1))))
-        return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number * 1e6
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        us = min(timeit.repeat(call, number=number, repeat=REPEATS)) / number * 1e6
+        return [us, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / (number * REPEATS)]
     except Exception as exc:  # a refusal is a result here, named by its type
         return type(exc).__name__
 
 
-def times(table: str) -> dict[str, float | str]:
-    return {label: best_us(setup) for label, setup in TABLES[table]()}
+def times(table: str) -> dict[str, list[float] | str]:
+    return {label: best(setup) for label, setup in TABLES[table]()}
 
 
-def times_of(table: str, src: Path) -> dict[str, float | str]:
+def times_of(table: str, src: Path) -> dict[str, list[float] | str]:
     """times(table) in a fresh interpreter that imports ncalg from src; its stderr passes through."""
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, __file__, table, "--json"], env=env, stdout=subprocess.PIPE, check=True)
     return json.loads(run.stdout)
 
 
-def cell(value) -> str:
-    """A time in microseconds, or the name of what a row raised."""
-    return f"{value:11.1f}" if isinstance(value, float) else f"{value:>11}"
+def cell(value, unit: str = "") -> str:
+    """A time in microseconds or a fault count, or the name of what a row raised."""
+    return f"{value:11.1f}{unit}" if isinstance(value, float) else f"{value:>11}"
 
 
-def summary(side: list) -> float | str:
-    """The median time of one checkout's rounds, or the first failure, '-' where the row is missing."""
-    failed = [v for v in side if not isinstance(v, float)]
-    return failed[0] or "-" if failed else statistics.median(side)
+def summary(side: list, field: int) -> float | str:
+    """The median of one field of one checkout's rounds, or the first failure, '-' where the row is missing."""
+    failed = [v for v in side if not isinstance(v, list)]
+    return failed[0] or "-" if failed else statistics.median(v[field] for v in side)
 
 
 def compare(table: str, other: Path) -> None:
@@ -272,13 +280,13 @@ def compare(table: str, other: Path) -> None:
         for src in ((SRC, other) if r % 2 == 0 else (other, SRC)):
             runs[src].append(times_of(table, src))
     labels = list(dict.fromkeys([*runs[SRC][0], *runs[other][0]]))
-    print(f"{'':<36} {'this us':>11} {'other us':>11} {'this/other':>10}")
+    print(f"{'':<36} {'this us':>11} {'other us':>11} {'this/other':>10} {'this flt':>11} {'other flt':>11}")
     for label in labels:
         this, that = ([run.get(label) for run in runs[src]] for src in (SRC, other))
-        mine, theirs = summary(this), summary(that)
+        mine, theirs = summary(this, 0), summary(that, 0)
         timed = isinstance(mine, float) and isinstance(theirs, float)
-        ratio = f"{statistics.median(a / b for a, b in zip(this, that)):10.3f}" if timed else ""
-        print(f"{label:<36} {cell(mine)} {cell(theirs)} {ratio:>10}")
+        ratio = f"{statistics.median(a[0] / b[0] for a, b in zip(this, that)):10.3f}" if timed else ""
+        print(f"{label:<36} {cell(mine)} {cell(theirs)} {ratio:>10} {cell(summary(this, 1))} {cell(summary(that, 1))}")
 
 
 def main(argv: list[str]) -> None:
@@ -290,7 +298,8 @@ def main(argv: list[str]) -> None:
         compare(argv[0], Path(argv[1]).resolve())
     else:
         for label, value in times(argv[0]).items():
-            print(f"{label:<36} {cell(value)}{' us' if isinstance(value, float) else ''}")
+            shown = cell(value) if isinstance(value, str) else f"{cell(value[0], ' us')} {cell(value[1], ' faults')}"
+            print(f"{label:<36} {shown}")
 
 
 if __name__ == "__main__":
