@@ -186,9 +186,8 @@ class Element:
             return _trusted(alg, other.coeffs.dot(self.coeffs.dot(alg._flat).reshape(d, d)))
         return _trusted(alg, self.coeffs * float(other))
 
-    def __rmul__(self, other) -> "Element":
-        # real scalars commute with everything; Element*Element goes via __mul__
-        return _trusted(self.algebra, self.coeffs * float(other))
+    # real scalars commute with everything, and Element * Element never reaches __rmul__
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Element":
         if isinstance(other, Element):
@@ -330,27 +329,17 @@ def _mul_rows(algebra: AlgebraDesc, a: np.ndarray, xs: np.ndarray) -> np.ndarray
     vector-matrix products, a . _flat and then x with that, the
     contractions of Element.__mul__: numpy's matmul of a stack of
     (1, dim) rows takes the BLAS call that .dot takes alone, so every
-    member has the bits of its Element product, but for one case: matmul
-    sums from +0.0, so where a real factor is zero the product is +0.0,
-    never -0.0. That case reaches tensor.eval_args, which multiplies real
-    tensors through here too. A (k, dim) @ (dim, dim) product would take
+    member has the bits of its Element product. Over the reals the table
+    is the unit, so the product is a * x, elementwise: matmul would sum
+    from +0.0 and turn a -0.0 product into +0.0, which the scalar dot of
+    Element.__mul__ does not. A (k, dim) @ (dim, dim) product would take
     another BLAS kernel.
     """
     d = algebra.dim
+    if d == 1:
+        return a * xs
     left = (a[..., None, :] @ algebra._flat).reshape(*a.shape[:-1], d, d)
     return (xs[..., None, :] @ left)[..., 0, :]
-
-
-def scale(a: Element, s: float) -> Element:
-    return _trusted(a.algebra, a.coeffs * float(s))
-
-
-def conj(a: Element) -> Element:
-    return a.conj()
-
-
-def norm(a: Element) -> float:
-    return a.norm()
 
 
 def inv(a: Element) -> Element:
@@ -428,12 +417,11 @@ def right_matrix(a: Element) -> np.ndarray:
 def random_element(algebra: AlgebraDesc, rng, scale: float = 1.0) -> Element:
     """Element with coefficients uniform on [-scale, scale].
 
-    rng is a seed (int) or a numpy Generator; passing a Generator lets
-    callers draw reproducible sequences.
+    rng is a seed (int) or a numpy Generator, which np.random.default_rng
+    returns as it is; passing a Generator lets callers draw reproducible
+    sequences.
     """
-    if not hasattr(rng, "uniform"):
-        rng = np.random.default_rng(rng)
-    return _trusted(algebra, rng.uniform(-scale, scale, algebra.dim))
+    return _trusted(algebra, np.random.default_rng(rng).uniform(-scale, scale, algebra.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,6 @@ def cr_mul(a: BiMatrix, b: BiMatrix) -> BiMatrix:
     return BiMatrix(a.algebra, _kernels.cr_contract(a.algebra.table, a.data, b.data))
 
 
-def _rho(a: BiMatrix) -> np.ndarray:
-    return _kernels.rho(a.algebra.table, a.data)
-
-
 def transpose(a: BiMatrix) -> BiMatrix:
     return BiMatrix(a.algebra, a.data.transpose(1, 0, 2))
 
@@ -226,7 +222,8 @@ def rc_pow(a: BiMatrix, n: int) -> BiMatrix:
     _require_square(a)
     if n < 0:
         raise ValueError("power must be >= 0")
-    return BiMatrix(a.algebra, _kernels.unrho(a.algebra.table, np.linalg.matrix_power(_rho(a), n)))
+    table = a.algebra.table
+    return BiMatrix(a.algebra, _kernels.unrho(table, np.linalg.matrix_power(_kernels.rho(table, a.data), n)))
 
 
 def cr_pow(a: BiMatrix, n: int) -> BiMatrix:
@@ -488,8 +485,10 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
         ok[list(failed)] = False
         r, vec = np.where(ok[:, None, None], r, np.eye(n * d)), np.where(ok[:, None], vec, 0.0)
     x = np.linalg.solve(r, vec[..., None])
-    # the norms of the residual, of b and of x, each with the bits of its frobenius call
-    norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0]))).reshape(3, k).tolist()
+    # the norms of the residual, of b and of x, each with the bits of its frobenius call; an x that
+    # overflows makes r x inf or NaN quietly, and the test below refutes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0]))).reshape(3, k).tolist()
     for t, (res, nb, nx, top) in enumerate(zip(*norms, smax)):
         # NaN fails too; a stand-in's residual is 0, and it keeps its error
         if not res <= 1e-8 * (nb + top * nx):
@@ -685,6 +684,5 @@ def verify_eigen_rc(a: BiMatrix, b: Element, v: Sequence[Element], tol: float = 
 
 
 def random_matrix(algebra: AlgebraDesc, m: int, n: int, rng, scale: float = 1.0) -> BiMatrix:
-    if not hasattr(rng, "uniform"):
-        rng = np.random.default_rng(rng)
-    return BiMatrix(algebra, rng.uniform(-scale, scale, (m, n, algebra.dim)))
+    """m x n matrix with coefficients uniform on [-scale, scale]; rng is a seed or a Generator, as in random_element."""
+    return BiMatrix(algebra, np.random.default_rng(rng).uniform(-scale, scale, (m, n, algebra.dim)))

@@ -366,8 +366,7 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
     before it meets M; a state that overflows comes back as it is,
     non-finite, with no numpy warning.
     """
-    for t in ts.tolist():
-        _require_finite_time(t)
+    _require_finite_time(*ts.tolist())
     k, p = x0.shape
 
     def states(moving: np.ndarray) -> np.ndarray:
@@ -567,17 +566,6 @@ def solution_residual(ode: LinearOde, curve: SolutionCurve, ts: Sequence[float],
     return _read_residual(ode, curve, ts, tol)[0]
 
 
-def rk4_steps_for(t_end: float, tol: float = FD_TOL) -> int:
-    """Step count making the O(h^4) global error a tenth of the tolerance.
-
-    tol must be positive and finite, else ValueError; t_end must be finite,
-    else AlgebraError, as in rk4_integrate.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return int(_rk4_steps(t_end, (0.1 * tol) ** 0.25))
-
-
 def rk4_integrate(ode: LinearOde, t_end: float, steps: int) -> SolutionCurve:
     """Classical RK4 on the flattened real coefficient representation.
 
@@ -632,8 +620,7 @@ def _exps_at(bs: Sequence[Element], ts: np.ndarray) -> np.ndarray:
     A non-finite time raises first, then the first row whose argument
     exp_at refuses: a non-finite b, or a b t that overflows.
     """
-    for t in ts.tolist():
-        _require_finite_time(t)
+    _require_finite_time(*ts.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
         args = np.concatenate([ts[:, None] * b.coeffs for b in bs])
     if not np.isfinite(args).all():

@@ -158,10 +158,11 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | N
     gap at a time: the running products, one row per term, times the value
     in the gap and then the next coefficient, each step one
     algebra._mul_rows call, so a one-term tensor has the bits of its
-    Element product chain a_0 * v_1 * a_1 * ... (a real zero factor gives
-    +0.0). That costs O(terms * order * dim^3) per call and stores nothing,
-    where the multilinear map would hold dim^(order + 1) floats (537 MB at
-    order 12 over H).
+    Element product chain a_0 * v_1 * a_1 * ..., but for the sign of a
+    zero: the terms are summed from +0.0, so a -0.0 coefficient of the
+    chain comes back as +0.0. That costs O(terms * order * dim^3) per
+    call and stores nothing, where the multilinear map would hold
+    dim^(order + 1) floats (537 MB at order 12 over H).
     """
     if len(args) != s.arg_slots:
         raise ValueError(f"expected {s.arg_slots} arguments, got {len(args)}")

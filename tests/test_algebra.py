@@ -14,7 +14,6 @@ from ncalg.algebra import (
     NotInvertibleError,
     basis,
     commutator,
-    conj,
     format_element,
     from_scalar,
     in_centralizer,
@@ -22,7 +21,6 @@ from ncalg.algebra import (
     inv_stack,
     left_matrix,
     make_algebra,
-    norm,
     one,
     random_element,
     right_matrix,
@@ -252,8 +250,8 @@ class TestForms:
 
     def test_norm_conj(self, HH):
         e = Element(HH, [1, 2, 2, 0])
-        assert norm(e) == 3.0
-        assert conj(e).close(Element(HH, [1, -2, -2, 0]), 0.0)
+        assert e.norm() == 3.0
+        assert e.conj().close(Element(HH, [1, -2, -2, 0]), 0.0)
 
     def test_commutator_zero_for_commuting(self, HH):
         assert commutator(one(HH), basis(HH, 1)).close(zero(HH), 0.0)
@@ -544,3 +542,46 @@ def test_norms_and_inverses_of_non_finite_input_give_no_warning(HH):
     rows = np.array([[2e154, np.nan, 0.0, 0.0], [1.7e308, 1.0, 1.0, np.inf], [3.0, 4.0, 0.0, 0.0]])
     got = algebra._frobenius_rows(rows).tolist()
     assert math.isnan(got[0]) and got[1:] == [math.inf, 5.0]
+
+
+def test_mul_rows_over_the_reals_keeps_the_sign_of_a_zero_product(RR):
+    # the real table is the unit, so the product is a * x; a matmul would sum from +0.0
+    values = [0.0, -0.0, 1.5, -2.25, 1e308, -1e-320, math.inf, -math.inf, math.nan, 3.0]
+    a, x = (np.array(v)[:, None] for v in zip(*[(p, q) for p in values for q in values]))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = np.array([(Element(RR, p) * Element(RR, q)).coeffs for p, q in zip(a, x)])
+        got = algebra._mul_rows(RR, a, x)
+    assert got.tobytes() == want.tobytes()
+    assert algebra._mul_rows(RR, np.array([[-0.0], [0.0]]), np.array([[5.0], [-5.0]])).tobytes() \
+        == np.array([[-0.0], [-0.0]]).tobytes()
+
+
+class TestInputChecks:
+    """Each constructor and operation refuses a malformed input with its typed error and message."""
+
+    def test_algebra_refuses_a_table_of_the_wrong_shape(self):
+        with pytest.raises(AlgebraError, match=r"structure table must be 2\^3, got \(2, 2, 3\)"):
+            AlgebraDesc("bad", 2, ("1", "i"), np.zeros((2, 2, 3)))
+
+    def test_algebra_refuses_a_table_without_a_unit(self):
+        with pytest.raises(AlgebraError, match=r"basis element 0 must be the multiplicative unit"):
+            AlgebraDesc("bad", 2, ("1", "e"), np.zeros((2, 2, 2)))
+
+    def test_algebra_refuses_a_table_that_is_not_associative(self, HH):
+        # i j = -k and j i = k, every other product as in H: (i j) k = 1 but i (j k) = -1
+        t = HH.table.copy()
+        t[1, 2, 3], t[2, 1, 3] = -1.0, 1.0
+        with pytest.raises(AlgebraError, match=r"structure constants are not associative"):
+            AlgebraDesc("bad", 4, ("1", "i", "j", "k"), t)
+
+    def test_element_is_immutable(self, HH):
+        e = one(HH)
+        for name in ("coeffs", "algebra"):
+            with pytest.raises(AttributeError, match=r"Element is immutable"):
+                setattr(e, name, None)
+
+    def test_element_over_element_is_the_product_with_the_inverse(self, HH):
+        a, b = Element(HH, [1.0, 2.0, -3.0, 0.5]), Element(HH, [0.25, -1.0, 2.0, 4.0])
+        assert (a / b).coeffs.tobytes() == (a * b.inv()).coeffs.tobytes()
+        with pytest.raises(NotInvertibleError, match=r"a zero, subnormal or non-finite element is not invertible"):
+            a / zero(HH)

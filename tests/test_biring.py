@@ -1420,3 +1420,77 @@ def test_stacked_solve_refuses_each_wrong_solution_at_its_own_scale(HH, monkeypa
     x, failed = biring._solve(HH.table, data, rhs)
     assert {t: str(e) for t, e in failed.items()} == {t: "solution residual above tolerance" for t in (1, 3, 5)}
     assert all(x[t].tobytes() == want[t].tobytes() for t in (0, 2, 4))
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_rc_of_a_solution_past_the_float_range_is_a_typed_error(RR):
+    """A system whose solution overflows is refused by its residual test, with no numpy warning on the way."""
+    a = BiMatrix(RR, [[[1e-200], [2e-200]], [[3e-200], [4e-200]]])
+    with pytest.raises(SingularMatrixError, match="solution residual above tolerance"):
+        solve_rc(a, [Element(RR, [1e200])] * 2)
+    # matrices at 10^+-305 and right-hand sides at 10^+-300 over R, C and H, n = 1 to 4
+    rng = np.random.default_rng(2)
+    for t in range(90):
+        alg = make_algebra(("real", "complex", "quaternion")[t % 3])
+        n = int(rng.integers(1, 5))
+        a = BiMatrix(alg, rng.uniform(-1, 1, (n, n, alg.dim)) * 10.0 ** rng.uniform(-305, 305))
+        b = [Element(alg, rng.uniform(-1, 1, alg.dim) * 10.0 ** rng.uniform(-300, 300)) for _ in range(n)]
+        try:
+            x = solve_rc(a, b)
+        except SingularMatrixError:
+            continue
+        assert all(np.isfinite(e.coeffs).all() for e in x)
+
+
+class TestInputChecks:
+    """Each constructor and operation refuses a malformed input with its typed error and message."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 2, 2, 4)])
+    def test_matrix_data_needs_the_algebra_shape(self, HH, shape):
+        with pytest.raises(AlgebraError, match=re.escape(f"matrix data must be (m, n, 4), got {shape}")):
+            BiMatrix(HH, np.zeros(shape))
+
+    def test_from_elements_refuses_ragged_rows(self, HH):
+        with pytest.raises(AlgebraError, match="ragged rows"):
+            BiMatrix.from_elements([[one(HH), one(HH)], [one(HH)]])
+
+    def test_from_elements_refuses_mixed_algebras(self, HH, CC):
+        with pytest.raises(AlgebraError, match="mixed algebras in matrix"):
+            BiMatrix.from_elements([[one(HH), one(CC)]])
+
+    def test_matrix_is_immutable(self, HH):
+        m = BiMatrix.zeros(HH, 2, 2)
+        for name in ("data", "algebra"):
+            with pytest.raises(AttributeError, match="BiMatrix is immutable"):
+                setattr(m, name, None)
+
+    def test_sum_and_difference_need_one_shape_and_algebra(self, HH, CC):
+        a = BiMatrix.zeros(HH, 2, 2)
+        for b in (BiMatrix.zeros(HH, 2, 3), BiMatrix.zeros(CC, 2, 2)):
+            with pytest.raises(AlgebraError, match="shape or algebra mismatch in matrix sum"):
+                a + b
+            with pytest.raises(AlgebraError, match="shape or algebra mismatch in matrix difference"):
+                a - b
+
+    @pytest.mark.parametrize("mul", [rc_mul, cr_mul])
+    def test_products_need_one_algebra(self, HH, CC, mul):
+        with pytest.raises(AlgebraError, match="^algebra mismatch$"):
+            mul(BiMatrix.identity(HH, 2), BiMatrix.identity(CC, 2))
+
+    def test_cr_product_needs_rows_to_match_columns(self, HH):
+        with pytest.raises(AlgebraError, match="cr shape mismatch: 2 rows vs 3 columns"):
+            cr_mul(BiMatrix.zeros(HH, 2, 3), BiMatrix.zeros(HH, 2, 3))
+
+    def test_rc_pow_refuses_a_negative_power(self, HH):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            rc_pow(BiMatrix.identity(HH, 2), -1)
+
+    @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_quasidet_rc_refuses_an_index_out_of_range(self, HH, i, j):
+        with pytest.raises(IndexError, match="quasideterminant index out of range"):
+            quasidet_rc(BiMatrix.identity(HH, 2), i, j)
+
+    @pytest.mark.parametrize("height", [1, 3])
+    def test_solve_rc_needs_one_right_hand_side_per_row(self, HH, height):
+        with pytest.raises(AlgebraError, match="right-hand side height mismatch"):
+            solve_rc(BiMatrix.identity(HH, 2), [one(HH)] * height)

@@ -24,7 +24,6 @@ from ncalg.diffeq import (
     implicit_solution_check,
     integrability_check,
     rk4_integrate,
-    rk4_steps_for,
     solution_residual,
     successive_powers,
 )
@@ -664,25 +663,22 @@ class TestRk4:
         with pytest.raises(AlgebraError, match="finite"):
             rk4_integrate(ode, 1.0, 10)(t)
 
+    # the step size (0.1 tol)^(1/4) makes the O(h^4) global error a tenth of tol
     def test_steps_rule(self):
-        steps = rk4_steps_for(1.0, 1e-6)
+        steps = diffeq._rk4_steps(1.0, (0.1 * 1e-6) ** 0.25)
         assert (1.0 / steps) ** 4 <= 0.1 * 1e-6
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_steps_rule_refuses_a_non_finite_time(self, t):
         with pytest.raises(AlgebraError, match="finite"):
-            rk4_steps_for(t)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
-    def test_steps_rule_needs_a_positive_finite_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            rk4_steps_for(1.0, tol)
+            diffeq._rk4_steps(t, (0.1 * 1e-6) ** 0.25)
 
     @pytest.mark.parametrize("form", list(OdeForm))
     def test_steps_rule_meets_its_tol_against_the_closed_form(self, HH, rng, form):
         ode = LinearOde(random_matrix(HH, 2, 2, rng, scale=0.5), form,
                         tuple(random_element(HH, rng) for _ in range(2)))
-        rk, closed = rk4_integrate(ode, 1.0, rk4_steps_for(1.0, 1e-8)), closed_form_solution(ode)
+        steps = int(diffeq._rk4_steps(1.0, (0.1 * 1e-8) ** 0.25))
+        rk, closed = rk4_integrate(ode, 1.0, steps), closed_form_solution(ode)
         for t in np.linspace(0.0, 1.0, 5):
             assert max((u - v).norm() for u, v in zip(closed(t), rk(t))) <= 1e-8
 

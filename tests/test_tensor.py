@@ -597,3 +597,60 @@ def test_a_one_term_tensor_evaluates_to_the_bytes_of_its_element_chain(rng, tag)
                     chain = chain * (x if lab == X else args[lab]) * c
                 got = eval_power(s, x) if k == 0 else eval_args(s, args, x)
                 assert got.coeffs.tobytes() == chain.coeffs.tobytes(), (order, k)
+
+
+class TestInputChecks:
+    """Each constructor and operation refuses a malformed input with its typed error and message."""
+
+    def test_slot_tensor_refuses_negative_counts(self, HH):
+        for counts in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            x_gaps, arg_slots, y_gaps = counts
+            with pytest.raises(ValueError, match=r"x_gaps, y_gaps and arg_slots must be >= 0"):
+                SlotTensor(HH, x_gaps, arg_slots, (), y_gaps)
+
+    def test_slot_tensor_refuses_a_term_of_the_wrong_shape(self, HH):
+        o = one(HH)
+        for coeffs, labels in (([o, o, o], (X,)), ([o, o], (X, X))):
+            with pytest.raises(ValueError, match=r"term shape does not match x_gaps \+ y_gaps \+ arg_slots"):
+                SlotTensor(HH, 1, 0, [(coeffs, labels)])
+
+    def test_slot_tensor_refuses_a_coefficient_of_another_algebra(self, HH, CC):
+        with pytest.raises(AlgebraError, match=r"mixed algebras in tensor term"):
+            SlotTensor(HH, 1, 0, [((one(HH), one(CC)), (X,))])
+
+    def test_slot_tensor_sum_needs_one_shape(self, HH, CC):
+        a = monomial(HH, (X,))
+        for b in (monomial(HH, (X, X)), monomial(HH, (0,)), monomial(HH, (Y,)), monomial(CC, (X,))):
+            with pytest.raises(ValueError, match=r"shape mismatch in SlotTensor sum"):
+                a + b
+
+    def test_slot_tensor_is_immutable(self, HH):
+        t = monomial(HH, (X,))
+        with pytest.raises(AttributeError, match=r"SlotTensor is immutable"):
+            t.x_gaps = 2
+
+    def test_star_product_needs_one_algebra(self, HH, CC):
+        with pytest.raises(AlgebraError, match=r"algebra mismatch in star product"):
+            star_product(pure([one(HH), one(HH)]), pure([one(CC), one(CC)]))
+
+    def test_monomial_derivative_refuses_a_negative_order(self, HH):
+        with pytest.raises(ValueError, match=r"derivative order must be >= 0"):
+            monomial_derivative(ones_tensor(HH, 2), -1)
+
+    @pytest.mark.parametrize("k, n", [(-1, 2), (0, -1), (-1, -1)])
+    def test_so_set_refuses_a_negative_count(self, k, n):
+        with pytest.raises(ValueError, match=r"k and n must be >= 0"):
+            so_set(k, n)
+
+    def test_polynomial_needs_a_component(self):
+        with pytest.raises(ValueError, match=r"need at least one component"):
+            TensorPolynomial([])
+
+    def test_polynomial_refuses_components_of_two_algebras(self, HH, CC):
+        with pytest.raises(AlgebraError, match=r"mixed algebras in polynomial"):
+            TensorPolynomial([monomial(HH, (X,)), monomial(CC, (X, X))])
+
+    def test_polynomial_is_immutable(self, HH):
+        p = TensorPolynomial([monomial(HH, (X,))])
+        with pytest.raises(AttributeError, match=r"TensorPolynomial is immutable"):
+            p.arg_slots = 1

@@ -47,7 +47,10 @@ inverse
     and the conditioned matrix with a random right-hand side. rc_rank at
     n = 2, 3 and 4 on three rank-deficient kinds whose greedy minor searches
     take different paths: an outer product, a random matrix whose last
-    column repeats its first, and one whose last row is zero.
+    column repeats its first, and one whose last row is zero. All but the
+    random matrix come from the benchmark's builders in ncbench/cases.py
+    (_conditioned, _deficient and DEFICIENT_FAMILIES), the matrices of its
+    linalg workloads.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
     over H, for k = 4, 6, 8, 9, 10 and 12.
@@ -98,6 +101,10 @@ sys.path.append(str(SRC))
 # modules only: the names a row times are looked up when its setup runs, so
 # a checkout that lacks one fails that row, not the table
 from ncalg import algebra, biring, cli, diffeq, series, tensor  # noqa: E402
+
+# the benchmark's case builders, which import its reference algebra, refalg, by name
+sys.path.append(str(SRC.parent / "ncbench"))
+import cases  # noqa: E402
 
 REPEATS = 7
 NUMBER = 200
@@ -177,33 +184,15 @@ def series_rows():
     yield "_expm (216-member stack)", lambda: partial(series._expm, exponential_stack())
 
 
-def unitary(n: int, rng) -> biring.BiMatrix:
-    """n x n matrix U with u* rc u = I, by Gram-Schmidt of random columns, run twice."""
-    cols = []
-    for _ in range(n):
-        v = biring.random_matrix(H, n, 1, rng)
-        for _ in range(2):
-            for u in cols:
-                star = u.data.transpose(1, 0, 2) * np.array([1.0, -1.0, -1.0, -1.0])
-                v = v - biring.rc_mul(u, biring.rc_mul(biring.BiMatrix(H, star), v))
-        cols.append(v * (1.0 / np.linalg.norm(v.data)))
-    return biring.BiMatrix(H, np.concatenate([c.data for c in cols], axis=1))
-
-
 def matrices(n: int, rng) -> dict[str, biring.BiMatrix]:
-    diag = np.zeros((n, n, H.dim))
-    diag[np.arange(n), np.arange(n), 0] = np.geomspace(1.0, 1e-8, n)
+    """The inverse rows' matrices of size n, drawn by the benchmark's own builders but the random one."""
     return {"random": biring.random_matrix(H, n, n, rng),
-            "cond-1e8": biring.rc_mul(biring.rc_mul(unitary(n, rng), biring.BiMatrix(H, diag)), unitary(n, rng)),
-            "outer": biring.rc_mul(biring.random_matrix(H, n, 1, rng), biring.random_matrix(H, 1, n, rng))}
+            "cond-1e8": biring.BiMatrix(H, cases._conditioned(rng, n, H.dim, 1e8)),
+            "outer": biring.BiMatrix(H, cases._deficient(rng, n, "outer"))}
 
 
 def rank_deficient(n: int, rng) -> dict[str, biring.BiMatrix]:
-    dup, zero_row = (biring.random_matrix(H, n, n, rng).data.copy() for _ in range(2))
-    dup[:, n - 1] = dup[:, 0]
-    zero_row[n - 1] = 0.0
-    return {"outer": biring.rc_mul(biring.random_matrix(H, n, 1, rng), biring.random_matrix(H, 1, n, rng)),
-            "dup-column": biring.BiMatrix(H, dup), "zero-row": biring.BiMatrix(H, zero_row)}
+    return {family: biring.BiMatrix(H, cases._deficient(rng, n, family)) for family in cases.DEFICIENT_FAMILIES}
 
 
 def inverse(a: biring.BiMatrix) -> None:
