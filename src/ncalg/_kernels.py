@@ -3,11 +3,14 @@
 A matrix A of algebra elements, stored as an (m, n, d) array, maps to the
 real block matrix rho(A) = [L(a_ij)] of left multiplications, of shape
 (m d) x (n d). rho is an injective algebra homomorphism for the rc product,
-rho(a rc b) = rho(a) @ rho(b), and unrho maps a real matrix back to the
-nearest matrix of elements. The cr product follows by transpose duality:
-a cr b = (a^T rc b^T)^T.
+rho(a rc b) = rho(a) @ rho(b). Two maps read a real matrix back. column
+reads column 0 of each block, since L(a) e_0 = a: powers and exponentials
+of rho(A) lie on the image of rho, up to rounding, and read back there with
+no arithmetic. unrho projects onto the image, which the two-sided residuals
+of an inverse need (biring._inverse). The cr product follows by transpose
+duality: a cr b = (a^T rc b^T)^T.
 
-rho, unrho and the contractions also take leading stack axes,
+rho, column, unrho and the contractions also take leading stack axes,
 (..., m, n, d), and give each member of a stack the bits it would get alone;
 so does rk4_linear with arrays of times and step counts, and of systems.
 """
@@ -31,6 +34,19 @@ def rho(table, a):
     *stack, m, n, d = a.shape
     blocks = (a @ table.reshape(d, d * d)).reshape(*stack, m, n, d, d)  # [..., i, j, q, s]
     return blocks.swapaxes(-1, -3).swapaxes(-1, -2).reshape(*stack, m * d, n * d)
+
+
+def column(r, d):
+    """Matrices of elements read off column 0 of each d x d block, for (..., m d, n d) stacks of r.
+
+    L(a) e_0 = a, so on the image of rho this inverts rho exactly, and it
+    reads a power or an exponential of rho(A) with no arithmetic: the other
+    d - 1 columns of each block hold the same coefficients, permuted and
+    signed, up to rounding. The result is a view of r.
+    """
+    cols = r[..., ::d]
+    *stack, md, n = cols.shape
+    return cols.reshape(*stack, md // d, d, n).swapaxes(-1, -2)
 
 
 def unrho(table, r):

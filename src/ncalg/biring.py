@@ -10,8 +10,9 @@ through transposes wherever the duality makes that exact.
 
 Every rc operation goes through the real representation rho(A) = [L(a_ij)]
 (see _kernels), an injective algebra homomorphism for the rc product:
-products and powers are real matrix products, the inverse is the LU inverse
-of rho(A), linear systems are one LU solve, and rank is the SVD rank of
+products and powers are real matrix products, a power read back off column
+0 of each block, the inverse is the LU inverse of rho(A), projected back by
+unrho, linear systems are one LU solve, and rank is the SVD rank of
 rho(A) over d. A quasideterminant is the Schur expression
 a_ij - r . B^-1 . c with B^-1 from the inverse; it is the pivot that
 noncommutative Gaussian elimination meets at (i, j).
@@ -218,17 +219,21 @@ def _require_square(a: BiMatrix) -> int:
     return a.rows
 
 
-def rc_pow(a: BiMatrix, n: int) -> BiMatrix:
+def _rc_power(a: BiMatrix, data: np.ndarray, n: int) -> np.ndarray:
+    """data^n under rc, for data a's array or its transpose: column 0 of each block of rho(data)^n."""
     _require_square(a)
     if n < 0:
         raise ValueError("power must be >= 0")
-    table = a.algebra.table
-    return BiMatrix(a.algebra, _kernels.unrho(table, np.linalg.matrix_power(_kernels.rho(table, a.data), n)))
+    return _kernels.column(np.linalg.matrix_power(_kernels.rho(a.algebra.table, data), n), a.algebra.dim)
+
+
+def rc_pow(a: BiMatrix, n: int) -> BiMatrix:
+    return BiMatrix(a.algebra, _rc_power(a, a.data, n))
 
 
 def cr_pow(a: BiMatrix, n: int) -> BiMatrix:
     """cr-power via duality: transpose of the rc-power of the transpose."""
-    return transpose(rc_pow(transpose(a), n))
+    return BiMatrix(a.algebra, _rc_power(a, a.data.transpose(1, 0, 2), n).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +613,8 @@ def left_dependency(a: BiMatrix, rank: int, sel: MinorSelector) -> list[Element]
     At rank 0 the minor is empty, and lam is -1 at that row and zero
     elsewhere when the row is exactly zero and a is finite.
     """
+    if len(sel.rows) != len(sel.cols):
+        raise ValueError("selector must pick as many rows as columns")
     m = a.rows
     if rank >= m:
         return None
@@ -650,6 +657,8 @@ def bordered_quasidet(a: BiMatrix, sel: MinorSelector, p: int, r: int) -> Elemen
     """
     if not (0 <= p < a.rows and 0 <= r < a.cols):
         raise IndexError("border index out of range")
+    if len(sel.rows) != len(sel.cols):
+        raise ValueError("selector must pick as many rows as columns")
     if p in sel.rows or r in sel.cols:
         raise ValueError("border row or column already in the minor")
     sub, i, j = _bordered_minors(a.data[None], [0], [sel], [p], [r])

@@ -32,7 +32,9 @@ top back to the OS, and the pages then fault in again on every call.
 A stack that fits in one slice takes one pass.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
-L(x) = rho([x])) and maps the result back with unrho. quasiexp of one or
+L(x) = rho([x])) and reads the result back off column 0 of each block,
+since L(a) e_0 = a (_kernels.column); mexp_cr does the same on the
+transposed array and transposes the result once. quasiexp of one or
 two directions, and so quasiexp_at, takes the complex slice in closed
 form. With theta = |v|, u = v / theta and E = exp(a + i theta), each
 direction c splits into p = c_0 + i (c_v . u), a slice number that
@@ -42,8 +44,8 @@ and two give slice(p_1 p_2 E - (q_1 . q_2) B) + Re(p_2 B) q_1 + Re(p_1 B)
 q_2 with B = Im E / theta + i |E| j1(theta) (_second), where a slice
 number is read back on 1 and u. Both read x in one frame, _frame: x =
 a + theta u, with E and u. Three or more directions take exp(rho(E))
-of a 2^n x 2^n subset lattice E and read column 0 of a d-row block, since
-L(a) e_0 = a (_lattice). Arguments or results that are not finite, and
+of a 2^n x 2^n subset lattice E and read the corner block's column 0
+(_lattice). Arguments or results that are not finite, and
 arguments too large for any digit of the result to be accurate, raise
 SeriesBudgetError; for an element argument that rule is _slice_values.
 The closed forms of one and two directions are linear in exp(a + i
@@ -65,7 +67,7 @@ import numpy as np
 
 from . import _kernels
 from .algebra import AlgebraError, Element
-from .biring import BiMatrix, _require_square, transpose
+from .biring import BiMatrix, _require_square
 
 
 TAYLOR_RTOL = 1e-14
@@ -454,7 +456,7 @@ def _lattice(alg, cs: list[list[float]], x: list[float]) -> list[float]:
     for i, row in enumerate(scaled):
         without = subsets[(subsets & (1 << i)) == 0]
         e[without, without | (1 << i)] = row
-    return _finite_result(_exp_rho(alg, e)[:d, (2 ** n - 1) * d].tolist(), sum(shifts))
+    return _finite_result(_kernels.column(_exp_rho(alg, e)[:d], d)[0, -1].tolist(), sum(shifts))
 
 
 def _quasiexp(cs: list[Element], alg, x: list[float]) -> Element:
@@ -494,15 +496,21 @@ def quasiexp_at(c: Element, a: Element, t: float) -> Element:
 # matrix exponentials, one per product
 
 
+def _mexp(x: BiMatrix, data: np.ndarray) -> np.ndarray:
+    """exp of data under rc, for data x's array or its transpose: column 0 of each block of exp(rho(data))."""
+    _require_square(x)
+    return _kernels.column(_exp_rho(x.algebra, data), x.algebra.dim)
+
+
 def mexp_rc(x: BiMatrix) -> BiMatrix:
     """Sum of rc-powers x^n/n!; solves y' = x rc y with y(0) = identity.
 
-    rho turns rc into the real matrix product, so this is unrho(exp(rho(x))).
+    rho turns rc into the real matrix product, so this is exp(rho(x)) read
+    back off column 0 of each block (_kernels.column).
     """
-    _require_square(x)
-    return BiMatrix(x.algebra, _kernels.unrho(x.algebra.table, _exp_rho(x.algebra, x.data)))
+    return BiMatrix(x.algebra, _mexp(x, x.data))
 
 
 def mexp_cr(x: BiMatrix) -> BiMatrix:
     """Sum of cr-powers x^n/n!; transpose-dual of mexp_rc."""
-    return transpose(mexp_rc(transpose(x)))
+    return BiMatrix(x.algebra, _mexp(x, x.data.transpose(1, 0, 2)).transpose(1, 0, 2))

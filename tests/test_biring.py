@@ -37,6 +37,7 @@ from ncalg.biring import (
     verify_eigen_rc,
 )
 
+import exact
 from conftest import complex_matrix, quat_mul_oracle
 
 
@@ -171,6 +172,50 @@ class TestPowers:
     def test_zeroth_power(self, HH, rng):
         a = random_matrix(HH, 3, 3, rng)
         assert rc_pow(a, 0).close(BiMatrix.identity(HH, 3), 0.0)
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_powers_of_integer_matrices_are_exact(self, tag):
+        """rc_pow and cr_pow of integer matrices equal the exact powers of tests/exact.py.
+
+        Entries in [-3, 3], n <= 4 and k <= 6 keep every partial sum of every
+        product of powers below the matching entry of |rho(a)|^k, which the
+        test checks is below 2^53, so the float route rounds nothing. A zero
+        may come back with either sign, so the values are compared, not the
+        bytes.
+        """
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(18)
+        for n in range(1, 5):
+            for _ in range(6):
+                ints = rng.integers(-3, 4, (n, n, alg.dim))
+                a, rows = BiMatrix(alg, ints), ints.tolist()
+                bound = np.abs(_kernels.rho(alg.table, ints).astype(np.int64))
+                assert np.linalg.matrix_power(bound, 6).max() < 2 ** 53
+                for k in range(7):
+                    assert np.array_equal(rc_pow(a, k).data, exact.power(exact.rc_mul, rows, k)), (n, k)
+                    assert np.array_equal(cr_pow(a, k).data, exact.power(exact.cr_mul, rows, k)), (n, k)
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_cr_pow_is_the_transpose_of_the_rc_pow_of_the_transpose_byte_for_byte(self, tag):
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(19)
+        for n in range(1, 6):
+            a = random_matrix(alg, n, n, rng)
+            for k in range(6):
+                assert cr_pow(a, k).data.tobytes() == transpose(rc_pow(transpose(a), k)).data.tobytes()
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_every_block_of_a_power_of_rho_is_rho_of_its_column_read(self, tag):
+        """rho(a)^k lies on the image of rho: its other block columns add nothing to column 0's."""
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(20)
+        for n in range(1, 6):
+            for scale in (0.3, 1.0, 3.0):
+                r = _kernels.rho(alg.table, random_matrix(alg, n, n, rng, scale).data)
+                for k in range(7):
+                    power = np.linalg.matrix_power(r, k)
+                    back = _kernels.rho(alg.table, _kernels.column(power, alg.dim))
+                    assert np.abs(back - power).max() <= 1e-13 * np.abs(power).max(), (n, scale, k)
 
 
 class TestQuasideterminant:
@@ -1484,6 +1529,18 @@ class TestInputChecks:
     def test_rc_pow_refuses_a_negative_power(self, HH):
         with pytest.raises(ValueError, match="power must be >= 0"):
             rc_pow(BiMatrix.identity(HH, 2), -1)
+
+    def test_cr_pow_refuses_a_negative_power(self, HH):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            cr_pow(BiMatrix.identity(HH, 2), -1)
+
+    def test_a_selector_needs_as_many_rows_as_columns(self, HH):
+        a = random_matrix(HH, 3, 3, np.random.default_rng(0))
+        for sel in (MinorSelector((0,), (0, 1)), MinorSelector((0, 1), (0,))):
+            with pytest.raises(ValueError, match="selector must pick as many rows as columns"):
+                bordered_quasidet(a, sel, 2, 2)
+            with pytest.raises(ValueError, match="selector must pick as many rows as columns"):
+                left_dependency(a, 1, sel)
 
     @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_quasidet_rc_refuses_an_index_out_of_range(self, HH, i, j):

@@ -36,6 +36,20 @@ def test_rho_and_unrho_of_a_stack_match_each_member(tag):
 
 
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_column_of_a_stack_matches_each_member_and_inverts_rho(tag):
+    alg = make_algebra(tag)
+    table, d = alg.table, alg.dim
+    rng = np.random.default_rng(5)
+    for m in SIZES:
+        for n in SIZES:
+            r = rng.normal(size=(STACK, m * d, n * d))
+            _members_equal(lambda x: _kernels.column(x, d), lambda x: _kernels.column(x, d), r)
+            # L(a) e_0 = a, so on the image of rho column reads a back with no arithmetic
+            a = rng.normal(size=(STACK, m, n, d))
+            assert _kernels.column(_kernels.rho(table, a), d).tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
 def test_contractions_of_a_stack_match_each_member(tag):
     alg = make_algebra(tag)
     table, d = alg.table, alg.dim

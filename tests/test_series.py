@@ -382,6 +382,26 @@ class TestMatrixExp:
         x = random_matrix(HH, 2, 2, rng)
         assert diff_norm(transpose(mexp_rc(x)), mexp_cr(transpose(x))) <= 1e-12
 
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_mexp_cr_is_the_transpose_of_mexp_rc_of_the_transpose_byte_for_byte(self, tag):
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(21)
+        for n in range(1, 6):
+            for scale in (0.1, 1.0, 5.0):
+                x = random_matrix(alg, n, n, rng, scale)
+                assert mexp_cr(x).data.tobytes() == transpose(mexp_rc(transpose(x))).data.tobytes()
+
+    @pytest.mark.parametrize("tag", ALGEBRAS)
+    def test_every_block_of_an_exponential_of_rho_is_rho_of_its_column_read(self, tag):
+        """exp(rho(x)) lies on the image of rho: its other block columns add nothing to column 0's."""
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(22)
+        for n in range(1, 6):
+            for scale in (0.1, 1.0, 5.0):
+                e = _expm(_kernels.rho(alg.table, random_matrix(alg, n, n, rng, scale).data))
+                back = _kernels.rho(alg.table, _kernels.column(e, alg.dim))
+                assert np.abs(back - e).max() <= 1e-13 * np.abs(e).max(), (n, scale)
+
 
 # ---------------------------------------------------------------------------
 # references: plain truncated Taylor sums and the so_set placement sum of the

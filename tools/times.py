@@ -1,7 +1,7 @@
 """Print the best per-call time of every row of one table of ncalg calls, or compare two checkouts.
 
-Run from the repository root, with TABLE one of scenarios, series, inverse
-or forms:
+Run from the repository root, with TABLE one of scenarios, series,
+products, inverse or forms:
 
     python tools/times.py TABLE
     PYTHONPATH=../other/src python tools/times.py TABLE
@@ -16,9 +16,9 @@ scenarios
 series
     The single calls of the benchmark's series-scale workload: exp_el,
     sinh_el, cosh_el, sin_el and cos_el of an H element of norm 2, exp_el
-    of it times 15, at the workload's largest norm, 30, mexp_rc on a 4 x 4
-    H matrix, quasiexp of order 1 at that norm 2 and of order 2 at norm 1/2,
-    both on the complex slice, and of order 3 at norm 1/2, the subset
+    of it times 15, at the workload's largest norm, 30, mexp_rc and mexp_cr
+    on a 4 x 4 H matrix, quasiexp of order 1 at that norm 2 and of order 2
+    at norm 1/2, both on the complex slice, and of order 3 at norm 1/2, the subset
     lattice, quasiexp_at at t = 2, the call the workload repeats, and
     curve(t) of a closed-form and of an RK4 curve (1000 steps to t = 1) of
     an H system of size n = 2 and 4.
@@ -37,6 +37,10 @@ series
     and 3, and the 216-member stack of those 12 systems' real matrices
     times each nonzero one of those closed-form times, the stack that
     diffeq._closed_form_states exponentiates in one call.
+products
+    rc_mul and cr_mul of two random H matrices, and rc_pow and cr_pow of
+    one to the power 3, as in the benchmark's linalg-regular workload, at
+    n = 2, 8 and 16.
 inverse
     rc_inv over H at n = 1, 2, 4, 8 and 16 of a random matrix (coefficients
     uniform on [-1, 1]), of U diag(sigma) V with unitary U and V and sigma
@@ -131,6 +135,7 @@ def series_rows():
         yield name, lambda name=name: partial(getattr(series, name), x)
     yield "exp_el, norm 30", lambda: partial(series.exp_el, x * 15.0)
     yield "mexp_rc (4x4)", lambda: partial(series.mexp_rc, mat)
+    yield "mexp_cr (4x4)", lambda: partial(series.mexp_cr, mat)
     yield "quasiexp order 1", lambda: partial(series.quasiexp, cs[:1], x)
     yield "quasiexp order 2", lambda: partial(series.quasiexp, cs, x * 0.25)
     yield "quasiexp order 3", lambda: partial(series.quasiexp, [*cs, c3], x * 0.25)
@@ -184,6 +189,16 @@ def series_rows():
     yield "_expm (216-member stack)", lambda: partial(series._expm, exponential_stack())
 
 
+def products():
+    rng = np.random.default_rng(0)
+    for n in (2, 8, 16):
+        a, b = (biring.random_matrix(H, n, n, rng) for _ in range(2))
+        for name in ("rc_mul", "cr_mul"):
+            yield f"{name}, n = {n}", lambda name=name, a=a, b=b: partial(getattr(biring, name), a, b)
+        for name in ("rc_pow", "cr_pow"):
+            yield f"{name} 3, n = {n}", lambda name=name, a=a: partial(getattr(biring, name), a, 3)
+
+
 def matrices(n: int, rng) -> dict[str, biring.BiMatrix]:
     """The inverse rows' matrices of size n, drawn by the benchmark's own builders but the random one."""
     return {"random": biring.random_matrix(H, n, n, rng),
@@ -224,7 +239,8 @@ def forms():
                                               tensor.poly_derivative(diffeq.FormPoly([tensor.ones_tensor(H, k)])))
 
 
-TABLES = {"scenarios": scenarios, "series": series_rows, "inverse": inverse_rows, "forms": forms}
+TABLES = {"scenarios": scenarios, "series": series_rows, "products": products, "inverse": inverse_rows,
+          "forms": forms}
 
 
 def best(setup) -> list[float] | str:
