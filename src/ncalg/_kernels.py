@@ -17,6 +17,7 @@ so does rk4_linear with arrays of times and step counts, and of systems.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -113,11 +114,13 @@ def rk4_linear(m, x0, t, steps):
     selected with np.where, so it gets the bits it gets alone. The counts
     are read in float64, so a count past int64 is a float (every ceil of a
     float is one) and a count an integer array holds must be a float64
-    value; halving an integral float is exact, so its floor drops the low
-    bit and the floor differs from the half iff that bit is set. The
-    squarings a member no longer needs are never read, and the stack runs
-    with overflow warnings off, so they warn for no member; a state that
-    overflows comes back non-finite.
+    value. Every count's bits are read once, before the loop: bit r of n is
+    floor(n / 2^r) mod 2, exact for every float count, as dividing by a
+    power of two is, and the loop takes one round per bit of the largest
+    count, with no product with x in a round where no count has its bit
+    set. The squarings a member no longer needs are never read, and the
+    stack runs with overflow warnings off, so they warn for no member; a
+    state that overflows comes back non-finite.
     """
     if not isinstance(t, np.ndarray):
         phi = _rk4_step(t / steps * m)
@@ -132,15 +135,16 @@ def rk4_linear(m, x0, t, steps):
         return x
     n = np.asarray(steps, dtype=float)
     x = np.broadcast_to(x0[..., None], (len(n), x0.shape[-1], 1))
+    rounds = math.frexp(n.max(initial=0.0))[1]
+    bits = np.floor(n / 2.0 ** np.arange(rounds)[:, None]) % 2 == 1
     with np.errstate(over="ignore", invalid="ignore"):
         phi = _rk4_step((t / n)[:, None, None] * m)
-        while True:
-            half = n * 0.5
-            n = np.floor(half)
-            x = np.where((n != half)[:, None, None], phi @ x, x)
-            if not n.any():
-                return x[..., 0]
-            phi = phi @ phi
+        for r, any_set in enumerate(bits.any(axis=1).tolist()):
+            if r:
+                phi = phi @ phi
+            if any_set:
+                x = np.where(bits[r, :, None, None], phi @ x, x)
+    return x[..., 0]
 
 
 def _rk4_step(hm):

@@ -41,15 +41,14 @@ from .algebra import (
     random_element,
     zero,
 )
-from .biring import random_matrix
 from .diffeq import (
     FormPoly,
-    LinearOde,
     OdeForm,
     _closed_form_states,
     _judge_states,
     _probe_times,
     _read_residual,
+    _real_matrices,
     _rk4_states,
     _rk4_step_target,
     antiderivative_residual,
@@ -344,20 +343,19 @@ def _scn_elliptic_family(opt: Options) -> Report:
 
 def _scn_ode_forms(opt: Options) -> Report:
     alg = make_algebra("quaternion")
-    rng = np.random.default_rng(opt.seed)
-    odes = []
-    for form in OdeForm:
-        for _ in range(3):
-            a = random_matrix(alg, 2, 2, rng, scale=0.5)
-            odes.append(LinearOde(a, form, tuple(random_element(alg, rng) for _ in range(2))))
+    # three systems per form, each the draws of random_matrix(alg, 2, 2, rng,
+    # scale=0.5) and two random_element calls: uniform(-0.5, 0.5) is half of
+    # uniform(-1, 1), exactly
+    draws = np.random.default_rng(opt.seed).uniform(-1.0, 1.0, (len(OdeForm), 3, 24))
+    a = 0.5 * draws[..., :16].reshape(len(OdeForm), 3, 2, 2, alg.dim)
+    m = np.concatenate([_real_matrices(alg, c, form) for c, form in zip(a, OdeForm)])
+    x0 = draws[..., 16:].reshape(len(m), 2 * alg.dim)
     ts, checks = np.linspace(0.0, 1.0, 11), (0.0, 0.5, 1.0)
     # every system's states at the grid and at the residual's probes, from one
     # stacked exponential and one stacked RK4 power, and every residual from one judge
-    m = np.stack([ode.real_matrix() for ode in odes])
-    x0 = np.array([[x.coeffs for x in ode.init] for ode in odes]).reshape(len(odes), -1)
     closed = _closed_form_states(m, x0, np.concatenate([ts, _probe_times(checks)]))
-    closed = closed.reshape(len(odes), -1, 2, alg.dim)
-    rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(odes), len(ts), 2, alg.dim)
+    closed = closed.reshape(len(m), -1, 2, alg.dim)
+    rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(m), len(ts), 2, alg.dim)
     gaps = _frobenius_rows(closed[:, :len(ts)] - rk).ravel().tolist()
     resids = [rep.residual for rep in _judge_states(alg, m, closed[:, len(ts):], checks, "closed-form")]
     worst_gap, worst_resid = worst(gaps), worst(resids)

@@ -15,7 +15,8 @@ opaque callables have no symbolic derivative: central finite differences
 certify or refute them. The linear systems come in four
 product forms (row-column / column-row product, coefficient matrix on
 either side), each one real system x' = M x on the stacked coefficients,
-with M built only by `LinearOde.real_matrix`. The right-hand side is M x
+with M built only by _real_matrices, for a stack of systems of one form,
+which `LinearOde.real_matrix` calls on one system. The right-hand side is M x
 and the closed form e^{tM} x(0); RK4 integrates M as an independent
 algorithm, and the tests check M x against Element products. A solution
 curve is read at one time, ``curve(t)``, or on a whole time grid at once,
@@ -26,8 +27,8 @@ products for their states (their ``curve(t)`` reads the one-time grid),
 and each time with the bits ``curve(t)`` gives it. The closed-form and
 RK4 grids are the one-system case of the private _closed_form_states and
 _rk4_states, which read many systems of one size at once, every system
-and time one member of the same stacked call, from a stack of
-real_matrix() values and one of initial vectors.
+and distinct nonzero time one member of the same stacked call, from a
+stack of real_matrix() values and one of initial vectors.
 ``solution_residual`` is the report of _read_residual, the one
 read-and-judge step: it reads all its probe times (_probe_times) in one
 such call, judges the states it read (_judge_states), and returns the
@@ -66,7 +67,7 @@ from .algebra import (
     one,
     zero,
 )
-from .biring import BiMatrix, cr_pow, rc_pow
+from .biring import BiMatrix
 from .report import Report, severity, worst
 from .series import SeriesBudgetError, _argument_at, _exp_els, _expm, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
@@ -290,19 +291,23 @@ class LinearOde:
         return _unvec(self.algebra, self.real_matrix() @ _vec(self._state(xs)))
 
     def real_matrix(self) -> np.ndarray:
-        """M with vec(x)' = M vec(x), vec stacking the state's coefficient vectors.
+        """M with vec(x)' = M vec(x), vec stacking the state's coefficient vectors: _real_matrices of one system."""
+        return _real_matrices(self.algebra, self.a.data, self.form)
 
-        As (a cr x)^T = a^T rc x^T and (x rc a)^T = x^T cr a^T, every form reads
-        col' = c rc col or col' = col cr c with c = a or a^T. M is rho of c:
-        left-multiplication blocks for c rc col, else right-multiplication
-        blocks from the transposed structure table.
-        """
-        c, table = self.a.data, self.algebra.table
-        if self.form in (OdeForm.CR_LEFT, OdeForm.RC_RIGHT):
-            c = c.swapaxes(0, 1)
-        if self.form in (OdeForm.CR_RIGHT, OdeForm.RC_RIGHT):
-            table = table.transpose(1, 0, 2)
-        return _kernels.rho(table, c)
+
+def _real_matrices(alg: AlgebraDesc, a: np.ndarray, form: OdeForm) -> np.ndarray:
+    """M of each system in form over alg, for a (..., n, n, d) stack a of their coefficients: (..., n d, n d).
+
+    As (a cr x)^T = a^T rc x^T and (x rc a)^T = x^T cr a^T, every form reads
+    col' = c rc col or col' = col cr c with c = a or a^T. M is rho of c:
+    left-multiplication blocks for c rc col, else right-multiplication
+    blocks from the transposed structure table. The stack takes one rho
+    call, and every entry of rho is exact, so each system gets the bits it
+    gets alone.
+    """
+    if form in (OdeForm.CR_LEFT, OdeForm.RC_RIGHT):
+        a = a.swapaxes(-3, -2)
+    return _kernels.rho(alg.table.transpose(1, 0, 2) if form in (OdeForm.CR_RIGHT, OdeForm.RC_RIGHT) else alg.table, a)
 
 
 def _vec(xs: Sequence[Element]) -> np.ndarray:
@@ -348,11 +353,16 @@ def _grid_states(x0: np.ndarray, ts: np.ndarray, states: Callable[[np.ndarray], 
     """A (k, len(ts), p) array: x0[i] at each t = 0 of ts, and states(the other times)[i] elsewhere.
 
     x0 is a (k, p) stack of initial vectors, one per system. curve(t) returns
-    the initial value itself at t = 0, so the grid does too.
+    the initial value itself at t = 0, so the grid does too. states reads
+    each distinct nonzero time once, in ascending order, and its states are
+    scattered back to every place the time holds in ts; a repeated time has
+    the bits of its one read. The sort moves NaN and inf, so the callers
+    refuse a non-finite time before, in the order of ts.
     """
     out, moving = np.repeat(x0[:, None], len(ts), axis=1), ts != 0.0
     if moving.any():
-        out[:, moving] = states(ts[moving])
+        distinct, where = np.unique(ts[moving], return_inverse=True)
+        out[:, moving] = states(distinct)[:, where]
     return out
 
 
@@ -360,11 +370,11 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
     """e^{tM_i} x0_i for each system i and t of ts, a (k, len(ts), p) array.
 
     m is a (k, p, p) stack of real_matrix() values and x0 a (k, p) stack of
-    initial vectors. Every system's e^{tM} at every nonzero t is one member
-    of one stacked exponential, so each state has the bits of
-    closed_form_solution(ode)(t). A non-finite t raises SeriesBudgetError
-    before it meets M; a state that overflows comes back as it is,
-    non-finite, with no numpy warning.
+    initial vectors. Every system's e^{tM} at every distinct nonzero t is
+    one member of one stacked exponential, so each state has the bits of
+    closed_form_solution(ode)(t). A non-finite t raises SeriesBudgetError,
+    the first one in the order of ts, before it meets M; a state that
+    overflows comes back as it is, non-finite, with no numpy warning.
     """
     _require_finite_time(*ts.tolist())
     k, p = x0.shape
@@ -400,15 +410,17 @@ def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.n
     """RK4 states of x' = M_i x from x0_i for each system i and t of ts, a (k, len(ts), p) array.
 
     m and x0 are stacks as in _closed_form_states; each t takes the fewest
-    steps of at most h. Every system's step matrix at every nonzero t is
-    one member of one stacked rk4_linear power, so each state has the bits
-    of rk4_integrate(ode, ...)(t), and one that overflows comes back as it
-    is, non-finite. A non-finite t raises AlgebraError.
+    steps of at most h. Every system's step matrix at every distinct
+    nonzero t is one member of one stacked rk4_linear power, so each state
+    has the bits of rk4_integrate(ode, ...)(t), and one that overflows comes
+    back as it is, non-finite. A non-finite t raises AlgebraError, the
+    first one in the order of ts.
     """
     k, p = x0.shape
+    counts = {t: _rk4_steps(t, h) for t in ts.tolist()}  # refuses the first non-finite t of ts
 
     def states(moving: np.ndarray) -> np.ndarray:
-        steps = np.tile([_rk4_steps(t, h) for t in moving.tolist()], k)
+        steps = np.tile([counts[t] for t in moving.tolist()], k)
         ms, xs, times = np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, k)
         return _kernels.rk4_linear(ms, xs, times, steps).reshape(k, len(moving), p)
 
@@ -458,9 +470,21 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
 
 
 def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
-    """[a^0, ..., a^n] under the ode's product; the k-th gives d^k x/dt^k."""
-    power = rc_pow if ode.form in (OdeForm.RC_LEFT, OdeForm.RC_RIGHT) else cr_pow
-    return [power(ode.a, k) for k in range(n + 1)]
+    """[a^0, ..., a^n] under the ode's product; the k-th gives d^k x/dt^k.
+
+    rho(a) is built once and each power is the one before it times rho(a),
+    read back with _kernels.column; the cr forms power the transpose and
+    transpose back, as cr_pow does. One product per step, where rc_pow and
+    cr_pow square from scratch for each k, so the last bits may differ from
+    theirs.
+    """
+    alg, cr = ode.algebra, ode.form in (OdeForm.CR_LEFT, OdeForm.CR_RIGHT)
+    r = _kernels.rho(alg.table, ode.a.data.transpose(1, 0, 2) if cr else ode.a.data)
+    powers = [_kernels.identity(len(r))]
+    for _ in range(n):
+        powers.append(powers[-1] @ r)
+    elements = _kernels.column(np.stack(powers), alg.dim)
+    return [BiMatrix(alg, e.transpose(1, 0, 2) if cr else e) for e in elements[:n + 1]]  # none for n < 0, as range
 
 
 def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> SolutionCurve:

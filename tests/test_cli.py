@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ncalg import _kernels, biring, cli, tensor
+from ncalg import _kernels, biring, cli, diffeq, tensor
 from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, commutator, inv_stack, make_algebra, one,
                            random_element, zero)
 from ncalg.biring import (BiMatrix, QuasideterminantUndefinedError, SingularMatrixError, bordered_quasidet,
@@ -587,6 +587,16 @@ def test_stacked_ode_forms_matches_the_per_system_loop(seed):
     want = _per_system_ode_forms(Options(seed=seed))
     assert json.dumps(got.to_data()) == json.dumps(want.to_data())
     assert got.verdict
+
+
+def test_the_cross_check_exponentiates_each_distinct_time_once(monkeypatch):
+    # 10 nonzero grid times and 8 nonzero probe times, of which 0.5 and 1.0
+    # are grid times too: 16 distinct times for each of the 12 systems
+    sizes = []
+    expm = diffeq._expm
+    monkeypatch.setattr(diffeq, "_expm", lambda a: sizes.append(len(a)) or expm(a))
+    report, _ = run_scenario("ode-forms-cross-check", Options(seed=0))
+    assert report.verdict and sizes == [12 * 16]
 
 
 @pytest.mark.parametrize("name, reference", [("elliptic-nonunique", _per_call_elliptic_nonunique),

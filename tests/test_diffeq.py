@@ -4,9 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ncalg import diffeq
+from ncalg import _kernels, diffeq
 from ncalg.algebra import AlgebraError, Element, basis, frobenius, from_scalar, make_algebra, one, random_element, zero
-from ncalg.biring import BiMatrix, cr_mul, random_matrix, rc_mul, transpose
+from ncalg.biring import BiMatrix, cr_mul, cr_pow, random_matrix, rc_mul, rc_pow, transpose
 from ncalg.diffeq import (
     FormPoly,
     LinearOde,
@@ -32,6 +32,7 @@ from ncalg.series import SeriesBudgetError, cosh_el, exp_at, exp_el, mexp_cr, me
 from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
                           symmetric_part, tensor_scale)
 
+import exact
 from conftest import dense_symmetric_part, is_plain
 
 
@@ -587,6 +588,40 @@ class TestSuccessivePowers:
     def test_zeroth_only(self, HH, rng):
         ode = LinearOde(random_matrix(HH, 2, 2, rng), OdeForm.CR_LEFT, (zero(HH), one(HH)))
         assert len(successive_powers(ode, 0)) == 1
+        assert successive_powers(ode, -1) == []
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_powers_of_integer_matrices_are_exact(self, tag):
+        """Each power is exact.power of the ode's product, as numbers (a zero may come back with either sign).
+
+        Entries in [-3, 3], n <= 4 and k <= 6: every partial sum of each
+        product by rho(a) is bounded by the matching entry of |rho(a)|^k,
+        which the test checks is below 2^53, so the float route rounds nothing.
+        """
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(21)
+        for n in range(1, 5):
+            for form in OdeForm:
+                ints = rng.integers(-3, 4, (n, n, alg.dim))
+                bound = np.abs(_kernels.rho(alg.table, ints).astype(np.int64))
+                assert np.linalg.matrix_power(bound, 6).max() < 2 ** 53
+                ode = LinearOde(BiMatrix(alg, ints), form, (zero(alg),) * n)
+                product = exact.rc_mul if form in (OdeForm.RC_LEFT, OdeForm.RC_RIGHT) else exact.cr_mul
+                for k, power in enumerate(successive_powers(ode, 6)):
+                    assert np.array_equal(power.data, exact.power(product, ints.tolist(), k)), (n, form, k)
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_powers_match_rc_pow_and_cr_pow(self, tag):
+        alg = make_algebra(tag)
+        rng = np.random.default_rng(22)
+        for n in range(1, 5):
+            for form in OdeForm:
+                ode = LinearOde(random_matrix(alg, n, n, rng), form, tuple(random_element(alg, rng) for _ in range(n)))
+                power = rc_pow if form in (OdeForm.RC_LEFT, OdeForm.RC_RIGHT) else cr_pow
+                powers = successive_powers(ode, 8)
+                assert len(powers) == 9
+                for k, got in enumerate(powers):
+                    assert got.close(power(ode.a, k), 1e-13), (n, form, k)
 
 
 class TestEigenSolutions:
@@ -1068,6 +1103,20 @@ def test_multi_system_states_have_the_bytes_of_each_curve(tag, n):
         assert rk[i].tobytes() == rk4_integrate(ode, 1.0, 1000).values(ts).tobytes(), (ode.form, i)
 
 
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_the_real_matrices_of_a_stack_have_the_bytes_of_each_system(tag):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        a = rng.uniform(-1.0, 1.0, (2, 3, n, n, alg.dim))
+        for form in OdeForm:
+            got = diffeq._real_matrices(alg, a, form)
+            assert got.shape == (2, 3, n * alg.dim, n * alg.dim)
+            for i, j in np.ndindex(2, 3):
+                ode = LinearOde(BiMatrix(alg, a[i, j]), form, (one(alg),) * n)
+                assert got[i, j].tobytes() == ode.real_matrix().tobytes(), (form, i, j)
+
+
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_system_leaves_the_other_rk4_states_of_the_stack_alone(HH):
     odes = _systems(HH, 2, np.random.default_rng(5))
@@ -1172,6 +1221,52 @@ def test_rk4_states_past_int64_make_one_kernel_call(monkeypatch, HH):
         for i in range(len(odes)):
             for t, state in zip(ts.tolist(), got[i]):
                 assert state.tobytes() == kernel(m[i], x0[i], t, max(1, math.ceil(abs(t) / h))).tobytes(), (i, t)
+
+
+def test_the_grid_reads_each_distinct_nonzero_time_once():
+    x0 = np.arange(6.0).reshape(2, 3)
+    ts = np.array([0.5, 0.0, -0.25, 0.5, 1.0, -0.0, 1.0, 0.5])
+    seen = []
+
+    def states(times):
+        seen.append(times.tolist())
+        return np.stack([np.outer(times, x) for x in x0 + 1.0])
+
+    got = diffeq._grid_states(x0, ts, states)
+    assert seen == [[-0.25, 0.5, 1.0]]
+    for j, t in enumerate(ts.tolist()):
+        assert got[:, j].tobytes() == (x0 if t == 0.0 else np.stack([t * x for x in x0 + 1.0])).tobytes(), t
+
+
+@pytest.mark.parametrize("tag", ["real", "quaternion"])
+def test_repeated_times_make_one_stack_member_each_and_equal_rows(monkeypatch, tag):
+    alg = make_algebra(tag)
+    m, x0 = _stacks(_systems(alg, 2, np.random.default_rng(7)))
+    ts = np.array([0.0, 0.5, 1e-5, 0.5, -1.0, 0.0, 1e-5, 0.5])
+    exps, powers = [], []
+    expm, kernel = diffeq._expm, diffeq._kernels.rk4_linear
+    monkeypatch.setattr(diffeq, "_expm", lambda a: exps.append(len(a)) or expm(a))
+    monkeypatch.setattr(diffeq._kernels, "rk4_linear", lambda *args: powers.append(args[2].tolist()) or kernel(*args))
+    closed = diffeq._closed_form_states(m, x0, ts)
+    rk = diffeq._rk4_states(m, x0, ts, diffeq._rk4_step_target(1.0, 100))
+    assert exps == [3 * len(m)] and powers == [[-1.0, 1e-5, 0.5] * len(m)]
+    for states in (closed, rk):
+        for same in ([0, 5], [1, 3, 7], [2, 6]):
+            assert all(states[:, j].tobytes() == states[:, same[0]].tobytes() for j in same), same
+    # each row has the bits of that time's read alone
+    for j, t in enumerate(ts.tolist()):
+        assert closed[:, j].tobytes() == diffeq._closed_form_states(m, x0, np.array([t]))[:, 0].tobytes(), t
+
+
+@pytest.mark.parametrize("ts, first", [([0.5, math.nan, math.inf, -math.inf], math.nan),
+                                       ([0.0, math.inf, -math.inf, math.nan], math.inf),
+                                       ([-math.inf, 1.0, math.nan], -math.inf)])
+def test_a_grid_refuses_its_first_non_finite_time_in_its_own_order(HH, ts, first):
+    m, x0 = _stacks(_systems(HH, 2, np.random.default_rng(8)))
+    with pytest.raises(SeriesBudgetError, match=f"^exponential at the non-finite time {first}$"):
+        diffeq._closed_form_states(m, x0, np.array(ts))
+    with pytest.raises(AlgebraError, match=f"^an RK4 time must be finite, got {first}$"):
+        diffeq._rk4_states(m, x0, np.array(ts), 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,18 @@ def test_rk4_linear_of_a_stack_of_systems_matches_each_member(tag):
                 want = _kernels.rk4_linear(m if m.ndim == 2 else m[i], x0 if x0.ndim == 1 else x0[i], float(t), int(k))
                 assert got[i].tobytes() == want.tobytes(), (n, t, k)
 
+
+
+def test_rk4_linear_of_a_stack_reads_every_bit_of_counts_at_powers_of_two():
+    # 2^k - 1, 2^k and 2^k + 1 steps end one round short of, at, and just past
+    # the top bit of 2^k, and 1e300 takes 997 rounds; past 2^53 a float count
+    # rounds, and the scalar route takes the count the stack reads
+    counts = [1.0] + [float(c) for k in range(1, 61) for c in (2 ** k - 1, 2 ** k, 2 ** k + 1)]
+    steps = np.array(counts + [2.0 ** 64, 2.0 ** 64 + 2.0 ** 12, 2.0 ** 70, 1e300])
+    rng = np.random.default_rng(12)
+    ts = rng.uniform(-2.0, 2.0, len(steps))
+    ms = rng.normal(size=(len(steps), 3, 3))
+    x0s = rng.normal(size=(len(steps), 3))
+    got = _kernels.rk4_linear(ms, x0s, ts, steps)
+    for i, (t, k) in enumerate(zip(ts.tolist(), steps.tolist())):
+        assert got[i].tobytes() == _kernels.rk4_linear(ms[i], x0s[i], t, int(k)).tobytes(), (t, k)

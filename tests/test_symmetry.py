@@ -25,13 +25,24 @@ rc powers and exponentials of a to the cr ones of conj(a). The cr
 routines run the rc core on the transposed array, and a wrong side there
 misses these by a gap of order one. Matrices of n = 1 to 5 at entry norms
 0.1 to 3 are judged, as a whole, with algebra.close at rtol 1e-13 too.
+
+The stacked curve routes, diffeq._closed_form_states and _rk4_states,
+read the states of x' = a x in each product form. sigma_q, applied to a
+and x(0), maps each form's states to sigma_q of them. Conjugation maps
+x' = a rc x to x̄' = x̄ cr ā, so the rc-left states of (a, x0) to the
+cr-right states of (ā, x̄0); the real matrix of the one is that of the
+other with the signs of the imaginary coordinates flipped on both sides,
+and a sign flip commutes with every rounding, so the states agree byte
+for byte.
 """
 
 import numpy as np
 import pytest
 
-from ncalg.algebra import Element, make_algebra, random_element
+from ncalg import diffeq
+from ncalg.algebra import Element, close, make_algebra, random_element
 from ncalg.biring import BiMatrix, cr_mul, cr_pow, random_matrix, rc_mul, rc_pow
+from ncalg.diffeq import OdeForm
 from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, quasiexp, quasiexp_at, sin_el
 
 RTOL = 1e-13
@@ -158,3 +169,53 @@ def test_the_embedding_of_c_in_h_commutes_with_the_matrix_maps(name):
     for _, a, b in _matrix_draws(32, CC):
         embed = lambda m: _entrywise(_embed, m)  # noqa: E731
         _close_matrices(f(embed(a), embed(b)), embed(f(a, b)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked curve routes of the linear systems
+
+CURVE_TIMES = np.array([0.0, 0.3, 0.5, 1.0])
+# RK4's rounding doubles with each squaring of its step matrix, so it grows
+# with the step count: sigma_q's worst relative gap over 40 draws read
+# 1.2e-14 at 100 steps to t = 1, 1.2e-13 at 1000 and 1.1e-12 at 10 000
+ROUTES = {"closed-form": diffeq._closed_form_states,
+          "rk4": lambda m, x0, ts: diffeq._rk4_states(m, x0, ts, diffeq._rk4_step_target(1.0, 100))}
+
+
+def _conj(coeffs: np.ndarray) -> np.ndarray:
+    """The conjugate of every element of an array of H coefficients, on its last axis."""
+    return coeffs * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _curve_draws(seed: int):
+    """DRAWS of (q, a, x0): a unit q of H, the coefficients of a 2 x 2 H matrix a at entry norms 0.1 to 3, and x0's."""
+    rng = np.random.default_rng(seed)
+    for _ in range(DRAWS):
+        q = _unit(rng)
+        a = random_matrix(HH, 2, 2, rng, 10.0 ** rng.uniform(-1.0, 0.5)).data
+        yield q, a, rng.uniform(-1.0, 1.0, (2, HH.dim))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_conjugation_maps_rc_left_states_to_cr_right_states(route):
+    states = ROUTES[route]
+    for _, a, x0 in _curve_draws(40):
+        m = np.stack([diffeq._real_matrices(HH, a, OdeForm.RC_LEFT),
+                      diffeq._real_matrices(HH, _conj(a), OdeForm.CR_RIGHT)])
+        got = states(m, np.stack([x0, _conj(x0)]).reshape(2, -1), CURVE_TIMES).reshape(2, len(CURVE_TIMES), 2, HH.dim)
+        assert _conj(got[0]).tobytes() == got[1].tobytes()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_inner_automorphisms_commute_with_the_curve_routes(route):
+    states = ROUTES[route]
+    for q, a, x0 in _curve_draws(41):
+        sigma = lambda c: np.array([(q * Element(HH, row) * q.inv()).coeffs  # noqa: E731
+                                    for row in c.reshape(-1, HH.dim)]).reshape(c.shape)
+        forms = list(OdeForm)
+        m = np.concatenate([diffeq._real_matrices(HH, np.stack([a, sigma(a)]), form) for form in forms])
+        x0s = np.stack([x0, sigma(x0)] * len(forms)).reshape(2 * len(forms), -1)
+        got = states(m, x0s, CURVE_TIMES).reshape(len(forms), 2, len(CURVE_TIMES), 2, HH.dim)
+        for form, (plain, mapped) in zip(forms, got):
+            for t, want, state in zip(CURVE_TIMES, sigma(plain), mapped):
+                assert close(state, want, RTOL), (form, t)

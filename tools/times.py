@@ -27,16 +27,20 @@ series
     sinh_el of 12, one call each and in one series._slice call of the
     pair on their coefficient lists, which is what series._pairs makes (the
     row keeps its name; a checkout whose _slice takes an array prints
-    AttributeError there). Last, the
+    AttributeError there). Next, the
     states of 12 H systems of size 2, three per product form, as
     ode-forms-cross-check reads them: closed form at 11 grid times on
     [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
     to t = 1) at the grid times; first with one values call per curve, then
     with one diffeq._closed_form_states and one diffeq._rk4_states call for
     all 12. Then series._expm itself: one 8 x 8 matrix at 1-norm 1e-5, 0.3
-    and 3, and the 216-member stack of those 12 systems' real matrices
-    times each nonzero one of those closed-form times, the stack that
-    diffeq._closed_form_states exponentiates in one call.
+    and 3, and the 192-member stack of those 12 systems' real matrices
+    times each distinct nonzero one of those closed-form times (0.5 and 1
+    are grid and probe times both), the stack that
+    diffeq._closed_form_states exponentiates in one call, and one
+    _kernels.rk4_linear call on the 120-member stack that
+    diffeq._rk4_states powers: the 12 systems at the 10 nonzero grid
+    times, 10 000 steps to t = 1.
 products
     rc_mul and cr_mul of two random H matrices, and rc_pow and cr_pow of
     one to the power 3, as in the benchmark's linalg-regular workload, at
@@ -104,7 +108,7 @@ sys.path.append(str(SRC))
 
 # modules only: the names a row times are looked up when its setup runs, so
 # a checkout that lacks one fails that row, not the table
-from ncalg import algebra, biring, cli, diffeq, series, tensor  # noqa: E402
+from ncalg import _kernels, algebra, biring, cli, diffeq, series, tensor  # noqa: E402
 
 # the benchmark's case builders, which import its reference algebra, refalg, by name
 sys.path.append(str(SRC.parent / "ncbench"))
@@ -184,9 +188,18 @@ def series_rows():
     def exponential_stack():
         times = probe_times()
         m = np.stack([o.real_matrix() for o in systems])
-        return (times[times != 0.0][:, None, None] * m[:, None]).reshape(-1, *m.shape[1:])
+        return (np.unique(times[times != 0.0])[:, None, None] * m[:, None]).reshape(-1, *m.shape[1:])
 
-    yield "_expm (216-member stack)", lambda: partial(series._expm, exponential_stack())
+    def rk4_stack():
+        m = np.stack([o.real_matrix() for o in systems])
+        x0 = np.array([[x.coeffs for x in o.init] for o in systems]).reshape(len(systems), -1)
+        moving = ts[ts != 0.0]
+        steps = np.tile([diffeq._rk4_steps(t, 1.0 / 10_000) for t in moving.tolist()], len(systems))
+        return (np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, len(systems)),
+                steps)
+
+    yield "_expm (192-member stack)", lambda: partial(series._expm, exponential_stack())
+    yield "rk4_linear (120-member stack)", lambda: partial(_kernels.rk4_linear, *rk4_stack())
 
 
 def products():
