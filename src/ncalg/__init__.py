@@ -22,17 +22,16 @@ from .biring import (
     QuasideterminantUndefinedError,
     SingularMatrixError,
 )
-from .diffeq import FormPoly, LinearOde, OdeForm, SolutionCurve
+from .diffeq import LinearOde, OdeForm, SolutionCurve
 from .report import Report
 from .series import SeriesBudgetError
-from .tensor import SlotTensor, Tensor, TensorPolynomial
+from .tensor import SlotTensor, TensorPolynomial
 
 __all__ = [
     "AlgebraDesc",
     "AlgebraError",
     "BiMatrix",
     "Element",
-    "FormPoly",
     "LinearOde",
     "MinorSelector",
     "NotInvertibleError",
@@ -43,7 +42,6 @@ __all__ = [
     "SingularMatrixError",
     "SlotTensor",
     "SolutionCurve",
-    "Tensor",
     "TensorPolynomial",
     "make_algebra",
 ]

@@ -371,10 +371,6 @@ def inv_stack(algebra: AlgebraDesc, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.ldexp(s * algebra._conj / np.where(ok, n2, np.nan)[..., None], -e), ok
 
 
-def commutator(a: Element, b: Element) -> Element:
-    return a * b - b * a
-
-
 def zero(algebra: AlgebraDesc) -> Element:
     return _trusted(algebra, np.zeros(algebra.dim))
 
@@ -428,11 +424,11 @@ def random_element(algebra: AlgebraDesc, rng, scale: float = 1.0) -> Element:
 # text form
 
 
-def format_element(a: Element, digits: int = 12) -> str:
-    """Human form like "1 + 2i - 0.5j + 0k" with significant digits."""
+def format_element(a: Element) -> str:
+    """Human form like "1 + 2i - 0.5j + 0k", each coefficient to 12 significant digits."""
     parts = []
     for c, name in zip(a.coeffs, a.algebra.basis_names):
-        mag = format(abs(c), f".{digits}g")
+        mag = format(abs(c), ".12g")
         term = mag if name == "1" else f"{mag}{name}"
         if not parts:
             parts.append(f"-{term}" if c < 0 else term)

@@ -42,7 +42,6 @@ from .algebra import (
     zero,
 )
 from .diffeq import (
-    FormPoly,
     OdeForm,
     _closed_form_states,
     _judge_states,
@@ -62,7 +61,7 @@ from .diffeq import (
 )
 from .report import Report, worst
 from .series import SeriesBudgetError, _exp_els, _pairs, quasiexp
-from .tensor import X, Y, monomial
+from .tensor import X, Y, TensorPolynomial, monomial
 
 WITNESS_FLOOR = 1e-3  # a refusal the scenarios expect must clear this
 IDENTITY_RTOL = 1e-10  # relative: see _identities
@@ -156,9 +155,9 @@ def _scn_rank_demo(opt: Options) -> Report:
                   metrics={"ranks_all_one": ranks_ok})
 
 
-def _poly(alg, *words: tuple[int, ...]) -> FormPoly:
+def _poly(alg, *words: tuple[int, ...]) -> TensorPolynomial:
     """The sum of the unit-coefficient words with these gap labels."""
-    return FormPoly([monomial(alg, labels) for labels in words])
+    return TensorPolynomial([monomial(alg, labels) for labels in words])
 
 
 def _expect_refusal(alg, inner: Report, expected: str, condition: str | None = None) -> Report:
@@ -182,7 +181,7 @@ def _scn_integrability_x2(opt: Options) -> Report:
 
 def _scn_integrability_3xx(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
-    inner = integrability_check(FormPoly([monomial(alg, (X, 0, X), 3.0)]))
+    inner = integrability_check(TensorPolynomial([monomial(alg, (X, 0, X), 3.0)]))
     return _expect_refusal(alg, inner, "not integrable")
 
 
@@ -200,7 +199,7 @@ def _scn_exact_723(opt: Options) -> Report:
 def _scn_exact_724(opt: Options) -> Report:
     alg = make_algebra(opt.algebra)
     # 3 x x dx + dx y and x dy: over H the x-part's symmetry fails
-    m = FormPoly([monomial(alg, (X, X, 0), 3.0), monomial(alg, (0, Y))])
+    m = TensorPolynomial([monomial(alg, (X, X, 0), 3.0), monomial(alg, (0, Y))])
     ex = exactness_check(m, _poly(alg, (X, 0)))
     return _expect_refusal(alg, ex, "not exact", "sym_x")
 

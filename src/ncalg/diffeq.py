@@ -63,7 +63,7 @@ from .algebra import (
     basis,
     frobenius,
     in_centralizer,
-    inv as el_inv,
+    inv,
     one,
     zero,
 )
@@ -113,9 +113,6 @@ def _judge(gaps: Iterable[tuple[float, bool, dict | None]], **metrics) -> Report
 # differential forms and exact equations
 
 
-# a form x -> (h -> g(x) o h), or (x, y) -> (dx -> M(x, y) o dx), is the one-slot
-# case of the one polynomial type
-FormPoly = TensorPolynomial
 Parts = dict[tuple[int, int], np.ndarray]  # symmetric parts of a polynomial's components, by bidegree
 
 
@@ -143,7 +140,7 @@ def _difference(p: Parts, q: Parts) -> Parts:
     return {b: p.get(b, 0.0) - q.get(b, 0.0) for b in sorted(p.keys() | q.keys())}
 
 
-def _check_forms(*forms: FormPoly) -> None:
+def _check_forms(*forms: TensorPolynomial) -> None:
     if any(f.arg_slots != 1 for f in forms):
         raise ValueError("a form needs exactly one argument slot")
 
@@ -177,7 +174,7 @@ def _vanishing(gap: Parts, sources: Sequence[Parts], tol: float, **fields) -> tu
     return violation, False, dict(fields, violation=violation, bidegree=list(b), index=index)
 
 
-def integrability_check(g: FormPoly, tol: float = FORM_TOL) -> Report:
+def integrability_check(g: TensorPolynomial, tol: float = FORM_TOL) -> Report:
     """Integrable iff the x-derivative of the form is a symmetric bilinear map.
 
     g must have exactly one argument slot, else ValueError. The derivative
@@ -197,7 +194,7 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
                             dirs: Sequence[Element], tol: float = FD_TOL) -> Report:
     """Does dy/dx = g hold? Central differences of y against g over a probe grid.
 
-    g may be a FormPoly or any callable (x, h) -> Element.
+    g may be a TensorPolynomial or any callable (x, h) -> Element.
     """
     def gap(x: Element, h: Element):
         r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
@@ -206,7 +203,7 @@ def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence
     return _judge(gap(x, h) for x in points for h in dirs)
 
 
-def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
+def exactness_check(m: TensorPolynomial, n: TensorPolynomial, tol: float = FORM_TOL) -> Report:
     """Three conditions for M o dx + N o dy = 0 to admit a potential.
 
     M and N are one-slot polynomials in x and y. D_x M and D_y N must be
@@ -229,7 +226,8 @@ def exactness_check(m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
     return _judge(gaps.values(), **{k: v for k, (v, _, _) in gaps.items()})
 
 
-def implicit_solution_check(u: TensorPolynomial, m: FormPoly, n: FormPoly, tol: float = FORM_TOL) -> Report:
+def implicit_solution_check(u: TensorPolynomial, m: TensorPolynomial, n: TensorPolynomial,
+                            tol: float = FORM_TOL) -> Report:
     """Do the partials of the potential u reproduce M and N?
 
     u has no argument slot, else ValueError. D_x u and D_y u are formed
@@ -388,22 +386,35 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
 
 
 def _rk4_steps(t: float, h: float) -> float:
-    """The fewest RK4 steps of at most h from 0 to t, as a float; a non-finite t raises AlgebraError.
+    """The fewest RK4 steps of at most h from 0 to t, as a float.
 
+    A non-finite t, or a count past the float range, raises AlgebraError.
     The ceil of a float is a float64 value, so every count, past int64
     too, is exact in float64.
     """
     if not math.isfinite(t):
         raise AlgebraError(f"an RK4 time must be finite, got {t}")
-    return float(max(1, math.ceil(abs(t) / h)))
+    if (n := abs(t) / h) == math.inf:
+        raise AlgebraError(f"RK4 to t = {t} in steps of at most {h} takes more steps than a float counts")
+    return float(max(1, math.ceil(n)))
 
 
 def _rk4_step_target(t_end: float, steps: int) -> float:
-    """The largest RK4 step of a curve integrated to t_end in steps steps; refuses bad arguments."""
+    """The largest RK4 step of a curve integrated to t_end in steps steps.
+
+    steps < 1 raises ValueError, and a step that is not positive and
+    finite raises AlgebraError: that of a non-finite t_end, and one that
+    underflows to zero.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    _rk4_steps(t_end, 1.0)  # refuses a non-finite t_end
-    return abs(t_end) / steps if t_end else 1.0 / steps
+    try:
+        h = abs(t_end) / steps if t_end else 1.0 / steps
+    except OverflowError:  # a count past the float range: the step underflows
+        h = 0.0
+    if not 0.0 < h < math.inf:
+        raise AlgebraError(f"the RK4 step to t = {t_end} is {h}, not positive and finite")
+    return h
 
 
 def _rk4_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray, h: float) -> np.ndarray:
@@ -476,15 +487,17 @@ def successive_powers(ode: LinearOde, n: int) -> list[BiMatrix]:
     read back with _kernels.column; the cr forms power the transpose and
     transpose back, as cr_pow does. One product per step, where rc_pow and
     cr_pow square from scratch for each k, so the last bits may differ from
-    theirs.
+    theirs. A negative n raises ValueError, as in rc_pow and cr_pow.
     """
+    if n < 0:
+        raise ValueError("power must be >= 0")
     alg, cr = ode.algebra, ode.form in (OdeForm.CR_LEFT, OdeForm.CR_RIGHT)
     r = _kernels.rho(alg.table, ode.a.data.transpose(1, 0, 2) if cr else ode.a.data)
     powers = [_kernels.identity(len(r))]
     for _ in range(n):
         powers.append(powers[-1] @ r)
     elements = _kernels.column(np.stack(powers), alg.dim)
-    return [BiMatrix(alg, e.transpose(1, 0, 2) if cr else e) for e in elements[:n + 1]]  # none for n < 0, as range
+    return [BiMatrix(alg, e.transpose(1, 0, 2) if cr else e) for e in elements]
 
 
 def eigen_solution(b: Element, c: Sequence[Element], side: str = "left") -> SolutionCurve:
@@ -672,7 +685,7 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
         b1 = basis(algebra, 1)
     if b2 is None:
         b2 = basis(algebra, 2)
-    c, bs = el_inv(b1 - b2).coeffs, np.array([b1.coeffs, b2.coeffs])
+    c, bs = inv(b1 - b2).coeffs, np.array([b1.coeffs, b2.coeffs])
 
     def batch(ts: np.ndarray) -> np.ndarray:
         e = _exps_at((b1, b2), ts)

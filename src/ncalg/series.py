@@ -18,11 +18,12 @@ The matrix maps are the exponential of a real matrix, computed by one
 routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
 Appl. 26(4), 2005): the argument a is halved until its 1-norm is at most
 1/2, its Taylor series is summed to degree 15, and the sum is squared
-back. At that norm the terms after degree 15 sum to less than 1.5e-18,
-far within TAYLOR_RTOL, so one fixed degree serves every argument and
-there is no term budget to set. The polynomial is evaluated by
-Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of four:
-6 matrix products instead of 15, plus one per squaring. ``_expm`` also
+back. At that norm the terms after degree 15 sum to less than 1.5e-18 in
+the 1-norm, under a twentieth of a unit of roundoff of the sum, whose
+1-norm is at least 2 - e^(1/2) > 1/3, so one fixed degree serves every
+argument and there is no term budget to set. The polynomial is evaluated
+by Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of
+four: 6 matrix products instead of 15, plus one per squaring. ``_expm`` also
 takes a (k, p, p) stack, for a curve on a whole time grid: each member
 keeps the squaring count of its own norm, all taken in one numpy pass,
 and every member gets the bits it gets alone. The polynomial and the
@@ -43,15 +44,15 @@ One direction gives D exp(x)[c] = p E + (Im E / theta) q (_directional),
 and two give slice(p_1 p_2 E - (q_1 . q_2) B) + Re(p_2 B) q_1 + Re(p_1 B)
 q_2 with B = Im E / theta + i |E| j1(theta) (_second), where a slice
 number is read back on 1 and u. Both read x in one frame, _frame: x =
-a + theta u, with E and u. Three or more directions take exp(rho(E))
-of a 2^n x 2^n subset lattice E and read the corner block's column 0
-(_lattice). Arguments or results that are not finite, and
-arguments too large for any digit of the result to be accurate, raise
-SeriesBudgetError; for an element argument that rule is _slice_values.
-The closed forms of one and two directions are linear in exp(a + i
-theta), so near the top of the float range, where its parts are finite
-but its modulus or Im / theta may not be, it is scaled down by a power of
-two first and the result scaled back (_frame, _finite_result).
+a + theta u, with E and u, and split each direction by _split. Three or
+more directions take the rc exponential of a 2^n x 2^n subset lattice E,
+_mexp, and read its corner entry (_lattice). Arguments or results that
+are not finite, and arguments too large for any digit of the result to
+be accurate, raise SeriesBudgetError; for an element argument that rule
+is _slice_values. The closed forms of one and two directions are linear
+in exp(a + i theta), so near the top of the float range, where its parts
+are finite but its modulus or Im / theta may not be, it is scaled down by
+a power of two first and the result scaled back (_frame, _finite_result).
 The quasiexponent generalizes the exponent: it is the order-n derivative
 of exp evaluated at fixed directions, and like exp it satisfies
 dy/dx o 1 = y.
@@ -68,9 +69,6 @@ import numpy as np
 from . import _kernels
 from .algebra import AlgebraError, Element
 from .biring import BiMatrix, _require_square
-
-
-TAYLOR_RTOL = 1e-14
 
 
 class SeriesBudgetError(ArithmeticError):
@@ -134,10 +132,10 @@ def _expm(m: np.ndarray) -> np.ndarray:
 
     The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term k, a^k / k!,
     is at most 2^-k / k!, and the terms after degree 15 sum to less than
-    twice 2^-16 / 16!, below 1.5e-18: far within TAYLOR_RTOL, for every
-    argument, so every argument takes degree 15. It fills exactly four
-    blocks of _taylor's Paterson-Stockmeyer sum: 6 matrix products, where
-    summing term by term takes 15. The s squarings then take s more, and
+    twice 2^-16 / 16!, below 1.5e-18, for every argument, so every
+    argument takes degree 15. It fills exactly four blocks of _taylor's
+    Paterson-Stockmeyer sum: 6 matrix products, where summing term by
+    term takes 15. The s squarings then take s more, and
     multiply the sum's relative rounding error by up to 2^s, so past
     ||m||_1 = 2^52 no digit of the result is left and it raises instead.
 
@@ -184,15 +182,6 @@ def _require_finite(*rows: list[float]) -> None:
     for row in rows:
         if not all(map(math.isfinite, row)):
             raise SeriesBudgetError("exponential of a non-finite argument")
-
-
-def _exp_rho(alg, e: np.ndarray) -> np.ndarray:
-    """exp(rho(E)) for an (m, m, d) matrix E of elements.
-
-    A non-finite E is refused before rho multiplies inf by the table's zeros.
-    """
-    _require_finite(e.ravel().tolist())
-    return _expm(_kernels.rho(alg.table, e))
 
 
 def _slice_values(fs, row: list[float]) -> tuple[list[float], float, list[complex]]:
@@ -359,18 +348,16 @@ def _directional(c: list[float], x: list[float]) -> list[float]:
     e^a c; over R and C, u = v / |v| is exactly +-1, so c_perp is exactly 0.
     w and u come from _frame. A non-finite c is refused, then x and an
     overflowing w as in _slice_values, and a result that overflows raises.
-    Being linear in c, a huge finite c is answered. The split is written
-    out here, not through _split, which costs an order-one call about 1.16
-    times as much, and theta = 0 keeps its own branch, e^a c, each zero of
-    which keeps its sign.
+    Being linear in c, a huge finite c is answered. c is split by
+    _split, as in _second, and theta = 0 keeps its own branch, e^a c, each
+    zero of which keeps its sign.
     """
     _require_finite(c)
     u, theta, w, shift = _frame(x)
     if theta:
-        p = sum(ci * ui for ci, ui in zip(c[1:], u))
-        par = w * complex(c[0], p)
-        q = w.imag / theta
-        out = [par.real, *(par.imag * ui + q * (ci - p * ui) for ci, ui in zip(c[1:], u))]
+        p, q = _split(c, u)
+        par, r = w * p, w.imag / theta
+        out = [par.real, *(par.imag * ui + r * qi for ui, qi in zip(u, q))]
     else:
         out = [w.real * ci for ci in c]
     return _finite_result(out, shift)
@@ -432,15 +419,16 @@ def _lattice(alg, cs: list[list[float]], x: list[float]) -> list[float]:
 
     E has x on the diagonal and c_i at (S, S + {i}) for each i not in S. A
     walk of N steps from the empty set to the full set adds the directions
-    in one order and stays put at the other steps, so block (0, 2^n - 1) of
-    exp(rho(E)) sums all n! orders at once (Van Loan, IEEE TAC 23(3), 1978;
-    Higham and Relton, SIAM J. Matrix Anal. Appl. 35(3), 2014), in O(8^n
-    d^3) time and O(4^n d^2) memory. The quasiexponent is linear in each
+    in one order and stays put at the other steps, so entry (0, 2^n - 1) of
+    E's rc exponential, _mexp, sums all n! orders at once (Van Loan, IEEE
+    TAC 23(3), 1978; Higham and Relton, SIAM J. Matrix Anal. Appl. 35(3),
+    2014), in O(8^n d^3) time and O(4^n d^2) memory. The quasiexponent is linear in each
     direction, so each is first scaled by a power of two to a largest
     coefficient in [1/2, 1), and the result is scaled back exactly; a
     result past the float range raises. A zero direction gives zero. A
-    non-finite direction is refused, then x: by the lattice's 1-norm, or
-    as in _slice_values when a direction is zero.
+    non-finite direction is refused, then x: as a non-finite lattice or by
+    the lattice's 1-norm in _mexp, or as in _slice_values when a direction
+    is zero.
     """
     _require_finite(*cs)
     n, d = len(cs), alg.dim
@@ -456,7 +444,7 @@ def _lattice(alg, cs: list[list[float]], x: list[float]) -> list[float]:
     for i, row in enumerate(scaled):
         without = subsets[(subsets & (1 << i)) == 0]
         e[without, without | (1 << i)] = row
-    return _finite_result(_kernels.column(_exp_rho(alg, e)[:d], d)[0, -1].tolist(), sum(shifts))
+    return _finite_result(_mexp(alg, e)[0, -1].tolist(), sum(shifts))
 
 
 def _quasiexp(cs: list[Element], alg, x: list[float]) -> Element:
@@ -496,10 +484,13 @@ def quasiexp_at(c: Element, a: Element, t: float) -> Element:
 # matrix exponentials, one per product
 
 
-def _mexp(x: BiMatrix, data: np.ndarray) -> np.ndarray:
-    """exp of data under rc, for data x's array or its transpose: column 0 of each block of exp(rho(data))."""
-    _require_square(x)
-    return _kernels.column(_exp_rho(x.algebra, data), x.algebra.dim)
+def _mexp(alg, data: np.ndarray) -> np.ndarray:
+    """exp under rc of an (m, m, d) matrix of elements of alg: column 0 of each block of exp(rho(data)).
+
+    A non-finite matrix is refused before rho multiplies inf by the table's zeros.
+    """
+    _require_finite(data.ravel().tolist())
+    return _kernels.column(_expm(_kernels.rho(alg.table, data)), alg.dim)
 
 
 def mexp_rc(x: BiMatrix) -> BiMatrix:
@@ -508,9 +499,11 @@ def mexp_rc(x: BiMatrix) -> BiMatrix:
     rho turns rc into the real matrix product, so this is exp(rho(x)) read
     back off column 0 of each block (_kernels.column).
     """
-    return BiMatrix(x.algebra, _mexp(x, x.data))
+    _require_square(x)
+    return BiMatrix(x.algebra, _mexp(x.algebra, x.data))
 
 
 def mexp_cr(x: BiMatrix) -> BiMatrix:
     """Sum of cr-powers x^n/n!; transpose-dual of mexp_rc."""
-    return BiMatrix(x.algebra, _mexp(x, x.data.transpose(1, 0, 2)).transpose(1, 0, 2))
+    _require_square(x)
+    return BiMatrix(x.algebra, _mexp(x.algebra, x.data.transpose(1, 0, 2)).transpose(1, 0, 2))

@@ -5,7 +5,7 @@ a_0 x a_1 x ... x a_n; sums of such terms are the homogeneous polynomials.
 Every tensor is one labelled-term type, :class:`SlotTensor`: each gap
 between coefficients holds one of the variables x and y or one of k
 arguments, so a sum of terms is a multilinear-map-valued polynomial in x and
-y. ``Tensor`` is its argument-free case, with every gap labelled x.
+y. A polynomial in x alone is the case with every gap labelled x.
 
 Numerically a SlotTensor is one real multilinear map, with a value axis and
 one axis per gap. Its part symmetric in the x gaps and, separately, in the
@@ -104,10 +104,7 @@ class SlotTensor:
                 f"terms={len(self.terms)})")
 
 
-Tensor = SlotTensor
-
-
-def pure(coeffs: Sequence[Element]) -> Tensor:
+def pure(coeffs: Sequence[Element]) -> SlotTensor:
     """Single pure term a_0 (x) ... (x) a_n."""
     coeffs = tuple(coeffs)
     n = len(coeffs) - 1
@@ -127,17 +124,17 @@ def monomial(algebra: AlgebraDesc, labels: Sequence[int], coeff: float = 1.0) ->
     return SlotTensor(algebra, len(labels) - args - labels.count(Y), args, [(coeffs, labels)], labels.count(Y))
 
 
-def ones_tensor(algebra: AlgebraDesc, order: int) -> Tensor:
+def ones_tensor(algebra: AlgebraDesc, order: int) -> SlotTensor:
     """1 (x) 1 (x) ... (x) 1: the monomial x^order."""
     return monomial(algebra, (X,) * order)
 
 
-def tensor_scale(a: Tensor, s: float) -> Tensor:
+def tensor_scale(a: SlotTensor, s: float) -> SlotTensor:
     terms = [((coeffs[0] * s,) + coeffs[1:], labels) for coeffs, labels in a.terms]
     return SlotTensor(a.algebra, a.x_gaps, a.arg_slots, terms, a.y_gaps)
 
 
-def star_product(a: Tensor, b: Tensor) -> Tensor:
+def star_product(a: SlotTensor, b: SlotTensor) -> SlotTensor:
     """Fuse a's last coefficient into b's first: order adds.
 
     [a_0..a_n] * [b_0..b_m] = [a_0, ..., a_{n-1}, a_n b_0, b_1, ..., b_m],
@@ -180,11 +177,6 @@ def eval_args(s: SlotTensor, args: Sequence[Element], x: Element, y: Element | N
         for right in (gaps[labels[:, g]], coeffs[:, g + 1]):
             acc = _mul_rows(s.algebra, acc, right)
     return Element._trusted(s.algebra, acc.sum(axis=0))
-
-
-def eval_power(t: Tensor, x: Element) -> Element:
-    """Value of t on x: sum over terms of a_0 x a_1 x ... x a_n."""
-    return eval_args(t, (), x)
 
 
 # ---------------------------------------------------------------------------

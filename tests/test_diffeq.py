@@ -8,7 +8,6 @@ from ncalg import _kernels, diffeq
 from ncalg.algebra import AlgebraError, Element, basis, frobenius, from_scalar, make_algebra, one, random_element, zero
 from ncalg.biring import BiMatrix, cr_mul, cr_pow, random_matrix, rc_mul, rc_pow, transpose
 from ncalg.diffeq import (
-    FormPoly,
     LinearOde,
     OdeForm,
     SolutionCurve,
@@ -36,17 +35,17 @@ import exact
 from conftest import dense_symmetric_part, is_plain
 
 
-def poly(alg, *words, scale=1.0) -> FormPoly:
+def poly(alg, *words, scale=1.0) -> TensorPolynomial:
     """scale times the sum of the unit-coefficient words with these gap labels."""
-    return FormPoly([monomial(alg, labels, scale) for labels in words])
+    return TensorPolynomial([monomial(alg, labels, scale) for labels in words])
 
 
-def x_square_form(alg) -> FormPoly:
+def x_square_form(alg) -> TensorPolynomial:
     """h -> x h + h x, the derivative form of x^2."""
     return poly(alg, (X, 0), (0, X))
 
 
-def three_x_form(alg, scale=1.0) -> FormPoly:
+def three_x_form(alg, scale=1.0) -> TensorPolynomial:
     """h -> 3 x h x."""
     return poly(alg, (X, 0, X), scale=3.0 * scale)
 
@@ -59,7 +58,7 @@ def exact_723(alg, scale=1.0):
 
 def exact_724(alg, scale=1.0):
     """M = 3 x x dx + dx y and N = x dy: exact only where x and dx commute."""
-    m = FormPoly([monomial(alg, (X, X, 0), 3.0 * scale), monomial(alg, (0, Y), scale)])
+    m = TensorPolynomial([monomial(alg, (X, X, 0), 3.0 * scale), monomial(alg, (0, Y), scale)])
     return m, poly(alg, (X, 0), scale=scale)
 
 
@@ -97,7 +96,7 @@ class TestIntegrability:
 
     @pytest.mark.parametrize("slots", [0, 2])
     def test_form_needs_exactly_one_slot(self, HH, slots):
-        g = FormPoly([monomial_derivative(ones_tensor(HH, 2), slots)])
+        g = TensorPolynomial([monomial_derivative(ones_tensor(HH, 2), slots)])
         with pytest.raises(ValueError, match="exactly one argument slot"):
             integrability_check(g)
 
@@ -105,7 +104,7 @@ class TestIntegrability:
     def test_high_degree_derivative_forms_are_integrable(self, HH, k):
         # D of the derivative form of x^k has order k: C(k + 1, 3) x monomials times 4^3 over H,
         # against 4^(k + 1) entries of the multilinear map
-        assert integrability_check(poly_derivative(FormPoly([ones_tensor(HH, k)]))).verdict
+        assert integrability_check(poly_derivative(TensorPolynomial([ones_tensor(HH, k)]))).verdict
 
     def test_x4_h_x5_integrable_over_c_only(self, HH, CC):
         # x^4 h x^5 = x^9 h over C, the derivative form of x^10 / 10; over H it is not one
@@ -259,8 +258,8 @@ class TestExactness:
         assert rep.verdict
 
     def test_zero_everything(self, HH):
-        z = FormPoly([SlotTensor(HH, 0, 1)])
-        rep = implicit_solution_check(FormPoly([SlotTensor(HH, 0, 0)]), z, z)
+        z = TensorPolynomial([SlotTensor(HH, 0, 1)])
+        rep = implicit_solution_check(TensorPolynomial([SlotTensor(HH, 0, 0)]), z, z)
         assert rep.verdict
 
     @pytest.mark.parametrize("tag", ["real", "complex"])
@@ -276,7 +275,7 @@ class TestExactness:
         alg = make_algebra(tag)
 
         def random_poly(*words):
-            return FormPoly([SlotTensor(alg, w.count(X), 0, [([random_element(alg, rng) for _ in range(len(w) + 1)], w)
+            return TensorPolynomial([SlotTensor(alg, w.count(X), 0, [([random_element(alg, rng) for _ in range(len(w) + 1)], w)
                                                              for _ in range(3)], w.count(Y)) for w in words])
 
         u = random_poly((X, Y, X), (Y, X, Y, X), (X, X), (Y,))
@@ -320,30 +319,30 @@ class TestScale:
     def test_a_large_exact_part_does_not_hide_an_inexact_one(self, HH, big):
         # exact-725 plus big times separable-712's forms, which are exact and add nothing to cross
         (m, n), (bm, bn, _) = exact_725(HH), separable_712(HH, big)
-        rep = exactness_check(FormPoly([*m.components, *bm.components]), FormPoly([*n.components, *bn.components]))
+        rep = exactness_check(TensorPolynomial([*m.components, *bm.components]), TensorPolynomial([*n.components, *bn.components]))
         assert not rep.verdict and rep.witness["condition"] == "cross"
         assert rep.metrics == {"sym_x": 0.0, "sym_y": 0.0, "cross": rep.residual} and rep.residual > 1.0
         # 3 x h x plus big times the integrable x h + h x
-        rep = integrability_check(FormPoly([*three_x_form(HH).components, *poly(HH, (X, 0), (0, X), scale=big).components]))
+        rep = integrability_check(TensorPolynomial([*three_x_form(HH).components, *poly(HH, (X, 0), (0, X), scale=big).components]))
         assert not rep.verdict and rep.residual > 1.0
 
     def test_the_witness_names_the_failing_bidegree(self, HH, rng):
         # the rounding of a large exact part of degree 3 outweighs 3e-8 x h x, yet only the latter fails
         coeffs = [random_element(HH, rng) for _ in range(5)]
-        exact = poly_derivative(FormPoly([SlotTensor(HH, 4, 0, [(coeffs, (X,) * 4)])]))
-        big = FormPoly([tensor_scale(c, 1e10) for c in exact.components])
+        exact = poly_derivative(TensorPolynomial([SlotTensor(HH, 4, 0, [(coeffs, (X,) * 4)])]))
+        big = TensorPolynomial([tensor_scale(c, 1e10) for c in exact.components])
         small = three_x_form(HH, 1e-8)
         assert integrability_check(big).residual > 100 * integrability_check(small).residual
-        rep = integrability_check(FormPoly([*big.components, *small.components]))
+        rep = integrability_check(TensorPolynomial([*big.components, *small.components]))
         assert not rep.verdict and rep.witness["bidegree"] == [1, 0]
 
     def test_a_refuted_residual_is_the_norm_of_the_failing_bidegrees(self, HH, rng):
         # the passing bidegree [2, 0] of the large exact part adds none of its rounding
         coeffs = [random_element(HH, rng) for _ in range(5)]
-        exact = poly_derivative(FormPoly([SlotTensor(HH, 4, 0, [(coeffs, (X,) * 4)])]))
-        big = FormPoly([tensor_scale(c, 1e10) for c in exact.components])
+        exact = poly_derivative(TensorPolynomial([SlotTensor(HH, 4, 0, [(coeffs, (X,) * 4)])]))
+        big = TensorPolynomial([tensor_scale(c, 1e10) for c in exact.components])
         small = three_x_form(HH, 1e-8)
-        rep = integrability_check(FormPoly([*big.components, *small.components]))
+        rep = integrability_check(TensorPolynomial([*big.components, *small.components]))
         assert rep.residual == rep.witness["violation"] == integrability_check(small).residual > 0.0
 
 
@@ -385,14 +384,14 @@ class TestSymbolicReference:
 
     def test_integrability(self, alg, rng):
         for g in (random_form(alg, rng, (X, 0, X), (X, X, 0), (0,), (X, 0)), x_square_form(alg),
-                  FormPoly([SlotTensor(alg, 0, 1)])):
+                  TensorPolynomial([SlotTensor(alg, 0, 1)])):
             dg = poly_derivative(g)
             self.assert_matches(integrability_check(g).residual, minus(dg, swapped(dg)), dg)
 
     def test_exactness(self, alg, rng):
         # D_y M has bidegree [1, 0] and D_x N has [0, 1]; M = 0 is the zero polynomial
         n = random_form(alg, rng, (Y, 0, X), (0, Y), (X, 0, X))
-        for m in (random_form(alg, rng, (X, 0, Y), (X, X, 0), (0,)), FormPoly([SlotTensor(alg, 0, 1)])):
+        for m in (random_form(alg, rng, (X, 0, Y), (X, X, 0), (0,)), TensorPolynomial([SlotTensor(alg, 0, 1)])):
             dxm, dym, dxn, dyn = (poly_derivative(f, var=v) for f in (m, n) for v in (X, Y))
             rep = exactness_check(m, n)
             self.assert_matches(rep.metrics["sym_x"], minus(dxm, swapped(dxm)), dxm)
@@ -403,7 +402,7 @@ class TestSymbolicReference:
         u = random_form(alg, rng, (X, Y), (Y, X, X), (X,), slots=0)
         dxu, dyu = poly_derivative(u), poly_derivative(u, var=Y)
         for m, n in ((random_form(alg, rng, (X, 0), (0, Y)), random_form(alg, rng, (Y, 0, X))), (dxu, dyu),
-                     (FormPoly([SlotTensor(alg, 0, 1)]), dyu)):
+                     (TensorPolynomial([SlotTensor(alg, 0, 1)]), dyu)):
             gaps = [(minus(dxu, m), dxu, m), (minus(dyu, n), dyu, n)]
             self.assert_matches(implicit_solution_check(u, m, n).residual, *max(gaps, key=lambda g: norm(g[0])))
 
@@ -588,7 +587,12 @@ class TestSuccessivePowers:
     def test_zeroth_only(self, HH, rng):
         ode = LinearOde(random_matrix(HH, 2, 2, rng), OdeForm.CR_LEFT, (zero(HH), one(HH)))
         assert len(successive_powers(ode, 0)) == 1
-        assert successive_powers(ode, -1) == []
+
+    def test_a_negative_power_is_refused(self, HH, rng):
+        # as rc_pow and cr_pow refuse it
+        ode = LinearOde(random_matrix(HH, 2, 2, rng), OdeForm.CR_LEFT, (zero(HH), one(HH)))
+        with pytest.raises(ValueError, match="^power must be >= 0$"):
+            successive_powers(ode, -1)
 
     @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
     def test_powers_of_integer_matrices_are_exact(self, tag):
@@ -894,7 +898,7 @@ def test_a_non_finite_form_coefficient_is_a_typed_error_or_a_refutation(tag, bad
     a NaN one stays a refutation with a NaN residual."""
     alg = make_algebra(tag)
     coeff = Element(alg, [bad] + [0.0] * (alg.dim - 1))
-    m = FormPoly([SlotTensor(alg, 1, 1, [((coeff, one(alg), one(alg)), (X, 0))])])  # h -> c x h
+    m = TensorPolynomial([SlotTensor(alg, 1, 1, [((coeff, one(alg), one(alg)), (X, 0))])])  # h -> c x h
     n = poly(alg, (0,))
     run = {"integrability": lambda: integrability_check(m),
            "exactness": lambda: exactness_check(m, n),
@@ -1276,6 +1280,32 @@ def test_a_grid_refuses_its_first_non_finite_time_in_its_own_order(HH, ts, first
 def test_rk4_integrate_refuses_fewer_than_one_step(HH):
     with pytest.raises(ValueError, match="steps must be >= 1"):
         rk4_integrate(elliptic_ode(HH), 1.0, 0)
+
+
+def test_an_rk4_curve_refuses_a_step_count_past_the_float_range(HH):
+    # |t| / h overflows for a finite t: 1e10 / 1e-301
+    curve = rk4_integrate(elliptic_ode(HH), 1e-300, 10)
+    for read in (lambda: curve(1e10), lambda: curve.values([1e10])):
+        with pytest.raises(AlgebraError, match="^RK4 to t = 10000000000.0 in steps of at most 1e-301 takes more steps"):
+            read()
+
+
+def test_rk4_integrate_refuses_a_step_that_underflows_to_zero(HH):
+    # 5e-324 / 10 rounds to 0.0, and a zero step would divide every time by zero
+    with pytest.raises(AlgebraError, match="^the RK4 step to t = 5e-324 is 0.0, not positive and finite$"):
+        rk4_integrate(elliptic_ode(HH), 5e-324, 10)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+def test_rk4_integrate_refuses_a_non_finite_end_time_by_its_step(HH, t_end):
+    with pytest.raises(AlgebraError, match=f"^the RK4 step to t = {t_end} is (inf|nan), not positive and finite$"):
+        rk4_integrate(elliptic_ode(HH), t_end, 10)
+
+
+def test_rk4_integrate_refuses_a_step_count_past_the_float_range(HH):
+    # 1 / 10^400 underflows to zero, where Python's true division cannot convert the count
+    with pytest.raises(AlgebraError, match="^the RK4 step to t = 1.0 is 0.0, not positive and finite$"):
+        rk4_integrate(elliptic_ode(HH), 1.0, 10 ** 400)
 
 
 def test_eigen_solution_refuses_an_unknown_side(HH):

@@ -24,7 +24,6 @@ from ncalg.algebra import (
 from ncalg.biring import BiMatrix, cr_mul, diff_norm, random_matrix, rc_mul, transpose
 from ncalg.diffeq import _exps_at
 from ncalg.series import (
-    TAYLOR_RTOL,
     SeriesBudgetError,
     _exp_els,
     _expm,
@@ -683,6 +682,10 @@ def test_exp_times_exp_of_negative_is_one(tag, coeffs):
 
 def _norm1(m):
     return float(np.abs(m).sum(axis=0).max(initial=0.0))
+
+
+# the earlier rule's relative term budget, which the fixed degree 15 must never be looser than
+TAYLOR_RTOL = 1e-14
 
 
 def adaptive_expm(m):

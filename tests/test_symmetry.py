@@ -34,14 +34,23 @@ cr-right states of (ā, x̄0); the real matrix of the one is that of the
 other with the signs of the imaginary coordinates flipped on both sides,
 and a sign flip commutes with every rounding, so the states agree byte
 for byte.
+
+Inverses, quasideterminants and solves are rational in the entries, so
+sigma_q and the embedding commute with rc_inv, quasidets_rc and solve_rc,
+and conjugation maps rc_inv(a) to cr_inv(conj a) and quasidet_rc(a, i, j)
+to quasidet_cr(conj a, i, j). Their rounding grows with the conditioning
+of a, so each pair is judged at COND_MULTIPLE units of roundoff u times
+cond2(rho(a)); rc_rank's rank is invariant under sigma_q, and the minor
+its selector picks stays rc-nonsingular in sigma_q(a).
 """
 
 import numpy as np
 import pytest
 
-from ncalg import diffeq
+from ncalg import _kernels, diffeq
 from ncalg.algebra import Element, close, make_algebra, random_element
-from ncalg.biring import BiMatrix, cr_mul, cr_pow, random_matrix, rc_mul, rc_pow
+from ncalg.biring import (BiMatrix, cr_inv, cr_mul, cr_pow, is_rc_singular, quasidet_cr, quasidet_rc, quasidets_rc,
+                          random_matrix, rc_inv, rc_mul, rc_pow, rc_rank, solve_rc, submatrix)
 from ncalg.diffeq import OdeForm
 from ncalg.series import cosh_el, exp_el, mexp_cr, mexp_rc, quasiexp, quasiexp_at, sin_el
 
@@ -219,3 +228,67 @@ def test_inner_automorphisms_commute_with_the_curve_routes(route):
         for form, (plain, mapped) in zip(forms, got):
             for t, want, state in zip(CURVE_TIMES, sigma(plain), mapped):
                 assert close(state, want, RTOL), (form, t)
+
+
+# ---------------------------------------------------------------------------
+# inverses, quasideterminants, solves and rank
+
+# each gap is judged at this many units of roundoff times cond2(rho(a)): over
+# 400 draws of n = 1 to 5 the worst read 3.9 (sigma_q, rc_inv), 2.6 (sigma_q,
+# solve_rc), 1.7 (sigma_q, quasidets_rc), 0.98 (conjugation) and 0.46 (the embedding)
+COND_MULTIPLE = 64
+SOLVERS = {
+    "rc_inv": lambda a, b: rc_inv(a),
+    "quasidets_rc": lambda a, b: quasidets_rc(a),
+    "solve_rc": lambda a, b: BiMatrix.from_elements([[x] for x in solve_rc(a, [b.entry(i, 0) for i in range(b.rows)])]),
+}
+
+
+def _rtol(a: BiMatrix) -> float:
+    return COND_MULTIPLE * np.finfo(float).eps / 2 * np.linalg.cond(_kernels.rho(a.algebra.table, a.data))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_inner_automorphisms_commute_with_inverses_quasideterminants_and_solves(name):
+    f = SOLVERS[name]
+    for q, a, b in _matrix_draws(50):
+        sigma = lambda m: _entrywise(lambda h: q * h * q.inv(), m)  # noqa: E731
+        got, want = f(sigma(a), sigma(b)), sigma(f(a, b))
+        assert got.close(want, _rtol(a)), (got.data, want.data)
+
+
+def test_conjugation_maps_rc_inv_to_cr_inv():
+    for _, a, _ in _matrix_draws(51):
+        conj = lambda m: _entrywise(Element.conj, m)  # noqa: E731
+        assert cr_inv(conj(a)).close(conj(rc_inv(a)), _rtol(a))
+
+
+def test_conjugation_maps_quasidet_rc_to_quasidet_cr():
+    for _, a, _ in _matrix_draws(52):
+        n, ca = a.rows, _entrywise(Element.conj, a)
+        got = BiMatrix.from_elements([[quasidet_cr(ca, i, j) for j in range(n)] for i in range(n)])
+        want = BiMatrix.from_elements([[quasidet_rc(a, i, j).conj() for j in range(n)] for i in range(n)])
+        assert got.close(want, _rtol(a)), (got.data, want.data)
+
+
+def test_the_embedding_of_c_in_h_commutes_with_rc_inv():
+    for _, a, _ in _matrix_draws(53, CC):
+        embed = lambda m: _entrywise(_embed, m)  # noqa: E731
+        assert rc_inv(embed(a)).close(embed(rc_inv(a)), _rtol(a))
+
+
+def test_inner_automorphisms_keep_the_rank_and_the_selected_minor():
+    """Products of m x r and r x n matrices, m and n of 1 to 5 and r of 0 to both, have rank r."""
+    rng = np.random.default_rng(54)
+    for _ in range(DRAWS):
+        m, n = (int(k) for k in rng.integers(1, 6, 2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        q = _unit(rng)
+        a = rc_mul(random_matrix(HH, m, r, rng), random_matrix(HH, r, n, rng))
+        mapped = _entrywise(lambda h: q * h * q.inv(), a)
+        rank, sel = rc_rank(a)
+        mapped_rank, mapped_sel = rc_rank(mapped)
+        assert rank == mapped_rank == r, (rank, mapped_rank, r)
+        assert len(mapped_sel.rows) == len(mapped_sel.cols) == r
+        if r:
+            assert not is_rc_singular(submatrix(mapped, sel.rows, sel.cols)), sel

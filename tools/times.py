@@ -249,7 +249,7 @@ def inverse_rows():
 def forms():
     for k in (4, 6, 8, 9, 10, 12):
         yield f"k = {k}", lambda k=k: partial(diffeq.integrability_check,
-                                              tensor.poly_derivative(diffeq.FormPoly([tensor.ones_tensor(H, k)])))
+                                              tensor.poly_derivative(tensor.TensorPolynomial([tensor.ones_tensor(H, k)])))
 
 
 TABLES = {"scenarios": scenarios, "series": series_rows, "products": products, "inverse": inverse_rows,
