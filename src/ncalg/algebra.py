@@ -148,14 +148,14 @@ class Element:
         if arr.shape != (algebra.dim,):
             raise AlgebraError(f"need {algebra.dim} coefficients, got shape {arr.shape}")
         arr = arr.copy()
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
     def _trusted(cls, algebra: AlgebraDesc, arr: np.ndarray) -> "Element":
         """Element over arr without conversion, check or copy; see the class invariant."""
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self = _new_element(cls)
         _set_algebra(self, algebra)
         _set_coeffs(self, arr)

@@ -90,7 +90,7 @@ class BiMatrix:
         if arr.ndim != 3 or arr.shape[2] != algebra.dim:
             raise AlgebraError(f"matrix data must be (m, n, {algebra.dim}), got {arr.shape}")
         arr = arr.copy()
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "data", arr)
 

@@ -5,14 +5,14 @@ complex slice. In the reals, the complex numbers and the quaternions, an
 element x = a + v with real part a and imaginary part v has v^2 = -|v|^2,
 so 1 and v/|v| span a copy of C that holds every power of x, and any real
 power series f has f(x) = Re f(z) + (v/|v|) Im f(z) with z = a + i|v|. One
-scalar cmath call gives f(z) (_slice). The private _exp_els and _pairs take
-exp_el, and the (cosh, sinh) pair, of every row of a (k, d) array of
-coefficients, for callers that need many at once: the elliptic curves on a
-time grid and the exponent-law and Euler scenarios. Row i goes through the
-arithmetic of the single call of that row, so it has its bits. _slice
-itself takes coefficient lists and any tuple of cmath maps, such as
-(cos, sin), and gives one flat coefficient list per map, so a single
-element costs the floats of its row and one array at the end.
+scalar cmath call gives f(z) (_slice_values), and a single element reads
+it straight into its coefficient list (_el). The private _exp_els and
+_pairs take exp_el, and the (cosh, sinh) pair, of every row of a (k, d)
+array of coefficients, for callers that need many at once: the elliptic
+curves on a time grid and the exponent-law and Euler scenarios. They go
+through _slice, which takes coefficient lists and any tuple of cmath maps,
+such as (cos, sin), and gives one flat coefficient list per map. Row i goes
+through the arithmetic of the single call of that row, so it has its bits.
 
 The matrix maps are the exponential of a real matrix, computed by one
 routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
@@ -218,7 +218,10 @@ def _slice(fs, rows) -> list[list[float]]:
     is refused, and a value that overflows raises, as in _slice_values. The
     rows go one at a time in plain Python floats, so each has the bits it
     has alone, and the first row that fails raises its error. The caller
-    makes the one array it needs from each list.
+    makes the one array it needs from each list. _el writes the same two
+    lines out again for one row and one map: every shared helper measured
+    costs the stacks a call per row and map (CHANGES.md), and the byte
+    tests of tests/test_series.py hold the two to the same bits.
     """
     outs = [[] for _ in fs]
     for row in rows:
@@ -231,12 +234,20 @@ def _slice(fs, rows) -> list[list[float]]:
 
 
 def _el(f, alg, row: list[float]) -> Element:
-    """f of the element of alg with coefficient list row, through the complex slice (_slice)."""
-    return Element._trusted(alg, np.array(_slice((f,), (row,))[0]))
+    """f of the element of alg with coefficient list row, its _slice_values read straight into one coefficient list.
+
+    This is _slice's formula for one row and one map, Re w then
+    (Im w / |v|) v, with no output list per map and no loop over rows, so
+    one element costs its own arithmetic and has the bits of its row in a
+    stack; it refuses and raises as _slice_values does.
+    """
+    v, norm, (w,) = _slice_values((f,), row)
+    q = w.imag / norm if norm else 0.0
+    return Element._trusted(alg, np.array([w.real, *[q * x for x in v]]))
 
 
 def exp_el(x: Element) -> Element:
-    """exp(x) = sum x^n / n!, through the complex slice (_slice)."""
+    """exp(x) = sum x^n / n!, through the complex slice (_el)."""
     return _el(cmath.exp, x.algebra, x.coeffs.tolist())
 
 

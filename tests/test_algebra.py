@@ -1,12 +1,13 @@
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncalg import algebra, biring
+from ncalg import algebra, biring, diffeq, series
 from ncalg.algebra import (
     AlgebraDesc,
     AlgebraError,
@@ -26,7 +27,7 @@ from ncalg.algebra import (
     zero,
 )
 from ncalg.biring import BiMatrix, random_matrix, rc_mul, verify_eigen_rc
-from ncalg.diffeq import eigen_conditions, hyperbolic_ode
+from ncalg.diffeq import LinearOde, OdeForm, eigen_conditions, hyperbolic_ode
 from ncalg.tensor import pure, slot_tensors_equal
 from conftest import quat_mul_oracle
 
@@ -275,11 +276,13 @@ def element_pair(draw):
     return a, b
 
 
-def _read_only(*elements):
-    for e in elements:
-        assert not e.coeffs.flags.writeable
+def _read_only(*values):
+    """Each Element's coefficients and each BiMatrix's data are read-only, and a write to them raises."""
+    for value in values:
+        arr = value.data if isinstance(value, BiMatrix) else value.coeffs
+        assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            e.coeffs[0] = 1.0
+            arr[(0,) * arr.ndim] = 1.0
 
 
 @given(pair=element_pair(), s=st.floats(min_value=-1e3, max_value=1e3))
@@ -312,6 +315,61 @@ def test_matrix_entries_are_read_only(tag, rng):
     entries = [a.entry(i, j) for i in range(2) for j in range(3)]
     _read_only(*entries)
     assert np.array_equal(np.stack([e.coeffs for e in entries]), a.data.reshape(6, -1))
+
+
+def _sweep_inputs(alg):
+    rng = np.random.default_rng(4400)
+    x, y, z = (random_element(alg, rng) for _ in range(3))
+    a = random_matrix(alg, 2, 2, rng)
+    return SimpleNamespace(x=x, y=y, z=z, a=a, deficient=BiMatrix.from_elements([[x, y], [x, y]]),
+                           ode=LinearOde(a, OdeForm.RC_LEFT, (x, y)))
+
+
+# every public operation that returns Elements or BiMatrices, as a call on _sweep_inputs over H
+PUBLIC_RESULTS = {
+    **{name: lambda v, f=getattr(series, name): f(v.x)
+       for name in ("exp_el", "sinh_el", "cosh_el", "sin_el", "cos_el")},
+    "exp_at": lambda v: series.exp_at(v.x, 0.5),
+    "quasiexp": lambda v: [series.quasiexp([v.y, v.z, v.x][:n], v.x) for n in (1, 2, 3)],
+    "quasiexp_at": lambda v: series.quasiexp_at(v.y, v.x, 0.5),
+    "inv": lambda v: [inv(v.x), v.x.inv()],
+    "rc_mul": lambda v: rc_mul(v.a, v.a),
+    "cr_mul": lambda v: biring.cr_mul(v.a, v.a),
+    "rc_pow": lambda v: [biring.rc_pow(v.a, n) for n in (0, 1, 3)],
+    "cr_pow": lambda v: [biring.cr_pow(v.a, n) for n in (0, 1, 3)],
+    "rc_inv": lambda v: biring.rc_inv(v.a),
+    "cr_inv": lambda v: biring.cr_inv(v.a),
+    "quasidet_rc": lambda v: biring.quasidet_rc(v.a, 0, 1),
+    "quasidets_rc": lambda v: biring.quasidets_rc(v.a),
+    "solve_rc": lambda v: biring.solve_rc(v.a, [v.x, v.y]),
+    "left_dependency": lambda v: biring.left_dependency(v.deficient, *biring.rc_rank(v.deficient)),
+    "mexp_rc": lambda v: series.mexp_rc(v.a),
+    "mexp_cr": lambda v: series.mexp_cr(v.a),
+    "successive_powers": lambda v: diffeq.successive_powers(v.ode, 3),
+    "closed_form_solution(t)": lambda v: diffeq.closed_form_solution(v.ode)(0.5),
+    "rk4_integrate(t)": lambda v: diffeq.rk4_integrate(v.ode, 1.0, 100)(0.5),
+    "eigen_solution(t)": lambda v: [diffeq.eigen_solution(v.x, [v.y, v.z], side)(0.5) for side in ("left", "right")],
+    "elliptic_two_exp_curve(t)": lambda v: diffeq.elliptic_two_exp_curve(v.x.algebra)(0.5),
+    "elliptic_family(t)": lambda v: diffeq.elliptic_family(v.y)(0.5),
+    "LinearOde.rhs": lambda v: v.ode.rhs((v.x, v.y)),
+    "BiMatrix.identity": lambda v: BiMatrix.identity(v.x.algebra, 2),
+    "BiMatrix.zeros": lambda v: BiMatrix.zeros(v.x.algebra, 2, 3),
+    "BiMatrix.from_elements": lambda v: BiMatrix.from_elements([[v.x, v.y], [v.z, v.x]]),
+}
+
+
+def _values(result):
+    """The Elements and BiMatrices of a result, which is one of them or a list or tuple of results."""
+    if isinstance(result, (Element, BiMatrix)):
+        return [result]
+    return [v for r in result for v in _values(r)]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_RESULTS))
+def test_every_public_result_is_read_only(name, HH):
+    values = _values(PUBLIC_RESULTS[name](_sweep_inputs(HH)))
+    assert values
+    _read_only(*values)
 
 
 def test_public_constructor_still_checks_and_copies(HH):

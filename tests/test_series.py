@@ -889,6 +889,13 @@ def _rows(alg, rng):
     return c * (np.array(ROW_NORMS) / np.sqrt((c * c).sum(axis=1)))[:, None]
 
 
+def _edge_rows(alg):
+    """Rows whose bits the one-row path must keep: real ones (|v| = 0), signed zeros and subnormal imaginary parts."""
+    tiny = math.ulp(0.0)
+    return np.array([[0.7, 0.0, 0.0, 0.0], [-2.5, -0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+                     [-0.0, 0.3, -0.0, 0.5], [0.3, tiny, 0.0, -0.0], [-1.25, 1e-310, -tiny, 3 * tiny]])[:, :alg.dim]
+
+
 def _singles(alg, c):
     """exp_el, cosh_el, sinh_el, cos_el and sin_el of each row of c, one call per row."""
     els = [Element(alg, row) for row in c]
@@ -909,7 +916,7 @@ def test_stacked_element_exponentials_give_each_row_its_bytes_alone(tag):
     """Each map of one element (series._el) has the bytes of its row of _exp_els, _pairs and the two-map _slice."""
     alg = make_algebra(tag)
     rng = np.random.default_rng(2800 + alg.dim)
-    c = _rows(alg, rng)
+    c = np.concatenate([_rows(alg, rng), _edge_rows(alg)])
     want = _singles(alg, c)
     got = _stacked(c)
     for g, w in zip(got, want):
@@ -918,6 +925,11 @@ def test_stacked_element_exponentials_give_each_row_its_bytes_alone(tag):
     order = rng.permutation(len(c))
     for g, w in zip(_stacked(c[order]), want):
         assert g.tobytes() == w[order].tobytes()
+    # exp_at of each row has the bytes of its row of diffeq._exps_at
+    bs, ts = [Element(alg, row) for row in c], np.array([1.0, -1.0, 0.5, 0.0])
+    for b, rows in zip(bs, _exps_at(bs, ts)):
+        for t, row in zip(ts.tolist(), rows):
+            assert row.tobytes() == exp_at(b, t).coeffs.tobytes()
 
 
 def _error(call) -> str:
@@ -931,8 +943,9 @@ def test_a_row_that_raises_alone_raises_the_same_error_in_a_stack(bad):
     alg = make_algebra("quaternion")
     x = Element(alg, [bad, 0.0, 0.0, 0.0])
     fine = _rows(alg, np.random.default_rng(2810))
-    for single, stacked in ((exp_el, _exp_els), (sinh_el, _pairs), (sin_el, _trig)):
-        if bad == 800.0 and single is sin_el:
+    for single, stacked in ((exp_el, _exp_els), (sinh_el, _pairs), (cosh_el, _pairs), (sin_el, _trig),
+                            (cos_el, _trig)):
+        if bad == 800.0 and single in (sin_el, cos_el):
             continue  # sin and cos of a real 800 are finite
         alone = _error(lambda: single(x))
         # a later row that fails otherwise does not change the error

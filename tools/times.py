@@ -1,7 +1,7 @@
 """Print the best per-call time of every row of one table of ncalg calls, or compare two checkouts.
 
-Run from the repository root, with TABLE one of scenarios, series,
-products, inverse or forms:
+Run from the repository root, with TABLE one of elements, scenarios,
+series, products, inverse or forms:
 
     python tools/times.py TABLE
     PYTHONPATH=../other/src python tools/times.py TABLE
@@ -9,6 +9,12 @@ products, inverse or forms:
 
 The tables and their rows:
 
+elements
+    The one-value calls that every layer builds on, over H: the public
+    Element constructor on a coefficient list, x + y, x * y, conj, norm,
+    close, inv and x / y of two random elements, exp_el of x and exp_at
+    of x at t = 2, then the BiMatrix constructor on a 2 x 2 array and
+    rc_mul of that matrix by itself.
 scenarios
     Every CLI scenario through ``cli.run_scenario`` with the default
     options (seed 0, quaternions), then ``total``, one call that runs them
@@ -93,6 +99,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import cmath  # noqa: E402
 import json  # noqa: E402
+import operator  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -119,6 +126,24 @@ NUMBER = 200
 BUDGET_S = 0.05
 ROUNDS = 7
 H = algebra.make_algebra("quaternion")
+
+
+def elements():
+    rng = np.random.default_rng(0)
+    x, y = (algebra.random_element(H, rng) for _ in range(2))
+    a = biring.random_matrix(H, 2, 2, rng)
+    yield "Element(...)", lambda: partial(algebra.Element, H, x.coeffs.tolist())
+    yield "x + y", lambda: partial(operator.add, x, y)
+    yield "x * y", lambda: partial(operator.mul, x, y)
+    yield "conj", lambda: x.conj
+    yield "norm", lambda: x.norm
+    yield "close", lambda: partial(x.close, y)
+    yield "inv", lambda: x.inv
+    yield "x / y", lambda: partial(operator.truediv, x, y)
+    yield "exp_el", lambda: partial(series.exp_el, x)
+    yield "exp_at, t = 2", lambda: partial(series.exp_at, x, 2.0)
+    yield "BiMatrix(...) (2x2)", lambda: partial(biring.BiMatrix, H, a.data)
+    yield "rc_mul (2x2)", lambda: partial(biring.rc_mul, a, a)
 
 
 def scenarios():
@@ -252,8 +277,8 @@ def forms():
                                               tensor.poly_derivative(tensor.TensorPolynomial([tensor.ones_tensor(H, k)])))
 
 
-TABLES = {"scenarios": scenarios, "series": series_rows, "products": products, "inverse": inverse_rows,
-          "forms": forms}
+TABLES = {"elements": elements, "scenarios": scenarios, "series": series_rows, "products": products,
+          "inverse": inverse_rows, "forms": forms}
 
 
 def best(setup) -> list[float] | str:
