@@ -343,32 +343,69 @@ def _mul_rows(algebra: AlgebraDesc, a: np.ndarray, xs: np.ndarray) -> np.ndarray
 
 
 def inv(a: Element) -> Element:
-    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras: inv_stack of the one element.
+    """Multiplicative inverse, conj(a)/norm(a)^2 in these algebras, with the bits of a's member of inv_stack.
 
     A zero or non-finite element raises, and so does one whose largest
-    coefficient is below 2^-1023, whose inverse is not representable.
+    coefficient is below 2^-1023, whose inverse is not representable. The
+    one element takes _inv_floats, not the stack route. The rc-inverse of
+    a 1 x 1 matrix [a] in biring is [inv(a)], decided by the same rule.
     """
-    out, ok = inv_stack(a.algebra, a.coeffs[None])
-    if not ok[0]:
+    out = _inv_floats(a.coeffs)
+    if out is None:
         raise NotInvertibleError("a zero, subnormal or non-finite element is not invertible")
-    return _trusted(a.algebra, out[0])
+    return _trusted(a.algebra, np.array(out))
+
+
+def _inv_floats(c: np.ndarray) -> list[float] | None:
+    """The inverse of one coefficient vector as a list of Python floats, with its bits in inv_stack; None without one.
+
+    The vector is scaled by 2^-e, e the binary exponent of its largest
+    magnitude as _scaled takes it, and its norm^2 is the BLAS dot that
+    inv_stack's matmul of a (1, dim) row takes; the quotients and the
+    scaling back are Python float operations, which round as numpy's do.
+    conj negates every coefficient but the first in each supported algebra.
+    The refusals are inv_stack's: a mantissa of the largest magnitude that
+    is not below 1 is that of an inf or a NaN, a NaN that max passes over
+    makes the norm^2 NaN, and a zero vector has norm^2 0.
+    """
+    m, e = math.frexp(max(map(abs, c.tolist())))
+    if not (m < 1.0 and e >= -1022):
+        return None
+    s = np.ldexp(c, -e)
+    n2 = float(s.dot(s))
+    if not 0.25 <= n2:
+        return None
+    # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
+    first, *rest = s.tolist()
+    return [math.ldexp(first / n2, -e), *[math.ldexp(-v / n2, -e) for v in rest]]
 
 
 def inv_stack(algebra: AlgebraDesc, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a (..., dim) stack of coefficient vectors, and which members have one.
+    """Inverses of a (..., dim) stack of coefficient vectors of algebra, and which members have one: _inv_rows.
+
+    A member that is zero, non-finite, or whose largest coefficient is
+    below 2^-1023 has no representable inverse: it is False in the mask and
+    NaN in the inverses. Every other member has the bits of its inv.
+    """
+    return _inv_rows(c)
+
+
+def _inv_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inv_stack of the rows of c, in any supported algebra, whose conj negates every coefficient but the first.
 
     Each member is scaled by :func:`_scaled`, so its norm^2 n2 lies in
     [1/4, dim) and neither over- nor underflows; wherever the unscaled
-    formula does not over- or underflow the two agree to the bit. A member
-    that is zero, non-finite, or whose largest coefficient is below
-    2^-1023 has no representable inverse: it is False in the mask and NaN
-    in the inverses.
+    formula does not over- or underflow the two agree to the bit.
+    biring._inverse, which holds a structure table and no algebra, calls it
+    directly.
     """
     s, e = _scaled(c, -1)
     n2 = (s[..., None, :] @ s[..., None])[..., 0, 0]
     ok = (e[..., 0] >= -1022) & (0.25 <= n2) & (n2 < math.inf)
+    q = s / np.where(ok, n2, np.nan)[..., None]
+    q[..., 1:] *= -1.0
     # |s_i| / n2 <= 2, so scaling back by 2^-e <= 2^1022 stays finite
-    return np.ldexp(s * algebra._conj / np.where(ok, n2, np.nan)[..., None], -e), ok
+    return np.ldexp(q, -e), ok
 
 
 def zero(algebra: AlgebraDesc) -> Element:

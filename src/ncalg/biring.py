@@ -12,25 +12,32 @@ Every rc operation goes through the real representation rho(A) = [L(a_ij)]
 (see _kernels), an injective algebra homomorphism for the rc product:
 products and powers are real matrix products, a power read back off column
 0 of each block, the inverse is the LU inverse of rho(A), projected back by
-unrho, linear systems are one LU solve, and rank is the SVD rank of
-rho(A) over d. A quasideterminant is the Schur expression
-a_ij - r . B^-1 . c with B^-1 from the inverse; it is the pivot that
-noncommutative Gaussian elimination meets at (i, j).
+unrho (but a 1 x 1 matrix [a] has the inverse [inv(a)]), linear systems are
+one LU solve, and rank is the SVD rank of rho(A) over d. A
+quasideterminant is the Schur expression a_ij - r . B^-1 . c with B^-1
+from the inverse; it is the pivot that noncommutative Gaussian elimination
+meets at (i, j).
 
 The checked inverse (_inverse) takes a stack of square matrices and makes
 the rank decision and the residual test for each member alone, so every
-member gets the bits it would get alone. It takes the LU inverse X of rho
+member gets the bits it would get alone. A stack of 1 x 1 matrices is
+decided by the element rule: the rc-inverse of [a] is [inv(a)], with
+algebra.inv's bits, refused where inv refuses a and checked on both sides,
+so the interior of a 2 x 2 quasideterminant and the 1 x 1 minors of a
+rank-1 matrix cost one element's inverse, and a zero entry pays no LU
+inverse before its refusal. For n >= 2 it takes the LU inverse X of rho
 first and certifies the stack regular when ||rho(a)||_F ||rho(unrho X)||_F
-< 1 / (4 PIVOT_RTOL) and a rc unrho(X) is within 1 / (2 n d) of E in every
-coefficient: then rho(a) rho(unrho X) is within 1/2 of I, so cond_2(rho(a))
-< 1 / (2 PIVOT_RTOL), and the SVD rule could only say rank n. The SVD runs
-only when the certificate fails. rc_inv and left_dependency call it with
-a stack of one. Quasideterminants are taken over a stack of matrices in
-one inverse call: _quasidets gathers the interior of each member at its
-own (i, j) by fancy indexing and inverts them all at once. quasidet_rc
-and bordered_quasidet pass one matrix and one pair; quasidets_rc passes
-one matrix with all n^2 pairs, giving the n x n matrix of all
-quasideterminants |A|_ij of Gelfand, Gelfand, Retakh and Wilson.
+< 1 / (4 PIVOT_RTOL) and a rc unrho(X) is within 1 / (2 n d) of E in
+every coefficient: then rho(a) rho(unrho X) is within 1/2 of I, so
+cond_2(rho(a)) < 1 / (2 PIVOT_RTOL), and the SVD rule could only say rank
+n. The SVD runs only when the certificate fails.
+rc_inv and left_dependency call it with a stack of one. Quasideterminants
+are taken over a stack of matrices in one inverse call: _quasidets gathers
+the interior of each member at its own (i, j) by fancy indexing and
+inverts them all at once. quasidet_rc and bordered_quasidet pass one
+matrix and one pair; quasidets_rc passes one matrix with all n^2 pairs,
+giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
+Gelfand, Retakh and Wilson.
 
 Linear systems and rank are stacked the same way. _solve takes a stack of
 square systems and makes one SVD rank call and one LU solve for all of
@@ -60,6 +67,8 @@ from .algebra import (
     Element,
     NotInvertibleError,
     _frobenius_rows,
+    _inv_floats,
+    _inv_rows,
     _scaled,
     close,
     inv_stack,
@@ -307,11 +316,17 @@ def _residuals(table: np.ndarray, data: np.ndarray, r: np.ndarray, out: np.ndarr
 def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
     """rc-inverses of a (k, n, n, d) stack of square arrays, and the members without one.
 
-    Each member's inverse is the LU inverse X of its rho, projected by
-    unrho and residual-checked on both sides, and it has the bits it would
-    have alone. The second result lists, in ascending order, the members
-    that are rc-singular or fail their residual check; their entries in the
-    first result are meaningless.
+    Each member's inverse is checked on both sides, and it has the bits it
+    would have alone. The second result lists, in ascending order, the
+    members that are rc-singular or fail their residual check; their
+    entries in the first result are meaningless. A residual passes at 1e-9,
+    or below 1e-9 (1 + n ||a|| ||out||), the entry norms at their largest.
+
+    A stack of 1 x 1 matrices is decided by the element rule of
+    _element_inverses: the rc-inverse of [a] is [inv(a)], and a member is
+    refused where inv refuses a, with no LU inverse or SVD, singular or
+    not. For n >= 2 the inverse is the LU inverse X of each member's rho,
+    projected by unrho.
 
     Rank is decided without an SVD when the stack is certified regular:
     its largest coefficient times the largest entry of X, and for each
@@ -326,6 +341,8 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     exceeds _X_RANGE / d, as at tiny scale, fails there too, before unrho,
     and the identity stands in for every failed member in a, rho and X.
     """
+    if data.shape[1] == 1:
+        return _element_inverses(table, data)
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
     r = flags = None
     if data.size and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
@@ -366,13 +383,60 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
         resid = _residuals(table, data, r, out)
     if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this
         return out, ()
-    # scale the acceptance with the conditioning actually encountered; the
-    # bound is at least 1e-9, so the norms are needed only above that, and
-    # a NaN or infinite residual passes neither test, even where an
-    # overflowed inverse makes the bound infinite
-    resid = resid.max(axis=(1, 2))
-    bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * n)
-    return out, np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid < bound))))
+    return out, _refused(data, out, flags, resid.max(axis=(1, 2)))
+
+
+def _refused(data: np.ndarray, out: np.ndarray, flags: Sequence[bool], resid: np.ndarray) -> np.ndarray:
+    """The members of _inverse's stack that fail: not flagged, or a largest residual past the acceptance.
+
+    The acceptance scales with the conditioning actually encountered; the
+    bound is at least 1e-9, so the norms are needed only above that, and a
+    NaN or infinite residual passes neither test, even where an overflowed
+    inverse makes the bound infinite.
+    """
+    bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * data.shape[1])
+    return np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid < bound))))
+
+
+def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
+    """_inverse of a (k, 1, 1, d) stack: each entry a inverted by inv's rule and checked on both sides.
+
+    One member is inverted by algebra._inv_floats, a stack by
+    algebra._inv_rows, which gives every member the same bits, and a member
+    that inv refuses fails. The check is |a b - 1| and |b a - 1| for the
+    inverse b, each product the contraction of Element.__mul__, a with the
+    table as d x d^2 and the other factor with that: ndarray.dot for one
+    member and a matmul of (1, d) rows for a stack, the same BLAS call, so
+    a member's residual, and its verdict, are those of its own call.
+    """
+    k, d = len(data), table.shape[0]
+    flat = table.reshape(d, d * d)
+    if k == 1:
+        a = data[0, 0, 0]
+        b = _inv_floats(a)
+        if b is None:
+            return data, [0]
+        b = np.array(b)
+        ab, ba = (y.dot(x.dot(flat).reshape(d, d)).tolist() for x, y in ((a, b), (b, a)))
+        ab[0] -= 1.0
+        ba[0] -= 1.0
+        out = b.reshape(1, 1, 1, d)
+        resid = max(map(abs, ab + ba))
+        return (out, ()) if resid <= 1e-9 else (out, _refused(data, out, [True], np.array([resid])))
+    out, ok = _inv_rows(data[:, 0, 0])
+    a, b = data[:, 0, 0], out
+    if not ok.all():
+        # the unit stands in for the failed members, whose products could warn
+        unit = np.eye(1, d)
+        a, b = (np.where(ok[:, None], m, unit) for m in (a, b))
+    x, y = np.stack((a, b)), np.stack((b, a))
+    prods = (y[..., None, :] @ (x[..., None, :] @ flat).reshape(2, k, d, d))[..., 0, :]  # a b and b a
+    prods[..., 0] -= 1.0
+    resid = np.abs(prods).max(axis=(0, 2))
+    out = out.reshape(k, 1, 1, d)
+    if (resid <= 1e-9).all():  # a stand-in's residual is 0
+        return out, np.flatnonzero(~ok)
+    return out, _refused(data, out, ok.tolist(), resid)
 
 
 @lru_cache(maxsize=32)
@@ -444,7 +508,7 @@ def quasidet_cr(a: BiMatrix, i: int, j: int) -> Element:
 
 
 def rc_inv(a: BiMatrix) -> BiMatrix:
-    """rc-inverse: the LU inverse of rho(a), projected by unrho and residual-checked."""
+    """rc-inverse: the LU inverse of rho(a), projected by unrho, or [inv(a_00)] at n = 1, residual-checked."""
     _require_square(a)
     out, failed = _inverse(a.algebra.table, a.data[None])
     if len(failed):

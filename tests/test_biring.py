@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ncalg import _kernels, biring
-from ncalg.algebra import AlgebraError, Element, basis, frobenius, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, frobenius, from_scalar, inv, inv_stack,
+                           make_algebra, one, random_element, zero)
 from ncalg.biring import (
     PIVOT_RTOL,
     BiMatrix,
@@ -726,18 +727,26 @@ def test_transpose_swaps_products(pair):
 def reference_rc_inv(a):
     """rc-inverse as rc_inv composed it from BiMatrix products and an identity.
 
-    An LU inverse that is not finite, or whose entries exceed the largest
-    float over d so that unrho's sums would overflow, is refused before
-    unrho; a residual passes only within its bound, so a NaN residual fails.
+    A 1 x 1 matrix [x] has the inverse [inv(x)], refused where inv refuses
+    x. For n >= 2, an LU inverse that is not finite, or whose entries exceed
+    the largest float over d so that unrho's sums would overflow, is refused
+    before unrho. A residual passes only within its bound, so a NaN residual
+    fails.
     """
     n = a.rows
-    if is_rc_singular(a):
+    if n == 1:
+        try:
+            out = BiMatrix.from_elements([[inv(a.entry(0, 0))]])
+        except NotInvertibleError as err:
+            raise SingularMatrixError("entry is not invertible") from err
+    elif is_rc_singular(a):
         raise SingularMatrixError("rc-singular")
-    table = a.algebra.table
-    x = np.linalg.inv(_kernels.rho(table, a.data))
-    if not np.abs(x).max() <= np.finfo(np.float64).max / a.algebra.dim:
-        raise SingularMatrixError("LU inverse is not finite or too large for unrho")
-    out = BiMatrix(a.algebra, _kernels.unrho(table, x))
+    else:
+        table = a.algebra.table
+        x = np.linalg.inv(_kernels.rho(table, a.data))
+        if not np.abs(x).max() <= np.finfo(np.float64).max / a.algebra.dim:
+            raise SingularMatrixError("LU inverse is not finite or too large for unrho")
+        out = BiMatrix(a.algebra, _kernels.unrho(table, x))
     delta = BiMatrix.identity(a.algebra, n)
     resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
     if not resid <= 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
@@ -1257,6 +1266,50 @@ def test_tiny_scale_inverses_end_in_an_answer_or_a_typed_error(RR):
     out, failed = biring._inverse(RR.table, stack)
     assert list(failed) == refused
     assert all(out[k].tobytes() == got for k, got in enumerate(alone) if k not in refused)
+
+
+# Coefficients at the edges of the float range: signed zeros, subnormals, the
+# smallest normal scale, large and near-overflow magnitudes, and non-finite ones.
+EXTREMES = (0.0, -0.0, 5e-324, -1e-310, 1e-308, -1e-307, 1e-300, -1e-150, 1e150, -1e300, 1e307, -1e308, 1.7e308,
+            np.inf, -np.inf, np.nan)
+
+
+def _extreme_rows(alg):
+    """Coefficient vectors of alg with one extreme value alone, beside +-0.0, at scale, and beside another extreme."""
+    d = alg.dim
+    rng = np.random.default_rng(45)
+    rows = []
+    for v in EXTREMES:
+        rows += [[v] + [0.0] * (d - 1), [-0.0] * (d - 1) + [v], (v * rng.uniform(0.5, 1.0, d)).tolist()]
+        rows += [[v] + rng.uniform(-1.0, 1.0, d - 1).tolist()]
+        rows += [[w] + [0.0] * (d - 2) + [v] for w in EXTREMES[::3] if d > 1]
+    return np.array(rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_one_element_has_one_inverse_rule(tag):
+    """inv(x), x's row of inv_stack, rc_inv and cr_inv of [[x]] and x's member of
+    one stacked _inverse call give the same bytes, or the matching typed error,
+    for every coefficient vector of _extreme_rows; nothing warns."""
+    alg = make_algebra(tag)
+    rows = _extreme_rows(alg)
+    stacked, ok = inv_stack(alg, rows)
+    out, failed = biring._inverse(alg.table, rows[:, None, None])
+    answered = 0
+    for t, row in enumerate(rows):
+        x = Element(alg, row)
+        try:
+            want = inv(x).coeffs.tobytes()
+        except NotInvertibleError:
+            want = SingularMatrixError
+        assert (ok[t], t not in failed) == (want is not SingularMatrixError,) * 2, row
+        assert _outcome(rc_inv, BiMatrix(alg, row[None, None])) == want, row
+        assert _outcome(cr_inv, BiMatrix(alg, row[None, None])) == want, row
+        if want is not SingularMatrixError:
+            assert stacked[t].tobytes() == out[t, 0, 0].tobytes() == want, row
+            answered += 1
+    assert 0 < answered < len(rows)
 
 
 @pytest.mark.parametrize("rows", [[], [[]]])

@@ -64,7 +64,14 @@ inverse
     column repeats its first, and one whose last row is zero. All but the
     random matrix come from the benchmark's builders in ncbench/cases.py
     (_conditioned, _deficient and DEFICIENT_FAMILIES), the matrices of its
-    linalg workloads.
+    linalg workloads. Then the calls that invert 1 x 1 matrices, on inputs
+    of their own seed: quasidet_rc (0, 0) of a random 2 x 2 matrix, whose
+    interior is 1 x 1; left_dependency and bordered_quasidet (at the first
+    row and column outside the selector) of a 3 x 3 outer product of rank
+    1, on the rank and selector of its rc_rank, whose major minor and
+    bordered interior are 1 x 1; and one biring._inverse call on the 200
+    1 x 1 interiors of 50 random 2 x 2 matrices at all four (i, j), the
+    stack that the quasidet-2x2 scenario inverts over H.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
     over H, for k = 4, 6, 8, 9, 10 and 12.
@@ -269,6 +276,21 @@ def inverse_rows():
             drawn = cache(partial(draw, n, rng))
             for kind in kinds:
                 yield f"{routine} {kind}, n = {n}", lambda n=n, k=kind, drawn=drawn, call=call: call(drawn()[k], n)
+    # the 1 x 1 inverses, on their own seed, so the rows above keep their inputs
+    own = np.random.default_rng(5)
+    a = biring.random_matrix(H, 2, 2, own)
+    outer = biring.BiMatrix(H, cases._deficient(own, 3, "outer"))
+    interiors = own.uniform(-1.0, 1.0, (50, 2, 2, H.dim))[:, ::-1, ::-1].reshape(200, 1, 1, H.dim)
+
+    def minor():
+        """The outer product's rank, its selector and the first row and column outside it."""
+        k, sel = biring.rc_rank(outer)
+        return k, sel, min(set(range(3)) - set(sel.rows)), min(set(range(3)) - set(sel.cols))
+
+    yield "quasidet_rc random, n = 2", lambda: partial(biring.quasidet_rc, a, 0, 0)
+    yield "left_dependency outer, n = 3", lambda: partial(biring.left_dependency, outer, *minor()[:2])
+    yield "bordered_quasidet outer, n = 3", lambda: partial(biring.bordered_quasidet, outer, *minor()[1:])
+    yield "_inverse (200 1x1 members)", lambda: partial(biring._inverse, H.table, interiors)
 
 
 def forms():
