@@ -26,11 +26,11 @@ algebra.inv's bits, refused where inv refuses a and checked on both sides,
 so the interior of a 2 x 2 quasideterminant and the 1 x 1 minors of a
 rank-1 matrix cost one element's inverse, and a zero entry pays no LU
 inverse before its refusal. For n >= 2 it takes the LU inverse X of rho
-first and certifies the stack regular when ||rho(a)||_F ||rho(unrho X)||_F
-< 1 / (4 PIVOT_RTOL) and a rc unrho(X) is within 1 / (2 n d) of E in
-every coefficient: then rho(a) rho(unrho X) is within 1/2 of I, so
-cond_2(rho(a)) < 1 / (2 PIVOT_RTOL), and the SVD rule could only say rank
-n. The SVD runs only when the certificate fails.
+first, and _certificate proves the stack regular when
+||rho(a)||_F ||rho(unrho X)||_F < 1 / (4 PIVOT_RTOL) and a rc unrho(X)
+is within 1 / (2 n d) of E in every coefficient: then rho(a) rho(unrho X)
+is within 1/2 of I, so cond_2(rho(a)) < 1 / (2 PIVOT_RTOL), and the SVD
+rule could only say rank n. The SVD runs only when the certificate fails.
 rc_inv and left_dependency call it with a stack of one. Quasideterminants
 are taken over a stack of matrices in one inverse call: _quasidets gathers
 the interior of each member at its own (i, j) by fancy indexing and
@@ -40,8 +40,11 @@ giving the n x n matrix of all quasideterminants |A|_ij of Gelfand,
 Gelfand, Retakh and Wilson.
 
 Linear systems and rank are stacked the same way. _solve takes a stack of
-square systems and makes one SVD rank call and one LU solve for all of
-them, then the backward-error test of each member with its own norms;
+square systems and decides their regularity for all of them at once: a
+stack of more than one tries the same certificate with X itself, and one
+SVD rank call decides where it fails or for a single system. One LU solve
+serves the stack, then the backward-error test of each member with its
+own norms, ||rho(a)||_F among them, which neither route changes.
 _rank_search runs rc_rank's greedy minor search of every member in
 lockstep, with one SVD call per step and submatrix shape, each member
 judged against its own largest singular value. solve_rc and rc_rank are
@@ -52,6 +55,7 @@ rank-demo scenarios solve and rank all their matrices in one call each.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,7 +186,8 @@ def _max_entry_norm(data: np.ndarray) -> np.ndarray:
     square over- or underflows at any magnitude.
     """
     s, e = _scaled(data, (-3, -2, -1))
-    return np.ldexp(np.sqrt((s ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf
+        return np.ldexp(np.sqrt((s ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
@@ -291,8 +296,8 @@ def _rc_ranks(table: np.ndarray, data: np.ndarray, smax: Sequence[float] | None 
     return r, [sum(v > b for v in row) // table.shape[0] for row, b in zip(s, bounds)], tops
 
 
-# Largest magnitude of a stack, and of its LU inverse, that _inverse certifies: within it no square
-# of the certificate and no product of its residuals overflows.
+# Largest magnitude of a stack, and of its LU inverse, that _certificate certifies: within it no
+# square of the certificate and no product of its residuals overflows.
 _CERT_RANGE = 2.0 ** 500
 # Largest finite float: unrho sums d entries of X, so an X above _X_RANGE / d is refused.
 _X_RANGE = float(np.finfo(np.float64).max)
@@ -313,6 +318,53 @@ def _residuals(table: np.ndarray, data: np.ndarray, r: np.ndarray, out: np.ndarr
     return np.abs(resid)
 
 
+def _certificate(table: np.ndarray, data: np.ndarray,
+                 project: bool) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """rho of a (k, n, n, d) stack and, when it proves every member regular, the LU inverse that does.
+
+    The proof takes Y, the LU inverse X of rho(a), or with project the
+    projection rho(unrho X). The stack and X must be finite and within
+    _CERT_RANGE, max|a| max|X| below 1 / (4 PIVOT_RTOL), and for each
+    member ||rho(a)||_F ||Y||_F too, and every entry of rho(a) Y - I must be
+    below 1 / (2 n d). Then ||rho(a) Y - I||_2 < 1/2, so
+    ||rho(a)^-1||_2 < 2 ||Y||_2 and cond_2(rho(a)) < 1 / (2 PIVOT_RTOL): the
+    SVD rule of _rc_ranks could only give rank n, with a margin far above
+    its rounding. With project the entries of rho(a) Y - I are the
+    coefficients of a rc unrho(X) - E up to sign, taken by _residuals on
+    both sides, which _inverse's own test reads.
+
+    Returns rho, or None when the stack is empty, not finite or beyond
+    _CERT_RANGE; unrho X with project, else X, or None when the certificate
+    fails; and with project the residuals of _residuals.
+    """
+    k, n, d = data.shape[0], data.shape[1], table.shape[0]
+    if not data.size or not (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
+        return None, None, None
+    r = _kernels.rho(table, data)
+    try:
+        x = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return r, None, None
+    # a singular member makes big * top of the order of 1 / u, so it stops here
+    if not ((top := np.abs(x).max()) <= _CERT_RANGE and big * top < 0.25 / PIVOT_RTOL):
+        return r, None, None
+    y = _kernels.unrho(table, x) if project else x
+    ps, qs = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), y.reshape(k, -1)))
+    # ||rho(a)||_F^2 = d ||a||_F^2, and so for unrho X. Python floats: a product too large for the
+    # certificate overflows to inf without a warning; d is a power of two and every p and q is
+    # finite, so scaling the largest product by it decides as each member's own product would
+    if not (d * d if project else d) * max(map(operator.mul, ps, qs)) < 0.0625 / PIVOT_RTOL ** 2:
+        return r, None, None
+    if project:
+        resid = _residuals(table, data, r, y)
+        left = resid[:, :n * d].max()
+    else:
+        resid = r @ x
+        resid.reshape(k, -1)[:, ::n * d + 1] -= 1.0
+        left, resid = np.abs(resid).max(), None
+    return (r, y, resid) if left < 0.5 / (n * d) else (r, None, None)
+
+
 def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
     """rc-inverses of a (k, n, n, d) stack of square arrays, and the members without one.
 
@@ -328,41 +380,22 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     not. For n >= 2 the inverse is the LU inverse X of each member's rho,
     projected by unrho.
 
-    Rank is decided without an SVD when the stack is certified regular:
-    its largest coefficient times the largest entry of X, and for each
-    member d ||a||_F ||out||_F, are below 1 / (4 PIVOT_RTOL), and every
-    coefficient of a rc out - E is below 1 / (2 n d). Then
-    ||rho(a) rho(out) - I||_2 <= 1/2, so ||rho(a)^-1||_2 <= 2 ||rho(out)||_F
-    and cond_2(rho(a)) < 1 / (2 PIVOT_RTOL): the SVD rule would give rank n
-    with a margin far above its rounding. Otherwise (a LinAlgError, a
-    magnitude above _CERT_RANGE or a failed certificate) the SVD rule of
-    _rc_ranks decides for the whole stack, reusing rho, and LU inverts its
-    regular members alone. A regular member whose X is not finite or
-    exceeds _X_RANGE / d, as at tiny scale, fails there too, before unrho,
-    and the identity stands in for every failed member in a, rho and X.
+    Rank is decided without an SVD when _certificate proves the stack
+    regular by out = unrho(X), whose residuals the test above reads.
+    Otherwise (a LinAlgError, a magnitude above _CERT_RANGE or a failed
+    certificate) the SVD rule of _rc_ranks decides for the whole stack,
+    reusing rho, and LU inverts its regular members alone. A regular member
+    whose X is not finite or exceeds _X_RANGE / d, as at tiny scale, fails
+    there too, before unrho, and the identity stands in for every failed
+    member in a, rho and X.
     """
     if data.shape[1] == 1:
         return _element_inverses(table, data)
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r = flags = None
-    if data.size and (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
-        r = _kernels.rho(table, data)
-        try:
-            x = np.linalg.inv(r)
-        except np.linalg.LinAlgError:
-            x = None
-        # a singular member makes big * top of the order of 1 / u, so it stops here
-        if x is not None and (top := np.abs(x).max()) <= _CERT_RANGE and big * top < 0.25 / PIVOT_RTOL:
-            out = _kernels.unrho(table, x)
-            ps, qs = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), out.reshape(k, -1)))
-            # Python floats: a product too large for the certificate overflows to inf without a warning;
-            # d^2 is a power of two and every p and q is finite, so scaling the largest product by it
-            # decides as each member's own product would
-            if d * d * max(map(operator.mul, ps, qs)) < 0.0625 / PIVOT_RTOL ** 2:
-                resid = _residuals(table, data, r, out)
-                if resid[:, :n * d].max() < 0.5 / (n * d):
-                    flags = [True] * k
-    if flags is None:
+    r, out, resid = _certificate(table, data, True)
+    if out is not None:
+        flags = [True] * k
+    else:
         r, rank, _ = _rc_ranks(table, data, r=r)
         flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
         if not any(flags):
@@ -394,7 +427,8 @@ def _refused(data: np.ndarray, out: np.ndarray, flags: Sequence[bool], resid: np
     NaN or infinite residual passes neither test, even where an overflowed
     inverse makes the bound infinite.
     """
-    bound = 1e-9 * (1.0 + _max_entry_norm(data) * _max_entry_norm(out) * data.shape[1])
+    size, out_size = _max_entry_norm(np.stack((data, out)))  # every member scaled alone, so each keeps its bits
+    bound = 1e-9 * (1.0 + size * out_size * data.shape[1])
     return np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid < bound))))
 
 
@@ -532,21 +566,31 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
     Each member is decided alone and has the bits of its own solve_rc call:
     it fails when a is rc-singular by the SVD rule of _rc_ranks, when b is
     not finite, or when x fails the backward-error test
-    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||) with its own norms. One
-    SVD call and one LU solve serve the stack; the identity and a zero b
-    stand in for the members already failed, so that LU meets no singular or
-    non-finite matrix. The second result maps each failed member, in
-    ascending order, to its error; its rows in the first are meaningless.
+    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_F ||x||) with its own norms,
+    ||rho(a)||_F being sqrt(d) ||a||_F. A stack of more than one system with
+    finite b first tries _certificate with the LU inverse X of rho(a): when
+    it holds, every member is regular, as the SVD rule would find, and no
+    SVD runs; otherwise one SVD call decides the stack. A single system goes
+    to the SVD at once, so a singular one pays no LU inverse first. One LU
+    solve serves the stack; the identity and a zero b stand in for the
+    members already failed, so that LU meets no singular or non-finite
+    matrix. The second result maps each failed member, in ascending order,
+    to its error; its rows in the first are meaningless.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r, ranks, smax = _rc_ranks(table, data)
     vec = rhs.reshape(k, n * d)
+    finite = np.isfinite(vec).all(axis=1).tolist()
+    r = certified = None
+    if k > 1 and all(finite):
+        r, certified, _ = _certificate(table, data, False)
     failed: dict[int, Exception] = {}
-    for t, (rank, finite) in enumerate(zip(ranks, np.isfinite(vec).all(axis=1).tolist())):
-        if not 0 < n == rank:
-            failed[t] = SingularMatrixError("rc-singular")
-        elif not finite:
-            failed[t] = AlgebraError("right-hand side is not finite")
+    if certified is None:
+        r, ranks, _ = _rc_ranks(table, data, r=r)
+        for t, (rank, fin) in enumerate(zip(ranks, finite)):
+            if not 0 < n == rank:
+                failed[t] = SingularMatrixError("rc-singular")
+            elif not fin:
+                failed[t] = AlgebraError("right-hand side is not finite")
     if len(failed) == k:
         return np.zeros((k, n, d)), failed
     if failed:
@@ -554,13 +598,16 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
         ok[list(failed)] = False
         r, vec = np.where(ok[:, None, None], r, np.eye(n * d)), np.where(ok[:, None], vec, 0.0)
     x = np.linalg.solve(r, vec[..., None])
-    # the norms of the residual, of b and of x, each with the bits of its frobenius call; an x that
-    # overflows makes r x inf or NaN quietly, and the test below refutes it
+    # the norms of the residual, of b, of x and of each row of a, each with the bits of its frobenius
+    # call; an x that overflows makes r x inf or NaN quietly, and the test below refutes it
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0]))).reshape(3, k).tolist()
-    for t, (res, nb, nx, top) in enumerate(zip(*norms, smax)):
+        norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0],
+                                                data.reshape(k * n, n * d)))).tolist()
+    root_d = math.sqrt(d)
+    for t, (res, nb, nx) in enumerate(zip(norms[:k], norms[k:2 * k], norms[2 * k:3 * k])):
+        na = math.hypot(*norms[3 * k + t * n:3 * k + (t + 1) * n])
         # NaN fails too; a stand-in's residual is 0, and it keeps its error
-        if not res <= 1e-8 * (nb + top * nx):
+        if not res <= 1e-8 * (nb + root_d * na * nx):
             failed.setdefault(t, SingularMatrixError("solution residual above tolerance"))
     return x.reshape(k, n, d), dict(sorted(failed.items()))
 
@@ -568,10 +615,11 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
 def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
     """Unique solution x of a rc x = b for rc-nonsingular square a: _solve of the one system.
 
-    x comes from one LU solve on rho(a) and is accepted by its backward
-    error: ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_2 ||x||), each vector
-    norm algebra.frobenius, so the test holds at every scale. A b that is
-    not finite raises AlgebraError.
+    Regularity is the SVD rule of _rc_ranks, and x comes from one LU solve
+    on rho(a) and is accepted by its backward error:
+    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_F ||x||), each vector norm
+    algebra.frobenius, so the test holds at every scale. A b that is not
+    finite raises AlgebraError.
     """
     n = _require_square(a)
     b = list(b)

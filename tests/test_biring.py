@@ -1,3 +1,4 @@
+import math
 import re
 from itertools import combinations
 
@@ -260,6 +261,17 @@ class TestMaxEntryNorm:
         norms = biring._max_entry_norm(np.stack([a.data, a.data * 1e-170, a.data * 1e160, 0.0 * a.data]))
         assert norms.tolist() == pytest.approx([a.max_entry_norm() * s for s in (1.0, 1e-170, 1e160, 0.0)],
                                                rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_a_norm_past_the_float_range_is_inf_with_no_warning(self, tag):
+        """Entries of 1.7e308: a norm past the largest float (over C and H) is inf, quietly, and so is
+        _inverse's acceptance bound of such a member, which a finite residual passes and a NaN fails."""
+        alg = make_algebra(tag)
+        a = BiMatrix(alg, np.full((2, 2, alg.dim), 1.7e308))
+        assert a.max_entry_norm() == (1.7e308 if alg.dim == 1 else math.inf)
+        data, out = np.stack([a.data, a.data]), np.full((2, 2, 2, alg.dim), 0.5)
+        assert biring._refused(data, out, [True, True], np.array([1.0, np.nan])).tolist() == [1]
 
 
 class TestInverse:
@@ -1325,14 +1337,16 @@ def test_from_elements_of_no_entries_raises(rows):
 def reference_solve_rc(a, b):
     """solve_rc as one SVD rank test, one LU solve and one backward-error test of one system."""
     n, table = a.rows, a.algebra.table
-    (r,), (rank,), (smax,) = biring._rc_ranks(table, a.data[None])
+    (r,), (rank,), _ = biring._rc_ranks(table, a.data[None])
     if not 0 < n == rank:
         raise SingularMatrixError("rc-singular")
     rhs = np.concatenate([e.coeffs for e in b]) if b else np.zeros(0)
     if not np.isfinite(rhs).all():
         raise AlgebraError("right-hand side is not finite")
     x = np.linalg.solve(r, rhs)
-    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + smax * frobenius(x)):
+    # ||rho(a)||_F = sqrt(d) ||a||_F, ||a||_F the hypot of its rows' norms
+    size = math.sqrt(a.algebra.dim) * math.hypot(*(frobenius(row) for row in a.data.reshape(n, -1)))
+    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + size * frobenius(x)):
         raise SingularMatrixError("solution residual above tolerance")
     return [Element(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
 
@@ -1485,10 +1499,51 @@ def test_stacked_solve_of_empty_stacks_and_systems(HH):
         solve_rc(BiMatrix.zeros(HH, 0, 0), [])
 
 
-def test_stacked_solve_takes_one_svd(HH, rank_calls):
+def test_regular_solve_stacks_take_no_svd(HH, rank_calls):
+    """A regular stack of 20 systems is certified with no SVD; one singular member sends the
+    whole stack to one SVD call, and the others keep their bits; solve_rc takes the SVD."""
     rng = np.random.default_rng(6)
-    biring._solve(HH.table, rng.uniform(-1, 1, (20, 3, 3, 4)), rng.uniform(-1, 1, (20, 3, 4)))
+    data, rhs = rng.uniform(-1, 1, (20, 3, 3, 4)), rng.uniform(-1, 1, (20, 3, 4))
+    x, failed = biring._solve(HH.table, data, rhs)
+    assert failed == {} and rank_calls == []
+    data[7] = rc_mul(random_matrix(HH, 3, 1, rng), random_matrix(HH, 1, 3, rng)).data
+    y, failed = biring._solve(HH.table, data, rhs)
+    assert [(t, str(e)) for t, e in failed.items()] == [(7, "rc-singular")] and len(rank_calls) == 1
+    assert all(y[t].tobytes() == x[t].tobytes() for t in range(20) if t != 7)
+    rank_calls.clear()
+    solve_rc(BiMatrix(HH, data[0]), [Element(HH, c) for c in rhs[0]])
     assert len(rank_calls) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+def test_certified_solves_match_the_svd_rank_rule(tag, rank_calls, monkeypatch):
+    """Stacks of three U diag V systems, cond2 from 1e7 to 1e12 and scales 1e0,
+    1e+-150 and 1e+-300: the same bytes or error type with the certificate on
+    and switched off, and every member those of its own solve_rc call."""
+    alg = make_algebra(tag)
+    certified = fallback = 0
+    for n in (1, 2, 3, 4, 8):
+        rng = np.random.default_rng(n)
+        u, v = _unitary(alg, n, rng), _unitary(alg, n, rng)
+        members = [rc_mul(rc_mul(u, _diagonal(alg, np.geomspace(1.0, 1.0 / cond, n))), v).data
+                   for cond in np.geomspace(1e7, 1e12, 41)]
+        b = rng.uniform(-1.0, 1.0, (len(members), n, alg.dim))
+        for scale in (1.0, 1e150, 1e-150, 1e300, 1e-300):
+            for start in range(0, len(members), 3):
+                data, rhs = np.stack(members[start:start + 3]) * scale, b[start:start + 3] * scale
+                rank_calls.clear()
+                x, failed = biring._solve(alg.table, data, rhs)
+                got = [type(failed[t]) if t in failed else x[t].tobytes() for t in range(len(data))]
+                certified += not rank_calls
+                fallback += bool(rank_calls)
+                with monkeypatch.context() as m:
+                    m.setattr(biring, "_CERT_RANGE", -1.0)
+                    x, failed = biring._solve(alg.table, data, rhs)
+                    assert [type(failed[t]) if t in failed else x[t].tobytes() for t in range(len(data))] == got
+                alone = [_outcome(solve_rc, BiMatrix(alg, a), [Element(alg, c) for c in y]) for a, y in zip(data, rhs)]
+                assert alone == got, (n, start, scale)
+    assert certified and fallback
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

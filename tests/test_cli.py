@@ -630,3 +630,34 @@ def test_exponent_identities_are_judged_relative_to_their_sides():
             lhs = scale * random_element(quat, rng)
             rhs = lhs + rel * scale * random_element(quat, rng)
             assert cli._identities([(lhs, rhs)])[1] == lhs.close(rhs, cli.IDENTITY_RTOL)
+    # judged in one pass, every side alone and every run of sides gets the gap bytes and the
+    # verdict of two Element subtractions and four norms per side, over R, C and H: random sides
+    # at 10^+-300 that hold, nearly hold or fail, zero sides, a -0.0 coefficient, NaN and +-inf
+    # sides, and sides whose norms pass 2^1000, where algebra.close rescales
+    def per_pair(sides):
+        return (worst((lhs - rhs).norm() for lhs, rhs in sides),
+                all(lhs.close(rhs, cli.IDENTITY_RTOL) for lhs, rhs in sides))
+
+    for tag in ("real", "complex", "quaternion"):
+        alg = make_algebra(tag)
+
+        def el(*coeffs):
+            return Element(alg, np.resize(np.array(coeffs, dtype=float), alg.dim))
+
+        sides = []
+        for scale in (1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300, 1e305):
+            for rel in (0.0, 1e-12, 1e-10, 1e-8, 1.0):
+                lhs = scale * random_element(alg, rng)
+                sides.append((lhs, lhs + rel * scale * random_element(alg, rng)))
+        x = random_element(alg, rng)
+        sides += [(zero(alg), zero(alg)), (zero(alg), x), (x, zero(alg)), (el(-0.0, 1.0), el(0.0, 1.0)),
+                  (el(-0.0), zero(alg)), (el(math.nan), one(alg)), (one(alg), el(1.0, math.nan)),
+                  (el(math.inf), el(math.inf)), (el(-math.inf), one(alg)), (el(1.0, -math.inf), el(1.0, math.inf)),
+                  (el(1.7e308), el(-1.7e308)), (el(1.7e308, 1.7e308), el(1.7e308, 1.7e308)),
+                  (el(1e308), el(1e308 * (1 + 1e-12))), (el(6e307, 6e307), el(6e307, 6e307 * (1 + 1e-11)))]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and 1.7e308 + 1.7e308, on both sides
+            for run in [[side] for side in sides] + [sides[t:t + 7] for t in range(0, len(sides), 7)] + [sides]:
+                (gap, holds), (want_gap, want_holds) = cli._identities(run), per_pair(run)
+                assert np.float64(gap).tobytes() == np.float64(want_gap).tobytes() and holds == want_holds, run
+            verdicts = [per_pair([side])[1] for side in sides]
+        assert any(verdicts[:40]) and not all(verdicts[:40]) and any(verdicts[-4:])

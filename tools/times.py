@@ -71,7 +71,10 @@ inverse
     1, on the rank and selector of its rc_rank, whose major minor and
     bordered interior are 1 x 1; and one biring._inverse call on the 200
     1 x 1 interiors of 50 random 2 x 2 matrices at all four (i, j), the
-    stack that the quasidet-2x2 scenario inverts over H.
+    stack that the quasidet-2x2 scenario inverts over H. Last, one
+    biring._solve call on the 20 3 x 3 H systems that
+    solve-quaternion-system solves at seed 0, drawn on that seed, and on
+    the same stack with its last matrix a rank-1 outer product.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
     over H, for k = 4, 6, 8, 9, 10 and 12.
@@ -291,6 +294,12 @@ def inverse_rows():
     yield "left_dependency outer, n = 3", lambda: partial(biring.left_dependency, outer, *minor()[:2])
     yield "bordered_quasidet outer, n = 3", lambda: partial(biring.bordered_quasidet, outer, *minor()[1:])
     yield "_inverse (200 1x1 members)", lambda: partial(biring._inverse, H.table, interiors)
+    draws = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 12, H.dim))
+    systems, rhs = draws[:, :9].reshape(20, 3, 3, H.dim), draws[:, 9:]
+    singular = systems.copy()
+    singular[-1] = cases._deficient(np.random.default_rng(6), 3, "outer")
+    yield "_solve (20 members, 3 x 3)", lambda: partial(biring._solve, H.table, systems, rhs)
+    yield "_solve (20 members, one singular)", lambda: partial(biring._solve, H.table, singular, rhs)
 
 
 def forms():
