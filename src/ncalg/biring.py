@@ -18,6 +18,15 @@ quasideterminant is the Schur expression a_ij - r . B^-1 . c with B^-1
 from the inverse; it is the pivot that noncommutative Gaussian elimination
 meets at (i, j).
 
+Every checked inverse and solve is accepted by one rule at the rounding
+scale, with the one constant ACCEPT = c u, c = 64 and u = 2^-53, the unit
+roundoff: an inverse out of a passes when its largest two-sided residual
+coefficient is at most ACCEPT n d ||a||_F ||out||_F, and a solution x of
+a rc x = b when ||a x - b|| <= ACCEPT n d (||b|| + sqrt(d) ||a||_F ||x||),
+sqrt(d) ||a||_F being ||rho(a)||_F. A computed residual carries rounding
+of order n d u |rho(a)| |rho(out)| (Higham, Accuracy and Stability of
+Numerical Algorithms, 3.5), which c covers with a margin.
+
 The checked inverse (_inverse) takes a stack of square matrices and makes
 the rank decision and the residual test for each member alone, so every
 member gets the bits it would get alone. A stack of 1 x 1 matrices is
@@ -83,6 +92,9 @@ from .report import Report
 
 # Singular values of rho(A) at or below this share of the largest count as zero.
 PIVOT_RTOL = 1e-10
+# c u, c = 64 times the unit roundoff: the one acceptance of a checked inverse or solve is
+# ACCEPT n d times the norms that its residual's rounding scales with (see _inverse and _solve)
+ACCEPT = 64 * 2.0 ** -53
 
 
 class SingularMatrixError(ArithmeticError):
@@ -153,7 +165,15 @@ class BiMatrix:
         return Element._trusted(self.algebra, self.data[i, j])
 
     def max_entry_norm(self) -> float:
-        return float(_max_entry_norm(self.data))
+        """The largest entry norm; 0.0 for an empty matrix.
+
+        The matrix is scaled as algebra.frobenius scales an array, so no
+        square over- or underflows at any magnitude; a norm past the largest
+        float is inf.
+        """
+        s, e = _scaled(self.data)
+        with np.errstate(over="ignore"):  # a norm past the largest float is inf
+            return float(np.ldexp(np.sqrt((s ** 2).sum(axis=-1)).max(initial=0.0), e.item()))
 
     def __add__(self, other: "BiMatrix") -> "BiMatrix":
         if other.algebra != self.algebra or other.data.shape != self.data.shape:
@@ -177,17 +197,6 @@ class BiMatrix:
 
     def __repr__(self):
         return f"BiMatrix({self.algebra.tag}, {self.rows}x{self.cols})"
-
-
-def _max_entry_norm(data: np.ndarray) -> np.ndarray:
-    """Largest entry norm of each member of an (..., m, n, d) stack; 0 for an empty member.
-
-    Each member is scaled as algebra.frobenius scales an array, so no
-    square over- or underflows at any magnitude.
-    """
-    s, e = _scaled(data, (-3, -2, -1))
-    with np.errstate(over="ignore"):  # a norm past the largest float is inf
-        return np.ldexp(np.sqrt((s ** 2).sum(axis=-1)).max(axis=(-2, -1), initial=0.0), e[..., 0, 0, 0])
 
 
 def diff_norm(a: BiMatrix, b: BiMatrix) -> float:
@@ -318,8 +327,8 @@ def _residuals(table: np.ndarray, data: np.ndarray, r: np.ndarray, out: np.ndarr
     return np.abs(resid)
 
 
-def _certificate(table: np.ndarray, data: np.ndarray,
-                 project: bool) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+def _certificate(table: np.ndarray, data: np.ndarray, project: bool) -> tuple[
+        np.ndarray | None, np.ndarray | None, np.ndarray | None, list[float] | None]:
     """rho of a (k, n, n, d) stack and, when it proves every member regular, the LU inverse that does.
 
     The proof takes Y, the LU inverse X of rho(a), or with project the
@@ -335,26 +344,29 @@ def _certificate(table: np.ndarray, data: np.ndarray,
 
     Returns rho, or None when the stack is empty, not finite or beyond
     _CERT_RANGE; unrho X with project, else X, or None when the certificate
-    fails; and with project the residuals of _residuals.
+    fails; with project the residuals of _residuals; and the list of each
+    member's ||a||_F^2 ||Y||_F^2 (with project ||a||_F^2 ||out||_F^2, which
+    _inverse's acceptance reads), finite where the certificate holds.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
     if not data.size or not (big := np.abs(data).max()) <= _CERT_RANGE:  # NaN fails too
-        return None, None, None
+        return None, None, None, None
     r = _kernels.rho(table, data)
     try:
         x = np.linalg.inv(r)
     except np.linalg.LinAlgError:
-        return r, None, None
+        return r, None, None, None
     # a singular member makes big * top of the order of 1 / u, so it stops here
     if not ((top := np.abs(x).max()) <= _CERT_RANGE and big * top < 0.25 / PIVOT_RTOL):
-        return r, None, None
+        return r, None, None, None
     y = _kernels.unrho(table, x) if project else x
     ps, qs = ((f[:, None] @ f[:, :, None]).ravel().tolist() for f in (data.reshape(k, -1), y.reshape(k, -1)))
+    sizes = list(map(operator.mul, ps, qs))
     # ||rho(a)||_F^2 = d ||a||_F^2, and so for unrho X. Python floats: a product too large for the
     # certificate overflows to inf without a warning; d is a power of two and every p and q is
     # finite, so scaling the largest product by it decides as each member's own product would
-    if not (d * d if project else d) * max(map(operator.mul, ps, qs)) < 0.0625 / PIVOT_RTOL ** 2:
-        return r, None, None
+    if not (d * d if project else d) * max(sizes) < 0.0625 / PIVOT_RTOL ** 2:
+        return r, None, None, None
     if project:
         resid = _residuals(table, data, r, y)
         left = resid[:, :n * d].max()
@@ -362,7 +374,7 @@ def _certificate(table: np.ndarray, data: np.ndarray,
         resid = r @ x
         resid.reshape(k, -1)[:, ::n * d + 1] -= 1.0
         left, resid = np.abs(resid).max(), None
-    return (r, y, resid) if left < 0.5 / (n * d) else (r, None, None)
+    return (r, y, resid, sizes) if left < 0.5 / (n * d) else (r, None, None, None)
 
 
 def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
@@ -371,8 +383,9 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     Each member's inverse is checked on both sides, and it has the bits it
     would have alone. The second result lists, in ascending order, the
     members that are rc-singular or fail their residual check; their
-    entries in the first result are meaningless. A residual passes at 1e-9,
-    or below 1e-9 (1 + n ||a|| ||out||), the entry norms at their largest.
+    entries in the first result are meaningless. A member passes when its
+    largest two-sided residual coefficient is at most
+    ACCEPT n d ||a||_F ||out||_F, compared by _failures.
 
     A stack of 1 x 1 matrices is decided by the element rule of
     _element_inverses: the rc-inverse of [a] is [inv(a)], and a member is
@@ -381,10 +394,11 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     projected by unrho.
 
     Rank is decided without an SVD when _certificate proves the stack
-    regular by out = unrho(X), whose residuals the test above reads.
-    Otherwise (a LinAlgError, a magnitude above _CERT_RANGE or a failed
-    certificate) the SVD rule of _rc_ranks decides for the whole stack,
-    reusing rho, and LU inverts its regular members alone. A regular member
+    regular by out = unrho(X), whose residuals and norms the test above
+    reads. Otherwise (a LinAlgError, a magnitude above _CERT_RANGE or a
+    failed certificate) the SVD rule of _rc_ranks decides for the whole
+    stack, reusing rho, and LU inverts its regular members alone, whose
+    norms are then taken scaled, by _frobenius_rows. A regular member
     whose X is not finite or exceeds _X_RANGE / d, as at tiny scale, fails
     there too, before unrho, and the identity stands in for every failed
     member in a, rho and X.
@@ -392,9 +406,10 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
     if data.shape[1] == 1:
         return _element_inverses(table, data)
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
-    r, out, resid = _certificate(table, data, True)
+    bound = ACCEPT * n * d
+    r, out, resid, sizes = _certificate(table, data, True)
     if out is not None:
-        flags = [True] * k
+        flags, bounds = [True] * k, [bound * math.sqrt(size) for size in sizes]
     else:
         r, rank, _ = _rc_ranks(table, data, r=r)
         flags = [0 < n == m for m in rank]  # Python costs less than numpy on a short stack
@@ -414,22 +429,18 @@ def _inverse(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[
             flags = ok.tolist()
         out = _kernels.unrho(table, x)
         resid = _residuals(table, data, r, out)
-    if all(flags) and resid.max() <= 1e-9:  # a NaN anywhere fails this
-        return out, ()
-    return out, _refused(data, out, flags, resid.max(axis=(1, 2)))
+        norms = _frobenius_rows(np.concatenate((data.reshape(k, -1), out.reshape(k, -1)))).tolist()
+        bounds = [bound * (p * q) for p, q in zip(norms[:k], norms[k:])]
+    return out, _failures(flags, resid.max(axis=(1, 2)).tolist(), bounds)
 
 
-def _refused(data: np.ndarray, out: np.ndarray, flags: Sequence[bool], resid: np.ndarray) -> np.ndarray:
-    """The members of _inverse's stack that fail: not flagged, or a largest residual past the acceptance.
+def _failures(flags: Sequence[bool], worst: Sequence[float], bounds: Sequence[float]) -> list[int]:
+    """The members that fail the acceptance: not flagged, or a largest residual above its bound.
 
-    The acceptance scales with the conditioning actually encountered; the
-    bound is at least 1e-9, so the norms are needed only above that, and a
-    NaN or infinite residual passes neither test, even where an overflowed
-    inverse makes the bound infinite.
+    Each verdict is one Python comparison: a NaN residual fails, and a
+    finite residual under a bound that overflowed to inf passes.
     """
-    size, out_size = _max_entry_norm(np.stack((data, out)))  # every member scaled alone, so each keeps its bits
-    bound = 1e-9 * (1.0 + size * out_size * data.shape[1])
-    return np.flatnonzero(~(np.array(flags) & ((resid <= 1e-9) | (resid < bound))))
+    return [t for t, (flag, w, b) in enumerate(zip(flags, worst, bounds)) if not (flag and w <= b)]
 
 
 def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, Sequence[int]]:
@@ -441,10 +452,13 @@ def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, 
     inverse b, each product the contraction of Element.__mul__, a with the
     table as d x d^2 and the other factor with that: ndarray.dot for one
     member and a matmul of (1, d) rows for a stack, the same BLAS call, so
-    a member's residual, and its verdict, are those of its own call.
+    a member's residual, and its verdict, are those of its own call. The
+    rule is _inverse's at n = 1, where ||a|| ||inv(a)|| = 1 in a normed
+    division algebra, so the bound is the constant ACCEPT d.
     """
     k, d = len(data), table.shape[0]
     flat = table.reshape(d, d * d)
+    bound = ACCEPT * d
     if k == 1:
         a = data[0, 0, 0]
         b = _inv_floats(a)
@@ -454,9 +468,7 @@ def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, 
         ab, ba = (y.dot(x.dot(flat).reshape(d, d)).tolist() for x, y in ((a, b), (b, a)))
         ab[0] -= 1.0
         ba[0] -= 1.0
-        out = b.reshape(1, 1, 1, d)
-        resid = max(map(abs, ab + ba))
-        return (out, ()) if resid <= 1e-9 else (out, _refused(data, out, [True], np.array([resid])))
+        return b.reshape(1, 1, 1, d), ([] if max(map(abs, ab + ba)) <= bound else [0])
     out, ok = _inv_rows(data[:, 0, 0])
     a, b = data[:, 0, 0], out
     if not ok.all():
@@ -467,10 +479,7 @@ def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, 
     prods = (y[..., None, :] @ (x[..., None, :] @ flat).reshape(2, k, d, d))[..., 0, :]  # a b and b a
     prods[..., 0] -= 1.0
     resid = np.abs(prods).max(axis=(0, 2))
-    out = out.reshape(k, 1, 1, d)
-    if (resid <= 1e-9).all():  # a stand-in's residual is 0
-        return out, np.flatnonzero(~ok)
-    return out, _refused(data, out, ok.tolist(), resid)
+    return out.reshape(k, 1, 1, d), np.flatnonzero(~(ok & (resid <= bound)))  # a NaN fails too
 
 
 @lru_cache(maxsize=32)
@@ -566,23 +575,23 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
     Each member is decided alone and has the bits of its own solve_rc call:
     it fails when a is rc-singular by the SVD rule of _rc_ranks, when b is
     not finite, or when x fails the backward-error test
-    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_F ||x||) with its own norms,
-    ||rho(a)||_F being sqrt(d) ||a||_F. A stack of more than one system with
-    finite b first tries _certificate with the LU inverse X of rho(a): when
-    it holds, every member is regular, as the SVD rule would find, and no
-    SVD runs; otherwise one SVD call decides the stack. A single system goes
-    to the SVD at once, so a singular one pays no LU inverse first. One LU
-    solve serves the stack; the identity and a zero b stand in for the
-    members already failed, so that LU meets no singular or non-finite
-    matrix. The second result maps each failed member, in ascending order,
-    to its error; its rows in the first are meaningless.
+    ||a x - b|| <= ACCEPT n d (||b|| + ||rho(a)||_F ||x||) with its own
+    norms, ||rho(a)||_F being sqrt(d) ||a||_F. A stack of more than one
+    system with finite b first tries _certificate with the LU inverse X of
+    rho(a): when it holds, every member is regular, as the SVD rule would
+    find, and no SVD runs; otherwise one SVD call decides the stack. A
+    single system goes to the SVD at once, so a singular one pays no LU
+    inverse first. One LU solve serves the stack; the identity and a zero b
+    stand in for the members already failed, so that LU meets no singular
+    or non-finite matrix. The second result maps each failed member, in
+    ascending order, to its error; its rows in the first are meaningless.
     """
     k, n, d = data.shape[0], data.shape[1], table.shape[0]
     vec = rhs.reshape(k, n * d)
     finite = np.isfinite(vec).all(axis=1).tolist()
     r = certified = None
     if k > 1 and all(finite):
-        r, certified, _ = _certificate(table, data, False)
+        r, certified, _, _ = _certificate(table, data, False)
     failed: dict[int, Exception] = {}
     if certified is None:
         r, ranks, _ = _rc_ranks(table, data, r=r)
@@ -603,11 +612,11 @@ def _solve(table: np.ndarray, data: np.ndarray, rhs: np.ndarray) -> tuple[np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         norms = _frobenius_rows(np.concatenate(((r @ x)[..., 0] - vec, vec, x[..., 0],
                                                 data.reshape(k * n, n * d)))).tolist()
-    root_d = math.sqrt(d)
+    root_d, bound = math.sqrt(d), ACCEPT * n * d
     for t, (res, nb, nx) in enumerate(zip(norms[:k], norms[k:2 * k], norms[2 * k:3 * k])):
         na = math.hypot(*norms[3 * k + t * n:3 * k + (t + 1) * n])
         # NaN fails too; a stand-in's residual is 0, and it keeps its error
-        if not res <= 1e-8 * (nb + root_d * na * nx):
+        if not res <= bound * (nb + root_d * na * nx):
             failed.setdefault(t, SingularMatrixError("solution residual above tolerance"))
     return x.reshape(k, n, d), dict(sorted(failed.items()))
 
@@ -617,9 +626,9 @@ def solve_rc(a: BiMatrix, b: Sequence[Element]) -> list[Element]:
 
     Regularity is the SVD rule of _rc_ranks, and x comes from one LU solve
     on rho(a) and is accepted by its backward error:
-    ||a x - b|| <= 1e-8 (||b|| + ||rho(a)||_F ||x||), each vector norm
-    algebra.frobenius, so the test holds at every scale. A b that is not
-    finite raises AlgebraError.
+    ||a x - b|| <= ACCEPT n d (||b|| + ||rho(a)||_F ||x||), ACCEPT = c u
+    with c = 64 and u = 2^-53, each vector norm algebra.frobenius, so the
+    test holds at every scale. A b that is not finite raises AlgebraError.
     """
     n = _require_square(a)
     b = list(b)

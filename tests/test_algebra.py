@@ -594,7 +594,7 @@ def test_norms_and_inverses_of_non_finite_input_give_no_warning(HH):
     assert not ok[0] and np.isnan(out).all()
     with pytest.raises(NotInvertibleError):
         inv(Element(HH, c))
-    assert biring._max_entry_norm(c.reshape(1, 1, 1, 4)).tolist() == [math.inf]
+    assert BiMatrix(HH, c.reshape(1, 1, 4)).max_entry_norm() == math.inf
     assert math.isnan(algebra.frobenius(np.array([2e154, np.nan, 0.0, 0.0])))
     rows = np.array([[2e154, np.nan, 0.0, 0.0], [1.7e308, 1.0, 1.0, np.inf], [3.0, 4.0, 0.0, 0.0]])
     got = algebra._frobenius_rows(rows).tolist()

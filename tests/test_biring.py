@@ -12,6 +12,7 @@ from ncalg import _kernels, biring
 from ncalg.algebra import (AlgebraError, Element, NotInvertibleError, basis, frobenius, from_scalar, inv, inv_stack,
                            make_algebra, one, random_element, zero)
 from ncalg.biring import (
+    ACCEPT,
     PIVOT_RTOL,
     BiMatrix,
     MinorSelector,
@@ -256,22 +257,14 @@ class TestMaxEntryNorm:
         a = random_matrix(HH, 3, 3, np.random.default_rng(0))
         assert (a * scale).max_entry_norm() == pytest.approx(a.max_entry_norm() * scale, rel=1e-15, abs=0.0)
 
-    def test_each_member_of_a_stack_alone(self, HH):
-        a = random_matrix(HH, 3, 3, np.random.default_rng(0))
-        norms = biring._max_entry_norm(np.stack([a.data, a.data * 1e-170, a.data * 1e160, 0.0 * a.data]))
-        assert norms.tolist() == pytest.approx([a.max_entry_norm() * s for s in (1.0, 1e-170, 1e160, 0.0)],
-                                               rel=1e-15, abs=0.0)
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
     def test_a_norm_past_the_float_range_is_inf_with_no_warning(self, tag):
-        """Entries of 1.7e308: a norm past the largest float (over C and H) is inf, quietly, and so is
-        _inverse's acceptance bound of such a member, which a finite residual passes and a NaN fails."""
+        """Entries of 1.7e308: a norm past the largest float (over C and H) is inf, quietly."""
         alg = make_algebra(tag)
         a = BiMatrix(alg, np.full((2, 2, alg.dim), 1.7e308))
         assert a.max_entry_norm() == (1.7e308 if alg.dim == 1 else math.inf)
-        data, out = np.stack([a.data, a.data]), np.full((2, 2, 2, alg.dim), 0.5)
-        assert biring._refused(data, out, [True, True], np.array([1.0, np.nan])).tolist() == [1]
+        assert BiMatrix.zeros(alg, 0, 2).max_entry_norm() == 0.0
 
 
 class TestInverse:
@@ -742,8 +735,8 @@ def reference_rc_inv(a):
     A 1 x 1 matrix [x] has the inverse [inv(x)], refused where inv refuses
     x. For n >= 2, an LU inverse that is not finite, or whose entries exceed
     the largest float over d so that unrho's sums would overflow, is refused
-    before unrho. A residual passes only within its bound, so a NaN residual
-    fails.
+    before unrho. The largest two-sided residual passes only within
+    ACCEPT n d ||a||_F ||out||_F, so a NaN residual fails.
     """
     n = a.rows
     if n == 1:
@@ -761,7 +754,7 @@ def reference_rc_inv(a):
         out = BiMatrix(a.algebra, _kernels.unrho(table, x))
     delta = BiMatrix.identity(a.algebra, n)
     resid = max(diff_norm(rc_mul(a, out), delta), diff_norm(rc_mul(out, a), delta))
-    if not resid <= 1e-9 * (1.0 + a.max_entry_norm() * out.max_entry_norm() * n):
+    if not resid <= _inverse_tol(a, out):
         raise SingularMatrixError("inverse failed residual check")
     return out
 
@@ -892,8 +885,8 @@ def _checked(fn, *args):
 
 
 def _inverse_tol(a, x):
-    """The acceptance rc_inv states for a residual of x as the inverse of a."""
-    return 1e-9 * (1.0 + a.max_entry_norm() * x.max_entry_norm() * a.rows)
+    """The acceptance rc_inv states for a residual of x as the inverse of a: ACCEPT n d ||a||_F ||x||_F."""
+    return ACCEPT * a.rows * a.algebra.dim * frobenius(a.data) * frobenius(x.data)
 
 
 def _assert_inverse(a, x, mul):
@@ -922,10 +915,11 @@ def test_near_singular_answers_are_checked_or_typed_errors(a, seed):
     b = [random_element(alg, np.random.default_rng(seed)) for _ in range(n)]
     x = _checked(solve_rc, a, b)
     if x is not None:
+        # solve_rc's backward error, ||rho(a)||_F being sqrt(d) ||a||_F
         rhs = _column(b).data
         resid = np.linalg.norm(rc_mul(a, _column(x)).data - rhs)
-        smax = np.linalg.norm(_kernels.rho(alg.table, a.data), 2)
-        assert resid <= 1e-8 * (np.linalg.norm(rhs) + smax * np.linalg.norm(_column(x).data))
+        size = math.sqrt(alg.dim) * frobenius(a.data)
+        assert resid <= ACCEPT * n * alg.dim * (np.linalg.norm(rhs) + size * np.linalg.norm(_column(x).data))
 
     for i in range(n):
         for j in range(n):
@@ -1245,6 +1239,34 @@ def test_certified_inverses_match_the_svd_rank_rule(tag, rank_calls, monkeypatch
     assert certified and fallback
 
 
+def test_inverses_are_accepted_at_the_rounding_scale(RR, CC):
+    """The one acceptance, ACCEPT n d ||a||_F ||out||_F on the largest two-sided residual.
+
+    Over C, U diag(1, 1e-8) V at scale 1e-300 has its sigma_min among the
+    subnormals, and its LU inverse has a two-sided residual of 0.057: it is
+    refused. Over R, the longest tail measured on U diag V (n = 4, cond2
+    1e8: left residual 1.0e-9, right 5.0e-7, 11.2 u n d ||a||_F ||out||_F)
+    is accepted within c = 64, with a margin.
+    """
+    rng = np.random.default_rng(2)
+    u, v = _unitary(CC, 2, rng), _unitary(CC, 2, rng)
+    with pytest.raises(SingularMatrixError):
+        rc_inv(rc_mul(rc_mul(u, _diagonal(CC, [1.0, 1e-8])), v) * 1e-300)
+    rng = np.random.default_rng(401)
+    u, v = _unitary(RR, 4, rng), _unitary(RR, 4, rng)
+    a = rc_mul(rc_mul(u, _diagonal(RR, np.geomspace(1.0, 1e-8, 4))), v)
+    x, e = rc_inv(a), BiMatrix.identity(RR, 4)
+    left, right = diff_norm(rc_mul(a, x), e), diff_norm(rc_mul(x, a), e)
+    ratio = right / (2.0 ** -53 * 4 * frobenius(a.data) * frobenius(x.data))  # u n d ||a||_F ||x||_F
+    assert left < 1e-8 < right and 10.0 < ratio <= ACCEPT / 2.0 ** -53 / 5  # c covers it five times over
+
+
+def test_the_acceptance_fails_a_nan_residual_and_passes_under_an_overflowed_bound():
+    """A finite residual under an inf bound passes; a NaN, one above its bound or an unflagged member fails."""
+    flags, worst, bounds = [True, True, True, False], [1.0, math.nan, 2.0, 0.0], [math.inf, math.inf, 1.0, 1.0]
+    assert biring._failures(flags, worst, bounds) == [1, 2, 3]
+
+
 def test_regular_inverses_take_no_svd(HH, rank_calls):
     rng = np.random.default_rng(3)
     u, v = _unitary(HH, 4, rng), _unitary(HH, 4, rng)
@@ -1346,7 +1368,7 @@ def reference_solve_rc(a, b):
     x = np.linalg.solve(r, rhs)
     # ||rho(a)||_F = sqrt(d) ||a||_F, ||a||_F the hypot of its rows' norms
     size = math.sqrt(a.algebra.dim) * math.hypot(*(frobenius(row) for row in a.data.reshape(n, -1)))
-    if not frobenius(r @ x - rhs) <= 1e-8 * (frobenius(rhs) + size * frobenius(x)):
+    if not frobenius(r @ x - rhs) <= ACCEPT * n * a.algebra.dim * (frobenius(rhs) + size * frobenius(x)):
         raise SingularMatrixError("solution residual above tolerance")
     return [Element(a.algebra, c) for c in x.reshape(n, a.algebra.dim)]
 

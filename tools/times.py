@@ -74,7 +74,11 @@ inverse
     stack that the quasidet-2x2 scenario inverts over H. Last, one
     biring._solve call on the 20 3 x 3 H systems that
     solve-quaternion-system solves at seed 0, drawn on that seed, and on
-    the same stack with its last matrix a rank-1 outer product.
+    the same stack with its last matrix a rank-1 outer product. Then, on
+    inputs of their own seed, rc_inv and solve_rc over R and over C at
+    n = 4 on a random matrix and on one from _conditioned with
+    cond2(rho) = 1e8, the real-n4 and complex-n4 matrices of linalg-regular,
+    with a random right-hand side.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
     over H, for k = 4, 6, 8, 9, 10 and 12.
@@ -300,6 +304,16 @@ def inverse_rows():
     singular[-1] = cases._deficient(np.random.default_rng(6), 3, "outer")
     yield "_solve (20 members, 3 x 3)", lambda: partial(biring._solve, H.table, systems, rhs)
     yield "_solve (20 members, one singular)", lambda: partial(biring._solve, H.table, singular, rhs)
+    # the real-n4 and complex-n4 matrices of linalg-regular, on their own seed
+    own = np.random.default_rng(7)
+    for tag in ("real", "complex"):
+        alg = algebra.make_algebra(tag)
+        drawn = {"random": biring.random_matrix(alg, 4, 4, own),
+                 "cond-1e8": biring.BiMatrix(alg, cases._conditioned(own, 4, alg.dim, 1e8))}
+        b = [algebra.random_element(alg, own) for _ in range(4)]
+        for kind, a in drawn.items():
+            yield f"rc_inv {tag} {kind}, n = 4", lambda a=a: partial(inverse, a)
+            yield f"solve_rc {tag} {kind}, n = 4", lambda a=a, b=b: partial(biring.solve_rc, a, b)
 
 
 def forms():
