@@ -359,7 +359,7 @@ def _scn_ode_forms(opt: Options) -> Report:
     x0 = draws[..., 16:].reshape(len(m), 2 * alg.dim)
     ts, checks = np.linspace(0.0, 1.0, 11), (0.0, 0.5, 1.0)
     # every system's states at the grid and at the residual's probes, from one
-    # stacked exponential and one stacked RK4 power, and every residual from one judge
+    # exponential grid and one stacked RK4 power, and every residual from one judge
     closed = _closed_form_states(m, x0, np.concatenate([ts, _probe_times(checks)]))
     closed = closed.reshape(len(m), -1, 2, alg.dim)
     rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(m), len(ts), 2, alg.dim)

@@ -20,7 +20,7 @@ which `LinearOde.real_matrix` calls on one system. The right-hand side is M x
 and the closed form e^{tM} x(0); RK4 integrates M as an independent
 algorithm, and the tests check M x against Element products. A solution
 curve is read at one time, ``curve(t)``, or on a whole time grid at once,
-``curve.values(ts)``: the closed form through one stacked exponential, RK4
+``curve.values(ts)``: the closed form through one exponential grid, RK4
 through one stacked power of its step matrices, the elliptic curves
 through one series._exp_els call on all their b t and row-wise array
 products for their states (their ``curve(t)`` reads the one-time grid),
@@ -37,9 +37,10 @@ once, from their real_matrix() values and states, with one stacked
 right-hand side and every residual's norm in one call; a caller that has
 read many systems' states with other states, as ode-forms-cross-check
 does, judges them all in one call, and _read_residual passes a stack of
-one. The stacked exponential behind the closed-form grids runs in
-bounded slices (series._expm), so its working set stays with the
-process from call to call.
+one. The exponential grid behind the closed-form grids (series._expm_grid)
+takes the powers of each system's M once for all its times, and
+closed_form_solution(ode)(t) takes its one-matrix mirror
+(series._expm_at), which does the same arithmetic.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .algebra import (
 )
 from .biring import BiMatrix
 from .report import Report, severity, worst
-from .series import SeriesBudgetError, _argument_at, _exp_els, _expm, _require_finite_time, exp_at
+from .series import SeriesBudgetError, _argument_at, _exp_els, _expm_at, _expm_grid, _require_finite_time, exp_at
 from .tensor import X, Y, TensorPolynomial, largest_entry, poly_derivative, symmetric_part
 
 FD_STEP = 1e-5
@@ -369,16 +370,19 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
 
     m is a (k, p, p) stack of real_matrix() values and x0 a (k, p) stack of
     initial vectors. Every system's e^{tM} at every distinct nonzero t is
-    one member of one stacked exponential, so each state has the bits of
-    closed_form_solution(ode)(t). A non-finite t raises SeriesBudgetError,
-    the first one in the order of ts, before it meets M; a state that
+    one member of one exponential grid, series._expm_grid of m and those
+    times, which takes each system's powers once for all its times; its
+    one-matrix mirror is what closed_form_solution(ode)(t) takes, so each
+    state has the bits of that call. A non-finite t raises
+    SeriesBudgetError, the first one in the order of ts, before it meets
+    M, and a member whose argument |t| ||M||_1 is too large, or whose
+    exponential overflows, raises as in series._expm_grid; a state that
     overflows comes back as it is, non-finite, with no numpy warning.
     """
     _require_finite_time(*ts.tolist())
-    k, p = x0.shape
 
     def states(moving: np.ndarray) -> np.ndarray:
-        e = _expm((moving[:, None, None] * m[:, None]).reshape(-1, p, p)).reshape(k, len(moving), p, p)
+        e = _expm_grid(m, moving)
         with np.errstate(over="ignore", invalid="ignore"):
             return (e @ x0[:, None, :, None])[..., 0]
 
@@ -461,7 +465,9 @@ def _linear_curve(ode: LinearOde, provenance: str, state: Callable[[np.ndarray, 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
 
-    Built by _linear_curve, as rk4_integrate is. A non-finite t raises
+    Built by _linear_curve, as rk4_integrate is. curve(t) takes e^{tM}
+    from series._expm_at, the mirror of the grid that values(ts) reads, so
+    the two give a time the same bits. A non-finite t raises
     SeriesBudgetError before it meets M, and so does a state that
     overflows at curve(t). values(ts) is _closed_form_states of this one
     system, and returns an overflowing state as it is, non-finite, for the
@@ -470,7 +476,7 @@ def closed_form_solution(ode: LinearOde) -> SolutionCurve:
 
     def state(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
         _require_finite_time(t)
-        e = _expm(t * m)
+        e = _expm_at(m, t)
         with np.errstate(over="ignore", invalid="ignore"):
             x = e @ x0
         if not all(map(math.isfinite, x.tolist())):

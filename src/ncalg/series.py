@@ -23,14 +23,13 @@ the 1-norm, under a twentieth of a unit of roundoff of the sum, whose
 1-norm is at least 2 - e^(1/2) > 1/3, so one fixed degree serves every
 argument and there is no term budget to set. The polynomial is evaluated
 by Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of
-four: 6 matrix products instead of 15, plus one per squaring. ``_expm`` also
-takes a (k, p, p) stack, for a curve on a whole time grid: each member
-keeps the squaring count of its own norm, all taken in one numpy pass,
-and every member gets the bits it gets alone. The polynomial and the
-squarings run over slices of the stack whose working set stays within
-128 KiB: glibc serves a larger block by mmap, or gives a larger free heap
-top back to the OS, and the pages then fault in again on every call.
-A stack that fits in one slice takes one pass.
+four: 6 matrix products instead of 15, plus one per squaring. The curves
+of the closed form, e^{tM} x(0) on a time grid, take ``_expm_grid``: e^{tM}
+of k systems at T times, with the same degree and squaring counts, whose
+powers of M are taken once per system and shared by all its times, as
+every power of tM is a power of t times the same power of M. Its
+one-matrix mirror ``_expm_at`` does the same arithmetic at one time, so
+each member of a grid has the bits of that call.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
 L(x) = rho([x])) and reads the result back off column 0 of each block,
@@ -85,7 +84,7 @@ _PS_COEFFS.flags.writeable = False
 
 
 def _taylor(a: np.ndarray) -> np.ndarray:
-    """sum_{k<=15} a^k / k! by Paterson-Stockmeyer in blocks of four.
+    """sum_{k<=15} a^k / k! of one (d, d) matrix a by Paterson-Stockmeyer in blocks of four.
 
     With B_j = sum_{i<4} a^i / (4j + i)!, the sum is B_0 + a^4 (B_1 + a^4 (B_2
     + a^4 B_3)). One product of the coefficient rows with the stacked I, a,
@@ -93,22 +92,16 @@ def _taylor(a: np.ndarray) -> np.ndarray:
     matrix products to the 3 that form a^2, a^3 and a^4: 6 products and
     about 15 numpy calls, where the term-by-term sum takes 15 products and
     45 calls.
-
-    a is one (d, d) matrix, whose products are ndarray.dot, or a (k, d, d)
-    stack, one pass of matmul for all members, each of which goes through
-    the arithmetic of its single call.
     """
-    *stack, d, _ = a.shape
-    dot = np.matmul if stack else np.ndarray.dot
-    eye = _kernels.identity(d)
-    a2 = dot(a, a)
-    powers = np.concatenate((np.broadcast_to(eye, a.shape) if stack else eye, a, a2, dot(a2, a)), axis=-2)
-    blocks = dot(_PS_COEFFS, powers.reshape(*stack, 4, d * d)).reshape(*stack, 4, d, d)
-    a4 = dot(a2, a2)
-    total = blocks[..., 3, :, :]
+    d = a.shape[0]
+    a2 = a.dot(a)
+    powers = np.concatenate((_kernels.identity(d), a, a2, a2.dot(a)))
+    blocks = _PS_COEFFS.dot(powers.reshape(4, d * d)).reshape(4, d, d)
+    a4 = a2.dot(a2)
+    total = blocks[3]
     for j in (2, 1, 0):
-        total = dot(total, a4)
-        total += blocks[..., j, :, :]
+        total = total.dot(a4)
+        total += blocks[j]
     return total
 
 
@@ -121,14 +114,8 @@ def _scaling(norm: float, m: np.ndarray) -> int:
     return math.frexp(norm)[1] + 1 if norm > 0.5 else 0
 
 
-# Bytes that one slice of a stack holds at once in _taylor, the four powers of its members and their
-# block sums: glibc serves a block of 128 KiB or more by mmap and gives a free heap top past 128 KiB
-# back to the OS, so a larger working set is faulted in again on every call
-_SLICE_BYTES = 2 ** 17
-
-
 def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) of a real square matrix, or of each member of a (k, p, p) stack, by scaling and squaring.
+    """exp(m) of a real square matrix, by scaling and squaring.
 
     The scaled argument a = m / 2^s has ||a||_1 <= 1/2, so term k, a^k / k!,
     is at most 2^-k / k!, and the terms after degree 15 sum to less than
@@ -138,42 +125,138 @@ def _expm(m: np.ndarray) -> np.ndarray:
     term takes 15. The s squarings then take s more, and
     multiply the sum's relative rounding error by up to 2^s, so past
     ||m||_1 = 2^52 no digit of the result is left and it raises instead.
-
-    Each member of a stack takes s from its own 1-norm, all in one numpy
-    pass, and gets the bits it gets alone: _taylor sums a slice of members
-    in one pass, and member i is squared only while r < s_i, selected with
-    np.where; the squarings it skips are never read and run with overflow
-    warnings off. The slices hold as many members as keep _taylor's
-    working set within _SLICE_BYTES (32 at p = 8), so the allocator keeps
-    its pages from call to call; a stack that fits takes one pass, and each
-    member is still its own matrix product. A stack raises what its members
-    raise alone, in this order: first the argument refusals, as the first
-    refused member's error, then "exponential overflows" if any member
-    overflows, whatever its place.
+    The norm runs inside the squarings' block with overflow warnings off,
+    so a finite m whose column sums pass the float range is refused as
+    too large, with no warning.
     """
-    if m.ndim == 2:
-        top = s = _scaling(_norm1(m), m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _scaling(_norm1(m), m)
         total = _taylor(np.ldexp(m, -s))
-        if s:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(s):
-                    total = total.dot(total)
-    else:
-        norms = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
-        for first in np.flatnonzero(~(norms < 2.0 ** 52))[:1]:  # NaN or inf where a member is not finite
-            _scaling(float(norms[first]), m[first])  # raises the first refused member's error
-        s = np.where(norms > 0.5, np.frexp(norms)[1] + 1, 0)
-        total = np.empty(m.shape)
-        step = max(1, _SLICE_BYTES // (64 * m.shape[-1] ** 2))  # 2 x 4 p x p floats of 8 bytes per member
-        for lo in range(0, len(m), step):
-            part = s[lo:lo + step]
-            block = _taylor(np.ldexp(m[lo:lo + step], -part[:, None, None]))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for r in range(part.max()):
-                    block = np.where((r < part)[:, None, None], block @ block, block)
-            total[lo:lo + step] = block
-        top = s.max(initial=0)
-    if top and not np.isfinite(total).all():
+        for _ in range(s):
+            total = total.dot(total)
+    if s and not np.isfinite(total).all():
+        raise SeriesBudgetError("exponential overflows")
+    return total
+
+
+def _shifted(m: np.ndarray) -> tuple[float, int]:
+    """(||m / 2^64||_1, 64) for an m whose 1-norm passes the float range, or (NaN, 0) where m is not finite."""
+    if np.isfinite(m).all():
+        return _norm1(np.ldexp(m, -64)), 64
+    return math.nan, 0
+
+
+# the orders 1 .. 15 of the Taylor terms after the first, as floats
+_ORDERS = np.arange(1.0, 16.0)
+_ORDERS.flags.writeable = False
+
+
+def _tau_rows(tau: np.ndarray) -> np.ndarray:
+    """tau^k / k! for k = 0 .. 15 and each tau of an array, as a 4 x 4 array whose row j holds k = 4j .. 4j + 3.
+
+    Term k is the running product 1 (tau / 1) (tau / 2) ... (tau / k),
+    left to right, as np.multiply.accumulate takes it, so _expm_at, which
+    takes the same products in Python floats, has its bits.
+    """
+    terms = np.empty((*tau.shape, 16))
+    terms[..., 0] = 1.0
+    np.divide(tau[..., None], _ORDERS, out=terms[..., 1:])
+    return np.multiply.accumulate(terms, axis=-1, out=terms).reshape(*tau.shape, 4, 4)
+
+
+def _expm_grid(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(t M_i) for each member M_i of a (k, p, p) stack and each finite t of ts, as a (k, len(ts), p, p) array.
+
+    Every power of t M is a power of t times the same power of M, so the
+    Taylor setup is taken once per system, not once per (system, time)
+    member:
+
+    - M_i is scaled to M' = M_i / 2^sigma_i with ||M'||_1 in [1/4, 1/2),
+      so no power of M' over- or underflows at any scale of M_i, and
+      M'^2, M'^3 and M'^4 are taken once per system.
+    - Member (i, t) takes _expm's squaring count s from |t| ||M_i||_1,
+      with its refusals, and its argument is tau M' with tau = t
+      2^(sigma_i - s), exact, so ||tau M'||_1 <= 1/2, |tau| <= 2 and
+      degree 15 serves it as in _expm. _taylor's sum is then sum_j
+      C_j M'^(4j), with C_j = sum_{i<4} tau^(4j+i) / (4j+i)! M'^i: each
+      C_j is the row product of _tau_rows' row j with the stacked I, M',
+      M'^2, M'^3, and Horner's rule in M'^4 takes 3 products per member.
+      The coefficients are running products of tau / k, not powers with
+      **, so _expm_at forms them bit for bit.
+    - Member (i, t) is squared s times; round r squares only the members
+      with s > r.
+
+    Every matrix product is one member's own, so each member has the bits
+    of _expm_at(M_i, t). A zero M_i gives I at every t. Where ||M_i||_1
+    passes the float range, |t| ||M_i||_1 is read as |t| 2^64 ||M_i /
+    2^64||_1 (_shifted). A grid raises what its members raise alone, in
+    this order: first the argument refusals, as the first refused member's
+    error in (system, time) order, then "exponential overflows" if any
+    member overflows. The whole pass runs with overflow warnings off.
+    """
+    k, p, _ = m.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms, shifts = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0), np.zeros(k, dtype=int)
+        for i in np.flatnonzero(norms == np.inf):
+            norms[i], shifts[i] = _shifted(m[i])
+        x = np.abs(ts) * np.ldexp(1.0, shifts)[:, None] * norms[:, None]  # |t| ||M_i||_1, NaN where M_i is not finite
+        for i, j in np.argwhere(~(x < 2.0 ** 52))[:1]:
+            _scaling(float(x[i, j]), m[i])  # raises the first refused member's error
+        s = np.where(x > 0.5, np.frexp(x)[1] + 1, 0)
+        sigma = np.frexp(norms)[1] + 1 + shifts
+        tau = np.where((norms > 0.0)[:, None], np.ldexp(ts, sigma[:, None] - s), 0.0)
+        a = np.ldexp(m, -sigma[:, None, None])
+        a2 = a @ a
+        powers = np.concatenate((np.broadcast_to(_kernels.identity(p), a.shape), a, a2, a2 @ a), axis=-2)
+        powers = powers.reshape(k, 1, 4, p * p)
+        a4 = (a2 @ a2)[:, None]
+        rows = _tau_rows(tau)[..., None, :]  # rows[i, t, j]: the (1, 4) coefficients of block j of member (i, t)
+        total = (rows[..., 3, :, :] @ powers).reshape(k, -1, p, p)
+        for j in (2, 1, 0):
+            total = total @ a4
+            total += (rows[..., j, :, :] @ powers).reshape(total.shape)
+        flat, s = total.reshape(-1, p, p), s.ravel()
+        for r in range(s.max(initial=0)):
+            need = np.flatnonzero(s > r)
+            square = flat[need]
+            flat[need] = square @ square
+    if s.any() and not np.isfinite(total).all():
+        raise SeriesBudgetError("exponential overflows")
+    return total
+
+
+def _expm_at(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(t m) of one real square matrix m at one finite time t, by _expm_grid's arithmetic.
+
+    This is _expm_grid of one system at one time, with one-matrix products,
+    the time's arithmetic in Python floats (IEEE products, as numpy's) and
+    the four block rows in one batched row product, so it has the bits of
+    its member of a grid and refuses as that member does.
+    """
+    p = m.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm, shift = _norm1(m), 0
+        if norm == math.inf:
+            norm, shift = _shifted(m)
+        s = _scaling(abs(t) * 2.0 ** shift * norm, m)
+        sigma = math.frexp(norm)[1] + 1 + shift
+        tau = math.ldexp(t, sigma - s) if norm else 0.0
+        a = np.ldexp(m, -sigma)
+        a2 = a.dot(a)
+        powers = np.concatenate((_kernels.identity(p), a, a2, a2.dot(a))).reshape(4, p * p)
+        term, terms = 1.0, [1.0]
+        for k in range(1, 16):
+            term *= tau / k
+            terms.append(term)
+        blocks = (np.array(terms).reshape(4, 1, 4) @ powers).reshape(4, p, p)
+        a4 = a2.dot(a2)
+        total = blocks[3]
+        for j in (2, 1, 0):
+            total = total.dot(a4)
+            total += blocks[j]
+        for _ in range(s):
+            total = total.dot(total)
+    if s and not np.isfinite(total).all():
         raise SeriesBudgetError("exponential overflows")
     return total
 

@@ -592,11 +592,11 @@ def test_stacked_ode_forms_matches_the_per_system_loop(seed):
 def test_the_cross_check_exponentiates_each_distinct_time_once(monkeypatch):
     # 10 nonzero grid times and 8 nonzero probe times, of which 0.5 and 1.0
     # are grid times too: 16 distinct times for each of the 12 systems
-    sizes = []
-    expm = diffeq._expm
-    monkeypatch.setattr(diffeq, "_expm", lambda a: sizes.append(len(a)) or expm(a))
+    shapes = []
+    grid = diffeq._expm_grid
+    monkeypatch.setattr(diffeq, "_expm_grid", lambda m, ts: shapes.append((len(m), len(ts))) or grid(m, ts))
     report, _ = run_scenario("ode-forms-cross-check", Options(seed=0))
-    assert report.verdict and sizes == [12 * 16]
+    assert report.verdict and shapes == [(12, 16)]
 
 
 @pytest.mark.parametrize("name, reference", [("elliptic-nonunique", _per_call_elliptic_nonunique),

@@ -1107,6 +1107,25 @@ def test_multi_system_states_have_the_bytes_of_each_curve(tag, n):
         assert rk[i].tobytes() == rk4_integrate(ode, 1.0, 1000).values(ts).tobytes(), (ode.form, i)
 
 
+# t = 0, the finite-difference probes, negative and repeated times, and 40
+SWEEP_TIMES = (0.0, 1e-5, -1e-5, 0.5, -0.75, 1e-5, 2.0, -3.0, 0.5, 40.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_closed_form_grid_state_has_the_bytes_of_curve_t(tag, n):
+    alg = make_algebra(tag)
+    odes = _systems(alg, n, np.random.default_rng(40 + n))
+    m, x0 = _stacks(odes)
+    closed = diffeq._closed_form_states(m, x0, np.array(SWEEP_TIMES))
+    assert {ode.form for ode in odes} == set(OdeForm)
+    for ode, states in zip(odes, closed):
+        curve = closed_form_solution(ode)
+        for t, state in zip(SWEEP_TIMES, states):
+            assert state.tobytes() == diffeq._vec(curve(t)).tobytes(), (ode.form, t)
+
+
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
 def test_the_real_matrices_of_a_stack_have_the_bytes_of_each_system(tag):
     alg = make_algebra(tag)
@@ -1247,13 +1266,13 @@ def test_repeated_times_make_one_stack_member_each_and_equal_rows(monkeypatch, t
     alg = make_algebra(tag)
     m, x0 = _stacks(_systems(alg, 2, np.random.default_rng(7)))
     ts = np.array([0.0, 0.5, 1e-5, 0.5, -1.0, 0.0, 1e-5, 0.5])
-    exps, powers = [], []
-    expm, kernel = diffeq._expm, diffeq._kernels.rk4_linear
-    monkeypatch.setattr(diffeq, "_expm", lambda a: exps.append(len(a)) or expm(a))
+    grids, powers = [], []
+    grid, kernel = diffeq._expm_grid, diffeq._kernels.rk4_linear
+    monkeypatch.setattr(diffeq, "_expm_grid", lambda a, t: grids.append((len(a), t.tolist())) or grid(a, t))
     monkeypatch.setattr(diffeq._kernels, "rk4_linear", lambda *args: powers.append(args[2].tolist()) or kernel(*args))
     closed = diffeq._closed_form_states(m, x0, ts)
     rk = diffeq._rk4_states(m, x0, ts, diffeq._rk4_step_target(1.0, 100))
-    assert exps == [3 * len(m)] and powers == [[-1.0, 1e-5, 0.5] * len(m)]
+    assert grids == [(len(m), [-1.0, 1e-5, 0.5])] and powers == [[-1.0, 1e-5, 0.5] * len(m)]
     for states in (closed, rk):
         for same in ([0, 5], [1, 3, 7], [2, 6]):
             assert all(states[:, j].tobytes() == states[:, same[0]].tobytes() for j in same), same

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import count, permutations
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncalg import _kernels, series
+from ncalg import _kernels, diffeq, series
 from ncalg.algebra import (
     AlgebraError,
     Element,
@@ -27,6 +28,8 @@ from ncalg.series import (
     SeriesBudgetError,
     _exp_els,
     _expm,
+    _expm_at,
+    _expm_grid,
     _pairs,
     _scaling,
     _slice,
@@ -731,6 +734,23 @@ class TestAprioriDegree:
                 new = _expm(m)
                 assert _norm1((new - ref) / scale) <= 16 * u * 2.0 ** s * _norm1(ref / scale), (norm, s)
 
+    @pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("random", "skew") for n in (1, 2, 4, 8)
+                                         if (kind, n) != ("skew", 1)])
+    def test_the_grid_matches_the_adaptive_loop_too(self, kind, n):
+        # the grid sums the same degree from each system's shared powers
+        u = np.finfo(np.float64).eps / 2
+        rng = np.random.default_rng(1100 + n)
+        m = rng.standard_normal((12, n, n))
+        if kind == "skew":
+            m -= m.swapaxes(-1, -2)
+        m *= (np.logspace(-8, 2, 12) / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+        ts = np.array([1e-3, -0.5, 1.0, 3.0])
+        for mi, row in zip(m, _expm_grid(m, ts)):
+            for t, new in zip(ts.tolist(), row):
+                ref, s, _ = adaptive_expm(t * mi)
+                scale = max(float(np.abs(ref).max()), np.finfo(np.float64).tiny)
+                assert _norm1((new - ref) / scale) <= 16 * u * 2.0 ** s * _norm1(ref / scale), (t, s)
+
     def test_degree_15_is_within_tolerance_at_norm_one_half(self):
         # the terms after degree 15 sum to less than twice the bound on term 16
         assert 2 * 0.5 ** 16 / math.factorial(16) <= TAYLOR_RTOL
@@ -770,56 +790,57 @@ class TestPatersonStockmeyer:
 
 
 # ---------------------------------------------------------------------------
-# stacked exponentials: each member gets the bytes it gets alone
+# exponentials on a time grid: each member (system, time) gets the bytes of its one-matrix mirror
 
 # t = 0 and the finite-difference probes around it, which share the one
-# Taylor pass with the rest, and times up to squaring counts near 10
+# Taylor setup with the rest, and times up to squaring counts near 10
 STACK_TIMES = (0.0, 1e-5, -1e-5, 1e-3, 0.05, 0.5, -1.0, 3.0, 40.0, -300.0)
 
 
-def _stack_counts(stack):
-    """The squaring count _expm takes for each member."""
-    return [math.frexp(norm)[1] + 1 if norm > 0.5 else 0 for norm in map(_norm1, stack)]
+def _grid_counts(m, ts):
+    """The squaring counts _expm_grid takes over its members, each from |t| ||M_i||_1."""
+    return {_scaling(abs(t) * _norm1(mi), mi) for mi in m for t in ts}
+
+
+def _assert_mirrored(m, ts, got):
+    """Member (i, t) of the grid got of m and ts has the bytes of _expm_at(M_i, t)."""
+    assert got.shape == (len(m), len(ts), *m.shape[1:])
+    for mi, row in zip(m, got):
+        for t, out in zip(ts.tolist(), row):
+            assert out.tobytes() == _expm_at(mi, t).tobytes(), t
 
 
 @pytest.mark.parametrize("tag", ALGEBRAS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_a_stacked_exponential_gives_each_member_its_bytes_alone(tag, n):
+def test_a_grid_gives_each_member_the_bytes_of_its_mirror(tag, n):
     alg = make_algebra(tag)
     rng = np.random.default_rng(2700 + n)
     m = _kernels.rho(alg.table, random_matrix(alg, n, n, rng).data)
     m /= _norm1(m)  # so ||exp(t m)|| <= e^|t|, finite at every time here
-    stack = np.array(STACK_TIMES)[:, None, None] * m
-    assert len(set(_stack_counts(stack))) >= 4
-    got = _expm(stack)
-    assert got.shape == stack.shape
-    for member, out in zip(stack, got):
-        assert out.tobytes() == _expm(member).tobytes()
-    # any order, and any sub-stack, gives the same bytes
-    order = rng.permutation(len(stack))
-    assert _expm(stack[order]).tobytes() == got[order].tobytes()
-    assert _expm(stack[:1]).tobytes() == got[:1].tobytes()
+    systems, ts = np.array([m, m.T]), np.array(STACK_TIMES)
+    assert len(_grid_counts(systems, STACK_TIMES)) >= 4
+    got = _expm_grid(systems, ts)
+    _assert_mirrored(systems, ts, got)
+    # any order, and any sub-grid, gives the same bytes
+    order = rng.permutation(len(ts))
+    assert _expm_grid(systems[::-1], ts[order]).tobytes() == got[::-1][:, order].tobytes()
+    assert _expm_grid(systems[:1], ts[:1]).tobytes() == got[:1, :1].tobytes()
 
 
-def test_a_stack_of_only_small_or_only_large_members_matches_too():
-    rng = np.random.default_rng(2711)
-    m = rng.standard_normal((6, 6))
+def test_a_grid_of_only_small_or_only_large_members_matches_too():
+    m = np.random.default_rng(2711).standard_normal((1, 6, 6))
     for times in ((1e-7, 2e-6, -3e-5), (0.3, 0.4, 2.0, 9.0)):
-        stack = np.array(times)[:, None, None] * m
-        for member, out in zip(stack, _expm(stack)):
-            assert out.tobytes() == _expm(member).tobytes()
+        ts = np.array(times)
+        _assert_mirrored(m, ts, _expm_grid(m, ts))
 
 
 def test_squarings_a_member_skips_neither_warn_nor_raise():
-    # exp(700) is finite, and squaring it once more overflows: the stack
+    # exp(700) is finite, and squaring it once more overflows: the grid
     # squares the rotation 13 times and the scaled identity only 11
-    big = 700.0 * np.eye(2)
-    rotation = np.array([[0.0, 4000.0], [-4000.0, 0.0]])
-    stack = np.array([big, rotation])
-    assert _stack_counts(stack) == [11, 13]
-    got = _expm(stack)
-    assert got[0].tobytes() == _expm(big).tobytes()
-    assert got[1].tobytes() == _expm(rotation).tobytes()
+    m = np.array([700.0 * np.eye(2), [[0.0, 4000.0], [-4000.0, 0.0]]])
+    ts = np.array([1.0])
+    assert [_scaling(_norm1(mi), mi) for mi in m] == [11, 13]
+    _assert_mirrored(m, ts, _expm_grid(m, ts))
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -828,52 +849,117 @@ def test_squarings_a_member_skips_neither_warn_nor_raise():
     (np.full((2, 2), 2.0 ** 52), "too large"),
     (np.full((2, 2), 400.0), "overflows"),
 ])
-def test_a_member_that_raises_alone_raises_the_same_error_in_a_stack(bad, message):
-    with pytest.raises(SeriesBudgetError, match=message):
-        _expm(bad)
-    fine = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for stack in ([fine, bad], [bad, fine], [bad]):
+def test_a_member_that_raises_alone_raises_the_same_error_in_a_grid(bad, message):
+    for alone in (partial(_expm, bad), partial(_expm_at, bad, 1.0)):
         with pytest.raises(SeriesBudgetError, match=message):
-            _expm(np.array(stack))
+            alone()
+    fine = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for systems in ([fine, bad], [bad, fine], [bad]):
+        with pytest.raises(SeriesBudgetError, match=message):
+            _expm_grid(np.array(systems), np.array([0.5, 1.0]))
 
 
-def test_a_stack_raises_its_argument_refusals_before_any_overflow():
+def test_a_grid_raises_its_argument_refusals_before_any_overflow():
     # [400 J, 2^52 J], J the all-ones matrix: member 0 alone overflows and
-    # member 1 alone is too large, and the stack raises member 1's error
+    # member 1 alone is too large, and the grid raises member 1's error
     ones = np.ones((8, 8))
     with pytest.raises(SeriesBudgetError, match="too large"):
-        _expm(np.array([400.0 * ones, 2.0 ** 52 * ones]))
-    # so does a stack of 8 x 8 members whose refused members lie past its first slice
-    stack = np.random.default_rng(2750).standard_normal((100, 8, 8)) * 0.1
-    stack[0] = 400.0 * ones
-    assert 70 * 64 * 8 * 8 > series._SLICE_BYTES  # two 4-power arrays per member: member 70 is past slice 0
+        _expm_grid(np.array([400.0 * ones, 2.0 ** 52 * ones]), np.array([1.0]))
+    # so do 25 systems at 4 times, by their first refused member in (system,
+    # time) order: 2^46 J, of 1-norm 2^49, is refused at t = 8 alone, its last time
+    m = np.random.default_rng(2750).standard_normal((25, 8, 8)) * 0.1
+    m[0] = 400.0 * ones
+    ts = np.array([0.5, -1.0, 2.0, 8.0])
     with pytest.raises(SeriesBudgetError, match="exponential overflows"):
-        _expm(stack)
-    for refused, message in (({70: 2.0 ** 52 * ones}, "too large"),
-                             ({70: np.full((8, 8), np.nan)}, "non-finite argument"),
-                             ({70: 2.0 ** 52 * ones, 90: np.full((8, 8), np.inf)}, "too large"),
-                             ({70: np.full((8, 8), np.inf), 90: 2.0 ** 52 * ones}, "non-finite argument")):
-        bad = stack.copy()
+        _expm_grid(m, ts)
+    late = 2.0 ** 46 * ones
+    assert [_norm1(t * late) < 2.0 ** 52 for t in ts.tolist()] == [True, True, True, False]
+    for refused, message in (({17: late}, "too large"),
+                             ({17: np.full((8, 8), np.nan)}, "non-finite argument"),
+                             ({17: late, 22: np.full((8, 8), np.inf)}, "too large"),
+                             ({17: np.full((8, 8), np.inf), 22: 2.0 ** 52 * ones}, "non-finite argument"),
+                             ({22: late, 17: np.full((8, 8), np.nan)}, "non-finite argument")):
+        bad = m.copy()
         for i, member in refused.items():
             bad[i] = member
         with pytest.raises(SeriesBudgetError, match=message):
-            _expm(bad)
+            _expm_grid(bad, ts)
+        first = min(refused)
+        with pytest.raises(SeriesBudgetError, match=message):
+            _expm_at(bad[first], 8.0)
 
 
-def test_a_stack_of_many_slices_gives_each_member_its_bytes_alone():
-    # 300 members of 8 x 8, skew or nilpotent so that every exponential is
-    # finite, with 1-norms from 0 to 2^51 and so every squaring count 0..53
+def test_a_grid_of_every_squaring_count_gives_each_member_its_bytes_alone():
+    # 30 systems of 8 x 8 at 10 times, skew or nilpotent so that every
+    # exponential is finite, with |t| ||M_i||_1 from 0 to 2^51 and so every
+    # squaring count 0..53; system 0 is zero, and gives I at every time
     rng = np.random.default_rng(2760)
-    m = rng.standard_normal((300, 8, 8))
+    m = rng.standard_normal((30, 8, 8))
     m[::2] -= m[::2].swapaxes(-1, -2)
     m[1::2] = np.triu(m[1::2], 1)
-    norms = np.concatenate([[0.0], np.geomspace(1e-8, 2.0 ** 51, 299)])
+    norms = np.concatenate([[0.0], np.geomspace(1e-8, 2.0 ** 25, 29)])
     m *= (norms / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
-    assert len(set(_stack_counts(m))) == 54
-    got = _expm(m)
-    assert got.shape == m.shape and np.isfinite(got).all()
-    for member, out in zip(m, got):
-        assert out.tobytes() == _expm(member).tobytes()
+    ts = np.array([0.0, 1e-3, -1.0, 3.0, -40.0, 2.0 ** 10, -(2.0 ** 17), 2.0 ** 20, 2.0 ** 25, -(2.0 ** 26)])
+    assert len(_grid_counts(m, ts.tolist())) == 54
+    got = _expm_grid(m, ts)
+    assert np.isfinite(got).all() and (got[0] == np.eye(8)).all()
+    _assert_mirrored(m, ts, got)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ALGEBRAS)
+@pytest.mark.parametrize("norm, t", [(2.0 ** -600, 2.0 ** 599), (2.0 ** 600, 2.0 ** -601)])
+def test_a_grid_at_both_ends_of_the_float_range_matches_the_adaptive_loop(tag, norm, t):
+    # |t| ||M||_1 = 1/2, where M^4 of an unscaled M would under- or overflow
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(2770)
+    m = np.array([_kernels.rho(alg.table, random_matrix(alg, 2, 2, rng).data) for _ in range(4)])
+    m *= (norm / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+    ts = np.array([t, -t])
+    got = _expm_grid(m, ts)
+    for mi, row in zip(m, got):
+        for ti, out in zip(ts.tolist(), row):
+            ref = adaptive_expm(ti * mi)[0]
+            assert _norm1(out - ref) <= 1e-13 * _norm1(ref), ti
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_system_whose_1_norm_passes_the_float_range_is_answered_at_small_times():
+    # column 0 sums to 2e308: |t| ||M||_1 is read as |t| 2^64 ||M / 2^64||_1
+    m = np.array([[[1e308, 1e308], [-1e308, 1e308]]])
+    ts = np.array([1e-308, -2.5e-308])
+    got = _expm_grid(m, ts)
+    _assert_mirrored(m, ts, got)
+    for ti, out in zip(ts.tolist(), got[0]):
+        ref = adaptive_expm(ti * m[0])[0]
+        assert _norm1(out - ref) <= 1e-13 * _norm1(ref), ti
+    for ti in (1.0, 1e-290):
+        with pytest.raises(SeriesBudgetError, match="argument too large"):
+            _expm_grid(m, np.array([ti]))
+        with pytest.raises(SeriesBudgetError, match="argument too large"):
+            _expm_at(m[0], ti)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", ALGEBRAS)
+def test_arguments_past_the_float_range_are_refused_without_a_warning(tag):
+    # the 1-norms of these finite matrices, and |t| times that of the
+    # systems, pass the float range: each is refused as too large
+    alg = make_algebra(tag)
+    for entry in (1e308, 1.7e308):
+        x = BiMatrix(alg, np.full((2, 2, alg.dim), entry))
+        for mexp in (mexp_rc, mexp_cr):
+            with pytest.raises(SeriesBudgetError, match="argument too large"):
+                mexp(x)
+    for form in diffeq.OdeForm:
+        ode = diffeq.LinearOde(BiMatrix(alg, np.full((2, 2, alg.dim), 10.0)), form, (one(alg), one(alg)))
+        curve = diffeq.closed_form_solution(ode)
+        m, x0 = ode.real_matrix()[None], diffeq._vec(ode.init)[None]
+        for t in (1e307, 1e308, -1.7e308):
+            with pytest.raises(SeriesBudgetError, match="argument too large"):
+                curve(t)
+            with pytest.raises(SeriesBudgetError, match="argument too large"):
+                diffeq._closed_form_states(m, x0, np.array([0.5, t]))
 
 
 # ---------------------------------------------------------------------------

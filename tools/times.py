@@ -39,11 +39,11 @@ series
     [0, 1] and at diffeq._probe_times of 0, 0.5 and 1, RK4 (10 000 steps
     to t = 1) at the grid times; first with one values call per curve, then
     with one diffeq._closed_form_states and one diffeq._rk4_states call for
-    all 12. Then series._expm itself: one 8 x 8 matrix at 1-norm 1e-5, 0.3
-    and 3, and the 192-member stack of those 12 systems' real matrices
-    times each distinct nonzero one of those closed-form times (0.5 and 1
-    are grid and probe times both), the stack that
-    diffeq._closed_form_states exponentiates in one call, and one
+    all 12. Then series._expm itself on one 8 x 8 matrix at 1-norm 1e-5,
+    0.3 and 3; series._expm_grid on those 12 systems' real matrices and
+    the 16 distinct nonzero ones of those closed-form times (0.5 and 1
+    are grid and probe times both), the grid that
+    diffeq._closed_form_states exponentiates in one call; and one
     _kernels.rk4_linear call on the 120-member stack that
     diffeq._rk4_states powers: the 12 systems at the 10 nonzero grid
     times, 10 000 steps to t = 1.
@@ -224,10 +224,9 @@ def series_rows():
     for norm in (1e-5, 0.3, 3.0):
         yield f"_expm (8x8), 1-norm {norm:g}", lambda norm=norm: partial(series._expm, unit * norm)
 
-    def exponential_stack():
+    def exponential_grid():
         times = probe_times()
-        m = np.stack([o.real_matrix() for o in systems])
-        return (np.unique(times[times != 0.0])[:, None, None] * m[:, None]).reshape(-1, *m.shape[1:])
+        return np.stack([o.real_matrix() for o in systems]), np.unique(times[times != 0.0])
 
     def rk4_stack():
         m = np.stack([o.real_matrix() for o in systems])
@@ -237,7 +236,7 @@ def series_rows():
         return (np.repeat(m, len(moving), axis=0), np.repeat(x0, len(moving), axis=0), np.tile(moving, len(systems)),
                 steps)
 
-    yield "_expm (192-member stack)", lambda: partial(series._expm, exponential_stack())
+    yield "_expm_grid (12 systems x 16 times)", lambda: partial(series._expm_grid, *exponential_grid())
     yield "rk4_linear (120-member stack)", lambda: partial(_kernels.rk4_linear, *rk4_stack())
 
 
