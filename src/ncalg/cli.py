@@ -266,16 +266,16 @@ def _scn_exp_properties(opt: Options) -> Report:
 def _scn_quasiexp_demo(opt: Options) -> Report:
     alg = make_algebra("quaternion")
     rng = np.random.default_rng(opt.seed)
-    gaps, zero_gaps = [], []
+    reports, zero_gaps = [], []
     for _ in range(5):
         c = random_element(alg, rng)
         x = random_element(alg, rng)
         # dy/dx o 1 = y, probed by central differences along the unit
         y = lambda v: quasiexp([c], v)
-        gaps.append(antiderivative_residual(y, lambda v, h: y(v), [x], [one(alg)]).residual)
+        reports.append(antiderivative_residual(y, lambda v, h: y(v), [x], [one(alg)]))
         zero_gaps.append((quasiexp([c], zero(alg)) - c).norm())
-    resid, at_zero = worst(gaps), worst(zero_gaps)
-    verdict = resid <= 1e-6 and at_zero <= 1e-12
+    resid, at_zero = worst(r.residual for r in reports), worst(zero_gaps)
+    verdict = all(r.verdict for r in reports) and at_zero <= 1e-12
     return Report(verdict=verdict, residual=resid, metrics={"value_at_zero_gap": at_zero})
 
 
@@ -338,14 +338,14 @@ def _scn_elliptic_family(opt: Options) -> Report:
     ode = elliptic_ode(alg)
     ts = (0.0, 0.5, 1.0, 2.0)
     init = np.array([x.coeffs for x in ode.init])
-    gaps, init_gaps = [], []
+    reports, init_gaps = [], []
     for c in (zero(alg), one(alg), basis(alg, 1)):
         report, at = _read_residual(ode, elliptic_family(c), ts)
-        gaps.append(report.residual)
+        reports.append(report)
         init_gaps += _frobenius_rows(at[0] - init).tolist()
-    resid, init_gap = worst(gaps), worst(init_gaps)
-    return Report(verdict=resid <= 1e-6 and init_gap <= 1e-12, residual=resid,
-                  metrics={"init_gap": init_gap})
+    init_gap = worst(init_gaps)
+    return Report(verdict=all(r.verdict for r in reports) and init_gap <= 1e-12,
+                  residual=worst(r.residual for r in reports), metrics={"init_gap": init_gap})
 
 
 def _scn_ode_forms(opt: Options) -> Report:
@@ -364,11 +364,11 @@ def _scn_ode_forms(opt: Options) -> Report:
     closed = closed.reshape(len(m), -1, 2, alg.dim)
     rk = _rk4_states(m, x0, ts, _rk4_step_target(1.0, 10_000)).reshape(len(m), len(ts), 2, alg.dim)
     gaps = _frobenius_rows(closed[:, :len(ts)] - rk).ravel().tolist()
-    resids = [rep.residual for rep in _judge_states(alg, m, closed[:, len(ts):], checks, "closed-form")]
-    worst_gap, worst_resid = worst(gaps), worst(resids)
-    verdict = worst_gap <= 1e-6 and worst_resid <= 1e-6
+    reports = _judge_states(alg, m, closed[:, len(ts):], checks, "closed-form")
+    worst_gap = worst(gaps)
+    verdict = worst_gap <= 1e-6 and all(r.verdict for r in reports)
     return Report(verdict=verdict, residual=worst_gap,
-                  metrics={"closed_form_residual": worst_resid})
+                  metrics={"closed_form_residual": worst(r.residual for r in reports)})
 
 
 SCENARIOS: dict[str, Scenario] = {}

@@ -39,8 +39,9 @@ read many systems' states with other states, as ode-forms-cross-check
 does, judges them all in one call, and _read_residual passes a stack of
 one. The exponential grid behind the closed-form grids (series._expm_grid)
 takes the powers of each system's M once for all its times, and
-closed_form_solution(ode)(t) takes its one-matrix mirror
-(series._expm_at), which does the same arithmetic.
+closed_form_solution(ode)(t) takes the one-matrix route
+(series._expm_at), which scales M as the grid does and has the bits of
+its member of a grid.
 """
 
 from __future__ import annotations
@@ -371,13 +372,14 @@ def _closed_form_states(m: np.ndarray, x0: np.ndarray, ts: np.ndarray) -> np.nda
     m is a (k, p, p) stack of real_matrix() values and x0 a (k, p) stack of
     initial vectors. Every system's e^{tM} at every distinct nonzero t is
     one member of one exponential grid, series._expm_grid of m and those
-    times, which takes each system's powers once for all its times; its
-    one-matrix mirror is what closed_form_solution(ode)(t) takes, so each
-    state has the bits of that call. A non-finite t raises
-    SeriesBudgetError, the first one in the order of ts, before it meets
-    M, and a member whose argument |t| ||M||_1 is too large, or whose
-    exponential overflows, raises as in series._expm_grid; a state that
-    overflows comes back as it is, non-finite, with no numpy warning.
+    times, which takes each system's powers once for all its times; each
+    member has the bits of series._expm_at, the one-matrix route that
+    closed_form_solution(ode)(t) takes, so each state has the bits of that
+    call. A non-finite t raises SeriesBudgetError, the first one in the
+    order of ts, before it meets M, and a member whose argument |t| ||M||_1
+    is too large, or whose exponential overflows, raises as in
+    series._expm_grid; a state that overflows comes back as it is,
+    non-finite, with no numpy warning.
     """
     _require_finite_time(*ts.tolist())
 
@@ -465,10 +467,10 @@ def _linear_curve(ode: LinearOde, provenance: str, state: Callable[[np.ndarray, 
 def closed_form_solution(ode: LinearOde) -> SolutionCurve:
     """x(t) = e^{tM} vec(x(0)) for M = ode.real_matrix(), as rho(e^{ta}) = e^{t rho(a)}.
 
-    Built by _linear_curve, as rk4_integrate is. curve(t) takes e^{tM}
-    from series._expm_at, the mirror of the grid that values(ts) reads, so
-    the two give a time the same bits. A non-finite t raises
-    SeriesBudgetError before it meets M, and so does a state that
+    Built by _linear_curve, as rk4_integrate is. curve(t) takes e^{tM} from
+    series._expm_at, whose bits are those of its member of the grid that
+    values(ts) reads, so the two give a time the same bits. A non-finite t
+    raises SeriesBudgetError before it meets M, and so does a state that
     overflows at curve(t). values(ts) is _closed_form_states of this one
     system, and returns an overflowing state as it is, non-finite, for the
     residual and cross checks to refute.

@@ -14,22 +14,25 @@ through _slice, which takes coefficient lists and any tuple of cmath maps,
 such as (cos, sin), and gives one flat coefficient list per map. Row i goes
 through the arithmetic of the single call of that row, so it has its bits.
 
-The matrix maps are the exponential of a real matrix, computed by one
-routine, ``_expm``, by scaling and squaring (Higham, SIAM J. Matrix Anal.
-Appl. 26(4), 2005): the argument a is halved until its 1-norm is at most
-1/2, its Taylor series is summed to degree 15, and the sum is squared
-back. At that norm the terms after degree 15 sum to less than 1.5e-18 in
-the 1-norm, under a twentieth of a unit of roundoff of the sum, whose
-1-norm is at least 2 - e^(1/2) > 1/3, so one fixed degree serves every
-argument and there is no term budget to set. The polynomial is evaluated
-by Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of
-four: 6 matrix products instead of 15, plus one per squaring. The curves
-of the closed form, e^{tM} x(0) on a time grid, take ``_expm_grid``: e^{tM}
-of k systems at T times, with the same degree and squaring counts, whose
-powers of M are taken once per system and shared by all its times, as
-every power of tM is a power of t times the same power of M. Its
-one-matrix mirror ``_expm_at`` does the same arithmetic at one time, so
-each member of a grid has the bits of that call.
+The matrix maps are the exponential of a real matrix by scaling and
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), in ``_expm``:
+the argument a is halved until its 1-norm is at most 1/2, its Taylor
+series is summed to degree 15, and the sum is squared back. At that norm
+the terms after degree 15 sum to less than 1.5e-18 in the 1-norm, under
+a twentieth of a unit of roundoff of the sum, whose 1-norm is at least
+2 - e^(1/2) > 1/3, so one fixed degree serves every argument and there
+is no term budget to set. The polynomial is evaluated by
+Paterson-Stockmeyer (SIAM J. Comput. 2(1), 1973) in four blocks of four,
+``_taylor``: 6 matrix products instead of 15, plus one per squaring of
+``_squared``. The curves of the closed form, e^{tM} x(0) on a time grid,
+take ``_expm_grid``: e^{tM} of k systems at T times, with the same
+degree and squaring counts, whose powers of M are taken once per system
+and shared by all its times, as every power of tM is a power of t times
+the same power of M; the grid takes its own row products and squaring
+rounds. The one-matrix route of a curve, ``_expm_at``, scales M as the
+grid does and feeds its time's coefficients to the same ``_taylor`` and
+``_squared`` as ``_expm``, so each member of a grid has the bits of that
+call.
 
 mexp_rc exponentiates rho of its argument (rho as in _kernels, so
 L(x) = rho([x])) and reads the result back off column 0 of each block,
@@ -83,25 +86,37 @@ _PS_COEFFS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4
 _PS_COEFFS.flags.writeable = False
 
 
-def _taylor(a: np.ndarray) -> np.ndarray:
-    """sum_{k<=15} a^k / k! of one (d, d) matrix a by Paterson-Stockmeyer in blocks of four.
+def _taylor(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j B_j a^(4j) of one (d, d) matrix a, B_j = sum_{i<4} rows[j, ..., i] a^i, by Paterson-Stockmeyer in blocks of four.
 
-    With B_j = sum_{i<4} a^i / (4j + i)!, the sum is B_0 + a^4 (B_1 + a^4 (B_2
-    + a^4 B_3)). One product of the coefficient rows with the stacked I, a,
-    a^2, a^3 builds the four B_j at once, and Horner's rule in a^4 adds 3
-    matrix products to the 3 that form a^2, a^3 and a^4: 6 products and
-    about 15 numpy calls, where the term-by-term sum takes 15 products and
-    45 calls.
+    The sum is B_0 + a^4 (B_1 + a^4 (B_2 + a^4 B_3)). One product of the
+    coefficient rows with the stacked I, a, a^2, a^3 builds the four B_j at
+    once, and Horner's rule in a^4 adds 3 matrix products to the 3 that
+    form a^2, a^3 and a^4: 6 products and about 15 numpy calls, where the
+    term-by-term sum takes 15 products and 45 calls. _expm's rows are
+    _PS_COEFFS, a (4, 4) array taken by ndarray.dot; _expm_at's are its
+    tau^k / k!, four (1, 4) rows taken by one batched matmul, the row
+    products a member of _expm_grid takes.
     """
     d = a.shape[0]
     a2 = a.dot(a)
-    powers = np.concatenate((_kernels.identity(d), a, a2, a2.dot(a)))
-    blocks = _PS_COEFFS.dot(powers.reshape(4, d * d)).reshape(4, d, d)
+    powers = np.concatenate((_kernels.identity(d), a, a2, a2.dot(a))).reshape(4, d * d)
+    dot = np.ndarray.dot if rows.ndim == 2 else np.matmul
+    blocks = dot(rows, powers).reshape(4, d, d)
     a4 = a2.dot(a2)
     total = blocks[3]
     for j in (2, 1, 0):
         total = total.dot(a4)
         total += blocks[j]
+    return total
+
+
+def _squared(total: np.ndarray, s: int) -> np.ndarray:
+    """total squared s times, for the caller's np.errstate block; an overflow past the float range raises."""
+    for _ in range(s):
+        total = total.dot(total)
+    if s and not np.isfinite(total).all():
+        raise SeriesBudgetError("exponential overflows")
     return total
 
 
@@ -121,22 +136,17 @@ def _expm(m: np.ndarray) -> np.ndarray:
     is at most 2^-k / k!, and the terms after degree 15 sum to less than
     twice 2^-16 / 16!, below 1.5e-18, for every argument, so every
     argument takes degree 15. It fills exactly four blocks of _taylor's
-    Paterson-Stockmeyer sum: 6 matrix products, where summing term by
-    term takes 15. The s squarings then take s more, and
-    multiply the sum's relative rounding error by up to 2^s, so past
-    ||m||_1 = 2^52 no digit of the result is left and it raises instead.
-    The norm runs inside the squarings' block with overflow warnings off,
-    so a finite m whose column sums pass the float range is refused as
-    too large, with no warning.
+    Paterson-Stockmeyer sum, with the rows _PS_COEFFS: 6 matrix products,
+    where summing term by term takes 15. The s squarings of _squared then
+    take s more, and multiply the sum's relative rounding error by up to
+    2^s, so past ||m||_1 = 2^52 no digit of the result is left and it
+    raises instead. The norm runs inside the squarings' block with
+    overflow warnings off, so a finite m whose column sums pass the float
+    range is refused as too large, with no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = _scaling(_norm1(m), m)
-        total = _taylor(np.ldexp(m, -s))
-        for _ in range(s):
-            total = total.dot(total)
-    if s and not np.isfinite(total).all():
-        raise SeriesBudgetError("exponential overflows")
-    return total
+        return _squared(_taylor(np.ldexp(m, -s), _PS_COEFFS), s)
 
 
 def _shifted(m: np.ndarray) -> tuple[float, int]:
@@ -200,7 +210,8 @@ def _expm_grid(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
         for i in np.flatnonzero(norms == np.inf):
             norms[i], shifts[i] = _shifted(m[i])
         x = np.abs(ts) * np.ldexp(1.0, shifts)[:, None] * norms[:, None]  # |t| ||M_i||_1, NaN where M_i is not finite
-        for i, j in np.argwhere(~(x < 2.0 ** 52))[:1]:
+        if not (x < 2.0 ** 52).all():  # NaN fails it too
+            i, j = np.argwhere(~(x < 2.0 ** 52))[0]
             _scaling(float(x[i, j]), m[i])  # raises the first refused member's error
         s = np.where(x > 0.5, np.frexp(x)[1] + 1, 0)
         sigma = np.frexp(norms)[1] + 1 + shifts
@@ -228,12 +239,13 @@ def _expm_grid(m: np.ndarray, ts: np.ndarray) -> np.ndarray:
 def _expm_at(m: np.ndarray, t: float) -> np.ndarray:
     """exp(t m) of one real square matrix m at one finite time t, by _expm_grid's arithmetic.
 
-    This is _expm_grid of one system at one time, with one-matrix products,
-    the time's arithmetic in Python floats (IEEE products, as numpy's) and
-    the four block rows in one batched row product, so it has the bits of
-    its member of a grid and refuses as that member does.
+    This is _expm_grid of one system at one time: its own scaling, sigma,
+    s and tau, and the time's coefficients tau^k / k! as running products
+    in Python floats (IEEE products, as numpy's). _taylor takes them as
+    four (1, 4) rows, in one batched row product, and _squared squares the
+    sum back, so it has the bits of its member of a grid and refuses as
+    that member does.
     """
-    p = m.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         norm, shift = _norm1(m), 0
         if norm == math.inf:
@@ -241,24 +253,11 @@ def _expm_at(m: np.ndarray, t: float) -> np.ndarray:
         s = _scaling(abs(t) * 2.0 ** shift * norm, m)
         sigma = math.frexp(norm)[1] + 1 + shift
         tau = math.ldexp(t, sigma - s) if norm else 0.0
-        a = np.ldexp(m, -sigma)
-        a2 = a.dot(a)
-        powers = np.concatenate((_kernels.identity(p), a, a2, a2.dot(a))).reshape(4, p * p)
         term, terms = 1.0, [1.0]
         for k in range(1, 16):
             term *= tau / k
             terms.append(term)
-        blocks = (np.array(terms).reshape(4, 1, 4) @ powers).reshape(4, p, p)
-        a4 = a2.dot(a2)
-        total = blocks[3]
-        for j in (2, 1, 0):
-            total = total.dot(a4)
-            total += blocks[j]
-        for _ in range(s):
-            total = total.dot(total)
-    if s and not np.isfinite(total).all():
-        raise SeriesBudgetError("exponential overflows")
-    return total
+        return _squared(_taylor(np.ldexp(m, -sigma), np.array(terms).reshape(4, 1, 4)), s)
 
 
 def _require_finite(*rows: list[float]) -> None:

@@ -606,6 +606,26 @@ def test_elliptic_scenarios_match_their_per_call_reads(name, reference):
     assert json.dumps(got.to_data()) == json.dumps(reference(Options()).to_data())
 
 
+def _refuting(report):
+    """report with its verdict refuted and a zero residual: only the checker's verdict can fail it."""
+    return Report(verdict=False, residual=0.0, witness={"refuted": True}, metrics=report.metrics)
+
+
+@pytest.mark.parametrize("name, checker, refute", [
+    pytest.param("ode-forms-cross-check", "_judge_states", lambda reports: [_refuting(r) for r in reports],
+                 id="ode-forms-cross-check"),
+    pytest.param("elliptic-family", "_read_residual", lambda out: (_refuting(out[0]), out[1]), id="elliptic-family"),
+    pytest.param("quasiexp-demo", "antiderivative_residual", _refuting, id="quasiexp-demo"),
+])
+def test_a_scenario_takes_its_checkers_verdicts(capsys, monkeypatch, name, checker, refute):
+    # the residual reads 0.0, so a scenario that judged it against its own
+    # bar would pass; it fails because the checker said so
+    real = getattr(cli, checker)
+    monkeypatch.setattr(cli, checker, lambda *args, **kwargs: refute(real(*args, **kwargs)))
+    assert main(["run", name]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_exponent_identities_are_judged_relative_to_their_sides():
     # at |f t| up to 40 the exponentials reach e^40 ~ 2e17: the rounding of
     # exact identities is far above an absolute 1e-10, but not relative to

@@ -30,6 +30,7 @@ from ncalg.series import (
     _expm,
     _expm_at,
     _expm_grid,
+    _PS_COEFFS,
     _pairs,
     _scaling,
     _slice,
@@ -786,7 +787,45 @@ class TestPatersonStockmeyer:
                 m = rng.standard_normal((size, size))
                 m *= norm / _norm1(m)
                 ref = self.term_by_term(m)
-                assert _norm1(_taylor(m) - ref) <= 16 * u * (1.0 + _norm1(ref)), norm
+                assert _norm1(_taylor(m, _PS_COEFFS) - ref) <= 16 * u * (1.0 + _norm1(ref)), norm
+
+
+def reference_expm(m):
+    """exp(m) as _expm composes it: scale by 2^-s to a 1-norm of at most 1/2,
+    take the four Paterson-Stockmeyer blocks as one product of the 1/k! rows
+    with the stacked I, a, a^2, a^3, run Horner's rule in a^4, then square s
+    times."""
+    norm = _norm1(m)
+    s = math.frexp(norm)[1] + 1 if norm > 0.5 else 0
+    a = np.ldexp(m, -s)
+    d = len(a)
+    a2 = a.dot(a)
+    powers = np.concatenate((np.eye(d), a, a2, a2.dot(a))).reshape(4, d * d)
+    coeffs = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
+    blocks = coeffs.dot(powers).reshape(4, d, d)
+    a4 = a2.dot(a2)
+    total = blocks[3]
+    for j in (2, 1, 0):
+        total = total.dot(a4) + blocks[j]
+    for _ in range(s):
+        total = total.dot(total)
+    return total
+
+
+@pytest.mark.parametrize("tag", ALGEBRAS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_exponentials_have_the_bytes_of_the_reference(tag, n):
+    alg = make_algebra(tag)
+    rng = np.random.default_rng(2900 + n)
+    for norm in np.geomspace(1e-6, 20.0, 9):
+        data = random_matrix(alg, n, n, rng).data
+        data = data * (norm / _norm1(_kernels.rho(alg.table, data)))
+        m = _kernels.rho(alg.table, data)
+        assert _expm(m).tobytes() == reference_expm(m).tobytes(), norm
+        rc, cr = mexp_rc(BiMatrix(alg, data)), mexp_cr(BiMatrix(alg, data))
+        assert rc.data.tobytes() == _kernels.column(reference_expm(m), alg.dim).tobytes(), norm
+        cr_want = _kernels.column(reference_expm(_kernels.rho(alg.table, data.transpose(1, 0, 2))), alg.dim)
+        assert cr.data.tobytes() == cr_want.transpose(1, 0, 2).tobytes(), norm
 
 
 # ---------------------------------------------------------------------------

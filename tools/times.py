@@ -40,10 +40,12 @@ series
     to t = 1) at the grid times; first with one values call per curve, then
     with one diffeq._closed_form_states and one diffeq._rk4_states call for
     all 12. Then series._expm itself on one 8 x 8 matrix at 1-norm 1e-5,
-    0.3 and 3; series._expm_grid on those 12 systems' real matrices and
-    the 16 distinct nonzero ones of those closed-form times (0.5 and 1
-    are grid and probe times both), the grid that
-    diffeq._closed_form_states exponentiates in one call; and one
+    0.3 and 3, each followed by series._expm_at, the one-matrix route of a
+    closed-form curve, on the same matrix at t = 0.7, so the two routes
+    that share _taylor and _squared are timed side by side; series._expm_grid
+    on those 12 systems' real matrices and the 16 distinct nonzero ones of
+    those closed-form times (0.5 and 1 are grid and probe times both), the
+    grid that diffeq._closed_form_states exponentiates in one call; and one
     _kernels.rk4_linear call on the 120-member stack that
     diffeq._rk4_states powers: the 12 systems at the 10 nonzero grid
     times, 10 000 steps to t = 1.
@@ -223,6 +225,7 @@ def series_rows():
     unit /= np.abs(unit).sum(axis=0).max()
     for norm in (1e-5, 0.3, 3.0):
         yield f"_expm (8x8), 1-norm {norm:g}", lambda norm=norm: partial(series._expm, unit * norm)
+        yield f"_expm_at (8x8) at 0.7, 1-norm {norm:g}", lambda norm=norm: partial(series._expm_at, unit * norm, 0.7)
 
     def exponential_grid():
         times = probe_times()
