@@ -30,11 +30,10 @@ from . import _kernels, biring
 from .algebra import (
     CLOSE_RTOL,
     AlgebraError,
-    Element,
     NotInvertibleError,
     _frobenius_rows,
     _mul_rows,
-    basis,
+    _norm,
     close,
     inv_stack,
     make_algebra,
@@ -45,6 +44,7 @@ from .algebra import (
 from .diffeq import (
     OdeForm,
     _closed_form_states,
+    _elliptic_family_states,
     _judge_states,
     _probe_times,
     _read_residual,
@@ -52,7 +52,6 @@ from .diffeq import (
     _rk4_states,
     _rk4_step_target,
     antiderivative_residual,
-    elliptic_family,
     elliptic_ode,
     elliptic_two_exp_curve,
     exactness_check,
@@ -220,19 +219,18 @@ def _scn_separable_712(opt: Options) -> Report:
     return implicit_solution_check(u, m, n)
 
 
-def _identities(sides: Sequence[tuple[Element, Element]]) -> tuple[float, bool]:
-    """The worst gap |lhs - rhs| over the sides of some identities, and whether they all hold.
+def _identities(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
+    """The worst gap |lhs - rhs| over the rows of two (k, d) coefficient arrays, and whether every identity holds.
 
-    An identity holds when its sides are close under algebra.close with
-    IDENTITY_RTOL, so the verdict does not change with the scale of its
-    sides; the gap itself is what the report prints. The norms of every
-    lhs, rhs and lhs - rhs come from one _frobenius_rows call, each with
-    the bits of the Element.norm that the gap and algebra.close take; a
-    side whose norms reach 2^1000 or are not finite goes to algebra.close
-    itself, which rescales it.
+    Row i of lhs and of rhs are the two sides of one identity. It holds
+    when they are close under algebra.close with IDENTITY_RTOL, so the
+    verdict does not change with the scale of its sides; the gap itself is
+    what the report prints. The norms of every lhs, rhs and lhs - rhs come
+    from one _frobenius_rows call, each with the bits of the Element.norm
+    that the gap and algebra.close take; a side whose norms reach 2^1000
+    or are not finite goes to algebra.close itself, which rescales it.
     """
-    lhs, rhs = (np.array([side[i].coeffs for side in sides]) for i in (0, 1))
-    na, nb, gaps = _frobenius_rows(np.concatenate((lhs, rhs, lhs - rhs))).reshape(3, len(sides)).tolist()
+    na, nb, gaps = _frobenius_rows(np.concatenate((lhs, rhs, lhs - rhs))).reshape(3, len(lhs)).tolist()
     holds = all(gap <= IDENTITY_RTOL * (p + q) if p + q < 2.0 ** 1000 else close(a, b, IDENTITY_RTOL)
                 for p, q, gap, a, b in zip(na, nb, gaps, lhs, rhs))
     return worst(gaps), holds
@@ -241,24 +239,25 @@ def _identities(sides: Sequence[tuple[Element, Element]]) -> tuple[float, bool]:
 def _scn_exp_properties(opt: Options) -> Report:
     alg = make_algebra("quaternion")
     rng = np.random.default_rng(opt.seed)
-    commuting = []
-    for _ in range(10):
-        a = random_element(alg, rng)
-        f = float(rng.uniform(-2, 2))
-        commuting.append((a, Element(alg, a.coeffs * f)))  # real multiples commute with a
-    swaps = [(random_element(alg, rng), random_element(alg, rng)) for _ in range(10)]
-    i, j = basis(alg, 1), basis(alg, 2)
-    # all 53 exponentials in one stacked call, each with the bits of its exp_el
-    args = [y for a, b in commuting for y in (a + b, a, b)]
-    args += [y for a, x in swaps for y in (x * a, a * x)] + [i + j, i, j]
-    exps = iter([Element._trusted(alg, e) for e in _exp_els(np.array([y.coeffs for y in args]))])
-    # read back in the order of args: commuting pairs multiply, and the
-    # side-swap identity a e^{xa} = e^{ax} a holds
-    sides = [(next(exps), next(exps) * next(exps)) for _ in commuting]
-    sides += [(a * next(exps), next(exps) * a) for a, _ in swaps]
-    resid, holds = _identities(sides)
-    e_ij, e_i, e_j = exps
-    gap = (e_ij - e_i * e_j).norm()
+    # the draws of 10 rounds of random_element and uniform(-2, 2), which is twice
+    # uniform(-1, 1), exactly; then of 10 pairs of random_element calls
+    drawn = rng.uniform(-1.0, 1.0, (10, alg.dim + 1))
+    a, b = drawn[:, :-1], drawn[:, :-1] * (2.0 * drawn[:, -1:])  # real multiples commute with a
+    c, x = rng.uniform(-1.0, 1.0, (10, 2, alg.dim)).swapaxes(0, 1)
+    i, j = np.eye(alg.dim)[1:3]
+    # all 53 exponentials in one stacked call, each with the bits of its exp_el: a + b,
+    # a and b per commuting pair, x c and c x per swap pair, then i + j, i and j; every
+    # product has the bits of its Element product
+    args = np.concatenate((np.stack((a + b, a, b), axis=1).reshape(-1, alg.dim),
+                           np.stack((_mul_rows(alg, x, c), _mul_rows(alg, c, x)), axis=1).reshape(-1, alg.dim),
+                           (i + j, i, j)))
+    exps = _exp_els(args)
+    commuting, swapped, (e_ij, e_i, e_j) = exps[:30].reshape(10, 3, -1), exps[30:50].reshape(10, 2, -1), exps[50:]
+    # commuting pairs multiply, and the side-swap identity c e^{xc} = e^{cx} c holds
+    lhs = np.concatenate((commuting[:, 0], _mul_rows(alg, c, swapped[:, 0])))
+    rhs = np.concatenate((_mul_rows(alg, commuting[:, 1], commuting[:, 2]), _mul_rows(alg, swapped[:, 1], c)))
+    resid, holds = _identities(lhs, rhs)
+    gap = _norm(e_ij - _mul_rows(alg, e_i, e_j))
     return Report(verdict=holds and gap > 1e-3, residual=resid,
                   metrics={"noncommuting_gap": gap, "pairs_checked": 20})
 
@@ -279,33 +278,35 @@ def _scn_quasiexp_demo(opt: Options) -> Report:
     return Report(verdict=verdict, residual=resid, metrics={"value_at_zero_gap": at_zero})
 
 
-def _euler_gap(alg, f: Element) -> tuple[float, bool]:
-    """sinh and cosh of t f against the halves of e^{tf} -+ e^{-tf}, and their commutators with f.
+def _euler_gap(alg, fs: np.ndarray) -> tuple[float, bool]:
+    """sinh and cosh of t f against the halves of e^{tf} -+ e^{-tf}, and their commutators with f, for each row f of fs.
 
-    All 8 exponentials take one stacked call and the 4 (cosh, sinh) pairs
-    another. Returns the worst gap and whether every identity holds.
+    fs is an (m, d) array of directions. The 8 m exponentials take one
+    stacked call and the 4 m (cosh, sinh) pairs another; every product has
+    the bits of its Element product and every half those of 0.5 * Element.
+    Returns the worst gap over all directions and whether every identity
+    holds.
     """
-    tf = np.array((0.1, 0.5, 1.0, 2.0))[:, None] * f.coeffs
-    exps = _exp_els(np.concatenate((tf, -tf))).reshape(2, len(tf), alg.dim)
+    tf = (fs[:, None] * np.array((0.1, 0.5, 1.0, 2.0))[:, None]).reshape(-1, alg.dim)
+    f = fs.repeat(4, axis=0)
+    ep, em = _exp_els(np.concatenate((tf, -tf))).reshape(2, len(tf), alg.dim)
     cosh, sinh = _pairs(tf)
-    sides = []
-    for row in zip(exps[0], exps[1], cosh, sinh):
-        ep, em, ch, sh = (Element._trusted(alg, e) for e in row)
-        sides += [(sh, 0.5 * (ep - em)), (ch, 0.5 * (ep + em)), (sh * f, f * sh), (ch * f, f * ch)]
-    return _identities(sides)
+    lhs = np.concatenate((sinh, cosh, _mul_rows(alg, sinh, f), _mul_rows(alg, cosh, f)))
+    rhs = np.concatenate(((ep - em) * 0.5, (ep + em) * 0.5, _mul_rows(alg, f, sinh), _mul_rows(alg, f, cosh)))
+    return _identities(lhs, rhs)
 
 
 def _scn_euler_hyperbolic(opt: Options) -> Report:
     alg = make_algebra("real")
-    resid, holds = _euler_gap(alg, one(alg))
+    resid, holds = _euler_gap(alg, np.ones((1, 1)))
     return Report(verdict=holds, residual=resid)
 
 
 def _scn_euler_quaternion(opt: Options) -> Report:
     alg = make_algebra("quaternion")
-    i, j, k = basis(alg, 1), basis(alg, 2), basis(alg, 3)
-    gaps = [_euler_gap(alg, f) for f in (i, (i + j) * (1 / np.sqrt(2)), 2 * k)]
-    return Report(verdict=all(holds for _, holds in gaps), residual=worst(resid for resid, _ in gaps))
+    i, j, k = np.eye(alg.dim)[1:]
+    resid, holds = _euler_gap(alg, np.array((i, (i + j) * (1 / np.sqrt(2)), 2 * k)))
+    return Report(verdict=holds, residual=resid)
 
 
 def _scn_elliptic_nonunique(opt: Options) -> Report:
@@ -338,12 +339,12 @@ def _scn_elliptic_family(opt: Options) -> Report:
     ode = elliptic_ode(alg)
     ts = (0.0, 0.5, 1.0, 2.0)
     init = np.array([x.coeffs for x in ode.init])
-    reports, init_gaps = [], []
-    for c in (zero(alg), one(alg), basis(alg, 1)):
-        report, at = _read_residual(ode, elliptic_family(c), ts)
-        reports.append(report)
-        init_gaps += _frobenius_rows(at[0] - init).tolist()
-    init_gap = worst(init_gaps)
+    # the curves of C = 0, 1 and i: their states at every probe time from one
+    # stack of exponentials, and their residuals from one judge
+    cs = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    states = _elliptic_family_states(cs, np.array(_probe_times(ts)))
+    reports = _judge_states(alg, ode.real_matrix()[None].repeat(3, axis=0), states, ts, "three-exponential-family")
+    init_gap = worst(_frobenius_rows(states[:, 2] - init).ravel().tolist())
     return Report(verdict=all(r.verdict for r in reports) and init_gap <= 1e-12,
                   residual=worst(r.residual for r in reports), metrics={"init_gap": init_gap})
 
@@ -396,7 +397,7 @@ _register("exact-725", "dx.y + dy.x fails the order-sensitive cross condition",
           "inexact equation, order-sensitive failure", _scn_exact_725)
 _register("separable-712", "x^2 + y^2 = C solves the separated-variable equation",
           "separated variables with potential x^2 + y^2", _scn_separable_712)
-_register("exp-properties", "e^{a+b} = e^a e^b iff commuting; a e^{xa} = e^{ax} a",
+_register("exp-properties", "e^{a+b} = e^a e^b if a and b commute; a e^{xa} = e^{ax} a",
           "exponent product and side-swap laws", _scn_exp_properties)
 _register("quasiexp-demo", "quasiexponent satisfies dy/dx o 1 = y and e[c]^0 = c",
           "quasiexponent fixed-point equation", _scn_quasiexp_demo)

@@ -66,6 +66,7 @@ from .algebra import (
     frobenius,
     in_centralizer,
     inv,
+    make_algebra,
     one,
     zero,
 )
@@ -703,26 +704,37 @@ def elliptic_two_exp_curve(algebra: AlgebraDesc, b1: Element | None = None,
     return _batch_curve(algebra, batch, "two-exponential")
 
 
+def _elliptic_family_states(cs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The states of elliptic_family(C) at every time of ts for each row C of an (m, 4) array cs, an (m, len(ts), 2, 4) array.
+
+    The exponentials e^{it}, e^{jt} and e^{kt} do not depend on C, so one
+    _exps_at call serves every row. C2 and C3 of each row are taken by
+    _mul_rows and each term C_m (e, b e) by one broadcast _mul_rows call,
+    so every product has the bits of its Element product, and the three
+    terms are summed from zero in the order C1, C2, C3: each row has the
+    bits of its single curve, which is this stack's one-row case. A time
+    is refused as in _exps_at.
+    """
+    alg = make_algebra("quaternion")
+    j_k = np.array([0.0, 0.0, 1.0, -1.0])
+    c2 = (-j_k + _mul_rows(alg, cs, np.array([-1.0, 1.0, 1.0, 1.0]))) * 0.5
+    c3 = (j_k - _mul_rows(alg, cs, np.ones(4))) * 0.5
+    e = _exps_at([basis(alg, m) for m in (1, 2, 3)], ts)
+    be = _mul_rows(alg, np.eye(4)[1:, None], e)  # i e^{it}, j e^{jt}, k e^{kt}
+    terms = _mul_rows(alg, np.stack((cs, c2, c3), axis=1)[:, :, None, None], np.stack((e, be), axis=2))
+    return np.zeros(terms[:, 0].shape) + terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
 def elliptic_family(c_param: Element) -> SolutionCurve:
     """Three-exponential family solving the elliptic system for every parameter.
 
     x1 = C1 e^{it} + C2 e^{jt} + C3 e^{kt} and x2 = x1' with
     C1 = C, C2 = ((k - j) + C(-1 + i + j + k))/2,
     C3 = ((j - k) - C(1 + i + j + k))/2; for every C the curve satisfies
-    x(0) = (0, 1).
+    x(0) = (0, 1). Its states are the one-row stack of _elliptic_family_states.
     """
     algebra = c_param.algebra
     if algebra.tag != "quaternion":
         raise ValueError("the three-exponential family lives in the quaternions")
-    e0, i, j, k = (basis(algebra, m) for m in range(4))
-    c1 = c_param
-    c2 = 0.5 * (-(j - k) + c_param * (-e0 + i + j + k))
-    c3 = 0.5 * ((j - k) - c_param * (e0 + i + j + k))
-    cs, bs = (np.array([x.coeffs for x in xs])[:, None] for xs in ((c1, c2, c3), (i, j, k)))
-
-    def batch(ts: np.ndarray) -> np.ndarray:
-        e = _exps_at((i, j, k), ts)
-        terms = _mul_rows(algebra, cs[:, None], np.stack((e, _mul_rows(algebra, bs, e)), axis=2))
-        return sum(terms, np.zeros(terms.shape[1:]))  # 0 + C1 (...) + C2 (...) + C3 (...), in that order
-
-    return _batch_curve(algebra, batch, "three-exponential-family")
+    c = c_param.coeffs[None]
+    return _batch_curve(algebra, lambda ts: _elliptic_family_states(c, ts)[0], "three-exponential-family")

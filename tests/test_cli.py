@@ -516,8 +516,11 @@ def test_stacked_exp_properties_matches_the_per_call_loop(seed):
 def test_stacked_euler_gaps_match_the_per_call_loop():
     fs = _euler_fs()
     for f in fs:
-        resid, holds = cli._euler_gap(f.algebra, f)
+        resid, holds = cli._euler_gap(f.algebra, f.coeffs[None])
         assert repr(resid) == repr(_per_call_euler_gap(f)) and holds
+    # the three quaternion directions in one stack: the worst of their own gaps
+    resid, holds = cli._euler_gap(fs[1].algebra, np.array([f.coeffs for f in fs[1:]]))
+    assert repr(resid) == repr(worst(_per_call_euler_gap(f) for f in fs[1:])) and holds
     for name, group in (("euler-hyperbolic", fs[:1]), ("euler-quaternion", fs[1:])):
         resid = worst(_per_call_euler_gap(f) for f in group)
         got, _ = run_scenario(name, Options())
@@ -614,7 +617,8 @@ def _refuting(report):
 @pytest.mark.parametrize("name, checker, refute", [
     pytest.param("ode-forms-cross-check", "_judge_states", lambda reports: [_refuting(r) for r in reports],
                  id="ode-forms-cross-check"),
-    pytest.param("elliptic-family", "_read_residual", lambda out: (_refuting(out[0]), out[1]), id="elliptic-family"),
+    pytest.param("elliptic-family", "_judge_states", lambda reports: [_refuting(r) for r in reports],
+                 id="elliptic-family"),
     pytest.param("quasiexp-demo", "antiderivative_residual", _refuting, id="quasiexp-demo"),
 ])
 def test_a_scenario_takes_its_checkers_verdicts(capsys, monkeypatch, name, checker, refute):
@@ -626,30 +630,49 @@ def test_a_scenario_takes_its_checkers_verdicts(capsys, monkeypatch, name, check
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_the_exponent_law_holds_for_a_non_commuting_quaternion_pair():
+    # so exp-properties claims only that commuting pairs obey it: a = 6 pi i and
+    # b = 8 pi j do not commute, yet e^{a+b}, e^a and e^b are all 1 to rounding
+    quat = make_algebra("quaternion")
+    a, b = 6 * math.pi * basis(quat, 1), 8 * math.pi * basis(quat, 2)
+    assert (a * b - b * a).norm() > 900.0
+    assert (exp_el(a + b) - exp_el(a) * exp_el(b)).norm() < 1e-29
+    # with real parts added the sides are e^{-0.7}, and they agree to rounding
+    a, b = a + 0.3 * one(quat), b - one(quat)
+    gap, holds = _identities([(exp_el(a + b), exp_el(a) * exp_el(b))])
+    assert holds and gap < 2e-16 * exp_el(a + b).norm()
+    assert "iff" not in cli.SCENARIOS["exp-properties"].description
+
+
+def _identities(sides):
+    """cli._identities of (lhs, rhs) Element pairs, as two coefficient arrays."""
+    return cli._identities(*(np.array([side[i].coeffs for side in sides]) for i in (0, 1)))
+
+
 def test_exponent_identities_are_judged_relative_to_their_sides():
     # at |f t| up to 40 the exponentials reach e^40 ~ 2e17: the rounding of
     # exact identities is far above an absolute 1e-10, but not relative to
     # the sides
     quat = make_algebra("quaternion")
-    resid, holds = cli._euler_gap(quat, 20.0 * basis(quat, 3) + 20.0 * one(quat))
+    resid, holds = cli._euler_gap(quat, (20.0 * basis(quat, 3) + 20.0 * one(quat)).coeffs[None])
     assert resid > 1e-10 and holds
     a = 30.0 * random_element(quat, np.random.default_rng(5)) + 20.0 * one(quat)
     b = 0.5 * a
-    resid, holds = cli._identities([(exp_el(a + b), exp_el(a) * exp_el(b))])
+    resid, holds = _identities([(exp_el(a + b), exp_el(a) * exp_el(b))])
     assert resid > 1e-10 and holds
     # a false identity is refuted at every scale
     i, j = basis(quat, 1), basis(quat, 2)
     for s in (1e-3, 1.0, 30.0):
-        resid, holds = cli._identities([(exp_el(s * (i + j)), exp_el(s * i) * exp_el(s * j))])
+        resid, holds = _identities([(exp_el(s * (i + j)), exp_el(s * i) * exp_el(s * j))])
         assert not holds
-    assert not cli._identities([(one(quat), Element(quat, [math.nan] * 4))])[1]
+    assert not _identities([(one(quat), Element(quat, [math.nan] * 4))])[1]
     # the rule is algebra.close's, at every scale short of overflow
     rng = np.random.default_rng(6)
     for scale in (1e-200, 1e-5, 1.0, 1e5, 1e200):
         for rel in np.logspace(-12, -8, 9):
             lhs = scale * random_element(quat, rng)
             rhs = lhs + rel * scale * random_element(quat, rng)
-            assert cli._identities([(lhs, rhs)])[1] == lhs.close(rhs, cli.IDENTITY_RTOL)
+            assert _identities([(lhs, rhs)])[1] == lhs.close(rhs, cli.IDENTITY_RTOL)
     # judged in one pass, every side alone and every run of sides gets the gap bytes and the
     # verdict of two Element subtractions and four norms per side, over R, C and H: random sides
     # at 10^+-300 that hold, nearly hold or fail, zero sides, a -0.0 coefficient, NaN and +-inf
@@ -677,7 +700,7 @@ def test_exponent_identities_are_judged_relative_to_their_sides():
                   (el(1e308), el(1e308 * (1 + 1e-12))), (el(6e307, 6e307), el(6e307, 6e307 * (1 + 1e-11)))]
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and 1.7e308 + 1.7e308, on both sides
             for run in [[side] for side in sides] + [sides[t:t + 7] for t in range(0, len(sides), 7)] + [sides]:
-                (gap, holds), (want_gap, want_holds) = cli._identities(run), per_pair(run)
+                (gap, holds), (want_gap, want_holds) = _identities(run), per_pair(run)
                 assert np.float64(gap).tobytes() == np.float64(want_gap).tobytes() and holds == want_holds, run
             verdicts = [per_pair([side])[1] for side in sides]
         assert any(verdicts[:40]) and not all(verdicts[:40]) and any(verdicts[-4:])

@@ -995,6 +995,20 @@ def test_elliptic_curves_have_the_bytes_of_their_element_product_formulas(HH):
             assert np.array([x.coeffs for x in curve(t)]).tobytes() == want.tobytes(), (curve.provenance, t)
 
 
+def test_a_stack_of_family_parameters_gives_each_curve_its_own_bytes(HH):
+    rng = np.random.default_rng(8)
+    params = [zero(HH), one(HH), basis(HH, 1), random_element(HH, rng), 3.0 * random_element(HH, rng)]
+    cs = np.array([c.coeffs for c in params])
+    for ts in (np.array(diffeq._probe_times((0.0, 0.5, 1.0, 2.0))), np.array([-0.25, -1.3, 0.0, -7.5])):
+        states = diffeq._elliptic_family_states(cs, ts)
+        assert states.shape == (len(params), len(ts), 2, 4)
+        for c, got in zip(params, states):
+            assert np.array_equal(got, elliptic_family(c).values(ts))
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SeriesBudgetError, match="non-finite time"):
+            diffeq._elliptic_family_states(cs, np.array([0.5, t]))
+
+
 @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
 def test_solution_residual_equals_the_per_time_loop(tag):
     verdicts = set()

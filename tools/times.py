@@ -18,7 +18,11 @@ elements
 scenarios
     Every CLI scenario through ``cli.run_scenario`` with the default
     options (seed 0, quaternions), then ``total``, one call that runs them
-    all in turn.
+    all in turn. Then two stacked bodies on their own: cli._euler_gap on
+    the three H directions of euler-quaternion (i, (i + j)/sqrt 2 and
+    2k), and diffeq._elliptic_family_states of elliptic-family's three
+    parameters (C = 0, 1 and i) at that scenario's probe times,
+    diffeq._probe_times of 0, 0.5, 1 and 2.
 series
     The single calls of the benchmark's series-scale workload: exp_el,
     sinh_el, cosh_el, sin_el and cos_el of an H element of norm 2, exp_el
@@ -167,6 +171,12 @@ def scenarios():
     for name in names:
         yield name, lambda name=name: partial(cli.run_scenario, name, cli.Options())
     yield "total", lambda: lambda: [cli.run_scenario(name, cli.Options()) for name in names]
+    i, j, k = np.eye(H.dim)[1:]
+    directions = np.array((i, (i + j) * (1 / np.sqrt(2)), 2 * k))
+    yield "_euler_gap (3 H directions)", lambda: partial(cli._euler_gap, H, directions)
+    params = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])  # C = 0, 1 and i
+    yield "_elliptic_family_states (3 C's)", lambda: partial(
+        diffeq._elliptic_family_states, params, np.array(diffeq._probe_times((0.0, 0.5, 1.0, 2.0))))
 
 
 def series_rows():
