@@ -380,24 +380,17 @@ def _inv_floats(c: np.ndarray) -> list[float] | None:
     return [math.ldexp(first / n2, -e), *[math.ldexp(-v / n2, -e) for v in rest]]
 
 
-def inv_stack(algebra: AlgebraDesc, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a (..., dim) stack of coefficient vectors of algebra, and which members have one: _inv_rows.
+def inv_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (..., dim) stack of coefficient vectors, and which members have one.
 
-    A member that is zero, non-finite, or whose largest coefficient is
-    below 2^-1023 has no representable inverse: it is False in the mask and
-    NaN in the inverses. Every other member has the bits of its inv.
-    """
-    return _inv_rows(c)
-
-
-def _inv_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """inv_stack of the rows of c, in any supported algebra, whose conj negates every coefficient but the first.
-
-    Each member is scaled by :func:`_scaled`, so its norm^2 n2 lies in
-    [1/4, dim) and neither over- nor underflows; wherever the unscaled
-    formula does not over- or underflow the two agree to the bit.
-    biring._inverse, which holds a structure table and no algebra, calls it
-    directly.
+    conj negates every coefficient but the first in each supported algebra,
+    so the stack needs no algebra. A member that is zero, non-finite, or
+    whose largest coefficient is below 2^-1023 has no representable
+    inverse: it is False in the mask and NaN in the inverses. Every other
+    member has the bits of its inv. Each member is scaled by
+    :func:`_scaled`, so its norm^2 n2 lies in [1/4, dim) and neither over-
+    nor underflows; wherever the unscaled formula does not over- or
+    underflow the two agree to the bit.
     """
     s, e = _scaled(c, -1)
     n2 = (s[..., None, :] @ s[..., None])[..., 0, 0]

@@ -81,7 +81,6 @@ from .algebra import (
     NotInvertibleError,
     _frobenius_rows,
     _inv_floats,
-    _inv_rows,
     _scaled,
     close,
     inv_stack,
@@ -230,7 +229,7 @@ def transpose(a: BiMatrix) -> BiMatrix:
 
 def hadamard_inv(a: BiMatrix) -> BiMatrix:
     """Entrywise inverse combined with transposition: (Ha)[i][j] = a[j][i]^-1."""
-    out, ok = inv_stack(a.algebra, a.data.transpose(1, 0, 2))
+    out, ok = inv_stack(a.data.transpose(1, 0, 2))
     if not ok.all():
         raise NotInvertibleError("Hadamard inverse undefined: a zero, subnormal or non-finite entry")
     return BiMatrix(a.algebra, out)
@@ -447,7 +446,7 @@ def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, 
     """_inverse of a (k, 1, 1, d) stack: each entry a inverted by inv's rule and checked on both sides.
 
     One member is inverted by algebra._inv_floats, a stack by
-    algebra._inv_rows, which gives every member the same bits, and a member
+    algebra.inv_stack, which gives every member the same bits, and a member
     that inv refuses fails. The check is |a b - 1| and |b a - 1| for the
     inverse b, each product the contraction of Element.__mul__, a with the
     table as d x d^2 and the other factor with that: ndarray.dot for one
@@ -469,7 +468,7 @@ def _element_inverses(table: np.ndarray, data: np.ndarray) -> tuple[np.ndarray, 
         ab[0] -= 1.0
         ba[0] -= 1.0
         return b.reshape(1, 1, 1, d), ([] if max(map(abs, ab + ba)) <= bound else [0])
-    out, ok = _inv_rows(data[:, 0, 0])
+    out, ok = inv_stack(data[:, 0, 0])
     a, b = data[:, 0, 0], out
     if not ok.all():
         # the unit stands in for the failed members, whose products could warn

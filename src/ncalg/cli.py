@@ -10,9 +10,13 @@ a test harness: 1 is a false verdict, 2 a usage error or unknown scenario,
 and 3 a typed numeric error (an exponential that cannot be accurate, a
 singular matrix, an undefined quasideterminant, algebra misuse, a zero
 element inverted), reported as data instead of a traceback.
-Reports are deterministic for a fixed seed and options. The form scenarios
-(integrability-*, exact-*, separable-712) judge polynomials exactly and
-draw nothing, so the seed does not change their reports.
+Reports are deterministic for a fixed seed and options. Each scenario is a
+draw of its inputs from the seed and a check of them. Six draw
+(quasidet-2x2, solve-quaternion-system, rank-demo, exp-properties,
+quasiexp-demo, ode-forms-cross-check); the other ten draw nothing, so the
+seed does not change their reports. Only the six form scenarios
+(integrability-*, exact-*, separable-712) read --algebra; the other ten fix
+the algebra of their statement.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 from . import _kernels, biring
 from .algebra import (
     CLOSE_RTOL,
+    AlgebraDesc,
     AlgebraError,
+    Element,
     NotInvertibleError,
     _frobenius_rows,
     _mul_rows,
@@ -38,7 +44,6 @@ from .algebra import (
     inv_stack,
     make_algebra,
     one,
-    random_element,
     zero,
 )
 from .diffeq import (
@@ -75,29 +80,46 @@ class Options:
 
 @dataclass
 class Scenario:
+    """A named check of the paper's statements.
+
+    draw(alg, rng) gives the inputs as named coefficient arrays, each with
+    the algebra's coefficients on its last axis, and check(alg, inputs)
+    judges them; a scenario without a draw gets no inputs. algebra names
+    the one algebra the statement fixes, and None takes --algebra's.
+    """
+
     name: str
     description: str
     anchor: str
-    runner: Callable[[Options], Report]
+    check: Callable[[AlgebraDesc, dict], Report]
+    draw: Callable[[AlgebraDesc, np.random.Generator], dict] | None = None
+    algebra: str | None = None
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario draws and checks
+
+_ALGEBRAS = tuple(map(make_algebra, ("real", "complex", "quaternion")))
 
 
-def _scn_quasidet_2x2(opt: Options) -> Report:
-    rng = np.random.default_rng(opt.seed)
+def _norms(c):  # of each coefficient vector, the rule the printed gaps keep
+    return np.sqrt((c ** 2).sum(axis=-1))
+
+
+def _draw_quasidet_2x2(alg, rng) -> dict:
+    inputs = {}
+    for each in _ALGEBRAS:  # all three in turn, whichever alg is asked for
+        a = rng.uniform(-1.0, 1.0, (50, 2, 2, each.dim))  # the draws of 50 random_matrix calls
+        # keep every closed-form pivot well away from zero
+        inputs[each.tag] = a[_norms(a).min(axis=(1, 2)) >= 1e-2]
+    return inputs
+
+
+def _scn_quasidet_2x2(_, inputs) -> Report:
     gaps, holds = [], True
     checked = 0
-
-    def norms(c):  # of each coefficient vector, the rule the printed gaps keep
-        return np.sqrt((c ** 2).sum(axis=-1))
-
-    for tag in ("real", "complex", "quaternion"):
-        alg = make_algebra(tag)
-        a = rng.uniform(-1.0, 1.0, (50, 2, 2, alg.dim))  # the draws of 50 random_matrix calls
-        # keep every closed-form pivot well away from zero
-        a = a[norms(a).min(axis=(1, 2)) >= 1e-2]
+    for alg in _ALGEBRAS:
+        a = inputs[alg.tag]
         # one stacked inverse and one stacked quasideterminant call; each
         # member has the bits, and the failure, of its own rc_inv call
         invs, failed = biring._inverse(alg.table, a)
@@ -106,26 +128,28 @@ def _scn_quasidet_2x2(opt: Options) -> Report:
         quasi = biring._quasidets(alg.table, a.repeat(4, axis=0), rows, cols).reshape(a.shape)
         checked += len(a)
         # a_ij - a_{i,1-j} a_{1-i,1-j}^-1 a_{1-i,j} for all four (i, j) of every matrix at once
-        term = _mul_rows(alg, _mul_rows(alg, a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
+        term = _mul_rows(alg, _mul_rows(alg, a[:, :, ::-1], inv_stack(a[:, ::-1, ::-1])[0]), a[:, ::-1])
         closed, invs = a - term, invs.swapaxes(1, 2)
-        inverse = inv_stack(alg, closed)[0]
+        inverse = inv_stack(closed)[0]
         # each gap is judged relative to the terms its closed form sums, or to the
         # two inverse entries it compares, the rule of algebra.close
-        sizes = (norms(a) + norms(term), norms(invs) + norms(inverse))
+        sizes = (_norms(a) + _norms(term), _norms(invs) + _norms(inverse))
         for got, want, size in zip((quasi, invs), (closed, inverse), sizes):
-            gap = norms(got - want)
+            gap = _norms(got - want)
             gaps += gap.ravel().tolist()
             holds = holds and bool((gap <= CLOSE_RTOL * size).all())
     resid = worst(gaps)
     return Report(verdict=holds and resid < math.inf, residual=resid, metrics={"matrices": checked})
 
 
-def _scn_solve_system(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
-    rng = np.random.default_rng(opt.seed)
+def _draw_solve_system(alg, rng) -> dict:
     # the draws of 20 rounds of one random_matrix(alg, 3, 3) and three random_element calls
     draws = rng.uniform(-1.0, 1.0, (20, 12, alg.dim))
-    a, b = draws[:, :9].reshape(20, 3, 3, alg.dim), draws[:, 9:]
+    return {"a": draws[:, :9].reshape(20, 3, 3, alg.dim), "b": draws[:, 9:]}
+
+
+def _scn_solve_system(alg, inputs) -> Report:
+    a, b = inputs["a"], inputs["b"]
     # one stacked solve; each system has the bits, and the error, of its own solve_rc call
     x, failed = biring._solve(alg.table, a, b)
     if failed:
@@ -135,13 +159,15 @@ def _scn_solve_system(opt: Options) -> Report:
     return Report(verdict=resid <= 1e-8, residual=resid)
 
 
-def _scn_rank_demo(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
-    rng = np.random.default_rng(opt.seed)
+def _draw_rank_demo(alg, rng) -> dict:
     # the draws of 10 rounds of three u and three v elements; entry (i, j) of
     # matrix t is u_i * v_j, with the bits of that Element product
     u, v = rng.uniform(-1.0, 1.0, (10, 2, 3, alg.dim)).swapaxes(0, 1)
-    a = _mul_rows(alg, u[:, :, None], v[:, None])
+    return {"a": _mul_rows(alg, u[:, :, None], v[:, None])}
+
+
+def _scn_rank_demo(alg, inputs) -> Report:
+    a = inputs["a"]
     # one stacked rank search, one gather of every bordered minor of every
     # matrix, and all their quasideterminants in one stacked call
     ranked = biring._rank_search(alg.table, a)
@@ -174,19 +200,16 @@ def _expect_refusal(alg, inner: Report, expected: str, condition: str | None = N
                   metrics=dict(inner.metrics, expected=expected))
 
 
-def _scn_integrability_x2(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_integrability_x2(alg, _) -> Report:
     return integrability_check(_poly(alg, (X, 0), (0, X)))
 
 
-def _scn_integrability_3xx(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_integrability_3xx(alg, _) -> Report:
     inner = integrability_check(TensorPolynomial([monomial(alg, (X, 0, X), 3.0)]))
     return _expect_refusal(alg, inner, "not integrable")
 
 
-def _scn_exact_723(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_exact_723(alg, _) -> Report:
     # dx + dx y, x dy + dy, and the potential x + x y + y
     m, n, u = _poly(alg, (0,), (0, Y)), _poly(alg, (X, 0), (0,)), _poly(alg, (X,), (X, Y), (Y,))
     ex = exactness_check(m, n)
@@ -196,24 +219,21 @@ def _scn_exact_723(opt: Options) -> Report:
                   metrics={"exactness": ex.to_data(), "solution": sol.to_data()})
 
 
-def _scn_exact_724(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_exact_724(alg, _) -> Report:
     # 3 x x dx + dx y and x dy: over H the x-part's symmetry fails
     m = TensorPolynomial([monomial(alg, (X, X, 0), 3.0), monomial(alg, (0, Y))])
     ex = exactness_check(m, _poly(alg, (X, 0)))
     return _expect_refusal(alg, ex, "not exact", "sym_x")
 
 
-def _scn_exact_725(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_exact_725(alg, _) -> Report:
     # dx y and dy x pass both symmetry conditions over H; the order-sensitive
     # cross condition is what must fail
     ex = exactness_check(_poly(alg, (0, Y)), _poly(alg, (0, X)))
     return _expect_refusal(alg, ex, "not exact", "cross")
 
 
-def _scn_separable_712(opt: Options) -> Report:
-    alg = make_algebra(opt.algebra)
+def _scn_separable_712(alg, _) -> Report:
     # dx x + x dx and dy y + y dy, with the potential x x + y y
     m, n, u = _poly(alg, (0, X), (X, 0)), _poly(alg, (0, Y), (Y, 0)), _poly(alg, (X, X), (Y, Y))
     return implicit_solution_check(u, m, n)
@@ -236,14 +256,17 @@ def _identities(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
     return worst(gaps), holds
 
 
-def _scn_exp_properties(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
-    rng = np.random.default_rng(opt.seed)
+def _draw_exp_properties(alg, rng) -> dict:
     # the draws of 10 rounds of random_element and uniform(-2, 2), which is twice
     # uniform(-1, 1), exactly; then of 10 pairs of random_element calls
     drawn = rng.uniform(-1.0, 1.0, (10, alg.dim + 1))
-    a, b = drawn[:, :-1], drawn[:, :-1] * (2.0 * drawn[:, -1:])  # real multiples commute with a
     c, x = rng.uniform(-1.0, 1.0, (10, 2, alg.dim)).swapaxes(0, 1)
+    # b, a real multiple of a, commutes with it
+    return {"a": drawn[:, :-1], "b": drawn[:, :-1] * (2.0 * drawn[:, -1:]), "c": c, "x": x}
+
+
+def _scn_exp_properties(alg, inputs) -> Report:
+    a, b, c, x = inputs["a"], inputs["b"], inputs["c"], inputs["x"]
     i, j = np.eye(alg.dim)[1:3]
     # all 53 exponentials in one stacked call, each with the bits of its exp_el: a + b,
     # a and b per commuting pair, x c and c x per swap pair, then i + j, i and j; every
@@ -262,13 +285,16 @@ def _scn_exp_properties(opt: Options) -> Report:
                   metrics={"noncommuting_gap": gap, "pairs_checked": 20})
 
 
-def _scn_quasiexp_demo(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
-    rng = np.random.default_rng(opt.seed)
+def _draw_quasiexp_demo(alg, rng) -> dict:
+    # the draws of 5 rounds of two random_element calls, c then x
+    c, x = rng.uniform(-1.0, 1.0, (5, 2, alg.dim)).swapaxes(0, 1)
+    return {"c": c, "x": x}
+
+
+def _scn_quasiexp_demo(alg, inputs) -> Report:
     reports, zero_gaps = [], []
-    for _ in range(5):
-        c = random_element(alg, rng)
-        x = random_element(alg, rng)
+    for c, x in zip(inputs["c"], inputs["x"]):
+        c, x = Element._trusted(alg, c), Element._trusted(alg, x)
         # dy/dx o 1 = y, probed by central differences along the unit
         y = lambda v: quasiexp([c], v)
         reports.append(antiderivative_residual(y, lambda v, h: y(v), [x], [one(alg)]))
@@ -296,21 +322,18 @@ def _euler_gap(alg, fs: np.ndarray) -> tuple[float, bool]:
     return _identities(lhs, rhs)
 
 
-def _scn_euler_hyperbolic(opt: Options) -> Report:
-    alg = make_algebra("real")
+def _scn_euler_hyperbolic(alg, _) -> Report:
     resid, holds = _euler_gap(alg, np.ones((1, 1)))
     return Report(verdict=holds, residual=resid)
 
 
-def _scn_euler_quaternion(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
+def _scn_euler_quaternion(alg, _) -> Report:
     i, j, k = np.eye(alg.dim)[1:]
     resid, holds = _euler_gap(alg, np.array((i, (i + j) * (1 / np.sqrt(2)), 2 * k)))
     return Report(verdict=holds, residual=resid)
 
 
-def _scn_elliptic_nonunique(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
+def _scn_elliptic_nonunique(alg, _) -> Report:
     ode = elliptic_ode(alg)
     ts = (0.0, 0.5, 1.0, 2.0)
     init = np.array([x.coeffs for x in ode.init])
@@ -334,8 +357,7 @@ def _scn_elliptic_nonunique(opt: Options) -> Report:
     )
 
 
-def _scn_elliptic_family(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
+def _scn_elliptic_family(alg, _) -> Report:
     ode = elliptic_ode(alg)
     ts = (0.0, 0.5, 1.0, 2.0)
     init = np.array([x.coeffs for x in ode.init])
@@ -349,15 +371,17 @@ def _scn_elliptic_family(opt: Options) -> Report:
                   residual=worst(r.residual for r in reports), metrics={"init_gap": init_gap})
 
 
-def _scn_ode_forms(opt: Options) -> Report:
-    alg = make_algebra("quaternion")
+def _draw_ode_forms(alg, rng) -> dict:
     # three systems per form, each the draws of random_matrix(alg, 2, 2, rng,
     # scale=0.5) and two random_element calls: uniform(-0.5, 0.5) is half of
     # uniform(-1, 1), exactly
-    draws = np.random.default_rng(opt.seed).uniform(-1.0, 1.0, (len(OdeForm), 3, 24))
-    a = 0.5 * draws[..., :16].reshape(len(OdeForm), 3, 2, 2, alg.dim)
-    m = np.concatenate([_real_matrices(alg, c, form) for c, form in zip(a, OdeForm)])
-    x0 = draws[..., 16:].reshape(len(m), 2 * alg.dim)
+    draws = rng.uniform(-1.0, 1.0, (len(OdeForm), 3, 6, alg.dim))
+    return {"a": 0.5 * draws[:, :, :4].reshape(len(OdeForm), 3, 2, 2, alg.dim), "x0": draws[:, :, 4:]}
+
+
+def _scn_ode_forms(alg, inputs) -> Report:
+    m = np.concatenate([_real_matrices(alg, c, form) for c, form in zip(inputs["a"], OdeForm)])
+    x0 = inputs["x0"].reshape(len(m), 2 * alg.dim)
     ts, checks = np.linspace(0.0, 1.0, 11), (0.0, 0.5, 1.0)
     # every system's states at the grid and at the residual's probes, from one
     # exponential grid and one stacked RK4 power, and every residual from one judge
@@ -372,45 +396,40 @@ def _scn_ode_forms(opt: Options) -> Report:
                   metrics={"closed_form_residual": worst(r.residual for r in reports)})
 
 
-SCENARIOS: dict[str, Scenario] = {}
-
-
-def _register(name: str, description: str, anchor: str, runner: Callable[[Options], Report]):
-    SCENARIOS[name] = Scenario(name, description, anchor, runner)
-
-
-_register("quasidet-2x2", "2x2 quasideterminants match their closed forms and the inverse entries",
-          "2x2 quasideterminant closed forms", _scn_quasidet_2x2)
-_register("solve-quaternion-system", "random quaternion systems solved via the rc-inverse",
-          "nonsingular rc linear systems", _scn_solve_system)
-_register("rank-demo", "bordered quasideterminants vanish on rank-deficient matrices",
-          "rank via major minors", _scn_rank_demo)
-_register("integrability-x2", "the form behind y = x^2 has a symmetric derivative",
-          "integrability of x dx + dx x", _scn_integrability_x2)
-_register("integrability-3xx", "3 x dx x is integrable over C but not over H (witness reported)",
-          "integrability of 3 x dx x", _scn_integrability_3xx)
-_register("exact-723", "dx + dx.y + x.dy + dy = 0 is exact; x + xy + y = C solves it",
-          "exact equation with potential x + xy + y", _scn_exact_723)
-_register("exact-724", "cubic-in-x form fails the own-variable symmetry condition",
-          "inexact equation, symmetry failure", _scn_exact_724)
-_register("exact-725", "dx.y + dy.x fails the order-sensitive cross condition",
-          "inexact equation, order-sensitive failure", _scn_exact_725)
-_register("separable-712", "x^2 + y^2 = C solves the separated-variable equation",
-          "separated variables with potential x^2 + y^2", _scn_separable_712)
-_register("exp-properties", "e^{a+b} = e^a e^b if a and b commute; a e^{xa} = e^{ax} a",
-          "exponent product and side-swap laws", _scn_exp_properties)
-_register("quasiexp-demo", "quasiexponent satisfies dy/dx o 1 = y and e[c]^0 = c",
-          "quasiexponent fixed-point equation", _scn_quasiexp_demo)
-_register("euler-hyperbolic", "sinh/cosh split of the real exponent",
-          "hyperbolic Euler split", _scn_euler_hyperbolic)
-_register("euler-quaternion", "sinh/cosh split of e^{ft} for quaternion f",
-          "quaternion Euler split", _scn_euler_quaternion)
-_register("elliptic-nonunique", "rk4 curve vs the two-exponential curve for x''= -x",
-          "elliptic initial-value problem, constructed second curve", _scn_elliptic_nonunique)
-_register("elliptic-family", "three-exponential family solves the elliptic system for C in {0,1,i}",
-          "elliptic three-exponential family", _scn_elliptic_family)
-_register("ode-forms-cross-check", "closed forms of all four product forms match RK4",
-          "four linear system forms vs RK4", _scn_ode_forms)
+SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario("quasidet-2x2", "2x2 quasideterminants match their closed forms and the inverse entries",
+             "2x2 quasideterminant closed forms", _scn_quasidet_2x2, _draw_quasidet_2x2, algebra="quaternion"),
+    Scenario("solve-quaternion-system", "random quaternion systems solved via the rc-inverse",
+             "nonsingular rc linear systems", _scn_solve_system, _draw_solve_system, algebra="quaternion"),
+    Scenario("rank-demo", "bordered quasideterminants vanish on rank-deficient matrices",
+             "rank via major minors", _scn_rank_demo, _draw_rank_demo, algebra="quaternion"),
+    Scenario("integrability-x2", "the form behind y = x^2 has a symmetric derivative",
+             "integrability of x dx + dx x", _scn_integrability_x2),
+    Scenario("integrability-3xx", "3 x dx x is integrable over C but not over H (witness reported)",
+             "integrability of 3 x dx x", _scn_integrability_3xx),
+    Scenario("exact-723", "dx + dx.y + x.dy + dy = 0 is exact; x + xy + y = C solves it",
+             "exact equation with potential x + xy + y", _scn_exact_723),
+    Scenario("exact-724", "cubic-in-x form fails the own-variable symmetry condition",
+             "inexact equation, symmetry failure", _scn_exact_724),
+    Scenario("exact-725", "dx.y + dy.x fails the order-sensitive cross condition",
+             "inexact equation, order-sensitive failure", _scn_exact_725),
+    Scenario("separable-712", "x^2 + y^2 = C solves the separated-variable equation",
+             "separated variables with potential x^2 + y^2", _scn_separable_712),
+    Scenario("exp-properties", "e^{a+b} = e^a e^b if a and b commute; a e^{xa} = e^{ax} a",
+             "exponent product and side-swap laws", _scn_exp_properties, _draw_exp_properties, algebra="quaternion"),
+    Scenario("quasiexp-demo", "quasiexponent satisfies dy/dx o 1 = y and e[c]^0 = c",
+             "quasiexponent fixed-point equation", _scn_quasiexp_demo, _draw_quasiexp_demo, algebra="quaternion"),
+    Scenario("euler-hyperbolic", "sinh/cosh split of the real exponent",
+             "hyperbolic Euler split", _scn_euler_hyperbolic, algebra="real"),
+    Scenario("euler-quaternion", "sinh/cosh split of e^{ft} for quaternion f",
+             "quaternion Euler split", _scn_euler_quaternion, algebra="quaternion"),
+    Scenario("elliptic-nonunique", "rk4 curve vs the two-exponential curve for x''= -x",
+             "elliptic initial-value problem, constructed second curve", _scn_elliptic_nonunique, algebra="quaternion"),
+    Scenario("elliptic-family", "three-exponential family solves the elliptic system for C in {0,1,i}",
+             "elliptic three-exponential family", _scn_elliptic_family, algebra="quaternion"),
+    Scenario("ode-forms-cross-check", "closed forms of all four product forms match RK4",
+             "four linear system forms vs RK4", _scn_ode_forms, _draw_ode_forms, algebra="quaternion"),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +448,8 @@ def run_scenario(name: str, options: Options) -> tuple[Report, dict]:
     if name not in SCENARIOS:
         raise KeyError(name)
     s = SCENARIOS[name]
-    report = s.runner(options)
+    alg = make_algebra(s.algebra or options.algebra)
+    report = s.check(alg, s.draw(alg, np.random.default_rng(options.seed)) if s.draw else {})
     payload = {
         "scenario": s.name,
         "anchor": s.anchor,
@@ -459,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = Options()
     run.add_argument("--seed", type=_seed, default=defaults.seed)
     run.add_argument("--algebra", default=defaults.algebra,
-                     choices=["real", "complex", "quaternion"])
+                     choices=[alg.tag for alg in _ALGEBRAS])
     run.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])
     return parser
 

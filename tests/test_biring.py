@@ -1328,7 +1328,7 @@ def test_one_element_has_one_inverse_rule(tag):
     for every coefficient vector of _extreme_rows; nothing warns."""
     alg = make_algebra(tag)
     rows = _extreme_rows(alg)
-    stacked, ok = inv_stack(alg, rows)
+    stacked, ok = inv_stack(rows)
     out, failed = biring._inverse(alg.table, rows[:, None, None])
     answered = 0
     for t, row in enumerate(rows):

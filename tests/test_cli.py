@@ -181,6 +181,37 @@ def test_payload_metrics_and_witness_are_plain_data(name, tag):
 
 FORM_SCENARIOS = ("integrability-x2", "integrability-3xx", "exact-723", "exact-724", "exact-725",
                   "separable-712")
+DRAWING_SCENARIOS = ("exp-properties", "ode-forms-cross-check", "quasidet-2x2", "quasiexp-demo", "rank-demo",
+                     "solve-quaternion-system")
+
+
+class TestDrawAndCheck:
+    """Each scenario is check(alg, draw(alg, rng)): the seed reaches only a draw, and --algebra only a free algebra."""
+
+    def test_the_registry_splits_as_documented(self):
+        assert tuple(sorted(name for name, s in SCENARIOS.items() if s.draw)) == DRAWING_SCENARIOS
+        assert {name for name, s in SCENARIOS.items() if s.algebra is None} == set(FORM_SCENARIOS)
+        assert {name for name, s in SCENARIOS.items() if s.algebra == "real"} == {"euler-hyperbolic"}
+        assert sum(s.algebra == "quaternion" for s in SCENARIOS.values()) == 9
+
+    @pytest.mark.parametrize("name", sorted(name for name, s in SCENARIOS.items() if s.algebra))
+    def test_a_fixed_algebra_gives_the_same_report_under_every_algebra_option(self, name):
+        reports = [run_scenario(name, Options(seed=1, algebra=tag))[0] for tag in ("real", "complex", "quaternion")]
+        assert len(set(map(repr, reports))) == 1
+
+    @pytest.mark.parametrize("name", sorted(name for name, s in SCENARIOS.items() if not s.draw))
+    def test_a_scenario_without_a_draw_gives_the_same_report_at_two_seeds(self, name):
+        # the payload echoes the seed, so the reports are compared
+        for tag in ("real", "complex", "quaternion"):
+            first, second = (run_scenario(name, Options(seed=seed, algebra=tag))[0] for seed in (0, 9))
+            assert repr(first) == repr(second)
+
+    @pytest.mark.parametrize("name", DRAWING_SCENARIOS)
+    def test_every_drawing_scenario_passes_at_seeds_0_to_63(self, capsys, name):
+        codes = {seed: main(["run", name, "--seed", str(seed)]) for seed in range(64)}
+        capsys.readouterr()
+        assert codes == dict.fromkeys(range(64), 0)
+
 
 
 class TestFormScenarios:
@@ -237,10 +268,10 @@ class TestTypedErrors:
         *(pytest.param(e, "text", id=f"{e.__name__}-text") for e in TYPED_ERRORS),
     ])
     def test_every_typed_error_exits_3(self, capsys, monkeypatch, exc, fmt):
-        def runner(opt):
+        def check(alg, inputs):
             raise exc("raised by the scenario")
 
-        monkeypatch.setitem(SCENARIOS, "raises", Scenario("raises", "", "", runner))
+        monkeypatch.setitem(SCENARIOS, "raises", Scenario("raises", "", "", check))
         assert main(["run", "raises", "--format", fmt, "--seed", "5"]) == 3
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -252,11 +283,11 @@ class TestTypedErrors:
             assert captured.out.splitlines() == [f"error : {exc.__name__}: raised by the scenario"]
 
     def test_key_error_inside_a_scenario_is_not_an_unknown_name(self, capsys, monkeypatch):
-        # exit 2 means the name is not registered; a runner's own KeyError propagates
-        def runner(opt):
-            return {}["missing"]
+        # exit 2 means the name is not registered; a check's own KeyError propagates
+        def check(alg, inputs):
+            return inputs["missing"]
 
-        monkeypatch.setitem(SCENARIOS, "raises", Scenario("raises", "", "", runner))
+        monkeypatch.setitem(SCENARIOS, "raises", Scenario("raises", "", "", check))
         with pytest.raises(KeyError):
             main(["run", "raises"])
         assert "unknown scenario" not in capsys.readouterr().err
@@ -328,8 +359,8 @@ def _per_matrix_quasidet_2x2(opt):
         def mul(x, y):
             return _kernels.rc_contract(alg.table, x[..., None, None, :], y[..., None, None, :])[..., 0, 0, :]
 
-        closed = a - mul(mul(a[:, :, ::-1], inv_stack(alg, a[:, ::-1, ::-1])[0]), a[:, ::-1])
-        for got, want in ((quasi, closed), (invs.swapaxes(1, 2), inv_stack(alg, closed)[0])):
+        closed = a - mul(mul(a[:, :, ::-1], inv_stack(a[:, ::-1, ::-1])[0]), a[:, ::-1])
+        for got, want in ((quasi, closed), (invs.swapaxes(1, 2), inv_stack(closed)[0])):
             gaps += np.sqrt(((got - want) ** 2).sum(axis=-1)).ravel().tolist()
     resid = worst(gaps)
     return Report(verdict=resid <= 1e-9, residual=resid, metrics={"matrices": checked})

@@ -42,13 +42,20 @@ to quasidet_cr(conj a, i, j). Their rounding grows with the conditioning
 of a, so each pair is judged at COND_MULTIPLE units of roundoff u times
 cond2(rho(a)); rc_rank's rank is invariant under sigma_q, and the minor
 its selector picks stays rc-nonsingular in sigma_q(a).
+
+Every CLI scenario that draws is a check of what it draws, and each of
+the six draws over H. sigma_q, applied to every drawn quaternion array,
+maps each statement to itself, so every verdict, and every exit code, is
+that of the unmapped draw.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from ncalg import _kernels, diffeq
-from ncalg.algebra import Element, close, make_algebra, random_element
+from ncalg import _kernels, cli, diffeq
+from ncalg.algebra import Element, _mul_rows, close, make_algebra, random_element
 from ncalg.biring import (BiMatrix, cr_inv, cr_mul, cr_pow, is_rc_singular, quasidet_cr, quasidet_rc, quasidets_rc,
                           random_matrix, rc_inv, rc_mul, rc_pow, rc_rank, solve_rc, submatrix)
 from ncalg.diffeq import OdeForm
@@ -292,3 +299,28 @@ def test_inner_automorphisms_keep_the_rank_and_the_selected_minor():
         assert len(mapped_sel.rows) == len(mapped_sel.cols) == r
         if r:
             assert not is_rc_singular(submatrix(mapped, sel.rows, sel.cols)), sel
+
+
+# two units: q = (1 + i - j + k)/2, exact, and 0.6 + 0.8 j, a unit to rounding
+SCENARIO_UNITS = {"half": np.array([0.5, 0.5, -0.5, 0.5]), "j-turn": np.array([0.6, 0.0, 0.8, 0.0])}
+
+
+def _mapped(q: np.ndarray, inputs: dict) -> dict:
+    """inputs with every quaternion array x, entry by entry, mapped to q x conj(q)."""
+    conj_q = q * HH._conj
+    return {key: _mul_rows(HH, _mul_rows(HH, q, x), conj_q) if x.shape[-1] == HH.dim else x
+            for key, x in inputs.items()}
+
+
+@pytest.mark.parametrize("unit", sorted(SCENARIO_UNITS))
+@pytest.mark.parametrize("name", sorted(name for name, s in cli.SCENARIOS.items() if s.draw))
+def test_inner_automorphisms_keep_every_drawing_scenarios_verdict(capsys, monkeypatch, name, unit):
+    q, s = SCENARIO_UNITS[unit], cli.SCENARIOS[name]
+    drawn = s.draw(HH, np.random.default_rng(0))
+    assert any(not np.allclose(x, y) for x, y in zip(drawn.values(), _mapped(q, drawn).values()))
+    seeds = [str(seed) for seed in range(8)]
+    plain = [cli.main(["run", name, "--seed", seed]) for seed in seeds]
+    monkeypatch.setitem(cli.SCENARIOS, name, dataclasses.replace(s, draw=lambda alg, rng: _mapped(q, s.draw(alg, rng))))
+    mapped = [cli.main(["run", name, "--seed", seed]) for seed in seeds]
+    capsys.readouterr()
+    assert mapped == plain
