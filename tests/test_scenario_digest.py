@@ -1,7 +1,7 @@
 """Every CLI report matches the committed scenario digest.
 
 tests/data/scenario_digest.txt holds the output of tools/scenario_digest.py
-(per scenario, algebra, seed 0-3 and format: the exit code and the sha256 of
+(per scenario, algebra, seed 0-7 and format: the exit code and the sha256 of
 the report) after a header naming numpy's version, its BLAS build and the
 CPU features numpy reports. The hashes cover full-precision floats, whose
 last bits may change with any of those (a DYNAMIC_ARCH OpenBLAS picks its

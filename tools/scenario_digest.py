@@ -1,6 +1,6 @@
 """Print the exit code and a digest of the JSON and text reports of every CLI scenario.
 
-One line per scenario, algebra, seed 0-3 and format: the scenario, the
+One line per scenario, algebra, seed 0-7 and format: the scenario, the
 algebra, the seed, the format, the exit code of ``ncalg run <scenario>
 --algebra <algebra> --seed <seed> --format <format>`` and the sha256 of
 what it prints. Two runs print the same lines exactly when every report
@@ -26,7 +26,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 from ncalg import cli  # noqa: E402
 
 ALGEBRAS = ("real", "complex", "quaternion")
-SEEDS = range(4)
+SEEDS = range(8)
 FORMATS = ("json", "text")
 
 
