@@ -84,14 +84,6 @@ def _fd_step(scale: float) -> float:
     return FD_STEP * (1.0 + scale)
 
 
-def _central(f: Callable[[float], Element], s: float) -> Element:
-    """Central difference (f(s) - f(-s)) / (2s) of a function of the signed step.
-
-    x + (-s) h equals x - s h exactly, so callers shift by the signed step.
-    """
-    return (f(s) - f(-s)) * (1.0 / (2 * s))
-
-
 def _judge(gaps: Iterable[tuple[float, bool, dict | None]], **metrics) -> Report:
     """The verdict rule of every checker, over (residual, held, witness) triples.
 
@@ -193,17 +185,42 @@ def integrability_check(g: TensorPolynomial, tol: float = FORM_TOL) -> Report:
     return _judge([_vanishing(_difference(dg, _transposed(dg)), [dg], tol)])
 
 
+def _fd_judge(xs: np.ndarray, hs: np.ndarray, steps: np.ndarray, plus: np.ndarray, minus: np.ndarray,
+              g: np.ndarray, tol: float = FD_TOL, more: np.ndarray | None = None) -> tuple[Report, list[float]]:
+    """antiderivative_residual of k probes read as (k, d) coefficient rows, and the norms of more rows.
+
+    Probe i is the point xs[i] and the direction hs[i], with the step
+    steps[i] = _fd_step(|xs[i]|); plus[i] and minus[i] are y at xs[i] +
+    steps[i] hs[i] and xs[i] - steps[i] hs[i], and g[i] is g(xs[i], hs[i]).
+    Each residual is the norm of (plus - minus) (1 / (2 step)) - g, with the
+    bits of its Element arithmetic, and they and the norms of the optional
+    (m, d) rows more come from one _frobenius_rows call. A failing probe's
+    witness is its x, h and residual.
+    """
+    gaps = (plus - minus) * (1.0 / (2 * steps))[:, None] - g
+    norms = _frobenius_rows(gaps if more is None else np.concatenate((gaps, more))).tolist()
+    probes = zip(xs.tolist(), hs.tolist(), norms[:len(gaps)])
+    report = _judge((r, True, None) if r <= tol else (r, False, {"x": x, "h": h, "residual": r}) for x, h, r in probes)
+    return report, norms[len(gaps):]
+
+
 def antiderivative_residual(y: Callable[[Element], Element], g, points: Sequence[Element],
                             dirs: Sequence[Element], tol: float = FD_TOL) -> Report:
     """Does dy/dx = g hold? Central differences of y against g over a probe grid.
 
-    g may be a TensorPolynomial or any callable (x, h) -> Element.
+    g may be a TensorPolynomial or any callable (x, h) -> Element. Each
+    probe (x, h) reads y at x + s h and x - s h, s = _fd_step(|x|), and g at
+    (x, h), and _fd_judge judges them all.
     """
-    def gap(x: Element, h: Element):
-        r = (_central(lambda e: y(x + e * h), _fd_step(x.norm())) - g(x, h)).norm()
-        return r, r <= tol, {"x": x.coeffs.tolist(), "h": h.coeffs.tolist(), "residual": r}
-
-    return _judge(gap(x, h) for x in points for h in dirs)
+    probes = [(x, h, _fd_step(x.norm())) for x in points for h in dirs]
+    if not probes:
+        _judge(())  # raises: no probe
+    values = [(y(x + s * h), y(x + (-s) * h), g(x, h)) for x, h, s in probes]
+    if len({v.algebra for row in values for v in row}) > 1:
+        raise AlgebraError("y and g must take their values in one algebra")
+    xs, hs = (np.array([probe[i].coeffs for probe in probes]) for i in (0, 1))
+    plus, minus, at = (np.array([row[i].coeffs for row in values]) for i in (0, 1, 2))
+    return _fd_judge(xs, hs, np.array([s for _, _, s in probes]), plus, minus, at, tol)[0]
 
 
 def exactness_check(m: TensorPolynomial, n: TensorPolynomial, tol: float = FORM_TOL) -> Report:

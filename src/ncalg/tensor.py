@@ -58,7 +58,7 @@ class SlotTensor:
     substitutes the args, x and y into their gaps.
     """
 
-    __slots__ = ("algebra", "x_gaps", "arg_slots", "y_gaps", "terms")
+    __slots__ = ("algebra", "x_gaps", "arg_slots", "y_gaps", "terms")  # the order _fill sets them in
 
     def __init__(self, algebra: AlgebraDesc, x_gaps: int, arg_slots: int,
                  terms: Sequence[tuple[Sequence[Element], Sequence[int]]] = (), y_gaps: int = 0):
@@ -77,11 +77,20 @@ class SlotTensor:
             if any(c.algebra != algebra for c in coeffs):
                 raise AlgebraError("mixed algebras in tensor term")
             norm_terms.append((coeffs, labels))
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "x_gaps", x_gaps)
-        object.__setattr__(self, "arg_slots", arg_slots)
-        object.__setattr__(self, "y_gaps", y_gaps)
-        object.__setattr__(self, "terms", tuple(norm_terms))
+        _fill(self, algebra, x_gaps, arg_slots, y_gaps, tuple(norm_terms))
+
+    @classmethod
+    def _trusted(cls, algebra: AlgebraDesc, x_gaps: int, arg_slots: int, terms: tuple,
+                 y_gaps: int = 0) -> "SlotTensor":
+        """A SlotTensor over terms already as the constructor leaves them, with no check or copy.
+
+        terms is a tuple of (coeffs, labels) tuple pairs that the
+        constructor would accept for this shape: the terms of validated
+        tensors, relabelled only as slot_derivative relabels them.
+        """
+        self = object.__new__(cls)
+        _fill(self, algebra, x_gaps, arg_slots, y_gaps, terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SlotTensor is immutable")
@@ -97,11 +106,17 @@ class SlotTensor:
     def __add__(self, other: "SlotTensor") -> "SlotTensor":
         if other._shape() != self._shape():
             raise ValueError("shape mismatch in SlotTensor sum")
-        return SlotTensor(self.algebra, self.x_gaps, self.arg_slots, self.terms + other.terms, self.y_gaps)
+        return SlotTensor._trusted(self.algebra, self.x_gaps, self.arg_slots, self.terms + other.terms, self.y_gaps)
 
     def __repr__(self):
         return (f"SlotTensor(x_gaps={self.x_gaps}, y_gaps={self.y_gaps}, arg_slots={self.arg_slots}, "
                 f"terms={len(self.terms)})")
+
+
+def _fill(s: SlotTensor, *values) -> None:
+    """Set the slots of a new SlotTensor, in __slots__ order."""
+    for name, value in zip(SlotTensor.__slots__, values):
+        object.__setattr__(s, name, value)
 
 
 def pure(coeffs: Sequence[Element]) -> SlotTensor:
@@ -188,7 +203,8 @@ def slot_derivative(s: SlotTensor, var: int = X) -> SlotTensor:
 
     The new direction becomes the highest arg index; each term contributes
     one copy per gap of var replaced (product rule over the multilinear gaps).
-    Any other var raises ValueError.
+    Any other var raises ValueError. The terms are s's, relabelled, so the
+    result is built by SlotTensor._trusted, with no second validation.
     """
     if var not in (X, Y):
         raise ValueError(f"can only differentiate in X ({X}) or Y ({Y}), got variable {var}")
@@ -201,7 +217,7 @@ def slot_derivative(s: SlotTensor, var: int = X) -> SlotTensor:
                 nl[pos] = new_arg
                 terms.append((coeffs, tuple(nl)))
     x_gaps, y_gaps = max(0, s.x_gaps - (var == X)), max(0, s.y_gaps - (var == Y))
-    return SlotTensor(s.algebra, x_gaps, s.arg_slots + 1, terms, y_gaps)
+    return SlotTensor._trusted(s.algebra, x_gaps, s.arg_slots + 1, tuple(terms), y_gaps)
 
 
 def monomial_derivative(t: SlotTensor, k: int, var: int = X) -> SlotTensor:
@@ -297,9 +313,23 @@ def poly_product(p: TensorPolynomial, q: TensorPolynomial) -> TensorPolynomial:
 # equality and size
 
 
-def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """The monomials of that degree in dim coordinates: sorted tuples, in combinations_with_replacement order."""
-    return list(combinations_with_replacement(range(dim), degree))
+    return tuple(combinations_with_replacement(range(dim), degree))
+
+
+@lru_cache(maxsize=None)
+def _orbit_weights(dim: int, degree: int) -> np.ndarray:
+    """sqrt(alpha!/p!) of each monomial alpha of degree p, in _monomials order, as a read-only array.
+
+    alpha! is the product, over the sorted coordinates, of each one's
+    copies up to it, and p!/alpha! is the number of orderings of alpha.
+    """
+    weights = np.array([np.sqrt(np.prod([m[:j].count(q) / j for j, q in enumerate(m, 1)]))
+                        for m in _monomials(dim, degree)])
+    weights.setflags(write=False)
+    return weights
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +345,8 @@ def _merger(dim: int, degree: int) -> Callable[[np.ndarray], np.ndarray]:
     up, low = _monomials(dim, degree + 1), {m: i for i, m in enumerate(_monomials(dim, degree))}
     rest = np.array([[low[n[:n.index(q)] + n[n.index(q) + 1:] if q in n else n[1:]] for q in range(dim)] for n in up])
     weight = np.sqrt(np.array([[n.count(q) for q in range(dim)] for n in up]) / (degree + 1))
-    return lambda a: np.einsum("abnqk,nq->abnk", a[:, :, rest, np.arange(dim)], weight)
+    coordinates = np.arange(dim)
+    return lambda a: np.einsum("abnqk,nq->abnk", a[:, :, rest, coordinates], weight)
 
 
 def symmetric_part(s: SlotTensor) -> np.ndarray:
@@ -332,21 +363,29 @@ def symmetric_part(s: SlotTensor) -> np.ndarray:
     orderings. Each term runs its coefficient chain one gap at a time, as
     :func:`eval_args` does with the basis in every gap: an argument gap adds
     an axis, and a variable gap merges its coordinate into that variable's
-    monomial by the weighted sums of :func:`_merger`. That takes
+    monomial by the weighted sums of :func:`_merger`. Each gap's step
+    multiplies by its coefficient's structure table, formed once per call
+    for each distinct coefficient. That takes
     O(terms * order * dim^2 * size) time for an array of size floats.
     An infinite coefficient raises AlgebraError, since the table product
     would meet inf * 0; a NaN one gives NaN entries.
     """
-    if np.isinf([c.coeffs for coeffs, _ in s.terms for c in coeffs]).any():
+    # the distinct coefficients, by their bytes: terms and their derivatives share most of them
+    distinct = {c.coeffs.tobytes(): c.coeffs for coeffs, _ in s.terms for c in coeffs}
+    if np.isinf(list(distinct.values())).any():
         raise AlgebraError("a symmetric part needs finite coefficients")
     d, k, t = s.algebra.dim, s.arg_slots, s.algebra.table
     total = np.zeros((d, len(_monomials(d, s.y_gaps)), len(_monomials(d, s.x_gaps))) + (d,) * k)
+    tables = {}  # t @ (c @ t), formed once for each distinct coefficient c of a gap
     for coeffs, labels in s.terms:
         chain = coeffs[0].coeffs.reshape(1, 1, 1, d)  # axes: the arguments so far, y, x, the value
         for g, (label, c) in enumerate(zip(labels, coeffs[1:])):
-            # t @ (c @ t) holds at [p, q, k] the e_k coefficient of e_p e_q c, for the table t; the step's
-            # axes are chain's, then the coordinate in this gap and the new value
-            step = (chain.reshape(-1, d) @ (t @ (c.coeffs @ t)).reshape(d, d * d)).reshape(chain.shape[:3] + (d, d))
+            key = c.coeffs.tobytes()
+            if key not in tables:
+                # at [p, q, k] the e_k coefficient of e_p e_q c, for the table t
+                tables[key] = (t @ (distinct[key] @ t)).reshape(d, d * d)
+            # the step's axes are chain's, then the coordinate in this gap and the new value
+            step = (chain.reshape(-1, d) @ tables[key]).reshape(chain.shape[:3] + (d, d))
             if label >= 0:
                 chain = step.transpose(0, 3, 1, 2, 4).reshape((-1,) + step.shape[1:3] + (d,))
             else:  # the variable's monomials on axis 2 (y swapped there and back), merged into the new ones
@@ -364,12 +403,12 @@ def largest_entry(part: np.ndarray, x_gaps: int, y_gaps: int) -> tuple[float, li
     equal magnitudes the first in the array's order wins. The place is one
     coordinate per gap: the value, the y gaps' and the x gaps' (each
     monomial by its sorted coordinates, the first of its orderings), then
-    the arguments.
+    the arguments. The weights sqrt(alpha!/p!) come from :func:`_orbit_weights`.
     """
-    monomials = [_monomials(part.shape[0], gaps) for gaps in (y_gaps, x_gaps)]
-    # sqrt(alpha!/p!): alpha! is the product, over the sorted coordinates, of each one's copies up to it
-    scales = ([np.sqrt(np.prod([m[:j].count(q) / j for j, q in enumerate(m, 1)])) for m in ms] for ms in monomials)
-    size = np.einsum("vyx...,y,x->vyx...", np.nan_to_num(np.abs(part), nan=np.inf), *scales)
+    d = part.shape[0]
+    monomials = [_monomials(d, gaps) for gaps in (y_gaps, x_gaps)]
+    size = np.einsum("vyx...,y,x->vyx...", np.nan_to_num(np.abs(part), nan=np.inf),
+                     _orbit_weights(d, y_gaps), _orbit_weights(d, x_gaps))
     at = np.unravel_index(np.argmax(size), size.shape)
     return float(size[at]), [int(at[0]), *monomials[0][at[1]], *monomials[1][at[2]], *map(int, at[3:])]
 

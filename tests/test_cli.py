@@ -13,7 +13,7 @@ from ncalg.cli import SCENARIOS, Options, Scenario, list_scenarios, main, run_sc
 from ncalg.diffeq import (LinearOde, OdeForm, closed_form_solution, elliptic_family, elliptic_ode,
                           elliptic_two_exp_curve, rk4_integrate, solution_residual)
 from ncalg.report import Report, worst
-from ncalg.series import SeriesBudgetError, cosh_el, exp_el, sinh_el
+from ncalg.series import SeriesBudgetError, cosh_el, exp_el, quasiexp, sinh_el
 
 from conftest import is_plain
 
@@ -633,6 +633,29 @@ def test_the_cross_check_exponentiates_each_distinct_time_once(monkeypatch):
     assert report.verdict and shapes == [(12, 16)]
 
 
+def _per_element_quasiexp_demo(opt):
+    """quasiexp-demo with Element arithmetic and one quasiexp call per value, one drawn c and x at a time."""
+    alg = make_algebra("quaternion")
+    rng = np.random.default_rng(opt.seed)
+    gaps, zero_gaps = [], []
+    for _ in range(5):
+        c, x = random_element(alg, rng), random_element(alg, rng)
+        s = diffeq._fd_step(x.norm())
+        slope = (quasiexp([c], x + s * one(alg)) - quasiexp([c], x + (-s) * one(alg))) * (1.0 / (2 * s))
+        gaps.append((slope - quasiexp([c], x)).norm())
+        zero_gaps.append((quasiexp([c], zero(alg)) - c).norm())
+    resid, at_zero = worst(gaps), worst(zero_gaps)
+    verdict = all(r <= diffeq.FD_TOL for r in gaps) and at_zero <= 1e-12
+    return Report(verdict=verdict, residual=resid, metrics={"value_at_zero_gap": at_zero})
+
+
+def test_quasiexp_demo_on_rows_matches_the_per_element_loop():
+    """The reports are equal, residual bits included, at seeds 0-63."""
+    for seed in range(64):
+        got, _ = run_scenario("quasiexp-demo", Options(seed=seed))
+        assert json.dumps(got.to_data()) == json.dumps(_per_element_quasiexp_demo(Options(seed=seed)).to_data()), seed
+
+
 @pytest.mark.parametrize("name, reference", [("elliptic-nonunique", _per_call_elliptic_nonunique),
                                              ("elliptic-family", _per_call_elliptic_family)])
 def test_elliptic_scenarios_match_their_per_call_reads(name, reference):
@@ -650,7 +673,7 @@ def _refuting(report):
                  id="ode-forms-cross-check"),
     pytest.param("elliptic-family", "_judge_states", lambda reports: [_refuting(r) for r in reports],
                  id="elliptic-family"),
-    pytest.param("quasiexp-demo", "antiderivative_residual", _refuting, id="quasiexp-demo"),
+    pytest.param("quasiexp-demo", "_fd_judge", lambda out: (_refuting(out[0]), out[1]), id="quasiexp-demo"),
 ])
 def test_a_scenario_takes_its_checkers_verdicts(capsys, monkeypatch, name, checker, refute):
     # the residual reads 0.0, so a scenario that judged it against its own

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import partial
 
@@ -26,7 +27,7 @@ from ncalg.diffeq import (
     solution_residual,
     successive_powers,
 )
-from ncalg.report import worst
+from ncalg.report import Report, worst
 from ncalg.series import SeriesBudgetError, cosh_el, exp_at, exp_el, mexp_cr, mexp_rc, sinh_el
 from ncalg.tensor import (SlotTensor, TensorPolynomial, X, Y, monomial, monomial_derivative, ones_tensor, poly_derivative,
                           symmetric_part, tensor_scale)
@@ -162,6 +163,58 @@ class TestAntiderivative:
             lambda x: c, lambda x, h: zero(HH), probe_elements(HH, 5, 4), probe_elements(HH, 6, 3)
         )
         assert rep.verdict and rep.residual <= 1e-9
+
+
+def _per_probe_antiderivative(y, g, points, dirs, tol=diffeq.FD_TOL):
+    """antiderivative_residual as one central difference in Element arithmetic and one norm per probe."""
+    def gap(x, h):
+        s = diffeq._fd_step(x.norm())
+        r = ((y(x + s * h) - y(x + (-s) * h)) * (1.0 / (2 * s)) - g(x, h)).norm()
+        return r, r <= tol, {"x": x.coeffs.tolist(), "h": h.coeffs.tolist(), "residual": r}
+
+    return diffeq._judge(gap(x, h) for x in points for h in dirs)
+
+
+class TestArrayJudge:
+    """antiderivative_residual reads its callables into arrays and judges them in one _fd_judge call."""
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_reports_keep_the_per_probe_bytes(self, tag):
+        alg = make_algebra(tag)
+        points, dirs = probe_elements(alg, 21, 6), probe_elements(alg, 22, 3)
+        big = [1e3 * x for x in points[:2]] + [zero(alg)]
+        nan = Element(alg, [math.nan] * alg.dim)
+        cases = [
+            (lambda x: x * x, x_square_form(alg)),
+            (lambda x: x * x * x, three_x_form(alg)),  # refutes over H, with its witness
+            (lambda x: 2.0 * exp_el(x), lambda x, h: exp_el(x) * h + h * exp_el(x)),
+            # finite but wrong everywhere, with NaN at the third point: the NaN is the worst
+            (lambda x: x * x * 2.0, lambda x, h: nan if x is points[2] else x * h + h * x),
+        ]
+        for y, g in cases:
+            for pts, hs in ((points, dirs), (points[:1], dirs[:1]), (big, dirs), (points, dirs[::-1] + big)):
+                got, want = antiderivative_residual(y, g, pts, hs), _per_probe_antiderivative(y, g, pts, hs)
+                assert json.dumps(got.to_data()) == json.dumps(want.to_data())
+        cube = antiderivative_residual(*cases[1], points, dirs)
+        assert cube.verdict == (tag != "quaternion") and (cube.verdict or math.isfinite(cube.witness["residual"]))
+        refuted = antiderivative_residual(*cases[3], points, dirs)
+        assert math.isnan(refuted.residual) and refuted.witness["x"] == points[2].coeffs.tolist()
+
+    def test_more_rows_take_the_norms_of_elements(self, HH, rng):
+        xs = np.array([random_element(HH, rng).coeffs for _ in range(3)])
+        hs = np.eye(4)[1:]
+        plus, minus, g = rng.uniform(-1.0, 1.0, (3, 3, 4))
+        more = np.concatenate((rng.uniform(-1e200, 1e200, (2, 4)), [[math.nan, 0.0, 0.0, 0.0], [-0.0] * 4]))
+        steps = diffeq._fd_step(np.array([Element(HH, x).norm() for x in xs]))
+        report, norms = diffeq._fd_judge(xs, hs, steps, plus, minus, g, more=more)
+        assert json.dumps(norms) == json.dumps([Element(HH, m).norm() for m in more])
+        assert diffeq._fd_judge(xs, hs, steps, plus, minus, g) == (report, [])
+        # random values are no derivative: every probe refutes, and the worst is the witness
+        gaps = [((Element(HH, p) - Element(HH, m)) * (1.0 / (2 * s)) - Element(HH, v)).norm()
+                for p, m, v, s in zip(plus, minus, g, steps)]
+        i = gaps.index(max(gaps))
+        assert report == Report(verdict=False, residual=gaps[i],
+                                witness={"x": xs[i].tolist(), "h": hs[i].tolist(), "residual": gaps[i]})
 
 
 class TestDerivativeTableFixtures:
@@ -921,7 +974,9 @@ def _per_time_residual(ode, curve, ts, tol=diffeq.FD_TOL):
     """solution_residual as one curve(t) call per probe time and one ode.rhs per time."""
     def gaps():
         for t in ts:
-            fd = diffeq._central(lambda e: np.stack([x.coeffs for x in curve(t + e)]), diffeq._fd_step(abs(t)))
+            h = diffeq._fd_step(abs(t))
+            fd = (np.stack([x.coeffs for x in curve(t + h)]) - np.stack([x.coeffs for x in curve(t - h)])) \
+                * (1.0 / (2 * h))
             rhs = ode.rhs(curve(t))
             for i in range(ode.size):
                 r = frobenius(fd[i] - rhs[i].coeffs)

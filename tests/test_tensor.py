@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncalg import tensor
-from ncalg.algebra import AlgebraError, basis, from_scalar, make_algebra, one, random_element, zero
+from ncalg.algebra import AlgebraError, Element, basis, from_scalar, make_algebra, one, random_element, zero
 from ncalg.tensor import (
     SlotTensor,
     TensorPolynomial,
@@ -652,3 +652,115 @@ class TestInputChecks:
         p = TensorPolynomial([monomial(HH, (X,))])
         with pytest.raises(AttributeError, match=r"TensorPolynomial is immutable"):
             p.arg_slots = 1
+
+
+def _validated(s):
+    """s rebuilt by the public, checking constructor."""
+    return SlotTensor(s.algebra, s.x_gaps, s.arg_slots, s.terms, s.y_gaps)
+
+
+def _twin(s):
+    """s with every coefficient a new Element of the same value."""
+    terms = [([Element(c.algebra, c.coeffs.tolist()) for c in coeffs], labels) for coeffs, labels in s.terms]
+    return SlotTensor(s.algebra, s.x_gaps, s.arg_slots, terms, s.y_gaps)
+
+
+def _per_gap_symmetric_part(s):
+    """symmetric_part with the coefficient's table t @ (c @ t) formed afresh at every gap of every term."""
+    if np.isinf([c.coeffs for coeffs, _ in s.terms for c in coeffs]).any():
+        raise AlgebraError("a symmetric part needs finite coefficients")
+    d, k, t = s.algebra.dim, s.arg_slots, s.algebra.table
+    total = np.zeros((d, len(tensor._monomials(d, s.y_gaps)), len(tensor._monomials(d, s.x_gaps))) + (d,) * k)
+    for coeffs, labels in s.terms:
+        chain = coeffs[0].coeffs.reshape(1, 1, 1, d)
+        for g, (label, c) in enumerate(zip(labels, coeffs[1:])):
+            step = (chain.reshape(-1, d) @ (t @ (c.coeffs @ t)).reshape(d, d * d)).reshape(chain.shape[:3] + (d, d))
+            if label >= 0:
+                chain = step.transpose(0, 3, 1, 2, 4).reshape((-1,) + step.shape[1:3] + (d,))
+            else:
+                chain = tensor._merger(d, labels[:g].count(label))(step.swapaxes(label + 3, 2)).swapaxes(label + 3, 2)
+        slots = sorted(range(k), key=[l for l in labels if l >= 0].__getitem__)
+        total += chain.reshape((d,) * k + chain.shape[1:]).transpose(k + 2, k, k + 1, *slots)
+    return total
+
+
+def _listed_largest_entry(part, x_gaps, y_gaps):
+    """largest_entry with its weights sqrt(alpha!/p!) listed afresh for each monomial at each call."""
+    monomials = [list(combinations_with_replacement(range(part.shape[0]), gaps)) for gaps in (y_gaps, x_gaps)]
+    scales = ([np.sqrt(np.prod([m[:j].count(q) / j for j, q in enumerate(m, 1)])) for m in ms] for ms in monomials)
+    size = np.einsum("vyx...,y,x->vyx...", np.nan_to_num(np.abs(part), nan=np.inf), *scales)
+    at = np.unravel_index(np.argmax(size), size.shape)
+    return float(size[at]), [int(at[0]), *monomials[0][at[1]], *monomials[1][at[2]], *map(int, at[3:])]
+
+
+class TestDerivedTensors:
+    """Derivatives and sums skip the constructor's checks, and the form checks' per-call setup is shared."""
+
+    @pytest.mark.parametrize("tag", ["real", "complex", "quaternion"])
+    def test_trusted_tensors_equal_their_validated_rebuilds(self, rng, tag):
+        # x and y gaps 0-3 and 0-2, then one to three derivatives in X or Y, and sums of them
+        alg = make_algebra(tag)
+        for x_gaps, y_gaps in product(range(4), range(3)):
+            s = random_slot_tensor(alg, rng, x_gaps, 0, y_gaps=y_gaps)
+            for variables in product((X, Y), repeat=3):
+                derived, t = [], s
+                for var in variables:
+                    t = slot_derivative(t, var)
+                    derived.append(t)
+                for t in derived + [t + t for t in derived]:
+                    rebuilt = _validated(t)
+                    assert (t.algebra, t.x_gaps, t.y_gaps, t.arg_slots) == \
+                        (rebuilt.algebra, rebuilt.x_gaps, rebuilt.y_gaps, rebuilt.arg_slots)
+                    assert t.terms == rebuilt.terms and type(t.terms) is tuple
+                    assert all(type(c) is tuple and type(l) is tuple for c, l in t.terms)
+                    assert t.arg_slots in (1, 2, 3)
+        with pytest.raises(AttributeError, match="immutable"):
+            derived[0].terms = ()
+
+    def test_the_public_constructor_still_checks(self, HH, CC):
+        o = one(HH)
+        with pytest.raises(ValueError, match="labels"):
+            SlotTensor(HH, 1, 1, [((o, o, o), (X, 1))])
+        with pytest.raises(ValueError, match="labels"):
+            SlotTensor(HH, 0, 1, [((o, o), (Y,))], y_gaps=0)
+        with pytest.raises(AlgebraError, match="mixed algebras"):
+            SlotTensor(HH, 1, 1, [((o, one(CC), o), (X, 0))])
+        # a sum of tensors of one shape needs no check; of two shapes it raises
+        with pytest.raises(ValueError, match="shape mismatch"):
+            slot_derivative(monomial(HH, (X, X))) + monomial(HH, (X, X))
+
+    def test_symmetric_part_keeps_the_per_gap_bits(self, HH, rng):
+        shared = random_element(HH, rng)
+        twin = Element(HH, shared.coeffs.tolist())
+        signed = Element(HH, [1.0, -0.0, 0.0, -0.0])  # equal to one(HH), with other bytes
+        nan = Element(HH, [0.5, math.nan, 0.0, 1.0])
+        cases = {
+            "one shared object": [([shared] * 4, (X, 0, Y)), ([shared] * 4, (Y, X, 0))],
+            "equal values, distinct objects": [([shared, twin, shared, twin], (X, 0, Y)),
+                                               ([twin, twin, shared, one(HH)], (0, Y, X)),
+                                               ([one(HH), signed, signed, one(HH)], (Y, X, 0))],
+            "a NaN coefficient": [([shared, nan, shared, shared], (X, 0, Y)), ([nan] * 4, (0, X, Y))],
+        }
+        for name, terms in cases.items():
+            s = SlotTensor(HH, 1, 1, terms, y_gaps=1)
+            assert symmetric_part(s).tobytes() == _per_gap_symmetric_part(s).tobytes(), name
+        # derivatives share their source's coefficient objects
+        s = random_slot_tensor(HH, rng, 3, 0, y_gaps=1)
+        for t in (s, slot_derivative(s), slot_derivative(slot_derivative(s), Y), s + _twin(s)):
+            assert symmetric_part(t).tobytes() == _per_gap_symmetric_part(t).tobytes()
+        inf = Element(HH, [1.0, math.inf, 0.0, 0.0])
+        with pytest.raises(AlgebraError, match="finite"):
+            symmetric_part(SlotTensor(HH, 1, 1, [([shared, shared, inf], (X, 0))]))
+
+    def test_largest_entry_keeps_the_listed_weights(self, HH, rng):
+        for x_gaps, y_gaps, k in product(range(4), range(3), range(3)):
+            part = symmetric_part(random_slot_tensor(HH, rng, x_gaps, k, y_gaps=y_gaps))
+            nan_at, tied = part.copy(), np.ones_like(part)
+            nan_at.flat[rng.integers(part.size, size=2)] = math.nan
+            for p in (part, nan_at, tied, np.zeros_like(part)):
+                assert largest_entry(p, x_gaps, y_gaps) == _listed_largest_entry(p, x_gaps, y_gaps)
+        # the cached weights are shared, so no caller may write to them
+        weights = tensor._orbit_weights(4, 3)
+        assert weights is tensor._orbit_weights(4, 3) and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 2.0

@@ -87,7 +87,12 @@ inverse
     with a random right-hand side.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
-    over H, for k = 4, 6, 8, 9, 10 and 12.
+    over H, for k = 4, 6, 8, 9, 10 and 12. Then the form checks at the
+    CLI scenarios' degrees, over H: exactness_check of exact-724's forms
+    3 x x dx + dx y and x dy, which it refutes with a witness;
+    implicit_solution_check of separable-712's potential x x + y y and
+    forms dx x + x dx and dy y + y dy; and symmetric_part of the one
+    component of D_x(x x + y y).
 
 Every row prints the least over REPEATS rounds of the mean of as many calls
 as fit in BUDGET_S seconds, at most NUMBER, in microseconds; one untimed
@@ -332,6 +337,15 @@ def forms():
     for k in (4, 6, 8, 9, 10, 12):
         yield f"k = {k}", lambda k=k: partial(diffeq.integrability_check,
                                               tensor.poly_derivative(tensor.TensorPolynomial([tensor.ones_tensor(H, k)])))
+    X, Y = tensor.X, tensor.Y
+    yield "exactness_check, exact-724", lambda: partial(
+        diffeq.exactness_check,
+        tensor.TensorPolynomial([tensor.monomial(H, (X, X, 0), 3.0), tensor.monomial(H, (0, Y))]), cli._poly(H, (X, 0)))
+    yield "implicit_solution_check, sep-712", lambda: partial(
+        diffeq.implicit_solution_check, cli._poly(H, (X, X), (Y, Y)), cli._poly(H, (0, X), (X, 0)),
+        cli._poly(H, (0, Y), (Y, 0)))
+    yield "symmetric_part, D_x(x x + y y)", lambda: partial(
+        tensor.symmetric_part, tensor.poly_derivative(cli._poly(H, (X, X), (Y, Y))).components[0])
 
 
 TABLES = {"elements": elements, "scenarios": scenarios, "series": series_rows, "products": products,
