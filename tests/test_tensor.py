@@ -654,11 +654,6 @@ class TestInputChecks:
             p.arg_slots = 1
 
 
-def _validated(s):
-    """s rebuilt by the public, checking constructor."""
-    return SlotTensor(s.algebra, s.x_gaps, s.arg_slots, s.terms, s.y_gaps)
-
-
 def _twin(s):
     """s with every coefficient a new Element of the same value."""
     terms = [([Element(c.algebra, c.coeffs.tolist()) for c in coeffs], labels) for coeffs, labels in s.terms]
@@ -708,7 +703,7 @@ class TestDerivedTensors:
                     t = slot_derivative(t, var)
                     derived.append(t)
                 for t in derived + [t + t for t in derived]:
-                    rebuilt = _validated(t)
+                    rebuilt = SlotTensor(t.algebra, t.x_gaps, t.arg_slots, t.terms, t.y_gaps)  # checks every term
                     assert (t.algebra, t.x_gaps, t.y_gaps, t.arg_slots) == \
                         (rebuilt.algebra, rebuilt.x_gaps, rebuilt.y_gaps, rebuilt.arg_slots)
                     assert t.terms == rebuilt.terms and type(t.terms) is tuple
