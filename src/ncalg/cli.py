@@ -125,17 +125,14 @@ def _scn_quasidet_2x2(_, inputs) -> Report:
         rows, cols = np.divmod(np.arange(4 * len(a)) % 4, 2)
         quasi = biring._quasidets(alg.table, a.repeat(4, axis=0), rows, cols).reshape(a.shape)
         checked += len(a)
-        # a_ij - a_{i,1-j} a_{1-i,1-j}^-1 a_{1-i,j} for all four (i, j) of every matrix at once
-        term = _mul_rows(alg, _mul_rows(alg, a[:, :, ::-1], inv_stack(a[:, ::-1, ::-1])[0]), a[:, ::-1])
-        closed, invs = a - term, invs.swapaxes(1, 2)
-        inverse = inv_stack(closed)[0]
-        # each gap is judged relative to the terms its closed form sums, or to the
-        # two inverse entries it compares, the rule of algebra.close
-        sizes = (_norms(a) + _norms(term), _norms(invs) + _norms(inverse))
-        for got, want, size in zip((quasi, invs), (closed, inverse), sizes):
-            gap = _norms(got - want)
-            gaps += gap.ravel().tolist()
-            holds = holds and bool((gap <= CLOSE_RTOL * size).all())
+        # |A|_ij = ((A^-1)_ji)^-1: each quasideterminant against the inverse of the
+        # matching entry of the certified inverse, two independent routes (acceptance
+        # criterion 01 checks the Element closed form); each gap is judged relative
+        # to the two entries it compares, the rule of algebra.close
+        got, want = invs.swapaxes(1, 2), inv_stack(quasi)[0]
+        gap = _norms(got - want)
+        gaps += gap.ravel().tolist()
+        holds = holds and bool((gap <= CLOSE_RTOL * (_norms(got) + _norms(want))).all())
     resid = worst(gaps)
     return Report(verdict=holds and resid < math.inf, residual=resid, metrics={"matrices": checked})
 

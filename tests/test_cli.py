@@ -450,7 +450,7 @@ def test_solve_scenario_raises_the_first_failed_system(monkeypatch):
         run_scenario("solve-quaternion-system", Options(seed=0))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("name, reference", [("quasidet-2x2", _per_matrix_quasidet_2x2),
                                              ("rank-demo", _per_matrix_rank_demo)])
 def test_stacked_scenarios_match_their_per_matrix_loops(name, reference, seed):
@@ -459,6 +459,25 @@ def test_stacked_scenarios_match_their_per_matrix_loops(name, reference, seed):
     want = reference(Options(seed=seed))
     assert json.dumps(got.to_data()) == json.dumps(want.to_data())
     assert got.verdict
+
+
+def test_quasidet_2x2_inverts_once_per_algebra_and_multiplies_nothing(monkeypatch):
+    """Each quasideterminant meets the certified inverse's entry once: no closed form is formed beside _quasidets."""
+    calls = {"inv_stack": 0, "_mul_rows": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    report, _ = run_scenario("quasidet-2x2", Options(seed=0))
+    assert report.verdict
+    assert calls == {"inv_stack": 3, "_mul_rows": 0}
 
 
 @pytest.mark.parametrize("seed", [1171915987, 2070104270])

@@ -46,7 +46,10 @@ its selector picks stays rc-nonsingular in sigma_q(a).
 Every CLI scenario that draws is a check of what it draws, and each of
 the six draws over H. sigma_q, applied to every drawn quaternion array,
 maps each statement to itself, so every verdict, and every exit code, is
-that of the unmapped draw.
+that of the unmapped draw. The five that draw in the algebra they are
+given take a draw over C, embedded in H with two zero coefficients, as a
+draw over H whose statement still holds, so each of their verdicts over H
+is true.
 """
 
 import dataclasses
@@ -324,3 +327,21 @@ def test_inner_automorphisms_keep_every_drawing_scenarios_verdict(capsys, monkey
     mapped = [cli.main(["run", name, "--seed", seed]) for seed in seeds]
     capsys.readouterr()
     assert mapped == plain
+
+
+# the drawing scenarios whose draw follows the algebra given (quasidet-2x2's runs R, C and H in turn)
+EMBEDDABLE = ("exp-properties", "ode-forms-cross-check", "quasiexp-demo", "rank-demo", "solve-quaternion-system")
+
+
+@pytest.mark.parametrize("name", EMBEDDABLE)
+def test_the_embedding_of_c_in_h_keeps_every_drawing_scenarios_verdict(name):
+    # drawn over C and then embedded: zeroing the j and k parts of an H draw is
+    # no embedding, since it breaks rank-demo's products u_i v_j
+    s = cli.SCENARIOS[name]
+    assert s.algebra == "quaternion"
+    verdicts = {}
+    for seed in range(64):
+        drawn = s.draw(CC, np.random.default_rng(seed))
+        embedded = {key: np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, 2)]) for key, x in drawn.items()}
+        verdicts[seed] = s.check(HH, embedded).verdict
+    assert verdicts == dict.fromkeys(range(64), True)

@@ -87,7 +87,10 @@ inverse
     with a random right-hand side.
 forms
     integrability_check on D(x^k), the form h -> sum of x^i h x^(k-1-i)
-    over H, for k = 4, 6, 8, 9, 10 and 12. Then the form checks at the
+    over H, for k = 4, 6 and 8. Higher degrees are left out: their times
+    follow whether the allocator has trimmed its heap when they start, not
+    the code (a k = 9 call took 17 ms in one launch and 25-38 ms in
+    others), as their fault column showed. Then the form checks at the
     CLI scenarios' degrees, over H: exactness_check of exact-724's forms
     3 x x dx + dx y and x dy, which it refutes with a witness;
     implicit_solution_check of separable-712's potential x x + y y and
@@ -334,7 +337,7 @@ def inverse_rows():
 
 
 def forms():
-    for k in (4, 6, 8, 9, 10, 12):
+    for k in (4, 6, 8):
         yield f"k = {k}", lambda k=k: partial(diffeq.integrability_check,
                                               tensor.poly_derivative(tensor.TensorPolynomial([tensor.ones_tensor(H, k)])))
     X, Y = tensor.X, tensor.Y
