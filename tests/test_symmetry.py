@@ -329,8 +329,9 @@ def test_inner_automorphisms_keep_every_drawing_scenarios_verdict(capsys, monkey
     assert mapped == plain
 
 
-# the drawing scenarios whose draw follows the algebra given (quasidet-2x2's runs R, C and H in turn)
-EMBEDDABLE = ("exp-properties", "ode-forms-cross-check", "quasiexp-demo", "rank-demo", "solve-quaternion-system")
+# every drawing scenario, since each draw follows the algebra given
+EMBEDDABLE = ("exp-properties", "ode-forms-cross-check", "quasidet-2x2", "quasiexp-demo", "rank-demo",
+              "solve-quaternion-system")
 
 
 @pytest.mark.parametrize("name", EMBEDDABLE)
@@ -338,7 +339,7 @@ def test_the_embedding_of_c_in_h_keeps_every_drawing_scenarios_verdict(name):
     # drawn over C and then embedded: zeroing the j and k parts of an H draw is
     # no embedding, since it breaks rank-demo's products u_i v_j
     s = cli.SCENARIOS[name]
-    assert s.algebra == "quaternion"
+    assert (s.algebra or cli.Options.algebra) == "quaternion"
     verdicts = {}
     for seed in range(64):
         drawn = s.draw(CC, np.random.default_rng(seed))

@@ -18,9 +18,11 @@ elements
 scenarios
     Every CLI scenario through ``cli.run_scenario`` with the default
     options (seed 0, quaternions), then ``total``, one call that runs them
-    all in turn. Then two stacked bodies on their own: cli._euler_gap on
-    the three H directions of euler-quaternion (i, (i + j)/sqrt 2 and
-    2k), and diffeq._elliptic_family_states of elliptic-family's three
+    all in turn, then quasidet-2x2 at seed 0 over R and over C, the
+    algebras its default row does not run. Then two stacked bodies on
+    their own: cli._euler_gap on the three H directions of
+    euler-quaternion (i, (i + j)/sqrt 2 and 2k), and
+    diffeq._elliptic_family_states of elliptic-family's three
     parameters (C = 0, 1 and i) at that scenario's probe times,
     diffeq._probe_times of 0, 0.5, 1 and 2.
 series
@@ -179,6 +181,9 @@ def scenarios():
     for name in names:
         yield name, lambda name=name: partial(cli.run_scenario, name, cli.Options())
     yield "total", lambda: lambda: [cli.run_scenario(name, cli.Options()) for name in names]
+    for tag in ("real", "complex"):
+        yield f"quasidet-2x2 --algebra {tag}", lambda tag=tag: partial(cli.run_scenario, "quasidet-2x2",
+                                                                       cli.Options(algebra=tag))
     i, j, k = np.eye(H.dim)[1:]
     directions = np.array((i, (i + j) * (1 / np.sqrt(2)), 2 * k))
     yield "_euler_gap (3 H directions)", lambda: partial(cli._euler_gap, H, directions)
